@@ -26,7 +26,6 @@ from .encoder import (
     LayerOutputs,
     PoolingStrategy,
     embed_sentences,
-    forward,
     forward_batch,
     pool,
 )

@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .checkpoint import Checkpoint
-from .encoder import EncoderWeights, forward, parameter_names
+from .encoder import EncoderWeights, forward_batch
 from .errors import (
     ConfigError,
     ContractError,
@@ -36,7 +36,7 @@ from .errors import (
     ShapeError,
     VocabularyError,
 )
-from .text import Vocabulary, encode_pair
+from .text import Vocabulary, encode_pair, load_jsonl
 
 __all__ = [
     "AnalysisReport",
@@ -198,12 +198,11 @@ def export_attention(
     if checkpoint.vocab_hash != vocab.content_hash():
         raise VocabularyError("checkpoint was built with a different vocabulary")
     config = checkpoint.encoder_config
-    arrays = {name: checkpoint.params[name] for name in parameter_names(config)}
-    weights = EncoderWeights.from_arrays(config, arrays)
+    weights = EncoderWeights.from_arrays(config, checkpoint.params)
     seq = encode_pair(text_a, text_b, vocab, config.max_len)
-    outputs = forward(seq, weights, config, train_mode=False)
+    outputs = forward_batch([seq], weights, config, train_mode=False)
     n = seq.real_length
-    probs = outputs.attention[-1].data[:, :n, :n].astype(np.float64)
+    probs = outputs.attention[-1].data[0, :, :n, :n].astype(np.float64)
     tokens = [vocab.token_for(i) for i in seq.ids[:n]]
     return {
         "tokens": tokens,
@@ -248,14 +247,11 @@ def load_embeddings(path: str | Path) -> EmbeddingSet:
         raise FormatError(f"{sidecar_path}: sidecar metadata is missing")
     ids: list[int] = []
     texts: list[str] = []
-    for lineno, raw in enumerate(sidecar_path.read_text(encoding="utf-8").splitlines(), start=1):
-        if not raw.strip():
-            continue
+    for lineno, rec in load_jsonl(sidecar_path):
         try:
-            rec = json.loads(raw)
             ids.append(int(rec["id"]))
             texts.append(str(rec["text"]))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"{sidecar_path}:{lineno}: bad sidecar record ({exc})") from exc
     if len(ids) != n:
         raise FormatError(f"{sidecar_path}: {len(ids)} sidecar rows for {n} vectors")

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -49,7 +49,7 @@ class Checkpoint:
 
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     header = {
-        "encoder_config": ckpt.encoder_config.to_dict(),
+        "encoder_config": asdict(ckpt.encoder_config),
         "pretrain_config": ckpt.pretrain_config,
         "vocab_hash": ckpt.vocab_hash,
         "step": ckpt.step,

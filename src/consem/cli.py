@@ -18,6 +18,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .analysis import (
@@ -32,10 +33,11 @@ from .analysis import (
     uniformity,
 )
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import RunConfig
-from .encoder import EncoderWeights, PoolingStrategy, embed_sentences, parameter_names
+from .config import SHARED_KEYS, RunConfig, section_keys
+from .encoder import EncoderConfig, EncoderWeights, PoolingStrategy, embed_sentences
 from .errors import ConfigError, ConsemError, DataError, VocabularyError
 from .finetune import (
+    FinetuneConfig,
     TaskKind,
     TaskSpec,
     evaluate_classifier,
@@ -45,11 +47,12 @@ from .finetune import (
     load_task_records,
     save_model,
 )
-from .pretrain import train, write_loss_csv
+from .pretrain import PretrainConfig, train, write_loss_csv
 from .text import (
     Vocabulary,
     build_vocab,
     leakage_guard,
+    load_jsonl,
     load_nli_jsonl,
     load_triples_jsonl,
     prepare_contrastive,
@@ -58,20 +61,12 @@ from .text import (
 
 __all__ = ["build_parser", "entrypoint", "main"]
 
-_ENCODER_KEYS = ("num_layers", "num_heads", "hidden_size", "ff_size", "max_len", "dropout")
-_PRETRAIN_KEYS = (
-    "tau",
-    "mlm_weight",
-    "mask_rate",
-    "batch_size",
-    "epochs",
-    "learning_rate",
-    "weight_decay",
-    "pooling",
-    "data_fraction",
-    "validation_fraction",
-)
-_FINETUNE_KEYS = ("ft_batch_size", "ft_epochs", "ft_learning_rate")
+# Flags per command; ``--seed`` is a flag of every command, so no tuple holds it.
+_ENCODER_KEYS = tuple(section_keys(EncoderConfig).values())
+_PRETRAIN_KEYS = tuple(k for k in section_keys(PretrainConfig).values() if k != "seed")
+_FINETUNE_KEYS = tuple(k for k in section_keys(FinetuneConfig).values() if k not in SHARED_KEYS)
+_TASK_KEYS = ("task", "labels")
+_SWEEP_KEYS = _ENCODER_KEYS + _PRETRAIN_KEYS + _FINETUNE_KEYS + _TASK_KEYS
 
 SWEEP_GRIDS = {
     "tau": ("0.001", "0.01", "0.05", "0.1", "0.5", "1"),
@@ -95,9 +90,7 @@ def _resolve_config(args: argparse.Namespace, keys=()) -> RunConfig:
     config = RunConfig()
     if getattr(args, "config", None):
         config.update_from_file(args.config)
-    config.update({key: getattr(args, key, None) for key in keys})
-    if getattr(args, "seed", None) is not None:
-        config.update({"seed": args.seed})
+    config.update({key: getattr(args, key, None) for key in (*keys, "seed")})
     return config
 
 
@@ -105,18 +98,6 @@ def _out_dir(args: argparse.Namespace) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
-
-
-def _load_jsonl(path: str | Path) -> list[tuple[int, dict]]:
-    rows = []
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-        if not raw.strip():
-            continue
-        try:
-            rows.append((lineno, json.loads(raw)))
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}:{lineno}: malformed JSON ({exc.msg})") from exc
-    return rows
 
 
 def _strings_in(value) -> list[str]:
@@ -127,11 +108,6 @@ def _strings_in(value) -> list[str]:
     if isinstance(value, dict):
         return [s for item in value.values() for s in _strings_in(item)]
     return []
-
-
-def _encoder_from_checkpoint(ckpt):
-    arrays = {name: ckpt.params[name] for name in parameter_names(ckpt.encoder_config)}
-    return EncoderWeights.from_arrays(ckpt.encoder_config, arrays)
 
 
 def _checkpoint_vocab(args) -> tuple:
@@ -158,7 +134,7 @@ def cmd_prepare(args: argparse.Namespace) -> int:
     (out / "stats.json").write_text(stats.to_json() + "\n", encoding="utf-8")
     print(f"prepared {len(triples)} triples from {len(examples)} labeled pairs")
     if args.held_out:
-        held = [s for _, obj in _load_jsonl(args.held_out) for s in _strings_in(obj)]
+        held = [s for _, obj in load_jsonl(args.held_out) for s in _strings_in(obj)]
         violations = leakage_guard(triples, held)
         for v in violations:
             print(
@@ -185,7 +161,7 @@ def cmd_pretrain(args: argparse.Namespace) -> int:
     config = _resolve_config(args, keys=_ENCODER_KEYS + _PRETRAIN_KEYS)
     triples = load_triples_jsonl(args.triples)
     vocab = Vocabulary.load(args.vocab)
-    encoder_config = config.encoder_config(vocab.size)
+    encoder_config = config.build(EncoderConfig, vocab_size=vocab.size)
     init = None
     if args.init:
         base = load_checkpoint(args.init)
@@ -193,8 +169,8 @@ def cmd_pretrain(args: argparse.Namespace) -> int:
             raise VocabularyError("warm-start checkpoint was built with a different vocabulary")
         if base.encoder_config != encoder_config:
             raise ConfigError("warm-start checkpoint has a different encoder architecture")
-        init = _encoder_from_checkpoint(base)
-    ckpt, records = train(triples, config.pretrain_config(), vocab, encoder_config, init)
+        init = EncoderWeights.from_arrays(base.encoder_config, base.params)
+    ckpt, records = train(triples, config.build(PretrainConfig), vocab, encoder_config, init)
     out = _out_dir(args)
     save_checkpoint(ckpt, out / "checkpoint.bin")
     write_loss_csv(records, out / "loss_log.csv")
@@ -208,13 +184,13 @@ def cmd_pretrain(args: argparse.Namespace) -> int:
 
 
 def cmd_finetune(args: argparse.Namespace) -> int:
-    config = _resolve_config(args, keys=_FINETUNE_KEYS + ("task", "labels"))
+    config = _resolve_config(args, keys=_FINETUNE_KEYS + _TASK_KEYS)
     ckpt, vocab = _checkpoint_vocab(args)
     task = TaskSpec(kind=TaskKind.parse(config.task), labels=config.label_list())
     train_records = load_task_records(args.train, task)
     dev_records = load_task_records(args.dev, task)
     model, report = finetune_classifier(
-        ckpt, task, train_records, dev_records, config.finetune_config(), vocab
+        ckpt, task, train_records, dev_records, config.build(FinetuneConfig), vocab
     )
     out = _out_dir(args)
     save_model(model, ckpt.pretrain_config, out / "model.bin")
@@ -249,12 +225,16 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def _retrieval_cases(args, weights, ckpt, vocab, pooling):
     claims = []
-    for lineno, obj in _load_jsonl(args.claims):
+    for lineno, obj in load_jsonl(args.claims):
         if "claim" not in obj or "gold_index" not in obj:
             raise DataError(f"{args.claims}:{lineno}: expected fields 'claim' and 'gold_index'")
-        claims.append((str(obj["claim"]), int(obj["gold_index"])))
+        gold = obj["gold_index"]
+        # ``type`` rather than ``isinstance``: JSON true/false are bools, and bool subclasses int.
+        if type(gold) is not int:
+            raise DataError(f"{args.claims}:{lineno}: 'gold_index' must be an integer, got {gold!r}")
+        claims.append((str(obj["claim"]), gold))
     contexts = []
-    for lineno, obj in _load_jsonl(args.contexts):
+    for lineno, obj in load_jsonl(args.contexts):
         if "text" not in obj:
             raise DataError(f"{args.contexts}:{lineno}: expected field 'text'")
         contexts.append(str(obj["text"]))
@@ -276,7 +256,7 @@ def _retrieval_cases(args, weights, ckpt, vocab, pooling):
 def cmd_retrieve(args: argparse.Namespace) -> int:
     ckpt, vocab = _checkpoint_vocab(args)
     pooling = _pooling_for(args, ckpt)
-    weights = _encoder_from_checkpoint(ckpt)
+    weights = EncoderWeights.from_arrays(ckpt.encoder_config, ckpt.params)
     cases = _retrieval_cases(args, weights, ckpt, vocab, pooling)
     accuracies = {str(k): accuracy_at_topk(cases, k) for k in TOPK_REPORT_VALUES}
     out = _out_dir(args)
@@ -290,9 +270,13 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    if bool(args.claims) != bool(args.contexts):
+        raise ConfigError("--claims and --contexts must be given together")
+    if bool(args.attention_a) != bool(args.attention_b):
+        raise ConfigError("--attention-a and --attention-b must be given together")
     ckpt, vocab = _checkpoint_vocab(args)
     pooling = _pooling_for(args, ckpt)
-    weights = _encoder_from_checkpoint(ckpt)
+    weights = EncoderWeights.from_arrays(ckpt.encoder_config, ckpt.params)
     examples = load_nli_jsonl(args.pairs)
     sentences: list[str] = []
     seen = set()
@@ -314,8 +298,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         if ex.label == "contradiction"
     ]
     accuracy_at_k = None
-    if bool(args.claims) != bool(args.contexts):
-        raise ConfigError("--claims and --contexts must be given together")
     if args.claims:
         cases = _retrieval_cases(args, weights, ckpt, vocab, pooling)
         accuracy_at_k = {k: accuracy_at_topk(cases, k) for k in TOPK_REPORT_VALUES}
@@ -327,8 +309,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     )
     out = _out_dir(args)
     (out / "analysis.json").write_text(report.to_json() + "\n", encoding="utf-8")
-    if bool(args.attention_a) != bool(args.attention_b):
-        raise ConfigError("--attention-a and --attention-b must be given together")
     if args.attention_a:
         dump = export_attention(ckpt, vocab, args.attention_a, args.attention_b)
         (out / "attention.json").write_text(
@@ -355,7 +335,7 @@ def _sweep_value(config: RunConfig, axis: str, raw: str) -> None:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    base = _resolve_config(args, keys=_ENCODER_KEYS + _PRETRAIN_KEYS + _FINETUNE_KEYS + ("task", "labels"))
+    base = _resolve_config(args, keys=_SWEEP_KEYS)
     if args.axis not in SWEEP_GRIDS:
         raise ConfigError(f"unknown sweep axis {args.axis!r}; expected one of {sorted(SWEEP_GRIDS)}")
     values = [v.strip() for v in args.values.split(",")] if args.values else list(SWEEP_GRIDS[args.axis])
@@ -380,17 +360,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     rows = []
     failed = False
     for raw in values:
-        leg_config = _resolve_config(args, keys=_ENCODER_KEYS + _PRETRAIN_KEYS + _FINETUNE_KEYS + ("task", "labels"))
+        leg_config = replace(base)
         leg_dir = legs_dir / f"{args.axis}={raw.replace('/', '_')}"
         leg_dir.mkdir(exist_ok=True)
         try:
             _sweep_value(leg_config, args.axis, raw)
-            encoder_config = leg_config.encoder_config(vocab.size)
-            ckpt, records = train(triples, leg_config.pretrain_config(), vocab, encoder_config)
+            encoder_config = leg_config.build(EncoderConfig, vocab_size=vocab.size)
+            ckpt, records = train(triples, leg_config.build(PretrainConfig), vocab, encoder_config)
             save_checkpoint(ckpt, leg_dir / "checkpoint.bin")
             write_loss_csv(records, leg_dir / "loss_log.csv")
             model, report = finetune_classifier(
-                ckpt, task, train_records, dev_records, leg_config.finetune_config(), vocab
+                ckpt, task, train_records, dev_records, leg_config.build(FinetuneConfig), vocab
             )
             save_model(model, ckpt.pretrain_config, leg_dir / "model.bin")
             (leg_dir / "dev_metrics.json").write_text(
@@ -448,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab", required=True, metavar="PATH")
     p.add_argument("--train", required=True, metavar="PATH")
     p.add_argument("--dev", required=True, metavar="PATH")
-    _add_config_keys(p, _FINETUNE_KEYS + ("task", "labels"))
+    _add_config_keys(p, _FINETUNE_KEYS + _TASK_KEYS)
     common(p)
     p.set_defaults(handler=cmd_finetune)
 
@@ -488,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab", default=None, metavar="PATH")
     p.add_argument("--train", default=None, metavar="PATH")
     p.add_argument("--dev", default=None, metavar="PATH")
-    _add_config_keys(p, _ENCODER_KEYS + _PRETRAIN_KEYS + _FINETUNE_KEYS + ("task", "labels"))
+    _add_config_keys(p, _SWEEP_KEYS)
     common(p)
     p.set_defaults(handler=cmd_sweep)
 

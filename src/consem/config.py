@@ -9,46 +9,64 @@ run reproducible from its artifact directory alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+import enum
+from dataclasses import dataclass, fields, make_dataclass
 from pathlib import Path
 
-from .encoder import EncoderConfig, PoolingStrategy
+from .encoder import EncoderConfig
 from .errors import ConfigError
 from .finetune import FinetuneConfig
 from .pretrain import PretrainConfig
 
-__all__ = ["RunConfig"]
+__all__ = ["RunConfig", "SHARED_KEYS", "section_keys"]
+
+# Each section dataclass with the prefix its keys take in the flat namespace.
+_SECTION_PREFIXES = {EncoderConfig: "", PretrainConfig: "", FinetuneConfig: "ft_"}
+# Pretraining and fine-tuning share these keys, so they carry no prefix.
+SHARED_KEYS = ("weight_decay", "seed")
+# Field annotations are strings here (every module defers annotations).
+_TYPES = {"int": int, "float": float, "str": str}
+
+
+def section_keys(section: type) -> dict[str, str]:
+    """Configuration key of each field of a section dataclass.
+
+    ``vocab_size`` has no key: it always comes from the vocabulary file.
+    """
+    prefix = _SECTION_PREFIXES[section]
+    return {
+        f.name: f.name if f.name in SHARED_KEYS else prefix + f.name
+        for f in fields(section)
+        if f.name != "vocab_size"
+    }
+
+
+def _section_fields() -> list[tuple[str, str, object]]:
+    """(key, type name, default) of every section key; an enum is kept by its value."""
+    schema: dict[str, tuple[str, str, object]] = {}
+    for section in _SECTION_PREFIXES:
+        by_name = {f.name: f for f in fields(section)}
+        for name, key in section_keys(section).items():
+            f = by_name[name]
+            if isinstance(f.default, enum.Enum):
+                schema.setdefault(key, (key, "str", f.default.value))
+            else:
+                schema.setdefault(key, (key, f.type, f.default))
+    return list(schema.values())
 
 
 @dataclass
-class RunConfig:
-    """Every tunable of a run, in one flat namespace."""
+class _RunConfigBase:
+    """Every tunable of a run, in one flat namespace.
 
-    # encoder architecture
-    num_layers: int = 4
-    num_heads: int = 4
-    hidden_size: int = 64
-    ff_size: int = 256
-    max_len: int = 64
-    dropout: float = 0.1
+    The encoder, pretraining and fine-tuning keys, with their types and
+    defaults, come from the fields of those section dataclasses; the keys
+    below belong to no section.
+    """
+
     # vocabulary
     min_count: int = 1
-    # pretraining
-    tau: float = 0.05
-    mlm_weight: float = 0.0
-    mask_rate: float = 0.15
-    batch_size: int = 8
-    epochs: int = 10
-    learning_rate: float = 1e-3
-    weight_decay: float = 0.01
-    seed: int = 0
-    pooling: str = "CLS"
-    data_fraction: float = 1.0
-    validation_fraction: float = 0.1
-    # fine-tuning
-    ft_batch_size: int = 16
-    ft_epochs: int = 7
-    ft_learning_rate: float = 1e-3
+    # fine-tuning task
     task: str = "pair"
     labels: str = ""
     # default input paths (mostly for sweep runs)
@@ -59,16 +77,7 @@ class RunConfig:
 
     @classmethod
     def field_types(cls) -> dict[str, type]:
-        names = {"int": int, "float": float, "str": str}
-        return {
-            f.name: f.type if isinstance(f.type, type) else names[f.type] for f in fields(cls)
-        }
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "RunConfig":
-        config = cls()
-        config.update_from_file(path)
-        return config
+        return {f.name: _TYPES[f.type] for f in fields(cls)}
 
     def update_from_file(self, path: str | Path) -> None:
         types = self.field_types()
@@ -99,43 +108,20 @@ class RunConfig:
         lines = [f"{f.name} = {getattr(self, f.name)}" for f in sorted(fields(self), key=lambda f: f.name)]
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
-    def encoder_config(self, vocab_size: int) -> EncoderConfig:
-        return EncoderConfig(
-            vocab_size=vocab_size,
-            num_layers=self.num_layers,
-            num_heads=self.num_heads,
-            hidden_size=self.hidden_size,
-            ff_size=self.ff_size,
-            max_len=self.max_len,
-            dropout=self.dropout,
-        )
-
-    def pretrain_config(self) -> PretrainConfig:
-        return PretrainConfig(
-            tau=self.tau,
-            mlm_weight=self.mlm_weight,
-            mask_rate=self.mask_rate,
-            batch_size=self.batch_size,
-            epochs=self.epochs,
-            learning_rate=self.learning_rate,
-            weight_decay=self.weight_decay,
-            seed=self.seed,
-            pooling=PoolingStrategy.parse(self.pooling),
-            data_fraction=self.data_fraction,
-            validation_fraction=self.validation_fraction,
-        )
-
-    def finetune_config(self) -> FinetuneConfig:
-        return FinetuneConfig(
-            batch_size=self.ft_batch_size,
-            epochs=self.ft_epochs,
-            learning_rate=self.ft_learning_rate,
-            weight_decay=self.weight_decay,
-            seed=self.seed,
-        )
+    def build(self, section: type, **extra):
+        """The ``section`` dataclass filled from this configuration, plus ``extra`` fields."""
+        return section(**{name: getattr(self, key) for name, key in section_keys(section).items()}, **extra)
 
     def label_list(self) -> list[str]:
         return [part.strip() for part in self.labels.split(",") if part.strip()]
+
+
+RunConfig = make_dataclass(
+    "RunConfig",
+    _section_fields(),
+    bases=(_RunConfigBase,),
+    namespace={"__module__": __name__, "__doc__": _RunConfigBase.__doc__},
+)
 
 
 def _convert(key: str, value: str, target: type):

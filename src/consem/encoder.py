@@ -7,9 +7,11 @@ Padding positions are excluded from attention by adding a large negative
 bias to their key columns, so appending padding never changes the states
 at real positions.
 
-``forward`` keeps every layer's hidden states and attention maps, which
-the pooling strategies and the attention export tooling both consume.
-Hidden state index 0 is the embedding output; index L is the last block.
+``forward_batch`` encodes a batch of equal-length sequences and keeps
+every layer's (batch, seq, d) hidden states and attention maps, which the
+pooling strategies and the attention export tooling both consume; a single
+sequence is a batch of one.  Hidden state index 0 is the embedding output;
+index L is the last block.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ __all__ = [
     "LayerOutputs",
     "PoolingStrategy",
     "embed_sentences",
-    "forward",
     "forward_batch",
     "parameter_names",
     "pool",
@@ -84,17 +85,6 @@ class EncoderConfig:
     @property
     def head_dim(self) -> int:
         return self.hidden_size // self.num_heads
-
-    def to_dict(self) -> dict:
-        return {
-            "vocab_size": self.vocab_size,
-            "num_layers": self.num_layers,
-            "num_heads": self.num_heads,
-            "hidden_size": self.hidden_size,
-            "ff_size": self.ff_size,
-            "max_len": self.max_len,
-            "dropout": self.dropout,
-        }
 
 
 def parameter_names(config: EncoderConfig) -> list[str]:
@@ -185,9 +175,8 @@ class LayerOutputs:
     """Per-layer states from one forward pass.
 
     ``hidden`` has num_layers + 1 entries (embedding output first), each of
-    shape (seq, d) for a single sequence or (batch, seq, d) for a batch.
-    ``attention`` has one post-softmax map per layer, (heads, seq, seq) or
-    (batch, heads, seq, seq).
+    shape (batch, seq, d).  ``attention`` has one post-softmax map per
+    layer, shape (batch, heads, seq, seq).
     """
 
     hidden: list[Tensor]
@@ -278,47 +267,23 @@ def forward_batch(
     return LayerOutputs(hidden=hidden, attention=attention)
 
 
-def forward(
-    seq: TokenSequence,
-    weights: EncoderWeights,
-    config: EncoderConfig,
-    train_mode: bool = False,
-    rng: np.random.Generator | None = None,
-) -> LayerOutputs:
-    """Encode one sequence; hidden states are (seq, d), attention maps (heads, seq, seq)."""
-    out = forward_batch([seq], weights, config, train_mode=train_mode, rng=rng)
-    seq_len = seq.length
-    hidden = [T.reshape(h, (seq_len, config.hidden_size)) for h in out.hidden]
-    attention = [
-        T.reshape(a, (config.num_heads, seq_len, seq_len)) for a in out.attention
-    ]
-    return LayerOutputs(hidden=hidden, attention=attention)
-
-
 def _masked_mean(states: Tensor, mask: np.ndarray) -> Tensor:
     """Average over non-padding positions via a constant weight matmul."""
     counts = mask.sum(axis=-1, keepdims=True)
     weights_row = (mask / counts).astype(states.data.dtype)
-    if states.ndim == 3:
-        batch, seq, d = states.shape
-        pooled = T.matmul(T.constant(weights_row[:, None, :], dtype=states.data.dtype), states)
-        return T.reshape(pooled, (batch, d))
-    seq, d = states.shape
-    pooled = T.matmul(T.constant(weights_row[None, :], dtype=states.data.dtype), states)
-    return T.reshape(pooled, (d,))
+    batch, seq, d = states.shape
+    pooled = T.matmul(T.constant(weights_row[:, None, :], dtype=states.data.dtype), states)
+    return T.reshape(pooled, (batch, d))
 
 
 def _cls_state(states: Tensor) -> Tensor:
-    if states.ndim == 3:
-        batch, seq, d = states.shape
-        flat = T.reshape(states, (batch * seq, d))
-        return T.gather_rows(flat, np.arange(batch, dtype=np.intp) * seq)
-    seq, d = states.shape
-    return T.reshape(T.gather_rows(states, np.array([0], dtype=np.intp)), (d,))
+    batch, seq, d = states.shape
+    flat = T.reshape(states, (batch * seq, d))
+    return T.gather_rows(flat, np.arange(batch, dtype=np.intp) * seq)
 
 
 def pool(outputs: LayerOutputs, mask, strategy: PoolingStrategy) -> Tensor:
-    """Reduce layer states to sentence vectors, shape (d,) or (batch, d).
+    """Reduce (batch, seq, d) layer states to (batch, d) sentence vectors.
 
     CLS takes the last layer's first position.  Mean averages the last
     layer over non-padding positions.  FirstLast averages block 1 with the
@@ -326,10 +291,7 @@ def pool(outputs: LayerOutputs, mask, strategy: PoolingStrategy) -> Tensor:
     symmetric in the two layers they combine.
     """
     mask = np.asarray(mask)
-    if outputs.hidden[-1].ndim == 3:
-        expected = outputs.hidden[-1].shape[:2]
-    else:
-        expected = outputs.hidden[-1].shape[:1]
+    expected = outputs.hidden[-1].shape[:2]
     if mask.shape != expected:
         raise ShapeError(f"mask shape {mask.shape} does not match states {expected}")
     if np.any(mask.sum(axis=-1) == 0):

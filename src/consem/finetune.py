@@ -17,7 +17,6 @@ returned, so a longer schedule can never return a worse dev model.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -31,14 +30,13 @@ from .encoder import (
     EncoderWeights,
     PoolingStrategy,
     forward_batch,
-    parameter_names,
     pool,
 )
 from .errors import ConfigError, DataError, FormatError, TrainingDivergedError, VocabularyError
 from .metrics import ConfusionMatrix, MetricsReport, accuracy, macro_f1, mrc_accuracy
 from .optim import AdamW
 from .tensor import Tape, Tensor, backward
-from .text import TokenSequence, Vocabulary, encode_pair, encode_single
+from .text import TokenSequence, Vocabulary, encode_pair, encode_single, load_jsonl
 
 __all__ = [
     "FinetuneConfig",
@@ -113,13 +111,7 @@ class FinetuneConfig:
 def load_task_records(path: str | Path, task: TaskSpec) -> list[dict]:
     """Read task JSON lines into canonical records; each keeps its line number."""
     records: list[dict] = []
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-        if not raw.strip():
-            continue
-        try:
-            obj = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}:{lineno}: malformed JSON ({exc.msg})") from exc
+    for lineno, obj in load_jsonl(path):
         try:
             records.append(_canonical_record(obj, task, lineno))
         except KeyError as exc:
@@ -145,7 +137,8 @@ def _canonical_record(obj: dict, task: TaskSpec, lineno: int) -> dict:
     answer = obj[task.source_field("answer_index")]
     if not isinstance(choices, list) or not choices:
         raise DataError(f"line {lineno}: 'choices' must be a non-empty list")
-    if not isinstance(answer, int) or not 0 <= answer < len(choices):
+    # ``type`` rather than ``isinstance``: JSON true/false are bools, and bool subclasses int.
+    if type(answer) is not int or not 0 <= answer < len(choices):
         raise DataError(f"line {lineno}: 'answer_index' must index into {len(choices)} choices")
     return {
         "context": str(obj[task.source_field("context")]),
@@ -260,8 +253,7 @@ def finetune_classifier(
     train_seqs = [_encode_record(r, pair_kind, vocab, encoder_config.max_len) for r in train_pairs]
     train_gold = _gold_indices(train_pairs, labels)
 
-    encoder_arrays = {name: checkpoint.params[name] for name in parameter_names(encoder_config)}
-    weights = EncoderWeights.from_arrays(encoder_config, encoder_arrays)
+    weights = EncoderWeights.from_arrays(encoder_config, checkpoint.params)
     head_rng = np.random.default_rng([config.seed, _STREAM_HEAD_INIT])
     head_w = Tensor(
         head_rng.normal(0.0, 0.02, size=(encoder_config.hidden_size, len(labels))),
@@ -425,11 +417,9 @@ def load_model(path: str | Path) -> FinetunedModel:
         raise FormatError(f"{path}: checkpoint does not contain a fine-tuned model")
     if "head.weight" not in ckpt.params or "head.bias" not in ckpt.params:
         raise FormatError(f"{path}: fine-tuned model is missing its head parameters")
-    config = ckpt.encoder_config
-    encoder_arrays = {name: ckpt.params[name] for name in parameter_names(config)}
     return FinetunedModel(
-        encoder_config=config,
-        weights=EncoderWeights.from_arrays(config, encoder_arrays),
+        encoder_config=ckpt.encoder_config,
+        weights=EncoderWeights.from_arrays(ckpt.encoder_config, ckpt.params),
         head_weight=Tensor(ckpt.params["head.weight"], requires_grad=True),
         head_bias=Tensor(ckpt.params["head.bias"], requires_grad=True),
         labels=[str(x) for x in ckpt.extra["labels"]],

@@ -31,7 +31,6 @@ from .checkpoint import Checkpoint
 from .encoder import (
     EncoderConfig,
     EncoderWeights,
-    LayerOutputs,
     PoolingStrategy,
     forward_batch,
     pool,
@@ -201,27 +200,21 @@ def mask_for_mlm(
     return TokenSequence(ids=corrupted, attention_mask=list(seq.attention_mask)), targets
 
 
-def _mlm_loss_flat(
-    last_hidden: Tensor, rows: np.ndarray, cols: np.ndarray, token_ids: np.ndarray, tok_emb: Tensor
+def mlm_loss(
+    last_hidden: Tensor, rows: np.ndarray, cols: np.ndarray, token_ids: np.ndarray, token_embedding: Tensor
 ) -> Tensor:
-    """Cross-entropy at masked positions with logits tied to the token embeddings."""
-    if last_hidden.ndim == 2:
-        states = T.gather_rows(last_hidden, cols)
-    else:
-        batch, seq, d = last_hidden.shape
-        flat = T.reshape(last_hidden, (batch * seq, d))
-        states = T.gather_rows(flat, rows * seq + cols)
-    logits = T.matmul(states, T.transpose(tok_emb, (1, 0)))
-    return T.cross_entropy(logits, token_ids)
+    """Mean cross-entropy at masked (row, position) slots of (batch, seq, d) states.
 
-
-def mlm_loss(outputs: LayerOutputs, targets: Sequence[MaskedTarget], token_embedding: Tensor) -> Tensor:
-    """Mean masked-token cross-entropy for one sequence; zero when nothing is masked."""
-    if not targets:
+    Logits are tied to the token embeddings; the loss is zero when nothing
+    is masked.
+    """
+    if not len(token_ids):
         return Tensor(0.0)
-    cols = np.array([t.position for t in targets], dtype=np.intp)
-    ids = np.array([t.token_id for t in targets], dtype=np.intp)
-    return _mlm_loss_flat(outputs.hidden[-1], np.zeros_like(cols), cols, ids, token_embedding)
+    batch, seq, d = last_hidden.shape
+    flat = T.reshape(last_hidden, (batch * seq, d))
+    states = T.gather_rows(flat, rows * seq + cols)
+    logits = T.matmul(states, T.transpose(token_embedding, (1, 0)))
+    return T.cross_entropy(logits, token_ids)
 
 
 def select_fraction(n: int, fraction: float, seed: int) -> np.ndarray:
@@ -287,7 +280,7 @@ def _batch_losses(
             outputs = forward_batch(
                 corrupted, weights, encoder_config, train_mode=train_mode, rng=rng
             )
-            ml = _mlm_loss_flat(outputs.hidden[-1], rows, cols, ids, weights["tok_emb"])
+            ml = mlm_loss(outputs.hidden[-1], rows, cols, ids, weights["tok_emb"])
         else:
             ml = Tensor(0.0)
     return cl, ml
@@ -335,58 +328,62 @@ def train(
         learning_rate=config.learning_rate,
         weight_decay=config.weight_decay,
     )
-    use_mlm = config.mlm_weight > 0.0
     records: list[LossRecord] = []
     step = 0
-
     for epoch in range(1, config.epochs + 1):
         shuffle_rng = np.random.default_rng([config.seed, _STREAM_SHUFFLE, epoch])
-        order = train_idx[shuffle_rng.permutation(len(train_idx))]
-        sums = {"contrastive": 0.0, "mlm": 0.0, "rows": 0}
-        for batch_no, start in enumerate(range(0, len(order), config.batch_size)):
-            rows = order[start : start + config.batch_size]
-            batch = (
-                [anchors[i] for i in rows],
-                [positives[i] for i in rows],
-                [negatives[i] for i in rows],
-            )
-            mlm_batch = (
-                _epoch_masking(anchors, rows, config.mask_rate, config.seed, _STREAM_MLM_TRAIN, epoch)
-                if use_mlm
-                else None
-            )
-            drop_rng = np.random.default_rng([config.seed, _STREAM_DROPOUT, epoch, batch_no])
-            with Tape() as tape:
-                cl, ml = _batch_losses(
-                    batch, mlm_batch, weights, encoder_config, config, True, drop_rng
-                )
-                loss = cl if ml is None else T.add(cl, T.scale(ml, config.mlm_weight))
-                if not np.isfinite(loss.data):
-                    raise TrainingDivergedError(f"non-finite loss at step {step + 1}")
-                backward(loss, tape)
-            optimizer.step()
-            optimizer.zero_grad()
-            step += 1
-            sums["contrastive"] += float(cl.data) * len(rows)
-            sums["mlm"] += (float(ml.data) if ml is not None else 0.0) * len(rows)
-            sums["rows"] += len(rows)
-        mean_cl = sums["contrastive"] / sums["rows"]
-        mean_ml = sums["mlm"] / sums["rows"]
-        records.append(
-            LossRecord(
-                epoch=epoch,
-                step=step,
-                split="train",
-                contrastive=mean_cl,
-                mlm=mean_ml,
-                combined=mean_cl + config.mlm_weight * mean_ml,
-            )
-        )
+        passes = [("train", train_idx[shuffle_rng.permutation(len(train_idx))])]
         if len(val_idx):
+            passes.append(("validation", val_idx))
+        # One pass loop serves both splits: training steps the optimizer with
+        # dropout on, validation only sums the same losses.  The loop is inline
+        # so the last training tape stays alive through validation; freeing it
+        # first shifts the malloc heap layout, which was measured to slow a
+        # later fine-tuning run in the same process.
+        for split, order in passes:
+            train_mode = split == "train"
+            mlm_stream = _STREAM_MLM_TRAIN if train_mode else _STREAM_MLM_VAL
+            sums = {"contrastive": 0.0, "mlm": 0.0, "rows": 0}
+            for batch_no, start in enumerate(range(0, len(order), config.batch_size)):
+                rows = order[start : start + config.batch_size]
+                batch = (
+                    [anchors[i] for i in rows],
+                    [positives[i] for i in rows],
+                    [negatives[i] for i in rows],
+                )
+                mlm_batch = (
+                    _epoch_masking(anchors, rows, config.mask_rate, config.seed, mlm_stream, epoch)
+                    if config.mlm_weight > 0.0
+                    else None
+                )
+                if train_mode:
+                    drop_rng = np.random.default_rng([config.seed, _STREAM_DROPOUT, epoch, batch_no])
+                    with Tape() as tape:
+                        cl, ml = _batch_losses(
+                            batch, mlm_batch, weights, encoder_config, config, True, drop_rng
+                        )
+                        loss = cl if ml is None else T.add(cl, T.scale(ml, config.mlm_weight))
+                        if not np.isfinite(loss.data):
+                            raise TrainingDivergedError(f"non-finite loss at step {step + 1}")
+                        backward(loss, tape)
+                    optimizer.step()
+                    optimizer.zero_grad()
+                    step += 1
+                else:
+                    cl, ml = _batch_losses(batch, mlm_batch, weights, encoder_config, config, False, None)
+                sums["contrastive"] += float(cl.data) * len(rows)
+                sums["mlm"] += (float(ml.data) if ml is not None else 0.0) * len(rows)
+                sums["rows"] += len(rows)
+            mean_cl = sums["contrastive"] / sums["rows"]
+            mean_ml = sums["mlm"] / sums["rows"]
             records.append(
-                _validation_record(
-                    epoch, step, val_idx, anchors, positives, negatives,
-                    weights, encoder_config, config,
+                LossRecord(
+                    epoch=epoch,
+                    step=step,
+                    split=split,
+                    contrastive=mean_cl,
+                    mlm=mean_ml,
+                    combined=mean_cl + config.mlm_weight * mean_ml,
                 )
             )
 
@@ -398,39 +395,6 @@ def train(
         params=weights.to_arrays(),
     )
     return final, records
-
-
-def _validation_record(
-    epoch, step, val_idx, anchors, positives, negatives, weights, encoder_config, config
-) -> LossRecord:
-    use_mlm = config.mlm_weight > 0.0
-    sums = {"contrastive": 0.0, "mlm": 0.0, "rows": 0}
-    for start in range(0, len(val_idx), config.batch_size):
-        rows = val_idx[start : start + config.batch_size]
-        batch = (
-            [anchors[i] for i in rows],
-            [positives[i] for i in rows],
-            [negatives[i] for i in rows],
-        )
-        mlm_batch = (
-            _epoch_masking(anchors, rows, config.mask_rate, config.seed, _STREAM_MLM_VAL, epoch)
-            if use_mlm
-            else None
-        )
-        cl, ml = _batch_losses(batch, mlm_batch, weights, encoder_config, config, False, None)
-        sums["contrastive"] += float(cl.data) * len(rows)
-        sums["mlm"] += (float(ml.data) if ml is not None else 0.0) * len(rows)
-        sums["rows"] += len(rows)
-    mean_cl = sums["contrastive"] / sums["rows"]
-    mean_ml = sums["mlm"] / sums["rows"]
-    return LossRecord(
-        epoch=epoch,
-        step=step,
-        split="validation",
-        contrastive=mean_cl,
-        mlm=mean_ml,
-        combined=mean_cl + config.mlm_weight * mean_ml,
-    )
 
 
 def write_loss_csv(records: Sequence[LossRecord], path: str | Path) -> None:

@@ -35,6 +35,7 @@ __all__ = [
     "encode_pair",
     "encode_single",
     "leakage_guard",
+    "load_jsonl",
     "load_nli_jsonl",
     "load_triples_jsonl",
     "prepare_contrastive",
@@ -315,16 +316,26 @@ def leakage_guard(
     return violations
 
 
-def load_nli_jsonl(path: str | Path) -> list[NliExample]:
-    """Read labeled pairs from JSON lines with premise/hypothesis/label fields."""
-    examples: list[NliExample] = []
+def load_jsonl(path: str | Path) -> list[tuple[int, dict]]:
+    """(line number, object) for every non-blank line; each must hold a JSON object."""
+    rows = []
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         if not raw.strip():
             continue
         try:
-            record = json.loads(raw)
+            obj = json.loads(raw)
         except json.JSONDecodeError as exc:
             raise DataError(f"{path}:{lineno}: malformed JSON ({exc.msg})") from exc
+        if not isinstance(obj, dict):
+            raise DataError(f"{path}:{lineno}: expected a JSON object")
+        rows.append((lineno, obj))
+    return rows
+
+
+def load_nli_jsonl(path: str | Path) -> list[NliExample]:
+    """Read labeled pairs from JSON lines with premise/hypothesis/label fields."""
+    examples: list[NliExample] = []
+    for lineno, record in load_jsonl(path):
         try:
             examples.append(
                 NliExample(
@@ -356,13 +367,7 @@ def save_triples_jsonl(triples: Sequence[ContrastiveTriple], path: str | Path) -
 def load_triples_jsonl(path: str | Path) -> list[ContrastiveTriple]:
     """Read training triples, validating that every field is a non-empty string."""
     triples: list[ContrastiveTriple] = []
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-        if not raw.strip():
-            continue
-        try:
-            record = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}:{lineno}: malformed JSON ({exc.msg})") from exc
+    for lineno, record in load_jsonl(path):
         try:
             triple = ContrastiveTriple(
                 sentence1=record["sentence1"],

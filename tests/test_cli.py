@@ -239,6 +239,18 @@ class TestRetrieve:
                    "--out", str(tmp_path)])
         assert rc == 1
         assert "out of range" in capsys.readouterr().err
+        # Only a JSON integer is an index: no string, null, fraction or boolean.
+        for command in ("retrieve", "analyze"):
+            for gold in ("abc", None, 1.7, True, False):
+                _write_jsonl(tmp_path / "claims.jsonl", [{"claim": "the river", "gold_index": gold}])
+                argv = [command, "--checkpoint", str(workspace.checkpoint), "--vocab", str(workspace.vocab),
+                        "--claims", str(tmp_path / "claims.jsonl"),
+                        "--contexts", str(tmp_path / "contexts.jsonl"), "--out", str(tmp_path / command)]
+                if command == "analyze":
+                    argv += ["--pairs", str(workspace.nli)]
+                assert main(argv) == 1, (command, gold)
+                err = capsys.readouterr().err
+                assert "claims.jsonl:1:" in err and "gold_index" in err, (command, gold)
 
 
 class TestAnalyze:
@@ -267,6 +279,7 @@ class TestAnalyze:
                    "--out", str(tmp_path)])
         assert rc == 1
         assert "together" in capsys.readouterr().err
+        assert not (tmp_path / "analysis.json").exists()
 
     def test_unpaired_retrieval_flags_fail(self, workspace, tmp_path, capsys):
         _write_jsonl(tmp_path / "claims.jsonl", [{"claim": "x", "gold_index": 0}])
@@ -275,6 +288,50 @@ class TestAnalyze:
                    "--out", str(tmp_path)])
         assert rc == 1
         assert "together" in capsys.readouterr().err
+        assert not (tmp_path / "analysis.json").exists()
+
+
+# (command, the flag that takes the bad file, a JSON line that is no object).
+_NON_OBJECT_INPUTS = [
+    ("prepare", "--nli", "[1, 2]"),
+    ("prepare", "--held-out", "null"),
+    ("build-vocab", "--triples", "7"),
+    ("finetune", "--train", '"str"'),
+    ("evaluate", "--data", "true"),
+    ("retrieve", "--claims", "[]"),
+    ("retrieve", "--contexts", "3.5"),
+]
+
+
+@pytest.mark.parametrize(
+    "command,flag,line", _NON_OBJECT_INPUTS, ids=[f"{c}{f}" for c, f, _ in _NON_OBJECT_INPUTS]
+)
+def test_non_object_json_line_fails_cleanly(workspace, tmp_path, capsys, command, flag, line):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n" + line + "\n", encoding="utf-8")
+    files = {
+        "--nli": workspace.nli, "--triples": workspace.triples, "--vocab": workspace.vocab,
+        "--checkpoint": workspace.checkpoint, "--model": workspace.model,
+        "--train": workspace.train, "--dev": workspace.dev, "--data": workspace.dev,
+        "--claims": workspace.root / "claims.jsonl", "--contexts": workspace.root / "contexts.jsonl",
+    }
+    _write_jsonl(files["--claims"], [{"claim": "the river", "gold_index": 0}])
+    _write_jsonl(files["--contexts"], [{"text": "the river report"}])
+    needs = {
+        "prepare": ["--nli"],
+        "build-vocab": ["--triples"],
+        "finetune": ["--checkpoint", "--vocab", "--train", "--dev"],
+        "evaluate": ["--model", "--vocab", "--data"],
+        "retrieve": ["--checkpoint", "--vocab", "--claims", "--contexts"],
+    }[command]
+    argv = [command, flag, str(bad), "--out", str(tmp_path / "out")]
+    for other in needs:
+        if other != flag:
+            argv += [other, str(files[other])]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"{bad}:2: expected a JSON object" in err
+    assert "Traceback" not in err
 
 
 class TestConfigHandling:

@@ -1,0 +1,82 @@
+"""Characterization of the configuration surface: keys, defaults and flags.
+
+These pin what a user can set and what a run archives, so a change to how
+the schema is declared cannot add, drop or rename a knob unnoticed.
+"""
+
+import argparse
+
+from consem.cli import build_parser
+from consem.config import RunConfig
+
+# Empty string values keep the space after '='.
+DEFAULT_RUN_CONFIG = "".join(
+    line + "\n"
+    for line in (
+        "batch_size = 8",
+        "data_fraction = 1.0",
+        "dev_data = ",
+        "dropout = 0.1",
+        "epochs = 10",
+        "ff_size = 256",
+        "ft_batch_size = 16",
+        "ft_epochs = 7",
+        "ft_learning_rate = 0.001",
+        "hidden_size = 64",
+        "labels = ",
+        "learning_rate = 0.001",
+        "mask_rate = 0.15",
+        "max_len = 64",
+        "min_count = 1",
+        "mlm_weight = 0.0",
+        "num_heads = 4",
+        "num_layers = 4",
+        "pooling = CLS",
+        "seed = 0",
+        "task = pair",
+        "tau = 0.05",
+        "train_data = ",
+        "triples = ",
+        "validation_fraction = 0.1",
+        "vocab = ",
+        "weight_decay = 0.01",
+    )
+)
+
+_COMMON = {"-h", "--help", "--config", "--seed", "--out"}
+_ENCODER = {"--num-layers", "--num-heads", "--hidden-size", "--ff-size", "--max-len", "--dropout"}
+_PRETRAIN = {
+    "--tau", "--mlm-weight", "--mask-rate", "--batch-size", "--epochs", "--learning-rate",
+    "--weight-decay", "--pooling", "--data-fraction", "--validation-fraction",
+}
+_FINETUNE = {"--ft-batch-size", "--ft-epochs", "--ft-learning-rate", "--task", "--labels"}
+
+SUBCOMMAND_OPTIONS = {
+    "prepare": _COMMON | {"--nli", "--held-out"},
+    "build-vocab": _COMMON | {"--triples", "--min-count"},
+    "pretrain": _COMMON | {"--triples", "--vocab", "--init"} | _ENCODER | _PRETRAIN,
+    "finetune": _COMMON | {"--checkpoint", "--vocab", "--train", "--dev"} | _FINETUNE,
+    "evaluate": _COMMON | {"--model", "--vocab", "--data"},
+    "analyze": _COMMON | {
+        "--checkpoint", "--vocab", "--pairs", "--claims", "--contexts",
+        "--attention-a", "--attention-b", "--pooling", "--save-embeddings",
+    },
+    "retrieve": _COMMON | {"--checkpoint", "--vocab", "--claims", "--contexts", "--pooling"},
+    "sweep": _COMMON | {"--axis", "--values", "--triples", "--vocab", "--train", "--dev"}
+    | _ENCODER | _PRETRAIN | _FINETUNE,
+}
+
+
+def test_default_run_config_bytes(tmp_path):
+    RunConfig().write(tmp_path / "run_config.txt")
+    assert (tmp_path / "run_config.txt").read_bytes() == DEFAULT_RUN_CONFIG.encode("utf-8")
+
+
+def test_every_subcommand_keeps_its_options():
+    parser = build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    found = {
+        name: {option for action in sub._actions for option in action.option_strings}
+        for name, sub in subparsers.choices.items()
+    }
+    assert found == SUBCOMMAND_OPTIONS

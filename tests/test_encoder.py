@@ -12,7 +12,6 @@ from consem.encoder import (
     LayerOutputs,
     PoolingStrategy,
     embed_sentences,
-    forward,
     forward_batch,
     parameter_names,
     pool,
@@ -133,9 +132,9 @@ class TestForward:
         seqs = [encode_single(t, vocab, 7) for t in texts]
         batched = forward_batch(seqs, weights, config)
         for i, seq in enumerate(seqs):
-            single = forward(seq, weights, config)
+            single = forward_batch([seq], weights, config)
             np.testing.assert_allclose(
-                batched.hidden[-1].data[i], single.hidden[-1].data, atol=1e-5
+                batched.hidden[-1].data[i], single.hidden[-1].data[0], atol=1e-5
             )
 
     def test_eval_forward_is_bitwise_deterministic(self, setup):
@@ -202,66 +201,58 @@ class TestForward:
             forward_batch([seq], weights, config)
 
 
-def _constant_outputs(vector, layers, tokens):
-    hidden = [
-        Tensor(np.tile(vector, (tokens, 1)).astype(np.float32)) for _ in range(layers + 1)
-    ]
+def _one_sequence(*layers):
+    """LayerOutputs for a batch of one from (seq, d) arrays, first layer first."""
+    hidden = [Tensor(np.asarray(states, dtype=np.float32)[None]) for states in layers]
     return LayerOutputs(hidden=hidden, attention=[])
+
+
+def _constant_outputs(vector, layers, tokens):
+    return _one_sequence(*[np.tile(vector, (tokens, 1)) for _ in range(layers + 1)])
 
 
 class TestPooling:
     def test_constant_states_return_that_vector(self):
         v = np.array([0.5, -1.0, 2.0, 0.0], dtype=np.float32)
         outputs = _constant_outputs(v, layers=3, tokens=5)
-        mask = np.ones(5, dtype=int)
+        mask = np.ones((1, 5), dtype=int)
         for strategy in PoolingStrategy:
-            np.testing.assert_allclose(pool(outputs, mask, strategy).data, v, atol=1e-6)
+            np.testing.assert_allclose(pool(outputs, mask, strategy).data, [v], atol=1e-6)
 
     def test_mean_of_two_basis_tokens(self):
-        states = Tensor(np.array([[1.0, 0.0], [0.0, 1.0]], dtype=np.float32))
-        outputs = LayerOutputs(hidden=[states, states], attention=[])
-        pooled = pool(outputs, np.ones(2, dtype=int), PoolingStrategy.MEAN)
-        np.testing.assert_allclose(pooled.data, [0.5, 0.5], atol=1e-7)
+        states = [[1.0, 0.0], [0.0, 1.0]]
+        outputs = _one_sequence(states, states)
+        pooled = pool(outputs, np.ones((1, 2), dtype=int), PoolingStrategy.MEAN)
+        np.testing.assert_allclose(pooled.data, [[0.5, 0.5]], atol=1e-7)
 
     def test_mean_ignores_padding(self):
-        states = Tensor(np.array([[1.0, 0.0], [0.0, 1.0], [9.0, 9.0]], dtype=np.float32))
-        outputs = LayerOutputs(hidden=[states, states], attention=[])
-        pooled = pool(outputs, np.array([1, 1, 0]), PoolingStrategy.MEAN)
-        np.testing.assert_allclose(pooled.data, [0.5, 0.5], atol=1e-7)
+        states = [[1.0, 0.0], [0.0, 1.0], [9.0, 9.0]]
+        outputs = _one_sequence(states, states)
+        pooled = pool(outputs, np.array([[1, 1, 0]]), PoolingStrategy.MEAN)
+        np.testing.assert_allclose(pooled.data, [[0.5, 0.5]], atol=1e-7)
 
     def test_first_last_hand_computed(self):
         first = np.array([[2.0, 0.0], [0.0, 2.0]], dtype=np.float32)
         last = np.array([[0.0, 4.0], [4.0, 0.0]], dtype=np.float32)
-        outputs = LayerOutputs(
-            hidden=[Tensor(np.zeros((2, 2), dtype=np.float32)), Tensor(first), Tensor(last)],
-            attention=[],
-        )
-        pooled = pool(outputs, np.ones(2, dtype=int), PoolingStrategy.FIRST_LAST)
+        outputs = _one_sequence(np.zeros((2, 2)), first, last)
+        pooled = pool(outputs, np.ones((1, 2), dtype=int), PoolingStrategy.FIRST_LAST)
         # Per-token average of layers 1 and 2, then mean over tokens.
         expected = ((first + last) / 2).mean(axis=0)
-        np.testing.assert_allclose(pooled.data, expected, atol=1e-6)
+        np.testing.assert_allclose(pooled.data, [expected], atol=1e-6)
 
     def test_cls_reads_position_zero_of_last_layer(self):
         last = np.array([[7.0, -1.0], [0.0, 0.0]], dtype=np.float32)
-        outputs = LayerOutputs(
-            hidden=[Tensor(np.zeros((2, 2), dtype=np.float32)), Tensor(last)], attention=[]
-        )
+        outputs = _one_sequence(np.zeros((2, 2)), last)
         np.testing.assert_array_equal(
-            pool(outputs, np.ones(2, dtype=int), PoolingStrategy.CLS).data, last[0]
+            pool(outputs, np.ones((1, 2), dtype=int), PoolingStrategy.CLS).data, [last[0]]
         )
 
     def test_cls_ignores_earlier_layers(self):
         last = np.array([[7.0, -1.0]], dtype=np.float32)
         for first_layer_scale in (1.0, 100.0):
-            outputs = LayerOutputs(
-                hidden=[
-                    Tensor(first_layer_scale * np.ones((1, 2), dtype=np.float32)),
-                    Tensor(last),
-                ],
-                attention=[],
-            )
+            outputs = _one_sequence(first_layer_scale * np.ones((1, 2)), last)
             np.testing.assert_array_equal(
-                pool(outputs, np.ones(1, dtype=int), PoolingStrategy.CLS).data, last[0]
+                pool(outputs, np.ones((1, 1), dtype=int), PoolingStrategy.CLS).data, [last[0]]
             )
 
     def test_first_last_and_top2_differ_with_depth(self, setup):
@@ -276,12 +267,12 @@ class TestPooling:
     def test_fully_padded_sequence_rejected(self):
         outputs = _constant_outputs(np.ones(3, dtype=np.float32), layers=1, tokens=2)
         with pytest.raises(DegenerateInputError):
-            pool(outputs, np.zeros(2, dtype=int), PoolingStrategy.MEAN)
+            pool(outputs, np.zeros((1, 2), dtype=int), PoolingStrategy.MEAN)
 
     def test_mask_shape_mismatch_rejected(self):
         outputs = _constant_outputs(np.ones(3, dtype=np.float32), layers=1, tokens=2)
         with pytest.raises(ShapeError):
-            pool(outputs, np.ones(3, dtype=int), PoolingStrategy.CLS)
+            pool(outputs, np.ones((1, 3), dtype=int), PoolingStrategy.CLS)
 
     def test_parse_strategy(self):
         assert PoolingStrategy.parse("FirstLast") is PoolingStrategy.FIRST_LAST

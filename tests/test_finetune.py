@@ -288,10 +288,12 @@ class TestLoadTaskRecords:
 
     def test_mrc_answer_index_validated(self, tmp_path):
         path = tmp_path / "mrc.jsonl"
-        rec = {"context": "c", "question": "q", "choices": ["a", "b"], "answer_index": 5}
-        path.write_text(json.dumps(rec) + "\n")
-        with pytest.raises(DataError, match="answer_index"):
-            load_task_records(path, TaskSpec(TaskKind.MRC))
+        # true is a bool, which Python counts as the int 1; it is no index.
+        for answer in (5, True, 1.0, "1", None):
+            rec = {"context": "c", "question": "q", "choices": ["a", "b"], "answer_index": answer}
+            path.write_text(json.dumps(rec) + "\n")
+            with pytest.raises(DataError, match="answer_index"):
+                load_task_records(path, TaskSpec(TaskKind.MRC))
 
     def test_mrc_empty_choices_rejected(self, tmp_path):
         path = tmp_path / "mrc.jsonl"

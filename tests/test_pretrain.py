@@ -19,7 +19,6 @@ from consem.errors import (
 from consem.pretrain import (
     LOSS_CSV_HEADER,
     LossRecord,
-    MaskedTarget,
     PretrainConfig,
     contrastive_loss,
     contrastive_scores,
@@ -29,7 +28,6 @@ from consem.pretrain import (
     train,
     write_loss_csv,
 )
-from consem.encoder import LayerOutputs
 from consem.tensor import Tensor
 from consem.text import (
     CLS_ID,
@@ -195,31 +193,34 @@ class TestMasking:
         assert a[0].ids == b[0].ids and a[1] == b[1]
 
 
+def _slots(*triples):
+    """(rows, cols, token_ids) index arrays from (batch row, position, token id) triples."""
+    table = np.array(triples, dtype=np.intp).reshape(-1, 3)
+    return table[:, 0], table[:, 1], table[:, 2]
+
+
 class TestMlmLoss:
     def test_no_targets_is_zero(self):
-        outputs = LayerOutputs(hidden=[Tensor(np.zeros((4, 8)))], attention=[])
-        loss = mlm_loss(outputs, [], Tensor(np.zeros((10, 8))))
+        loss = mlm_loss(Tensor(np.zeros((2, 4, 8))), *_slots(), Tensor(np.zeros((10, 8))))
         assert loss.item() == 0.0
 
     def test_zero_states_give_uniform_logits(self, f64):
         # Zero hidden states make every vocabulary logit zero, so the loss
         # is exactly log(V) per masked position.
         v, d = 13, 8
-        outputs = LayerOutputs(hidden=[Tensor(np.zeros((6, d)))], attention=[])
+        hidden = Tensor(np.zeros((2, 6, d)))
         tok_emb = Tensor(np.random.default_rng(0).normal(size=(v, d)))
-        targets = [MaskedTarget(position=1, token_id=5), MaskedTarget(position=4, token_id=12)]
-        loss = mlm_loss(outputs, targets, tok_emb)
+        loss = mlm_loss(hidden, *_slots((0, 1, 5), (1, 4, 12)), tok_emb)
         assert loss.item() == pytest.approx(math.log(v), abs=1e-12)
 
     def test_gradient_matches_finite_difference(self, f64):
         rng = np.random.default_rng(4)
-        hidden = Tensor(rng.uniform(-1, 1, size=(5, 6)), requires_grad=True)
+        hidden = Tensor(rng.uniform(-1, 1, size=(2, 5, 6)), requires_grad=True)
         tok_emb = Tensor(rng.uniform(-1, 1, size=(9, 6)), requires_grad=True)
-        targets = [MaskedTarget(1, 3), MaskedTarget(2, 8), MaskedTarget(4, 0)]
+        slots = _slots((0, 1, 3), (1, 2, 8), (0, 4, 0), (1, 4, 5))
 
         def fn():
-            outputs = LayerOutputs(hidden=[hidden], attention=[])
-            return mlm_loss(outputs, targets, tok_emb)
+            return mlm_loss(hidden, *slots, tok_emb)
 
         assert check_gradients(fn, [hidden, tok_emb]) < 1e-3
 
