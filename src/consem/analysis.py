@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .checkpoint import Checkpoint
+from .checkpoint import Checkpoint, write_atomic
 from .encoder import EncoderWeights, forward_batch
 from .errors import (
     ConfigError,
@@ -52,6 +52,7 @@ __all__ = [
 ]
 
 TOPK_REPORT_VALUES = (1, 3, 5, 10)
+UNIFORMITY_BLOCK = 1 << 18  # pair scores ``uniformity`` holds at once (2 MB of float64)
 
 
 @dataclass
@@ -153,15 +154,22 @@ def alignment(pairs: Sequence[tuple[np.ndarray, np.ndarray]]) -> float:
 
 
 def uniformity(embeddings) -> float:
-    """``log mean exp(-2 d^2)`` over distinct unordered pairs of normalized rows."""
+    """``log mean exp(-2 d^2)`` over distinct unordered pairs of normalized rows.
+
+    Unit rows give ``d^2 = 2 - 2 x.y``: pairs are scored a row block at a time.
+    """
     vectors = embeddings.vectors if isinstance(embeddings, EmbeddingSet) else embeddings
     v = _normalized(vectors)
     n = v.shape[0]
     if n < 2:
         raise MetricError("uniformity needs at least two embeddings")
-    sq = ((v[:, None, :] - v[None, :, :]) ** 2).sum(axis=2)
-    iu = np.triu_indices(n, k=1)
-    return float(np.log(np.mean(np.exp(-2.0 * sq[iu]))))
+    step = max(1, UNIFORMITY_BLOCK // n)
+    total = 0.0
+    for start in range(0, n, step):
+        # Row i of the block against rows start.. of v; keep columns past i.
+        sq = np.maximum(2.0 - 2.0 * (v[start : start + step] @ v[start:].T), 0.0)
+        total += float(np.triu(np.exp(-2.0 * sq), k=1).sum())
+    return float(np.log(total / (n * (n - 1) / 2)))
 
 
 @dataclass
@@ -192,8 +200,8 @@ def export_attention(
 ) -> dict:
     """Last-layer attention over ``[CLS] a [SEP] b [SEP]`` with aligned token strings.
 
-    Returns per-head matrices and the head-averaged matrix, trimmed to the
-    real (non-padding) length; each row of each matrix sums to one.
+    Returns per-head matrices and the head-averaged matrix over the
+    encoded tokens; each row of each matrix sums to one.
     """
     if checkpoint.vocab_hash != vocab.content_hash():
         raise VocabularyError("checkpoint was built with a different vocabulary")
@@ -201,9 +209,8 @@ def export_attention(
     weights = EncoderWeights.from_arrays(config, checkpoint.params)
     seq = encode_pair(text_a, text_b, vocab, config.max_len)
     outputs = forward_batch([seq], weights, config, train_mode=False)
-    n = seq.real_length
-    probs = outputs.attention[-1].data[0, :, :n, :n].astype(np.float64)
-    tokens = [vocab.token_for(i) for i in seq.ids[:n]]
+    probs = outputs.attention[-1].data[0].astype(np.float64)
+    tokens = [vocab.token_for(i) for i in seq.ids]
     return {
         "tokens": tokens,
         "heads": [head.tolist() for head in probs],
@@ -217,18 +224,13 @@ def save_embeddings(path: str | Path, embeddings: EmbeddingSet) -> None:
     A JSON-lines sidecar at ``<path>.jsonl`` carries one ``{"id", "text"}``
     object per row in the same order.
     """
-    path = Path(path)
     vectors = np.ascontiguousarray(embeddings.vectors, dtype="<f4")
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<II", vectors.shape[0], vectors.shape[1]))
-        fh.write(vectors.tobytes())
-    sidecar = [
-        json.dumps({"id": i, "text": t}, sort_keys=True, ensure_ascii=False)
+    write_atomic(path, struct.pack("<II", *vectors.shape) + vectors.tobytes())
+    sidecar = "".join(
+        json.dumps({"id": i, "text": t}, sort_keys=True, ensure_ascii=False) + "\n"
         for i, t in zip(embeddings.ids, embeddings.texts)
-    ]
-    Path(str(path) + ".jsonl").write_text(
-        "\n".join(sidecar) + ("\n" if sidecar else ""), encoding="utf-8"
     )
+    write_atomic(str(path) + ".jsonl", sidecar.encode("utf-8"))
 
 
 def load_embeddings(path: str | Path) -> EmbeddingSet:

@@ -19,6 +19,7 @@ describing and a save/load/save cycle is byte-identical.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -28,7 +29,7 @@ import numpy as np
 from .encoder import EncoderConfig
 from .errors import FormatError
 
-__all__ = ["Checkpoint", "FORMAT_VERSION", "MAGIC", "load_checkpoint", "save_checkpoint"]
+__all__ = ["Checkpoint", "FORMAT_VERSION", "MAGIC", "load_checkpoint", "save_checkpoint", "write_atomic"]
 
 MAGIC = b"VCLS"
 FORMAT_VERSION = 1
@@ -47,6 +48,20 @@ class Checkpoint:
     version: int = FORMAT_VERSION
 
 
+def write_atomic(path: str | Path, data: bytes) -> None:
+    """Write ``data`` to a temp file beside ``path``, then rename it over ``path``.
+
+    A failed write leaves the previous file as it was and no temp file behind.
+    """
+    tmp = Path(f"{path}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     header = {
         "encoder_config": asdict(ckpt.encoder_config),
@@ -57,12 +72,10 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
         "params": [[name, list(array.shape)] for name, array in ckpt.params.items()],
     }
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<II", ckpt.version, len(header_bytes)))
-        fh.write(header_bytes)
-        for array in ckpt.params.values():
-            fh.write(np.ascontiguousarray(array, dtype="<f4").tobytes())
+    blobs = [np.ascontiguousarray(array, dtype="<f4").tobytes() for array in ckpt.params.values()]
+    write_atomic(
+        path, b"".join([MAGIC, struct.pack("<II", ckpt.version, len(header_bytes)), header_bytes, *blobs])
+    )
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:

@@ -209,6 +209,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         raise VocabularyError("model was built with a different vocabulary")
     task = TaskSpec(kind=model.kind, labels=model.labels)
     records = load_task_records(args.data, task)
+    if not records:
+        raise DataError(f"{args.data}: no records to evaluate")
     if model.kind is TaskKind.MRC:
         predictions, report = evaluate_mrc(model, vocab, records)
     else:

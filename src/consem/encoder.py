@@ -4,14 +4,14 @@ The encoder is the post-norm variant: each block applies multi-head
 self-attention and a GELU feed-forward network, with dropout on each
 sublayer output before its residual addition and a layer norm after it.
 Padding positions are excluded from attention by adding a large negative
-bias to their key columns, so appending padding never changes the states
-at real positions.
+bias to their key columns, so padding never changes the states at real
+positions.
 
-``forward_batch`` encodes a batch of equal-length sequences and keeps
-every layer's (batch, seq, d) hidden states and attention maps, which the
-pooling strategies and the attention export tooling both consume; a single
-sequence is a batch of one.  Hidden state index 0 is the embedding output;
-index L is the last block.
+``forward_batch`` is the only code that pads: it pads a ragged batch to
+its longest sequence and keeps the padding mask with every layer's
+(batch, seq, d) hidden states and attention maps, which the pooling
+strategies and the attention export tooling both consume.  Hidden state
+index 0 is the embedding output; index L is the last block.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 from . import tensor as T
 from .errors import ConfigError, DegenerateInputError, ShapeError, VocabularyError
 from .tensor import Tensor
-from .text import TokenSequence, Vocabulary, encode_single
+from .text import PAD_ID, TokenSequence, Vocabulary, encode_single
 
 __all__ = [
     "EncoderConfig",
@@ -176,11 +176,23 @@ class LayerOutputs:
 
     ``hidden`` has num_layers + 1 entries (embedding output first), each of
     shape (batch, seq, d).  ``attention`` has one post-softmax map per
-    layer, shape (batch, heads, seq, seq).
+    layer, shape (batch, heads, seq, seq).  ``mask`` is (batch, seq), 1 on
+    real tokens and 0 on the padding up to the batch's longest sequence.
     """
 
     hidden: list[Tensor]
     attention: list[Tensor]
+    mask: np.ndarray
+
+
+def _dropout(x, config, train_mode, rng):
+    if not (train_mode and config.dropout > 0.0):
+        return x
+    # Noise is drawn over the fixed (batch, max_len, d) grid and cut to this
+    # batch's length, so a real position's mask depends only on the seed, its
+    # row and its position, not on how long its batch-mates are.
+    batch, _, d = x.shape
+    return T.dropout(x, config.dropout, rng, grid=(batch, config.max_len, d))
 
 
 def _attention_block(x, mask_bias, weights, prefix, config, train_mode, rng):
@@ -196,17 +208,13 @@ def _attention_block(x, mask_bias, weights, prefix, config, train_mode, rng):
     context = T.matmul(probs, vh)
     context = T.reshape(T.transpose(context, (0, 2, 1, 3)), (batch, seq, d))
     out = T.add(T.matmul(context, weights[f"{prefix}.attn.wo"]), weights[f"{prefix}.attn.bo"])
-    if train_mode and config.dropout > 0.0:
-        out = T.dropout(out, config.dropout, rng)
-    return out, probs
+    return _dropout(out, config, train_mode, rng), probs
 
 
 def _feed_forward(x, weights, prefix, config, train_mode, rng):
     h = T.gelu(T.add(T.matmul(x, weights[f"{prefix}.ff.w1"]), weights[f"{prefix}.ff.b1"]))
     out = T.add(T.matmul(h, weights[f"{prefix}.ff.w2"]), weights[f"{prefix}.ff.b2"])
-    if train_mode and config.dropout > 0.0:
-        out = T.dropout(out, config.dropout, rng)
-    return out
+    return _dropout(out, config, train_mode, rng)
 
 
 def forward_batch(
@@ -216,36 +224,35 @@ def forward_batch(
     train_mode: bool = False,
     rng: np.random.Generator | None = None,
 ) -> LayerOutputs:
-    """Encode equal-length sequences together; see :class:`LayerOutputs` for shapes.
+    """Encode sequences of any lengths together; see :class:`LayerOutputs` for shapes.
 
-    In train mode dropout is active and ``rng`` must be provided; evaluation
-    is deterministic and needs none.
+    The batch is padded with ``PAD_ID`` to its longest sequence.  In train
+    mode dropout is active and ``rng`` must be provided; evaluation is
+    deterministic and needs none.
     """
     if not seqs:
         raise ShapeError("forward_batch needs at least one sequence")
-    lengths = {s.length for s in seqs}
-    if len(lengths) != 1:
-        raise ShapeError(f"sequences in one batch must share a length, got {sorted(lengths)}")
-    seq_len = lengths.pop()
-    if seq_len < 1:
+    lengths = np.array([s.length for s in seqs], dtype=np.intp)
+    if lengths.min() < 1:
         raise ShapeError("cannot encode an empty sequence")
+    seq_len = int(lengths.max())
     if seq_len > config.max_len:
         raise ConfigError(f"sequence length {seq_len} exceeds max_len {config.max_len}")
     if train_mode and config.dropout > 0.0 and rng is None:
         raise ConfigError("train-mode forward with dropout requires an rng")
-    ids = np.array([s.ids for s in seqs], dtype=np.intp)
-    if ids.max(initial=0) >= config.vocab_size:
+    mask = (np.arange(seq_len) < lengths[:, None]).astype(np.intp)
+    ids = np.full(mask.shape, PAD_ID, dtype=np.intp)
+    ids[mask == 1] = np.concatenate([s.ids for s in seqs])
+    if ids.max() >= config.vocab_size:
         raise VocabularyError(
             f"token id {int(ids.max())} out of range for vocab_size {config.vocab_size}"
         )
-    mask = np.array([s.attention_mask for s in seqs])
 
     x = T.add(
         T.gather_rows(weights["tok_emb"], ids),
         T.gather_rows(weights["pos_emb"], np.arange(seq_len, dtype=np.intp)),
     )
-    if train_mode and config.dropout > 0.0:
-        x = T.dropout(x, config.dropout, rng)
+    x = _dropout(x, config, train_mode, rng)
     # (batch, 1, 1, seq): masked key columns get a large negative score bias.
     bias = T.constant(
         (1.0 - mask)[:, None, None, :] * ATTENTION_MASK_BIAS, dtype=x.data.dtype
@@ -264,7 +271,7 @@ def forward_batch(
         )
         hidden.append(x)
         attention.append(probs)
-    return LayerOutputs(hidden=hidden, attention=attention)
+    return LayerOutputs(hidden=hidden, attention=attention, mask=mask)
 
 
 def _masked_mean(states: Tensor, mask: np.ndarray) -> Tensor:
@@ -282,18 +289,15 @@ def _cls_state(states: Tensor) -> Tensor:
     return T.gather_rows(flat, np.arange(batch, dtype=np.intp) * seq)
 
 
-def pool(outputs: LayerOutputs, mask, strategy: PoolingStrategy) -> Tensor:
+def pool(outputs: LayerOutputs, strategy: PoolingStrategy) -> Tensor:
     """Reduce (batch, seq, d) layer states to (batch, d) sentence vectors.
 
     CLS takes the last layer's first position.  Mean averages the last
-    layer over non-padding positions.  FirstLast averages block 1 with the
-    last block before the masked mean, Top2 the last two blocks; both are
-    symmetric in the two layers they combine.
+    layer over the real positions of ``outputs.mask``.  FirstLast averages
+    block 1 with the last block before the masked mean, Top2 the last two
+    blocks; both are symmetric in the two layers they combine.
     """
-    mask = np.asarray(mask)
-    expected = outputs.hidden[-1].shape[:2]
-    if mask.shape != expected:
-        raise ShapeError(f"mask shape {mask.shape} does not match states {expected}")
+    mask = outputs.mask
     if np.any(mask.sum(axis=-1) == 0):
         raise DegenerateInputError("cannot pool a fully padded sequence")
     if strategy is PoolingStrategy.CLS:
@@ -327,7 +331,6 @@ def embed_sentences(
         chunk = texts[start : start + batch_size]
         seqs = [encode_single(text, vocab, config.max_len) for text in chunk]
         outputs = forward_batch(seqs, weights, config, train_mode=False)
-        mask = np.array([s.attention_mask for s in seqs])
-        pooled = pool(outputs, mask, strategy)
+        pooled = pool(outputs, strategy)
         vectors[start : start + len(chunk)] = pooled.data.astype(np.float32)
     return vectors

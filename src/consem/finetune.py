@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from . import tensor as T
-from .checkpoint import Checkpoint
+from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .encoder import (
     EncoderConfig,
     EncoderWeights,
@@ -202,8 +202,7 @@ def _gold_indices(records: Sequence[dict], labels: list[str]) -> np.ndarray:
 
 def _batch_logits(seqs, weights, head_w, head_b, config, train_mode, rng):
     outputs = forward_batch(seqs, weights, config, train_mode=train_mode, rng=rng)
-    mask = np.array([s.attention_mask for s in seqs])
-    cls = pool(outputs, mask, PoolingStrategy.CLS)
+    cls = pool(outputs, PoolingStrategy.CLS)
     return T.add(T.matmul(cls, head_w), head_b)
 
 
@@ -392,8 +391,6 @@ def evaluate_mrc(
 
 def save_model(model: FinetunedModel, pretrain_config: dict | None, path: str | Path) -> None:
     """Serialize a fine-tuned model in the checkpoint container format."""
-    from .checkpoint import save_checkpoint
-
     params = model.weights.to_arrays()
     params["head.weight"] = np.array(model.head_weight.data, copy=True)
     params["head.bias"] = np.array(model.head_bias.data, copy=True)
@@ -410,8 +407,6 @@ def save_model(model: FinetunedModel, pretrain_config: dict | None, path: str | 
 
 def load_model(path: str | Path) -> FinetunedModel:
     """Load a fine-tuned model saved by :func:`save_model`."""
-    from .checkpoint import load_checkpoint
-
     ckpt = load_checkpoint(path)
     if "task" not in ckpt.extra or "labels" not in ckpt.extra:
         raise FormatError(f"{path}: checkpoint does not contain a fine-tuned model")

@@ -41,7 +41,6 @@ from .tensor import Tape, Tensor, backward
 from .text import (
     CLS_ID,
     MASK_ID,
-    PAD_ID,
     SEP_ID,
     ContrastiveTriple,
     TokenSequence,
@@ -173,7 +172,7 @@ class MaskedTarget:
     token_id: int
 
 
-_UNMASKABLE = (PAD_ID, CLS_ID, SEP_ID)
+_UNMASKABLE = (CLS_ID, SEP_ID)
 
 
 def mask_for_mlm(
@@ -181,9 +180,9 @@ def mask_for_mlm(
 ) -> tuple[TokenSequence, list[MaskedTarget]]:
     """Replace each maskable token with [MASK] independently with probability ``rate``.
 
-    Special tokens and padding are never selected.  One uniform draw is
-    consumed per position regardless of eligibility, so the selection for a
-    given (seed, sequence) is stable.  Every selected position becomes the
+    Special tokens are never selected.  One uniform draw is consumed per
+    position regardless of eligibility, so the selection for a given
+    (seed, sequence) is stable.  Every selected position becomes the
     [MASK] id; there is no keep-or-random branch.
     """
     if not 0.0 < rate < 1.0:
@@ -191,13 +190,11 @@ def mask_for_mlm(
     draws = rng.random(len(seq.ids))
     corrupted = list(seq.ids)
     targets: list[MaskedTarget] = []
-    for position, (token_id, keep_mask) in enumerate(zip(seq.ids, seq.attention_mask)):
-        if keep_mask != 1 or token_id in _UNMASKABLE:
-            continue
-        if draws[position] < rate:
+    for position, token_id in enumerate(seq.ids):
+        if token_id not in _UNMASKABLE and draws[position] < rate:
             corrupted[position] = MASK_ID
             targets.append(MaskedTarget(position=position, token_id=token_id))
-    return TokenSequence(ids=corrupted, attention_mask=list(seq.attention_mask)), targets
+    return TokenSequence(ids=corrupted), targets
 
 
 def mlm_loss(
@@ -270,8 +267,7 @@ def _batch_losses(
     pooled = []
     for seqs in seq_lists:
         outputs = forward_batch(seqs, weights, encoder_config, train_mode=train_mode, rng=rng)
-        mask = np.array([s.attention_mask for s in seqs])
-        pooled.append(pool(outputs, mask, config.pooling))
+        pooled.append(pool(outputs, config.pooling))
     cl = contrastive_loss(pooled[0], pooled[1], pooled[2], config.tau)
     ml: Tensor | None = None
     if mlm_batch is not None:

@@ -536,16 +536,19 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
     return out
 
 
-def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
+def dropout(x: Tensor, rate: float, rng: np.random.Generator, grid: tuple | None = None) -> Tensor:
     """Inverted dropout: zero entries with probability ``rate``, rescale the rest.
 
-    Intended for training mode only; evaluation code should simply not call it.
+    Noise is drawn over ``grid`` (default ``x.shape``) and cut to its leading
+    ``x.shape`` corner.  Intended for training mode only; evaluation code
+    should simply not call it.
     """
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
     if rate == 0.0:
         return x
-    keep = (rng.random(x.data.shape) >= rate).astype(x.data.dtype)
+    noise = rng.random(grid or x.data.shape)[tuple(map(slice, x.data.shape))]
+    keep = (noise >= rate).astype(x.data.dtype)
     keep /= x.data.dtype.type(1.0 - rate)
     out = Tensor._result(x.data * keep, x.requires_grad)
 

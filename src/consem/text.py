@@ -17,7 +17,7 @@ import hashlib
 import json
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -127,47 +127,37 @@ def build_vocab(corpus: Iterable[str], min_count: int = 1) -> Vocabulary:
 
 @dataclass
 class TokenSequence:
-    """Token ids plus an attention mask that is 1 exactly on non-padding positions."""
+    """Token ids of one sequence; unpadded, so ``length`` equals ``real_length``.
+
+    ``encoder.forward_batch`` pads each batch to its longest sequence.
+    """
 
     ids: list[int]
-    attention_mask: list[int]
-
-    def __post_init__(self):
-        if len(self.ids) != len(self.attention_mask):
-            raise ConfigError("ids and attention_mask lengths differ")
 
     @property
     def length(self) -> int:
         return len(self.ids)
 
-    @property
-    def real_length(self) -> int:
-        return sum(self.attention_mask)
+    real_length = length
 
 
 def tokenize(text: str, vocab: Vocabulary, max_len: int) -> TokenSequence:
     """Map raw text to bare token ids (no specials, no padding), truncated to ``max_len``."""
     if max_len < 1:
         raise ConfigError(f"max_len must be >= 1, got {max_len}")
-    ids = [vocab.id_for(token) for token in split_text(text)][:max_len]
-    return TokenSequence(ids=ids, attention_mask=[1] * len(ids))
-
-
-def _pad(ids: list[int], max_len: int) -> TokenSequence:
-    mask = [1] * len(ids) + [0] * (max_len - len(ids))
-    return TokenSequence(ids=ids + [PAD_ID] * (max_len - len(ids)), attention_mask=mask)
+    return TokenSequence(ids=[vocab.id_for(token) for token in split_text(text)][:max_len])
 
 
 def encode_single(text: str, vocab: Vocabulary, max_len: int) -> TokenSequence:
-    """Encode one sentence as ``[CLS] text [SEP]``, truncated and padded to ``max_len``."""
+    """Encode one sentence as ``[CLS] text [SEP]``, truncated to at most ``max_len`` ids."""
     if max_len < 2:
         raise ConfigError(f"max_len must be >= 2 to fit [CLS] and [SEP], got {max_len}")
     body = [vocab.id_for(t) for t in split_text(text)][: max_len - 2]
-    return _pad([CLS_ID] + body + [SEP_ID], max_len)
+    return TokenSequence(ids=[CLS_ID] + body + [SEP_ID])
 
 
 def encode_pair(text_a: str, text_b: str, vocab: Vocabulary, max_len: int) -> TokenSequence:
-    """Encode a pair as ``[CLS] a [SEP] b [SEP]``, truncated and padded to ``max_len``.
+    """Encode a pair as ``[CLS] a [SEP] b [SEP]``, truncated to at most ``max_len`` ids.
 
     When the pair is too long, tokens are removed one at a time from the end
     of whichever segment is currently longer (the first segment on ties), so
@@ -183,7 +173,7 @@ def encode_pair(text_a: str, text_b: str, vocab: Vocabulary, max_len: int) -> To
             a.pop()
         else:
             b.pop()
-    return _pad([CLS_ID] + a + [SEP_ID] + b + [SEP_ID], max_len)
+    return TokenSequence(ids=[CLS_ID] + a + [SEP_ID] + b + [SEP_ID])
 
 
 @dataclass
@@ -235,17 +225,9 @@ class DatasetStats:
         )
 
     def to_json(self) -> str:
-        def row(s: SourceStats) -> dict:
-            return {
-                "premises": s.premises,
-                "entailment": s.entailment,
-                "contradiction": s.contradiction,
-                "triples": s.triples,
-            }
-
         payload = {
-            "sources": {name: row(s) for name, s in sorted(self.per_source.items())},
-            "total": row(self.total),
+            "sources": {name: asdict(s) for name, s in sorted(self.per_source.items())},
+            "total": asdict(self.total),
         }
         return json.dumps(payload, sort_keys=True, indent=2)
 

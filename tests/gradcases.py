@@ -186,17 +186,14 @@ def micro_encoder_case(rng):
             p.data = rng.uniform(-0.1, 0.1, p.data.shape)
         else:
             p.data = rng.uniform(-0.4, 0.4, p.data.shape)
-    seqs = [
-        TokenSequence(ids=[1, 5, 6, 2, 0, 0], attention_mask=[1, 1, 1, 1, 0, 0]),
-        TokenSequence(ids=[1, 7, 8, 5, 2, 0], attention_mask=[1, 1, 1, 1, 1, 0]),
-    ]
-    mask = np.array([s.attention_mask for s in seqs])
-    w_states = rng.uniform(-1.0, 1.0, (2, 6, 16))
+    # A ragged batch: forward_batch pads both to 5 ids, leaving max_len 6 unused.
+    seqs = [TokenSequence(ids=[1, 5, 6, 2]), TokenSequence(ids=[1, 7, 8, 5, 2])]
+    w_states = rng.uniform(-1.0, 1.0, (2, 6, 16))[:, :5]
     w_pooled = rng.uniform(-1.0, 1.0, (2, 16))
 
     def fn():
         out = forward_batch(seqs, weights, config)
-        pooled = pool(out, mask, PoolingStrategy.MEAN)
+        pooled = pool(out, PoolingStrategy.MEAN)
         return T.add(
             _contract(out.hidden[-1], w_states), _contract(pooled, w_pooled)
         )

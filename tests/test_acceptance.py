@@ -55,7 +55,7 @@ from consem.finetune import FinetuneConfig, TaskKind, TaskSpec, finetune_classif
 from consem.metrics import ConfusionMatrix, accuracy, macro_f1, mrc_accuracy
 from consem.pretrain import PretrainConfig, contrastive_loss, contrastive_scores, train
 from consem.tensor import Tensor, precision
-from consem.text import NliExample, build_vocab, encode_single, prepare_contrastive
+from consem.text import NliExample, TokenSequence, build_vocab, encode_single, prepare_contrastive
 
 
 def _verdict(num: int, label: str, ok: bool, detail: str) -> None:
@@ -553,16 +553,17 @@ def test_9_invariance_properties_hold():
         hidden_size=16, ff_size=24, max_len=16, dropout=0.0,
     )
     weights = EncoderWeights.initialize(config, seed=3)
+    # Padding: each text pooled alone and beside a longer batch-mate, which
+    # pads it to the mate's length (8 and then the full max_len 16).
     worst_pad = 0.0
+    mates = [TokenSequence(ids=[1] + [5] * (n - 2) + [2]) for n in (8, 16)]
     for text in ("the river stays calm", "people visit the glacier", "the glacier"):
+        seq = encode_single(text, vocab, config.max_len)
         for strategy in PoolingStrategy:
-            pooled = []
-            for max_len in (8, 16):
-                seq = encode_single(text, vocab, max_len)
-                out = forward_batch([seq], weights, config)
-                mask = np.array([seq.attention_mask])
-                pooled.append(pool(out, mask, strategy).data[0])
-            worst_pad = max(worst_pad, float(np.abs(pooled[0] - pooled[1]).max()))
+            alone = pool(forward_batch([seq], weights, config), strategy).data[0]
+            for mate in mates:
+                padded = pool(forward_batch([seq, mate], weights, config), strategy).data[0]
+                worst_pad = max(worst_pad, float(np.abs(alone - padded).max()))
     if worst_pad >= 1e-5:
         failures.append(f"padding drift {worst_pad:.1e}")
 

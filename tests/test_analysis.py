@@ -2,6 +2,7 @@
 
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -183,6 +184,27 @@ class TestUniformity:
         vectors = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         wrapped = EmbeddingSet(vectors=vectors, texts=["a", "b", "c"])
         assert uniformity(wrapped) == uniformity(vectors)
+
+    def test_memory_stays_bounded(self):
+        # The all-pairs difference tensor at this size alone would be 512 MB.
+        vectors = np.random.default_rng(12).normal(size=(1000, 64))
+        tracemalloc.start()
+        try:
+            value = uniformity(vectors)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 2**20, f"peak {peak / 2**20:.1f} MB"
+        assert np.isfinite(value) and value < 0.0
+
+    def test_blocks_agree_with_recount(self, monkeypatch):
+        # Blocks of one and two rows cover the same pairs as one block.
+        rng = np.random.default_rng(13)
+        vectors = rng.normal(size=(9, 4))
+        reference = uniformity_reference(vectors)
+        for block in (1, 18, 1 << 18):
+            monkeypatch.setattr("consem.analysis.UNIFORMITY_BLOCK", block)
+            assert uniformity(vectors) == pytest.approx(reference, abs=1e-9)
 
 
 class TestContainers:

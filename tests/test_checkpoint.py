@@ -1,10 +1,16 @@
-"""Binary checkpoint format: round trips, validation, and warm-start resume."""
+"""Binary checkpoint format: round trips, validation, atomic writes, and warm-start resume."""
+
+import builtins
+import errno
+import os
 
 import numpy as np
 import pytest
 
 from conftest import make_topic_triples, micro_encoder_config
 
+import consem.checkpoint
+from consem.analysis import EmbeddingSet, save_embeddings
 from consem.checkpoint import Checkpoint, MAGIC, load_checkpoint, save_checkpoint
 from consem.encoder import EncoderConfig, EncoderWeights
 from consem.errors import FormatError
@@ -127,3 +133,52 @@ class TestResume:
         # below the fresh run's first epoch and not regress past the base run.
         assert resumed[0].contrastive < fresh[0].contrastive
         assert resumed[-1].contrastive < base_first
+
+
+class _TornFile:
+    """A file whose first write stores half its bytes, then fails as on a full disk."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[: len(data) // 2])
+        self.fh.flush()
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+class TestAtomicWrites:
+    @pytest.mark.parametrize("artifact", ["checkpoint", "embeddings"])
+    def test_failed_write_keeps_previous_file(self, sample, monkeypatch, artifact):
+        ckpt, path = sample
+        if artifact == "embeddings":
+            path = path.parent / "embeddings.bin"
+            save_embeddings(path, EmbeddingSet(vectors=np.eye(3), texts=["a", "b", "c"]))
+
+            def save_again():
+                save_embeddings(path, EmbeddingSet(vectors=np.ones((2, 5)), texts=["d", "e"]))
+        else:
+            ckpt.step += 1
+
+            def save_again():
+                save_checkpoint(ckpt, path)
+
+        before = {name: (path.parent / name).read_bytes() for name in os.listdir(path.parent)}
+        monkeypatch.setattr(
+            consem.checkpoint, "open", lambda *a, **k: _TornFile(builtins.open(*a, **k)), raising=False
+        )
+        with pytest.raises(OSError, match="No space left"):
+            save_again()
+        after = {name: (path.parent / name).read_bytes() for name in os.listdir(path.parent)}
+        # The old artifact is byte-identical and no temp file is left behind.
+        assert after == before
+        monkeypatch.undo()
+        save_again()
+        assert path.read_bytes() != before[path.name]
+        assert sorted(os.listdir(path.parent)) == sorted(before)

@@ -12,7 +12,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import make_pair_task, make_topic_nli
+from conftest import make_pair_task, make_single_task, make_topic_nli
 
 from consem.checkpoint import load_checkpoint
 from consem.cli import SWEEP_GRIDS, main
@@ -213,6 +213,32 @@ class TestFinetuneEvaluate:
                    "--data", str(workspace.dev), "--out", str(tmp_path)])
         assert rc == 1
         assert "vocabulary" in capsys.readouterr().err
+
+
+    @pytest.fixture(scope="class")
+    def single_model(self, workspace):
+        root = workspace.root / "single"
+        root.mkdir()
+        _write_jsonl(root / "train.jsonl", make_single_task(8))
+        _write_jsonl(root / "dev.jsonl", make_single_task(4, start=8))
+        assert main(["finetune", "--checkpoint", str(workspace.checkpoint), "--vocab", str(workspace.vocab),
+                     "--train", str(root / "train.jsonl"), "--dev", str(root / "dev.jsonl"),
+                     "--task", "single", "--ft-epochs", "1", "--out", str(root)]) == 0
+        return root / "model.bin"
+
+    @pytest.mark.parametrize("content", ["", "\n  \n"], ids=["empty", "blank-lines"])
+    @pytest.mark.parametrize("task", ["pair", "single"])
+    def test_empty_data_file_fails_cleanly(self, workspace, request, tmp_path, capsys, content, task):
+        model = workspace.model if task == "pair" else request.getfixturevalue("single_model")
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text(content, encoding="utf-8")
+        rc = main(["evaluate", "--model", str(model), "--vocab", str(workspace.vocab),
+                   "--data", str(empty), "--out", str(tmp_path / "eval")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"{empty}: no records" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "eval" / "metrics.json").exists()
 
 
 class TestRetrieve:

@@ -18,7 +18,7 @@ from consem.encoder import (
 )
 from consem.errors import ConfigError, DegenerateInputError, ShapeError, VocabularyError
 from consem.tensor import Tensor
-from consem.text import build_vocab, encode_single
+from consem.text import PAD_ID, TokenSequence, build_vocab, encode_single
 
 
 @pytest.fixture(scope="module")
@@ -90,12 +90,25 @@ class TestWeights:
 class TestForward:
     def test_output_shapes(self, setup):
         vocab, config, weights = setup
-        seqs = [encode_single("the river glows", vocab, 8) for _ in range(4)]
+        texts = ["the river glows", "a glacier", "the river glows", "morning light covers everything"]
+        seqs = [encode_single(t, vocab, 8) for t in texts]
         out = forward_batch(seqs, weights, config)
         assert len(out.hidden) == config.num_layers + 1
         assert len(out.attention) == config.num_layers
-        assert out.hidden[0].shape == (4, 8, 12)
-        assert out.attention[0].shape == (4, 2, 8, 8)
+        # Padded to the longest sequence (6 ids), not to max_len.
+        assert out.hidden[0].shape == (4, 6, 12)
+        assert out.attention[0].shape == (4, 2, 6, 6)
+        assert out.mask.shape == (4, 6)
+
+    def test_ragged_batch_is_padded_to_longest(self, setup):
+        vocab, config, weights = setup
+        seqs = [TokenSequence(ids=[1, 5, 2]), TokenSequence(ids=[1, 6, 7, 8, 2]), TokenSequence(ids=[1])]
+        out = forward_batch(seqs, weights, config)
+        np.testing.assert_array_equal(out.mask, [[1, 1, 1, 0, 0], [1, 1, 1, 1, 1], [1, 0, 0, 0, 0]])
+        # Padding goes in as PAD_ID: the embedding output at a padded slot is
+        # the PAD row plus that position's embedding.
+        expected = weights["tok_emb"].data[PAD_ID] + weights["pos_emb"].data[4]
+        np.testing.assert_allclose(out.hidden[0].data[0, 4], expected, atol=1e-6)
 
     def test_attention_rows_sum_to_one(self, setup):
         vocab, config, weights = setup
@@ -107,24 +120,21 @@ class TestForward:
 
     def test_padding_positions_get_no_attention(self, setup):
         vocab, config, weights = setup
-        seq = encode_single("the river", vocab, 9)
-        pad_columns = [i for i, m in enumerate(seq.attention_mask) if m == 0]
-        out = forward_batch([seq], weights, config)
+        seqs = [encode_single("the river", vocab, 9), encode_single("morning light covers everything", vocab, 9)]
+        out = forward_batch(seqs, weights, config)
+        pad_columns = np.flatnonzero(out.mask[0] == 0)
+        assert len(pad_columns) == 2
         for maps in out.attention:
             assert maps.data[0, :, :, pad_columns].max() < 1e-6
 
     def test_padding_invariance_of_pooling(self, setup):
         vocab, config, weights = setup
-        text = "the river glows"
-        short = encode_single(text, vocab, 6)
-        long = encode_single(text, vocab, 10)
+        seq = encode_single("the river glows", vocab, 10)
+        longer = encode_single("morning light covers everything", vocab, 10)
         for strategy in PoolingStrategy:
-            pooled = []
-            for seq in (short, long):
-                out = forward_batch([seq], weights, config)
-                mask = np.array([seq.attention_mask])
-                pooled.append(pool(out, mask, strategy).data[0])
-            np.testing.assert_allclose(pooled[0], pooled[1], atol=1e-5)
+            alone = pool(forward_batch([seq], weights, config), strategy).data[0]
+            padded = pool(forward_batch([seq, longer], weights, config), strategy).data[0]
+            np.testing.assert_allclose(alone, padded, atol=1e-5)
 
     def test_batch_matches_single(self, setup):
         vocab, config, weights = setup
@@ -173,7 +183,7 @@ class TestForward:
             p.data = np.zeros_like(p.data)
         seq = encode_single("x y", vocab, 5)
         out = forward_batch([seq], weights, config)
-        expected = weights["tok_emb"].data[np.array(seq.ids)] + weights["pos_emb"].data[:5]
+        expected = weights["tok_emb"].data[np.array(seq.ids)] + weights["pos_emb"].data[: seq.length]
         # Both sublayers contribute zero, so each block just renormalizes.
         for _ in range(2 * config.num_layers):
             mu = expected.mean(axis=-1, keepdims=True)
@@ -181,30 +191,70 @@ class TestForward:
             expected = (expected - mu) / np.sqrt(var + 1e-5)
         np.testing.assert_allclose(out.hidden[-1].data[0], expected, atol=1e-5)
 
-    def test_ragged_batch_rejected(self, setup):
-        vocab, config, weights = setup
-        seqs = [encode_single("the river", vocab, 6), encode_single("the river", vocab, 7)]
-        with pytest.raises(ShapeError):
-            forward_batch(seqs, weights, config)
-
     def test_overlong_sequence_rejected(self, setup):
         vocab, config, weights = setup
+        fits = TokenSequence(ids=[1] * config.max_len)
+        forward_batch([fits], weights, config)
         with pytest.raises(ConfigError):
-            forward_batch([encode_single("the river", vocab, 11)], weights, config)
+            forward_batch([fits, TokenSequence(ids=[1] * (config.max_len + 1))], weights, config)
+
+    def test_empty_sequence_and_batch_rejected(self, setup):
+        vocab, config, weights = setup
+        with pytest.raises(ShapeError):
+            forward_batch([TokenSequence(ids=[1, 2]), TokenSequence(ids=[])], weights, config)
+        with pytest.raises(ShapeError):
+            forward_batch([], weights, config)
 
     def test_out_of_vocabulary_id_rejected(self, setup):
         vocab, config, weights = setup
-        from consem.text import TokenSequence
-
-        seq = TokenSequence(ids=[1, config.vocab_size, 2], attention_mask=[1, 1, 1])
+        seqs = [TokenSequence(ids=[1, 2]), TokenSequence(ids=[1, config.vocab_size, 2])]
         with pytest.raises(VocabularyError):
-            forward_batch([seq], weights, config)
+            forward_batch(seqs, weights, config)
 
 
-def _one_sequence(*layers):
-    """LayerOutputs for a batch of one from (seq, d) arrays, first layer first."""
+class TestPaddingDrift:
+    """Per-batch padding against padding every sequence to ``max_len``."""
+
+    def test_full_width_batch_matches_sequences_alone(self, setup):
+        # A max_len-long batch-mate pads every other sequence to the full
+        # max_len; each must still pool as it does unpadded.
+        vocab, config, weights = setup
+        full = TokenSequence(ids=[1] + [vocab.id_for("river")] * (config.max_len - 2) + [2])
+        texts = ["the river glows", "a glacier rests", "morning light covers everything", ""]
+        seqs = [encode_single(t, vocab, config.max_len) for t in texts]
+        batch = forward_batch(seqs + [full], weights, config)
+        assert batch.mask.shape == (len(seqs) + 1, config.max_len)
+        for strategy in PoolingStrategy:
+            pooled = pool(batch, strategy).data
+            for row, seq in enumerate(seqs):
+                alone = pool(forward_batch([seq], weights, config), strategy).data[0]
+                np.testing.assert_allclose(pooled[row], alone, atol=1e-5, err_msg=strategy.value)
+
+    def test_train_mode_states_ignore_batch_mate_length(self, setup):
+        vocab, config, weights = setup
+        seq = encode_single("the river", vocab, config.max_len)
+        n = seq.length
+        states = []
+        for mate in ("a glacier rests", "morning light covers everything the river glows"):
+            rng = np.random.default_rng(17)
+            out = forward_batch(
+                [seq, encode_single(mate, vocab, config.max_len)], weights, config,
+                train_mode=True, rng=rng,
+            )
+            states.append([h.data[0, :n] for h in out.hidden])
+        assert states[0][0].shape == (n, config.hidden_size)
+        for short_mate, long_mate in zip(*states):
+            np.testing.assert_allclose(short_mate, long_mate, atol=1e-5)
+
+
+def _one_sequence(*layers, mask=None):
+    """LayerOutputs for a batch of one from (seq, d) arrays, first layer first.
+
+    ``mask`` is the (seq,) padding mask; every position is real by default.
+    """
     hidden = [Tensor(np.asarray(states, dtype=np.float32)[None]) for states in layers]
-    return LayerOutputs(hidden=hidden, attention=[])
+    mask = np.ones(hidden[0].shape[1], dtype=int) if mask is None else np.asarray(mask)
+    return LayerOutputs(hidden=hidden, attention=[], mask=mask[None])
 
 
 def _constant_outputs(vector, layers, tokens):
@@ -215,27 +265,26 @@ class TestPooling:
     def test_constant_states_return_that_vector(self):
         v = np.array([0.5, -1.0, 2.0, 0.0], dtype=np.float32)
         outputs = _constant_outputs(v, layers=3, tokens=5)
-        mask = np.ones((1, 5), dtype=int)
         for strategy in PoolingStrategy:
-            np.testing.assert_allclose(pool(outputs, mask, strategy).data, [v], atol=1e-6)
+            np.testing.assert_allclose(pool(outputs, strategy).data, [v], atol=1e-6)
 
     def test_mean_of_two_basis_tokens(self):
         states = [[1.0, 0.0], [0.0, 1.0]]
         outputs = _one_sequence(states, states)
-        pooled = pool(outputs, np.ones((1, 2), dtype=int), PoolingStrategy.MEAN)
+        pooled = pool(outputs, PoolingStrategy.MEAN)
         np.testing.assert_allclose(pooled.data, [[0.5, 0.5]], atol=1e-7)
 
     def test_mean_ignores_padding(self):
         states = [[1.0, 0.0], [0.0, 1.0], [9.0, 9.0]]
-        outputs = _one_sequence(states, states)
-        pooled = pool(outputs, np.array([[1, 1, 0]]), PoolingStrategy.MEAN)
+        outputs = _one_sequence(states, states, mask=[1, 1, 0])
+        pooled = pool(outputs, PoolingStrategy.MEAN)
         np.testing.assert_allclose(pooled.data, [[0.5, 0.5]], atol=1e-7)
 
     def test_first_last_hand_computed(self):
         first = np.array([[2.0, 0.0], [0.0, 2.0]], dtype=np.float32)
         last = np.array([[0.0, 4.0], [4.0, 0.0]], dtype=np.float32)
         outputs = _one_sequence(np.zeros((2, 2)), first, last)
-        pooled = pool(outputs, np.ones((1, 2), dtype=int), PoolingStrategy.FIRST_LAST)
+        pooled = pool(outputs, PoolingStrategy.FIRST_LAST)
         # Per-token average of layers 1 and 2, then mean over tokens.
         expected = ((first + last) / 2).mean(axis=0)
         np.testing.assert_allclose(pooled.data, [expected], atol=1e-6)
@@ -244,7 +293,7 @@ class TestPooling:
         last = np.array([[7.0, -1.0], [0.0, 0.0]], dtype=np.float32)
         outputs = _one_sequence(np.zeros((2, 2)), last)
         np.testing.assert_array_equal(
-            pool(outputs, np.ones((1, 2), dtype=int), PoolingStrategy.CLS).data, [last[0]]
+            pool(outputs, PoolingStrategy.CLS).data, [last[0]]
         )
 
     def test_cls_ignores_earlier_layers(self):
@@ -252,27 +301,22 @@ class TestPooling:
         for first_layer_scale in (1.0, 100.0):
             outputs = _one_sequence(first_layer_scale * np.ones((1, 2)), last)
             np.testing.assert_array_equal(
-                pool(outputs, np.ones((1, 1), dtype=int), PoolingStrategy.CLS).data, [last[0]]
+                pool(outputs, PoolingStrategy.CLS).data, [last[0]]
             )
 
     def test_first_last_and_top2_differ_with_depth(self, setup):
         vocab, config, weights = setup
         seq = encode_single("the river glows", vocab, 7)
         out = forward_batch([seq], weights, config)
-        mask = np.array([seq.attention_mask])
-        a = pool(out, mask, PoolingStrategy.FIRST_LAST).data
-        b = pool(out, mask, PoolingStrategy.TOP2).data
+        a = pool(out, PoolingStrategy.FIRST_LAST).data
+        b = pool(out, PoolingStrategy.TOP2).data
         assert np.abs(a - b).max() > 1e-6
 
     def test_fully_padded_sequence_rejected(self):
-        outputs = _constant_outputs(np.ones(3, dtype=np.float32), layers=1, tokens=2)
+        states = np.ones((2, 3), dtype=np.float32)
+        outputs = _one_sequence(states, states, mask=[0, 0])
         with pytest.raises(DegenerateInputError):
-            pool(outputs, np.zeros((1, 2), dtype=int), PoolingStrategy.MEAN)
-
-    def test_mask_shape_mismatch_rejected(self):
-        outputs = _constant_outputs(np.ones(3, dtype=np.float32), layers=1, tokens=2)
-        with pytest.raises(ShapeError):
-            pool(outputs, np.ones((1, 3), dtype=int), PoolingStrategy.CLS)
+            pool(outputs, PoolingStrategy.MEAN)
 
     def test_parse_strategy(self):
         assert PoolingStrategy.parse("FirstLast") is PoolingStrategy.FIRST_LAST

@@ -32,7 +32,6 @@ from consem.tensor import Tensor
 from consem.text import (
     CLS_ID,
     MASK_ID,
-    PAD_ID,
     SEP_ID,
     ContrastiveTriple,
     TokenSequence,
@@ -134,18 +133,15 @@ class TestContrastiveLoss:
 class TestMasking:
     @pytest.fixture()
     def seq(self):
-        # [CLS] t t t t t t [SEP] [PAD] [PAD]
-        return TokenSequence(
-            ids=[CLS_ID, 7, 8, 9, 10, 11, 12, SEP_ID, PAD_ID, PAD_ID],
-            attention_mask=[1, 1, 1, 1, 1, 1, 1, 1, 0, 0],
-        )
+        # [CLS] t t t t t t [SEP]
+        return TokenSequence(ids=[CLS_ID, 7, 8, 9, 10, 11, 12, SEP_ID])
 
     def test_specials_never_masked(self, seq):
         for seed in range(50):
             corrupted, targets = mask_for_mlm(seq, 0.9, np.random.default_rng(seed))
             assert corrupted.ids[0] == CLS_ID
             assert corrupted.ids[7] == SEP_ID
-            assert corrupted.ids[8:] == [PAD_ID, PAD_ID]
+            assert corrupted.length == seq.length
             for t in targets:
                 assert 1 <= t.position <= 6
 
@@ -170,10 +166,7 @@ class TestMasking:
 
     def test_empirical_rate_concentrates(self):
         total, masked = 0, 0
-        seq = TokenSequence(
-            ids=[CLS_ID] + list(range(5, 25)) + [SEP_ID],
-            attention_mask=[1] * 22,
-        )
+        seq = TokenSequence(ids=[CLS_ID] + list(range(5, 25)) + [SEP_ID])
         for row in range(500):
             _, targets = mask_for_mlm(seq, 0.15, np.random.default_rng([77, row]))
             total += 20

@@ -89,23 +89,23 @@ class TestEncoding:
 
     def test_tokenize_empty_string(self, vocab):
         seq = tokenize("", vocab, max_len=8)
-        assert seq.ids == [] and seq.attention_mask == []
+        assert seq.ids == [] and seq.length == seq.real_length == 0
 
     def test_tokenize_known_tokens_in_order(self, vocab):
         seq = tokenize("alpha beta", vocab, max_len=8)
         assert seq.ids == [vocab.id_for("alpha"), vocab.id_for("beta")]
 
     def test_encode_single_layout(self, vocab):
+        # Unpadded: max_len only truncates, the encoder pads per batch.
         seq = encode_single("alpha", vocab, max_len=5)
-        assert seq.ids == [CLS_ID, vocab.id_for("alpha"), SEP_ID, PAD_ID, PAD_ID]
-        assert seq.attention_mask == [1, 1, 1, 0, 0]
-        assert seq.real_length == 3
+        assert seq.ids == [CLS_ID, vocab.id_for("alpha"), SEP_ID]
+        assert seq.length == seq.real_length == 3
 
     def test_encode_pair_layout(self, vocab):
         seq = encode_pair("alpha", "beta", vocab, max_len=7)
         a, b = vocab.id_for("alpha"), vocab.id_for("beta")
-        assert seq.ids == [CLS_ID, a, SEP_ID, b, SEP_ID, PAD_ID, PAD_ID]
-        assert seq.attention_mask == [1, 1, 1, 1, 1, 0, 0]
+        assert seq.ids == [CLS_ID, a, SEP_ID, b, SEP_ID]
+        assert seq.length == seq.real_length == 5
 
     def test_encode_pair_empty_first_segment(self, vocab):
         seq = encode_pair("", "beta", vocab, max_len=6)
@@ -130,8 +130,9 @@ class TestEncoding:
     def test_encode_pair_never_exceeds_max_len(self, vocab):
         for max_len in range(4, 12):
             seq = encode_pair("alpha beta gamma delta", "epsilon zeta eta", vocab, max_len)
-            assert seq.length == max_len
-            assert sum(seq.attention_mask) == sum(1 for i in seq.ids if i != PAD_ID)
+            # 4 + 3 tokens and 3 specials fill 10 slots before any truncation.
+            assert seq.length == seq.real_length == min(max_len, 10)
+            assert PAD_ID not in seq.ids
 
     def test_unknown_tokens_map_to_unk(self, vocab):
         seq = tokenize("alpha mystery", vocab, max_len=4)
