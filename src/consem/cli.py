@@ -32,7 +32,7 @@ from .analysis import (
     save_embeddings,
     uniformity,
 )
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import load_checkpoint, save_checkpoint, write_atomic
 from .config import SHARED_KEYS, RunConfig, section_keys
 from .encoder import EncoderConfig, EncoderWeights, PoolingStrategy, embed_sentences
 from .errors import ConfigError, ConsemError, DataError, VocabularyError
@@ -100,6 +100,12 @@ def _out_dir(args: argparse.Namespace) -> Path:
     return out
 
 
+def _write_artifact(path: Path, payload) -> None:
+    """Write text, or an object as indented sorted-key JSON, plus a newline, atomically."""
+    text = payload if isinstance(payload, str) else json.dumps(payload, sort_keys=True, indent=2)
+    write_atomic(path, (text + "\n").encode("utf-8"))
+
+
 def _strings_in(value) -> list[str]:
     if isinstance(value, str):
         return [value]
@@ -131,7 +137,7 @@ def cmd_prepare(args: argparse.Namespace) -> int:
     triples, stats = prepare_contrastive(examples)
     out = _out_dir(args)
     save_triples_jsonl(triples, out / "triples.jsonl")
-    (out / "stats.json").write_text(stats.to_json() + "\n", encoding="utf-8")
+    _write_artifact(out / "stats.json", stats.to_json())
     print(f"prepared {len(triples)} triples from {len(examples)} labeled pairs")
     if args.held_out:
         held = [s for _, obj in load_jsonl(args.held_out) for s in _strings_in(obj)]
@@ -194,9 +200,7 @@ def cmd_finetune(args: argparse.Namespace) -> int:
     )
     out = _out_dir(args)
     save_model(model, ckpt.pretrain_config, out / "model.bin")
-    (out / "dev_metrics.json").write_text(
-        json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    _write_artifact(out / "dev_metrics.json", report.to_dict())
     config.write(out / "run_config.txt")
     print(f"fine-tuned on {len(train_records)} records; dev accuracy {report.accuracy:.4f}")
     return 0
@@ -217,10 +221,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         predictions, report = evaluate_classifier(model, vocab, records)
     out = _out_dir(args)
     lines = [json.dumps(p, sort_keys=True, ensure_ascii=False) for p in predictions]
-    (out / "predictions.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    (out / "metrics.json").write_text(
-        json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    _write_artifact(out / "predictions.jsonl", "\n".join(lines))
+    _write_artifact(out / "metrics.json", report.to_dict())
     print(f"evaluated {len(records)} records; accuracy {report.accuracy:.4f}")
     return 0
 
@@ -263,9 +265,7 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
     accuracies = {str(k): accuracy_at_topk(cases, k) for k in TOPK_REPORT_VALUES}
     out = _out_dir(args)
     payload = {"accuracy_at_k": accuracies, "claims": len(cases), "pool_size": int(cases[0].candidates.shape[0])}
-    (out / "retrieval.json").write_text(
-        json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    _write_artifact(out / "retrieval.json", payload)
     summary = ", ".join(f"@{k}={accuracies[str(k)]:.4f}" for k in TOPK_REPORT_VALUES)
     print(f"retrieval accuracy over {len(cases)} claims: {summary}")
     return 0
@@ -310,12 +310,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         accuracy_at_k=accuracy_at_k,
     )
     out = _out_dir(args)
-    (out / "analysis.json").write_text(report.to_json() + "\n", encoding="utf-8")
+    _write_artifact(out / "analysis.json", report.to_json())
     if args.attention_a:
         dump = export_attention(ckpt, vocab, args.attention_a, args.attention_b)
-        (out / "attention.json").write_text(
-            json.dumps(dump, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
+        _write_artifact(out / "attention.json", dump)
     if args.save_embeddings:
         save_embeddings(out / "embeddings.bin", EmbeddingSet(vectors=vectors, texts=sentences))
     print(
@@ -375,9 +373,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 ckpt, task, train_records, dev_records, leg_config.build(FinetuneConfig), vocab
             )
             save_model(model, ckpt.pretrain_config, leg_dir / "model.bin")
-            (leg_dir / "dev_metrics.json").write_text(
-                json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n", encoding="utf-8"
-            )
+            _write_artifact(leg_dir / "dev_metrics.json", report.to_dict())
             rows.append([raw, f"{report.accuracy:.6f}", f"{report.macro_f1:.6f}", "ok"])
             print(f"sweep {args.axis}={raw}: dev accuracy {report.accuracy:.4f}")
         except ConsemError as exc:
@@ -482,7 +478,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except ConsemError as exc:
+    except (ConsemError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -17,6 +17,7 @@ from .encoder import EncoderConfig
 from .errors import ConfigError
 from .finetune import FinetuneConfig
 from .pretrain import PretrainConfig
+from .text import read_utf8
 
 __all__ = ["RunConfig", "SHARED_KEYS", "section_keys"]
 
@@ -81,7 +82,7 @@ class _RunConfigBase:
 
     def update_from_file(self, path: str | Path) -> None:
         types = self.field_types()
-        for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+        for lineno, raw in enumerate(read_utf8(path, ConfigError).splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue

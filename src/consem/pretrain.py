@@ -264,22 +264,20 @@ def _batch_losses(
     train_mode: bool,
     rng: np.random.Generator | None,
 ) -> tuple[Tensor, Tensor | None]:
-    pooled = []
-    for seqs in seq_lists:
-        outputs = forward_batch(seqs, weights, encoder_config, train_mode=train_mode, rng=rng)
-        pooled.append(pool(outputs, config.pooling))
-    cl = contrastive_loss(pooled[0], pooled[1], pooled[2], config.tau)
-    ml: Tensor | None = None
+    # One forward over the stacked rows [anchors; positives; negatives; MLM-corrupted
+    # anchors], so each dropout site draws one grid for all of them.
+    n = len(seq_lists[0])
+    stacked = [seq for seqs in seq_lists for seq in seqs]
     if mlm_batch is not None:
-        corrupted, rows, cols, ids = mlm_batch
-        if len(ids):
-            outputs = forward_batch(
-                corrupted, weights, encoder_config, train_mode=train_mode, rng=rng
-            )
-            ml = mlm_loss(outputs.hidden[-1], rows, cols, ids, weights["tok_emb"])
-        else:
-            ml = Tensor(0.0)
-    return cl, ml
+        stacked += mlm_batch[0]
+    outputs = forward_batch(stacked, weights, encoder_config, train_mode=train_mode, rng=rng)
+    pooled = pool(outputs, config.pooling)
+    blocks = [T.gather_rows(pooled, np.arange(k * n, (k + 1) * n)) for k in range(3)]
+    cl = contrastive_loss(*blocks, config.tau)
+    if mlm_batch is None:
+        return cl, None
+    _, rows, cols, ids = mlm_batch
+    return cl, mlm_loss(outputs.hidden[-1], rows + 3 * n, cols, ids, weights["tok_emb"])
 
 
 def train(

@@ -62,11 +62,6 @@ _TAPE_STACK: list["Tape"] = []
 LAYER_NORM_EPS = 1e-5
 
 
-def default_dtype() -> np.dtype:
-    """Return the dtype currently used for newly constructed tensors."""
-    return _DEFAULT_DTYPE
-
-
 @contextlib.contextmanager
 def precision(dtype) -> Iterator[None]:
     """Temporarily construct new tensors with ``dtype`` (e.g. float64 for gradient checks)."""
@@ -178,9 +173,6 @@ class Tape:
 
     def __len__(self) -> int:
         return len(self._nodes)
-
-    def backward(self, loss: Tensor) -> None:
-        backward(loss, self)
 
 
 def _record(out: Tensor, inputs: tuple[Tensor, ...], backward_fn: _BackwardFn) -> None:

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .errors import ConfigError, DataError, FormatError, VocabularyError
+from .errors import ConfigError, ConsemError, DataError, FormatError, VocabularyError
 
 __all__ = [
     "ContrastiveTriple",
@@ -39,6 +39,7 @@ __all__ = [
     "load_nli_jsonl",
     "load_triples_jsonl",
     "prepare_contrastive",
+    "read_utf8",
     "save_triples_jsonl",
     "tokenize",
 ]
@@ -98,7 +99,7 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocabulary":
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        lines = read_utf8(path, FormatError).splitlines()
         if len(lines) < len(RESERVED_TOKENS):
             raise FormatError(f"vocabulary file {path} is too short")
         return cls(tokens=list(lines))
@@ -298,10 +299,18 @@ def leakage_guard(
     return violations
 
 
+def read_utf8(path: str | Path, error: type[ConsemError]) -> str:
+    """The text of ``path``; a file that is not UTF-8 raises ``error`` naming the path."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+
+
 def load_jsonl(path: str | Path) -> list[tuple[int, dict]]:
     """(line number, object) for every non-blank line; each must hold a JSON object."""
     rows = []
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(read_utf8(path, DataError).splitlines(), start=1):
         if not raw.strip():
             continue
         try:

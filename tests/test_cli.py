@@ -317,6 +317,36 @@ class TestAnalyze:
         assert not (tmp_path / "analysis.json").exists()
 
 
+# The input files each command needs; a test swaps one of them for a bad file.
+_REQUIRED_FILES = {
+    "prepare": ["--nli"],
+    "build-vocab": ["--triples"],
+    "pretrain": ["--triples", "--vocab"],
+    "finetune": ["--checkpoint", "--vocab", "--train", "--dev"],
+    "evaluate": ["--model", "--vocab", "--data"],
+    "analyze": ["--checkpoint", "--vocab", "--pairs"],
+    "retrieve": ["--checkpoint", "--vocab", "--claims", "--contexts"],
+}
+
+
+def _argv_with(workspace, command, flag, path, out):
+    """``command`` with every file it needs from ``workspace``, except ``path`` for ``flag``."""
+    files = {
+        "--nli": workspace.nli, "--triples": workspace.triples, "--vocab": workspace.vocab,
+        "--checkpoint": workspace.checkpoint, "--model": workspace.model,
+        "--train": workspace.train, "--dev": workspace.dev, "--data": workspace.dev,
+        "--pairs": workspace.nli,
+        "--claims": workspace.root / "claims.jsonl", "--contexts": workspace.root / "contexts.jsonl",
+    }
+    _write_jsonl(files["--claims"], [{"claim": "the river", "gold_index": 0}])
+    _write_jsonl(files["--contexts"], [{"text": "the river report"}])
+    argv = [command, flag, str(path), "--out", str(out)]
+    for other in _REQUIRED_FILES[command]:
+        if other != flag:
+            argv += [other, str(files[other])]
+    return argv
+
+
 # (command, the flag that takes the bad file, a JSON line that is no object).
 _NON_OBJECT_INPUTS = [
     ("prepare", "--nli", "[1, 2]"),
@@ -335,28 +365,46 @@ _NON_OBJECT_INPUTS = [
 def test_non_object_json_line_fails_cleanly(workspace, tmp_path, capsys, command, flag, line):
     bad = tmp_path / "bad.jsonl"
     bad.write_text("\n" + line + "\n", encoding="utf-8")
-    files = {
-        "--nli": workspace.nli, "--triples": workspace.triples, "--vocab": workspace.vocab,
-        "--checkpoint": workspace.checkpoint, "--model": workspace.model,
-        "--train": workspace.train, "--dev": workspace.dev, "--data": workspace.dev,
-        "--claims": workspace.root / "claims.jsonl", "--contexts": workspace.root / "contexts.jsonl",
-    }
-    _write_jsonl(files["--claims"], [{"claim": "the river", "gold_index": 0}])
-    _write_jsonl(files["--contexts"], [{"text": "the river report"}])
-    needs = {
-        "prepare": ["--nli"],
-        "build-vocab": ["--triples"],
-        "finetune": ["--checkpoint", "--vocab", "--train", "--dev"],
-        "evaluate": ["--model", "--vocab", "--data"],
-        "retrieve": ["--checkpoint", "--vocab", "--claims", "--contexts"],
-    }[command]
-    argv = [command, flag, str(bad), "--out", str(tmp_path / "out")]
-    for other in needs:
-        if other != flag:
-            argv += [other, str(files[other])]
-    assert main(argv) == 1
+    assert main(_argv_with(workspace, command, flag, bad, tmp_path / "out")) == 1
     err = capsys.readouterr().err
     assert f"{bad}:2: expected a JSON object" in err
+    assert "Traceback" not in err
+
+
+# (command, a flag that names an input file).
+_FILE_FLAGS = [
+    ("prepare", "--nli"), ("prepare", "--held-out"), ("build-vocab", "--triples"),
+    ("build-vocab", "--config"), ("pretrain", "--triples"), ("pretrain", "--vocab"),
+    ("pretrain", "--init"), ("finetune", "--checkpoint"), ("finetune", "--vocab"),
+    ("finetune", "--train"), ("finetune", "--dev"), ("evaluate", "--model"),
+    ("evaluate", "--data"), ("analyze", "--checkpoint"), ("analyze", "--pairs"),
+    ("retrieve", "--claims"), ("retrieve", "--contexts"),
+]
+
+
+@pytest.mark.parametrize("command,flag", _FILE_FLAGS, ids=[c + f for c, f in _FILE_FLAGS])
+def test_missing_input_file_fails_cleanly(workspace, tmp_path, capsys, command, flag):
+    missing = tmp_path / "missing.jsonl"
+    assert main(_argv_with(workspace, command, flag, missing, tmp_path / "out")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(missing) in err
+    assert "Traceback" not in err
+
+
+# (command, a flag whose file is read as UTF-8 text).
+_TEXT_FLAGS = [
+    ("prepare", "--nli"), ("build-vocab", "--triples"), ("build-vocab", "--config"),
+    ("finetune", "--vocab"), ("evaluate", "--data"), ("retrieve", "--contexts"),
+]
+
+
+@pytest.mark.parametrize("command,flag", _TEXT_FLAGS, ids=[c + f for c, f in _TEXT_FLAGS])
+def test_undecodable_input_file_fails_cleanly(workspace, tmp_path, capsys, command, flag):
+    latin1 = tmp_path / "latin1.jsonl"
+    latin1.write_bytes('{"premise": "caf\u00e9"}\n'.encode("latin-1"))
+    assert main(_argv_with(workspace, command, flag, latin1, tmp_path / "out")) == 1
+    err = capsys.readouterr().err
+    assert f"error: {latin1}: not UTF-8 text" in err
     assert "Traceback" not in err
 
 

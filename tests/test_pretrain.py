@@ -8,7 +8,8 @@ import pytest
 from conftest import check_gradients, make_topic_triples, micro_encoder_config
 from oracles import contrastive_loss_reference
 
-from consem.encoder import EncoderConfig, EncoderWeights
+import consem.pretrain as pretrain_module
+from consem.encoder import EncoderConfig, EncoderWeights, PoolingStrategy, forward_batch, pool
 from consem.errors import (
     ConfigError,
     ContractError,
@@ -28,7 +29,7 @@ from consem.pretrain import (
     train,
     write_loss_csv,
 )
-from consem.tensor import Tensor
+from consem.tensor import Tape, Tensor, backward
 from consem.text import (
     CLS_ID,
     MASK_ID,
@@ -36,6 +37,7 @@ from consem.text import (
     ContrastiveTriple,
     TokenSequence,
     build_vocab,
+    encode_single,
 )
 
 
@@ -370,6 +372,95 @@ class TestTrain:
         )
         ckpt, _ = train(triples, config, vocab, encoder_config)
         assert ckpt.step == 1  # 8 triples in one oversized batch
+
+
+def _per_list_losses(seq_lists, mlm_batch, weights, encoder_config, config, train_mode, rng):
+    """The path the stacked forward replaced: one forward per list, then one for MLM."""
+    pooled = [
+        pool(forward_batch(seqs, weights, encoder_config, train_mode=train_mode, rng=rng), config.pooling)
+        for seqs in seq_lists
+    ]
+    cl = contrastive_loss(*pooled, config.tau)
+    if mlm_batch is None:
+        return cl, None
+    corrupted, rows, cols, ids = mlm_batch
+    outputs = forward_batch(corrupted, weights, encoder_config, train_mode=train_mode, rng=rng)
+    return cl, mlm_loss(outputs.hidden[-1], rows, cols, ids, weights["tok_emb"])
+
+
+class TestStackedForward:
+    """``_batch_losses`` runs one forward over all rows; bound its drift from per-list forwards."""
+
+    @staticmethod
+    def _batch(tiny_world, mlm, dropout=0.1):
+        triples, vocab, _ = tiny_world
+        # max_len 14 truncates the longest patterns, so the rows have mixed lengths.
+        encoder_config = micro_encoder_config(vocab.size, max_len=14, dropout=dropout)
+        lists = tuple(
+            [encode_single(text, vocab, encoder_config.max_len) for text in texts]
+            for texts in zip(*[(t.sentence1, t.sentence2, t.hard_neg) for t in triples[:6]])
+        )
+        assert len({s.length for seqs in lists for s in seqs}) > 1
+        mlm_batch = None
+        if mlm:
+            mlm_batch = pretrain_module._epoch_masking(lists[0], np.arange(6), 0.3, 0, 5, 1)
+            assert len(mlm_batch[3])
+        return lists, mlm_batch, encoder_config
+
+    @pytest.mark.parametrize("mlm", [False, True])
+    @pytest.mark.parametrize("pooling", list(PoolingStrategy))
+    def test_eval_matches_per_list_forwards(self, tiny_world, pooling, mlm):
+        lists, mlm_batch, encoder_config = self._batch(tiny_world, mlm)
+        weights = EncoderWeights.initialize(encoder_config, seed=3)
+        config = PretrainConfig(pooling=pooling, tau=0.1)
+        args = (lists, mlm_batch, weights, encoder_config, config, False, None)
+        cl, ml = pretrain_module._batch_losses(*args)
+        ref_cl, ref_ml = _per_list_losses(*args)
+        assert cl.item() == pytest.approx(ref_cl.item(), abs=1e-5)
+        if mlm:
+            assert ml.item() == pytest.approx(ref_ml.item(), abs=1e-5)
+        else:
+            assert ml is None and ref_ml is None
+
+    @pytest.mark.parametrize("mlm", [False, True])
+    def test_train_mode_gradients_match_without_dropout(self, tiny_world, mlm):
+        lists, mlm_batch, encoder_config = self._batch(tiny_world, mlm, dropout=0.0)
+        config = PretrainConfig(pooling=PoolingStrategy.MEAN, tau=0.1, mlm_weight=0.5)
+
+        def run(losses_fn):
+            weights = EncoderWeights.initialize(encoder_config, seed=3)
+            with Tape() as tape:
+                cl, ml = losses_fn(lists, mlm_batch, weights, encoder_config, config, True, None)
+                loss = cl if ml is None else cl + ml * config.mlm_weight
+                backward(loss, tape)
+            return loss.item(), {name: p.grad for name, p in weights.items()}
+
+        loss, grads = run(pretrain_module._batch_losses)
+        ref_loss, ref_grads = run(_per_list_losses)
+        assert loss == pytest.approx(ref_loss, abs=1e-5)
+        # One bound for all parameters: some gradients (the attention key
+        # biases) are about zero, where a per-parameter relative bound fails.
+        bound = 1e-5 * max(np.abs(g).max() for g in ref_grads.values())
+        for name, ref in ref_grads.items():
+            assert np.abs(grads[name] - ref).max() <= bound, name
+
+    @pytest.mark.parametrize("mlm_weight", [0.0, 0.3])
+    def test_one_forward_per_batch_in_both_splits(self, tiny_world, monkeypatch, mlm_weight):
+        triples, vocab, encoder_config = tiny_world
+        calls = {True: 0, False: 0}
+
+        def counting_forward(seqs, *args, train_mode=False, **kwargs):
+            calls[train_mode] += 1
+            return forward_batch(seqs, *args, train_mode=train_mode, **kwargs)
+
+        monkeypatch.setattr(pretrain_module, "forward_batch", counting_forward)
+        config = PretrainConfig(
+            epochs=2, batch_size=4, seed=1, validation_fraction=0.25, mlm_weight=mlm_weight
+        )
+        ckpt, _ = train(triples, config, vocab, encoder_config)
+        # 12 training triples in 3 batches and 4 validation triples in 1, per epoch.
+        assert ckpt.step == 6
+        assert calls == {True: 6, False: 2}
 
 
 class TestPretrainConfig:
