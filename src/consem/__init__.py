@@ -14,6 +14,7 @@ from .analysis import (
     accuracy_at_topk,
     alignment,
     export_attention,
+    gold_ranks,
     load_embeddings,
     save_embeddings,
     uniformity,

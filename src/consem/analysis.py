@@ -9,6 +9,8 @@ mass spreads more evenly over the hypersphere (two orthogonal unit
 vectors give exactly -4).  Retrieval quality is accuracy at top K: the
 fraction of claims whose gold context lands among the K nearest
 candidates by cosine, descending, ties resolved toward the lower index.
+``gold_ranks`` gives each claim's gold rank under that rule, so every K
+reads from one ranking.
 
 All statistics are computed in float64 from the given vectors; nothing
 here needs gradients.
@@ -45,6 +47,7 @@ __all__ = [
     "accuracy_at_topk",
     "alignment",
     "export_attention",
+    "gold_ranks",
     "load_embeddings",
     "rank_candidates",
     "save_embeddings",
@@ -52,7 +55,7 @@ __all__ = [
 ]
 
 TOPK_REPORT_VALUES = (1, 3, 5, 10)
-UNIFORMITY_BLOCK = 1 << 18  # pair scores ``uniformity`` holds at once (2 MB of float64)
+SCORE_BLOCK = 1 << 18  # scores ``uniformity`` and ``gold_ranks`` hold at once (2 MB of float64)
 
 
 @dataclass
@@ -114,6 +117,38 @@ def rank_candidates(claim: np.ndarray, candidates: np.ndarray) -> np.ndarray:
     return np.argsort(-sims, kind="stable")
 
 
+def gold_ranks(claims: np.ndarray, candidates: np.ndarray, gold) -> np.ndarray:
+    """0-based rank of each claim's gold candidate by descending cosine, ties toward lower index.
+
+    The rank counts the candidates ahead of gold: strictly more similar, or
+    equally similar at a lower index, the order ``rank_candidates`` gives.
+    Claims are scored a row block at a time with one matmul per block, so
+    at most ``SCORE_BLOCK`` scores are held at once.
+    """
+    c = np.asarray(claims)
+    m = np.asarray(candidates)
+    gold = np.asarray(gold)
+    if c.ndim != 2 or m.ndim != 2 or m.shape[0] < 1 or c.shape[1] != m.shape[1]:
+        raise ShapeError(f"claims {c.shape} and candidates {m.shape} must be (n, d) and (m, d), m >= 1")
+    if gold.shape != (c.shape[0],):
+        raise ShapeError(f"{gold.shape} gold indices for {c.shape[0]} claims")
+    if not np.issubdtype(gold.dtype, np.integer) or np.any((gold < 0) | (gold >= m.shape[0])):
+        raise ContractError(f"gold indices must be integers in [0, {m.shape[0]})")
+    c = _normalized(c)
+    m = _normalized(m)
+    columns = np.arange(m.shape[0])
+    ranks = np.empty(c.shape[0], dtype=np.intp)
+    step = max(1, SCORE_BLOCK // m.shape[0])
+    for start in range(0, c.shape[0], step):
+        scores = c[start : start + step] @ m.T
+        g = gold[start : start + step, None]
+        # The gold score comes from the same matmul as the scores it is compared with.
+        s_gold = np.take_along_axis(scores, g, axis=1)
+        ahead = (scores > s_gold) | ((scores == s_gold) & (columns < g))
+        ranks[start : start + step] = ahead.sum(axis=1)
+    return ranks
+
+
 def accuracy_at_topk(cases: Sequence[RetrievalCase], k: int) -> float:
     """Fraction of cases whose gold candidate ranks in the top K.
 
@@ -126,9 +161,8 @@ def accuracy_at_topk(cases: Sequence[RetrievalCase], k: int) -> float:
         raise MetricError("accuracy at top K over zero cases is undefined")
     hits = 0
     for case in cases:
-        kk = min(k, case.candidates.shape[0])
-        order = rank_candidates(case.claim, case.candidates)
-        if case.gold_index in order[:kk]:
+        rank = gold_ranks(case.claim[None, :], case.candidates, [case.gold_index])[0]
+        if rank < min(k, case.candidates.shape[0]):
             hits += 1
     return hits / len(cases)
 
@@ -163,7 +197,7 @@ def uniformity(embeddings) -> float:
     n = v.shape[0]
     if n < 2:
         raise MetricError("uniformity needs at least two embeddings")
-    step = max(1, UNIFORMITY_BLOCK // n)
+    step = max(1, SCORE_BLOCK // n)
     total = 0.0
     for start in range(0, n, step):
         # Row i of the block against rows start.. of v; keep columns past i.

@@ -6,10 +6,12 @@ contrastive stage, ``finetune`` and ``evaluate`` handle downstream tasks,
 ``analyze`` and ``retrieve`` probe the embedding space, and ``sweep``
 re-runs the pretrain/finetune/evaluate chain over a hyperparameter grid.
 
-Every command reads an optional ``--config`` file, applies explicit flags
-on top, writes deterministic artifacts under ``--out``, and archives the
-resolved configuration next to them.  Commands exit 0 only when they
-fully succeed (for ``prepare``, also only when no leakage was found).
+Every command writes deterministic artifacts under ``--out``.  The
+commands that take settings (``build-vocab``, ``pretrain``, ``finetune``
+and ``sweep``) read an optional ``--config`` file and apply explicit flags
+on top; all but ``build-vocab`` archive the resolved configuration next
+to their artifacts.  Commands exit 0 only when they fully succeed (for
+``prepare``, also only when no leakage was found).
 """
 
 from __future__ import annotations
@@ -21,14 +23,15 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from .analysis import (
     AnalysisReport,
     EmbeddingSet,
-    RetrievalCase,
     TOPK_REPORT_VALUES,
-    accuracy_at_topk,
     alignment,
     export_attention,
+    gold_ranks,
     save_embeddings,
     uniformity,
 )
@@ -61,7 +64,8 @@ from .text import (
 
 __all__ = ["build_parser", "entrypoint", "main"]
 
-# Flags per command; ``--seed`` is a flag of every command, so no tuple holds it.
+# Flags per command; ``--seed`` is a flag of every command that resolves a RunConfig,
+# so no tuple holds it.
 _ENCODER_KEYS = tuple(section_keys(EncoderConfig).values())
 _PRETRAIN_KEYS = tuple(k for k in section_keys(PretrainConfig).values() if k != "seed")
 _FINETUNE_KEYS = tuple(k for k in section_keys(FinetuneConfig).values() if k not in SHARED_KEYS)
@@ -88,7 +92,7 @@ def _add_config_keys(parser: argparse.ArgumentParser, keys) -> None:
 
 def _resolve_config(args: argparse.Namespace, keys=()) -> RunConfig:
     config = RunConfig()
-    if getattr(args, "config", None):
+    if args.config:
         config.update_from_file(args.config)
     config.update({key: getattr(args, key, None) for key in (*keys, "seed")})
     return config
@@ -227,7 +231,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _retrieval_cases(args, weights, ckpt, vocab, pooling):
+def _retrieval_vectors(args, weights, ckpt, vocab, pooling):
+    """Claim vectors, context vectors and gold indices from ``--claims``/``--contexts``."""
     claims = []
     for lineno, obj in load_jsonl(args.claims):
         if "claim" not in obj or "gold_index" not in obj:
@@ -237,6 +242,8 @@ def _retrieval_cases(args, weights, ckpt, vocab, pooling):
         if type(gold) is not int:
             raise DataError(f"{args.claims}:{lineno}: 'gold_index' must be an integer, got {gold!r}")
         claims.append((str(obj["claim"]), gold))
+    if not claims:
+        raise DataError(f"{args.claims}: no claims found")
     contexts = []
     for lineno, obj in load_jsonl(args.contexts):
         if "text" not in obj:
@@ -251,23 +258,31 @@ def _retrieval_cases(args, weights, ckpt, vocab, pooling):
         [c for c, _ in claims], weights, ckpt.encoder_config, vocab, pooling
     )
     context_vectors = embed_sentences(contexts, weights, ckpt.encoder_config, vocab, pooling)
-    return [
-        RetrievalCase(claim=claim_vectors[i], candidates=context_vectors, gold_index=claims[i][1])
-        for i in range(len(claims))
-    ]
+    return claim_vectors, context_vectors, np.array([gold for _, gold in claims], dtype=np.intp)
+
+
+def _accuracy_at_k(claim_vectors, context_vectors, gold) -> dict[int, float]:
+    """Accuracy at every reported K, read from one ranking; K is clamped to the pool."""
+    ranks = gold_ranks(claim_vectors, context_vectors, gold)
+    pool = context_vectors.shape[0]
+    return {k: float(np.mean(ranks < min(k, pool))) for k in TOPK_REPORT_VALUES}
 
 
 def cmd_retrieve(args: argparse.Namespace) -> int:
     ckpt, vocab = _checkpoint_vocab(args)
     pooling = _pooling_for(args, ckpt)
     weights = EncoderWeights.from_arrays(ckpt.encoder_config, ckpt.params)
-    cases = _retrieval_cases(args, weights, ckpt, vocab, pooling)
-    accuracies = {str(k): accuracy_at_topk(cases, k) for k in TOPK_REPORT_VALUES}
+    claim_vectors, context_vectors, gold = _retrieval_vectors(args, weights, ckpt, vocab, pooling)
+    accuracies = _accuracy_at_k(claim_vectors, context_vectors, gold)
     out = _out_dir(args)
-    payload = {"accuracy_at_k": accuracies, "claims": len(cases), "pool_size": int(cases[0].candidates.shape[0])}
+    payload = {
+        "accuracy_at_k": {str(k): v for k, v in accuracies.items()},
+        "claims": len(gold),
+        "pool_size": int(context_vectors.shape[0]),
+    }
     _write_artifact(out / "retrieval.json", payload)
-    summary = ", ".join(f"@{k}={accuracies[str(k)]:.4f}" for k in TOPK_REPORT_VALUES)
-    print(f"retrieval accuracy over {len(cases)} claims: {summary}")
+    summary = ", ".join(f"@{k}={v:.4f}" for k, v in accuracies.items())
+    print(f"retrieval accuracy over {len(gold)} claims: {summary}")
     return 0
 
 
@@ -301,8 +316,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     ]
     accuracy_at_k = None
     if args.claims:
-        cases = _retrieval_cases(args, weights, ckpt, vocab, pooling)
-        accuracy_at_k = {k: accuracy_at_topk(cases, k) for k in TOPK_REPORT_VALUES}
+        accuracy_at_k = _accuracy_at_k(*_retrieval_vectors(args, weights, ckpt, vocab, pooling))
     report = AnalysisReport(
         alignment_entailment=alignment(ent_pairs),
         alignment_contradiction=alignment(con_pairs),
@@ -395,11 +409,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    def common(sp, out=True):
-        sp.add_argument("--config", default=None, metavar="PATH", help="key = value configuration file")
-        sp.add_argument("--seed", type=int, default=None, metavar="N", help="override the run seed")
-        if out:
-            sp.add_argument("--out", required=True, metavar="DIR", help="artifact directory")
+    def common(sp, settings=False):
+        # Only the commands that resolve a RunConfig take --config and --seed.
+        if settings:
+            sp.add_argument("--config", default=None, metavar="PATH", help="key = value configuration file")
+            sp.add_argument("--seed", type=int, default=None, metavar="N", help="override the run seed")
+        sp.add_argument("--out", required=True, metavar="DIR", help="artifact directory")
 
     p = sub.add_parser("prepare", help="mine contrastive triples from labeled NLI pairs")
     p.add_argument("--nli", required=True, metavar="PATH", help="JSONL with premise/hypothesis/label")
@@ -410,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build-vocab", help="fit a vocabulary over a triples file")
     p.add_argument("--triples", required=True, metavar="PATH")
     _add_config_keys(p, ("min_count",))
-    common(p)
+    common(p, settings=True)
     p.set_defaults(handler=cmd_build_vocab)
 
     p = sub.add_parser("pretrain", help="contrastive pretraining over triples")
@@ -418,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab", required=True, metavar="PATH")
     p.add_argument("--init", default=None, metavar="PATH", help="warm-start from this checkpoint")
     _add_config_keys(p, _ENCODER_KEYS + _PRETRAIN_KEYS)
-    common(p)
+    common(p, settings=True)
     p.set_defaults(handler=cmd_pretrain)
 
     p = sub.add_parser("finetune", help="fine-tune a classifier head on a task")
@@ -427,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train", required=True, metavar="PATH")
     p.add_argument("--dev", required=True, metavar="PATH")
     _add_config_keys(p, _FINETUNE_KEYS + _TASK_KEYS)
-    common(p)
+    common(p, settings=True)
     p.set_defaults(handler=cmd_finetune)
 
     p = sub.add_parser("evaluate", help="run a fine-tuned model over a dataset")
@@ -467,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train", default=None, metavar="PATH")
     p.add_argument("--dev", default=None, metavar="PATH")
     _add_config_keys(p, _SWEEP_KEYS)
-    common(p)
+    common(p, settings=True)
     p.set_defaults(handler=cmd_sweep)
 
     return parser

@@ -18,6 +18,7 @@ from consem.analysis import (
     accuracy_at_topk,
     alignment,
     export_attention,
+    gold_ranks,
     load_embeddings,
     rank_candidates,
     save_embeddings,
@@ -106,6 +107,84 @@ class TestTopK:
             accuracy_at_topk([case], 0)
         with pytest.raises(MetricError):
             accuracy_at_topk([], 1)
+
+
+def _full_order_rank(claim, candidates, gold):
+    return rank_candidates(claim, candidates).tolist().index(gold)
+
+
+class TestGoldRanks:
+    def test_random_pools_match_full_order_and_oracle(self):
+        rng = np.random.default_rng(14)
+        for _ in range(20):
+            n, m, d = (int(v) for v in rng.integers((1, 1, 2), (30, 40, 9)))
+            claims = rng.normal(size=(n, d))
+            candidates = rng.normal(size=(m, d))
+            gold = rng.integers(0, m, size=n)
+            ranks = gold_ranks(claims, candidates, gold)
+            assert ranks.tolist() == [_full_order_rank(c, candidates, g) for c, g in zip(claims, gold)]
+            for k in (1, 3, 5, 10):
+                assert np.mean(ranks < min(k, m)) == pytest.approx(
+                    topk_reference(claims, [candidates] * n, gold, k), abs=1e-12
+                )
+
+    def test_exact_ties_go_to_the_lower_index(self):
+        # Against [1, 0]: rows 1, 3 and 4 tie at cosine 1 (row 4 repeats row 1,
+        # row 3 is row 1 scaled down), row 2 scores 0.6 and row 0 scores 0.
+        candidates = np.array([[0.0, 1.0], [5.0, 0.0], [3.0, 4.0], [1.0, 0.0], [5.0, 0.0]])
+        claims = np.array([[1.0, 0.0]] * 5 + [[0.0, 2.0]] * 5)
+        gold = np.array([1, 3, 4, 2, 0] * 2)
+        ranks = gold_ranks(claims, candidates, gold)
+        assert ranks[:5].tolist() == [0, 1, 2, 3, 4]
+        assert ranks.tolist() == [_full_order_rank(c, candidates, g) for c, g in zip(claims, gold)]
+
+    def test_duplicate_rows_rank_by_index(self):
+        rng = np.random.default_rng(15)
+        row = rng.normal(size=6)
+        candidates = np.vstack([rng.normal(size=(3, 6)), row, rng.normal(size=(2, 6)), row])
+        ranks = gold_ranks(np.vstack([row, row]), candidates, np.array([3, 6]))
+        assert ranks.tolist() == [0, 1]
+
+    def test_row_blocks_agree_with_one_block(self, monkeypatch):
+        rng = np.random.default_rng(16)
+        claims = rng.normal(size=(23, 5))
+        candidates = np.vstack([rng.normal(size=(9, 5)), claims[:4]])
+        gold = rng.integers(0, 13, size=23)
+        whole = gold_ranks(claims, candidates, gold)
+        # One row, two rows and five rows per block.
+        for block in (1, 26, 65):
+            monkeypatch.setattr("consem.analysis.SCORE_BLOCK", block)
+            assert gold_ranks(claims, candidates, gold).tolist() == whole.tolist()
+
+    def test_memory_stays_bounded(self):
+        # The full 4000 x 4000 similarity matrix alone would be 128 MB.
+        rng = np.random.default_rng(17)
+        claims = rng.normal(size=(4000, 64))
+        candidates = rng.normal(size=(4000, 64))
+        gold = rng.integers(0, 4000, size=4000)
+        tracemalloc.start()
+        try:
+            ranks = gold_ranks(claims, candidates, gold)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 2**20, f"peak {peak / 2**20:.1f} MB"
+        assert ranks.shape == (4000,) and 0 <= ranks.min() and ranks.max() < 4000
+
+    def test_validation(self):
+        with pytest.raises(ShapeError):
+            gold_ranks(np.ones(2), np.eye(2), np.array([0]))
+        with pytest.raises(ShapeError):
+            gold_ranks(np.ones((1, 3)), np.eye(2), np.array([0]))
+        with pytest.raises(ShapeError):
+            gold_ranks(np.ones((1, 2)), np.ones((0, 2)), np.array([0]))
+        with pytest.raises(ShapeError):
+            gold_ranks(np.ones((2, 2)), np.eye(2), np.array([0]))
+        for bad in ([2], [-1], [0.0]):
+            with pytest.raises(ContractError):
+                gold_ranks(np.ones((1, 2)), np.eye(2), np.array(bad))
+        with pytest.raises(DegenerateInputError):
+            gold_ranks(np.zeros((1, 2)), np.eye(2), np.array([0]))
 
 
 class TestAlignment:
@@ -203,7 +282,7 @@ class TestUniformity:
         vectors = rng.normal(size=(9, 4))
         reference = uniformity_reference(vectors)
         for block in (1, 18, 1 << 18):
-            monkeypatch.setattr("consem.analysis.UNIFORMITY_BLOCK", block)
+            monkeypatch.setattr("consem.analysis.SCORE_BLOCK", block)
             assert uniformity(vectors) == pytest.approx(reference, abs=1e-9)
 
 

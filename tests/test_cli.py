@@ -16,6 +16,7 @@ from conftest import make_pair_task, make_single_task, make_topic_nli
 
 from consem.checkpoint import load_checkpoint
 from consem.cli import SWEEP_GRIDS, main
+from consem.encoder import EncoderWeights, PoolingStrategy, embed_sentences
 from consem.finetune import load_model
 from consem.pretrain import LOSS_CSV_HEADER
 from consem.text import Vocabulary, load_triples_jsonl
@@ -242,6 +243,12 @@ class TestFinetuneEvaluate:
 
 
 class TestRetrieve:
+    @staticmethod
+    def _argv(workspace, command, claims, contexts, out):
+        argv = [command, "--checkpoint", str(workspace.checkpoint), "--vocab", str(workspace.vocab),
+                "--claims", str(claims), "--contexts", str(contexts), "--out", str(out)]
+        return argv + (["--pairs", str(workspace.nli)] if command == "analyze" else [])
+
     def test_identical_claim_ranks_first(self, workspace, tmp_path):
         contexts = [t.sentence1 for t in load_triples_jsonl(workspace.triples)[:6]]
         _write_jsonl(tmp_path / "contexts.jsonl", [{"text": t} for t in contexts])
@@ -249,9 +256,7 @@ class TestRetrieve:
             tmp_path / "claims.jsonl",
             [{"claim": t, "gold_index": i} for i, t in enumerate(contexts)],
         )
-        rc = main(["retrieve", "--checkpoint", str(workspace.checkpoint), "--vocab", str(workspace.vocab),
-                   "--claims", str(tmp_path / "claims.jsonl"), "--contexts", str(tmp_path / "contexts.jsonl"),
-                   "--out", str(tmp_path)])
+        rc = main(self._argv(workspace, "retrieve", tmp_path / "claims.jsonl", tmp_path / "contexts.jsonl", tmp_path))
         assert rc == 0
         payload = json.loads((tmp_path / "retrieval.json").read_text())
         assert payload["accuracy_at_k"]["1"] == 1.0
@@ -260,23 +265,72 @@ class TestRetrieve:
     def test_gold_index_out_of_range_fails(self, workspace, tmp_path, capsys):
         _write_jsonl(tmp_path / "contexts.jsonl", [{"text": "the river report"}])
         _write_jsonl(tmp_path / "claims.jsonl", [{"claim": "the river", "gold_index": 9}])
-        rc = main(["retrieve", "--checkpoint", str(workspace.checkpoint), "--vocab", str(workspace.vocab),
-                   "--claims", str(tmp_path / "claims.jsonl"), "--contexts", str(tmp_path / "contexts.jsonl"),
-                   "--out", str(tmp_path)])
+        rc = main(self._argv(workspace, "retrieve", tmp_path / "claims.jsonl", tmp_path / "contexts.jsonl", tmp_path))
         assert rc == 1
         assert "out of range" in capsys.readouterr().err
         # Only a JSON integer is an index: no string, null, fraction or boolean.
         for command in ("retrieve", "analyze"):
             for gold in ("abc", None, 1.7, True, False):
                 _write_jsonl(tmp_path / "claims.jsonl", [{"claim": "the river", "gold_index": gold}])
-                argv = [command, "--checkpoint", str(workspace.checkpoint), "--vocab", str(workspace.vocab),
-                        "--claims", str(tmp_path / "claims.jsonl"),
-                        "--contexts", str(tmp_path / "contexts.jsonl"), "--out", str(tmp_path / command)]
-                if command == "analyze":
-                    argv += ["--pairs", str(workspace.nli)]
+                argv = self._argv(workspace, command, tmp_path / "claims.jsonl", tmp_path / "contexts.jsonl",
+                                  tmp_path / command)
                 assert main(argv) == 1, (command, gold)
                 err = capsys.readouterr().err
                 assert "claims.jsonl:1:" in err and "gold_index" in err, (command, gold)
+
+    def test_matches_brute_force_recount_with_duplicate_contexts(self, workspace, tmp_path):
+        triples = load_triples_jsonl(workspace.triples)[:8]
+        premises = [t.sentence1 for t in triples]
+        # Premises 0-3 appear twice, at i and 16 + i, so a gold can sit before or after its twin.
+        contexts = premises + [t.hard_neg for t in triples] + premises[:4]
+        claims = (
+            [{"claim": t.sentence2, "gold_index": i} for i, t in enumerate(triples)]
+            + [{"claim": t.sentence2, "gold_index": 16 + i} for i, t in enumerate(triples[:4])]
+            + [{"claim": p, "gold_index": g} for i, p in enumerate(premises[:4]) for g in (i, 16 + i)]
+        )
+        _write_jsonl(tmp_path / "contexts.jsonl", [{"text": t} for t in contexts])
+        _write_jsonl(tmp_path / "claims.jsonl", claims)
+        for command in ("retrieve", "analyze"):
+            argv = self._argv(workspace, command, tmp_path / "claims.jsonl", tmp_path / "contexts.jsonl",
+                              tmp_path / command)
+            assert main(argv) == 0, command
+        retrieved = json.loads((tmp_path / "retrieve" / "retrieval.json").read_text())["accuracy_at_k"]
+        analyzed = json.loads((tmp_path / "analyze" / "analysis.json").read_text())["accuracy_at_k"]
+
+        ckpt = load_checkpoint(workspace.checkpoint)
+        vocab = Vocabulary.load(workspace.vocab)
+        weights = EncoderWeights.from_arrays(ckpt.encoder_config, ckpt.params)
+        pooling = PoolingStrategy.parse(ckpt.pretrain_config["pooling"])
+
+        def unit_rows(texts):
+            v = embed_sentences(texts, weights, ckpt.encoder_config, vocab, pooling).astype(np.float64)
+            return v / np.sqrt((v * v).sum(axis=1, keepdims=True))
+
+        claim_vectors = unit_rows([c["claim"] for c in claims])
+        context_vectors = unit_rows(contexts)
+        ranks = []
+        for row, claim in zip(claim_vectors, claims):
+            sims = context_vectors @ row
+            gold = claim["gold_index"]
+            # Candidates ahead of gold: strictly more similar, or equal with a lower index.
+            ranks.append(int((sims > sims[gold]).sum() + (sims[:gold] == sims[gold]).sum()))
+        recount = {str(k): sum(r < k for r in ranks) / len(claims) for k in (1, 3, 5, 10)}
+        assert retrieved == recount
+        assert analyzed == recount
+        values = [recount[str(k)] for k in (1, 3, 5, 10)]
+        assert values == sorted(values)
+
+    @pytest.mark.parametrize("content", ["", "\n  \n"], ids=["empty", "blank-lines"])
+    @pytest.mark.parametrize("command", ["retrieve", "analyze"])
+    def test_empty_claims_file_fails_cleanly(self, workspace, tmp_path, capsys, command, content):
+        claims = tmp_path / "claims.jsonl"
+        claims.write_text(content, encoding="utf-8")
+        _write_jsonl(tmp_path / "contexts.jsonl", [{"text": "the river report"}])
+        assert main(self._argv(workspace, command, claims, tmp_path / "contexts.jsonl", tmp_path / "out")) == 1
+        err = capsys.readouterr().err
+        assert f"error: {claims}: no claims found" in err
+        assert "Traceback" not in err
+        assert not list((tmp_path / "out").glob("*.json"))
 
 
 class TestAnalyze:
@@ -425,6 +479,16 @@ class TestConfigHandling:
                    "--out", str(tmp_path / "out")])
         assert rc == 1
         assert "warp_speed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,value", [("--config", "/nonexistent.cfg"), ("--seed", "3")])
+    @pytest.mark.parametrize("command", ["prepare", "evaluate", "analyze", "retrieve"])
+    def test_settings_flags_only_where_read(self, workspace, tmp_path, capsys, command, flag, value):
+        # argparse rejects the flag before the command reads any input file.
+        argv = _argv_with(workspace, command, _REQUIRED_FILES[command][0], tmp_path / "unread", tmp_path / "out")
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [flag, value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
     def test_unknown_flag_is_rejected(self):
         with pytest.raises(SystemExit) as exc:

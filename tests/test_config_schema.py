@@ -43,7 +43,9 @@ DEFAULT_RUN_CONFIG = "".join(
     )
 )
 
-_COMMON = {"-h", "--help", "--config", "--seed", "--out"}
+_COMMON = {"-h", "--help", "--out"}
+# Only the commands that resolve a RunConfig take --config and --seed.
+_SETTINGS = {"--config", "--seed"}
 _ENCODER = {"--num-layers", "--num-heads", "--hidden-size", "--ff-size", "--max-len", "--dropout"}
 _PRETRAIN = {
     "--tau", "--mlm-weight", "--mask-rate", "--batch-size", "--epochs", "--learning-rate",
@@ -53,16 +55,16 @@ _FINETUNE = {"--ft-batch-size", "--ft-epochs", "--ft-learning-rate", "--task", "
 
 SUBCOMMAND_OPTIONS = {
     "prepare": _COMMON | {"--nli", "--held-out"},
-    "build-vocab": _COMMON | {"--triples", "--min-count"},
-    "pretrain": _COMMON | {"--triples", "--vocab", "--init"} | _ENCODER | _PRETRAIN,
-    "finetune": _COMMON | {"--checkpoint", "--vocab", "--train", "--dev"} | _FINETUNE,
+    "build-vocab": _COMMON | _SETTINGS | {"--triples", "--min-count"},
+    "pretrain": _COMMON | _SETTINGS | {"--triples", "--vocab", "--init"} | _ENCODER | _PRETRAIN,
+    "finetune": _COMMON | _SETTINGS | {"--checkpoint", "--vocab", "--train", "--dev"} | _FINETUNE,
     "evaluate": _COMMON | {"--model", "--vocab", "--data"},
     "analyze": _COMMON | {
         "--checkpoint", "--vocab", "--pairs", "--claims", "--contexts",
         "--attention-a", "--attention-b", "--pooling", "--save-embeddings",
     },
     "retrieve": _COMMON | {"--checkpoint", "--vocab", "--claims", "--contexts", "--pooling"},
-    "sweep": _COMMON | {"--axis", "--values", "--triples", "--vocab", "--train", "--dev"}
+    "sweep": _COMMON | _SETTINGS | {"--axis", "--values", "--triples", "--vocab", "--train", "--dev"}
     | _ENCODER | _PRETRAIN | _FINETUNE,
 }
 
