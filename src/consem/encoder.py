@@ -196,24 +196,18 @@ def _dropout(x, config, train_mode, rng):
 
 
 def _attention_block(x, mask_bias, weights, prefix, config, train_mode, rng):
-    q = T.add(T.matmul(x, weights[f"{prefix}.attn.wq"]), weights[f"{prefix}.attn.bq"])
-    k = T.add(T.matmul(x, weights[f"{prefix}.attn.wk"]), weights[f"{prefix}.attn.bk"])
-    v = T.add(T.matmul(x, weights[f"{prefix}.attn.wv"]), weights[f"{prefix}.attn.bv"])
-    batch, seq, d = x.shape
-    heads, head_dim = config.num_heads, config.head_dim
-    split = lambda t: T.transpose(T.reshape(t, (batch, seq, heads, head_dim)), (0, 2, 1, 3))
-    qh, kh, vh = split(q), split(k), split(v)
-    scores = T.scale(T.matmul(qh, T.transpose(kh, (0, 1, 3, 2))), 1.0 / np.sqrt(head_dim))
-    probs = T.softmax(T.add(scores, mask_bias), axis=-1)
-    context = T.matmul(probs, vh)
-    context = T.reshape(T.transpose(context, (0, 2, 1, 3)), (batch, seq, d))
-    out = T.add(T.matmul(context, weights[f"{prefix}.attn.wo"]), weights[f"{prefix}.attn.bo"])
+    w = lambda name: weights[f"{prefix}.attn.{name}"]
+    q = T.linear(x, w("wq"), w("bq"))
+    k = T.linear(x, w("wk"), w("bk"))
+    v = T.linear(x, w("wv"), w("bv"))
+    context, probs = T.attention(q, k, v, config.num_heads, mask_bias)
+    out = T.linear(context, w("wo"), w("bo"))
     return _dropout(out, config, train_mode, rng), probs
 
 
 def _feed_forward(x, weights, prefix, config, train_mode, rng):
-    h = T.gelu(T.add(T.matmul(x, weights[f"{prefix}.ff.w1"]), weights[f"{prefix}.ff.b1"]))
-    out = T.add(T.matmul(h, weights[f"{prefix}.ff.w2"]), weights[f"{prefix}.ff.b2"])
+    w = lambda name: weights[f"{prefix}.ff.{name}"]
+    out = T.linear(T.gelu(T.linear(x, w("w1"), w("b1"))), w("w2"), w("b2"))
     return _dropout(out, config, train_mode, rng)
 
 
@@ -254,9 +248,7 @@ def forward_batch(
     )
     x = _dropout(x, config, train_mode, rng)
     # (batch, 1, 1, seq): masked key columns get a large negative score bias.
-    bias = T.constant(
-        (1.0 - mask)[:, None, None, :] * ATTENTION_MASK_BIAS, dtype=x.data.dtype
-    )
+    bias = ((1.0 - mask)[:, None, None, :] * ATTENTION_MASK_BIAS).astype(x.data.dtype)
     hidden = [x]
     attention: list[Tensor] = []
     for i in range(config.num_layers):

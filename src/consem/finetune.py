@@ -34,7 +34,7 @@ from .encoder import (
 )
 from .errors import ConfigError, DataError, FormatError, TrainingDivergedError, VocabularyError
 from .metrics import ConfusionMatrix, MetricsReport, accuracy, macro_f1, mrc_accuracy
-from .optim import AdamW
+from .optim import QUIET_FLOAT_ERRORS, AdamW
 from .tensor import Tape, Tensor, backward
 from .text import TokenSequence, Vocabulary, encode_pair, encode_single, load_jsonl
 
@@ -203,7 +203,7 @@ def _gold_indices(records: Sequence[dict], labels: list[str]) -> np.ndarray:
 def _batch_logits(seqs, weights, head_w, head_b, config, train_mode, rng):
     outputs = forward_batch(seqs, weights, config, train_mode=train_mode, rng=rng)
     cls = pool(outputs, PoolingStrategy.CLS)
-    return T.add(T.matmul(cls, head_w), head_b)
+    return T.linear(cls, head_w, head_b)
 
 
 def _predict_probs(seqs, weights, head_w, head_b, config, batch_size=64) -> np.ndarray:
@@ -216,6 +216,7 @@ def _predict_probs(seqs, weights, head_w, head_b, config, batch_size=64) -> np.n
     return np.concatenate(probs, axis=0)
 
 
+@np.errstate(**QUIET_FLOAT_ERRORS)
 def finetune_classifier(
     checkpoint: Checkpoint,
     task: TaskSpec,
@@ -228,7 +229,8 @@ def finetune_classifier(
 
     The checkpoint object and file are left untouched; all weights are
     copied before any update.  MRC tasks are expanded to entailment versus
-    contradiction pairs before training.
+    contradiction pairs before training.  Divergence is reported as in
+    pretraining: one TrainingDivergedError, no numpy float warnings.
     """
     if checkpoint.vocab_hash != vocab.content_hash():
         raise VocabularyError("checkpoint was built with a different vocabulary")
@@ -289,7 +291,9 @@ def finetune_classifier(
                 logits = _batch_logits(seqs, weights, head_w, head_b, encoder_config, True, drop_rng)
                 loss = T.cross_entropy(logits, train_gold[rows])
                 if not np.isfinite(loss.data):
-                    raise TrainingDivergedError(f"non-finite loss in epoch {epoch}")
+                    raise TrainingDivergedError(
+                        f"non-finite loss at step {optimizer.step_count + 1} (epoch {epoch})"
+                    )
                 backward(loss, tape)
             optimizer.step()
             optimizer.zero_grad()

@@ -7,7 +7,13 @@ import numpy as np
 from .errors import ConfigError, TrainingDivergedError
 from .tensor import Tensor
 
-__all__ = ["AdamW"]
+__all__ = ["QUIET_FLOAT_ERRORS", "AdamW"]
+
+# ``np.errstate`` settings for a training run.  Overflow on the way to a
+# non-finite loss or gradient is expected when a run diverges; the trainers'
+# loss check and ``AdamW.step``'s gradient check report it as one
+# TrainingDivergedError, so numpy's warnings would only repeat it.
+QUIET_FLOAT_ERRORS = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
 
 
 class AdamW:

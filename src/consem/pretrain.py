@@ -36,7 +36,7 @@ from .encoder import (
     pool,
 )
 from .errors import ConfigError, ContractError, DataError, ShapeError, TrainingDivergedError
-from .optim import AdamW
+from .optim import QUIET_FLOAT_ERRORS, AdamW
 from .tensor import Tape, Tensor, backward
 from .text import (
     CLS_ID,
@@ -280,6 +280,7 @@ def _batch_losses(
     return cl, mlm_loss(outputs.hidden[-1], rows + 3 * n, cols, ids, weights["tok_emb"])
 
 
+@np.errstate(**QUIET_FLOAT_ERRORS)
 def train(
     triples: Sequence[ContrastiveTriple],
     config: PretrainConfig,
@@ -292,7 +293,9 @@ def train(
     Data-fraction subsampling happens first, then a seeded validation split.
     One loss record per epoch and split is produced; validation records are
     omitted when the split is empty.  ``init_weights`` warm-starts from an
-    existing encoder (the optimizer state always starts fresh).
+    existing encoder (the optimizer state always starts fresh).  A
+    non-finite loss or gradient raises TrainingDivergedError; numpy's float
+    warnings are off for the whole run, so that error is the only report.
     """
     if not triples:
         raise DataError("no training triples were provided")
@@ -358,7 +361,9 @@ def train(
                         )
                         loss = cl if ml is None else T.add(cl, T.scale(ml, config.mlm_weight))
                         if not np.isfinite(loss.data):
-                            raise TrainingDivergedError(f"non-finite loss at step {step + 1}")
+                            raise TrainingDivergedError(
+                                f"non-finite loss at step {step + 1} (epoch {epoch})"
+                            )
                         backward(loss, tape)
                     optimizer.step()
                     optimizer.zero_grad()

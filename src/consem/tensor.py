@@ -33,6 +33,7 @@ __all__ = [
     "Tape",
     "Tensor",
     "add",
+    "attention",
     "backward",
     "concat",
     "constant",
@@ -42,6 +43,7 @@ __all__ = [
     "gather_rows",
     "gelu",
     "layer_norm",
+    "linear",
     "logsumexp",
     "matmul",
     "mean",
@@ -186,6 +188,12 @@ def backward(loss: Tensor, tape: Tape) -> None:
     ``loss`` must be a scalar produced while ``tape`` was active.  Existing
     ``grad`` buffers on leaves are added to, so callers should clear
     parameter gradients between steps.
+
+    A tensor's first incoming gradient becomes its ``grad`` without a copy
+    when nothing else can hold the array: it is not the node's own output
+    gradient, not a view, not already handed to another input of the node,
+    and it has the input's dtype.  Otherwise it is copied first.  Every
+    later gradient is added into that buffer in place.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward expects a scalar loss, got shape {loss.data.shape}")
@@ -195,6 +203,7 @@ def backward(loss: Tensor, tape: Tape) -> None:
         if gout is None:
             continue
         grads = backward_fn(gout)
+        handed: list[np.ndarray] = []
         for inp, gin in zip(inputs, grads):
             if gin is None or not inp.requires_grad:
                 continue
@@ -202,9 +211,18 @@ def backward(loss: Tensor, tape: Tape) -> None:
                 raise ContractError(
                     f"gradient shape {gin.shape} does not match input shape {inp.data.shape}"
                 )
-            if inp.grad is None:
-                inp.grad = np.zeros_like(inp.data)
-            inp.grad += gin
+            if inp.grad is not None:
+                inp.grad += gin
+                continue
+            if (
+                gin is gout
+                or gin.base is not None
+                or gin.dtype != inp.data.dtype
+                or any(gin is h for h in handed)
+            ):
+                gin = gin.astype(inp.data.dtype)
+            inp.grad = gin
+            handed.append(gin)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -249,7 +267,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor._result(a.data * b.data, _requires(a, b))
 
     def backward_fn(g):
-        return _unbroadcast(g * b.data, a.data.shape), _unbroadcast(g * a.data, b.data.shape)
+        ga = _unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None
+        gb = _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None
+        return ga, gb
 
     _record(out, (a, b), backward_fn)
     return out
@@ -276,12 +296,103 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor._result(a.data @ b.data, _requires(a, b))
 
     def backward_fn(g):
-        ga = _unbroadcast(g @ b.data.swapaxes(-1, -2), a.data.shape)
-        gb = _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape)
+        ga = _unbroadcast(g @ b.data.swapaxes(-1, -2), a.data.shape) if a.requires_grad else None
+        gb = _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape) if b.requires_grad else None
         return ga, gb
 
     _record(out, (a, b), backward_fn)
     return out
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Affine map ``x @ w + b`` of the last axis, recorded as one node.
+
+    ``x`` may have any leading dims.  The backward flattens them, so the
+    weight gradient is one GEMM over every row instead of a per-batch stack
+    summed afterwards.
+    """
+    if x.ndim < 1 or w.ndim != 2 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
+        raise ShapeError(
+            f"linear expects (..., n) @ (n, m) + (m,), got {x.shape}, {w.shape} and {b.shape}"
+        )
+    y = x.data @ w.data
+    y += b.data
+    out = Tensor._result(y, _requires(x, w, b))
+    n_in, n_out = w.data.shape
+
+    def backward_fn(g):
+        g2 = g.reshape(-1, n_out)
+        gx = gw = gb = None
+        if x.requires_grad:
+            gx = np.empty(x.data.shape, dtype=x.data.dtype)
+            np.matmul(g2, w.data.T, out=gx.reshape(-1, n_in))
+        if w.requires_grad:
+            gw = x.data.reshape(-1, n_in).T @ g2
+        if b.requires_grad:
+            gb = g2.sum(axis=0)
+        return gx, gw, gb
+
+    _record(out, (x, w, b), backward_fn)
+    return out
+
+
+def _split_heads(t: np.ndarray, heads: int) -> np.ndarray:
+    """(batch, seq, d) -> C-contiguous (batch, heads, seq, d / heads)."""
+    batch, seq, d = t.shape
+    return np.ascontiguousarray(t.reshape(batch, seq, heads, d // heads).transpose(0, 2, 1, 3))
+
+
+def _merge_heads(t: np.ndarray) -> np.ndarray:
+    """(batch, heads, seq, head_dim) -> a new C-contiguous (batch, seq, heads * head_dim)."""
+    batch, heads, seq, head_dim = t.shape
+    merged = np.empty((batch, seq, heads * head_dim), dtype=t.dtype)
+    merged.reshape(batch, seq, heads, head_dim)[...] = t.transpose(0, 2, 1, 3)
+    return merged
+
+
+def attention(
+    q: Tensor, k: Tensor, v: Tensor, heads: int, mask_bias: np.ndarray
+) -> tuple[Tensor, Tensor]:
+    """Multi-head scaled dot-product attention, recorded as one node.
+
+    ``q``, ``k`` and ``v`` are (batch, seq, d) projections; ``mask_bias``
+    broadcasts against the (batch, heads, seq, seq) scores and is added
+    before the softmax.  Returns the merged (batch, seq, d) context and the
+    softmax maps, the latter as a tensor that records no gradient.  The
+    backward is written out from the saved maps and head-split inputs.
+    """
+    if q.ndim != 3 or k.shape != q.shape or v.shape != q.shape:
+        raise ShapeError(
+            f"attention expects three equal (batch, seq, d) inputs, got {q.shape}, {k.shape} and {v.shape}"
+        )
+    if q.shape[-1] % heads != 0:
+        raise ShapeError(f"width {q.shape[-1]} is not divisible by {heads} heads")
+    # The numpy operations of the composed matmul, scale, mask add and softmax
+    # ops, in their order and with their contiguous copies, so outputs are
+    # bit-equal to theirs.  In-place steps keep the large temporaries to one.
+    qh, kh, vh = (_split_heads(t.data, heads) for t in (q, k, v))
+    scale = q.data.dtype.type(1.0 / np.sqrt(q.shape[-1] // heads))
+    probs = qh @ np.ascontiguousarray(kh.transpose(0, 1, 3, 2))
+    probs *= scale
+    probs += mask_bias
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    out = Tensor._result(_merge_heads(probs @ vh), _requires(q, k, v))
+
+    def backward_fn(g):
+        gh = _split_heads(g, heads)
+        gscores = gh @ vh.swapaxes(-1, -2)
+        gscores -= (gscores * probs).sum(axis=-1, keepdims=True)
+        gscores *= probs
+        gscores *= scale
+        gq = _merge_heads(gscores @ kh) if q.requires_grad else None
+        gk = _merge_heads(gscores.swapaxes(-1, -2) @ qh) if k.requires_grad else None
+        gv = _merge_heads(probs.swapaxes(-1, -2) @ gh) if v.requires_grad else None
+        return gq, gk, gv
+
+    _record(out, (q, k, v), backward_fn)
+    return out, Tensor._result(probs, False)
 
 
 def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:

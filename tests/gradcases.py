@@ -75,6 +75,28 @@ def case_matmul_stacked(rng):
     return lambda: _contract(T.matmul(a, b), w), [a, b]
 
 
+def case_linear(rng):
+    x, w, b = _t(rng, 2, 3, 4), _t(rng, 4, 5), _t(rng, 5)
+    weights = _weights(rng, (2, 3, 5))
+    return lambda: _contract(T.linear(x, w, b), weights), [x, w, b]
+
+
+def case_linear_2d(rng):
+    # The fine-tuning head's shape: (batch, d) states onto class logits.
+    x, w, b = _t(rng, 4, 3), _t(rng, 3, 2), _t(rng, 2)
+    weights = _weights(rng, (4, 2))
+    return lambda: _contract(T.linear(x, w, b), weights), [x, w, b]
+
+
+def case_attention(rng):
+    # Batch 2, 2 heads of width 2; the second row's last key column is padding.
+    q, k, v = _t(rng, 2, 3, 4), _t(rng, 2, 3, 4), _t(rng, 2, 3, 4)
+    mask_bias = np.zeros((2, 1, 1, 3))
+    mask_bias[1, ..., 2] = -1e9
+    weights = _weights(rng, (2, 3, 4))
+    return lambda: _contract(T.attention(q, k, v, 2, mask_bias)[0], weights), [q, k, v]
+
+
 def case_transpose_reshape(rng):
     a = _t(rng, 2, 3, 4)
     w = _weights(rng, (3, 8))
@@ -210,6 +232,9 @@ GRAD_CASES = {
     "matmul": case_matmul,
     "matmul_batched": case_matmul_batched,
     "matmul_stacked": case_matmul_stacked,
+    "linear": case_linear,
+    "linear_2d": case_linear_2d,
+    "attention": case_attention,
     "transpose_reshape": case_transpose_reshape,
     "concat": case_concat,
     "gather_rows": case_gather_rows,

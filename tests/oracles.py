@@ -2,12 +2,20 @@
 
 Everything here is written in plain python loops (plus math) on purpose:
 these functions must not share code paths, vectorization tricks, or
-reduction orders with the package under test.
+reduction orders with the package under test.  The one exception is
+``composed_forward_batch`` at the end, a reference built from the package's
+own elementary tensor ops.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
+
+from consem import tensor as T
+from consem.encoder import ATTENTION_MASK_BIAS, LayerOutputs
+from consem.text import PAD_ID
 
 
 def _unit(row) -> list[float]:
@@ -105,3 +113,46 @@ def uniformity_reference(rows) -> float:
             d2 = sum((x - y) ** 2 for x, y in zip(units[i], units[j]))
             values.append(math.exp(-2.0 * d2))
     return math.log(sum(values) / len(values))
+
+
+# The encoder forward below is the one exception to the loops rule: it builds
+# each layer from elementary tape ops, one node per matmul, bias add, head
+# split, scale, mask add, softmax and merge, where the package uses its fused
+# ``linear`` and ``attention`` ops.  Tests compare the package's encoder with
+# it bit for bit in evaluation and within a float32 rounding bound for
+# gradients.
+
+
+def composed_forward_batch(seqs, weights, config, train_mode=False, rng=None):
+    """``forward_batch`` from elementary tape ops; dropout is not supported."""
+    assert not (train_mode and config.dropout > 0.0), "the reference has no dropout"
+    lengths = np.array([s.length for s in seqs], dtype=np.intp)
+    seq_len = int(lengths.max())
+    mask = (np.arange(seq_len) < lengths[:, None]).astype(np.intp)
+    ids = np.full(mask.shape, PAD_ID, dtype=np.intp)
+    ids[mask == 1] = np.concatenate([s.ids for s in seqs])
+    x = T.add(
+        T.gather_rows(weights["tok_emb"], ids),
+        T.gather_rows(weights["pos_emb"], np.arange(seq_len, dtype=np.intp)),
+    )
+    bias = T.constant((1.0 - mask)[:, None, None, :] * ATTENTION_MASK_BIAS, dtype=x.data.dtype)
+    batch, heads, head_dim, d = len(seqs), config.num_heads, config.head_dim, config.hidden_size
+    affine = lambda t, w, b: T.add(T.matmul(t, weights[w]), weights[b])
+    split = lambda t: T.transpose(T.reshape(t, (batch, seq_len, heads, head_dim)), (0, 2, 1, 3))
+    hidden, attention = [x], []
+    for i in range(config.num_layers):
+        p = f"layer{i}"
+        qh = split(affine(x, f"{p}.attn.wq", f"{p}.attn.bq"))
+        kh = split(affine(x, f"{p}.attn.wk", f"{p}.attn.bk"))
+        vh = split(affine(x, f"{p}.attn.wv", f"{p}.attn.bv"))
+        scores = T.scale(T.matmul(qh, T.transpose(kh, (0, 1, 3, 2))), 1.0 / np.sqrt(head_dim))
+        probs = T.softmax(T.add(scores, bias), axis=-1)
+        context = T.reshape(T.transpose(T.matmul(probs, vh), (0, 2, 1, 3)), (batch, seq_len, d))
+        attn_out = affine(context, f"{p}.attn.wo", f"{p}.attn.bo")
+        x = T.layer_norm(T.add(x, attn_out), weights[f"{p}.ln1.gain"], weights[f"{p}.ln1.bias"])
+        h = T.gelu(affine(x, f"{p}.ff.w1", f"{p}.ff.b1"))
+        ff_out = affine(h, f"{p}.ff.w2", f"{p}.ff.b2")
+        x = T.layer_norm(T.add(x, ff_out), weights[f"{p}.ln2.gain"], weights[f"{p}.ln2.bias"])
+        hidden.append(x)
+        attention.append(probs)
+    return LayerOutputs(hidden=hidden, attention=attention, mask=mask)

@@ -7,6 +7,10 @@ inspect the artifacts each stage wrote.
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -460,6 +464,30 @@ def test_undecodable_input_file_fails_cleanly(workspace, tmp_path, capsys, comma
     err = capsys.readouterr().err
     assert f"error: {latin1}: not UTF-8 text" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["pretrain", "finetune"])
+def test_divergence_is_one_error_line(workspace, tmp_path, command):
+    # A separate process, so the interpreter's own warning printer is what
+    # would write any numpy RuntimeWarning to stderr.
+    if command == "pretrain":
+        one = tmp_path / "one.jsonl"
+        one.write_text(workspace.triples.read_text(encoding="utf-8").splitlines()[0] + "\n")
+        argv = ["pretrain", "--triples", str(one), "--vocab", str(workspace.vocab),
+                "--learning-rate", "1e6", "--epochs", "5"] + _SMALL
+    else:
+        argv = ["finetune", "--checkpoint", str(workspace.checkpoint), "--vocab", str(workspace.vocab),
+                "--train", str(workspace.train), "--dev", str(workspace.dev), "--task", "pair",
+                "--ft-learning-rate", "1e6", "--ft-epochs", "5"]
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run(
+        [sys.executable, "-m", "consem.cli", *argv, "--out", str(tmp_path / "out")],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 1
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: non-finite"), result.stderr
+    assert " at step " in lines[0] and "(epoch " in lines[0]
 
 
 class TestConfigHandling:

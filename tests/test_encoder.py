@@ -5,6 +5,11 @@ import pytest
 
 from conftest import analytic_gradients, fd_at, relative_error
 from gradcases import micro_encoder_case
+from oracles import composed_forward_batch
+
+from consem import finetune as finetune_module
+from consem import pretrain as pretrain_module
+from consem import tensor as T
 
 from consem.encoder import (
     EncoderConfig,
@@ -17,7 +22,8 @@ from consem.encoder import (
     pool,
 )
 from consem.errors import ConfigError, DegenerateInputError, ShapeError, VocabularyError
-from consem.tensor import Tensor
+from consem.pretrain import PretrainConfig
+from consem.tensor import Tape, Tensor, backward
 from consem.text import PAD_ID, TokenSequence, build_vocab, encode_single
 
 
@@ -349,3 +355,107 @@ class TestEncoderGradients:
             err = relative_error(np.array(analytic), np.array(numeric))
             worst = max(worst, err)
         assert worst < 1e-3
+
+
+class TestFusedOps:
+    """``linear`` and ``attention`` against the encoder composed from elementary ops."""
+
+    @staticmethod
+    def _world(dropout=0.0):
+        config = EncoderConfig(
+            vocab_size=30, num_layers=3, num_heads=4,
+            hidden_size=16, ff_size=24, max_len=12, dropout=dropout,
+        )
+        weights = EncoderWeights.initialize(config, seed=4)
+        rng = np.random.default_rng(8)
+        # Larger than the init scale, so the attention maps are far from uniform.
+        for _, p in weights.items():
+            p.data = p.data + rng.normal(0.0, 0.3, p.data.shape).astype(np.float32)
+        lengths = [1, 12, 5, 7, 3, 12, 9, 2, 6]
+        seqs = [TokenSequence(ids=[int(i) for i in rng.integers(4, 30, size=n)]) for n in lengths]
+        return config, weights, seqs
+
+    @staticmethod
+    def _gradients(weights, extra, loss_fn):
+        params = dict(weights.items(), **extra)
+        for p in params.values():
+            p.grad = None
+        with Tape() as tape:
+            backward(loss_fn(), tape)
+        return {name: p.grad for name, p in params.items()}
+
+    @staticmethod
+    def _assert_close(grads, ref_grads):
+        # One bound for all parameters: the attention key biases have a zero
+        # gradient in exact arithmetic, where a per-parameter bound fails.
+        bound = 1e-5 * max(np.abs(g).max() for g in ref_grads.values())
+        for name, ref in ref_grads.items():
+            assert np.abs(grads[name] - ref).max() <= bound, name
+
+    def test_eval_outputs_equal_the_composed_encoder(self):
+        config, weights, seqs = self._world()
+        fused = forward_batch(seqs, weights, config)
+        ref = composed_forward_batch(seqs, weights, config)
+        np.testing.assert_array_equal(fused.mask, ref.mask)
+        for got, want in zip(fused.hidden + fused.attention, ref.hidden + ref.attention, strict=True):
+            assert np.array_equal(got.data, want.data)
+        for strategy in PoolingStrategy:
+            assert np.array_equal(pool(fused, strategy).data, pool(ref, strategy).data), strategy
+
+    def test_attention_maps_record_no_gradient(self):
+        config, weights, seqs = self._world()
+        with Tape():
+            out = forward_batch(seqs, weights, config, train_mode=True)
+        assert all(not maps.requires_grad for maps in out.attention)
+
+    def test_pretraining_gradients_match_the_composed_encoder(self, monkeypatch):
+        config, weights, seqs = self._world()
+        lists = (seqs[:3], seqs[3:6], seqs[6:])
+        mlm_batch = pretrain_module._epoch_masking(seqs[:3], np.arange(3), 0.5, 0, 5, 1)
+        assert len(mlm_batch[3])
+        pretrain_config = PretrainConfig(pooling=PoolingStrategy.MEAN, tau=0.1, mlm_weight=0.5)
+
+        def loss():
+            cl, ml = pretrain_module._batch_losses(
+                lists, mlm_batch, weights, config, pretrain_config, True, None
+            )
+            return T.add(cl, T.scale(ml, pretrain_config.mlm_weight))
+
+        grads = self._gradients(weights, {}, loss)
+        monkeypatch.setattr(pretrain_module, "forward_batch", composed_forward_batch)
+        self._assert_close(grads, self._gradients(weights, {}, loss))
+
+    def test_finetune_head_gradients_match_the_composed_encoder(self):
+        config, weights, seqs = self._world()
+        rng = np.random.default_rng(9)
+        head_w = Tensor(rng.normal(0.0, 0.5, (config.hidden_size, 3)), requires_grad=True)
+        head_b = Tensor(rng.normal(0.0, 0.5, 3), requires_grad=True)
+        head = {"head.weight": head_w, "head.bias": head_b}
+        gold = rng.integers(0, 3, size=len(seqs))
+
+        def fused():
+            logits = finetune_module._batch_logits(seqs, weights, head_w, head_b, config, True, None)
+            return T.cross_entropy(logits, gold)
+
+        def composed():
+            cls = pool(composed_forward_batch(seqs, weights, config, True), PoolingStrategy.CLS)
+            return T.cross_entropy(T.add(T.matmul(cls, head_w), head_b), gold)
+
+        self._assert_close(
+            self._gradients(weights, head, fused), self._gradients(weights, head, composed)
+        )
+
+    @pytest.mark.parametrize("num_layers", [1, 3])
+    def test_tape_node_budget(self, num_layers):
+        # Two gathers, the embedding add and its dropout, then per layer six
+        # linear maps, one attention, GELU, two residual adds, two layer
+        # norms and two dropouts.  Splitting a fused op back up fails here.
+        config = EncoderConfig(
+            vocab_size=30, num_layers=num_layers, num_heads=2,
+            hidden_size=8, ff_size=12, max_len=6, dropout=0.1,
+        )
+        weights = EncoderWeights.initialize(config, seed=0)
+        seqs = [TokenSequence(ids=[1, 5, 6, 2]), TokenSequence(ids=[1, 7, 2])]
+        with Tape() as tape:
+            forward_batch(seqs, weights, config, train_mode=True, rng=np.random.default_rng(0))
+        assert len(tape) == 4 + 14 * num_layers

@@ -11,8 +11,10 @@ from conftest import check_gradients
 from gradcases import GRAD_CASES
 
 from consem import tensor as T
+from consem.encoder import EncoderConfig, EncoderWeights, PoolingStrategy, forward_batch, pool
 from consem.errors import ConfigError, ContractError, DegenerateInputError, ShapeError
 from consem.tensor import Tape, Tensor, backward, precision
+from consem.text import TokenSequence
 
 
 class TestAnchors:
@@ -94,6 +96,68 @@ class TestGradientChecks:
             out = T.gather_rows(table, np.array([0, 0, 1]))
             backward(T.reduce_sum(out), tape)
         np.testing.assert_array_equal(table.grad, [[2.0, 2.0], [1.0, 1.0], [0.0, 0.0]])
+
+
+class TestGradientOwnership:
+    """``backward`` hands a first gradient over without a copy only when nothing else holds it."""
+
+    @staticmethod
+    def _leaf(*values):
+        return Tensor(np.array(values, dtype=np.float64), requires_grad=True)
+
+    def test_add_of_a_tensor_to_itself(self, f64):
+        a = self._leaf(1.0, -2.0)
+        c = np.array([3.0, 5.0])
+        with Tape() as tape:
+            y = T.add(a, a)
+            backward(T.reduce_sum(T.mul(y, T.constant(c))), tape)
+        np.testing.assert_array_equal(a.grad, 2.0 * c)
+        np.testing.assert_array_equal(y.grad, c)
+
+    def test_add_then_more_uses_of_an_input(self, f64):
+        # add hands one array to both inputs; x collects another term later.
+        x, y = self._leaf(1.0, 2.0), self._leaf(-1.0, 4.0)
+        c1, c2 = np.array([2.0, -3.0]), np.array([0.5, 7.0])
+        with Tape() as tape:
+            u = T.mul(x, T.constant(c1))
+            s = T.add(x, y)
+            t = T.add(s, u)
+            backward(T.reduce_sum(T.mul(t, T.constant(c2))), tape)
+        np.testing.assert_array_equal(x.grad, c2 * (1.0 + c1))
+        np.testing.assert_array_equal(y.grad, c2)
+        for intermediate in (s, t, u):
+            np.testing.assert_array_equal(intermediate.grad, c2)
+
+    def test_reshape_chain(self, f64):
+        # reshape returns views of its output gradient.
+        x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+        c = np.arange(1.0, 7.0)
+        d = np.full((2, 3), 10.0)
+        with Tape() as tape:
+            u = T.mul(x, T.constant(d))
+            r1 = T.reshape(x, (3, 2))
+            r2 = T.reshape(r1, (6,))
+            loss = T.add(T.reduce_sum(T.mul(r2, T.constant(c))), T.reduce_sum(u))
+            backward(loss, tape)
+        np.testing.assert_array_equal(x.grad, c.reshape(2, 3) + d)
+        np.testing.assert_array_equal(r1.grad, c.reshape(3, 2))
+        np.testing.assert_array_equal(r2.grad, c)
+
+    def test_encoder_parameter_gradients_share_no_memory(self):
+        config = EncoderConfig(
+            vocab_size=12, num_layers=2, num_heads=2, hidden_size=8, ff_size=12, max_len=6,
+        )
+        weights = EncoderWeights.initialize(config, seed=1)
+        seqs = [TokenSequence(ids=[1, 5, 6, 2]), TokenSequence(ids=[1, 7, 8, 9, 4, 2])]
+        with Tape() as tape:
+            out = forward_batch(seqs, weights, config, train_mode=True, rng=np.random.default_rng(0))
+            backward(T.reduce_sum(pool(out, PoolingStrategy.MEAN)), tape)
+        grads = [(name, p.grad) for name, p in weights.items() if p.grad is not None]
+        assert len(grads) == len(list(weights.items()))
+        for i, (name, g) in enumerate(grads):
+            assert g.dtype == weights[name].dtype
+            for other, h in grads[i + 1 :]:
+                assert not np.shares_memory(g, h), (name, other)
 
 
 class TestProperties:
