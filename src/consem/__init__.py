@@ -51,7 +51,6 @@ from .finetune import (
     evaluate_mrc,
     finetune_classifier,
     load_task_records,
-    mrc_predict,
     mrc_scores,
 )
 from .metrics import ConfusionMatrix, MetricsReport, accuracy, macro_f1, mrc_accuracy

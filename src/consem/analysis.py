@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .checkpoint import Checkpoint, write_atomic
+from .checkpoint import Checkpoint
 from .encoder import EncoderWeights, forward_batch
 from .errors import (
     ConfigError,
@@ -38,6 +38,7 @@ from .errors import (
     ShapeError,
     VocabularyError,
 )
+from .files import write_atomic
 from .text import Vocabulary, encode_pair, load_jsonl
 
 __all__ = [

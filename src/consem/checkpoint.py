@@ -19,7 +19,6 @@ describing and a save/load/save cycle is byte-identical.
 from __future__ import annotations
 
 import json
-import os
 import struct
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -28,8 +27,9 @@ import numpy as np
 
 from .encoder import EncoderConfig
 from .errors import FormatError
+from .files import write_atomic
 
-__all__ = ["Checkpoint", "FORMAT_VERSION", "MAGIC", "load_checkpoint", "save_checkpoint", "write_atomic"]
+__all__ = ["Checkpoint", "FORMAT_VERSION", "MAGIC", "load_checkpoint", "save_checkpoint"]
 
 MAGIC = b"VCLS"
 FORMAT_VERSION = 1
@@ -46,20 +46,6 @@ class Checkpoint:
     params: dict[str, np.ndarray]
     extra: dict = field(default_factory=dict)
     version: int = FORMAT_VERSION
-
-
-def write_atomic(path: str | Path, data: bytes) -> None:
-    """Write ``data`` to a temp file beside ``path``, then rename it over ``path``.
-
-    A failed write leaves the previous file as it was and no temp file behind.
-    """
-    tmp = Path(f"{path}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:

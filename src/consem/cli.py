@@ -17,7 +17,6 @@ to their artifacts.  Commands exit 0 only when they fully succeed (for
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from dataclasses import replace
@@ -35,10 +34,11 @@ from .analysis import (
     save_embeddings,
     uniformity,
 )
-from .checkpoint import load_checkpoint, save_checkpoint, write_atomic
+from .checkpoint import load_checkpoint, save_checkpoint
 from .config import SHARED_KEYS, RunConfig, section_keys
 from .encoder import EncoderConfig, EncoderWeights, PoolingStrategy, embed_sentences
 from .errors import ConfigError, ConsemError, DataError, VocabularyError
+from .files import write_atomic, write_csv
 from .finetune import (
     FinetuneConfig,
     TaskKind,
@@ -367,6 +367,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     task = TaskSpec(kind=TaskKind.parse(base.task), labels=base.label_list())
     train_records = load_task_records(train_path, task)
     dev_records = load_task_records(dev_path, task)
+    # No sweep axis is a fine-tuning key, so every leg shares one fine-tuning config.
+    finetune_config = base.build(FinetuneConfig)
 
     out = _out_dir(args)
     legs_dir = out / "legs"
@@ -384,7 +386,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             save_checkpoint(ckpt, leg_dir / "checkpoint.bin")
             write_loss_csv(records, leg_dir / "loss_log.csv")
             model, report = finetune_classifier(
-                ckpt, task, train_records, dev_records, leg_config.build(FinetuneConfig), vocab
+                ckpt, task, train_records, dev_records, finetune_config, vocab
             )
             save_model(model, ckpt.pretrain_config, leg_dir / "model.bin")
             _write_artifact(leg_dir / "dev_metrics.json", report.to_dict())
@@ -394,10 +396,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             failed = True
             rows.append([raw, "", "", f"error: {type(exc).__name__}"])
             print(f"sweep {args.axis}={raw} failed: {exc}", file=sys.stderr)
-    with open(out / "sweep.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["value", "dev_accuracy", "dev_macro_f1", "status"])
-        writer.writerows(rows)
+    write_csv(out / "sweep.csv", [["value", "dev_accuracy", "dev_macro_f1", "status"], *rows])
     base.write(out / "run_config.txt")
     return 1 if failed else 0
 

@@ -15,9 +15,9 @@ from pathlib import Path
 
 from .encoder import EncoderConfig
 from .errors import ConfigError
+from .files import read_utf8, write_atomic
 from .finetune import FinetuneConfig
 from .pretrain import PretrainConfig
-from .text import read_utf8
 
 __all__ = ["RunConfig", "SHARED_KEYS", "section_keys"]
 
@@ -82,7 +82,7 @@ class _RunConfigBase:
 
     def update_from_file(self, path: str | Path) -> None:
         types = self.field_types()
-        for lineno, raw in enumerate(read_utf8(path, ConfigError).splitlines(), start=1):
+        for lineno, raw in enumerate(read_utf8(path, ConfigError).split("\n"), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -107,7 +107,7 @@ class _RunConfigBase:
 
     def write(self, path: str | Path) -> None:
         lines = [f"{f.name} = {getattr(self, f.name)}" for f in sorted(fields(self), key=lambda f: f.name)]
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
     def build(self, section: type, **extra):
         """The ``section`` dataclass filled from this configuration, plus ``extra`` fields."""

@@ -49,7 +49,6 @@ __all__ = [
     "load_model",
     "load_task_records",
     "mrc_pairs",
-    "mrc_predict",
     "mrc_scores",
     "save_model",
 ]
@@ -78,19 +77,19 @@ class TaskKind(enum.Enum):
 
 @dataclass
 class TaskSpec:
-    """What to fine-tune on: task shape, label set, and input field names.
+    """What to fine-tune on: task shape and label set.
 
     ``labels`` may be left empty to infer the sorted set of labels seen in
-    the training split.  ``field_map`` renames input JSON fields, letting a
-    corpus with, say, premise/hypothesis keys feed the pair task directly.
+    the training split; a label listed twice is rejected.
     """
 
     kind: TaskKind
     labels: list[str] = field(default_factory=list)
-    field_map: dict[str, str] = field(default_factory=dict)
 
-    def source_field(self, canonical: str) -> str:
-        return self.field_map.get(canonical, canonical)
+    def __post_init__(self):
+        for i, label in enumerate(self.labels):
+            if label in self.labels[:i]:
+                raise ConfigError(f"label {label!r} is listed more than once in {self.labels}")
 
 
 @dataclass
@@ -106,6 +105,8 @@ class FinetuneConfig:
             raise ConfigError("batch_size and epochs must be >= 1")
         if self.learning_rate <= 0.0:
             raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
 
 def load_task_records(path: str | Path, task: TaskSpec) -> list[dict]:
@@ -122,27 +123,27 @@ def load_task_records(path: str | Path, task: TaskSpec) -> list[dict]:
 def _canonical_record(obj: dict, task: TaskSpec, lineno: int) -> dict:
     if task.kind is TaskKind.PAIR:
         return {
-            "text_a": str(obj[task.source_field("text_a")]),
-            "text_b": str(obj[task.source_field("text_b")]),
-            "label": str(obj[task.source_field("label")]),
+            "text_a": str(obj["text_a"]),
+            "text_b": str(obj["text_b"]),
+            "label": str(obj["label"]),
             "line": lineno,
         }
     if task.kind is TaskKind.SINGLE:
         return {
-            "text": str(obj[task.source_field("text")]),
-            "label": str(obj[task.source_field("label")]),
+            "text": str(obj["text"]),
+            "label": str(obj["label"]),
             "line": lineno,
         }
-    choices = obj[task.source_field("choices")]
-    answer = obj[task.source_field("answer_index")]
+    choices = obj["choices"]
+    answer = obj["answer_index"]
     if not isinstance(choices, list) or not choices:
         raise DataError(f"line {lineno}: 'choices' must be a non-empty list")
     # ``type`` rather than ``isinstance``: JSON true/false are bools, and bool subclasses int.
     if type(answer) is not int or not 0 <= answer < len(choices):
         raise DataError(f"line {lineno}: 'answer_index' must index into {len(choices)} choices")
     return {
-        "context": str(obj[task.source_field("context")]),
-        "question": str(obj[task.source_field("question")]),
+        "context": str(obj["context"]),
+        "question": str(obj["question"]),
         "choices": [str(c) for c in choices],
         "answer_index": answer,
         "line": lineno,
@@ -356,21 +357,16 @@ def mrc_scores(
     return probs[:, model.label_index(ENTAILMENT_LABEL)]
 
 
-def mrc_predict(
-    model: FinetunedModel, vocab: Vocabulary, context: str, question: str, choices: Sequence[str]
-) -> int:
-    """Index of the best-scoring choice; ties resolve to the lowest index."""
-    return int(np.argmax(mrc_scores(model, vocab, context, question, choices)))
-
-
 def evaluate_mrc(
     model: FinetunedModel, vocab: Vocabulary, records: Sequence[dict]
 ) -> tuple[list[dict], MetricsReport]:
     """Answer each question and report question-level accuracy.
 
-    The report's accuracy fields all carry the question-level value; the
-    per-pair confusion is not meaningful at prediction time because only
-    the relative order of entailment scores matters.
+    Each prediction's ``pred`` is the index of the best-scoring choice; ties
+    resolve to the lowest index.  The report's accuracy fields all carry
+    the question-level value; the per-pair confusion is not meaningful at
+    prediction time because only the relative order of entailment scores
+    matters.
     """
     predictions = []
     chosen: list[int] = []

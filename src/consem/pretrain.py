@@ -7,10 +7,12 @@ and every hard negative), scored by cosine similarity over a temperature:
     loss_i = -log( exp(s(a_i, p_i)/tau)
                    / sum_j [ exp(s(a_i, p_j)/tau) + exp(s(a_i, n_j)/tau) ] )
 
-and the batch loss is the mean over i.  The auxiliary loss masks anchor
-tokens (fresh draws every epoch) and predicts the originals through a
-projection tied to the token embedding matrix; the combined objective is
-``contrastive + mlm_weight * mlm``.
+and the batch loss is the mean over i.  That is a softmax cross-entropy
+over the (N, 2N) score matrix whose column i holds anchor i's own
+positive, with targets 0..N-1.  The auxiliary loss masks anchor tokens
+(fresh draws every epoch) and predicts the originals at the masked
+positions through a projection tied to the token embedding matrix; the
+combined objective is ``contrastive + mlm_weight * mlm``.
 
 All randomness (subsampling, splits, shuffles, dropout, masking) derives
 from the run seed through fixed-purpose streams, so repeated runs produce
@@ -19,7 +21,6 @@ identical loss records and weights.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
@@ -36,6 +37,7 @@ from .encoder import (
     pool,
 )
 from .errors import ConfigError, ContractError, DataError, ShapeError, TrainingDivergedError
+from .files import write_csv
 from .optim import QUIET_FLOAT_ERRORS, AdamW
 from .tensor import Tape, Tensor, backward
 from .text import (
@@ -50,7 +52,6 @@ from .text import (
 
 __all__ = [
     "LossRecord",
-    "MaskedTarget",
     "PretrainConfig",
     "contrastive_loss",
     "contrastive_scores",
@@ -99,6 +100,8 @@ class PretrainConfig:
             raise ConfigError("batch_size and epochs must be >= 1")
         if self.learning_rate <= 0.0:
             raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if not 0.0 < self.data_fraction <= 1.0:
             raise ConfigError(f"data_fraction must be in (0, 1], got {self.data_fraction}")
         if not 0.0 <= self.validation_fraction < 1.0:
@@ -113,10 +116,6 @@ class PretrainConfig:
         payload["pooling"] = self.pooling.value
         return payload
 
-    @classmethod
-    def from_dict(cls, payload: dict) -> "PretrainConfig":
-        return cls(**payload)
-
 
 @dataclass
 class LossRecord:
@@ -130,14 +129,13 @@ class LossRecord:
     combined: float
 
 
-def contrastive_scores(
-    anchors: Tensor, positives: Tensor, negatives: Tensor, tau: float
-) -> tuple[Tensor, Tensor]:
-    """Temperature-scaled cosine score matrix (N, 2N) and the positive diagonal (N,).
+def contrastive_scores(anchors: Tensor, positives: Tensor, negatives: Tensor, tau: float) -> Tensor:
+    """Temperature-scaled cosine score matrix (N, 2N).
 
     Columns 0..N-1 score each anchor against every positive, columns N..2N-1
-    against every hard negative.  Exposed separately so properties of the
-    scores (argmax stability under tau, for one) can be tested directly.
+    against every hard negative, so anchor i's own positive is column i.
+    Exposed separately so properties of the scores (argmax stability under
+    tau, for one) can be tested directly.
     """
     if anchors.ndim != 2 or anchors.shape != positives.shape or anchors.shape != negatives.shape:
         raise ShapeError(
@@ -148,38 +146,23 @@ def contrastive_scores(
         raise ShapeError("contrastive batch must contain at least one triple")
     if tau <= 0.0:
         raise ConfigError(f"tau must be positive, got {tau}")
-    inv_tau = 1.0 / tau
-    na = T.normalize_rows(anchors)
-    npos = T.normalize_rows(positives)
-    nneg = T.normalize_rows(negatives)
-    own = T.scale(T.reduce_sum(T.mul(na, npos), axis=1), inv_tau)
-    sim_pos = T.scale(T.matmul(na, T.transpose(npos, (1, 0))), inv_tau)
-    sim_neg = T.scale(T.matmul(na, T.transpose(nneg, (1, 0))), inv_tau)
-    return T.concat([sim_pos, sim_neg], axis=1), own
+    normed = T.normalize_rows(anchors)
+    candidates = T.normalize_rows(T.concat([positives, negatives], axis=0))
+    return T.scale(T.matmul(normed, T.transpose(candidates, (1, 0))), 1.0 / tau)
 
 
 def contrastive_loss(anchors: Tensor, positives: Tensor, negatives: Tensor, tau: float) -> Tensor:
     """Mean in-batch classification loss over the triples; see the module docstring."""
-    scores, own = contrastive_scores(anchors, positives, negatives, tau)
-    return T.mean(T.sub(T.logsumexp(scores, axis=1), own))
-
-
-@dataclass
-class MaskedTarget:
-    """A position whose original token must be recovered."""
-
-    position: int
-    token_id: int
-
-
-_UNMASKABLE = (CLS_ID, SEP_ID)
+    scores = contrastive_scores(anchors, positives, negatives, tau)
+    return T.cross_entropy(scores, np.arange(scores.shape[0]))
 
 
 def mask_for_mlm(
     seq: TokenSequence, rate: float, rng: np.random.Generator
-) -> tuple[TokenSequence, list[MaskedTarget]]:
+) -> tuple[TokenSequence, np.ndarray]:
     """Replace each maskable token with [MASK] independently with probability ``rate``.
 
+    Returns the corrupted sequence and the masked positions, ascending.
     Special tokens are never selected.  One uniform draw is consumed per
     position regardless of eligibility, so the selection for a given
     (seed, sequence) is stable.  Every selected position becomes the
@@ -187,14 +170,11 @@ def mask_for_mlm(
     """
     if not 0.0 < rate < 1.0:
         raise ConfigError(f"mask rate must be in (0, 1), got {rate}")
-    draws = rng.random(len(seq.ids))
-    corrupted = list(seq.ids)
-    targets: list[MaskedTarget] = []
-    for position, token_id in enumerate(seq.ids):
-        if token_id not in _UNMASKABLE and draws[position] < rate:
-            corrupted[position] = MASK_ID
-            targets.append(MaskedTarget(position=position, token_id=token_id))
-    return TokenSequence(ids=corrupted), targets
+    ids = np.array(seq.ids, dtype=np.intp)
+    draws = rng.random(len(ids))
+    positions = np.flatnonzero((draws < rate) & (ids != CLS_ID) & (ids != SEP_ID))
+    ids[positions] = MASK_ID
+    return TokenSequence(ids=ids.tolist()), positions
 
 
 def mlm_loss(
@@ -238,21 +218,16 @@ def _split_validation(n: int, fraction: float, seed: int) -> tuple[np.ndarray, n
 
 
 def _epoch_masking(seqs, indices, rate, seed, stream, epoch):
+    """Masked copies of ``seqs[indices]`` plus (batch row, position, original id) index arrays."""
     corrupted, rows, cols, ids = [], [], [], []
     for batch_row, global_row in enumerate(indices):
         rng = np.random.default_rng([seed, stream, epoch, int(global_row)])
-        seq, targets = mask_for_mlm(seqs[global_row], rate, rng)
+        seq, positions = mask_for_mlm(seqs[global_row], rate, rng)
         corrupted.append(seq)
-        for target in targets:
-            rows.append(batch_row)
-            cols.append(target.position)
-            ids.append(target.token_id)
-    return (
-        corrupted,
-        np.array(rows, dtype=np.intp),
-        np.array(cols, dtype=np.intp),
-        np.array(ids, dtype=np.intp),
-    )
+        rows.append(np.full(len(positions), batch_row, dtype=np.intp))
+        cols.append(positions)
+        ids.append(np.asarray(seqs[global_row].ids, dtype=np.intp)[positions])
+    return corrupted, np.concatenate(rows), np.concatenate(cols), np.concatenate(ids)
 
 
 def _batch_losses(
@@ -397,11 +372,9 @@ def train(
 
 
 def write_loss_csv(records: Sequence[LossRecord], path: str | Path) -> None:
-    """Write the loss log with a fixed header and fixed float formatting."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(LOSS_CSV_HEADER)
-        for r in records:
-            writer.writerow(
-                [r.epoch, r.step, r.split, f"{r.contrastive:.8f}", f"{r.mlm:.8f}", f"{r.combined:.8f}"]
-            )
+    """Write the loss log with a fixed header and fixed float formatting, atomically."""
+    rows = [
+        [r.epoch, r.step, r.split, f"{r.contrastive:.8f}", f"{r.mlm:.8f}", f"{r.combined:.8f}"]
+        for r in records
+    ]
+    write_csv(path, [LOSS_CSV_HEADER, *rows])

@@ -21,7 +21,8 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .errors import ConfigError, ConsemError, DataError, FormatError, VocabularyError
+from .errors import ConfigError, DataError, FormatError, VocabularyError
+from .files import read_utf8, write_atomic
 
 __all__ = [
     "ContrastiveTriple",
@@ -39,7 +40,6 @@ __all__ = [
     "load_nli_jsonl",
     "load_triples_jsonl",
     "prepare_contrastive",
-    "read_utf8",
     "save_triples_jsonl",
     "tokenize",
 ]
@@ -95,7 +95,7 @@ class Vocabulary:
         return hashlib.sha256(payload).hexdigest()
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text("\n".join(self.tokens) + "\n", encoding="utf-8")
+        write_atomic(path, ("\n".join(self.tokens) + "\n").encode("utf-8"))
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocabulary":
@@ -299,18 +299,14 @@ def leakage_guard(
     return violations
 
 
-def read_utf8(path: str | Path, error: type[ConsemError]) -> str:
-    """The text of ``path``; a file that is not UTF-8 raises ``error`` naming the path."""
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise error(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
-
-
 def load_jsonl(path: str | Path) -> list[tuple[int, dict]]:
-    """(line number, object) for every non-blank line; each must hold a JSON object."""
+    """(line number, object) for every non-blank line; each must hold a JSON object.
+
+    Lines end at a newline only: U+2028, U+2029 and U+0085 may sit raw in a
+    JSON string, as ``json.dumps(..., ensure_ascii=False)`` writes them.
+    """
     rows = []
-    for lineno, raw in enumerate(read_utf8(path, DataError).splitlines(), start=1):
+    for lineno, raw in enumerate(read_utf8(path, DataError).split("\n"), start=1):
         if not raw.strip():
             continue
         try:
@@ -352,7 +348,7 @@ def save_triples_jsonl(triples: Sequence[ContrastiveTriple], path: str | Path) -
         )
         for t in triples
     ]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    write_atomic(path, "".join(line + "\n" for line in lines).encode("utf-8"))
 
 
 def load_triples_jsonl(path: str | Path) -> list[ContrastiveTriple]:

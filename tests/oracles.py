@@ -2,9 +2,9 @@
 
 Everything here is written in plain python loops (plus math) on purpose:
 these functions must not share code paths, vectorization tricks, or
-reduction orders with the package under test.  The one exception is
-``composed_forward_batch`` at the end, a reference built from the package's
-own elementary tensor ops.
+reduction orders with the package under test.  The exceptions are
+``composed_forward_batch`` and ``composed_contrastive_loss`` at the end,
+references built from the package's own elementary tensor ops.
 """
 
 from __future__ import annotations
@@ -46,6 +46,17 @@ def contrastive_loss_reference(anchors, positives, negatives, tau: float) -> flo
             terms.append(_dot(a[i], g[j]) / tau)
         total += _logsumexp(terms) - _dot(a[i], p[i]) / tau
     return total / n
+
+
+def masking_reference(ids, draws, rate: float, unmaskable, mask_id: int):
+    """Corrupted ids and (position, original id) targets: mask where draw < rate."""
+    corrupted = list(ids)
+    targets = []
+    for position, token_id in enumerate(ids):
+        if token_id not in unmaskable and draws[position] < rate:
+            corrupted[position] = mask_id
+            targets.append((position, token_id))
+    return corrupted, targets
 
 
 def triple_counts_reference(examples) -> dict:
@@ -156,3 +167,23 @@ def composed_forward_batch(seqs, weights, config, train_mode=False, rng=None):
         hidden.append(x)
         attention.append(probs)
     return LayerOutputs(hidden=hidden, attention=attention, mask=mask)
+
+
+# ``contrastive_loss`` as it was composed before it became one ``cross_entropy``
+# over the score matrix: normalised blocks scored separately against the
+# positives and the negatives, the positive logits from a row-wise dot
+# product, then logsumexp minus those logits.  Tests bound the drift between
+# the two paths.
+
+
+def composed_contrastive_loss(anchors, positives, negatives, tau: float):
+    """The mean in-batch loss from 16 elementary tape ops."""
+    inv_tau = 1.0 / tau
+    na = T.normalize_rows(anchors)
+    npos = T.normalize_rows(positives)
+    nneg = T.normalize_rows(negatives)
+    own = T.scale(T.reduce_sum(T.mul(na, npos), axis=1), inv_tau)
+    sim_pos = T.scale(T.matmul(na, T.transpose(npos, (1, 0))), inv_tau)
+    sim_neg = T.scale(T.matmul(na, T.transpose(nneg, (1, 0))), inv_tau)
+    scores = T.concat([sim_pos, sim_neg], axis=1)
+    return T.mean(T.sub(T.logsumexp(scores, axis=1), own))

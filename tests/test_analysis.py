@@ -330,6 +330,15 @@ class TestSaveLoad:
         np.testing.assert_array_equal(loaded.vectors, es.vectors)
         assert loaded.texts == es.texts and loaded.ids == es.ids
 
+    def test_line_separator_characters_round_trip(self, tmp_path):
+        # The sidecar writes these raw; str.splitlines() would split a record at each.
+        texts = ["one\u2028two", "three\u2029four", "five\u0085six"]
+        es = EmbeddingSet(vectors=np.eye(3, dtype=np.float32), texts=texts)
+        save_embeddings(tmp_path / "emb.bin", es)
+        assert "\u2028" in (tmp_path / "emb.bin.jsonl").read_text(encoding="utf-8")
+        loaded = load_embeddings(tmp_path / "emb.bin")
+        assert loaded.texts == texts and loaded.ids == [0, 1, 2]
+
     def test_sidecar_is_json_lines(self, tmp_path):
         es = EmbeddingSet(vectors=np.ones((2, 2), dtype=np.float32), texts=["first", "second"])
         save_embeddings(tmp_path / "emb.bin", es)

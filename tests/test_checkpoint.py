@@ -2,20 +2,23 @@
 
 import builtins
 import errno
-import os
+import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import make_topic_triples, micro_encoder_config
 
-import consem.checkpoint
+import consem.files
 from consem.analysis import EmbeddingSet, save_embeddings
 from consem.checkpoint import Checkpoint, MAGIC, load_checkpoint, save_checkpoint
+from consem.cli import build_parser
+from consem.config import RunConfig
 from consem.encoder import EncoderConfig, EncoderWeights
 from consem.errors import FormatError
-from consem.pretrain import PretrainConfig, train
-from consem.text import build_vocab
+from consem.pretrain import LossRecord, PretrainConfig, train, write_loss_csv
+from consem.text import RESERVED_TOKENS, ContrastiveTriple, Vocabulary, build_vocab, save_triples_jsonl
 
 
 @pytest.fixture()
@@ -153,32 +156,77 @@ class _TornFile:
         raise OSError(errno.ENOSPC, "No space left on device")
 
 
+def _sweep(directory, inputs, version):
+    # Every leg fails on its value before training, so only sweep.csv and
+    # run_config.txt are written.
+    triples, vocab, tasks = inputs
+    values = ",".join(["oops"] * (version + 1))
+    args = build_parser().parse_args(
+        ["sweep", "--axis", "tau", "--values", values, "--triples", str(triples), "--vocab", str(vocab),
+         "--train", str(tasks), "--dev", str(tasks), "--out", str(directory)]
+    )
+    assert args.handler(args) == 1
+
+
+_ARTIFACT_FILES = {
+    "checkpoint": "ckpt.bin",
+    "embeddings": "embeddings.bin",
+    "vocab": "vocab.txt",
+    "triples": "triples.jsonl",
+    "run_config": "run_config.txt",
+    "loss_log": "loss_log.csv",
+    "sweep": "sweep.csv",
+}
+
+
+def _write(artifact, path, ckpt, sweep_inputs, version):
+    """Write ``artifact`` at ``path`` with content that depends on ``version``."""
+    if artifact == "checkpoint":
+        save_checkpoint(replace(ckpt, step=version), path)
+    elif artifact == "embeddings":
+        save_embeddings(path, EmbeddingSet(vectors=np.ones((2 + version, 3)), texts=["d", "e", "f"][: 2 + version]))
+    elif artifact == "vocab":
+        Vocabulary(list(RESERVED_TOKENS) + [f"w{i}" for i in range(version + 1)]).save(path)
+    elif artifact == "triples":
+        save_triples_jsonl([ContrastiveTriple("a", "b", f"c{i}") for i in range(version + 1)], path)
+    elif artifact == "run_config":
+        RunConfig(seed=version).write(path)
+    elif artifact == "loss_log":
+        write_loss_csv([LossRecord(1, version, "train", 1.0, 0.0, 1.0)], path)
+    else:
+        _sweep(path.parent, sweep_inputs, version)
+
+
 class TestAtomicWrites:
-    @pytest.mark.parametrize("artifact", ["checkpoint", "embeddings"])
-    def test_failed_write_keeps_previous_file(self, sample, monkeypatch, artifact):
-        ckpt, path = sample
-        if artifact == "embeddings":
-            path = path.parent / "embeddings.bin"
-            save_embeddings(path, EmbeddingSet(vectors=np.eye(3), texts=["a", "b", "c"]))
+    @pytest.fixture()
+    def sweep_inputs(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("inputs")
+        save_triples_jsonl([ContrastiveTriple("a river", "the river", "a desert")], root / "triples.jsonl")
+        Vocabulary(list(RESERVED_TOKENS)).save(root / "vocab.txt")
+        record = {"text_a": "a", "text_b": "b", "label": "entailment"}
+        (root / "tasks.jsonl").write_text(json.dumps(record) + "\n", encoding="utf-8")
+        return root / "triples.jsonl", root / "vocab.txt", root / "tasks.jsonl"
 
-            def save_again():
-                save_embeddings(path, EmbeddingSet(vectors=np.ones((2, 5)), texts=["d", "e"]))
-        else:
-            ckpt.step += 1
+    @pytest.mark.parametrize("artifact", list(_ARTIFACT_FILES))
+    def test_failed_write_keeps_previous_file(self, sample, sweep_inputs, monkeypatch, artifact):
+        ckpt, ckpt_path = sample
+        name = _ARTIFACT_FILES[artifact]
+        path = ckpt_path.parent / name
+        _write(artifact, path, ckpt, sweep_inputs, 0)
 
-            def save_again():
-                save_checkpoint(ckpt, path)
+        def files():
+            return {p.name: p.read_bytes() for p in path.parent.iterdir() if p.is_file()}
 
-        before = {name: (path.parent / name).read_bytes() for name in os.listdir(path.parent)}
+        before = files()
         monkeypatch.setattr(
-            consem.checkpoint, "open", lambda *a, **k: _TornFile(builtins.open(*a, **k)), raising=False
+            consem.files, "open", lambda *a, **k: _TornFile(builtins.open(*a, **k)), raising=False
         )
         with pytest.raises(OSError, match="No space left"):
-            save_again()
-        after = {name: (path.parent / name).read_bytes() for name in os.listdir(path.parent)}
+            _write(artifact, path, ckpt, sweep_inputs, 1)
         # The old artifact is byte-identical and no temp file is left behind.
-        assert after == before
+        assert files() == before
         monkeypatch.undo()
-        save_again()
-        assert path.read_bytes() != before[path.name]
-        assert sorted(os.listdir(path.parent)) == sorted(before)
+        _write(artifact, path, ckpt, sweep_inputs, 1)
+        after = files()
+        assert after[name] != before[name]
+        assert sorted(after) == sorted(before)

@@ -20,6 +20,7 @@ from conftest import make_pair_task, make_single_task, make_topic_nli
 
 from consem.checkpoint import load_checkpoint
 from consem.cli import SWEEP_GRIDS, main
+from consem.config import RunConfig
 from consem.encoder import EncoderWeights, PoolingStrategy, embed_sentences
 from consem.finetune import load_model
 from consem.pretrain import LOSS_CSV_HEADER
@@ -123,6 +124,23 @@ class TestPrepare:
         assert main(["prepare", "--nli", str(nli), "--out", str(tmp_path / "out")]) == 1
         assert ":2:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("escaped", [True, False], ids=["escaped", "raw"])
+    def test_line_separator_characters_round_trip(self, tmp_path, escaped):
+        # U+2028, U+2029 and U+0085 end a line for str.splitlines() but may sit
+        # raw inside a JSON string; triples.jsonl carries them raw.
+        odd = "a river\u2028runs\u2029past the\u0085mill"
+        rows = [{"premise": odd, "hypothesis": "the river runs", "label": "entailment"},
+                {"premise": odd, "hypothesis": "the desert is dry", "label": "contradiction"}]
+        nli = tmp_path / "nli.jsonl"
+        nli.write_text("".join(json.dumps(r, ensure_ascii=escaped) + "\n" for r in rows), encoding="utf-8")
+        assert main(["prepare", "--nli", str(nli), "--out", str(tmp_path / "prep")]) == 0
+        triples_path = tmp_path / "prep" / "triples.jsonl"
+        assert "\u2028" in triples_path.read_text(encoding="utf-8")
+        assert main(["build-vocab", "--triples", str(triples_path), "--out", str(tmp_path / "vv")]) == 0
+        [triple] = load_triples_jsonl(triples_path)
+        assert triple.sentence1 == odd
+        assert {"river", "runs", "past", "mill", "desert"} <= set(Vocabulary.load(tmp_path / "vv" / "vocab.txt").tokens)
+
 
 class TestBuildVocab:
     def test_vocabulary_loads_with_reserved_prefix(self, workspace):
@@ -218,6 +236,16 @@ class TestFinetuneEvaluate:
                    "--data", str(workspace.dev), "--out", str(tmp_path)])
         assert rc == 1
         assert "vocabulary" in capsys.readouterr().err
+
+    def test_duplicate_labels_fail_cleanly(self, workspace, tmp_path, capsys):
+        rc = main(["finetune", "--checkpoint", str(workspace.checkpoint), "--vocab", str(workspace.vocab),
+                   "--train", str(workspace.train), "--dev", str(workspace.dev), "--task", "pair",
+                   "--labels", "entailment,entailment,contradiction", "--ft-epochs", "1",
+                   "--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: label 'entailment' is listed more than once") and err.count("\n") == 1
+        assert not (tmp_path / "model.bin").exists()
 
 
     @pytest.fixture(scope="class")
@@ -490,6 +518,27 @@ def test_divergence_is_one_error_line(workspace, tmp_path, command):
     assert " at step " in lines[0] and "(epoch " in lines[0]
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command", ["pretrain", "finetune", "sweep"])
+def test_negative_seed_is_one_error_line(workspace, tmp_path, capsys, command, source):
+    inputs = {
+        "pretrain": ["--triples", workspace.triples, "--vocab", workspace.vocab, *_SMALL],
+        "finetune": ["--checkpoint", workspace.checkpoint, "--vocab", workspace.vocab,
+                     "--train", workspace.train, "--dev", workspace.dev],
+        "sweep": ["--axis", "tau", "--values", "0.05", "--triples", workspace.triples,
+                  "--vocab", workspace.vocab, "--train", workspace.train, "--dev", workspace.dev, *_SMALL],
+    }
+    argv = [command, *map(str, inputs[command]), "--out", str(tmp_path / "out")]
+    if source == "flag":
+        argv += ["--seed", "-1"]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = -1\n", encoding="utf-8")
+        argv += ["--config", str(cfg)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n"
+
+
 class TestConfigHandling:
     def test_flag_overrides_file(self, workspace, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -499,6 +548,17 @@ class TestConfigHandling:
                    "--vocab", str(workspace.vocab), "--epochs", "1", "--out", str(tmp_path / "out")])
         assert rc == 0
         assert "epochs = 1" in (tmp_path / "out" / "run_config.txt").read_text()
+
+    def test_archived_config_reads_back_with_line_separators(self, workspace, tmp_path):
+        # --labels is archived raw in run_config.txt; U+2028 must not end its line.
+        labels = "contradiction,entailment,odd\u2028label"
+        rc = main(["finetune", "--checkpoint", str(workspace.checkpoint), "--vocab", str(workspace.vocab),
+                   "--train", str(workspace.train), "--dev", str(workspace.dev), "--task", "pair",
+                   "--labels", labels, "--ft-epochs", "1", "--out", str(tmp_path / "ft")])
+        assert rc == 0
+        archived = RunConfig()
+        archived.update_from_file(tmp_path / "ft" / "run_config.txt")
+        assert archived.labels == labels
 
     def test_unknown_config_key_fails(self, workspace, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -24,7 +24,6 @@ from consem.finetune import (
     load_model,
     load_task_records,
     mrc_pairs,
-    mrc_predict,
     mrc_scores,
     save_model,
 )
@@ -114,6 +113,15 @@ class TestPairTask:
                 ckpt, TaskSpec(TaskKind.PAIR), train, make_pair_task(4), FinetuneConfig(), vocab
             )
 
+    def test_duplicate_labels_rejected(self):
+        # A repeated label would add a phantom class to the head and to macro-F1.
+        with pytest.raises(ConfigError, match="label 'x' is listed more than once"):
+            TaskSpec(TaskKind.PAIR, labels=["x", "x", "y"])
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed must be non-negative"):
+            FinetuneConfig(seed=-1)
+
     def test_unknown_dev_label_names_line(self, pair_run):
         model, _, _, _, vocab = pair_run
         bad = [{"text_a": "a river", "text_b": "a river", "label": "maybe", "line": 17}]
@@ -183,9 +191,15 @@ class TestMrc:
 
     def test_identical_choices_tie_to_first(self, pair_run):
         model, _, _, _, vocab = pair_run
-        choice = "the river appears"
-        pick = mrc_predict(model, vocab, topic_sentence("river", 9000), "which place appears ?", [choice] * 3)
-        assert pick == 0
+        record = {
+            "context": topic_sentence("river", 9000),
+            "question": "which place appears ?",
+            "choices": ["the river appears"] * 3,
+            "answer_index": 2,
+        }
+        predictions, _ = evaluate_mrc(model, vocab, [record])
+        assert len(set(predictions[0]["scores"])) == 1
+        assert predictions[0]["pred"] == 0
 
     def test_predict_matches_score_argmax(self, micro_checkpoint):
         ckpt, _, vocab = micro_checkpoint
@@ -194,13 +208,13 @@ class TestMrc:
             ckpt, TaskSpec(TaskKind.MRC), train, make_mrc_task(4, start=16, choices=3),
             FinetuneConfig(epochs=2), vocab,
         )
-        for rec in make_mrc_task(6, start=20, choices=3):
+        records = make_mrc_task(6, start=20, choices=3)
+        predictions, _ = evaluate_mrc(model, vocab, records)
+        for rec, prediction in zip(records, predictions):
             scores = mrc_scores(model, vocab, rec["context"], rec["question"], rec["choices"])
             assert scores.shape == (3,)
             assert np.all((scores > 0.0) & (scores < 1.0))
-            assert mrc_predict(model, vocab, rec["context"], rec["question"], rec["choices"]) == int(
-                np.argmax(scores)
-            )
+            assert prediction["pred"] == int(np.argmax(scores))
 
     def test_evaluate_reports_question_level_accuracy(self, micro_checkpoint, pair_run):
         model, _, _, _, vocab = pair_run
@@ -264,15 +278,6 @@ class TestLoadTaskRecords:
         records = load_task_records(path, TaskSpec(TaskKind.PAIR))
         assert records[0]["text_a"] == "a" and records[0]["line"] == 1
         assert records[1]["label"] == "contradiction" and records[1]["line"] == 2
-
-    def test_field_map_renames_inputs(self, tmp_path):
-        path = tmp_path / "nli.jsonl"
-        path.write_text(json.dumps({"premise": "p", "hypothesis": "h", "gold": "entailment"}) + "\n")
-        task = TaskSpec(
-            TaskKind.PAIR, field_map={"text_a": "premise", "text_b": "hypothesis", "label": "gold"}
-        )
-        records = load_task_records(path, task)
-        assert records[0]["text_a"] == "p" and records[0]["text_b"] == "h"
 
     def test_malformed_json_names_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import check_gradients, make_topic_triples, micro_encoder_config
-from oracles import contrastive_loss_reference
+from oracles import composed_contrastive_loss, contrastive_loss_reference, masking_reference
 
 import consem.pretrain as pretrain_module
 from consem.encoder import EncoderConfig, EncoderWeights, PoolingStrategy, forward_batch, pool
@@ -112,16 +112,17 @@ class TestContrastiveLoss:
         a, p, g = (rng.uniform(-1, 1, size=(5, 8)) for _ in range(3))
         argmaxes = []
         for tau in (0.001, 0.01, 0.05, 0.1, 0.5, 1.0):
-            scores, _ = contrastive_scores(Tensor(a), Tensor(p), Tensor(g), tau)
+            scores = contrastive_scores(Tensor(a), Tensor(p), Tensor(g), tau)
             argmaxes.append(scores.data.argmax(axis=1))
         for later in argmaxes[1:]:
             np.testing.assert_array_equal(argmaxes[0], later)
 
     def test_scores_layout(self, f64):
         a = _unit_rows([[1.0, 0.0], [0.0, 1.0]])
-        scores, own = contrastive_scores(a, a, _unit_rows([[-1.0, 0.0], [0.0, -1.0]]), 1.0)
+        scores = contrastive_scores(a, a, _unit_rows([[-1.0, 0.0], [0.0, -1.0]]), 1.0)
         assert scores.shape == (2, 4)
-        np.testing.assert_allclose(own.data, [1.0, 1.0], atol=1e-12)
+        # Anchor i's own positive is column i.
+        np.testing.assert_allclose(np.diag(scores.data[:, :2]), [1.0, 1.0], atol=1e-12)
         np.testing.assert_allclose(scores.data[:, 2:], [[-1.0, 0.0], [0.0, -1.0]], atol=1e-12)
 
     def test_shape_and_tau_validation(self):
@@ -130,6 +131,45 @@ class TestContrastiveLoss:
             contrastive_loss(a, Tensor(np.ones((3, 3))), a, 0.05)
         with pytest.raises(ConfigError):
             contrastive_loss(a, a, a, 0.0)
+
+    def test_seven_tape_nodes(self):
+        a, p, g = (Tensor(np.eye(3), requires_grad=True) for _ in range(3))
+        with Tape() as tape:
+            contrastive_loss(a, p, g, 0.05)
+        # Two normalisations, concat, transpose, matmul, scale, cross_entropy.
+        assert len(tape) == 7
+
+
+class TestContrastiveDrift:
+    """``contrastive_loss`` is one cross_entropy; bound its drift from the composed 16-op path."""
+
+    @staticmethod
+    def _loss_and_grads(loss_fn, a, p, g, tau):
+        leaves = [Tensor(x, requires_grad=True) for x in (a, p, g)]
+        with Tape() as tape:
+            loss = loss_fn(*leaves, tau)
+            backward(loss, tape)
+        return loss.item(), [leaf.grad for leaf in leaves]
+
+    @pytest.mark.parametrize("tau", [0.001, 0.05, 1.0])
+    def test_float64_loss_and_gradients_agree(self, tau, f64):
+        rng = np.random.default_rng(2104)
+        worst = 0.0
+        for n in range(1, 33):
+            a, p, g = (rng.normal(size=(n, 64)) for _ in range(3))
+            loss, grads = self._loss_and_grads(contrastive_loss, a, p, g, tau)
+            ref_loss, ref_grads = self._loss_and_grads(composed_contrastive_loss, a, p, g, tau)
+            worst = max(worst, abs(loss - ref_loss), *(np.abs(x - y).max() for x, y in zip(grads, ref_grads)))
+        assert worst < 1e-10
+
+    @pytest.mark.parametrize("tau", [0.001, 0.05, 1.0])
+    def test_float32_loss_agrees(self, tau):
+        rng = np.random.default_rng(8)
+        for n in (1, 2, 8, 32):
+            a, p, g = (rng.normal(size=(n, 64)).astype(np.float32) for _ in range(3))
+            loss, _ = self._loss_and_grads(contrastive_loss, a, p, g, tau)
+            ref_loss, _ = self._loss_and_grads(composed_contrastive_loss, a, p, g, tau)
+            assert loss == pytest.approx(ref_loss, rel=1e-5)
 
 
 class TestMasking:
@@ -140,39 +180,38 @@ class TestMasking:
 
     def test_specials_never_masked(self, seq):
         for seed in range(50):
-            corrupted, targets = mask_for_mlm(seq, 0.9, np.random.default_rng(seed))
+            corrupted, positions = mask_for_mlm(seq, 0.9, np.random.default_rng(seed))
             assert corrupted.ids[0] == CLS_ID
             assert corrupted.ids[7] == SEP_ID
             assert corrupted.length == seq.length
-            for t in targets:
-                assert 1 <= t.position <= 6
+            assert all(1 <= position <= 6 for position in positions)
 
     def test_selected_positions_become_mask(self, seq):
-        corrupted, targets = mask_for_mlm(seq, 0.5, np.random.default_rng(0))
-        for t in targets:
-            assert corrupted.ids[t.position] == MASK_ID
-            assert seq.ids[t.position] == t.token_id
-        untouched = set(range(len(seq.ids))) - {t.position for t in targets}
+        corrupted, positions = mask_for_mlm(seq, 0.5, np.random.default_rng(0))
+        assert len(positions) and list(positions) == sorted(positions)
+        for position in positions:
+            assert corrupted.ids[position] == MASK_ID
+        untouched = set(range(len(seq.ids))) - set(positions.tolist())
         for i in untouched:
             assert corrupted.ids[i] == seq.ids[i]
 
     def test_vanishing_rate_masks_nothing(self, seq):
-        corrupted, targets = mask_for_mlm(seq, 1e-12, np.random.default_rng(123))
-        assert targets == []
+        corrupted, positions = mask_for_mlm(seq, 1e-12, np.random.default_rng(123))
+        assert positions.size == 0
         assert corrupted.ids == seq.ids
 
     def test_near_certain_rate_masks_everything_eligible(self, seq):
-        corrupted, targets = mask_for_mlm(seq, 0.999999, np.random.default_rng(5))
-        assert [t.position for t in targets] == [1, 2, 3, 4, 5, 6]
+        corrupted, positions = mask_for_mlm(seq, 0.999999, np.random.default_rng(5))
+        assert positions.tolist() == [1, 2, 3, 4, 5, 6]
         assert corrupted.ids[1:7] == [MASK_ID] * 6
 
     def test_empirical_rate_concentrates(self):
         total, masked = 0, 0
         seq = TokenSequence(ids=[CLS_ID] + list(range(5, 25)) + [SEP_ID])
         for row in range(500):
-            _, targets = mask_for_mlm(seq, 0.15, np.random.default_rng([77, row]))
+            _, positions = mask_for_mlm(seq, 0.15, np.random.default_rng([77, row]))
             total += 20
-            masked += len(targets)
+            masked += len(positions)
         assert 0.13 <= masked / total <= 0.17
 
     def test_rate_bounds_enforced(self, seq):
@@ -185,7 +224,29 @@ class TestMasking:
     def test_same_seed_same_selection(self, seq):
         a = mask_for_mlm(seq, 0.3, np.random.default_rng(9))
         b = mask_for_mlm(seq, 0.3, np.random.default_rng(9))
-        assert a[0].ids == b[0].ids and a[1] == b[1]
+        assert a[0].ids == b[0].ids and np.array_equal(a[1], b[1])
+
+    def test_epoch_masking_matches_per_position_loop(self):
+        # The index arrays hold what a per-position loop over the same draws
+        # selects; specials and [MASK] also appear mid-sequence here.
+        rng = np.random.default_rng(31)
+        seqs = [
+            TokenSequence(ids=[CLS_ID, *rng.integers(1, 40, size=int(rng.integers(0, 12))).tolist(), SEP_ID])
+            for _ in range(40)
+        ]
+        for seed, stream, epoch, rate in [(0, 5, 1, 0.15), (401, 5, 2, 0.3), (7, 6, 3, 0.5)]:
+            indices = rng.permutation(len(seqs))[:16]
+            corrupted, rows, cols, ids = pretrain_module._epoch_masking(seqs, indices, rate, seed, stream, epoch)
+            expected = []
+            for batch_row, global_row in enumerate(indices):
+                seq = seqs[global_row]
+                draws = np.random.default_rng([seed, stream, epoch, int(global_row)]).random(seq.length)
+                ref_ids, targets = masking_reference(seq.ids, draws, rate, (CLS_ID, SEP_ID), MASK_ID)
+                assert corrupted[batch_row].ids == ref_ids
+                expected += [(batch_row, position, token_id) for position, token_id in targets]
+            assert expected
+            assert list(zip(rows.tolist(), cols.tolist(), ids.tolist())) == expected
+            assert rows.dtype == cols.dtype == ids.dtype == np.intp
 
 
 def _slots(*triples):
@@ -466,7 +527,11 @@ class TestStackedForward:
 class TestPretrainConfig:
     def test_round_trips_through_dict(self):
         config = PretrainConfig(tau=0.1, pooling="Mean", mlm_weight=0.2)
-        assert PretrainConfig.from_dict(config.to_dict()) == config
+        assert PretrainConfig(**config.to_dict()) == config
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed must be non-negative"):
+            PretrainConfig(seed=-1)
 
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -491,4 +556,6 @@ class TestLossCsv:
         lines = path_a.read_text().splitlines()
         assert lines[0].split(",") == LOSS_CSV_HEADER
         assert lines[1] == "1,2,train,0.65600000,0.25000000,0.68100000"
+        # csv's own line ends, as when the file was written through csv.writer directly.
+        assert path_a.read_bytes().endswith(b"0.70000000\r\n") and path_a.read_bytes().count(b"\r\n") == 3
         assert path_a.read_bytes() == path_b.read_bytes()
