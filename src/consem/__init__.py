@@ -77,7 +77,6 @@ from .text import (
     encode_single,
     leakage_guard,
     prepare_contrastive,
-    tokenize,
 )
 
 __version__ = "0.1.0"

@@ -31,7 +31,6 @@ from .encoder import EncoderWeights, forward_batch
 from .errors import (
     ConfigError,
     ContractError,
-    DataError,
     DegenerateInputError,
     FormatError,
     MetricError,
@@ -39,7 +38,7 @@ from .errors import (
     VocabularyError,
 )
 from .files import write_atomic
-from .text import Vocabulary, encode_pair, load_jsonl
+from .text import Vocabulary, encode_pair, json_field, load_jsonl
 
 __all__ = [
     "AnalysisReport",
@@ -216,8 +215,8 @@ class AnalysisReport:
     uniformity: float
     accuracy_at_k: dict[int, float] | None = None
 
-    def to_json(self) -> str:
-        payload = {
+    def to_dict(self) -> dict:
+        return {
             "alignment_entailment": self.alignment_entailment,
             "alignment_contradiction": self.alignment_contradiction,
             "uniformity": self.uniformity,
@@ -227,7 +226,6 @@ class AnalysisReport:
                 else None
             ),
         }
-        return json.dumps(payload, sort_keys=True, indent=2)
 
 
 def export_attention(
@@ -285,11 +283,8 @@ def load_embeddings(path: str | Path) -> EmbeddingSet:
     ids: list[int] = []
     texts: list[str] = []
     for lineno, rec in load_jsonl(sidecar_path):
-        try:
-            ids.append(int(rec["id"]))
-            texts.append(str(rec["text"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"{sidecar_path}:{lineno}: bad sidecar record ({exc})") from exc
+        ids.append(json_field(rec, "id", f"{sidecar_path}:{lineno}", (int,)))
+        texts.append(json_field(rec, "text", f"{sidecar_path}:{lineno}"))
     if len(ids) != n:
         raise FormatError(f"{sidecar_path}: {len(ids)} sidecar rows for {n} vectors")
     return EmbeddingSet(vectors=vectors, texts=texts, ids=ids)

@@ -54,6 +54,7 @@ from .pretrain import PretrainConfig, train, write_loss_csv
 from .text import (
     Vocabulary,
     build_vocab,
+    json_field,
     leakage_guard,
     load_jsonl,
     load_nli_jsonl,
@@ -141,7 +142,7 @@ def cmd_prepare(args: argparse.Namespace) -> int:
     triples, stats = prepare_contrastive(examples)
     out = _out_dir(args)
     save_triples_jsonl(triples, out / "triples.jsonl")
-    _write_artifact(out / "stats.json", stats.to_json())
+    _write_artifact(out / "stats.json", stats.to_dict())
     print(f"prepared {len(triples)} triples from {len(examples)} labeled pairs")
     if args.held_out:
         held = [s for _, obj in load_jsonl(args.held_out) for s in _strings_in(obj)]
@@ -235,30 +236,23 @@ def _retrieval_vectors(args, weights, ckpt, vocab, pooling):
     """Claim vectors, context vectors and gold indices from ``--claims``/``--contexts``."""
     claims = []
     for lineno, obj in load_jsonl(args.claims):
-        if "claim" not in obj or "gold_index" not in obj:
-            raise DataError(f"{args.claims}:{lineno}: expected fields 'claim' and 'gold_index'")
-        gold = obj["gold_index"]
-        # ``type`` rather than ``isinstance``: JSON true/false are bools, and bool subclasses int.
-        if type(gold) is not int:
-            raise DataError(f"{args.claims}:{lineno}: 'gold_index' must be an integer, got {gold!r}")
-        claims.append((str(obj["claim"]), gold))
+        where = f"{args.claims}:{lineno}"
+        claims.append((json_field(obj, "claim", where), json_field(obj, "gold_index", where, (int,)), where))
     if not claims:
         raise DataError(f"{args.claims}: no claims found")
-    contexts = []
-    for lineno, obj in load_jsonl(args.contexts):
-        if "text" not in obj:
-            raise DataError(f"{args.contexts}:{lineno}: expected field 'text'")
-        contexts.append(str(obj["text"]))
+    contexts = [
+        json_field(obj, "text", f"{args.contexts}:{lineno}") for lineno, obj in load_jsonl(args.contexts)
+    ]
     if not contexts:
         raise DataError(f"{args.contexts}: no candidate contexts found")
-    for i, (_, gold) in enumerate(claims):
+    for _, gold, where in claims:
         if not 0 <= gold < len(contexts):
-            raise DataError(f"claim {i}: gold_index {gold} out of range for {len(contexts)} contexts")
+            raise DataError(f"{where}: field 'gold_index' {gold} is out of range for {len(contexts)} contexts")
     claim_vectors = embed_sentences(
-        [c for c, _ in claims], weights, ckpt.encoder_config, vocab, pooling
+        [c for c, _, _ in claims], weights, ckpt.encoder_config, vocab, pooling
     )
     context_vectors = embed_sentences(contexts, weights, ckpt.encoder_config, vocab, pooling)
-    return claim_vectors, context_vectors, np.array([gold for _, gold in claims], dtype=np.intp)
+    return claim_vectors, context_vectors, np.array([gold for _, gold, _ in claims], dtype=np.intp)
 
 
 def _accuracy_at_k(claim_vectors, context_vectors, gold) -> dict[int, float]:
@@ -324,7 +318,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         accuracy_at_k=accuracy_at_k,
     )
     out = _out_dir(args)
-    _write_artifact(out / "analysis.json", report.to_json())
+    _write_artifact(out / "analysis.json", report.to_dict())
     if args.attention_a:
         dump = export_attention(ckpt, vocab, args.attention_a, args.attention_b)
         _write_artifact(out / "attention.json", dump)

@@ -36,7 +36,7 @@ from .errors import ConfigError, DataError, FormatError, TrainingDivergedError, 
 from .metrics import ConfusionMatrix, MetricsReport, accuracy, macro_f1, mrc_accuracy
 from .optim import QUIET_FLOAT_ERRORS, AdamW
 from .tensor import Tape, Tensor, backward
-from .text import TokenSequence, Vocabulary, encode_pair, encode_single, load_jsonl
+from .text import TokenSequence, Vocabulary, encode_pair, encode_single, json_field, load_jsonl
 
 __all__ = [
     "FinetuneConfig",
@@ -80,7 +80,8 @@ class TaskSpec:
     """What to fine-tune on: task shape and label set.
 
     ``labels`` may be left empty to infer the sorted set of labels seen in
-    the training split; a label listed twice is rejected.
+    the training split; a label listed twice is rejected.  The MRC task
+    always classifies ``MRC_LABELS``, so it takes no other list.
     """
 
     kind: TaskKind
@@ -90,6 +91,8 @@ class TaskSpec:
         for i, label in enumerate(self.labels):
             if label in self.labels[:i]:
                 raise ConfigError(f"label {label!r} is listed more than once in {self.labels}")
+        if self.kind is TaskKind.MRC and self.labels and self.labels != MRC_LABELS:
+            raise ConfigError(f"the mrc task classifies {MRC_LABELS}; it cannot take the labels {self.labels}")
 
 
 @dataclass
@@ -110,44 +113,34 @@ class FinetuneConfig:
 
 
 def load_task_records(path: str | Path, task: TaskSpec) -> list[dict]:
-    """Read task JSON lines into canonical records; each keeps its line number."""
+    """Read task JSON lines into canonical records; each keeps its line number.
+
+    A label may be a JSON string or integer; an integer becomes its decimal string.
+    """
     records: list[dict] = []
     for lineno, obj in load_jsonl(path):
-        try:
-            records.append(_canonical_record(obj, task, lineno))
-        except KeyError as exc:
-            raise DataError(f"{path}:{lineno}: missing field {exc.args[0]!r}") from exc
+        where = f"{path}:{lineno}"
+        if task.kind is TaskKind.MRC:
+            record = {key: json_field(obj, key, where) for key in ("context", "question")}
+            choices = json_field(obj, "choices", where, (list,))
+            answer = json_field(obj, "answer_index", where, (int,))
+            if not choices:
+                raise DataError(f"{where}: field 'choices' must be a non-empty list")
+            if not 0 <= answer < len(choices):
+                raise DataError(f"{where}: field 'answer_index' {answer} is out of range for {len(choices)} choices")
+            record.update(choices=choices, answer_index=answer)
+        else:
+            keys = ("text_a", "text_b") if task.kind is TaskKind.PAIR else ("text",)
+            record = {key: json_field(obj, key, where) for key in keys}
+            record["label"] = str(json_field(obj, "label", where, (str, int)))
+        record["line"] = lineno
+        records.append(record)
     return records
 
 
-def _canonical_record(obj: dict, task: TaskSpec, lineno: int) -> dict:
-    if task.kind is TaskKind.PAIR:
-        return {
-            "text_a": str(obj["text_a"]),
-            "text_b": str(obj["text_b"]),
-            "label": str(obj["label"]),
-            "line": lineno,
-        }
-    if task.kind is TaskKind.SINGLE:
-        return {
-            "text": str(obj["text"]),
-            "label": str(obj["label"]),
-            "line": lineno,
-        }
-    choices = obj["choices"]
-    answer = obj["answer_index"]
-    if not isinstance(choices, list) or not choices:
-        raise DataError(f"line {lineno}: 'choices' must be a non-empty list")
-    # ``type`` rather than ``isinstance``: JSON true/false are bools, and bool subclasses int.
-    if type(answer) is not int or not 0 <= answer < len(choices):
-        raise DataError(f"line {lineno}: 'answer_index' must index into {len(choices)} choices")
-    return {
-        "context": str(obj["context"]),
-        "question": str(obj["question"]),
-        "choices": [str(c) for c in choices],
-        "answer_index": answer,
-        "line": lineno,
-    }
+def _mrc_statement(question: str, choice: str) -> str:
+    """The text paired with the context for one choice, in training and in scoring."""
+    return f"{question} {choice}"
 
 
 def mrc_pairs(records: Sequence[dict]) -> list[dict]:
@@ -157,7 +150,7 @@ def mrc_pairs(records: Sequence[dict]) -> list[dict]:
         for k, choice in enumerate(rec["choices"]):
             pairs.append(
                 {
-                    "text_a": f"{rec['question']} {choice}",
+                    "text_a": _mrc_statement(rec["question"], choice),
                     "text_b": rec["context"],
                     "label": ENTAILMENT_LABEL if k == rec["answer_index"] else CONTRADICTION_LABEL,
                     "line": rec.get("line", 0),
@@ -177,12 +170,6 @@ class FinetunedModel:
     labels: list[str]
     kind: TaskKind
     vocab_hash: str
-
-    def label_index(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise DataError(f"label {label!r} is not part of this model's label set {self.labels}")
 
 
 def _encode_record(rec: dict, kind: TaskKind, vocab: Vocabulary, max_len: int) -> TokenSequence:
@@ -350,11 +337,11 @@ def mrc_scores(
     if not choices:
         raise DataError("cannot score an empty choice list")
     seqs = [
-        encode_pair(f"{question} {choice}", context, vocab, model.encoder_config.max_len)
+        encode_pair(_mrc_statement(question, choice), context, vocab, model.encoder_config.max_len)
         for choice in choices
     ]
     probs = _predict_probs(seqs, model.weights, model.head_weight, model.head_bias, model.encoder_config)
-    return probs[:, model.label_index(ENTAILMENT_LABEL)]
+    return probs[:, model.labels.index(ENTAILMENT_LABEL)]
 
 
 def evaluate_mrc(

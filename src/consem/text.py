@@ -35,13 +35,13 @@ __all__ = [
     "build_vocab",
     "encode_pair",
     "encode_single",
+    "json_field",
     "leakage_guard",
     "load_jsonl",
     "load_nli_jsonl",
     "load_triples_jsonl",
     "prepare_contrastive",
     "save_triples_jsonl",
-    "tokenize",
 ]
 
 PAD_TOKEN = "[PAD]"
@@ -142,13 +142,6 @@ class TokenSequence:
     real_length = length
 
 
-def tokenize(text: str, vocab: Vocabulary, max_len: int) -> TokenSequence:
-    """Map raw text to bare token ids (no specials, no padding), truncated to ``max_len``."""
-    if max_len < 1:
-        raise ConfigError(f"max_len must be >= 1, got {max_len}")
-    return TokenSequence(ids=[vocab.id_for(token) for token in split_text(text)][:max_len])
-
-
 def encode_single(text: str, vocab: Vocabulary, max_len: int) -> TokenSequence:
     """Encode one sentence as ``[CLS] text [SEP]``, truncated to at most ``max_len`` ids."""
     if max_len < 2:
@@ -225,12 +218,11 @@ class DatasetStats:
             triples=sum(s.triples for s in self.per_source.values()),
         )
 
-    def to_json(self) -> str:
-        payload = {
+    def to_dict(self) -> dict:
+        return {
             "sources": {name: asdict(s) for name, s in sorted(self.per_source.items())},
             "total": asdict(self.total),
         }
-        return json.dumps(payload, sort_keys=True, indent=2)
 
 
 def _normalize_ws(text: str) -> str:
@@ -319,23 +311,57 @@ def load_jsonl(path: str | Path) -> list[tuple[int, dict]]:
     return rows
 
 
+_JSON_TYPES = {
+    type(None): "null",
+    bool: "a boolean",
+    int: "an integer",
+    float: "a number",
+    str: "a string",
+    list: "a list",
+    dict: "an object",
+}
+
+
+def json_field(record: dict, key: str, where: str, kinds: tuple[type, ...] = (str,), nonblank: bool = False):
+    """``record[key]``, which must be present and of one of ``kinds`` exactly.
+
+    ``where`` names the record as ``<path>:<line>`` in the error.  Types are
+    compared exactly, so JSON ``true`` is no integer and ``null`` no string.
+    A list must hold only strings (the one list field, MRC ``choices``, is a
+    list of texts); with ``nonblank`` a string must hold more than whitespace.
+    """
+    if key not in record:
+        raise DataError(f"{where}: missing field {key!r}")
+    value = record[key]
+    if type(value) not in kinds:
+        wanted = " or ".join(_JSON_TYPES[kind] for kind in kinds)
+        raise DataError(f"{where}: field {key!r} must be {wanted}, got {_JSON_TYPES[type(value)]}")
+    if type(value) is list:
+        for i, item in enumerate(value):
+            if type(item) is not str:
+                raise DataError(f"{where}: field {key!r} item {i} must be a string, got {_JSON_TYPES[type(item)]}")
+    if nonblank and not value.strip():
+        raise DataError(f"{where}: field {key!r} must be a non-empty string")
+    return value
+
+
 def load_nli_jsonl(path: str | Path) -> list[NliExample]:
-    """Read labeled pairs from JSON lines with premise/hypothesis/label fields."""
+    """Read labeled pairs from JSON lines with premise/hypothesis/label fields.
+
+    Premise and hypothesis must be non-blank strings, the rule
+    :func:`load_triples_jsonl` applies to the triples mined from them.
+    """
     examples: list[NliExample] = []
     for lineno, record in load_jsonl(path):
+        where = f"{path}:{lineno}"
+        premise = json_field(record, "premise", where, nonblank=True)
+        hypothesis = json_field(record, "hypothesis", where, nonblank=True)
+        label = json_field(record, "label", where)
+        source = json_field(record, "source", where) if "source" in record else "default"
         try:
-            examples.append(
-                NliExample(
-                    premise=str(record["premise"]),
-                    hypothesis=str(record["hypothesis"]),
-                    label=str(record["label"]),
-                    source=str(record.get("source", "default")),
-                )
-            )
-        except KeyError as exc:
-            raise DataError(f"{path}:{lineno}: missing field {exc.args[0]!r}") from exc
+            examples.append(NliExample(premise, hypothesis, label, source))
         except DataError as exc:
-            raise DataError(f"{path}:{lineno}: {exc}") from exc
+            raise DataError(f"{where}: {exc}") from exc
     return examples
 
 
@@ -355,19 +381,11 @@ def load_triples_jsonl(path: str | Path) -> list[ContrastiveTriple]:
     """Read training triples, validating that every field is a non-empty string."""
     triples: list[ContrastiveTriple] = []
     for lineno, record in load_jsonl(path):
-        try:
-            triple = ContrastiveTriple(
-                sentence1=record["sentence1"],
-                sentence2=record["sentence2"],
-                hard_neg=record["hard_neg"],
-            )
-        except KeyError as exc:
-            raise DataError(f"{path}:{lineno}: missing field {exc.args[0]!r}") from exc
-        for fieldname in ("sentence1", "sentence2", "hard_neg"):
-            value = getattr(triple, fieldname)
-            if not isinstance(value, str) or not value.strip():
-                raise DataError(f"{path}:{lineno}: field {fieldname!r} must be a non-empty string")
+        where = f"{path}:{lineno}"
+        triple = ContrastiveTriple(
+            *(json_field(record, key, where, nonblank=True) for key in ("sentence1", "sentence2", "hard_neg"))
+        )
         if triple.sentence2 == triple.hard_neg:
-            raise DataError(f"{path}:{lineno}: positive and hard negative are identical")
+            raise DataError(f"{where}: positive and hard negative are identical")
         triples.append(triple)
     return triples

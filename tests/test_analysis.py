@@ -309,10 +309,10 @@ class TestContainers:
 
     def test_report_json(self):
         report = AnalysisReport(0.5, 1.5, -2.0, {3: 0.7, 1: 0.2})
-        payload = json.loads(report.to_json())
+        payload = report.to_dict()
         assert payload["alignment_entailment"] == 0.5
         assert payload["accuracy_at_k"] == {"1": 0.2, "3": 0.7}
-        bare = json.loads(AnalysisReport(0.5, 1.5, -2.0).to_json())
+        bare = AnalysisReport(0.5, 1.5, -2.0).to_dict()
         assert bare["accuracy_at_k"] is None
 
 
@@ -378,9 +378,15 @@ class TestSaveLoad:
         es = EmbeddingSet(vectors=np.ones((2, 2), dtype=np.float32), texts=["a", "b"])
         path = tmp_path / "emb.bin"
         save_embeddings(path, es)
-        (tmp_path / "emb.bin.jsonl").write_text('{"id": 0, "text": "a"}\n{"id": "x"}\n')
-        with pytest.raises(DataError, match=":2:"):
-            load_embeddings(path)
+        # An id is a JSON integer only: no string, fraction or boolean.
+        bad_rows = [
+            {"id": "x"}, {"id": "3", "text": "b"}, {"id": 2.5, "text": "b"}, {"id": True, "text": "b"},
+            {"id": 1}, {"id": 1, "text": None}, {"id": 1, "text": 3},
+        ]
+        for row in bad_rows:
+            (tmp_path / "emb.bin.jsonl").write_text('{"id": 0, "text": "a"}\n' + json.dumps(row) + "\n")
+            with pytest.raises(DataError, match=r"emb\.bin\.jsonl:2: .*'(id|text)'"):
+                load_embeddings(path)
 
 
 class TestTrainedGeometry:

@@ -10,11 +10,14 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_pair_task, make_single_task, make_topic_nli
 
@@ -22,8 +25,9 @@ from consem.checkpoint import load_checkpoint
 from consem.cli import SWEEP_GRIDS, main
 from consem.config import RunConfig
 from consem.encoder import EncoderWeights, PoolingStrategy, embed_sentences
-from consem.finetune import load_model
+from consem.finetune import MRC_LABELS, FinetunedModel, TaskKind, load_model, save_model
 from consem.pretrain import LOSS_CSV_HEADER
+from consem.tensor import Tensor
 from consem.text import Vocabulary, load_triples_jsonl
 
 _SMALL = [
@@ -492,6 +496,142 @@ def test_undecodable_input_file_fails_cleanly(workspace, tmp_path, capsys, comma
     err = capsys.readouterr().err
     assert f"error: {latin1}: not UTF-8 text" in err
     assert "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def task_models(workspace):
+    """An untrained model file per task kind, for commands that fail before a forward pass."""
+    ckpt = load_checkpoint(workspace.checkpoint)
+    labels = {"pair": ["contradiction", "entailment"], "single": ["inland", "waterside"], "mrc": MRC_LABELS}
+    paths = {}
+    for kind, names in labels.items():
+        model = FinetunedModel(
+            encoder_config=ckpt.encoder_config,
+            weights=EncoderWeights.from_arrays(ckpt.encoder_config, ckpt.params),
+            head_weight=Tensor(np.zeros((ckpt.encoder_config.hidden_size, len(names)))),
+            head_bias=Tensor(np.zeros(len(names))),
+            labels=list(names),
+            kind=TaskKind.parse(kind),
+            vocab_hash=ckpt.vocab_hash,
+        )
+        paths[kind] = workspace.root / f"{kind}-model.bin"
+        save_model(model, ckpt.pretrain_config, paths[kind])
+    return paths
+
+
+# A valid record of each JSON-lines shape; a test spoils one field of it.
+_VALID_RECORDS = {
+    "nli": {"premise": "the river is wide", "hypothesis": "the river is broad", "label": "entailment",
+            "source": "news"},
+    "triples": {"sentence1": "the river is wide", "sentence2": "the river is broad", "hard_neg": "no river"},
+    "pair": {"text_a": "the river report", "text_b": "indeed the river", "label": "entailment"},
+    "single": {"text": "the river report", "label": "waterside"},
+    "mrc": {"context": "the river report", "question": "which place ?", "choices": ["the river", "the glacier"],
+            "answer_index": 0},
+    "claims": {"claim": "the river", "gold_index": 0},
+    "contexts": {"text": "the river report"},
+}
+_NOT_TEXT = [None, 3, ["x"], {}]
+_BLANK = ["", " \t"]
+_NOT_INTEGER = _NOT_TEXT + [True, "1"]
+_NOT_LABEL = [None, ["x"], {}, True, 2.5]
+_NOT_CHOICES = [None, 3, {}, "x", [], [None], [["x"]]]
+_TASK_READERS = [("finetune", "--train"), ("evaluate", "--data")]
+
+# (command, flag, record shape, field, bad values): every field every reader reads.
+_FIELD_CASES = [
+    *[(c, f, "nli", k, _NOT_TEXT + _BLANK)
+      for c, f in (("prepare", "--nli"), ("analyze", "--pairs")) for k in ("premise", "hypothesis")],
+    *[(c, f, "nli", k, _NOT_TEXT) for c, f in (("prepare", "--nli"), ("analyze", "--pairs")) for k in ("label", "source")],
+    *[("build-vocab", "--triples", "triples", k, _NOT_TEXT + _BLANK) for k in ("sentence1", "sentence2", "hard_neg")],
+    *[(c, f, shape, k, _NOT_TEXT) for c, f in _TASK_READERS
+      for shape, k in (("pair", "text_a"), ("pair", "text_b"), ("single", "text"), ("mrc", "context"), ("mrc", "question"))],
+    *[(c, f, shape, "label", _NOT_LABEL) for c, f in _TASK_READERS for shape in ("pair", "single")],
+    *[(c, f, "mrc", "choices", _NOT_CHOICES) for c, f in _TASK_READERS],
+    *[(c, f, "mrc", "answer_index", _NOT_INTEGER) for c, f in _TASK_READERS],
+    ("retrieve", "--claims", "claims", "claim", _NOT_TEXT),
+    ("retrieve", "--claims", "claims", "gold_index", _NOT_INTEGER),
+    ("retrieve", "--contexts", "contexts", "text", _NOT_TEXT),
+]
+
+
+@pytest.mark.parametrize(
+    "command,flag,shape,field,value",
+    [
+        pytest.param(c, f, shape, k, v, id=f"{c}{f}-{shape}-{k}-{json.dumps(v)}")
+        for c, f, shape, k, values in _FIELD_CASES
+        for v in values
+    ],
+)
+def test_bad_field_is_one_error_line(workspace, task_models, tmp_path, capsys, command, flag, shape, field, value):
+    bad = tmp_path / "bad.jsonl"
+    _write_jsonl(bad, [_VALID_RECORDS[shape], dict(_VALID_RECORDS[shape], **{field: value})])
+    argv = _argv_with(workspace, command, flag, bad, tmp_path / "out")
+    if command == "finetune":
+        argv += ["--task", shape, "--ft-epochs", "1"]
+    if command == "evaluate":
+        argv[argv.index("--model") + 1] = str(task_models[shape])
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}:2: ") and err.count("\n") == 1, err
+    assert f"'{field}'" in err and "Traceback" not in err, err
+
+
+_NLI_TEXTS = st.one_of(st.sampled_from(["the river", "a glacier"]), st.text(alphabet=" \t\u2028ab.", max_size=3))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    rows=st.lists(
+        st.fixed_dictionaries(
+            {
+                "premise": _NLI_TEXTS,
+                "hypothesis": _NLI_TEXTS,
+                "label": st.sampled_from(["entailment", "contradiction", "neutral"]),
+            }
+        ),
+        min_size=1,
+        max_size=8,
+    )
+)
+def test_prepared_triples_always_build_a_vocabulary(rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        _write_jsonl(root / "nli.jsonl", rows)
+        if main(["prepare", "--nli", str(root / "nli.jsonl"), "--out", str(root / "prep")]) == 0:
+            triples = root / "prep" / "triples.jsonl"
+            assert main(["build-vocab", "--triples", str(triples), "--out", str(root / "vv")]) == 0
+
+
+def test_integer_pair_labels_train_and_evaluate(workspace, tmp_path):
+    def numbered(rows):
+        return [dict(r, label=int(r["label"] == "entailment")) for r in rows]
+
+    _write_jsonl(tmp_path / "train.jsonl", numbered(make_pair_task(16)))
+    _write_jsonl(tmp_path / "dev.jsonl", numbered(make_pair_task(4, start=16)))
+    assert main(["finetune", "--checkpoint", str(workspace.checkpoint), "--vocab", str(workspace.vocab),
+                 "--train", str(tmp_path / "train.jsonl"), "--dev", str(tmp_path / "dev.jsonl"),
+                 "--task", "pair", "--ft-epochs", "1", "--out", str(tmp_path / "ft")]) == 0
+    assert load_model(tmp_path / "ft" / "model.bin").labels == ["0", "1"]
+    assert main(["evaluate", "--model", str(tmp_path / "ft" / "model.bin"), "--vocab", str(workspace.vocab),
+                 "--data", str(tmp_path / "dev.jsonl"), "--out", str(tmp_path / "eval")]) == 0
+    lines = (tmp_path / "eval" / "predictions.jsonl").read_text().splitlines()
+    assert [json.loads(line)["gold"] for line in lines] == ["1", "0", "1", "0"]
+
+
+@pytest.mark.parametrize("command", ["finetune", "sweep"])
+def test_mrc_rejects_other_labels(workspace, tmp_path, capsys, command):
+    files = ["--vocab", str(workspace.vocab), "--train", str(workspace.train), "--dev", str(workspace.dev)]
+    if command == "finetune":
+        argv = ["finetune", "--checkpoint", str(workspace.checkpoint), *files]
+    else:
+        argv = ["sweep", "--axis", "tau", "--values", "0.05", "--triples", str(workspace.triples), *files, *_SMALL]
+    argv += ["--task", "mrc", "--labels", "yes,no,maybe", "--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: the mrc task classifies") and err.count("\n") == 1, err
+    assert "['yes', 'no', 'maybe']" in err
+    assert not (tmp_path / "out" / "run_config.txt").exists()
 
 
 @pytest.mark.parametrize("command", ["pretrain", "finetune"])

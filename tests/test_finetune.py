@@ -224,6 +224,22 @@ class TestMrc:
         assert report.mrc_accuracy == pytest.approx(expected, abs=1e-12)
         assert report.accuracy == report.mrc_accuracy
 
+    def test_scores_match_the_pairs_trained_on(self, pair_run):
+        # Scoring and training build the same statement for a choice.
+        model, _, _, _, vocab = pair_run
+        record = make_mrc_task(1, choices=3)[0]
+        predictions, _ = evaluate_classifier(model, vocab, mrc_pairs([record]))
+        column = model.labels.index(ENTAILMENT_LABEL)
+        scores = mrc_scores(model, vocab, record["context"], record["question"], record["choices"])
+        assert scores.tolist() == [p["scores"][column] for p in predictions]
+
+    def test_labels_other_than_mrc_labels_rejected(self):
+        assert TaskSpec(TaskKind.MRC).labels == []
+        assert TaskSpec(TaskKind.MRC, labels=list(MRC_LABELS)).labels == MRC_LABELS
+        for labels in (["yes", "no", "maybe"], ["entailment", "contradiction"], ["entailment"]):
+            with pytest.raises(ConfigError, match="the mrc task classifies"):
+                TaskSpec(TaskKind.MRC, labels=labels)
+
     def test_empty_choices_rejected(self, pair_run):
         model, _, _, _, vocab = pair_run
         with pytest.raises(DataError):

@@ -19,13 +19,13 @@ from consem.text import (
     build_vocab,
     encode_pair,
     encode_single,
+    json_field,
     leakage_guard,
     load_nli_jsonl,
     load_triples_jsonl,
     prepare_contrastive,
     save_triples_jsonl,
     split_text,
-    tokenize,
 )
 
 
@@ -87,13 +87,13 @@ class TestEncoding:
     def vocab(self):
         return build_vocab(["alpha beta gamma delta epsilon zeta eta"])
 
-    def test_tokenize_empty_string(self, vocab):
-        seq = tokenize("", vocab, max_len=8)
-        assert seq.ids == [] and seq.length == seq.real_length == 0
+    def test_encode_single_empty_string(self, vocab):
+        seq = encode_single("", vocab, max_len=8)
+        assert seq.ids == [CLS_ID, SEP_ID] and seq.length == seq.real_length == 2
 
-    def test_tokenize_known_tokens_in_order(self, vocab):
-        seq = tokenize("alpha beta", vocab, max_len=8)
-        assert seq.ids == [vocab.id_for("alpha"), vocab.id_for("beta")]
+    def test_encode_single_known_tokens_in_order(self, vocab):
+        seq = encode_single("alpha beta", vocab, max_len=8)
+        assert seq.ids == [CLS_ID, vocab.id_for("alpha"), vocab.id_for("beta"), SEP_ID]
 
     def test_encode_single_layout(self, vocab):
         # Unpadded: max_len only truncates, the encoder pads per batch.
@@ -135,8 +135,8 @@ class TestEncoding:
             assert PAD_ID not in seq.ids
 
     def test_unknown_tokens_map_to_unk(self, vocab):
-        seq = tokenize("alpha mystery", vocab, max_len=4)
-        assert seq.ids[1] == UNK_ID
+        seq = encode_single("alpha mystery", vocab, max_len=4)
+        assert seq.ids == [CLS_ID, vocab.id_for("alpha"), UNK_ID, SEP_ID]
 
     def test_length_limits_enforced(self, vocab):
         with pytest.raises(ConfigError):
@@ -257,7 +257,7 @@ class TestPrepareContrastive:
 
     def test_stats_json_shape(self):
         _, stats = prepare_contrastive(make_topic_nli(groups=4))
-        payload = json.loads(stats.to_json())
+        payload = stats.to_dict()
         assert set(payload) == {"sources", "total"}
         assert payload["total"]["triples"] == stats.total.triples
 
@@ -335,6 +335,31 @@ class TestJsonlIO:
         path.write_text('{"sentence1": "a", "sentence2": "b", "hard_neg": "b"}\n')
         with pytest.raises(DataError, match=":1:"):
             load_triples_jsonl(path)
+
+    @pytest.mark.parametrize(
+        "record,kinds,message",
+        [
+            ({}, (str,), "missing field 'k'"),
+            ({"k": None}, (str,), "field 'k' must be a string, got null"),
+            ({"k": 3}, (str,), "field 'k' must be a string, got an integer"),
+            ({"k": True}, (int,), "field 'k' must be an integer, got a boolean"),
+            ({"k": "1"}, (int,), "field 'k' must be an integer, got a string"),
+            ({"k": 2.0}, (str, int), "field 'k' must be a string or an integer, got a number"),
+            ({"k": {}}, (list,), "field 'k' must be a list, got an object"),
+            ({"k": ["a", 3]}, (list,), "field 'k' item 1 must be a string, got an integer"),
+        ],
+    )
+    def test_json_field_errors_name_place_and_field(self, record, kinds, message):
+        with pytest.raises(DataError) as info:
+            json_field(record, "k", "f.jsonl:4", kinds)
+        assert str(info.value) == f"f.jsonl:4: {message}"
+
+    def test_json_field_returns_the_value(self):
+        assert json_field({"k": " "}, "k", "f:1") == " "
+        assert json_field({"k": 0}, "k", "f:1", (str, int)) == 0
+        assert json_field({"k": ["a"]}, "k", "f:1", (list,)) == ["a"]
+        with pytest.raises(DataError, match="^f:1: field 'k' must be a non-empty string$"):
+            json_field({"k": " \u2028"}, "k", "f:1", nonblank=True)
 
     def test_unknown_label_rejected_at_construction(self):
         with pytest.raises(DataError):
