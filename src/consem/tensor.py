@@ -25,7 +25,6 @@ import contextlib
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import ConfigError, ContractError, DegenerateInputError, ShapeError
 
@@ -554,14 +553,72 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = LAYER_NORM_EP
     return out
 
 
-_SQRT2 = float(np.sqrt(2.0))
 _INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
+
+# The normal upper tail from Abramowitz & Stegun 7.1.26 for erfc, with
+# x / sqrt(2) folded into ``p`` and the 1/2 of Phi into the coefficients:
+# 1 - Phi(|x|) = t * P(t) * exp(-x^2 / 2), t = 1 / (1 + p |x|).  The
+# absolute error is 7.5e-8 in exact arithmetic and 3e-7 in float32.
+_CDF_P = 0.3275911 / float(np.sqrt(2.0))
+_CDF_COEFFS = tuple(0.5 * a for a in (0.254829592, -0.284496736, 1.421413741, -1.453152027, 1.061405429))
+# Past this |x| the tail's exp(-x^2 / 2) is 0 in float32 and float64 alike,
+# so clipping there changes no value and keeps x^2 from overflowing.
+_CDF_CLIP = 40.0
+# Elements per pass of the CDF kernel: its four float32 blocks (x, Phi, two
+# scratch) take 512 KB, which stays in a 2 MB L2.
+GELU_BLOCK = 1 << 15
+
+
+def _normal_cdf(x: np.ndarray, times_x: bool = False) -> np.ndarray:
+    """Phi(x) in ``x``'s dtype, as ``0.5 + copysign(0.5 - tail, x)``.
+
+    Works through flat blocks of ``GELU_BLOCK`` elements, every step in
+    place, so its 21 elementwise passes run over cache-resident data.  With
+    ``times_x`` each block is then multiplied by ``x``, giving GELU itself.
+    """
+    kind = x.dtype.type
+    p, clip, half = kind(_CDF_P), kind(_CDF_CLIP), kind(0.5)
+    *inner, last = (kind(c) for c in _CDF_COEFFS)
+    cdf = np.empty(x.shape, dtype=x.dtype)
+    flat_x, flat_cdf = x.reshape(-1), cdf.reshape(-1)
+    a = np.empty(min(GELU_BLOCK, x.size), dtype=x.dtype)
+    t = np.empty_like(a)
+    for start in range(0, x.size, GELU_BLOCK):
+        xb = flat_x[start : start + GELU_BLOCK]
+        q = flat_cdf[start : start + GELU_BLOCK]
+        ab, tb = a[: xb.size], t[: xb.size]
+        np.abs(xb, out=ab)
+        np.minimum(ab, clip, out=ab)
+        np.multiply(ab, p, out=tb)
+        tb += 1
+        np.reciprocal(tb, out=tb)
+        np.multiply(ab, ab, out=ab)
+        ab *= -half
+        np.exp(ab, out=ab)
+        np.multiply(tb, last, out=q)  # t * P(t) by Horner's rule
+        for c in reversed(inner):
+            q += c
+            q *= tb
+        q *= ab
+        np.subtract(half, q, out=q)
+        np.copysign(q, xb, out=q)
+        q += half
+        if times_x:
+            q *= xb
+    return cdf
 
 
 def gelu(x: Tensor) -> Tensor:
-    """Exact Gaussian error linear unit, ``x * Phi(x)`` with the normal CDF."""
-    cdf = 0.5 * (1.0 + erf(x.data / x.data.dtype.type(_SQRT2)))
-    out = Tensor._result(x.data * cdf, x.requires_grad)
+    """Exact Gaussian error linear unit, ``x * Phi(x)`` with the normal CDF.
+
+    Phi comes from :func:`_normal_cdf`, within 3e-7 of the exact CDF in
+    float32.  Only a recording tape keeps Phi, for the backward; otherwise
+    the kernel multiplies by ``x`` while each block is still in cache.
+    """
+    if not (_TAPE_STACK and x.requires_grad):
+        return Tensor._result(_normal_cdf(x.data, times_x=True), x.requires_grad)
+    cdf = _normal_cdf(x.data)
+    out = Tensor._result(x.data * cdf, True)
 
     def backward_fn(g):
         pdf = np.exp(-0.5 * x.data * x.data) * x.data.dtype.type(_INV_SQRT_2PI)

@@ -322,6 +322,13 @@ _JSON_TYPES = {
 }
 
 
+def _require_utf8(text: str, where: str, name: str) -> None:
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise DataError(f"{where}: {name} must be UTF-8 text, got a lone surrogate at character {exc.start}") from None
+
+
 def json_field(record: dict, key: str, where: str, kinds: tuple[type, ...] = (str,), nonblank: bool = False):
     """``record[key]``, which must be present and of one of ``kinds`` exactly.
 
@@ -329,6 +336,8 @@ def json_field(record: dict, key: str, where: str, kinds: tuple[type, ...] = (st
     compared exactly, so JSON ``true`` is no integer and ``null`` no string.
     A list must hold only strings (the one list field, MRC ``choices``, is a
     list of texts); with ``nonblank`` a string must hold more than whitespace.
+    Every string must encode as UTF-8: JSON can escape a lone surrogate
+    (``"\\ud800"``), which no artifact could then be written with.
     """
     if key not in record:
         raise DataError(f"{where}: missing field {key!r}")
@@ -336,10 +345,13 @@ def json_field(record: dict, key: str, where: str, kinds: tuple[type, ...] = (st
     if type(value) not in kinds:
         wanted = " or ".join(_JSON_TYPES[kind] for kind in kinds)
         raise DataError(f"{where}: field {key!r} must be {wanted}, got {_JSON_TYPES[type(value)]}")
+    if type(value) is str:
+        _require_utf8(value, where, f"field {key!r}")
     if type(value) is list:
         for i, item in enumerate(value):
             if type(item) is not str:
                 raise DataError(f"{where}: field {key!r} item {i} must be a string, got {_JSON_TYPES[type(item)]}")
+            _require_utf8(item, where, f"field {key!r} item {i}")
     if nonblank and not value.strip():
         raise DataError(f"{where}: field {key!r} must be a non-empty string")
     return value

@@ -537,6 +537,7 @@ _NOT_INTEGER = _NOT_TEXT + [True, "1"]
 _NOT_LABEL = [None, ["x"], {}, True, 2.5]
 _NOT_CHOICES = [None, 3, {}, "x", [], [None], [["x"]]]
 _TASK_READERS = [("finetune", "--train"), ("evaluate", "--data")]
+_NOT_UTF8 = ["a \ud800"]  # a lone surrogate: valid JSON, but no UTF-8 file can hold it
 
 # (command, flag, record shape, field, bad values): every field every reader reads.
 _FIELD_CASES = [
@@ -552,6 +553,9 @@ _FIELD_CASES = [
     ("retrieve", "--claims", "claims", "claim", _NOT_TEXT),
     ("retrieve", "--claims", "claims", "gold_index", _NOT_INTEGER),
     ("retrieve", "--contexts", "contexts", "text", _NOT_TEXT),
+    *[("prepare", "--nli", "nli", k, _NOT_UTF8) for k in ("premise", "hypothesis", "label", "source")],
+    *[(c, f, "pair", k, _NOT_UTF8) for c, f in _TASK_READERS for k in ("text_a", "text_b")],
+    *[(c, f, "mrc", "choices", [["the river", "a \udfff"]]) for c, f in _TASK_READERS],
 ]
 
 
@@ -575,6 +579,18 @@ def test_bad_field_is_one_error_line(workspace, task_models, tmp_path, capsys, c
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}:2: ") and err.count("\n") == 1, err
     assert f"'{field}'" in err and "Traceback" not in err, err
+
+
+def test_import_loads_no_scipy():
+    # numpy is the one runtime dependency; scipy serves only the tests.
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, consem, consem.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 _NLI_TEXTS = st.one_of(st.sampled_from(["the river", "a glacier"]), st.text(alphabet=" \t\u2028ab.", max_size=3))

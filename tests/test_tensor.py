@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 
 from conftest import check_gradients
 from gradcases import GRAD_CASES
+from oracles import erf_gelu, erf_normal_cdf
 
 from consem import tensor as T
-from consem.encoder import EncoderConfig, EncoderWeights, PoolingStrategy, forward_batch, pool
+from consem.encoder import EncoderConfig, EncoderWeights, PoolingStrategy, embed_sentences, forward_batch, pool
 from consem.errors import ConfigError, ContractError, DegenerateInputError, ShapeError
 from consem.tensor import Tape, Tensor, backward, precision
-from consem.text import TokenSequence
+from consem.text import TokenSequence, build_vocab
 
 
 class TestAnchors:
@@ -262,3 +263,117 @@ class TestTapeAndErrors:
         with precision(np.float64):
             assert Tensor([1.0]).dtype == np.float64
         assert Tensor([1.0]).dtype == np.float32
+
+
+# 4M float32 points over [-12, 12], the sweep the kernel's accuracy is stated on.
+_SWEEP = np.linspace(-12.0, 12.0, 1 << 22, dtype=np.float32)
+
+
+def _exact_cdf(x: np.ndarray) -> np.ndarray:
+    return erf_normal_cdf(x.astype(np.float64))
+
+
+class TestGeluKernel:
+    def test_cdf_within_bound_of_float64(self):
+        cdf = T._normal_cdf(_SWEEP)
+        assert cdf.dtype == np.float32
+        assert np.abs(cdf - _exact_cdf(_SWEEP)).max() <= 3.5e-7
+
+    def test_gelu_error_at_most_one_and_a_half_times_erf_path(self):
+        exact = _SWEEP * _exact_cdf(_SWEEP)
+        new = np.abs(T.gelu(Tensor(_SWEEP)).data - exact).max()
+        old = np.abs(erf_gelu(Tensor(_SWEEP)).data - exact).max()
+        assert new <= 1.5 * old, (new, old)
+
+    def test_special_values(self):
+        x = np.array([0.0, -0.0, np.nan, np.inf], dtype=np.float32)
+        y = T.gelu(Tensor(x)).data
+        assert y[0] == 0.0 and not np.signbit(y[0])
+        assert y[1] == 0.0 and np.signbit(y[1])
+        assert np.isnan(y[2])
+        assert y[3] == np.inf
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_finite_extremes_raise_nothing(self, dtype):
+        magnitudes = np.geomspace(1e-45 if dtype == np.float32 else 1e-300, 3e38, 2000)
+        x = np.concatenate([magnitudes, -magnitudes, _SWEEP]).astype(dtype)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            y = T.gelu(Tensor(x, dtype=dtype)).data
+        assert y.dtype == dtype and np.isfinite(y).all()
+        # Past the clip Phi is exactly 1 or 0: gelu is x itself, or -0.
+        big = np.abs(x) > T._CDF_CLIP
+        np.testing.assert_array_equal(y[big & (x > 0)], x[big & (x > 0)])
+        assert (y[big & (x < 0)] == 0.0).all()
+
+    def test_partial_block_matches_one_element_at_a_time(self):
+        rng = np.random.default_rng(5)
+        x = rng.normal(0.0, 4.0, size=2 * T.GELU_BLOCK + 37).astype(np.float32)
+        whole = T.gelu(Tensor(x)).data
+        picks = np.concatenate([rng.choice(2 * T.GELU_BLOCK, 200, replace=False), np.arange(2 * T.GELU_BLOCK, x.size)])
+        alone = np.array([T.gelu(Tensor(x[i : i + 1])).data[0] for i in picks])
+        assert whole[picks].tobytes() == alone.tobytes()
+
+    def test_small_blocks_give_the_same_bits(self, monkeypatch):
+        x = np.random.default_rng(6).normal(0.0, 4.0, size=(3, 5, 43)).astype(np.float32)
+        whole = T.gelu(Tensor(x)).data
+        monkeypatch.setattr(T, "GELU_BLOCK", 64)
+        assert T.gelu(Tensor(x)).data.tobytes() == whole.tobytes()
+        alone = np.array([T.gelu(Tensor(v[None])).data[0] for v in x.reshape(-1)])
+        assert alone.tobytes() == whole.reshape(-1).tobytes()
+
+    def test_recording_tape_gives_the_same_bits(self):
+        # Without a tape the kernel multiplies by x per block; with one it keeps Phi.
+        x = Tensor(_SWEEP[::64].copy(), requires_grad=True)
+        plain = T.gelu(x).data
+        with Tape():
+            recorded = T.gelu(x).data
+        assert recorded.tobytes() == plain.tobytes()
+
+    def test_backward_is_cdf_plus_x_pdf(self):
+        x = Tensor(_SWEEP[::4096].copy(), requires_grad=True)
+        with Tape() as tape:
+            loss = T.reduce_sum(T.gelu(x))
+            backward(loss, tape)
+        xs = x.data.astype(np.float64)
+        exact = _exact_cdf(x.data) + xs * np.exp(-0.5 * xs * xs) / np.sqrt(2.0 * np.pi)
+        np.testing.assert_allclose(x.grad, exact, rtol=0, atol=1e-6)
+
+
+class TestGeluDrift:
+    """The normal-CDF kernel against the scipy ``erf`` path it replaced."""
+
+    def test_elementwise(self):
+        assert np.abs(T._normal_cdf(_SWEEP) - erf_normal_cdf(_SWEEP)).max() <= 4.2e-7
+        new = T.gelu(Tensor(_SWEEP)).data.astype(np.float64)
+        old = erf_gelu(Tensor(_SWEEP)).data
+        assert (np.abs(new - old) <= 5e-7 * np.maximum(1.0, np.abs(_SWEEP))).all()
+
+    def test_embeddings(self, monkeypatch):
+        texts = [
+            "the river glows at dawn", "a glacier rests in winter fog",
+            "people visit the museum", "workers chart the harbor before it opens", "",
+        ]
+        vocab = build_vocab(texts)
+        config = EncoderConfig(
+            vocab_size=vocab.size, num_layers=2, num_heads=2,
+            hidden_size=16, ff_size=32, max_len=12, dropout=0.0,
+        )
+        weights = EncoderWeights.initialize(config, seed=9)
+        rng = np.random.default_rng(9)
+        for name, p in weights.items():
+            if p.data.ndim == 2:  # scaled so GELU sees both tails, not its linear middle
+                p.data = rng.uniform(-0.6, 0.6, p.data.shape).astype(np.float32)
+        new = embed_sentences(texts, weights, config, vocab, PoolingStrategy.MEAN)
+        inputs = []
+
+        def recording_erf_gelu(x):
+            inputs.append(x.data)
+            return erf_gelu(x)
+
+        monkeypatch.setattr(T, "gelu", recording_erf_gelu)
+        old = embed_sentences(texts, weights, config, vocab, PoolingStrategy.MEAN)
+        seen = np.concatenate([a.reshape(-1) for a in inputs])
+        assert seen.min() < -3.0 and seen.max() > 3.0
+        assert np.abs(new - old).max() <= 1e-5
+        cosine = (new * old).sum(axis=1) / np.linalg.norm(new, axis=1) / np.linalg.norm(old, axis=1)
+        assert cosine.min() >= 1.0 - 1e-6

@@ -347,6 +347,8 @@ class TestJsonlIO:
             ({"k": 2.0}, (str, int), "field 'k' must be a string or an integer, got a number"),
             ({"k": {}}, (list,), "field 'k' must be a list, got an object"),
             ({"k": ["a", 3]}, (list,), "field 'k' item 1 must be a string, got an integer"),
+            ({"k": "a \ud800"}, (str,), "field 'k' must be UTF-8 text, got a lone surrogate at character 2"),
+            ({"k": ["a", "\udfff"]}, (list,), "field 'k' item 1 must be UTF-8 text, got a lone surrogate at character 0"),
         ],
     )
     def test_json_field_errors_name_place_and_field(self, record, kinds, message):
