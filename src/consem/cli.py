@@ -4,14 +4,16 @@ Subcommands mirror the workflow: ``prepare`` mines triples from labeled
 pairs, ``build-vocab`` fits the tokenizer, ``pretrain`` runs the
 contrastive stage, ``finetune`` and ``evaluate`` handle downstream tasks,
 ``analyze`` and ``retrieve`` probe the embedding space, and ``sweep``
-re-runs the pretrain/finetune/evaluate chain over a hyperparameter grid.
+runs each value of a hyperparameter grid through the same pretraining and
+fine-tuning code as ``pretrain`` and ``finetune``.
 
 Every command writes deterministic artifacts under ``--out``.  The
 commands that take settings (``build-vocab``, ``pretrain``, ``finetune``
-and ``sweep``) read an optional ``--config`` file and apply explicit flags
-on top; all but ``build-vocab`` archive the resolved configuration next
-to their artifacts.  Commands exit 0 only when they fully succeed (for
-``prepare``, also only when no leakage was found).
+and ``sweep``) read an optional ``--config`` file and apply explicit flags,
+input paths included, on top; all but ``build-vocab`` archive the resolved
+configuration next to their artifacts, as does every sweep leg.  Commands
+exit 0 only when they fully succeed (for ``prepare``, also only when no
+leakage was found).
 """
 
 from __future__ import annotations
@@ -43,8 +45,7 @@ from .finetune import (
     FinetuneConfig,
     TaskKind,
     TaskSpec,
-    evaluate_classifier,
-    evaluate_mrc,
+    evaluate,
     finetune_classifier,
     load_model,
     load_task_records,
@@ -91,16 +92,18 @@ def _add_config_keys(parser: argparse.ArgumentParser, keys) -> None:
         parser.add_argument(f"--{key.replace('_', '-')}", dest=key, default=None, metavar="V")
 
 
-def _resolve_config(args: argparse.Namespace, keys=()) -> RunConfig:
+def _resolve_config(args: argparse.Namespace) -> RunConfig:
+    """The ``--config`` file, then every key the parsed flags carry, input paths included."""
     config = RunConfig()
     if args.config:
         config.update_from_file(args.config)
-    config.update({key: getattr(args, key, None) for key in (*keys, "seed")})
+    keys = RunConfig.field_types()
+    config.update({key: value for key, value in vars(args).items() if key in keys})
     return config
 
 
-def _out_dir(args: argparse.Namespace) -> Path:
-    out = Path(args.out)
+def _out_dir(path) -> Path:
+    out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -140,7 +143,7 @@ def _pooling_for(args, ckpt) -> PoolingStrategy:
 def cmd_prepare(args: argparse.Namespace) -> int:
     examples = load_nli_jsonl(args.nli)
     triples, stats = prepare_contrastive(examples)
-    out = _out_dir(args)
+    out = _out_dir(args.out)
     save_triples_jsonl(triples, out / "triples.jsonl")
     _write_artifact(out / "stats.json", stats.to_dict())
     print(f"prepared {len(triples)} triples from {len(examples)} labeled pairs")
@@ -158,34 +161,48 @@ def cmd_prepare(args: argparse.Namespace) -> int:
 
 
 def cmd_build_vocab(args: argparse.Namespace) -> int:
-    config = _resolve_config(args, keys=("min_count",))
-    triples = load_triples_jsonl(args.triples)
+    config = _resolve_config(args)
+    triples = load_triples_jsonl(config.triples)
     corpus = [text for t in triples for text in (t.sentence1, t.sentence2, t.hard_neg)]
     vocab = build_vocab(corpus, min_count=config.min_count)
-    out = _out_dir(args)
+    out = _out_dir(args.out)
     vocab.save(out / "vocab.txt")
     print(f"built vocabulary of {vocab.size} tokens (min_count={config.min_count})")
     return 0
 
 
-def cmd_pretrain(args: argparse.Namespace) -> int:
-    config = _resolve_config(args, keys=_ENCODER_KEYS + _PRETRAIN_KEYS)
-    triples = load_triples_jsonl(args.triples)
-    vocab = Vocabulary.load(args.vocab)
+def _pretrain_run(config: RunConfig, triples, vocab: Vocabulary, init, out: Path):
+    """Pretrain, then write ``checkpoint.bin``, ``loss_log.csv`` and ``run_config.txt`` to ``out``."""
     encoder_config = config.build(EncoderConfig, vocab_size=vocab.size)
+    ckpt, records = train(triples, config.build(PretrainConfig), vocab, encoder_config, init)
+    out = _out_dir(out)
+    save_checkpoint(ckpt, out / "checkpoint.bin")
+    write_loss_csv(records, out / "loss_log.csv")
+    config.write(out / "run_config.txt")
+    return ckpt, records
+
+
+def _finetune_run(config: RunConfig, finetune_config, ckpt, vocab, task, train_records, dev_records, out: Path):
+    """Fine-tune, then write ``model.bin``, ``dev_metrics.json`` and ``run_config.txt`` to ``out``."""
+    model, report = finetune_classifier(ckpt, task, train_records, dev_records, finetune_config, vocab)
+    out = _out_dir(out)
+    save_model(model, ckpt.pretrain_config, out / "model.bin")
+    _write_artifact(out / "dev_metrics.json", report.to_dict())
+    config.write(out / "run_config.txt")
+    return report
+
+
+def cmd_pretrain(args: argparse.Namespace) -> int:
+    config = _resolve_config(args)
+    triples = load_triples_jsonl(config.triples)
+    vocab = Vocabulary.load(config.vocab)
     init = None
     if args.init:
         base = load_checkpoint(args.init)
         if base.vocab_hash != vocab.content_hash():
             raise VocabularyError("warm-start checkpoint was built with a different vocabulary")
-        if base.encoder_config != encoder_config:
-            raise ConfigError("warm-start checkpoint has a different encoder architecture")
         init = EncoderWeights.from_arrays(base.encoder_config, base.params)
-    ckpt, records = train(triples, config.build(PretrainConfig), vocab, encoder_config, init)
-    out = _out_dir(args)
-    save_checkpoint(ckpt, out / "checkpoint.bin")
-    write_loss_csv(records, out / "loss_log.csv")
-    config.write(out / "run_config.txt")
+    ckpt, records = _pretrain_run(config, triples, vocab, init, args.out)
     last_train = [r for r in records if r.split == "train"][-1]
     print(
         f"pretrained for {last_train.epoch} epochs ({ckpt.step} steps); "
@@ -195,18 +212,14 @@ def cmd_pretrain(args: argparse.Namespace) -> int:
 
 
 def cmd_finetune(args: argparse.Namespace) -> int:
-    config = _resolve_config(args, keys=_FINETUNE_KEYS + _TASK_KEYS)
+    config = _resolve_config(args)
     ckpt, vocab = _checkpoint_vocab(args)
     task = TaskSpec(kind=TaskKind.parse(config.task), labels=config.label_list())
-    train_records = load_task_records(args.train, task)
-    dev_records = load_task_records(args.dev, task)
-    model, report = finetune_classifier(
-        ckpt, task, train_records, dev_records, config.build(FinetuneConfig), vocab
+    train_records = load_task_records(config.train_data, task)
+    dev_records = load_task_records(config.dev_data, task)
+    report = _finetune_run(
+        config, config.build(FinetuneConfig), ckpt, vocab, task, train_records, dev_records, args.out
     )
-    out = _out_dir(args)
-    save_model(model, ckpt.pretrain_config, out / "model.bin")
-    _write_artifact(out / "dev_metrics.json", report.to_dict())
-    config.write(out / "run_config.txt")
     print(f"fine-tuned on {len(train_records)} records; dev accuracy {report.accuracy:.4f}")
     return 0
 
@@ -220,11 +233,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     records = load_task_records(args.data, task)
     if not records:
         raise DataError(f"{args.data}: no records to evaluate")
-    if model.kind is TaskKind.MRC:
-        predictions, report = evaluate_mrc(model, vocab, records)
-    else:
-        predictions, report = evaluate_classifier(model, vocab, records)
-    out = _out_dir(args)
+    predictions, report = evaluate(model, vocab, records)
+    out = _out_dir(args.out)
     lines = [json.dumps(p, sort_keys=True, ensure_ascii=False) for p in predictions]
     _write_artifact(out / "predictions.jsonl", "\n".join(lines))
     _write_artifact(out / "metrics.json", report.to_dict())
@@ -268,7 +278,7 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
     weights = EncoderWeights.from_arrays(ckpt.encoder_config, ckpt.params)
     claim_vectors, context_vectors, gold = _retrieval_vectors(args, weights, ckpt, vocab, pooling)
     accuracies = _accuracy_at_k(claim_vectors, context_vectors, gold)
-    out = _out_dir(args)
+    out = _out_dir(args.out)
     payload = {
         "accuracy_at_k": {str(k): v for k, v in accuracies.items()},
         "claims": len(gold),
@@ -317,7 +327,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         uniformity=uniformity(vectors),
         accuracy_at_k=accuracy_at_k,
     )
-    out = _out_dir(args)
+    out = _out_dir(args.out)
     _write_artifact(out / "analysis.json", report.to_dict())
     if args.attention_a:
         dump = export_attention(ckpt, vocab, args.attention_a, args.attention_b)
@@ -333,57 +343,38 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sweep_value(config: RunConfig, axis: str, raw: str) -> None:
-    key = _AXIS_CONFIG_KEY.get(axis, axis)
-    if raw == "w/o":
-        # Table-style shorthand for turning the auxiliary objective off.
-        config.update({key: 0.0})
-    else:
-        config.update({key: raw})
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
-    base = _resolve_config(args, keys=_SWEEP_KEYS)
+    base = _resolve_config(args)
     if args.axis not in SWEEP_GRIDS:
         raise ConfigError(f"unknown sweep axis {args.axis!r}; expected one of {sorted(SWEEP_GRIDS)}")
     values = [v.strip() for v in args.values.split(",")] if args.values else list(SWEEP_GRIDS[args.axis])
-    triples_path = args.triples or base.triples
-    vocab_path = args.vocab or base.vocab
-    train_path = args.train or base.train_data
-    dev_path = args.dev or base.dev_data
-    for name, value in (
-        ("triples", triples_path), ("vocab", vocab_path), ("train", train_path), ("dev", dev_path)
-    ):
-        if not value:
-            raise ConfigError(f"sweep needs a {name} file (flag or configuration)")
-    triples = load_triples_jsonl(triples_path)
-    vocab = Vocabulary.load(vocab_path)
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ConfigError(f"sweep value {value!r} is listed more than once in {values}")
+    for key in ("triples", "vocab", "train_data", "dev_data"):
+        if not getattr(base, key):
+            raise ConfigError(f"sweep needs a {key} file (flag or configuration)")
+    triples = load_triples_jsonl(base.triples)
+    vocab = Vocabulary.load(base.vocab)
     task = TaskSpec(kind=TaskKind.parse(base.task), labels=base.label_list())
-    train_records = load_task_records(train_path, task)
-    dev_records = load_task_records(dev_path, task)
+    train_records = load_task_records(base.train_data, task)
+    dev_records = load_task_records(base.dev_data, task)
     # No sweep axis is a fine-tuning key, so every leg shares one fine-tuning config.
     finetune_config = base.build(FinetuneConfig)
 
-    out = _out_dir(args)
-    legs_dir = out / "legs"
-    legs_dir.mkdir(exist_ok=True)
+    out = _out_dir(args.out)
     rows = []
     failed = False
     for raw in values:
         leg_config = replace(base)
-        leg_dir = legs_dir / f"{args.axis}={raw.replace('/', '_')}"
-        leg_dir.mkdir(exist_ok=True)
+        leg_dir = out / "legs" / f"{args.axis}={raw.replace('/', '_')}"
         try:
-            _sweep_value(leg_config, args.axis, raw)
-            encoder_config = leg_config.build(EncoderConfig, vocab_size=vocab.size)
-            ckpt, records = train(triples, leg_config.build(PretrainConfig), vocab, encoder_config)
-            save_checkpoint(ckpt, leg_dir / "checkpoint.bin")
-            write_loss_csv(records, leg_dir / "loss_log.csv")
-            model, report = finetune_classifier(
-                ckpt, task, train_records, dev_records, finetune_config, vocab
+            # "w/o" is the tables' shorthand for turning the auxiliary objective off.
+            leg_config.update({_AXIS_CONFIG_KEY.get(args.axis, args.axis): 0.0 if raw == "w/o" else raw})
+            ckpt, _ = _pretrain_run(leg_config, triples, vocab, None, leg_dir)
+            report = _finetune_run(
+                leg_config, finetune_config, ckpt, vocab, task, train_records, dev_records, leg_dir
             )
-            save_model(model, ckpt.pretrain_config, leg_dir / "model.bin")
-            _write_artifact(leg_dir / "dev_metrics.json", report.to_dict())
             rows.append([raw, f"{report.accuracy:.6f}", f"{report.macro_f1:.6f}", "ok"])
             print(f"sweep {args.axis}={raw}: dev accuracy {report.accuracy:.4f}")
         except ConsemError as exc:
@@ -432,8 +423,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("finetune", help="fine-tune a classifier head on a task")
     p.add_argument("--checkpoint", required=True, metavar="PATH")
     p.add_argument("--vocab", required=True, metavar="PATH")
-    p.add_argument("--train", required=True, metavar="PATH")
-    p.add_argument("--dev", required=True, metavar="PATH")
+    p.add_argument("--train", dest="train_data", required=True, metavar="PATH")
+    p.add_argument("--dev", dest="dev_data", required=True, metavar="PATH")
     _add_config_keys(p, _FINETUNE_KEYS + _TASK_KEYS)
     common(p, settings=True)
     p.set_defaults(handler=cmd_finetune)
@@ -472,8 +463,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--values", default=None, metavar="V1,V2,...")
     p.add_argument("--triples", default=None, metavar="PATH")
     p.add_argument("--vocab", default=None, metavar="PATH")
-    p.add_argument("--train", default=None, metavar="PATH")
-    p.add_argument("--dev", default=None, metavar="PATH")
+    p.add_argument("--train", dest="train_data", default=None, metavar="PATH")
+    p.add_argument("--dev", dest="dev_data", default=None, metavar="PATH")
     _add_config_keys(p, _SWEEP_KEYS)
     common(p, settings=True)
     p.set_defaults(handler=cmd_sweep)

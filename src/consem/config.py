@@ -70,7 +70,7 @@ class _RunConfigBase:
     # fine-tuning task
     task: str = "pair"
     labels: str = ""
-    # default input paths (mostly for sweep runs)
+    # input paths: what --triples, --vocab, --train and --dev read (sweep may take them from a file)
     triples: str = ""
     vocab: str = ""
     train_data: str = ""

@@ -32,10 +32,10 @@ from .encoder import (
     forward_batch,
     pool,
 )
-from .errors import ConfigError, DataError, FormatError, TrainingDivergedError, VocabularyError
+from .errors import ConfigError, DataError, FormatError, VocabularyError
 from .metrics import ConfusionMatrix, MetricsReport, accuracy, macro_f1, mrc_accuracy
-from .optim import QUIET_FLOAT_ERRORS, AdamW
-from .tensor import Tape, Tensor, backward
+from .optim import QUIET_FLOAT_ERRORS, AdamW, minibatches
+from .tensor import Tape, Tensor
 from .text import TokenSequence, Vocabulary, encode_pair, encode_single, json_field, load_jsonl
 
 __all__ = [
@@ -43,6 +43,7 @@ __all__ = [
     "FinetunedModel",
     "TaskKind",
     "TaskSpec",
+    "evaluate",
     "evaluate_classifier",
     "evaluate_mrc",
     "finetune_classifier",
@@ -113,7 +114,7 @@ class FinetuneConfig:
 
 
 def load_task_records(path: str | Path, task: TaskSpec) -> list[dict]:
-    """Read task JSON lines into canonical records; each keeps its line number.
+    """Read task JSON lines into canonical records; each keeps its ``<path>:<line>`` as ``where``.
 
     A label may be a JSON string or integer; an integer becomes its decimal string.
     """
@@ -133,7 +134,7 @@ def load_task_records(path: str | Path, task: TaskSpec) -> list[dict]:
             keys = ("text_a", "text_b") if task.kind is TaskKind.PAIR else ("text",)
             record = {key: json_field(obj, key, where) for key in keys}
             record["label"] = str(json_field(obj, "label", where, (str, int)))
-        record["line"] = lineno
+        record["where"] = where
         records.append(record)
     return records
 
@@ -153,7 +154,7 @@ def mrc_pairs(records: Sequence[dict]) -> list[dict]:
                     "text_a": _mrc_statement(rec["question"], choice),
                     "text_b": rec["context"],
                     "label": ENTAILMENT_LABEL if k == rec["answer_index"] else CONTRADICTION_LABEL,
-                    "line": rec.get("line", 0),
+                    "where": rec.get("where"),
                 }
             )
     return pairs
@@ -183,7 +184,8 @@ def _gold_indices(records: Sequence[dict], labels: list[str]) -> np.ndarray:
     gold = np.zeros(len(records), dtype=np.intp)
     for i, rec in enumerate(records):
         if rec["label"] not in index:
-            raise DataError(f"line {rec.get('line', '?')}: unknown label {rec['label']!r}; expected one of {labels}")
+            where = rec.get("where") or f"record {i + 1}"
+            raise DataError(f"{where}: unknown label {rec['label']!r}; expected one of {labels}")
         gold[i] = index[rec["label"]]
     return gold
 
@@ -267,30 +269,17 @@ def finetune_classifier(
     best_state: tuple[dict, np.ndarray, np.ndarray] | None = None
     best_report: MetricsReport | None = None
 
-    n = len(train_seqs)
     for epoch in range(1, config.epochs + 1):
-        shuffle_rng = np.random.default_rng([config.seed, _STREAM_SHUFFLE, epoch])
-        order = shuffle_rng.permutation(n)
-        for batch_no, start in enumerate(range(0, n, config.batch_size)):
-            rows = order[start : start + config.batch_size]
+        order = np.random.default_rng([config.seed, _STREAM_SHUFFLE, epoch]).permutation(len(train_seqs))
+        for rows, drop_rng in minibatches(order, config.batch_size, config.seed, _STREAM_DROPOUT, epoch):
             seqs = [train_seqs[i] for i in rows]
-            drop_rng = np.random.default_rng([config.seed, _STREAM_DROPOUT, epoch, batch_no])
             with Tape() as tape:
                 logits = _batch_logits(seqs, weights, head_w, head_b, encoder_config, True, drop_rng)
                 loss = T.cross_entropy(logits, train_gold[rows])
-                if not np.isfinite(loss.data):
-                    raise TrainingDivergedError(
-                        f"non-finite loss at step {optimizer.step_count + 1} (epoch {epoch})"
-                    )
-                backward(loss, tape)
-            optimizer.step()
-            optimizer.zero_grad()
-        if task.kind is TaskKind.MRC:
-            _, report = evaluate_mrc(model, vocab, dev_records)
-            score = (report.mrc_accuracy, report.macro_f1)
-        else:
-            _, report = evaluate_classifier(model, vocab, dev_records)
-            score = (report.accuracy, report.macro_f1)
+                optimizer.descend(loss, tape, epoch)
+        # An MRC report's accuracy is its question-level accuracy.
+        _, report = evaluate(model, vocab, dev_records)
+        score = (report.accuracy, report.macro_f1)
         if best is None or score > best:
             best = score
             best_state = (weights.to_arrays(), head_w.data.copy(), head_b.data.copy())
@@ -302,6 +291,13 @@ def finetune_classifier(
     model.head_weight = Tensor(hw, requires_grad=True)
     model.head_bias = Tensor(hb, requires_grad=True)
     return model, best_report
+
+
+def evaluate(model: FinetunedModel, vocab: Vocabulary, records: Sequence[dict]) -> tuple[list[dict], MetricsReport]:
+    """Predictions and metrics for records of the model's task: MRC questions or classifier records."""
+    if model.kind is TaskKind.MRC:
+        return evaluate_mrc(model, vocab, records)
+    return evaluate_classifier(model, vocab, records)
 
 
 def evaluate_classifier(

@@ -1,19 +1,28 @@
-"""Adam with decoupled weight decay over named parameter collections."""
+"""Adam with decoupled weight decay, and the batch schedule and step both trainers share."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from .errors import ConfigError, TrainingDivergedError
-from .tensor import Tensor
+from .tensor import Tape, Tensor, backward
 
-__all__ = ["QUIET_FLOAT_ERRORS", "AdamW"]
+__all__ = ["QUIET_FLOAT_ERRORS", "AdamW", "minibatches"]
 
 # ``np.errstate`` settings for a training run.  Overflow on the way to a
-# non-finite loss or gradient is expected when a run diverges; the trainers'
-# loss check and ``AdamW.step``'s gradient check report it as one
-# TrainingDivergedError, so numpy's warnings would only repeat it.
+# non-finite loss or gradient is expected when a run diverges;
+# ``AdamW.descend``'s loss check and ``AdamW.step``'s gradient check report it
+# as one TrainingDivergedError, so numpy's warnings would only repeat it.
 QUIET_FLOAT_ERRORS = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
+
+
+def minibatches(order: np.ndarray, batch_size: int, seed: int, stream: int, epoch: int):
+    """Yield ``(rows, rng)`` for each consecutive block ``b`` of ``order`` (the last may be short).
+
+    ``rng`` is ``default_rng([seed, stream, epoch, b])``, the block's dropout generator.
+    """
+    for batch_no, start in enumerate(range(0, len(order), batch_size)):
+        yield order[start : start + batch_size], np.random.default_rng([seed, stream, epoch, batch_no])
 
 
 class AdamW:
@@ -49,6 +58,17 @@ class AdamW:
         self.step_count = 0
         self._m = {name: np.zeros_like(p.data) for name, p in self.params.items()}
         self._v = {name: np.zeros_like(p.data) for name, p in self.params.items()}
+
+    def descend(self, loss: Tensor, tape: Tape, epoch: int) -> None:
+        """Backpropagate ``loss`` through ``tape``, update, and clear the gradients.
+
+        A non-finite loss raises TrainingDivergedError before anything changes.
+        """
+        if not np.isfinite(loss.data):
+            raise TrainingDivergedError(f"non-finite loss at step {self.step_count + 1} (epoch {epoch})")
+        backward(loss, tape)
+        self.step()
+        self.zero_grad()
 
     def zero_grad(self) -> None:
         for p in self.params.values():

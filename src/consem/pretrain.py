@@ -36,10 +36,10 @@ from .encoder import (
     forward_batch,
     pool,
 )
-from .errors import ConfigError, ContractError, DataError, ShapeError, TrainingDivergedError
+from .errors import ConfigError, ContractError, DataError, ShapeError
 from .files import write_csv
-from .optim import QUIET_FLOAT_ERRORS, AdamW
-from .tensor import Tape, Tensor, backward
+from .optim import QUIET_FLOAT_ERRORS, AdamW, minibatches
+from .tensor import Tape, Tensor
 from .text import (
     CLS_ID,
     MASK_ID,
@@ -281,7 +281,7 @@ def train(
             f"encoder vocab_size {encoder_config.vocab_size} does not match vocabulary size {vocab.size}"
         )
     if init_weights is not None and init_weights.config != encoder_config:
-        raise ConfigError("warm-start weights were built for a different encoder configuration")
+        raise ConfigError("warm-start weights have a different encoder architecture")
 
     selected = select_fraction(len(triples), config.data_fraction, config.seed)
     train_idx, val_idx = _split_validation(len(selected), config.validation_fraction, config.seed)
@@ -301,7 +301,6 @@ def train(
         weight_decay=config.weight_decay,
     )
     records: list[LossRecord] = []
-    step = 0
     for epoch in range(1, config.epochs + 1):
         shuffle_rng = np.random.default_rng([config.seed, _STREAM_SHUFFLE, epoch])
         passes = [("train", train_idx[shuffle_rng.permutation(len(train_idx))])]
@@ -316,8 +315,7 @@ def train(
             train_mode = split == "train"
             mlm_stream = _STREAM_MLM_TRAIN if train_mode else _STREAM_MLM_VAL
             sums = {"contrastive": 0.0, "mlm": 0.0, "rows": 0}
-            for batch_no, start in enumerate(range(0, len(order), config.batch_size)):
-                rows = order[start : start + config.batch_size]
+            for rows, drop_rng in minibatches(order, config.batch_size, config.seed, _STREAM_DROPOUT, epoch):
                 batch = (
                     [anchors[i] for i in rows],
                     [positives[i] for i in rows],
@@ -329,20 +327,12 @@ def train(
                     else None
                 )
                 if train_mode:
-                    drop_rng = np.random.default_rng([config.seed, _STREAM_DROPOUT, epoch, batch_no])
                     with Tape() as tape:
                         cl, ml = _batch_losses(
                             batch, mlm_batch, weights, encoder_config, config, True, drop_rng
                         )
                         loss = cl if ml is None else T.add(cl, T.scale(ml, config.mlm_weight))
-                        if not np.isfinite(loss.data):
-                            raise TrainingDivergedError(
-                                f"non-finite loss at step {step + 1} (epoch {epoch})"
-                            )
-                        backward(loss, tape)
-                    optimizer.step()
-                    optimizer.zero_grad()
-                    step += 1
+                        optimizer.descend(loss, tape, epoch)
                 else:
                     cl, ml = _batch_losses(batch, mlm_batch, weights, encoder_config, config, False, None)
                 sums["contrastive"] += float(cl.data) * len(rows)
@@ -353,7 +343,7 @@ def train(
             records.append(
                 LossRecord(
                     epoch=epoch,
-                    step=step,
+                    step=optimizer.step_count,
                     split=split,
                     contrastive=mean_cl,
                     mlm=mean_ml,
@@ -365,7 +355,7 @@ def train(
         encoder_config=encoder_config,
         pretrain_config=config.to_dict(),
         vocab_hash=vocab.content_hash(),
-        step=step,
+        step=optimizer.step_count,
         params=weights.to_arrays(),
     )
     return final, records

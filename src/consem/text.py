@@ -240,16 +240,12 @@ def prepare_contrastive(examples: Sequence[NliExample]) -> tuple[list[Contrastiv
     hard negative are dropped.
     """
     groups: dict[tuple[str, str], dict] = {}
-    order: list[tuple[str, str]] = []
     stats: dict[str, SourceStats] = {}
     for ex in examples:
         key = (ex.source, _normalize_ws(ex.premise))
         if key not in groups:
             groups[key] = {"premise": ex.premise, "entailment": [], "contradiction": []}
-            order.append(key)
             stats.setdefault(ex.source, SourceStats()).premises += 1
-        else:
-            stats.setdefault(ex.source, SourceStats())
         if ex.label == "entailment":
             groups[key]["entailment"].append(ex.hypothesis)
             stats[ex.source].entailment += 1
@@ -257,9 +253,7 @@ def prepare_contrastive(examples: Sequence[NliExample]) -> tuple[list[Contrastiv
             groups[key]["contradiction"].append(ex.hypothesis)
             stats[ex.source].contradiction += 1
     triples: list[ContrastiveTriple] = []
-    for key in order:
-        source = key[0]
-        group = groups[key]
+    for (source, _), group in groups.items():
         for positive, negative in zip(group["entailment"], group["contradiction"]):
             if positive == negative:
                 continue

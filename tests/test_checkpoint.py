@@ -158,9 +158,9 @@ class _TornFile:
 
 def _sweep(directory, inputs, version):
     # Every leg fails on its value before training, so only sweep.csv and
-    # run_config.txt are written.
+    # run_config.txt are written.  The values differ, since sweep rejects a repeat.
     triples, vocab, tasks = inputs
-    values = ",".join(["oops"] * (version + 1))
+    values = ",".join(f"oops{i}" for i in range(version + 1))
     args = build_parser().parse_args(
         ["sweep", "--axis", "tau", "--values", values, "--triples", str(triples), "--vocab", str(vocab),
          "--train", str(tasks), "--dev", str(tasks), "--out", str(directory)]

@@ -581,6 +581,18 @@ def test_bad_field_is_one_error_line(workspace, task_models, tmp_path, capsys, c
     assert f"'{field}'" in err and "Traceback" not in err, err
 
 
+@pytest.mark.parametrize("command,flag", [("finetune", "--dev"), ("evaluate", "--data")])
+def test_unknown_label_names_the_file(workspace, tmp_path, capsys, command, flag):
+    bad = tmp_path / "bad.jsonl"
+    _write_jsonl(bad, [dict(_VALID_RECORDS["pair"], label="neutral")])
+    argv = _argv_with(workspace, command, flag, bad, tmp_path / "out")
+    if command == "finetune":
+        argv += ["--task", "pair", "--ft-epochs", "1"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {bad}:1: unknown label 'neutral'; expected one of ['contradiction', 'entailment']\n"
+
+
 def test_import_loads_no_scipy():
     # numpy is the one runtime dependency; scipy serves only the tests.
     src = Path(__file__).resolve().parents[1] / "src"
@@ -716,6 +728,22 @@ class TestConfigHandling:
         archived.update_from_file(tmp_path / "ft" / "run_config.txt")
         assert archived.labels == labels
 
+    def test_archived_config_names_the_inputs_read(self, workspace, tmp_path):
+        # The file names other inputs; each command archives the ones its flags made it read.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("triples = /nonexistent/triples.jsonl\nvocab = /nonexistent/vocab.txt\n"
+                       "train_data = /nonexistent/train.jsonl\ndev_data = /nonexistent/dev.jsonl\n")
+        assert main(["pretrain", "--config", str(cfg), "--triples", str(workspace.triples),
+                     "--vocab", str(workspace.vocab), "--epochs", "1", "--out", str(tmp_path / "pre")] + _SMALL) == 0
+        assert main(["finetune", "--config", str(cfg), "--checkpoint", str(tmp_path / "pre" / "checkpoint.bin"),
+                     "--vocab", str(workspace.vocab), "--train", str(workspace.train), "--dev", str(workspace.dev),
+                     "--ft-epochs", "1", "--out", str(tmp_path / "ft")]) == 0
+        pre, ft = RunConfig(), RunConfig()
+        pre.update_from_file(tmp_path / "pre" / "run_config.txt")
+        ft.update_from_file(tmp_path / "ft" / "run_config.txt")
+        assert (pre.triples, pre.vocab) == (str(workspace.triples), str(workspace.vocab))
+        assert (ft.vocab, ft.train_data, ft.dev_data) == (str(workspace.vocab), str(workspace.train), str(workspace.dev))
+
     def test_unknown_config_key_fails(self, workspace, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("warp_speed = 9\n")
@@ -767,6 +795,32 @@ class TestSweep:
             for name in ("checkpoint.bin", "loss_log.csv", "model.bin", "dev_metrics.json"):
                 assert (leg / name).exists()
             assert load_checkpoint(leg / "checkpoint.bin").pretrain_config["tau"] == float(value)
+
+    def test_leg_reproduces_from_its_run_config(self, workspace, tmp_path):
+        files = ["--vocab", str(workspace.vocab), "--train", str(workspace.train), "--dev", str(workspace.dev)]
+        argv = ["sweep", "--axis", "tau", "--values", "0.1", "--triples", str(workspace.triples), *files,
+                "--task", "pair", "--epochs", "1", "--batch-size", "8", "--ft-epochs", "1",
+                "--out", str(tmp_path / "sweep")] + _SMALL
+        assert main(argv) == 0
+        leg = tmp_path / "sweep" / "legs" / "tau=0.1"
+        cfg = str(leg / "run_config.txt")
+        assert main(["pretrain", "--config", cfg, "--triples", str(workspace.triples),
+                     "--vocab", str(workspace.vocab), "--out", str(tmp_path / "pre")]) == 0
+        assert main(["finetune", "--config", cfg, "--checkpoint", str(tmp_path / "pre" / "checkpoint.bin"),
+                     *files, "--out", str(tmp_path / "ft")]) == 0
+        for rerun, name in (("pre", "checkpoint.bin"), ("pre", "run_config.txt"),
+                            ("ft", "model.bin"), ("ft", "run_config.txt")):
+            assert (tmp_path / rerun / name).read_bytes() == (leg / name).read_bytes(), (rerun, name)
+
+    def test_repeated_value_rejected_before_any_leg(self, workspace, tmp_path, capsys):
+        argv = ["sweep", "--axis", "tau", "--values", "0.1, 0.05,0.1 ",
+                "--triples", str(workspace.triples), "--vocab", str(workspace.vocab),
+                "--train", str(workspace.train), "--dev", str(workspace.dev),
+                "--task", "pair", "--epochs", "1", "--out", str(tmp_path / "out")] + _SMALL
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == "error: sweep value '0.1' is listed more than once in ['0.1', '0.05', '0.1']\n"
+        assert not (tmp_path / "out").exists()
 
     def test_lambda_axis_accepts_without_marker(self, workspace, tmp_path):
         argv = ["sweep", "--axis", "lambda", "--values", "w/o,0.1",

@@ -124,8 +124,11 @@ class TestPairTask:
 
     def test_unknown_dev_label_names_line(self, pair_run):
         model, _, _, _, vocab = pair_run
-        bad = [{"text_a": "a river", "text_b": "a river", "label": "maybe", "line": 17}]
-        with pytest.raises(DataError, match="line 17.*unknown label"):
+        bad = [{"text_a": "a river", "text_b": "a river", "label": "maybe", "where": "dev.jsonl:17"}]
+        with pytest.raises(DataError, match="^dev.jsonl:17: unknown label 'maybe'"):
+            evaluate_classifier(model, vocab, bad)
+        del bad[0]["where"]
+        with pytest.raises(DataError, match="^record 1: unknown label 'maybe'"):
             evaluate_classifier(model, vocab, bad)
 
     def test_wrong_vocabulary_rejected(self, micro_checkpoint):
@@ -292,8 +295,8 @@ class TestLoadTaskRecords:
         ]
         path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
         records = load_task_records(path, TaskSpec(TaskKind.PAIR))
-        assert records[0]["text_a"] == "a" and records[0]["line"] == 1
-        assert records[1]["label"] == "contradiction" and records[1]["line"] == 2
+        assert records[0]["text_a"] == "a" and records[0]["where"] == f"{path}:1"
+        assert records[1]["label"] == "contradiction" and records[1]["where"] == f"{path}:2"
 
     def test_malformed_json_names_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"

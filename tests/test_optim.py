@@ -1,11 +1,12 @@
-"""Optimizer behavior: anchor updates, descent, and divergence detection."""
+"""Optimizer behavior: anchor updates, descent, divergence detection, and the batch schedule."""
 
 import numpy as np
 import pytest
 
 from consem.errors import ConfigError, TrainingDivergedError
-from consem.optim import AdamW
-from consem.tensor import Tensor, precision
+from consem import tensor as T
+from consem.optim import AdamW, minibatches
+from consem.tensor import Tape, Tensor, precision
 
 
 def test_zero_grad_zero_decay_leaves_parameters_unchanged():
@@ -98,3 +99,39 @@ def test_deterministic_across_rebuilds(f64):
             return p.data.tobytes()
 
     assert run() == run()
+
+
+def test_minibatches_cover_order_once_in_order_with_seeded_rngs():
+    order = np.array([7, 2, 9, 0, 4, 1, 8])
+    blocks = list(minibatches(order, 3, seed=11, stream=4, epoch=2))
+    assert [rows.tolist() for rows, _ in blocks] == [[7, 2, 9], [0, 4, 1], [8]]
+    for b, (_, rng) in enumerate(blocks):
+        expected = np.random.default_rng([11, 4, 2, b]).random(5)
+        np.testing.assert_array_equal(rng.random(5), expected)
+
+
+def test_minibatches_of_an_empty_order_yield_nothing():
+    assert list(minibatches(np.array([], dtype=np.intp), 4, seed=0, stream=1, epoch=1)) == []
+
+
+def test_descend_steps_and_clears_gradients():
+    p = Tensor([1.0, -1.0], requires_grad=True)
+    opt = AdamW({"p": p}, learning_rate=0.1, weight_decay=0.0)
+    with Tape() as tape:
+        loss = T.reduce_sum(T.mul(p, p))
+        opt.descend(loss, tape, epoch=1)
+    np.testing.assert_allclose(p.data, [0.9, -0.9], atol=1e-6)
+    assert opt.step_count == 1 and p.grad is None
+
+
+def test_descend_on_nan_loss_raises_before_any_change():
+    p = Tensor([1.0, -1.0], requires_grad=True)
+    opt = AdamW({"p": p}, learning_rate=0.1)
+    opt.step()
+    before = p.data.copy()
+    with Tape() as tape:
+        loss = T.reduce_sum(T.mul(p, Tensor([np.nan, 1.0])))
+        with pytest.raises(TrainingDivergedError, match=r"^non-finite loss at step 2 \(epoch 3\)$"):
+            opt.descend(loss, tape, epoch=3)
+    np.testing.assert_array_equal(p.data, before)
+    assert opt.step_count == 1 and p.grad is None
