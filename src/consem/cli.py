@@ -19,6 +19,8 @@ leakage was found).
 from __future__ import annotations
 
 import argparse
+import ctypes
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -472,7 +474,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# glibc's mallopt parameters, and the values main sets.  By default glibc
+# serves large blocks by mmap and hands free heap top back to the OS, both
+# from 128 KB up (the thresholds rise as freed blocks grow), so a training
+# step's activations were paged in anew on nearly every op.  Keeping them
+# costs little peak RSS, since the heap stays near the size of one step.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD_BYTES = 32 << 20
+_TRIM_THRESHOLD_BYTES = 256 << 20
+
+
+@functools.cache
+def _keep_freed_memory() -> None:
+    """Have glibc keep freed memory in the process; a no-op where libc has no ``mallopt``."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
+
+
 def main(argv=None) -> int:
+    _keep_freed_memory()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

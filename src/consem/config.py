@@ -1,10 +1,13 @@
 """Flat key-value run configuration shared by every command.
 
-A configuration file holds ``key = value`` lines (``#`` starts a comment)
-over a closed schema; unknown keys are rejected so typos fail loudly.
-Command-line flags override file values, and the resolved configuration
-is archived next to a run's outputs in the same format, which makes any
-run reproducible from its artifact directory alone.
+A configuration file holds ``key = value`` lines over a closed schema;
+a line whose first non-blank character is ``#`` is a comment, and a ``#``
+anywhere else is part of the value.  Unknown keys are rejected so typos
+fail loudly.  Command-line flags override file values, and the resolved
+configuration is archived next to a run's outputs in the same format,
+which makes any run reproducible from its artifact directory alone: a
+value that the format cannot hold back (a line break, blank space at
+either end, text that is not UTF-8) is rejected when it is set.
 """
 
 from __future__ import annotations
@@ -83,15 +86,15 @@ class _RunConfigBase:
     def update_from_file(self, path: str | Path) -> None:
         types = self.field_types()
         for lineno, raw in enumerate(read_utf8(path, ConfigError).split("\n"), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
+            line = raw.strip()
+            if not line or line.startswith("#"):
                 continue
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
             key, value = (part.strip() for part in line.split("=", 1))
             if key not in types:
                 raise ConfigError(f"{path}:{lineno}: unknown configuration key {key!r}")
-            setattr(self, key, _convert(key, value, types[key]))
+            self.update({key: value})
 
     def update(self, overrides: dict) -> None:
         """Apply explicit overrides (values may be strings or already typed)."""
@@ -103,10 +106,18 @@ class _RunConfigBase:
                 raise ConfigError(f"unknown configuration key {key!r}")
             if isinstance(value, str):
                 value = _convert(key, value, types[key])
-            setattr(self, key, types[key](value))
+            value = types[key](value)
+            if isinstance(value, str):
+                _check_archivable(key, value)
+            setattr(self, key, value)
 
     def write(self, path: str | Path) -> None:
-        lines = [f"{f.name} = {getattr(self, f.name)}" for f in sorted(fields(self), key=lambda f: f.name)]
+        lines = []
+        for f in sorted(fields(self), key=lambda f: f.name):
+            value = getattr(self, f.name)
+            if isinstance(value, str):
+                _check_archivable(f.name, value)
+            lines.append(f"{f.name} = {value}")
         write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
     def build(self, section: type, **extra):
@@ -134,3 +145,18 @@ def _convert(key: str, value: str, target: type):
         return value
     except ValueError as exc:
         raise ConfigError(f"configuration key {key!r} expects {target.__name__}, got {value!r}") from exc
+
+
+def _check_archivable(key: str, value: str) -> None:
+    """Reject a string that a ``key = value`` line cannot carry back unchanged."""
+    if "\n" in value or "\r" in value:
+        problem = "holds a line break"
+    elif value != value.strip():
+        problem = "starts or ends with blank space"
+    else:
+        try:
+            value.encode("utf-8")
+            return
+        except UnicodeEncodeError:
+            problem = "is not valid UTF-8 text"
+    raise ConfigError(f"configuration key {key!r}: value {value!r} {problem}, which run_config.txt cannot hold")

@@ -188,9 +188,12 @@ class LayerOutputs:
 def _dropout(x, config, train_mode, rng):
     if not (train_mode and config.dropout > 0.0):
         return x
-    # Noise is drawn over the fixed (batch, max_len, d) grid and cut to this
-    # batch's length, so a real position's mask depends only on the seed, its
-    # row and its position, not on how long its batch-mates are.
+    # The mask is that of noise over the fixed (batch, max_len, d) grid cut to
+    # this batch's length, so a real position's mask depends only on the seed,
+    # its row and its position, not on how long its batch-mates are.  Only the
+    # used seq_len * d values of each grid row are drawn: one float64 draw
+    # takes one PCG64 output, so advancing the generator past the rest of the
+    # row gives the full draw's masks and leaves the generator in its state.
     batch, _, d = x.shape
     return T.dropout(x, config.dropout, rng, grid=(batch, config.max_len, d))
 

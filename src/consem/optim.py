@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, TrainingDivergedError
+from .errors import ConfigError, ContractError, TrainingDivergedError
 from .tensor import Tape, Tensor, backward
 
 __all__ = ["QUIET_FLOAT_ERRORS", "AdamW", "minibatches"]
@@ -25,13 +25,33 @@ def minibatches(order: np.ndarray, batch_size: int, seed: int, stream: int, epoc
         yield order[start : start + batch_size], np.random.default_rng([seed, stream, epoch, batch_no])
 
 
+# Each parameter's slot in the flat buffer starts on a 64-byte boundary,
+# the width of a cache line and of an AVX-512 register.
+_ALIGN_BYTES = 64
+
+
+def _aligned_zeros(size: int, dtype: np.dtype) -> np.ndarray:
+    """A zeroed 1-d array of ``size`` elements whose first element is 64-byte aligned."""
+    pad = _ALIGN_BYTES // dtype.itemsize
+    raw = np.zeros(size + pad, dtype=dtype)
+    skip = (-raw.ctypes.data % _ALIGN_BYTES) // dtype.itemsize
+    return raw[skip : skip + size]
+
+
 class AdamW:
     """First/second-moment adaptive steps plus decoupled weight decay.
 
-    Moment buffers are keyed by parameter name and updated in insertion
-    order, so two optimizers built from the same parameter mapping evolve
-    identically.  The decay term is applied directly to the parameter,
-    outside the adaptive update.
+    The parameters, which must share one dtype, are packed into one flat
+    buffer in insertion order: construction copies each parameter's
+    ``data`` into its own 64-byte aligned slot and rebinds ``data`` to a
+    view of that slot, so arrays held from before construction are no
+    longer the parameters.  The moments, the gradients and the update live in
+    flat buffers of the same layout, so :meth:`step` is a fixed number of
+    whole-buffer ufunc calls however many parameters there are; the zero
+    padding between slots stays zero.  Each element takes the same
+    float operations as a per-parameter update, so two optimizers built
+    from the same parameter mapping evolve identically.  The decay term is
+    applied directly to the parameter, outside the adaptive update.
     """
 
     def __init__(
@@ -49,15 +69,33 @@ class AdamW:
             raise ConfigError(f"betas must lie in [0, 1), got {beta1}, {beta2}")
         if weight_decay < 0.0:
             raise ConfigError(f"weight decay must be non-negative, got {weight_decay}")
+        dtypes = sorted({str(p.data.dtype) for p in params.values()})
+        if len(dtypes) > 1:
+            raise ContractError(f"AdamW needs parameters of one dtype, got {', '.join(dtypes)}")
         self.params = dict(params)
-        self.learning_rate = learning_rate
-        self.weight_decay = weight_decay
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
+        # Python floats, so every constant enters the update in the buffer's dtype.
+        self.learning_rate = float(learning_rate)
+        self.weight_decay = float(weight_decay)
+        self.beta1 = float(beta1)
+        self.beta2 = float(beta2)
+        self.eps = float(eps)
         self.step_count = 0
-        self._m = {name: np.zeros_like(p.data) for name, p in self.params.items()}
-        self._v = {name: np.zeros_like(p.data) for name, p in self.params.items()}
+        dtype = np.dtype(dtypes[0] if dtypes else np.float32)
+        align = _ALIGN_BYTES // dtype.itemsize
+        starts, size = [], 0
+        for p in self.params.values():
+            starts.append(size)
+            size += -(-p.data.size // align) * align
+        self._flat, self._m, self._v, self._grad, self._update, self._scratch = (
+            _aligned_zeros(size, dtype) for _ in range(6)
+        )
+        self._grads: list[np.ndarray] = []
+        for p, start in zip(self.params.values(), starts):
+            slot = slice(start, start + p.data.size)
+            view = self._flat[slot].reshape(p.data.shape)
+            view[...] = p.data
+            p.data = view
+            self._grads.append(self._grad[slot].reshape(p.data.shape))
 
     def descend(self, loss: Tensor, tape: Tape, epoch: int) -> None:
         """Backpropagate ``loss`` through ``tape``, update, and clear the gradients.
@@ -79,29 +117,38 @@ class AdamW:
 
         Parameters whose ``grad`` is ``None`` are treated as having a zero
         gradient (their moments still decay and weight decay still applies).
-        A non-finite gradient aborts with an error naming the parameter.
+        A non-finite gradient raises an error naming the first such
+        parameter, before any parameter or moment changes.
         """
-        self.step_count += 1
-        t = self.step_count
-        bc1 = 1.0 - self.beta1**t
-        bc2 = 1.0 - self.beta2**t
-        for name, p in self.params.items():
-            g = p.grad
-            if g is None:
-                g = np.zeros_like(p.data)
-            elif not np.all(np.isfinite(g)):
-                raise TrainingDivergedError(
-                    f"non-finite gradient for parameter '{name}' at step {t}"
-                )
-            m = self._m[name]
-            v = self._v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            mhat = m / bc1
-            vhat = v / bc2
-            update = mhat / (np.sqrt(vhat) + self.eps)
-            if self.weight_decay:
-                update = update + self.weight_decay * p.data
-            p.data -= (self.learning_rate * update).astype(p.data.dtype, copy=False)
+        t = self.step_count + 1
+        for p, g in zip(self.params.values(), self._grads):
+            if p.grad is None:
+                g.fill(0)
+            else:
+                np.copyto(g, p.grad)
+        g = self._grad
+        # The sum is finite unless a gradient is not (or the sum overflows);
+        # only then is each parameter checked on its own.
+        if not np.isfinite(g.sum()):
+            for name, pg in zip(self.params, self._grads):
+                if not np.isfinite(pg).all():
+                    raise TrainingDivergedError(f"non-finite gradient for parameter '{name}' at step {t}")
+        self.step_count = t
+        m, v, update, scratch = self._m, self._v, self._update, self._scratch
+        m *= self.beta1
+        np.multiply(g, 1.0 - self.beta1, out=scratch)
+        m += scratch
+        v *= self.beta2
+        np.multiply(g, g, out=scratch)
+        scratch *= 1.0 - self.beta2
+        v += scratch
+        np.divide(m, 1.0 - self.beta1**t, out=update)
+        np.divide(v, 1.0 - self.beta2**t, out=scratch)
+        np.sqrt(scratch, out=scratch)
+        scratch += self.eps
+        update /= scratch
+        if self.weight_decay:
+            np.multiply(self._flat, self.weight_decay, out=scratch)
+            update += scratch
+        update *= self.learning_rate
+        self._flat -= update

@@ -530,23 +530,32 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = LAYER_NORM_EP
             f"layer_norm gain/bias must have shape {x.data.shape[-1:]}, "
             f"got {gain.data.shape} and {bias.data.shape}"
         )
+    # The unfused formula's operations in its order, written into two owned
+    # full-size buffers: ``xhat`` (kept for the backward) and the output.
     mu = x.data.mean(axis=-1, keepdims=True)
-    centered = x.data - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
+    xhat = np.subtract(x.data, mu)
+    y = np.multiply(xhat, xhat)
+    var = y.mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + x.data.dtype.type(eps))
-    xhat = centered * inv
-    out = Tensor._result(xhat * gain.data + bias.data, _requires(x, gain, bias))
+    xhat *= inv
+    np.multiply(xhat, gain.data, out=y)
+    y += bias.data
+    out = Tensor._result(y, _requires(x, gain, bias))
     lead = tuple(range(x.data.ndim - 1))
 
     def backward_fn(g):
-        ggain = (g * xhat).sum(axis=lead) if lead else (g * xhat)
-        gbias = g.sum(axis=lead) if lead else g.copy()
-        gh = g * gain.data
-        gx = inv * (
-            gh
-            - gh.mean(axis=-1, keepdims=True)
-            - xhat * (gh * xhat).mean(axis=-1, keepdims=True)
-        )
+        # inv * (gh - mean(gh) - xhat * mean(gh * xhat)), gh = g * gain, with
+        # ``gx`` built in place from gh and one scratch buffer.
+        scratch = np.multiply(g, xhat)
+        ggain = scratch.sum(axis=lead)
+        gbias = g.sum(axis=lead)
+        gx = np.multiply(g, gain.data)
+        gh_mean = gx.mean(axis=-1, keepdims=True)
+        np.multiply(gx, xhat, out=scratch)
+        np.multiply(xhat, scratch.mean(axis=-1, keepdims=True), out=scratch)
+        gx -= gh_mean
+        gx -= scratch
+        gx *= inv
         return gx, ggain, gbias
 
     _record(out, (x, gain, bias), backward_fn)
@@ -621,11 +630,34 @@ def gelu(x: Tensor) -> Tensor:
     out = Tensor._result(x.data * cdf, True)
 
     def backward_fn(g):
-        pdf = np.exp(-0.5 * x.data * x.data) * x.data.dtype.type(_INV_SQRT_2PI)
-        return (g * (cdf + x.data * pdf),)
+        return (_gelu_grad(x.data, cdf, g),)
 
     _record(out, (x,), backward_fn)
     return out
+
+
+def _gelu_grad(x: np.ndarray, cdf: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """``g * (Phi(x) + x * phi(x))`` in ``x``'s dtype, over blocks of ``GELU_BLOCK``.
+
+    Each block takes the unblocked formula's steps in its order,
+    ``g * (cdf + x * (exp((-0.5 * x) * x) * c))``, in place in the output,
+    so the result is bit-equal to it and no full-size temporary is made.
+    """
+    kind = x.dtype.type
+    neg_half, c = kind(-0.5), kind(_INV_SQRT_2PI)
+    gx = np.empty(x.shape, dtype=x.dtype)
+    flat_x, flat_cdf, flat_g, flat_gx = (a.reshape(-1) for a in (x, cdf, g, gx))
+    for start in range(0, x.size, GELU_BLOCK):
+        block = slice(start, start + GELU_BLOCK)
+        xb, ob = flat_x[block], flat_gx[block]
+        np.multiply(xb, neg_half, out=ob)
+        ob *= xb
+        np.exp(ob, out=ob)
+        ob *= c
+        ob *= xb
+        ob += flat_cdf[block]
+        ob *= flat_g[block]
+    return gx
 
 
 def normalize_rows(x: Tensor) -> Tensor:
@@ -699,17 +731,21 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
 def dropout(x: Tensor, rate: float, rng: np.random.Generator, grid: tuple | None = None) -> Tensor:
     """Inverted dropout: zero entries with probability ``rate``, rescale the rest.
 
-    Noise is drawn over ``grid`` (default ``x.shape``) and cut to its leading
-    ``x.shape`` corner.  Intended for training mode only; evaluation code
-    should simply not call it.
+    The mask is that of noise drawn over ``grid`` (default ``x.shape``) and
+    cut to its leading ``x.shape`` corner, and ``rng`` is left as that draw
+    leaves it.  Intended for training mode only; evaluation code should
+    simply not call it.
     """
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
     if rate == 0.0:
         return x
-    noise = rng.random(grid or x.data.shape)[tuple(map(slice, x.data.shape))]
-    keep = (noise >= rate).astype(x.data.dtype)
-    keep /= x.data.dtype.type(1.0 - rate)
+    shape = x.data.shape
+    grid = tuple(grid or shape)
+    if len(grid) != len(shape) or any(g < n for g, n in zip(grid, shape)):
+        raise ShapeError(f"dropout grid {grid} does not contain the input shape {shape}")
+    kind = x.data.dtype.type
+    keep = np.where(_corner_noise(rng, shape, grid) >= rate, kind(1) / kind(1.0 - rate), kind(0))
     out = Tensor._result(x.data * keep, x.requires_grad)
 
     def backward_fn(g):
@@ -717,3 +753,25 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator, grid: tuple | None
 
     _record(out, (x,), backward_fn)
     return out
+
+
+def _corner_noise(rng: np.random.Generator, shape: tuple, grid: tuple) -> np.ndarray:
+    """``rng.random(grid)`` cut to its leading ``shape`` corner, drawing only that corner.
+
+    When only the first two axes are cut, each row's corner is the first
+    ``prod(shape[1:])`` values of its grid row.  One float64 draw takes
+    exactly one PCG64 output, so drawing those values and then advancing
+    the generator past the rest of the row (and past the grid rows beyond
+    ``shape[0]``) yields the same values and the same final state as the
+    full draw.  Other generators and cuts take the full draw.
+    """
+    if grid == shape or grid[2:] != shape[2:] or not isinstance(rng.bit_generator, np.random.PCG64):
+        return rng.random(grid)[tuple(map(slice, shape))]
+    rows, used = shape[0], int(np.prod(shape[1:]))
+    row_size = int(np.prod(grid[1:]))
+    noise = np.empty((rows, used))
+    for r in range(rows):
+        rng.random(used, out=noise[r])
+        rng.bit_generator.advance(row_size - used)
+    rng.bit_generator.advance((grid[0] - rows) * row_size)
+    return noise.reshape(shape)

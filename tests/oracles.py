@@ -3,8 +3,9 @@
 Everything here is written in plain python loops (plus math) on purpose:
 these functions must not share code paths, vectorization tricks, or
 reduction orders with the package under test.  The exceptions are
-``composed_forward_batch``, ``composed_contrastive_loss`` and ``erf_gelu``
-at the end, references built from the package's own tensor ops or scipy.
+``composed_forward_batch``, ``composed_contrastive_loss``, ``erf_gelu`` and
+the unfused kernels at the end, references built from the package's own
+tensor ops, numpy or scipy.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from scipy.special import erf
 
 from consem import tensor as T
 from consem.encoder import ATTENTION_MASK_BIAS, LayerOutputs
+from consem.errors import TrainingDivergedError
 from consem.text import PAD_ID
 
 
@@ -203,3 +205,105 @@ def erf_normal_cdf(x: np.ndarray) -> np.ndarray:
 def erf_gelu(x: T.Tensor) -> T.Tensor:
     """``x * Phi(x)`` through :func:`erf_normal_cdf`; evaluation only, it records no gradient."""
     return T.constant(x.data * erf_normal_cdf(x.data), dtype=x.data.dtype)
+
+
+# The training step's elementwise kernels as they were before they were
+# blocked, fused into owned buffers or packed into one flat buffer: dropout
+# from a full-grid draw, layer norm and the GELU backward from whole-array
+# expressions, AdamW one parameter at a time.  The package's kernels must
+# give the same bits, so tests patch these in and compare artifact bytes.
+
+
+def full_grid_dropout(x: T.Tensor, rate: float, rng, grid=None) -> T.Tensor:
+    """``tensor.dropout`` drawing noise over the whole grid, then cutting it."""
+    if rate == 0.0:
+        return x
+    noise = rng.random(grid or x.data.shape)[tuple(map(slice, x.data.shape))]
+    keep = (noise >= rate).astype(x.data.dtype)
+    keep /= x.data.dtype.type(1.0 - rate)
+    out = T.Tensor._result(x.data * keep, x.requires_grad)
+    T._record(out, (x,), lambda g: (g * keep,))
+    return out
+
+
+def unfused_layer_norm(x: T.Tensor, gain: T.Tensor, bias: T.Tensor, eps: float = T.LAYER_NORM_EPS) -> T.Tensor:
+    """``tensor.layer_norm`` with a fresh array for every intermediate."""
+    mu = x.data.mean(axis=-1, keepdims=True)
+    centered = x.data - mu
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + x.data.dtype.type(eps))
+    xhat = centered * inv
+    out = T.Tensor._result(xhat * gain.data + bias.data, x.requires_grad or gain.requires_grad or bias.requires_grad)
+    lead = tuple(range(x.data.ndim - 1))
+
+    def backward_fn(g):
+        ggain = (g * xhat).sum(axis=lead) if lead else (g * xhat)
+        gbias = g.sum(axis=lead) if lead else g.copy()
+        gh = g * gain.data
+        gx = inv * (
+            gh
+            - gh.mean(axis=-1, keepdims=True)
+            - xhat * (gh * xhat).mean(axis=-1, keepdims=True)
+        )
+        return gx, ggain, gbias
+
+    T._record(out, (x, gain, bias), backward_fn)
+    return out
+
+
+def unfused_gelu_grad(x: np.ndarray, cdf: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The GELU input gradient as one whole-array expression."""
+    pdf = np.exp(-0.5 * x * x) * x.dtype.type(T._INV_SQRT_2PI)
+    return g * (cdf + x * pdf)
+
+
+def unfused_gelu(x: T.Tensor) -> T.Tensor:
+    """``tensor.gelu`` whose backward is :func:`unfused_gelu_grad`."""
+    cdf = T._normal_cdf(x.data)
+    out = T.Tensor._result(x.data * cdf, x.requires_grad)
+    T._record(out, (x,), lambda g: (unfused_gelu_grad(x.data, cdf, g),))
+    return out
+
+
+class PerTensorAdamW:
+    """``optim.AdamW`` with a moment pair per parameter and an update per parameter."""
+
+    def __init__(self, params, learning_rate, weight_decay=0.01, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.params = dict(params)
+        self.learning_rate, self.weight_decay = learning_rate, weight_decay
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.step_count = 0
+        self._m = {name: np.zeros_like(p.data) for name, p in self.params.items()}
+        self._v = {name: np.zeros_like(p.data) for name, p in self.params.items()}
+
+    def descend(self, loss, tape, epoch):
+        if not np.isfinite(loss.data):
+            raise TrainingDivergedError(f"non-finite loss at step {self.step_count + 1} (epoch {epoch})")
+        T.backward(loss, tape)
+        self.step()
+        for p in self.params.values():
+            p.grad = None
+
+    def step(self):
+        self.step_count += 1
+        t = self.step_count
+        bc1 = 1.0 - self.beta1**t
+        bc2 = 1.0 - self.beta2**t
+        for name, p in self.params.items():
+            g = p.grad
+            if g is None:
+                g = np.zeros_like(p.data)
+            elif not np.all(np.isfinite(g)):
+                raise TrainingDivergedError(f"non-finite gradient for parameter '{name}' at step {t}")
+            m = self._m[name]
+            v = self._v[name]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * (g * g)
+            mhat = m / bc1
+            vhat = v / bc2
+            update = mhat / (np.sqrt(vhat) + self.eps)
+            if self.weight_decay:
+                update = update + self.weight_decay * p.data
+            p.data -= (self.learning_rate * update).astype(p.data.dtype, copy=False)

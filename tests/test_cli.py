@@ -728,6 +728,15 @@ class TestConfigHandling:
         archived.update_from_file(tmp_path / "ft" / "run_config.txt")
         assert archived.labels == labels
 
+    def test_value_with_a_line_break_fails_before_training(self, workspace, tmp_path, capsys):
+        rc = main(["finetune", "--checkpoint", str(workspace.checkpoint), "--vocab", str(workspace.vocab),
+                   "--train", str(workspace.train), "--dev", str(workspace.dev), "--task", "pair",
+                   "--labels", "contradiction,entailment\nodd", "--out", str(tmp_path / "ft")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: configuration key 'labels'") and err.count("\n") == 1
+        assert not (tmp_path / "ft").exists()
+
     def test_archived_config_names_the_inputs_read(self, workspace, tmp_path):
         # The file names other inputs; each command archives the ones its flags made it read.
         cfg = tmp_path / "run.cfg"

@@ -5,9 +5,17 @@ the schema is declared cannot add, drop or rename a knob unnoticed.
 """
 
 import argparse
+import dataclasses
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from consem.cli import build_parser
 from consem.config import RunConfig
+from consem.errors import ConfigError
 
 # Empty string values keep the space after '='.
 DEFAULT_RUN_CONFIG = "".join(
@@ -82,3 +90,54 @@ def test_every_subcommand_keeps_its_options():
         for name, sub in subparsers.choices.items()
     }
     assert found == SUBCOMMAND_OPTIONS
+
+
+# Strings as the CLI receives them: arbitrary text, lone surrogates (argv
+# bytes that are not UTF-8), and the characters a ``key = value`` line is
+# read by: '#', '=', line breaks, blank space at either end.
+_ARGV_TEXT = st.one_of(
+    st.text(),
+    st.text(st.characters(codec=None, exclude_categories=())),
+    st.builds(
+        "".join,
+        st.lists(st.sampled_from(["#", "=", " ", "\t", "\n", "\r", "\u2028", "\x85", "a", "1", ".", "e", "\ud800"])),
+    ),
+    st.integers().map(str),
+    st.floats().map(repr),
+)
+
+
+@given(st.dictionaries(st.sampled_from(sorted(RunConfig.field_types())), _ARGV_TEXT, max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_write_then_read_is_the_identity_for_every_accepted_value(overrides):
+    config = RunConfig()
+    for key, value in overrides.items():
+        try:
+            config.update({key: value})
+        except ConfigError:
+            pass  # rejected before the run starts, as the CLI reports it
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run_config.txt"
+        config.write(path)
+        back = RunConfig()
+        back.update_from_file(path)
+    assert repr(dataclasses.asdict(back)) == repr(dataclasses.asdict(config))
+
+
+def test_hash_starts_a_comment_only_at_the_start_of_a_line(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("# a comment\n   # an indented comment\ntrain_data = data/run#2/train.jsonl\nlabels = a#1,b\n")
+    config = RunConfig()
+    config.update_from_file(path)
+    assert (config.train_data, config.labels) == ("data/run#2/train.jsonl", "a#1,b")
+
+
+@pytest.mark.parametrize("value", ["a\nb", "a\rb", " padded", "padded\t", "bad\udcff"])
+def test_values_a_line_cannot_hold_are_rejected(value, tmp_path):
+    with pytest.raises(ConfigError, match="'labels'"):
+        RunConfig().update({"labels": value})
+    config = RunConfig()
+    config.labels = value
+    with pytest.raises(ConfigError, match="run_config.txt cannot hold"):
+        config.write(tmp_path / "run_config.txt")
+    assert not (tmp_path / "run_config.txt").exists()

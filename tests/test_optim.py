@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from consem.errors import ConfigError, TrainingDivergedError
+from oracles import PerTensorAdamW
+
+from consem.errors import ConfigError, ContractError, TrainingDivergedError
 from consem import tensor as T
 from consem.optim import AdamW, minibatches
 from consem.tensor import Tape, Tensor, precision
@@ -76,6 +78,69 @@ def test_non_finite_gradient_names_the_parameter():
     p.grad = np.array([np.nan])
     with pytest.raises(TrainingDivergedError, match="bad.weight"):
         opt.step()
+
+
+def _mixed_params(seed):
+    rng = np.random.default_rng(seed)
+    shapes = {"w": (5, 3), "b": (3,), "gain": (7,), "emb": (4, 17)}
+    return {name: Tensor(rng.normal(size=shape), requires_grad=True) for name, shape in shapes.items()}
+
+
+def _set_grads(params, step):
+    rng = np.random.default_rng(100 + step)
+    for name, p in params.items():
+        # One parameter gets no gradient every other step.
+        p.grad = None if name == "b" and step % 2 else rng.normal(size=p.data.shape).astype(np.float32)
+
+
+def test_flat_update_equals_per_tensor_update_bit_for_bit():
+    flat_params, reference_params = _mixed_params(3), _mixed_params(3)
+    flat = AdamW(flat_params, learning_rate=0.01, weight_decay=0.02)
+    reference = PerTensorAdamW(reference_params, learning_rate=0.01, weight_decay=0.02)
+    for step in range(6):
+        _set_grads(flat_params, step)
+        _set_grads(reference_params, step)
+        flat.step()
+        reference.step()
+    for name in flat_params:
+        assert flat_params[name].data.tobytes() == reference_params[name].data.tobytes(), name
+
+
+def test_parameters_stay_aligned_views_of_one_buffer():
+    params = _mixed_params(4)
+    tensors = dict(params)
+    opt = AdamW(params, learning_rate=0.01)
+    for step in range(3):
+        _set_grads(tensors, step)
+        opt.step()
+    buffer = tensors["w"].data.base
+    assert buffer is not None
+    for p in tensors.values():
+        assert p.data.base is buffer and p.data.flags.c_contiguous
+        assert p.data.ctypes.data % 64 == 0
+
+
+def test_non_finite_gradient_changes_nothing():
+    params = _mixed_params(5)
+    opt = AdamW(params, learning_rate=0.01)
+    _set_grads(params, 0)
+    opt.step()
+    before = {name: p.data.copy() for name, p in params.items()}
+    moments = (opt._m.copy(), opt._v.copy())
+    _set_grads(params, 2)
+    params["emb"].grad[1, 2] = np.inf  # the last parameter: every earlier one is finite
+    with pytest.raises(TrainingDivergedError, match=r"^non-finite gradient for parameter 'emb' at step 2$"):
+        opt.step()
+    for name, p in params.items():
+        assert p.data.tobytes() == before[name].tobytes(), name
+    assert opt._m.tobytes() == moments[0].tobytes() and opt._v.tobytes() == moments[1].tobytes()
+    assert opt.step_count == 1
+
+
+def test_mixed_dtypes_are_rejected():
+    params = {"a": Tensor([1.0], requires_grad=True), "b": Tensor([1.0], dtype=np.float64, requires_grad=True)}
+    with pytest.raises(ContractError, match="float32, float64"):
+        AdamW(params, learning_rate=0.1)
 
 
 def test_rejects_bad_hyperparameters():

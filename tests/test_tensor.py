@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import check_gradients
 from gradcases import GRAD_CASES
-from oracles import erf_gelu, erf_normal_cdf
+from oracles import erf_gelu, erf_normal_cdf, full_grid_dropout, unfused_gelu_grad, unfused_layer_norm
 
 from consem import tensor as T
 from consem.encoder import EncoderConfig, EncoderWeights, PoolingStrategy, embed_sentences, forward_batch, pool
@@ -337,6 +337,68 @@ class TestGeluKernel:
         xs = x.data.astype(np.float64)
         exact = _exact_cdf(x.data) + xs * np.exp(-0.5 * xs * xs) / np.sqrt(2.0 * np.pi)
         np.testing.assert_allclose(x.grad, exact, rtol=0, atol=1e-6)
+
+
+    def test_blocked_backward_matches_the_composed_formula(self):
+        g = np.random.default_rng(8).normal(size=_SWEEP.shape).astype(np.float32)
+        cdf = T._normal_cdf(_SWEEP)
+        assert T._gelu_grad(_SWEEP, cdf, g).tobytes() == unfused_gelu_grad(_SWEEP, cdf, g).tobytes()
+
+    def test_blocked_backward_on_a_partial_block(self):
+        rng = np.random.default_rng(9)
+        x = rng.normal(0.0, 4.0, size=(3, T.GELU_BLOCK + 101)).astype(np.float32)
+        g = rng.normal(size=x.shape).astype(np.float32)
+        cdf = T._normal_cdf(x)
+        assert (x.size % T.GELU_BLOCK) != 0
+        assert T._gelu_grad(x, cdf, g).tobytes() == unfused_gelu_grad(x, cdf, g).tobytes()
+
+
+class TestFusedKernelBits:
+    """Dropout's per-row draw and layer norm's owned buffers against the unfused forms."""
+
+    @pytest.mark.parametrize(
+        "shape,grid",
+        [
+            ((4, 7, 8), (4, 12, 8)),  # seq_len < max_len
+            ((4, 12, 8), (4, 12, 8)),  # seq_len == max_len
+            ((3, 7, 8), (6, 12, 8)),  # fewer rows than the grid
+            ((5, 3), (5, 9)),
+        ],
+    )
+    def test_dropout_per_row_draw_equals_full_grid_draw(self, shape, grid):
+        x = Tensor(np.random.default_rng(1).normal(size=shape), requires_grad=True)
+        rng, reference_rng = np.random.default_rng([4, 2]), np.random.default_rng([4, 2])
+        with Tape() as tape:
+            out = T.dropout(x, 0.1, rng, grid)
+            backward(T.reduce_sum(out), tape)
+        xr = Tensor(x.data, requires_grad=True)
+        with Tape() as tape:
+            reference = full_grid_dropout(xr, 0.1, reference_rng, grid)
+            backward(T.reduce_sum(reference), tape)
+        assert out.data.tobytes() == reference.data.tobytes()
+        assert x.grad.tobytes() == xr.grad.tobytes()
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+        assert rng.random() == reference_rng.random()
+
+    def test_dropout_grid_must_contain_the_input(self):
+        with pytest.raises(ShapeError):
+            T.dropout(Tensor(np.ones((2, 5, 3))), 0.1, np.random.default_rng(0), grid=(2, 4, 3))
+
+    @pytest.mark.parametrize("shape", [(4, 9, 16), (7, 16), (16,)])
+    def test_layer_norm_equals_unfused_bits(self, shape):
+        rng = np.random.default_rng(2)
+        x = rng.normal(size=shape).astype(np.float32)
+        gain = rng.normal(1.0, 0.2, size=shape[-1:]).astype(np.float32)
+        bias = rng.normal(0.0, 0.2, size=shape[-1:]).astype(np.float32)
+        w = rng.normal(size=shape).astype(np.float32)
+        results = []
+        for fn in (T.layer_norm, unfused_layer_norm):
+            inputs = [Tensor(a, requires_grad=True) for a in (x, gain, bias)]
+            with Tape() as tape:
+                out = fn(*inputs)
+                backward(T.reduce_sum(T.mul(out, T.constant(w))), tape)
+            results.append([out.data.tobytes()] + [t.grad.tobytes() for t in inputs])
+        assert results[0] == results[1]
 
 
 class TestGeluDrift:
