@@ -11,7 +11,7 @@ files are written.
 
 import numpy as np
 
-from consem.analysis import RetrievalCase, accuracy_at_topk, alignment, uniformity
+from consem.analysis import accuracy_at_topk, alignment, uniformity
 from consem.encoder import (
     EncoderConfig,
     EncoderWeights,
@@ -76,15 +76,15 @@ for tau in (0.001, 0.01, 0.05, 0.1, 0.5, 1.0):
         return embed_sentences(texts, weights, encoder_config, vocab, config.pooling)
 
     claims, pool = embed(claim_texts), embed(pool_texts)
-    cases = [RetrievalCase(claim=claims[i], candidates=pool, gold_index=i) for i in range(len(TOPICS))]
+    acc1 = accuracy_at_topk(claims, pool, np.arange(len(TOPICS)), ks=(1,))[1]
     lefts = embed([a for a, _ in pair_texts])
     rights = embed([b for _, b in pair_texts])
     epochs = [r for r in log if r.split == "train"]
     print(
         f"{tau:>6} {epochs[0].contrastive:>8.3f} {epochs[-1].contrastive:>8.3f} "
-        f"{alignment(list(zip(lefts, rights))):>7.2f} "
+        f"{alignment(lefts, rights):>7.2f} "
         f"{uniformity(np.asarray(pool)):>8.3f} "
-        f"{accuracy_at_topk(cases, 1):>6.2f}"
+        f"{acc1:>6.2f}"
     )
 
 print()

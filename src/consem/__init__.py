@@ -10,7 +10,6 @@ fine-tuning, and embedding-space diagnostics.
 from .analysis import (
     AnalysisReport,
     EmbeddingSet,
-    RetrievalCase,
     accuracy_at_topk,
     alignment,
     export_attention,

@@ -1,16 +1,18 @@
 """Embedding-space diagnostics and retrieval scoring.
 
-Alignment is the mean squared distance between paired embeddings; lower
-means matched sentences sit closer.  Computed over entailment pairs it
-should undercut the same quantity over contradiction pairs for a useful
-space.  Uniformity is ``log mean exp(-2 ||x - y||^2)`` over all distinct
-unordered pairs of L2-normalized embeddings; more negative means the
-mass spreads more evenly over the hypersphere (two orthogonal unit
-vectors give exactly -4).  Retrieval quality is accuracy at top K: the
-fraction of claims whose gold context lands among the K nearest
+Every statistic takes row-aligned matrices.  Alignment is the mean
+squared distance between row i of one (n, d) matrix and row i of
+another; lower means matched sentences sit closer.  Computed over
+entailment pairs it should undercut the same quantity over contradiction
+pairs for a useful space.  Uniformity is ``log mean exp(-2 ||x - y||^2)``
+over all distinct unordered pairs of L2-normalized rows; more negative
+means the mass spreads more evenly over the hypersphere (two orthogonal
+unit vectors give exactly -4).  Retrieval quality is accuracy at top K:
+the fraction of claims (rows of an (n, d) matrix) whose gold context
+(row ``gold[i]`` of an (m, d) matrix) lands among the K nearest
 candidates by cosine, descending, ties resolved toward the lower index.
-``gold_ranks`` gives each claim's gold rank under that rule, so every K
-reads from one ranking.
+``gold_ranks`` gives each claim's gold rank under that rule, and
+``accuracy_at_topk`` reads every K from that one ranking.
 
 All statistics are computed in float64 from the given vectors; nothing
 here needs gradients.
@@ -22,7 +24,6 @@ import json
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -43,7 +44,6 @@ from .text import Vocabulary, encode_pair, json_field, load_jsonl
 __all__ = [
     "AnalysisReport",
     "EmbeddingSet",
-    "RetrievalCase",
     "accuracy_at_topk",
     "alignment",
     "export_attention",
@@ -88,27 +88,6 @@ def _normalized(vectors: np.ndarray) -> np.ndarray:
     return v / norms
 
 
-@dataclass
-class RetrievalCase:
-    """One claim against its candidate contexts, with the gold index."""
-
-    claim: np.ndarray
-    candidates: np.ndarray
-    gold_index: int
-
-    def __post_init__(self):
-        self.claim = np.asarray(self.claim)
-        self.candidates = np.asarray(self.candidates)
-        if self.claim.ndim != 1 or self.candidates.ndim != 2:
-            raise ShapeError("claim must be a vector and candidates a matrix")
-        if self.candidates.shape[0] < 1 or self.candidates.shape[1] != self.claim.shape[0]:
-            raise ShapeError(
-                f"candidates {self.candidates.shape} incompatible with claim {self.claim.shape}"
-            )
-        if not 0 <= self.gold_index < self.candidates.shape[0]:
-            raise ContractError(f"gold index {self.gold_index} out of range")
-
-
 def rank_candidates(claim: np.ndarray, candidates: np.ndarray) -> np.ndarray:
     """Candidate indices by descending cosine similarity, ties toward lower index."""
     c = _normalized(np.asarray(claim)[None, :])[0]
@@ -149,42 +128,35 @@ def gold_ranks(claims: np.ndarray, candidates: np.ndarray, gold) -> np.ndarray:
     return ranks
 
 
-def accuracy_at_topk(cases: Sequence[RetrievalCase], k: int) -> float:
-    """Fraction of cases whose gold candidate ranks in the top K.
+def accuracy_at_topk(claims, candidates, gold, ks=TOPK_REPORT_VALUES) -> dict[int, float]:
+    """Fraction of claims whose gold candidate ranks in the top K, for each K in ``ks``.
 
-    K larger than a candidate pool is clamped to the pool size, so the value
-    is non-decreasing in K and reaches 1 at the pool size for any gold.
+    Every K reads from one ``gold_ranks`` call.  K larger than the pool is
+    clamped to the pool size, so the value is non-decreasing in K and
+    reaches 1 at the pool size for any gold.
     """
-    if k < 1:
-        raise ConfigError(f"K must be >= 1, got {k}")
-    if not cases:
-        raise MetricError("accuracy at top K over zero cases is undefined")
-    hits = 0
-    for case in cases:
-        rank = gold_ranks(case.claim[None, :], case.candidates, [case.gold_index])[0]
-        if rank < min(k, case.candidates.shape[0]):
-            hits += 1
-    return hits / len(cases)
+    for k in ks:
+        if k < 1:
+            raise ConfigError(f"K must be >= 1, got {k}")
+    if not len(claims):
+        raise MetricError("accuracy at top K over zero claims is undefined")
+    ranks = gold_ranks(claims, candidates, gold)
+    pool = np.asarray(candidates).shape[0]
+    return {k: float(np.mean(ranks < min(k, pool))) for k in ks}
 
 
-def alignment(pairs: Sequence[tuple[np.ndarray, np.ndarray]]) -> float:
-    """Mean squared Euclidean distance between paired embeddings."""
-    if not len(pairs):
+def alignment(a, b) -> float:
+    """Mean squared Euclidean distance between row i of ``a`` and row i of ``b``."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.ndim != 2 or a.shape != b.shape:
+        raise ShapeError(f"paired embeddings must be two (n, d) arrays, got {a.shape} and {b.shape}")
+    if not a.shape[0]:
         raise MetricError("alignment over zero pairs is undefined")
     total = 0.0
-    width = None
-    for a, b in pairs:
-        a = np.asarray(a, dtype=np.float64)
-        b = np.asarray(b, dtype=np.float64)
-        if a.shape != b.shape or a.ndim != 1:
-            raise ShapeError(f"pair shapes disagree: {a.shape} vs {b.shape}")
-        if width is None:
-            width = a.shape[0]
-        elif a.shape[0] != width:
-            raise ShapeError("all pairs must share one embedding width")
-        diff = a - b
+    for diff in a - b:
         total += float(diff @ diff)
-    return total / len(pairs)
+    return total / a.shape[0]
 
 
 def uniformity(embeddings) -> float:

@@ -79,7 +79,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"{path}: malformed header ({exc})") from exc
     try:
-        manifest = [(str(name), tuple(int(n) for n in shape)) for name, shape in header["params"]]
+        manifest = [(str(name), tuple(shape)) for name, shape in header["params"]]
         encoder_config = EncoderConfig(**header["encoder_config"])
         pretrain_config = header["pretrain_config"]
         vocab_hash = str(header["vocab_hash"])
@@ -87,6 +87,9 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         extra = dict(header["extra"])
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: invalid header contents ({exc})") from exc
+    for name, shape in manifest:
+        if not all(isinstance(n, int) and not isinstance(n, bool) and n >= 0 for n in shape):
+            raise FormatError(f"{path}: parameter {name!r} has invalid dimensions {list(shape)}")
     expected = 12 + header_len + sum(4 * int(np.prod(shape)) for _, shape in manifest)
     if len(blob) != expected:
         raise FormatError(f"{path}: expected {expected} bytes, found {len(blob)}")

@@ -31,10 +31,9 @@ import numpy as np
 from .analysis import (
     AnalysisReport,
     EmbeddingSet,
-    TOPK_REPORT_VALUES,
+    accuracy_at_topk,
     alignment,
     export_attention,
-    gold_ranks,
     save_embeddings,
     uniformity,
 )
@@ -267,19 +266,12 @@ def _retrieval_vectors(args, weights, ckpt, vocab, pooling):
     return claim_vectors, context_vectors, np.array([gold for _, gold, _ in claims], dtype=np.intp)
 
 
-def _accuracy_at_k(claim_vectors, context_vectors, gold) -> dict[int, float]:
-    """Accuracy at every reported K, read from one ranking; K is clamped to the pool."""
-    ranks = gold_ranks(claim_vectors, context_vectors, gold)
-    pool = context_vectors.shape[0]
-    return {k: float(np.mean(ranks < min(k, pool))) for k in TOPK_REPORT_VALUES}
-
-
 def cmd_retrieve(args: argparse.Namespace) -> int:
     ckpt, vocab = _checkpoint_vocab(args)
     pooling = _pooling_for(args, ckpt)
     weights = EncoderWeights.from_arrays(ckpt.encoder_config, ckpt.params)
     claim_vectors, context_vectors, gold = _retrieval_vectors(args, weights, ckpt, vocab, pooling)
-    accuracies = _accuracy_at_k(claim_vectors, context_vectors, gold)
+    accuracies = accuracy_at_topk(claim_vectors, context_vectors, gold)
     out = _out_dir(args.out)
     payload = {
         "accuracy_at_k": {str(k): v for k, v in accuracies.items()},
@@ -293,9 +285,9 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    if bool(args.claims) != bool(args.contexts):
+    if (args.claims is None) != (args.contexts is None):
         raise ConfigError("--claims and --contexts must be given together")
-    if bool(args.attention_a) != bool(args.attention_b):
+    if (args.attention_a is None) != (args.attention_b is None):
         raise ConfigError("--attention-a and --attention-b must be given together")
     ckpt, vocab = _checkpoint_vocab(args)
     pooling = _pooling_for(args, ckpt)
@@ -310,28 +302,24 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                 sentences.append(text)
     vectors = embed_sentences(sentences, weights, ckpt.encoder_config, vocab, pooling)
     row = {text: i for i, text in enumerate(sentences)}
-    ent_pairs = [
-        (vectors[row[ex.premise]], vectors[row[ex.hypothesis]])
-        for ex in examples
-        if ex.label == "entailment"
-    ]
-    con_pairs = [
-        (vectors[row[ex.premise]], vectors[row[ex.hypothesis]])
-        for ex in examples
-        if ex.label == "contradiction"
-    ]
+
+    def aligned(label):
+        premises = [row[ex.premise] for ex in examples if ex.label == label]
+        hypotheses = [row[ex.hypothesis] for ex in examples if ex.label == label]
+        return alignment(vectors[premises], vectors[hypotheses])
+
     accuracy_at_k = None
-    if args.claims:
-        accuracy_at_k = _accuracy_at_k(*_retrieval_vectors(args, weights, ckpt, vocab, pooling))
+    if args.claims is not None:
+        accuracy_at_k = accuracy_at_topk(*_retrieval_vectors(args, weights, ckpt, vocab, pooling))
     report = AnalysisReport(
-        alignment_entailment=alignment(ent_pairs),
-        alignment_contradiction=alignment(con_pairs),
+        alignment_entailment=aligned("entailment"),
+        alignment_contradiction=aligned("contradiction"),
         uniformity=uniformity(vectors),
         accuracy_at_k=accuracy_at_k,
     )
     out = _out_dir(args.out)
     _write_artifact(out / "analysis.json", report.to_dict())
-    if args.attention_a:
+    if args.attention_a is not None:
         dump = export_attention(ckpt, vocab, args.attention_a, args.attention_b)
         _write_artifact(out / "attention.json", dump)
     if args.save_embeddings:

@@ -73,8 +73,9 @@ class EncoderConfig:
 
     def __post_init__(self):
         for name in ("vocab_size", "num_layers", "num_heads", "hidden_size", "ff_size", "max_len"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+                raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
         if self.hidden_size % self.num_heads != 0:
             raise ConfigError(
                 f"hidden_size {self.hidden_size} is not divisible by num_heads {self.num_heads}"
@@ -147,11 +148,12 @@ class EncoderWeights:
 
     @classmethod
     def from_arrays(cls, config: EncoderConfig, arrays: dict[str, np.ndarray]) -> "EncoderWeights":
+        names = parameter_names(config)
+        for name in names:
+            if name not in arrays:
+                raise ShapeError(f"parameter {name!r} is missing")
         # Copies, so training never writes back into the caller's arrays.
-        params = {
-            name: Tensor(np.array(arrays[name], copy=True), requires_grad=True)
-            for name in parameter_names(config)
-        }
+        params = {name: Tensor(np.array(arrays[name], copy=True), requires_grad=True) for name in names}
         return cls(config, params)
 
     def to_arrays(self) -> dict[str, np.ndarray]:

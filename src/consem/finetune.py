@@ -107,8 +107,8 @@ class FinetuneConfig:
     def __post_init__(self):
         if self.batch_size < 1 or self.epochs < 1:
             raise ConfigError("batch_size and epochs must be >= 1")
-        if self.learning_rate <= 0.0:
-            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not 0.0 < self.learning_rate < np.inf:
+            raise ConfigError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
 

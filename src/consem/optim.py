@@ -63,12 +63,13 @@ class AdamW:
         beta2: float = 0.999,
         eps: float = 1e-8,
     ):
-        if learning_rate <= 0.0:
-            raise ConfigError(f"learning rate must be positive, got {learning_rate}")
+        # Each range is written so that NaN fails it; the unbounded ones also reject inf.
+        if not 0.0 < learning_rate < np.inf:
+            raise ConfigError(f"learning_rate must be positive and finite, got {learning_rate}")
         if not 0.0 <= beta1 < 1.0 or not 0.0 <= beta2 < 1.0:
             raise ConfigError(f"betas must lie in [0, 1), got {beta1}, {beta2}")
-        if weight_decay < 0.0:
-            raise ConfigError(f"weight decay must be non-negative, got {weight_decay}")
+        if not 0.0 <= weight_decay < np.inf:
+            raise ConfigError(f"weight_decay must be non-negative and finite, got {weight_decay}")
         dtypes = sorted({str(p.data.dtype) for p in params.values()})
         if len(dtypes) > 1:
             raise ContractError(f"AdamW needs parameters of one dtype, got {', '.join(dtypes)}")

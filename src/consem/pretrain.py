@@ -90,16 +90,17 @@ class PretrainConfig:
     validation_fraction: float = 0.1
 
     def __post_init__(self):
-        if self.tau <= 0.0:
-            raise ConfigError(f"tau must be positive, got {self.tau}")
-        if self.mlm_weight < 0.0:
-            raise ConfigError(f"mlm_weight must be non-negative, got {self.mlm_weight}")
+        # Each range is written so that NaN fails it; the unbounded ones also reject inf.
+        if not 0.0 < self.tau < np.inf:
+            raise ConfigError(f"tau must be positive and finite, got {self.tau}")
+        if not 0.0 <= self.mlm_weight < np.inf:
+            raise ConfigError(f"mlm_weight must be non-negative and finite, got {self.mlm_weight}")
         if not 0.0 < self.mask_rate < 1.0:
             raise ConfigError(f"mask_rate must be in (0, 1), got {self.mask_rate}")
         if self.batch_size < 1 or self.epochs < 1:
             raise ConfigError("batch_size and epochs must be >= 1")
-        if self.learning_rate <= 0.0:
-            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not 0.0 < self.learning_rate < np.inf:
+            raise ConfigError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if not 0.0 < self.data_fraction <= 1.0:
@@ -144,8 +145,8 @@ def contrastive_scores(anchors: Tensor, positives: Tensor, negatives: Tensor, ta
         )
     if anchors.shape[0] < 1:
         raise ShapeError("contrastive batch must contain at least one triple")
-    if tau <= 0.0:
-        raise ConfigError(f"tau must be positive, got {tau}")
+    if not 0.0 < tau < np.inf:
+        raise ConfigError(f"tau must be positive and finite, got {tau}")
     normed = T.normalize_rows(anchors)
     candidates = T.normalize_rows(T.concat([positives, negatives], axis=0))
     return T.scale(T.matmul(normed, T.transpose(candidates, (1, 0))), 1.0 / tau)

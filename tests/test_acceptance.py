@@ -40,7 +40,7 @@ from oracles import (
 )
 
 from consem import tensor as T
-from consem.analysis import RetrievalCase, accuracy_at_topk, alignment, uniformity
+from consem.analysis import accuracy_at_topk, alignment, uniformity
 from consem.cli import SWEEP_GRIDS, main
 from consem.encoder import (
     EncoderConfig,
@@ -214,8 +214,8 @@ def test_4_pretraining_shapes_the_embedding_space():
     prem = embed([ex.premise for ex in held_out if ex.label == "entailment"])
     ent = embed([ex.hypothesis for ex in held_out if ex.label == "entailment"])
     con = embed([ex.hypothesis for ex in held_out if ex.label == "contradiction"])
-    align_e = alignment(list(zip(prem, ent)))
-    align_c = alignment(list(zip(prem, con)))
+    align_e = alignment(prem, ent)
+    align_c = alignment(prem, con)
 
     pool_texts = [topic_sentence(t, 800 + i) for i, t in enumerate(TOPICS)]
     uni_trained = uniformity(embed(pool_texts))
@@ -223,11 +223,7 @@ def test_4_pretraining_shapes_the_embedding_space():
 
     claims = embed([topic_sentence(t, 700 + i) for i, t in enumerate(TOPICS)])
     candidates = embed(pool_texts)
-    cases = [
-        RetrievalCase(claim=claims[i], candidates=candidates, gold_index=i)
-        for i in range(len(TOPICS))
-    ]
-    acc1 = accuracy_at_topk(cases, 1)
+    acc1 = accuracy_at_topk(claims, candidates, np.arange(len(TOPICS)), ks=(1,))[1]
     elapsed = time.monotonic() - started
     _verdict(
         4,
@@ -267,27 +263,28 @@ def test_5_metrics_match_brute_force():
 
         pool_size = int(rng.integers(3, 13))
         width = int(rng.integers(3, 7))
-        claims, pools, golds, cases = [], [], [], []
+        claims, pools, golds = [], [], []
         for _ in range(int(rng.integers(1, 7))):
-            claim = rng.normal(size=width)
-            candidates = rng.normal(size=(pool_size, width))
-            gold_index = int(rng.integers(0, pool_size))
-            claims.append(claim)
-            pools.append(candidates)
-            golds.append(gold_index)
-            cases.append(RetrievalCase(claim=claim, candidates=candidates, gold_index=gold_index))
+            claims.append(rng.normal(size=width))
+            pools.append(rng.normal(size=(pool_size, width)))
+            golds.append(int(rng.integers(0, pool_size)))
         top = int(rng.integers(1, pool_size + 1))
+        # Each claim has its own pool: one call per claim, averaged.
+        per_claim = [
+            accuracy_at_topk(claim[None, :], pool, [gold], ks=(top,))[top]
+            for claim, pool, gold in zip(claims, pools, golds)
+        ]
         worst["topk"] = max(
-            worst["topk"],
-            abs(accuracy_at_topk(cases, top) - topk_reference(claims, pools, golds, top)),
+            worst["topk"], abs(float(np.mean(per_claim)) - topk_reference(claims, pools, golds, top))
         )
 
         pairs = [
             (rng.normal(size=width), rng.normal(size=width))
             for _ in range(int(rng.integers(1, 11)))
         ]
+        lefts, rights = (np.array(side) for side in zip(*pairs))
         worst["alignment"] = max(
-            worst["alignment"], abs(alignment(pairs) - alignment_reference(pairs))
+            worst["alignment"], abs(alignment(lefts, rights) - alignment_reference(pairs))
         )
         rows = rng.normal(size=(int(rng.integers(2, 11)), width))
         worst["uniformity"] = max(
@@ -498,8 +495,11 @@ def test_9_invariance_properties_hold():
             d = int(rng.integers(2, 9))
             u, v = rng.normal(size=d), rng.normal(size=d)
             alpha, beta = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), size=2))
-            base = T.cosine_similarity(Tensor(u), Tensor(v)).item()
-            scaled = T.cosine_similarity(Tensor(alpha * u), Tensor(beta * v)).item()
+            # The cosine as contrastive_scores forms it: a dot of normalize_rows outputs.
+            base = float(T.normalize_rows(Tensor(u)).data @ T.normalize_rows(Tensor(v)).data)
+            scaled = float(
+                T.normalize_rows(Tensor(alpha * u)).data @ T.normalize_rows(Tensor(beta * v)).data
+            )
             worst_cos = max(worst_cos, abs(scaled - base))
         if worst_cos >= 1e-6:
             failures.append(f"cosine scale {worst_cos:.1e}")
@@ -521,15 +521,11 @@ def test_9_invariance_properties_hold():
     for _ in range(50):
         pool_size = int(rng.integers(2, 12))
         width = int(rng.integers(3, 7))
-        cases = [
-            RetrievalCase(
-                claim=rng.normal(size=width),
-                candidates=rng.normal(size=(pool_size, width)),
-                gold_index=int(rng.integers(0, pool_size)),
-            )
-            for _ in range(int(rng.integers(1, 6)))
-        ]
-        series = [accuracy_at_topk(cases, k) for k in range(1, pool_size + 1)]
+        n = int(rng.integers(1, 6))
+        claims = rng.normal(size=(n, width))
+        candidates = rng.normal(size=(pool_size, width))
+        gold = rng.integers(0, pool_size, size=n)
+        series = list(accuracy_at_topk(claims, candidates, gold, ks=range(1, pool_size + 1)).values())
         if any(b < a for a, b in zip(series, series[1:])) or series[-1] != 1.0:
             monotone_breaks += 1
     if monotone_breaks:
@@ -540,8 +536,9 @@ def test_9_invariance_properties_hold():
         d = int(rng.integers(2, 8))
         rotation = ortho_group.rvs(dim=d, random_state=i)
         pairs = [(rng.normal(size=d), rng.normal(size=d)) for _ in range(6)]
-        rotated = [(rotation @ a, rotation @ b) for a, b in pairs]
-        worst_rot = max(worst_rot, abs(alignment(pairs) - alignment(rotated)))
+        lefts, rights = (np.array(side) for side in zip(*pairs))
+        rotated = alignment(lefts @ rotation.T, rights @ rotation.T)
+        worst_rot = max(worst_rot, abs(alignment(lefts, rights) - rotated))
         rows = rng.normal(size=(7, d))
         worst_rot = max(worst_rot, abs(uniformity(rows) - uniformity(rows @ rotation.T)))
     if worst_rot >= 1e-9:

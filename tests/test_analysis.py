@@ -14,7 +14,6 @@ from oracles import alignment_reference, topk_reference, uniformity_reference
 from consem.analysis import (
     AnalysisReport,
     EmbeddingSet,
-    RetrievalCase,
     accuracy_at_topk,
     alignment,
     export_attention,
@@ -39,18 +38,18 @@ from consem.text import build_vocab
 
 
 def _random_cases(rng, n_cases):
+    """(claim, candidates, gold index) triples, each claim with its own pool."""
     cases = []
     for _ in range(n_cases):
         pool = int(rng.integers(4, 21))
         d = int(rng.integers(3, 9))
-        cases.append(
-            RetrievalCase(
-                claim=rng.normal(size=d),
-                candidates=rng.normal(size=(pool, d)),
-                gold_index=int(rng.integers(0, pool)),
-            )
-        )
+        cases.append((rng.normal(size=d), rng.normal(size=(pool, d)), int(rng.integers(0, pool))))
     return cases
+
+
+def _mean_accuracy(cases, k):
+    """Accuracy at top K over per-claim pools: one call per claim, averaged."""
+    return float(np.mean([accuracy_at_topk(c[None, :], m, [g], ks=(k,))[k] for c, m, g in cases]))
 
 
 class TestRanking:
@@ -69,44 +68,38 @@ class TestTopK:
         # Gold sits at rank 4 exactly: three better candidates ahead of it.
         cosines = [0.9, 0.8, 0.7, 0.6]
         candidates = np.array([[c, np.sqrt(1 - c * c)] for c in cosines])
-        case = RetrievalCase(claim=np.array([1.0, 0.0]), candidates=candidates, gold_index=3)
-        assert accuracy_at_topk([case], 3) == 0.0
-        assert accuracy_at_topk([case], 4) == 1.0
+        assert accuracy_at_topk(np.array([[1.0, 0.0]]), candidates, [3], ks=(3, 4)) == {3: 0.0, 4: 1.0}
 
     def test_exact_duplicate_always_found(self):
         claim = np.array([0.3, -0.7, 0.2])
         candidates = np.vstack([claim, np.eye(3)])
-        case = RetrievalCase(claim=claim, candidates=candidates, gold_index=0)
-        for k in (1, 2, 3, 4):
-            assert accuracy_at_topk([case], k) == 1.0
+        accuracies = accuracy_at_topk(claim[None, :], candidates, [0], ks=(1, 2, 3, 4))
+        assert accuracies == {1: 1.0, 2: 1.0, 3: 1.0, 4: 1.0}
 
     def test_monotone_in_k_and_saturates(self):
         cases = _random_cases(np.random.default_rng(3), 12)
-        values = [accuracy_at_topk(cases, k) for k in range(1, 22)]
+        values = [_mean_accuracy(cases, k) for k in range(1, 22)]
         assert all(a <= b for a, b in zip(values, values[1:]))
         assert values[-1] == 1.0
 
     def test_k_beyond_pool_is_clamped(self):
         cases = _random_cases(np.random.default_rng(4), 6)
-        assert accuracy_at_topk(cases, 1000) == 1.0
+        assert _mean_accuracy(cases, 1000) == 1.0
 
     def test_random_cases_match_recount(self):
         rng = np.random.default_rng(5)
         cases = _random_cases(rng, 20)
-        claims = [c.claim for c in cases]
-        pools = [c.candidates for c in cases]
-        golds = [c.gold_index for c in cases]
+        claims, pools, golds = zip(*cases)
         for k in (1, 3, 5, 10):
-            assert accuracy_at_topk(cases, k) == pytest.approx(
+            assert _mean_accuracy(cases, k) == pytest.approx(
                 topk_reference(claims, pools, golds, k), abs=1e-12
             )
 
     def test_validation(self):
-        case = RetrievalCase(np.array([1.0, 0.0]), np.eye(2), 0)
         with pytest.raises(ConfigError):
-            accuracy_at_topk([case], 0)
+            accuracy_at_topk(np.array([[1.0, 0.0]]), np.eye(2), [0], ks=(0,))
         with pytest.raises(MetricError):
-            accuracy_at_topk([], 1)
+            accuracy_at_topk(np.empty((0, 2)), np.eye(2), np.empty(0, dtype=np.intp), ks=(1,))
 
 
 def _full_order_rank(claim, candidates, gold):
@@ -189,39 +182,40 @@ class TestGoldRanks:
 
 class TestAlignment:
     def test_identical_pairs_score_zero(self):
-        v = np.array([0.3, 1.2, -0.5])
-        assert alignment([(v, v.copy()), (2 * v, 2 * v)]) == 0.0
+        v = np.array([[0.3, 1.2, -0.5], [0.6, 2.4, -1.0]])
+        assert alignment(v, v.copy()) == 0.0
 
     def test_orthonormal_pair_scores_two(self):
-        assert alignment([(np.array([1.0, 0.0]), np.array([0.0, 1.0]))]) == pytest.approx(2.0, abs=1e-12)
+        assert alignment(np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]])) == pytest.approx(2.0, abs=1e-12)
 
     def test_random_pairs_match_recount(self):
         rng = np.random.default_rng(6)
         for _ in range(100):
             n = int(rng.integers(1, 12))
             d = int(rng.integers(2, 10))
-            pairs = [(rng.normal(size=d), rng.normal(size=d)) for _ in range(n)]
-            assert alignment(pairs) == pytest.approx(alignment_reference(pairs), abs=1e-9)
+            a, b = rng.normal(size=(n, d)), rng.normal(size=(n, d))
+            assert alignment(a, b) == pytest.approx(alignment_reference(list(zip(a, b))), abs=1e-9)
 
     def test_symmetric_in_pair_order(self):
         rng = np.random.default_rng(7)
-        pairs = [(rng.normal(size=5), rng.normal(size=5)) for _ in range(8)]
-        assert alignment([(b, a) for a, b in pairs]) == pytest.approx(alignment(pairs), abs=1e-12)
+        a, b = rng.normal(size=(8, 5)), rng.normal(size=(8, 5))
+        assert alignment(b, a) == pytest.approx(alignment(a, b), abs=1e-12)
 
     def test_rotation_invariance(self):
         rng = np.random.default_rng(8)
-        pairs = [(rng.normal(size=6), rng.normal(size=6)) for _ in range(10)]
+        a, b = rng.normal(size=(10, 6)), rng.normal(size=(10, 6))
         rotation = ortho_group.rvs(dim=6, random_state=rng)
-        rotated = [(rotation @ a, rotation @ b) for a, b in pairs]
-        assert alignment(rotated) == pytest.approx(alignment(pairs), abs=1e-9)
+        assert alignment(a @ rotation.T, b @ rotation.T) == pytest.approx(alignment(a, b), abs=1e-9)
 
     def test_validation(self):
         with pytest.raises(MetricError):
-            alignment([])
+            alignment(np.empty((0, 3)), np.empty((0, 3)))
         with pytest.raises(ShapeError):
-            alignment([(np.array([1.0, 2.0]), np.array([1.0, 2.0, 3.0]))])
+            alignment(np.ones((1, 2)), np.ones((1, 3)))
         with pytest.raises(ShapeError):
-            alignment([(np.ones(2), np.ones(2)), (np.ones(3), np.ones(3))])
+            alignment(np.ones((2, 2)), np.ones((3, 2)))
+        with pytest.raises(ShapeError):
+            alignment(np.ones(2), np.ones(2))
 
 
 class TestUniformity:
@@ -298,14 +292,6 @@ class TestContainers:
             EmbeddingSet(vectors=np.ones((2, 2)), texts=["a"])
         with pytest.raises(DegenerateInputError):
             EmbeddingSet(vectors=np.array([[1.0, 0.0], [0.0, 0.0]]), texts=["a", "b"])
-
-    def test_retrieval_case_validation(self):
-        with pytest.raises(ShapeError):
-            RetrievalCase(claim=np.ones((2, 2)), candidates=np.ones((2, 2)), gold_index=0)
-        with pytest.raises(ShapeError):
-            RetrievalCase(claim=np.ones(3), candidates=np.ones((2, 2)), gold_index=0)
-        with pytest.raises(ContractError):
-            RetrievalCase(claim=np.ones(2), candidates=np.ones((2, 2)), gold_index=5)
 
     def test_report_json(self):
         report = AnalysisReport(0.5, 1.5, -2.0, {3: 0.7, 1: 0.2})
@@ -402,8 +388,8 @@ class TestTrainedGeometry:
         other = embed_sentences(
             [topic_sentence(topics[(i + 1) % 4], 602) for i in range(4)], weights, ckpt.encoder_config, vocab
         )
-        matched = alignment(list(zip(a, same)))
-        mismatched = alignment(list(zip(a, other)))
+        matched = alignment(a, same)
+        mismatched = alignment(a, other)
         assert matched < mismatched
 
 

@@ -13,10 +13,10 @@ from conftest import make_topic_triples, micro_encoder_config
 import consem.files
 from consem.analysis import EmbeddingSet, save_embeddings
 from consem.checkpoint import Checkpoint, MAGIC, load_checkpoint, save_checkpoint
-from consem.cli import build_parser
+from consem.cli import build_parser, main
 from consem.config import RunConfig
 from consem.encoder import EncoderConfig, EncoderWeights
-from consem.errors import FormatError
+from consem.errors import FormatError, ShapeError
 from consem.pretrain import LossRecord, PretrainConfig, train, write_loss_csv
 from consem.text import RESERVED_TOKENS, ContrastiveTriple, Vocabulary, build_vocab, save_triples_jsonl
 
@@ -65,6 +65,37 @@ class TestRoundTrip:
         assert path.read_bytes()[:4] == MAGIC
 
 
+# Malformed checkpoints: (header path, value) edits that keep the blobs, and
+# the error each one must end in.  Manifest entry 0 is ``tok_emb``.
+_HEADER_EDITS = {
+    "renamed tok_emb": ((("params", 0, 0), "tok_embedding"), ShapeError),
+    # The product of the real (11, 8) shape, so only the sign check can catch it.
+    "negative dimension": ((("params", 0, 1), [-11, -8]), FormatError),
+    "non-integer dimension": ((("params", 0, 1), [11.0, 8]), FormatError),
+    "float num_layers": ((("encoder_config", "num_layers"), 1.0), FormatError),
+    "bool num_heads": ((("encoder_config", "num_heads"), True), FormatError),
+}
+_MALFORMED = sorted(_HEADER_EDITS) + ["missing tok_emb"]
+
+
+def _write_malformed(ckpt, path, case, out):
+    """Write checkpoint ``path`` to ``out`` with the malformation ``case``; return the error it must raise."""
+    if case == "missing tok_emb":
+        save_checkpoint(replace(ckpt, params={n: a for n, a in ckpt.params.items() if n != "tok_emb"}), out)
+        return ShapeError
+    (keys, value), error = _HEADER_EDITS[case]
+    blob = path.read_bytes()
+    header_len = int.from_bytes(blob[8:12], "little")
+    header = json.loads(blob[12 : 12 + header_len])
+    target = header
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    text = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    out.write_bytes(blob[:8] + len(text).to_bytes(4, "little") + text + blob[12 + header_len :])
+    return error
+
+
 class TestValidation:
     def test_bad_magic(self, sample, tmp_path):
         _, path = sample
@@ -106,6 +137,41 @@ class TestValidation:
         bad.write_bytes(bytes(blob))
         with pytest.raises(FormatError):
             load_checkpoint(bad)
+
+
+    @pytest.mark.parametrize("case", _MALFORMED)
+    def test_malformed_contents_rejected(self, sample, tmp_path, case):
+        ckpt, path = sample
+        bad = tmp_path / "bad.bin"
+        error = _write_malformed(ckpt, path, case, bad)
+        with pytest.raises(error) as exc:
+            loaded = load_checkpoint(bad)
+            EncoderWeights.from_arrays(loaded.encoder_config, loaded.params)
+        if error is ShapeError:
+            assert "'tok_emb'" in str(exc.value)
+
+    @pytest.mark.parametrize("command", ["analyze", "retrieve"])
+    @pytest.mark.parametrize("case", _MALFORMED)
+    def test_malformed_checkpoint_is_one_error_line(self, tmp_path, capsys, case, command):
+        vocab = build_vocab(["the river stays calm"])
+        vocab.save(tmp_path / "vocab.txt")
+        config = EncoderConfig(vocab_size=vocab.size, num_layers=1, num_heads=2, hidden_size=8, ff_size=12, max_len=6)
+        ckpt = Checkpoint(config, None, vocab.content_hash(), 0, EncoderWeights.initialize(config, seed=1).to_arrays())
+        save_checkpoint(ckpt, tmp_path / "good.bin")
+        _write_malformed(ckpt, tmp_path / "good.bin", case, tmp_path / "bad.bin")
+        # One record with every field serves as the pairs, claims and contexts file.
+        (tmp_path / "in.jsonl").write_text(
+            '{"premise": "the river", "hypothesis": "stays calm", "label": "entailment", '
+            '"claim": "the river", "gold_index": 0, "text": "stays calm"}\n', encoding="utf-8"
+        )
+        inputs = {"analyze": ["--pairs"], "retrieve": ["--claims", "--contexts"]}[command]
+        argv = [command, "--checkpoint", str(tmp_path / "bad.bin"), "--vocab", str(tmp_path / "vocab.txt")]
+        for flag in inputs:
+            argv += [flag, str(tmp_path / "in.jsonl")]
+        # main returns instead of raising, so no traceback reaches the user.
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 class TestResume:

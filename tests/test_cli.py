@@ -23,10 +23,10 @@ from conftest import make_pair_task, make_single_task, make_topic_nli
 
 from consem.checkpoint import load_checkpoint
 from consem.cli import SWEEP_GRIDS, main
-from consem.config import RunConfig
-from consem.encoder import EncoderWeights, PoolingStrategy, embed_sentences
-from consem.finetune import MRC_LABELS, FinetunedModel, TaskKind, load_model, save_model
-from consem.pretrain import LOSS_CSV_HEADER
+from consem.config import SHARED_KEYS, RunConfig, section_keys
+from consem.encoder import EncoderConfig, EncoderWeights, PoolingStrategy, embed_sentences
+from consem.finetune import MRC_LABELS, FinetuneConfig, FinetunedModel, TaskKind, load_model, save_model
+from consem.pretrain import LOSS_CSV_HEADER, PretrainConfig
 from consem.tensor import Tensor
 from consem.text import Vocabulary, load_triples_jsonl
 
@@ -407,6 +407,23 @@ class TestAnalyze:
         assert not (tmp_path / "analysis.json").exists()
 
 
+    @pytest.mark.parametrize("text_a,text_b", [("", "people visit the river"), ("", "")])
+    def test_empty_attention_text_is_still_given(self, workspace, tmp_path, text_a, text_b):
+        rc = main(["analyze", "--checkpoint", str(workspace.checkpoint), "--vocab", str(workspace.vocab),
+                   "--pairs", str(workspace.nli), "--attention-a", text_a, "--attention-b", text_b,
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        tokens = json.loads((tmp_path / "attention.json").read_text())["tokens"]
+        assert tokens[:2] == ["[CLS]", "[SEP]"] and tokens[-1] == "[SEP]"
+
+    def test_empty_retrieval_paths_are_read_not_skipped(self, workspace, tmp_path, capsys):
+        rc = main(["analyze", "--checkpoint", str(workspace.checkpoint), "--vocab", str(workspace.vocab),
+                   "--pairs", str(workspace.nli), "--claims", "", "--contexts", "", "--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert not (tmp_path / "analysis.json").exists()
+
 # The input files each command needs; a test swaps one of them for a bad file.
 _REQUIRED_FILES = {
     "prepare": ["--nli"],
@@ -705,6 +722,40 @@ def test_negative_seed_is_one_error_line(workspace, tmp_path, capsys, command, s
         argv += ["--config", str(cfg)]
     assert main(argv) == 1
     assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n"
+
+
+# (command, configuration key, field name) for every float setting pretrain and finetune read.
+_FLOAT_SETTINGS = [
+    (command, key, name)
+    for command, sections in (("pretrain", (EncoderConfig, PretrainConfig)), ("finetune", (FinetuneConfig,)))
+    for section in sections
+    for name, key in section_keys(section).items()
+    if RunConfig.field_types()[key] is float
+]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command,key,name", _FLOAT_SETTINGS, ids=[f"{c}-{k}" for c, k, _ in _FLOAT_SETTINGS])
+def test_non_finite_setting_is_one_error_line(workspace, tmp_path, capsys, command, key, name, value):
+    inputs = {
+        "pretrain": ["--triples", workspace.triples, "--vocab", workspace.vocab, *_SMALL],
+        "finetune": ["--checkpoint", workspace.checkpoint, "--vocab", workspace.vocab,
+                     "--train", workspace.train, "--dev", workspace.dev],
+    }
+    out = tmp_path / "out"
+    argv = [command, *map(str, inputs[command]), "--out", str(out)]
+    if command == "finetune" and key in SHARED_KEYS:
+        # finetune reads the shared keys from a configuration file only.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n", encoding="utf-8")
+        argv += ["--config", str(cfg)]
+    else:
+        argv.append(f"--{key.replace('_', '-')}={value}")  # one token, so "-inf" is not read as a flag
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and name in err, err
+    for artifact in ("checkpoint.bin", "model.bin", "run_config.txt"):
+        assert not (out / artifact).exists()
 
 
 class TestConfigHandling:
