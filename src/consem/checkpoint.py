@@ -79,15 +79,26 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"{path}: malformed header ({exc})") from exc
     try:
-        manifest = [(str(name), tuple(shape)) for name, shape in header["params"]]
+        manifest = [(name, tuple(shape)) for name, shape in header["params"]]
         encoder_config = EncoderConfig(**header["encoder_config"])
         pretrain_config = header["pretrain_config"]
-        vocab_hash = str(header["vocab_hash"])
-        step = int(header["step"])
-        extra = dict(header["extra"])
+        vocab_hash = header["vocab_hash"]
+        step = header["step"]
+        extra = header["extra"]
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: invalid header contents ({exc})") from exc
+    # Checked, not coerced: a coerced field would save back to other bytes.
+    for key, want, ok in (
+        ("step", "a non-negative integer", type(step) is int and step >= 0),
+        ("vocab_hash", "a string", isinstance(vocab_hash, str)),
+        ("pretrain_config", "an object or null", pretrain_config is None or isinstance(pretrain_config, dict)),
+        ("extra", "an object", isinstance(extra, dict)),
+    ):
+        if not ok:
+            raise FormatError(f"{path}: header field {key!r} must be {want}, got {header[key]!r}")
     for name, shape in manifest:
+        if not isinstance(name, str):
+            raise FormatError(f"{path}: header field 'params' holds the parameter name {name!r}, not a string")
         if not all(isinstance(n, int) and not isinstance(n, bool) and n >= 0 for n in shape):
             raise FormatError(f"{path}: parameter {name!r} has invalid dimensions {list(shape)}")
     expected = 12 + header_len + sum(4 * int(np.prod(shape)) for _, shape in manifest)

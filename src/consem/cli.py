@@ -134,7 +134,7 @@ def _checkpoint_vocab(args) -> tuple:
 
 
 def _pooling_for(args, ckpt) -> PoolingStrategy:
-    if getattr(args, "pooling", None):
+    if args.pooling is not None:
         return PoolingStrategy.parse(args.pooling)
     if ckpt.pretrain_config and "pooling" in ckpt.pretrain_config:
         return PoolingStrategy.parse(ckpt.pretrain_config["pooling"])
@@ -337,8 +337,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     base = _resolve_config(args)
     if args.axis not in SWEEP_GRIDS:
         raise ConfigError(f"unknown sweep axis {args.axis!r}; expected one of {sorted(SWEEP_GRIDS)}")
-    values = [v.strip() for v in args.values.split(",")] if args.values else list(SWEEP_GRIDS[args.axis])
+    values = [v.strip() for v in args.values.split(",")] if args.values is not None else list(SWEEP_GRIDS[args.axis])
     for i, value in enumerate(values):
+        if not value:
+            raise ConfigError(f"sweep values {args.values!r} hold an empty item")
         if value in values[:i]:
             raise ConfigError(f"sweep value {value!r} is listed more than once in {values}")
     for key in ("triples", "vocab", "train_data", "dev_data"):

@@ -121,8 +121,19 @@ class _RunConfigBase:
         write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
     def build(self, section: type, **extra):
-        """The ``section`` dataclass filled from this configuration, plus ``extra`` fields."""
-        return section(**{name: getattr(self, key) for name, key in section_keys(section).items()}, **extra)
+        """The ``section`` dataclass filled from this configuration, plus ``extra`` fields.
+
+        A section's range errors start with the field name; raised from here
+        they start with its configuration key instead.
+        """
+        keys = section_keys(section)
+        try:
+            return section(**{name: getattr(self, key) for name, key in keys.items()}, **extra)
+        except ConfigError as exc:
+            name, _, rest = str(exc).partition(" ")
+            if name in keys:
+                raise ConfigError(f"{keys[name]} {rest}") from exc
+            raise
 
     def label_list(self) -> list[str]:
         return [part.strip() for part in self.labels.split(",") if part.strip()]

@@ -9,9 +9,11 @@ correct choice and contradiction otherwise, and at prediction time the
 choice with the highest entailment probability wins (ties go to the
 lowest index).
 
-In every case a linear head reads the last layer's [CLS] state.  The
-model from the best epoch by dev accuracy (macro F1 breaking ties) is
-returned, so a longer schedule can never return a worse dev model.
+In every case a linear head reads the last layer's [CLS] state.  A
+:class:`FinetunedModel` holds the encoder and that head; its parameter
+mapping (``from_arrays`` in, ``to_arrays`` out) is what ``model.bin``
+stores.  The model from the best epoch by dev accuracy (macro F1 breaking
+ties) is returned, so a longer schedule can never return a worse dev model.
 """
 
 from __future__ import annotations
@@ -25,13 +27,7 @@ import numpy as np
 
 from . import tensor as T
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
-from .encoder import (
-    EncoderConfig,
-    EncoderWeights,
-    PoolingStrategy,
-    forward_batch,
-    pool,
-)
+from .encoder import EncoderConfig, EncoderWeights, PoolingStrategy, forward_batch, pool
 from .errors import ConfigError, DataError, FormatError, VocabularyError
 from .metrics import ConfusionMatrix, MetricsReport, accuracy, macro_f1, mrc_accuracy
 from .optim import QUIET_FLOAT_ERRORS, AdamW, minibatches
@@ -61,6 +57,7 @@ MRC_LABELS = sorted([CONTRADICTION_LABEL, ENTAILMENT_LABEL])
 _STREAM_HEAD_INIT = 101
 _STREAM_SHUFFLE = 102
 _STREAM_DROPOUT = 103
+_PREDICT_BATCH = 64  # sequences per forward pass at prediction time
 
 
 class TaskKind(enum.Enum):
@@ -105,8 +102,9 @@ class FinetuneConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.batch_size < 1 or self.epochs < 1:
-            raise ConfigError("batch_size and epochs must be >= 1")
+        for name in ("batch_size", "epochs"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 0.0 < self.learning_rate < np.inf:
             raise ConfigError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if self.seed < 0:
@@ -162,15 +160,32 @@ def mrc_pairs(records: Sequence[dict]) -> list[dict]:
 
 @dataclass
 class FinetunedModel:
-    """A tuned encoder plus its classification head and label set."""
+    """A tuned encoder plus its classification head and label set.
 
-    encoder_config: EncoderConfig
+    Its parameter mapping, which ``model.bin`` stores, is the encoder's in
+    ``parameter_names`` order, then ``head.weight`` and ``head.bias``.
+    """
+
     weights: EncoderWeights
     head_weight: Tensor
     head_bias: Tensor
     labels: list[str]
     kind: TaskKind
     vocab_hash: str
+
+    @classmethod
+    def from_arrays(cls, config: EncoderConfig, arrays: dict, labels: list[str], kind: TaskKind, vocab_hash: str):
+        """A model over copies of ``arrays``, so training never writes back into them."""
+        head = lambda name: Tensor(np.array(arrays[name], copy=True), requires_grad=True)
+        return cls(EncoderWeights.from_arrays(config, arrays), head("head.weight"), head("head.bias"), labels, kind,
+                   vocab_hash)
+
+    def parameters(self) -> dict[str, Tensor]:
+        """The parameter mapping over the model's own tensors, which training updates in place."""
+        return {**self.weights.as_dict(), "head.weight": self.head_weight, "head.bias": self.head_bias}
+
+    def to_arrays(self) -> dict[str, np.ndarray]:
+        return {name: np.array(p.data, copy=True) for name, p in self.parameters().items()}
 
 
 def _encode_record(rec: dict, kind: TaskKind, vocab: Vocabulary, max_len: int) -> TokenSequence:
@@ -190,19 +205,17 @@ def _gold_indices(records: Sequence[dict], labels: list[str]) -> np.ndarray:
     return gold
 
 
-def _batch_logits(seqs, weights, head_w, head_b, config, train_mode, rng):
-    outputs = forward_batch(seqs, weights, config, train_mode=train_mode, rng=rng)
-    cls = pool(outputs, PoolingStrategy.CLS)
-    return T.linear(cls, head_w, head_b)
+def _logits(model: FinetunedModel, seqs, rng: np.random.Generator | None = None) -> Tensor:
+    """Head logits over the [CLS] states; train mode (dropout from ``rng``) exactly when ``rng`` is given."""
+    outputs = forward_batch(seqs, model.weights, model.weights.config, train_mode=rng is not None, rng=rng)
+    return T.linear(pool(outputs, PoolingStrategy.CLS), model.head_weight, model.head_bias)
 
 
-def _predict_probs(seqs, weights, head_w, head_b, config, batch_size=64) -> np.ndarray:
-    probs = []
-    for start in range(0, len(seqs), batch_size):
-        logits = _batch_logits(
-            seqs[start : start + batch_size], weights, head_w, head_b, config, False, None
-        )
-        probs.append(T.softmax(logits, axis=1).data)
+def _predict_probs(model: FinetunedModel, seqs) -> np.ndarray:
+    probs = [
+        T.softmax(_logits(model, seqs[start : start + _PREDICT_BATCH]), axis=1).data
+        for start in range(0, len(seqs), _PREDICT_BATCH)
+    ]
     return np.concatenate(probs, axis=0)
 
 
@@ -233,64 +246,41 @@ def finetune_classifier(
     if task.kind is TaskKind.MRC:
         labels = list(MRC_LABELS)
         train_pairs = mrc_pairs(train_records)
-        pair_kind = TaskKind.PAIR
     else:
         labels = list(task.labels) if task.labels else sorted({r["label"] for r in train_records})
         train_pairs = list(train_records)
-        pair_kind = task.kind
     if len(labels) < 2:
         raise ConfigError(f"need at least two labels to classify, got {labels}")
 
-    train_seqs = [_encode_record(r, pair_kind, vocab, encoder_config.max_len) for r in train_pairs]
+    train_seqs = [_encode_record(r, task.kind, vocab, encoder_config.max_len) for r in train_pairs]
     train_gold = _gold_indices(train_pairs, labels)
 
-    weights = EncoderWeights.from_arrays(encoder_config, checkpoint.params)
     head_rng = np.random.default_rng([config.seed, _STREAM_HEAD_INIT])
-    head_w = Tensor(
-        head_rng.normal(0.0, 0.02, size=(encoder_config.hidden_size, len(labels))),
-        requires_grad=True,
+    head = {
+        "head.weight": head_rng.normal(0.0, 0.02, size=(encoder_config.hidden_size, len(labels))),
+        "head.bias": np.zeros(len(labels)),
+    }
+    model = FinetunedModel.from_arrays(
+        encoder_config, {**checkpoint.params, **head}, labels, task.kind, checkpoint.vocab_hash
     )
-    head_b = Tensor(np.zeros(len(labels)), requires_grad=True)
-    params = weights.as_dict()
-    params["head.weight"] = head_w
-    params["head.bias"] = head_b
-    optimizer = AdamW(params, learning_rate=config.learning_rate, weight_decay=config.weight_decay)
+    optimizer = AdamW(model.parameters(), learning_rate=config.learning_rate, weight_decay=config.weight_decay)
 
-    model = FinetunedModel(
-        encoder_config=encoder_config,
-        weights=weights,
-        head_weight=head_w,
-        head_bias=head_b,
-        labels=labels,
-        kind=task.kind,
-        vocab_hash=checkpoint.vocab_hash,
-    )
-    best: tuple[float, float] | None = None
-    best_state: tuple[dict, np.ndarray, np.ndarray] | None = None
-    best_report: MetricsReport | None = None
-
+    best: tuple[tuple[float, float], dict[str, np.ndarray], MetricsReport] | None = None
     for epoch in range(1, config.epochs + 1):
         order = np.random.default_rng([config.seed, _STREAM_SHUFFLE, epoch]).permutation(len(train_seqs))
         for rows, drop_rng in minibatches(order, config.batch_size, config.seed, _STREAM_DROPOUT, epoch):
-            seqs = [train_seqs[i] for i in rows]
             with Tape() as tape:
-                logits = _batch_logits(seqs, weights, head_w, head_b, encoder_config, True, drop_rng)
-                loss = T.cross_entropy(logits, train_gold[rows])
-                optimizer.descend(loss, tape, epoch)
+                logits = _logits(model, [train_seqs[i] for i in rows], drop_rng)
+                optimizer.descend(T.cross_entropy(logits, train_gold[rows]), tape, epoch)
         # An MRC report's accuracy is its question-level accuracy.
         _, report = evaluate(model, vocab, dev_records)
         score = (report.accuracy, report.macro_f1)
-        if best is None or score > best:
-            best = score
-            best_state = (weights.to_arrays(), head_w.data.copy(), head_b.data.copy())
-            best_report = report
+        if best is None or score > best[0]:
+            best = (score, model.to_arrays(), report)
 
-    assert best_state is not None and best_report is not None
-    arrays, hw, hb = best_state
-    model.weights = EncoderWeights.from_arrays(encoder_config, arrays)
-    model.head_weight = Tensor(hw, requires_grad=True)
-    model.head_bias = Tensor(hb, requires_grad=True)
-    return model, best_report
+    assert best is not None
+    _, arrays, report = best
+    return FinetunedModel.from_arrays(encoder_config, arrays, labels, task.kind, checkpoint.vocab_hash), report
 
 
 def evaluate(model: FinetunedModel, vocab: Vocabulary, records: Sequence[dict]) -> tuple[list[dict], MetricsReport]:
@@ -304,10 +294,9 @@ def evaluate_classifier(
     model: FinetunedModel, vocab: Vocabulary, records: Sequence[dict]
 ) -> tuple[list[dict], MetricsReport]:
     """Predict labels for pair or single records; returns predictions and metrics."""
-    kind = TaskKind.PAIR if model.kind is TaskKind.MRC else model.kind
-    seqs = [_encode_record(r, kind, vocab, model.encoder_config.max_len) for r in records]
+    seqs = [_encode_record(r, model.kind, vocab, model.weights.config.max_len) for r in records]
     gold = _gold_indices(records, model.labels)
-    probs = _predict_probs(seqs, model.weights, model.head_weight, model.head_bias, model.encoder_config)
+    probs = _predict_probs(model, seqs)
     preds = probs.argmax(axis=1)
     predictions = [
         {
@@ -332,11 +321,9 @@ def mrc_scores(
         raise ConfigError("model has no entailment class to score choices with")
     if not choices:
         raise DataError("cannot score an empty choice list")
-    seqs = [
-        encode_pair(_mrc_statement(question, choice), context, vocab, model.encoder_config.max_len)
-        for choice in choices
-    ]
-    probs = _predict_probs(seqs, model.weights, model.head_weight, model.head_bias, model.encoder_config)
+    max_len = model.weights.config.max_len
+    seqs = [encode_pair(_mrc_statement(question, choice), context, vocab, max_len) for choice in choices]
+    probs = _predict_probs(model, seqs)
     return probs[:, model.labels.index(ENTAILMENT_LABEL)]
 
 
@@ -374,15 +361,12 @@ def evaluate_mrc(
 
 def save_model(model: FinetunedModel, pretrain_config: dict | None, path: str | Path) -> None:
     """Serialize a fine-tuned model in the checkpoint container format."""
-    params = model.weights.to_arrays()
-    params["head.weight"] = np.array(model.head_weight.data, copy=True)
-    params["head.bias"] = np.array(model.head_bias.data, copy=True)
     ckpt = Checkpoint(
-        encoder_config=model.encoder_config,
+        encoder_config=model.weights.config,
         pretrain_config=pretrain_config,
         vocab_hash=model.vocab_hash,
         step=0,
-        params=params,
+        params=model.to_arrays(),
         extra={"task": model.kind.value, "labels": model.labels},
     )
     save_checkpoint(ckpt, path)
@@ -395,12 +379,6 @@ def load_model(path: str | Path) -> FinetunedModel:
         raise FormatError(f"{path}: checkpoint does not contain a fine-tuned model")
     if "head.weight" not in ckpt.params or "head.bias" not in ckpt.params:
         raise FormatError(f"{path}: fine-tuned model is missing its head parameters")
-    return FinetunedModel(
-        encoder_config=ckpt.encoder_config,
-        weights=EncoderWeights.from_arrays(ckpt.encoder_config, ckpt.params),
-        head_weight=Tensor(ckpt.params["head.weight"], requires_grad=True),
-        head_bias=Tensor(ckpt.params["head.bias"], requires_grad=True),
-        labels=[str(x) for x in ckpt.extra["labels"]],
-        kind=TaskKind.parse(str(ckpt.extra["task"])),
-        vocab_hash=ckpt.vocab_hash,
-    )
+    labels = [str(x) for x in ckpt.extra["labels"]]
+    kind = TaskKind.parse(str(ckpt.extra["task"]))
+    return FinetunedModel.from_arrays(ckpt.encoder_config, ckpt.params, labels, kind, ckpt.vocab_hash)

@@ -97,8 +97,9 @@ class PretrainConfig:
             raise ConfigError(f"mlm_weight must be non-negative and finite, got {self.mlm_weight}")
         if not 0.0 < self.mask_rate < 1.0:
             raise ConfigError(f"mask_rate must be in (0, 1), got {self.mask_rate}")
-        if self.batch_size < 1 or self.epochs < 1:
-            raise ConfigError("batch_size and epochs must be >= 1")
+        for name in ("batch_size", "epochs"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 0.0 < self.learning_rate < np.inf:
             raise ConfigError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if self.seed < 0:

@@ -27,7 +27,6 @@ from consem.config import SHARED_KEYS, RunConfig, section_keys
 from consem.encoder import EncoderConfig, EncoderWeights, PoolingStrategy, embed_sentences
 from consem.finetune import MRC_LABELS, FinetuneConfig, FinetunedModel, TaskKind, load_model, save_model
 from consem.pretrain import LOSS_CSV_HEADER, PretrainConfig
-from consem.tensor import Tensor
 from consem.text import Vocabulary, load_triples_jsonl
 
 _SMALL = [
@@ -356,6 +355,17 @@ class TestRetrieve:
         values = [recount[str(k)] for k in (1, 3, 5, 10)]
         assert values == sorted(values)
 
+    @pytest.mark.parametrize("pooling", ["", "Bogus"])
+    @pytest.mark.parametrize("command", ["retrieve", "analyze"])
+    def test_unknown_pooling_fails_cleanly(self, workspace, tmp_path, capsys, command, pooling):
+        # An empty name is given, so it is checked, not read as "use the checkpoint's".
+        _write_jsonl(tmp_path / "contexts.jsonl", [{"text": "the river report"}])
+        _write_jsonl(tmp_path / "claims.jsonl", [{"claim": "the river", "gold_index": 0}])
+        argv = self._argv(workspace, command, tmp_path / "claims.jsonl", tmp_path / "contexts.jsonl", tmp_path / "out")
+        assert main(argv + ["--pooling", pooling]) == 1
+        assert capsys.readouterr().err.startswith(f"error: unknown pooling strategy {pooling!r}; expected one of")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("content", ["", "\n  \n"], ids=["empty", "blank-lines"])
     @pytest.mark.parametrize("command", ["retrieve", "analyze"])
     def test_empty_claims_file_fails_cleanly(self, workspace, tmp_path, capsys, command, content):
@@ -522,14 +532,10 @@ def task_models(workspace):
     labels = {"pair": ["contradiction", "entailment"], "single": ["inland", "waterside"], "mrc": MRC_LABELS}
     paths = {}
     for kind, names in labels.items():
-        model = FinetunedModel(
-            encoder_config=ckpt.encoder_config,
-            weights=EncoderWeights.from_arrays(ckpt.encoder_config, ckpt.params),
-            head_weight=Tensor(np.zeros((ckpt.encoder_config.hidden_size, len(names)))),
-            head_bias=Tensor(np.zeros(len(names))),
-            labels=list(names),
-            kind=TaskKind.parse(kind),
-            vocab_hash=ckpt.vocab_hash,
+        head = {"head.weight": np.zeros((ckpt.encoder_config.hidden_size, len(names))),
+                "head.bias": np.zeros(len(names))}
+        model = FinetunedModel.from_arrays(
+            ckpt.encoder_config, {**ckpt.params, **head}, list(names), TaskKind.parse(kind), ckpt.vocab_hash
         )
         paths[kind] = workspace.root / f"{kind}-model.bin"
         save_model(model, ckpt.pretrain_config, paths[kind])
@@ -703,9 +709,8 @@ def test_divergence_is_one_error_line(workspace, tmp_path, command):
     assert " at step " in lines[0] and "(epoch " in lines[0]
 
 
-@pytest.mark.parametrize("source", ["flag", "config"])
-@pytest.mark.parametrize("command", ["pretrain", "finetune", "sweep"])
-def test_negative_seed_is_one_error_line(workspace, tmp_path, capsys, command, source):
+def _settings_argv(workspace, command, out):
+    """A ``command`` argv over the workspace's inputs that would run as it stands."""
     inputs = {
         "pretrain": ["--triples", workspace.triples, "--vocab", workspace.vocab, *_SMALL],
         "finetune": ["--checkpoint", workspace.checkpoint, "--vocab", workspace.vocab,
@@ -713,7 +718,13 @@ def test_negative_seed_is_one_error_line(workspace, tmp_path, capsys, command, s
         "sweep": ["--axis", "tau", "--values", "0.05", "--triples", workspace.triples,
                   "--vocab", workspace.vocab, "--train", workspace.train, "--dev", workspace.dev, *_SMALL],
     }
-    argv = [command, *map(str, inputs[command]), "--out", str(tmp_path / "out")]
+    return [command, *map(str, inputs[command]), "--out", str(out)]
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command", ["pretrain", "finetune", "sweep"])
+def test_negative_seed_is_one_error_line(workspace, tmp_path, capsys, command, source):
+    argv = _settings_argv(workspace, command, tmp_path / "out")
     if source == "flag":
         argv += ["--seed", "-1"]
     else:
@@ -737,13 +748,8 @@ _FLOAT_SETTINGS = [
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("command,key,name", _FLOAT_SETTINGS, ids=[f"{c}-{k}" for c, k, _ in _FLOAT_SETTINGS])
 def test_non_finite_setting_is_one_error_line(workspace, tmp_path, capsys, command, key, name, value):
-    inputs = {
-        "pretrain": ["--triples", workspace.triples, "--vocab", workspace.vocab, *_SMALL],
-        "finetune": ["--checkpoint", workspace.checkpoint, "--vocab", workspace.vocab,
-                     "--train", workspace.train, "--dev", workspace.dev],
-    }
     out = tmp_path / "out"
-    argv = [command, *map(str, inputs[command]), "--out", str(out)]
+    argv = _settings_argv(workspace, command, out)
     if command == "finetune" and key in SHARED_KEYS:
         # finetune reads the shared keys from a configuration file only.
         cfg = tmp_path / "run.cfg"
@@ -754,6 +760,27 @@ def test_non_finite_setting_is_one_error_line(workspace, tmp_path, capsys, comma
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and name in err, err
+    for artifact in ("checkpoint.bin", "model.bin", "run_config.txt"):
+        assert not (out / artifact).exists()
+
+
+# (command, configuration key, value, message) for each count or rate whose
+# section field is named differently from its key, or shares a check with another.
+_RANGE_CASES = [
+    ("finetune", "ft_learning_rate", "nan", "ft_learning_rate must be positive and finite, got nan"),
+    ("finetune", "ft_epochs", "0", "ft_epochs must be >= 1, got 0"),
+    ("finetune", "ft_batch_size", "0", "ft_batch_size must be >= 1, got 0"),
+    ("pretrain", "epochs", "0", "epochs must be >= 1, got 0"),
+    ("pretrain", "batch_size", "0", "batch_size must be >= 1, got 0"),
+]
+
+
+@pytest.mark.parametrize("command,key,value,message", _RANGE_CASES, ids=[c[1] for c in _RANGE_CASES])
+def test_range_error_names_the_configuration_key(workspace, tmp_path, capsys, command, key, value, message):
+    out = tmp_path / "out"
+    argv = _settings_argv(workspace, command, out) + [f"--{key.replace('_', '-')}", value]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
     for artifact in ("checkpoint.bin", "model.bin", "run_config.txt"):
         assert not (out / artifact).exists()
 
@@ -906,6 +933,16 @@ class TestSweep:
             rows = list(csv.reader(fh))
         assert rows[1][3] == "ok"
         assert rows[2][0] == "oops" and rows[2][3] == "error: ConfigError"
+
+    @pytest.mark.parametrize("values", ["", "0.1,,0.5", "0.1, "])
+    def test_empty_value_rejected_before_any_leg(self, workspace, tmp_path, capsys, values):
+        argv = ["sweep", "--axis", "tau", "--values", values,
+                "--triples", str(workspace.triples), "--vocab", str(workspace.vocab),
+                "--train", str(workspace.train), "--dev", str(workspace.dev),
+                "--task", "pair", "--epochs", "1", "--out", str(tmp_path / "out")] + _SMALL
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: sweep values {values!r} hold an empty item\n"
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_axis_fails(self, workspace, tmp_path, capsys):
         rc = main(["sweep", "--axis", "bogus", "--triples", str(workspace.triples),

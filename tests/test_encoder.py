@@ -433,8 +433,12 @@ class TestFusedOps:
         head = {"head.weight": head_w, "head.bias": head_b}
         gold = rng.integers(0, 3, size=len(seqs))
 
+        labels = ["a", "b", "c"]
+        model = finetune_module.FinetunedModel(weights, head_w, head_b, labels, finetune_module.TaskKind.PAIR, "")
+
         def fused():
-            logits = finetune_module._batch_logits(seqs, weights, head_w, head_b, config, True, None)
+            # dropout is 0, so the eval-mode forward is the train-mode one.
+            logits = finetune_module._logits(model, seqs)
             return T.cross_entropy(logits, gold)
 
         def composed():

@@ -8,7 +8,7 @@ import pytest
 from conftest import make_mrc_task, make_pair_task, make_single_task, topic_sentence
 
 from consem.checkpoint import save_checkpoint
-from consem.encoder import EncoderWeights, parameter_names
+from consem.encoder import parameter_names
 from consem.errors import ConfigError, DataError, FormatError, VocabularyError
 from consem.finetune import (
     CONTRADICTION_LABEL,
@@ -18,6 +18,7 @@ from consem.finetune import (
     FinetunedModel,
     TaskKind,
     TaskSpec,
+    evaluate,
     evaluate_classifier,
     evaluate_mrc,
     finetune_classifier,
@@ -27,7 +28,6 @@ from consem.finetune import (
     mrc_scores,
     save_model,
 )
-from consem.tensor import Tensor
 from consem.text import build_vocab
 
 
@@ -79,6 +79,18 @@ class TestPairTask:
         assert again.head_weight.data.tobytes() == model.head_weight.data.tobytes()
         for name, arr in again.weights.items():
             np.testing.assert_array_equal(arr.data, model.weights[name].data)
+
+    def test_longer_schedule_never_returns_a_worse_dev_model(self, micro_checkpoint):
+        # At this size dev accuracy dips in epoch 3, so the 3-epoch run must return epoch 2's model.
+        ckpt, _, vocab = micro_checkpoint
+        train, dev = make_pair_task(16), make_pair_task(8, start=16)
+        scores = []
+        for epochs in range(1, 5):
+            config = FinetuneConfig(batch_size=4, epochs=epochs, learning_rate=2e-3, seed=3)
+            model, report = finetune_classifier(ckpt, TaskSpec(TaskKind.PAIR), train, dev, config, vocab)
+            assert evaluate(model, vocab, dev)[1].to_dict() == report.to_dict(), epochs
+            scores.append((report.accuracy, report.macro_f1))
+        assert scores == sorted(scores)
 
     def test_checkpoint_params_not_mutated(self, micro_checkpoint):
         ckpt, _, vocab = micro_checkpoint
@@ -251,14 +263,9 @@ class TestMrc:
     def test_model_without_entailment_class_rejected(self, micro_checkpoint):
         ckpt, _, vocab = micro_checkpoint
         arrays = {n: ckpt.params[n] for n in parameter_names(ckpt.encoder_config)}
-        model = FinetunedModel(
-            encoder_config=ckpt.encoder_config,
-            weights=EncoderWeights.from_arrays(ckpt.encoder_config, arrays),
-            head_weight=Tensor(np.zeros((ckpt.encoder_config.hidden_size, 2)), requires_grad=True),
-            head_bias=Tensor(np.zeros(2), requires_grad=True),
-            labels=["negative", "positive"],
-            kind=TaskKind.PAIR,
-            vocab_hash=ckpt.vocab_hash,
+        arrays.update({"head.weight": np.zeros((ckpt.encoder_config.hidden_size, 2)), "head.bias": np.zeros(2)})
+        model = FinetunedModel.from_arrays(
+            ckpt.encoder_config, arrays, ["negative", "positive"], TaskKind.PAIR, ckpt.vocab_hash
         )
         with pytest.raises(ConfigError):
             mrc_scores(model, vocab, "a river", "which ?", ["the river"])
