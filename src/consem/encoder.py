@@ -12,6 +12,14 @@ its longest sequence and keeps the padding mask with every layer's
 (batch, seq, d) hidden states and attention maps, which the pooling
 strategies and the attention export tooling both consume.  Hidden state
 index 0 is the embedding output; index L is the last block.
+
+Evaluation batches are length-sorted: ``length_batches`` groups rows of
+similar length so each batch pads little, and its callers
+(``embed_sentences`` and fine-tuned prediction) scatter the results back
+to input order.  A row's vector may differ from the one an input-order
+batch would give by about 2e-7, the float noise of a different padded
+width; a call that fits in one batch is unchanged.  Training batches are
+never reordered: in-batch negatives depend on a batch's members.
 """
 
 from __future__ import annotations
@@ -34,6 +42,7 @@ __all__ = [
     "PoolingStrategy",
     "embed_sentences",
     "forward_batch",
+    "length_batches",
     "parameter_names",
     "pool",
 ]
@@ -314,6 +323,22 @@ def pool(outputs: LayerOutputs, strategy: PoolingStrategy) -> Tensor:
     raise ConfigError(f"unhandled pooling strategy {strategy!r}")
 
 
+def length_batches(lengths: Sequence[int], batch_size: int) -> Iterator[np.ndarray]:
+    """Row indices in batches of at most ``batch_size``, shortest rows first.
+
+    Rows are stably sorted by length and cut into consecutive batches, the
+    last of which may be short, so no row of a batch is shorter than any
+    row of an earlier one.  Within a batch the rows keep their input order:
+    a batch's padding depends only on its members, and a call whose rows
+    all fit in one batch yields ``0..n-1`` unchanged.
+    """
+    if batch_size < 1:
+        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
+    order = np.argsort(np.asarray(lengths, dtype=np.intp), kind="stable")
+    for start in range(0, len(order), batch_size):
+        yield np.sort(order[start : start + batch_size])
+
+
 def embed_sentences(
     texts: Sequence[str],
     weights: EncoderWeights,
@@ -322,12 +347,13 @@ def embed_sentences(
     strategy: PoolingStrategy = PoolingStrategy.CLS,
     batch_size: int = 32,
 ) -> np.ndarray:
-    """Encode (eval mode) and pool sentences into an (n, d) float array."""
-    vectors = np.zeros((len(texts), config.hidden_size), dtype=np.float32)
-    for start in range(0, len(texts), batch_size):
-        chunk = texts[start : start + batch_size]
-        seqs = [encode_single(text, vocab, config.max_len) for text in chunk]
-        outputs = forward_batch(seqs, weights, config, train_mode=False)
-        pooled = pool(outputs, strategy)
-        vectors[start : start + len(chunk)] = pooled.data.astype(np.float32)
+    """Encode (eval mode) and pool sentences into an (n, d) float32 array in input order.
+
+    Sentences are batched by token length through :func:`length_batches`;
+    see the module docstring for the float drift that reordering allows.
+    """
+    seqs = [encode_single(text, vocab, config.max_len) for text in texts]
+    vectors = np.zeros((len(seqs), config.hidden_size), dtype=np.float32)
+    for rows in length_batches([s.length for s in seqs], batch_size):
+        vectors[rows] = pool(forward_batch([seqs[i] for i in rows], weights, config), strategy).data
     return vectors

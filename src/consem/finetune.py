@@ -27,8 +27,8 @@ import numpy as np
 
 from . import tensor as T
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
-from .encoder import EncoderConfig, EncoderWeights, PoolingStrategy, forward_batch, pool
-from .errors import ConfigError, DataError, FormatError, VocabularyError
+from .encoder import EncoderConfig, EncoderWeights, PoolingStrategy, forward_batch, length_batches, pool
+from .errors import ConfigError, DataError, FormatError, ShapeError, VocabularyError
 from .metrics import ConfusionMatrix, MetricsReport, accuracy, macro_f1, mrc_accuracy
 from .optim import QUIET_FLOAT_ERRORS, AdamW, minibatches
 from .tensor import Tape, Tensor
@@ -175,7 +175,16 @@ class FinetunedModel:
 
     @classmethod
     def from_arrays(cls, config: EncoderConfig, arrays: dict, labels: list[str], kind: TaskKind, vocab_hash: str):
-        """A model over copies of ``arrays``, so training never writes back into them."""
+        """A model over copies of ``arrays``, so training never writes back into them.
+
+        The head must have one column per label: ``head.weight`` is
+        (hidden_size, len(labels)) and ``head.bias`` is (len(labels),).
+        """
+        for name, want in (("head.weight", (config.hidden_size, len(labels))), ("head.bias", (len(labels),))):
+            if np.shape(arrays[name]) != want:
+                raise ShapeError(
+                    f"parameter {name!r} has shape {np.shape(arrays[name])}, expected {want} for {len(labels)} labels"
+                )
         head = lambda name: Tensor(np.array(arrays[name], copy=True), requires_grad=True)
         return cls(EncoderWeights.from_arrays(config, arrays), head("head.weight"), head("head.bias"), labels, kind,
                    vocab_hash)
@@ -212,11 +221,17 @@ def _logits(model: FinetunedModel, seqs, rng: np.random.Generator | None = None)
 
 
 def _predict_probs(model: FinetunedModel, seqs) -> np.ndarray:
-    probs = [
-        T.softmax(_logits(model, seqs[start : start + _PREDICT_BATCH]), axis=1).data
-        for start in range(0, len(seqs), _PREDICT_BATCH)
-    ]
-    return np.concatenate(probs, axis=0)
+    """Eval-mode label probabilities, an (n, labels) float64 array in input order.
+
+    Sequences are batched by token length through ``length_batches``, so
+    rows may differ from input-order batches by float noise (about 2e-7);
+    a call that fits in one batch, such as one question's choices, is
+    unchanged.
+    """
+    probs = np.zeros((len(seqs), len(model.labels)))
+    for rows in length_batches([s.length for s in seqs], _PREDICT_BATCH):
+        probs[rows] = T.softmax(_logits(model, [seqs[i] for i in rows]), axis=1).data
+    return probs
 
 
 @np.errstate(**QUIET_FLOAT_ERRORS)
@@ -379,6 +394,13 @@ def load_model(path: str | Path) -> FinetunedModel:
         raise FormatError(f"{path}: checkpoint does not contain a fine-tuned model")
     if "head.weight" not in ckpt.params or "head.bias" not in ckpt.params:
         raise FormatError(f"{path}: fine-tuned model is missing its head parameters")
-    labels = [str(x) for x in ckpt.extra["labels"]]
-    kind = TaskKind.parse(str(ckpt.extra["task"]))
-    return FinetunedModel.from_arrays(ckpt.encoder_config, ckpt.params, labels, kind, ckpt.vocab_hash)
+    labels, task = ckpt.extra["labels"], ckpt.extra["task"]
+    kinds = [k.value for k in TaskKind]
+    # Checked, not coerced: a coerced field would save back to other bytes.
+    for key, want, ok in (
+        ("task", f"one of {kinds}", task in kinds),
+        ("labels", "a list of strings", isinstance(labels, list) and all(isinstance(x, str) for x in labels)),
+    ):
+        if not ok:
+            raise FormatError(f"{path}: extra field {key!r} must be {want}, got {ckpt.extra[key]!r}")
+    return FinetunedModel.from_arrays(ckpt.encoder_config, ckpt.params, labels, TaskKind(task), ckpt.vocab_hash)

@@ -3,9 +3,9 @@
 Everything here is written in plain python loops (plus math) on purpose:
 these functions must not share code paths, vectorization tricks, or
 reduction orders with the package under test.  The exceptions are
-``composed_forward_batch``, ``composed_contrastive_loss``, ``erf_gelu`` and
-the unfused kernels at the end, references built from the package's own
-tensor ops, numpy or scipy.
+``composed_forward_batch``, ``composed_contrastive_loss``, ``erf_gelu``,
+the unfused kernels and the input-order batchers at the end, references
+built from the package's own tensor ops, numpy or scipy.
 """
 
 from __future__ import annotations
@@ -15,10 +15,11 @@ import math
 import numpy as np
 from scipy.special import erf
 
+from consem import finetune
 from consem import tensor as T
-from consem.encoder import ATTENTION_MASK_BIAS, LayerOutputs
+from consem.encoder import ATTENTION_MASK_BIAS, LayerOutputs, forward_batch, pool
 from consem.errors import TrainingDivergedError
-from consem.text import PAD_ID
+from consem.text import PAD_ID, encode_single
 
 
 def _unit(row) -> list[float]:
@@ -307,3 +308,27 @@ class PerTensorAdamW:
             if self.weight_decay:
                 update = update + self.weight_decay * p.data
             p.data -= (self.learning_rate * update).astype(p.data.dtype, copy=False)
+
+
+# ``embed_sentences`` and fine-tuned prediction as they batched before eval
+# batches were length-sorted: consecutive slices in input order, each padded
+# to its own longest sequence.  Tests bound the drift of the sorted path
+# against them and require bit-equality when everything fits in one batch.
+
+
+def input_order_embed_sentences(texts, weights, config, vocab, strategy, batch_size: int = 32) -> np.ndarray:
+    vectors = np.zeros((len(texts), config.hidden_size), dtype=np.float32)
+    for start in range(0, len(texts), batch_size):
+        chunk = texts[start : start + batch_size]
+        seqs = [encode_single(text, vocab, config.max_len) for text in chunk]
+        outputs = forward_batch(seqs, weights, config, train_mode=False)
+        vectors[start : start + len(chunk)] = pool(outputs, strategy).data.astype(np.float32)
+    return vectors
+
+
+def input_order_predict_probs(model, seqs, batch_size: int = 64) -> np.ndarray:
+    probs = [
+        T.softmax(finetune._logits(model, seqs[start : start + batch_size]), axis=1).data
+        for start in range(0, len(seqs), batch_size)
+    ]
+    return np.concatenate(probs, axis=0)

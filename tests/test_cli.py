@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from conftest import make_pair_task, make_single_task, make_topic_nli
 
-from consem.checkpoint import load_checkpoint
+from consem.checkpoint import load_checkpoint, save_checkpoint
 from consem.cli import SWEEP_GRIDS, main
 from consem.config import SHARED_KEYS, RunConfig, section_keys
 from consem.encoder import EncoderConfig, EncoderWeights, PoolingStrategy, embed_sentences
@@ -250,6 +250,19 @@ class TestFinetuneEvaluate:
         assert err.startswith("error: label 'entailment' is listed more than once") and err.count("\n") == 1
         assert not (tmp_path / "model.bin").exists()
 
+    def test_head_wider_than_labels_fails_cleanly(self, workspace, tmp_path, capsys):
+        ckpt = load_checkpoint(workspace.model)
+        d = ckpt.encoder_config.hidden_size
+        ckpt.params["head.weight"] = np.zeros((d, 3), dtype=np.float32)
+        ckpt.params["head.bias"] = np.array([0.0, 0.0, 5.0], dtype=np.float32)
+        save_checkpoint(ckpt, tmp_path / "model.bin")
+        rc = main(["evaluate", "--model", str(tmp_path / "model.bin"), "--vocab", str(workspace.vocab),
+                   "--data", str(workspace.dev), "--out", str(tmp_path / "eval")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "head.weight" in err and err.count("\n") == 1, err
+        assert "Traceback" not in err
+        assert not (tmp_path / "eval" / "metrics.json").exists()
 
     @pytest.fixture(scope="class")
     def single_model(self, workspace):

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from conftest import analytic_gradients, fd_at, relative_error
+from conftest import TOPICS, analytic_gradients, fd_at, relative_error, topic_sentence
 from gradcases import micro_encoder_case
-from oracles import composed_forward_batch
+from oracles import composed_forward_batch, input_order_embed_sentences
 
+from consem import encoder as encoder_module
 from consem import finetune as finetune_module
 from consem import pretrain as pretrain_module
 from consem import tensor as T
@@ -18,6 +19,7 @@ from consem.encoder import (
     PoolingStrategy,
     embed_sentences,
     forward_batch,
+    length_batches,
     parameter_names,
     pool,
 )
@@ -330,6 +332,46 @@ class TestPooling:
             PoolingStrategy.parse("Last")
 
 
+class TestLengthBatches:
+    @pytest.mark.parametrize("batch_size", [1, 3, 8, 64])
+    def test_every_row_once_in_length_order(self, batch_size):
+        lengths = np.random.default_rng(batch_size).integers(1, 20, size=50)
+        batches = list(length_batches(lengths.tolist(), batch_size))
+        rows = np.concatenate(batches)
+        assert sorted(rows.tolist()) == list(range(50))
+        assert all(1 <= len(b) <= batch_size for b in batches)
+        assert all(len(b) == batch_size for b in batches[:-1])
+        # No row of a batch is shorter than a row of an earlier batch.
+        assert all(lengths[a].max() <= lengths[b].min() for a, b in zip(batches, batches[1:]))
+        # Within a batch rows keep their input order.
+        assert all((np.diff(b) > 0).all() for b in batches)
+
+    def test_one_batch_keeps_input_order(self):
+        batches = list(length_batches([5, 2, 9, 1], 4))
+        assert len(batches) == 1 and batches[0].tolist() == [0, 1, 2, 3]
+
+    def test_equal_lengths_keep_input_order(self):
+        assert [b.tolist() for b in length_batches([3, 3, 3, 3, 3], 2)] == [[0, 1], [2, 3], [4]]
+
+    def test_no_rows_no_batches(self):
+        assert list(length_batches([], 4)) == []
+
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_batch_size_below_one_rejected(self, batch_size):
+        with pytest.raises(ConfigError, match="batch_size"):
+            list(length_batches([1, 2], batch_size))
+
+
+def _mixed_length_texts(n: int) -> list[str]:
+    """Topic sentences cut to 1..8 words or doubled past max_len, in scrambled order."""
+    texts = []
+    for i in range(n):
+        words = topic_sentence(TOPICS[i % 8], 300 + i).split()
+        cut = (i * 7) % 10
+        texts.append(" ".join(words[: cut + 1]) if cut < 8 else " ".join(words + words + words))
+    return texts
+
+
 class TestEmbedSentences:
     def test_shape_dtype_and_batch_independence(self, setup):
         vocab, config, weights = setup
@@ -338,6 +380,68 @@ class TestEmbedSentences:
         big = embed_sentences(texts, weights, config, vocab, batch_size=100)
         assert small.shape == (4, 12) and small.dtype == np.float32
         np.testing.assert_allclose(small, big, atol=1e-6)
+
+    @pytest.mark.parametrize("strategy", list(PoolingStrategy))
+    def test_drift_from_input_order_is_bounded(self, micro_checkpoint, strategy):
+        ckpt, _, vocab = micro_checkpoint
+        config = ckpt.encoder_config
+        weights = EncoderWeights.from_arrays(config, ckpt.params)
+        texts = _mixed_length_texts(70)
+        sorted_path = embed_sentences(texts, weights, config, vocab, strategy, batch_size=8)
+        reference = input_order_embed_sentences(texts, weights, config, vocab, strategy, batch_size=8)
+        assert np.abs(sorted_path - reference).max() <= 1e-6
+
+    def test_vector_does_not_depend_on_position(self, micro_checkpoint):
+        ckpt, _, vocab = micro_checkpoint
+        config = ckpt.encoder_config
+        weights = EncoderWeights.from_arrays(config, ckpt.params)
+        texts = _mixed_length_texts(70)
+        perm = np.random.default_rng(4).permutation(len(texts))
+        base = embed_sentences(texts, weights, config, vocab, PoolingStrategy.MEAN, batch_size=8)
+        shuffled = embed_sentences([texts[i] for i in perm], weights, config, vocab, PoolingStrategy.MEAN,
+                                   batch_size=8)
+        unshuffled = np.empty_like(shuffled)
+        unshuffled[perm] = shuffled
+        assert np.abs(unshuffled - base).max() <= 1e-6
+
+    @pytest.mark.parametrize("strategy", list(PoolingStrategy))
+    def test_one_batch_is_bit_equal_to_input_order(self, micro_checkpoint, strategy):
+        ckpt, _, vocab = micro_checkpoint
+        config = ckpt.encoder_config
+        weights = EncoderWeights.from_arrays(config, ckpt.params)
+        texts = _mixed_length_texts(32)
+        vectors = embed_sentences(texts, weights, config, vocab, strategy)
+        reference = input_order_embed_sentences(texts, weights, config, vocab, strategy)
+        assert vectors.tobytes() == reference.tobytes()
+
+    def test_sorted_batches_pad_less(self, micro_checkpoint, monkeypatch):
+        ckpt, _, vocab = micro_checkpoint
+        config = ckpt.encoder_config
+        weights = EncoderWeights.from_arrays(config, ckpt.params)
+        texts = _mixed_length_texts(70)
+        slots = []
+
+        def counting_forward(seqs, *args, **kwargs):
+            outputs = forward_batch(seqs, *args, **kwargs)
+            slots.append(outputs.mask.size)
+            return outputs
+
+        monkeypatch.setattr(encoder_module, "forward_batch", counting_forward)
+        embed_sentences(texts, weights, config, vocab, batch_size=8)
+        lengths = [encode_single(t, vocab, config.max_len).length for t in texts]
+        input_order = sum(len(lengths[s : s + 8]) * max(lengths[s : s + 8]) for s in range(0, 70, 8))
+        assert len(slots) == 9 and sum(slots) < input_order
+
+    def test_no_texts_give_an_empty_matrix(self, setup):
+        vocab, config, weights = setup
+        vectors = embed_sentences([], weights, config, vocab)
+        assert vectors.shape == (0, config.hidden_size) and vectors.dtype == np.float32
+
+    @pytest.mark.parametrize("batch_size", [0, -3])
+    def test_batch_size_below_one_rejected(self, setup, batch_size):
+        vocab, config, weights = setup
+        with pytest.raises(ConfigError, match="batch_size"):
+            embed_sentences(["the river glows"], weights, config, vocab, batch_size=batch_size)
 
 
 class TestEncoderGradients:

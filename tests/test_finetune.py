@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from conftest import make_mrc_task, make_pair_task, make_single_task, topic_sentence
+from oracles import input_order_predict_probs
 
-from consem.checkpoint import save_checkpoint
+from consem import finetune as finetune_module
+from consem.checkpoint import load_checkpoint, save_checkpoint
 from consem.encoder import parameter_names
-from consem.errors import ConfigError, DataError, FormatError, VocabularyError
+from consem.errors import ConfigError, DataError, FormatError, ShapeError, VocabularyError
 from consem.finetune import (
     CONTRADICTION_LABEL,
     ENTAILMENT_LABEL,
@@ -28,7 +30,7 @@ from consem.finetune import (
     mrc_scores,
     save_model,
 )
-from consem.text import build_vocab
+from consem.text import build_vocab, encode_pair
 
 
 @pytest.fixture(scope="module")
@@ -271,6 +273,46 @@ class TestMrc:
             mrc_scores(model, vocab, "a river", "which ?", ["the river"])
 
 
+class TestPrediction:
+    def test_drift_from_input_order_is_bounded(self, pair_run):
+        model, _, train, dev, vocab = pair_run
+        records = train + dev + make_pair_task(70, start=200)
+        # Some records are cut short, so the batches mix lengths.
+        records = [dict(r, text_b=" ".join(r["text_b"].split()[: 1 + i % 6])) for i, r in enumerate(records)]
+        seqs = [encode_pair(r["text_a"], r["text_b"], vocab, model.weights.config.max_len) for r in records]
+        assert len({s.length for s in seqs}) > 3 and len(seqs) > 2 * finetune_module._PREDICT_BATCH
+        probs = finetune_module._predict_probs(model, seqs)
+        reference = input_order_predict_probs(model, seqs, finetune_module._PREDICT_BATCH)
+        assert probs.shape == reference.shape
+        assert np.abs(probs - reference).max() <= 1e-6
+        predictions, _ = evaluate_classifier(model, vocab, records)
+        assert [p["scores"] for p in predictions] == probs.tolist()
+
+    def test_one_question_is_bit_equal_to_input_order(self, pair_run):
+        model, _, _, _, vocab = pair_run
+        column = model.labels.index(ENTAILMENT_LABEL)
+        for rec in make_mrc_task(6, start=30, choices=4):
+            scores = mrc_scores(model, vocab, rec["context"], rec["question"], rec["choices"])
+            seqs = [encode_pair(f"{rec['question']} {c}", rec["context"], vocab, model.weights.config.max_len)
+                    for c in rec["choices"]]
+            reference = input_order_predict_probs(model, seqs)[:, column]
+            assert scores.tolist() == reference.tolist()
+
+    def test_no_sequences_give_an_empty_matrix(self, pair_run):
+        model = pair_run[0]
+        assert finetune_module._predict_probs(model, []).shape == (0, len(model.labels))
+
+
+class TestHeadShape:
+    @pytest.mark.parametrize("weight_cols,bias_len", [(3, 2), (2, 3), (1, 1)])
+    def test_head_must_have_one_column_per_label(self, micro_checkpoint, weight_cols, bias_len):
+        ckpt, _, _ = micro_checkpoint
+        d = ckpt.encoder_config.hidden_size
+        arrays = {**ckpt.params, "head.weight": np.zeros((d, weight_cols)), "head.bias": np.zeros(bias_len)}
+        with pytest.raises(ShapeError, match="head"):
+            FinetunedModel.from_arrays(ckpt.encoder_config, arrays, ["a", "b"], TaskKind.PAIR, ckpt.vocab_hash)
+
+
 class TestSaveLoad:
     def test_round_trip_preserves_predictions(self, pair_run, tmp_path):
         model, _, _, dev, vocab = pair_run
@@ -284,6 +326,26 @@ class TestSaveLoad:
         before, _ = evaluate_classifier(model, vocab, dev)
         after, _ = evaluate_classifier(loaded, vocab, dev)
         assert [p["pred"] for p in before] == [p["pred"] for p in after]
+
+    def test_save_load_save_is_byte_identical(self, pair_run, tmp_path):
+        model = pair_run[0]
+        save_model(model, {"tau": 0.05}, tmp_path / "a.bin")
+        save_model(load_model(tmp_path / "a.bin"), {"tau": 0.05}, tmp_path / "b.bin")
+        assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("labels", [0, 1]), ("labels", ["a", 1]), ("labels", "ab"), ("labels", None),
+         ("task", 7), ("task", None), ("task", ["pair"]), ("task", "foo")],
+    )
+    def test_extra_fields_are_checked_not_coerced(self, pair_run, tmp_path, field, value):
+        model = pair_run[0]
+        save_model(model, {"tau": 0.05}, tmp_path / "model.bin")
+        ckpt = load_checkpoint(tmp_path / "model.bin")
+        ckpt.extra[field] = value
+        save_checkpoint(ckpt, tmp_path / "edited.bin")
+        with pytest.raises(FormatError, match=f"extra field '{field}'"):
+            load_model(tmp_path / "edited.bin")
 
     def test_plain_checkpoint_is_not_a_model(self, micro_checkpoint, tmp_path):
         ckpt, _, _ = micro_checkpoint
