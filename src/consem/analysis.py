@@ -213,7 +213,7 @@ def export_attention(
     config = checkpoint.encoder_config
     weights = EncoderWeights.from_arrays(config, checkpoint.params)
     seq = encode_pair(text_a, text_b, vocab, config.max_len)
-    outputs = forward_batch([seq], weights, config, train_mode=False)
+    outputs = forward_batch([seq], weights)
     probs = outputs.attention[-1].data[0].astype(np.float64)
     tokens = [vocab.token_for(i) for i in seq.ids]
     return {

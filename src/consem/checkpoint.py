@@ -45,7 +45,6 @@ class Checkpoint:
     step: int
     params: dict[str, np.ndarray]
     extra: dict = field(default_factory=dict)
-    version: int = FORMAT_VERSION
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
@@ -60,7 +59,7 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     blobs = [np.ascontiguousarray(array, dtype="<f4").tobytes() for array in ckpt.params.values()]
     write_atomic(
-        path, b"".join([MAGIC, struct.pack("<II", ckpt.version, len(header_bytes)), header_bytes, *blobs])
+        path, b"".join([MAGIC, struct.pack("<II", FORMAT_VERSION, len(header_bytes)), header_bytes, *blobs])
     )
 
 
@@ -118,5 +117,4 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         step=step,
         params=params,
         extra=extra,
-        version=version,
     )

@@ -243,7 +243,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _retrieval_vectors(args, weights, ckpt, vocab, pooling):
+def _retrieval_vectors(args, weights, vocab, pooling):
     """Claim vectors, context vectors and gold indices from ``--claims``/``--contexts``."""
     claims = []
     for lineno, obj in load_jsonl(args.claims):
@@ -259,10 +259,8 @@ def _retrieval_vectors(args, weights, ckpt, vocab, pooling):
     for _, gold, where in claims:
         if not 0 <= gold < len(contexts):
             raise DataError(f"{where}: field 'gold_index' {gold} is out of range for {len(contexts)} contexts")
-    claim_vectors = embed_sentences(
-        [c for c, _, _ in claims], weights, ckpt.encoder_config, vocab, pooling
-    )
-    context_vectors = embed_sentences(contexts, weights, ckpt.encoder_config, vocab, pooling)
+    claim_vectors = embed_sentences([c for c, _, _ in claims], weights, weights.config, vocab, pooling)
+    context_vectors = embed_sentences(contexts, weights, weights.config, vocab, pooling)
     return claim_vectors, context_vectors, np.array([gold for _, gold, _ in claims], dtype=np.intp)
 
 
@@ -270,7 +268,7 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
     ckpt, vocab = _checkpoint_vocab(args)
     pooling = _pooling_for(args, ckpt)
     weights = EncoderWeights.from_arrays(ckpt.encoder_config, ckpt.params)
-    claim_vectors, context_vectors, gold = _retrieval_vectors(args, weights, ckpt, vocab, pooling)
+    claim_vectors, context_vectors, gold = _retrieval_vectors(args, weights, vocab, pooling)
     accuracies = accuracy_at_topk(claim_vectors, context_vectors, gold)
     out = _out_dir(args.out)
     payload = {
@@ -310,7 +308,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
     accuracy_at_k = None
     if args.claims is not None:
-        accuracy_at_k = accuracy_at_topk(*_retrieval_vectors(args, weights, ckpt, vocab, pooling))
+        accuracy_at_k = accuracy_at_topk(*_retrieval_vectors(args, weights, vocab, pooling))
     report = AnalysisReport(
         alignment_entailment=aligned("entailment"),
         alignment_contradiction=aligned("contradiction"),

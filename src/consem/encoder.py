@@ -5,7 +5,10 @@ self-attention and a GELU feed-forward network, with dropout on each
 sublayer output before its residual addition and a layer norm after it.
 Padding positions are excluded from attention by adding a large negative
 bias to their key columns, so padding never changes the states at real
-positions.
+positions.  One pass serves both modes: ``forward_batch`` reads the
+architecture from the weights and runs in train mode, with dropout,
+exactly when it is given a dropout generator; without one it is the
+deterministic evaluation pass that embeddings and predictions come from.
 
 ``forward_batch`` is the only code that pads: it pads a ragged batch to
 its longest sequence and keeps the padding mask with every layer's
@@ -196,8 +199,8 @@ class LayerOutputs:
     mask: np.ndarray
 
 
-def _dropout(x, config, train_mode, rng):
-    if not (train_mode and config.dropout > 0.0):
+def _dropout(x, config, rng):
+    if rng is None or config.dropout == 0.0:
         return x
     # The mask is that of noise over the fixed (batch, max_len, d) grid cut to
     # this batch's length, so a real position's mask depends only on the seed,
@@ -209,35 +212,35 @@ def _dropout(x, config, train_mode, rng):
     return T.dropout(x, config.dropout, rng, grid=(batch, config.max_len, d))
 
 
-def _attention_block(x, mask_bias, weights, prefix, config, train_mode, rng):
+def _attention_block(x, mask_bias, weights, prefix, rng):
     w = lambda name: weights[f"{prefix}.attn.{name}"]
     q = T.linear(x, w("wq"), w("bq"))
     k = T.linear(x, w("wk"), w("bk"))
     v = T.linear(x, w("wv"), w("bv"))
-    context, probs = T.attention(q, k, v, config.num_heads, mask_bias)
+    context, probs = T.attention(q, k, v, weights.config.num_heads, mask_bias)
     out = T.linear(context, w("wo"), w("bo"))
-    return _dropout(out, config, train_mode, rng), probs
+    return _dropout(out, weights.config, rng), probs
 
 
-def _feed_forward(x, weights, prefix, config, train_mode, rng):
+def _feed_forward(x, weights, prefix, rng):
     w = lambda name: weights[f"{prefix}.ff.{name}"]
     out = T.linear(T.gelu(T.linear(x, w("w1"), w("b1"))), w("w2"), w("b2"))
-    return _dropout(out, config, train_mode, rng)
+    return _dropout(out, weights.config, rng)
 
 
 def forward_batch(
     seqs: Sequence[TokenSequence],
     weights: EncoderWeights,
-    config: EncoderConfig,
-    train_mode: bool = False,
     rng: np.random.Generator | None = None,
 ) -> LayerOutputs:
     """Encode sequences of any lengths together; see :class:`LayerOutputs` for shapes.
 
-    The batch is padded with ``PAD_ID`` to its longest sequence.  In train
-    mode dropout is active and ``rng`` must be provided; evaluation is
-    deterministic and needs none.
+    The architecture is ``weights.config``.  The batch is padded with
+    ``PAD_ID`` to its longest sequence.  Given ``rng`` the pass is in train
+    mode, with dropout drawn from it; without one it is the deterministic
+    evaluation pass.
     """
+    config = weights.config
     if not seqs:
         raise ShapeError("forward_batch needs at least one sequence")
     lengths = np.array([s.length for s in seqs], dtype=np.intp)
@@ -246,8 +249,6 @@ def forward_batch(
     seq_len = int(lengths.max())
     if seq_len > config.max_len:
         raise ConfigError(f"sequence length {seq_len} exceeds max_len {config.max_len}")
-    if train_mode and config.dropout > 0.0 and rng is None:
-        raise ConfigError("train-mode forward with dropout requires an rng")
     mask = (np.arange(seq_len) < lengths[:, None]).astype(np.intp)
     ids = np.full(mask.shape, PAD_ID, dtype=np.intp)
     ids[mask == 1] = np.concatenate([s.ids for s in seqs])
@@ -260,18 +261,18 @@ def forward_batch(
         T.gather_rows(weights["tok_emb"], ids),
         T.gather_rows(weights["pos_emb"], np.arange(seq_len, dtype=np.intp)),
     )
-    x = _dropout(x, config, train_mode, rng)
+    x = _dropout(x, config, rng)
     # (batch, 1, 1, seq): masked key columns get a large negative score bias.
     bias = ((1.0 - mask)[:, None, None, :] * ATTENTION_MASK_BIAS).astype(x.data.dtype)
     hidden = [x]
     attention: list[Tensor] = []
     for i in range(config.num_layers):
         prefix = f"layer{i}"
-        attn_out, probs = _attention_block(x, bias, weights, prefix, config, train_mode, rng)
+        attn_out, probs = _attention_block(x, bias, weights, prefix, rng)
         x = T.layer_norm(
             T.add(x, attn_out), weights[f"{prefix}.ln1.gain"], weights[f"{prefix}.ln1.bias"]
         )
-        ff_out = _feed_forward(x, weights, prefix, config, train_mode, rng)
+        ff_out = _feed_forward(x, weights, prefix, rng)
         x = T.layer_norm(
             T.add(x, ff_out), weights[f"{prefix}.ln2.gain"], weights[f"{prefix}.ln2.bias"]
         )
@@ -349,11 +350,14 @@ def embed_sentences(
 ) -> np.ndarray:
     """Encode (eval mode) and pool sentences into an (n, d) float32 array in input order.
 
-    Sentences are batched by token length through :func:`length_batches`;
-    see the module docstring for the float drift that reordering allows.
+    ``config`` must equal ``weights.config``.  Sentences are batched by
+    token length through :func:`length_batches`; see the module docstring
+    for the float drift that reordering allows.
     """
+    if config != weights.config:
+        raise ConfigError("encoder config does not match the weights' architecture")
     seqs = [encode_single(text, vocab, config.max_len) for text in texts]
     vectors = np.zeros((len(seqs), config.hidden_size), dtype=np.float32)
     for rows in length_batches([s.length for s in seqs], batch_size):
-        vectors[rows] = pool(forward_batch([seqs[i] for i in rows], weights, config), strategy).data
+        vectors[rows] = pool(forward_batch([seqs[i] for i in rows], weights), strategy).data
     return vectors

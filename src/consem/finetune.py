@@ -102,13 +102,14 @@ class FinetuneConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("batch_size", "epochs"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name, low, bound in (("batch_size", 1, ">= 1"), ("epochs", 1, ">= 1"), ("seed", 0, "non-negative")):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            if value < low:
+                raise ConfigError(f"{name} must be {bound}, got {value}")
         if not 0.0 < self.learning_rate < np.inf:
             raise ConfigError(f"learning_rate must be positive and finite, got {self.learning_rate}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
 
 def load_task_records(path: str | Path, task: TaskSpec) -> list[dict]:
@@ -216,7 +217,7 @@ def _gold_indices(records: Sequence[dict], labels: list[str]) -> np.ndarray:
 
 def _logits(model: FinetunedModel, seqs, rng: np.random.Generator | None = None) -> Tensor:
     """Head logits over the [CLS] states; train mode (dropout from ``rng``) exactly when ``rng`` is given."""
-    outputs = forward_batch(seqs, model.weights, model.weights.config, train_mode=rng is not None, rng=rng)
+    outputs = forward_batch(seqs, model.weights, rng)
     return T.linear(pool(outputs, PoolingStrategy.CLS), model.head_weight, model.head_bias)
 
 

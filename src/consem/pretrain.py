@@ -97,13 +97,14 @@ class PretrainConfig:
             raise ConfigError(f"mlm_weight must be non-negative and finite, got {self.mlm_weight}")
         if not 0.0 < self.mask_rate < 1.0:
             raise ConfigError(f"mask_rate must be in (0, 1), got {self.mask_rate}")
-        for name in ("batch_size", "epochs"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name, low, bound in (("batch_size", 1, ">= 1"), ("epochs", 1, ">= 1"), ("seed", 0, "non-negative")):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            if value < low:
+                raise ConfigError(f"{name} must be {bound}, got {value}")
         if not 0.0 < self.learning_rate < np.inf:
             raise ConfigError(f"learning_rate must be positive and finite, got {self.learning_rate}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if not 0.0 < self.data_fraction <= 1.0:
             raise ConfigError(f"data_fraction must be in (0, 1], got {self.data_fraction}")
         if not 0.0 <= self.validation_fraction < 1.0:
@@ -236,18 +237,17 @@ def _batch_losses(
     seq_lists: tuple[list[TokenSequence], list[TokenSequence], list[TokenSequence]],
     mlm_batch,
     weights: EncoderWeights,
-    encoder_config: EncoderConfig,
     config: PretrainConfig,
-    train_mode: bool,
     rng: np.random.Generator | None,
 ) -> tuple[Tensor, Tensor | None]:
+    """Contrastive and (if ``mlm_batch``) MLM losses; dropout on exactly when ``rng`` is given."""
     # One forward over the stacked rows [anchors; positives; negatives; MLM-corrupted
     # anchors], so each dropout site draws one grid for all of them.
     n = len(seq_lists[0])
     stacked = [seq for seqs in seq_lists for seq in seqs]
     if mlm_batch is not None:
         stacked += mlm_batch[0]
-    outputs = forward_batch(stacked, weights, encoder_config, train_mode=train_mode, rng=rng)
+    outputs = forward_batch(stacked, weights, rng)
     pooled = pool(outputs, config.pooling)
     blocks = [T.gather_rows(pooled, np.arange(k * n, (k + 1) * n)) for k in range(3)]
     cl = contrastive_loss(*blocks, config.tau)
@@ -314,8 +314,7 @@ def train(
         # first shifts the malloc heap layout, which was measured to slow a
         # later fine-tuning run in the same process.
         for split, order in passes:
-            train_mode = split == "train"
-            mlm_stream = _STREAM_MLM_TRAIN if train_mode else _STREAM_MLM_VAL
+            mlm_stream = _STREAM_MLM_TRAIN if split == "train" else _STREAM_MLM_VAL
             sums = {"contrastive": 0.0, "mlm": 0.0, "rows": 0}
             for rows, drop_rng in minibatches(order, config.batch_size, config.seed, _STREAM_DROPOUT, epoch):
                 batch = (
@@ -328,15 +327,13 @@ def train(
                     if config.mlm_weight > 0.0
                     else None
                 )
-                if train_mode:
+                if split == "train":
                     with Tape() as tape:
-                        cl, ml = _batch_losses(
-                            batch, mlm_batch, weights, encoder_config, config, True, drop_rng
-                        )
+                        cl, ml = _batch_losses(batch, mlm_batch, weights, config, drop_rng)
                         loss = cl if ml is None else T.add(cl, T.scale(ml, config.mlm_weight))
                         optimizer.descend(loss, tape, epoch)
                 else:
-                    cl, ml = _batch_losses(batch, mlm_batch, weights, encoder_config, config, False, None)
+                    cl, ml = _batch_losses(batch, mlm_batch, weights, config, None)
                 sums["contrastive"] += float(cl.data) * len(rows)
                 sums["mlm"] += (float(ml.data) if ml is not None else 0.0) * len(rows)
                 sums["rows"] += len(rows)

@@ -124,25 +124,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        return sub(self, other)
-
-    def __mul__(self, other) -> "Tensor":
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return scale(self, float(other))
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
-
-    def __neg__(self) -> "Tensor":
-        return scale(self, -1.0)
-
 
 def constant(data, dtype=None) -> Tensor:
     """A tensor that never receives gradients (masks, fixed weights)."""

@@ -217,7 +217,7 @@ def micro_encoder_case(rng):
     w_pooled = rng.uniform(-1.0, 1.0, (2, 16))
 
     def fn():
-        out = forward_batch(seqs, weights, config)
+        out = forward_batch(seqs, weights)
         pooled = pool(out, PoolingStrategy.MEAN)
         return T.add(
             _contract(out.hidden[-1], w_states), _contract(pooled, w_pooled)

@@ -138,9 +138,10 @@ def uniformity_reference(rows) -> float:
 # gradients.
 
 
-def composed_forward_batch(seqs, weights, config, train_mode=False, rng=None):
+def composed_forward_batch(seqs, weights, rng=None):
     """``forward_batch`` from elementary tape ops; dropout is not supported."""
-    assert not (train_mode and config.dropout > 0.0), "the reference has no dropout"
+    config = weights.config
+    assert rng is None or config.dropout == 0.0, "the reference has no dropout"
     lengths = np.array([s.length for s in seqs], dtype=np.intp)
     seq_len = int(lengths.max())
     mask = (np.arange(seq_len) < lengths[:, None]).astype(np.intp)
@@ -321,7 +322,7 @@ def input_order_embed_sentences(texts, weights, config, vocab, strategy, batch_s
     for start in range(0, len(texts), batch_size):
         chunk = texts[start : start + batch_size]
         seqs = [encode_single(text, vocab, config.max_len) for text in chunk]
-        outputs = forward_batch(seqs, weights, config, train_mode=False)
+        outputs = forward_batch(seqs, weights)
         vectors[start : start + len(chunk)] = pool(outputs, strategy).data.astype(np.float32)
     return vectors
 

@@ -557,9 +557,9 @@ def test_9_invariance_properties_hold():
     for text in ("the river stays calm", "people visit the glacier", "the glacier"):
         seq = encode_single(text, vocab, config.max_len)
         for strategy in PoolingStrategy:
-            alone = pool(forward_batch([seq], weights, config), strategy).data[0]
+            alone = pool(forward_batch([seq], weights), strategy).data[0]
             for mate in mates:
-                padded = pool(forward_batch([seq, mate], weights, config), strategy).data[0]
+                padded = pool(forward_batch([seq, mate], weights), strategy).data[0]
                 worst_pad = max(worst_pad, float(np.abs(alone - padded).max()))
     if worst_pad >= 1e-5:
         failures.append(f"padding drift {worst_pad:.1e}")

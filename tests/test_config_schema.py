@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 from consem.cli import build_parser
 from consem.config import RunConfig
 from consem.errors import ConfigError
+from consem.finetune import FinetuneConfig
+from consem.pretrain import PretrainConfig
 
 # Empty string values keep the space after '='.
 DEFAULT_RUN_CONFIG = "".join(
@@ -141,3 +143,12 @@ def test_values_a_line_cannot_hold_are_rejected(value, tmp_path):
     with pytest.raises(ConfigError, match="run_config.txt cannot hold"):
         config.write(tmp_path / "run_config.txt")
     assert not (tmp_path / "run_config.txt").exists()
+
+
+@pytest.mark.parametrize("value", [2.5, 3.0, True, "3", None])
+@pytest.mark.parametrize("name", ["batch_size", "epochs", "seed"])
+@pytest.mark.parametrize("section", [PretrainConfig, FinetuneConfig])
+def test_training_counts_must_be_integers(section, name, value):
+    # Rejected up front, not as a TypeError from range() or default_rng() mid-run.
+    with pytest.raises(ConfigError, match=f"^{name} must be an integer, got "):
+        section(**{name: value})

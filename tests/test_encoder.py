@@ -1,5 +1,7 @@
 """Encoder forward pass, attention masking, and pooling strategies."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -100,7 +102,7 @@ class TestForward:
         vocab, config, weights = setup
         texts = ["the river glows", "a glacier", "the river glows", "morning light covers everything"]
         seqs = [encode_single(t, vocab, 8) for t in texts]
-        out = forward_batch(seqs, weights, config)
+        out = forward_batch(seqs, weights)
         assert len(out.hidden) == config.num_layers + 1
         assert len(out.attention) == config.num_layers
         # Padded to the longest sequence (6 ids), not to max_len.
@@ -111,7 +113,7 @@ class TestForward:
     def test_ragged_batch_is_padded_to_longest(self, setup):
         vocab, config, weights = setup
         seqs = [TokenSequence(ids=[1, 5, 2]), TokenSequence(ids=[1, 6, 7, 8, 2]), TokenSequence(ids=[1])]
-        out = forward_batch(seqs, weights, config)
+        out = forward_batch(seqs, weights)
         np.testing.assert_array_equal(out.mask, [[1, 1, 1, 0, 0], [1, 1, 1, 1, 1], [1, 0, 0, 0, 0]])
         # Padding goes in as PAD_ID: the embedding output at a padded slot is
         # the PAD row plus that position's embedding.
@@ -121,7 +123,7 @@ class TestForward:
     def test_attention_rows_sum_to_one(self, setup):
         vocab, config, weights = setup
         seqs = [encode_single("the river glows", vocab, 8)]
-        out = forward_batch(seqs, weights, config)
+        out = forward_batch(seqs, weights)
         for maps in out.attention:
             sums = maps.data.sum(axis=-1)
             np.testing.assert_allclose(sums, np.ones_like(sums), atol=1e-5)
@@ -129,7 +131,7 @@ class TestForward:
     def test_padding_positions_get_no_attention(self, setup):
         vocab, config, weights = setup
         seqs = [encode_single("the river", vocab, 9), encode_single("morning light covers everything", vocab, 9)]
-        out = forward_batch(seqs, weights, config)
+        out = forward_batch(seqs, weights)
         pad_columns = np.flatnonzero(out.mask[0] == 0)
         assert len(pad_columns) == 2
         for maps in out.attention:
@@ -140,17 +142,17 @@ class TestForward:
         seq = encode_single("the river glows", vocab, 10)
         longer = encode_single("morning light covers everything", vocab, 10)
         for strategy in PoolingStrategy:
-            alone = pool(forward_batch([seq], weights, config), strategy).data[0]
-            padded = pool(forward_batch([seq, longer], weights, config), strategy).data[0]
+            alone = pool(forward_batch([seq], weights), strategy).data[0]
+            padded = pool(forward_batch([seq, longer], weights), strategy).data[0]
             np.testing.assert_allclose(alone, padded, atol=1e-5)
 
     def test_batch_matches_single(self, setup):
         vocab, config, weights = setup
         texts = ["the river glows", "a glacier rests"]
         seqs = [encode_single(t, vocab, 7) for t in texts]
-        batched = forward_batch(seqs, weights, config)
+        batched = forward_batch(seqs, weights)
         for i, seq in enumerate(seqs):
-            single = forward_batch([seq], weights, config)
+            single = forward_batch([seq], weights)
             np.testing.assert_allclose(
                 batched.hidden[-1].data[i], single.hidden[-1].data[0], atol=1e-5
             )
@@ -158,7 +160,7 @@ class TestForward:
     def test_eval_forward_is_bitwise_deterministic(self, setup):
         vocab, config, weights = setup
         seqs = [encode_single("morning light covers everything", vocab, 9)]
-        runs = [forward_batch(seqs, weights, config).hidden[-1].data.tobytes() for _ in range(2)]
+        runs = [forward_batch(seqs, weights).hidden[-1].data.tobytes() for _ in range(2)]
         assert runs[0] == runs[1]
 
     def test_train_dropout_is_seed_deterministic(self, setup):
@@ -167,16 +169,10 @@ class TestForward:
 
         def run(seed):
             rng = np.random.default_rng(seed)
-            return forward_batch(seqs, weights, config, train_mode=True, rng=rng).hidden[-1].data
+            return forward_batch(seqs, weights, rng).hidden[-1].data
 
         np.testing.assert_array_equal(run(5), run(5))
         assert not np.array_equal(run(5), run(6))
-
-    def test_train_mode_requires_rng(self, setup):
-        vocab, config, weights = setup
-        seqs = [encode_single("the river", vocab, 6)]
-        with pytest.raises(ConfigError):
-            forward_batch(seqs, weights, config, train_mode=True)
 
     def test_zeroed_blocks_reduce_to_normalized_embeddings(self):
         vocab = build_vocab(["x y z"])
@@ -190,7 +186,7 @@ class TestForward:
                 continue
             p.data = np.zeros_like(p.data)
         seq = encode_single("x y", vocab, 5)
-        out = forward_batch([seq], weights, config)
+        out = forward_batch([seq], weights)
         expected = weights["tok_emb"].data[np.array(seq.ids)] + weights["pos_emb"].data[: seq.length]
         # Both sublayers contribute zero, so each block just renormalizes.
         for _ in range(2 * config.num_layers):
@@ -202,22 +198,22 @@ class TestForward:
     def test_overlong_sequence_rejected(self, setup):
         vocab, config, weights = setup
         fits = TokenSequence(ids=[1] * config.max_len)
-        forward_batch([fits], weights, config)
+        forward_batch([fits], weights)
         with pytest.raises(ConfigError):
-            forward_batch([fits, TokenSequence(ids=[1] * (config.max_len + 1))], weights, config)
+            forward_batch([fits, TokenSequence(ids=[1] * (config.max_len + 1))], weights)
 
     def test_empty_sequence_and_batch_rejected(self, setup):
         vocab, config, weights = setup
         with pytest.raises(ShapeError):
-            forward_batch([TokenSequence(ids=[1, 2]), TokenSequence(ids=[])], weights, config)
+            forward_batch([TokenSequence(ids=[1, 2]), TokenSequence(ids=[])], weights)
         with pytest.raises(ShapeError):
-            forward_batch([], weights, config)
+            forward_batch([], weights)
 
     def test_out_of_vocabulary_id_rejected(self, setup):
         vocab, config, weights = setup
         seqs = [TokenSequence(ids=[1, 2]), TokenSequence(ids=[1, config.vocab_size, 2])]
         with pytest.raises(VocabularyError):
-            forward_batch(seqs, weights, config)
+            forward_batch(seqs, weights)
 
 
 class TestPaddingDrift:
@@ -230,12 +226,12 @@ class TestPaddingDrift:
         full = TokenSequence(ids=[1] + [vocab.id_for("river")] * (config.max_len - 2) + [2])
         texts = ["the river glows", "a glacier rests", "morning light covers everything", ""]
         seqs = [encode_single(t, vocab, config.max_len) for t in texts]
-        batch = forward_batch(seqs + [full], weights, config)
+        batch = forward_batch(seqs + [full], weights)
         assert batch.mask.shape == (len(seqs) + 1, config.max_len)
         for strategy in PoolingStrategy:
             pooled = pool(batch, strategy).data
             for row, seq in enumerate(seqs):
-                alone = pool(forward_batch([seq], weights, config), strategy).data[0]
+                alone = pool(forward_batch([seq], weights), strategy).data[0]
                 np.testing.assert_allclose(pooled[row], alone, atol=1e-5, err_msg=strategy.value)
 
     def test_train_mode_states_ignore_batch_mate_length(self, setup):
@@ -245,10 +241,7 @@ class TestPaddingDrift:
         states = []
         for mate in ("a glacier rests", "morning light covers everything the river glows"):
             rng = np.random.default_rng(17)
-            out = forward_batch(
-                [seq, encode_single(mate, vocab, config.max_len)], weights, config,
-                train_mode=True, rng=rng,
-            )
+            out = forward_batch([seq, encode_single(mate, vocab, config.max_len)], weights, rng)
             states.append([h.data[0, :n] for h in out.hidden])
         assert states[0][0].shape == (n, config.hidden_size)
         for short_mate, long_mate in zip(*states):
@@ -315,7 +308,7 @@ class TestPooling:
     def test_first_last_and_top2_differ_with_depth(self, setup):
         vocab, config, weights = setup
         seq = encode_single("the river glows", vocab, 7)
-        out = forward_batch([seq], weights, config)
+        out = forward_batch([seq], weights)
         a = pool(out, PoolingStrategy.FIRST_LAST).data
         b = pool(out, PoolingStrategy.TOP2).data
         assert np.abs(a - b).max() > 1e-6
@@ -443,6 +436,12 @@ class TestEmbedSentences:
         with pytest.raises(ConfigError, match="batch_size"):
             embed_sentences(["the river glows"], weights, config, vocab, batch_size=batch_size)
 
+    @pytest.mark.parametrize("change", [{"hidden_size": 8}, {"num_heads": 3}, {"max_len": 12}, {"dropout": 0.0}])
+    def test_config_other_than_the_weights_rejected(self, setup, change):
+        vocab, config, weights = setup
+        with pytest.raises(ConfigError, match="architecture"):
+            embed_sentences(["the river glows"], weights, replace(config, **change), vocab)
+
 
 class TestEncoderGradients:
     def test_sampled_coordinates_match_finite_difference(self, f64):
@@ -498,8 +497,8 @@ class TestFusedOps:
 
     def test_eval_outputs_equal_the_composed_encoder(self):
         config, weights, seqs = self._world()
-        fused = forward_batch(seqs, weights, config)
-        ref = composed_forward_batch(seqs, weights, config)
+        fused = forward_batch(seqs, weights)
+        ref = composed_forward_batch(seqs, weights)
         np.testing.assert_array_equal(fused.mask, ref.mask)
         for got, want in zip(fused.hidden + fused.attention, ref.hidden + ref.attention, strict=True):
             assert np.array_equal(got.data, want.data)
@@ -509,7 +508,7 @@ class TestFusedOps:
     def test_attention_maps_record_no_gradient(self):
         config, weights, seqs = self._world()
         with Tape():
-            out = forward_batch(seqs, weights, config, train_mode=True)
+            out = forward_batch(seqs, weights, np.random.default_rng(0))
         assert all(not maps.requires_grad for maps in out.attention)
 
     def test_pretraining_gradients_match_the_composed_encoder(self, monkeypatch):
@@ -521,7 +520,7 @@ class TestFusedOps:
 
         def loss():
             cl, ml = pretrain_module._batch_losses(
-                lists, mlm_batch, weights, config, pretrain_config, True, None
+                lists, mlm_batch, weights, pretrain_config, np.random.default_rng(0)
             )
             return T.add(cl, T.scale(ml, pretrain_config.mlm_weight))
 
@@ -546,7 +545,7 @@ class TestFusedOps:
             return T.cross_entropy(logits, gold)
 
         def composed():
-            cls = pool(composed_forward_batch(seqs, weights, config, True), PoolingStrategy.CLS)
+            cls = pool(composed_forward_batch(seqs, weights, np.random.default_rng(0)), PoolingStrategy.CLS)
             return T.cross_entropy(T.add(T.matmul(cls, head_w), head_b), gold)
 
         self._assert_close(
@@ -565,5 +564,5 @@ class TestFusedOps:
         weights = EncoderWeights.initialize(config, seed=0)
         seqs = [TokenSequence(ids=[1, 5, 6, 2]), TokenSequence(ids=[1, 7, 2])]
         with Tape() as tape:
-            forward_batch(seqs, weights, config, train_mode=True, rng=np.random.default_rng(0))
+            forward_batch(seqs, weights, np.random.default_rng(0))
         assert len(tape) == 4 + 14 * num_layers

@@ -9,6 +9,7 @@ from conftest import check_gradients, make_topic_triples, micro_encoder_config
 from oracles import composed_contrastive_loss, contrastive_loss_reference, masking_reference
 
 import consem.pretrain as pretrain_module
+from consem import tensor as T
 from consem.encoder import EncoderConfig, EncoderWeights, PoolingStrategy, forward_batch, pool
 from consem.errors import (
     ConfigError,
@@ -435,17 +436,14 @@ class TestTrain:
         assert ckpt.step == 1  # 8 triples in one oversized batch
 
 
-def _per_list_losses(seq_lists, mlm_batch, weights, encoder_config, config, train_mode, rng):
+def _per_list_losses(seq_lists, mlm_batch, weights, config, rng):
     """The path the stacked forward replaced: one forward per list, then one for MLM."""
-    pooled = [
-        pool(forward_batch(seqs, weights, encoder_config, train_mode=train_mode, rng=rng), config.pooling)
-        for seqs in seq_lists
-    ]
+    pooled = [pool(forward_batch(seqs, weights, rng), config.pooling) for seqs in seq_lists]
     cl = contrastive_loss(*pooled, config.tau)
     if mlm_batch is None:
         return cl, None
     corrupted, rows, cols, ids = mlm_batch
-    outputs = forward_batch(corrupted, weights, encoder_config, train_mode=train_mode, rng=rng)
+    outputs = forward_batch(corrupted, weights, rng)
     return cl, mlm_loss(outputs.hidden[-1], rows, cols, ids, weights["tok_emb"])
 
 
@@ -474,7 +472,7 @@ class TestStackedForward:
         lists, mlm_batch, encoder_config = self._batch(tiny_world, mlm)
         weights = EncoderWeights.initialize(encoder_config, seed=3)
         config = PretrainConfig(pooling=pooling, tau=0.1)
-        args = (lists, mlm_batch, weights, encoder_config, config, False, None)
+        args = (lists, mlm_batch, weights, config, None)
         cl, ml = pretrain_module._batch_losses(*args)
         ref_cl, ref_ml = _per_list_losses(*args)
         assert cl.item() == pytest.approx(ref_cl.item(), abs=1e-5)
@@ -491,8 +489,8 @@ class TestStackedForward:
         def run(losses_fn):
             weights = EncoderWeights.initialize(encoder_config, seed=3)
             with Tape() as tape:
-                cl, ml = losses_fn(lists, mlm_batch, weights, encoder_config, config, True, None)
-                loss = cl if ml is None else cl + ml * config.mlm_weight
+                cl, ml = losses_fn(lists, mlm_batch, weights, config, np.random.default_rng(0))
+                loss = cl if ml is None else T.add(cl, T.scale(ml, config.mlm_weight))
                 backward(loss, tape)
             return loss.item(), {name: p.grad for name, p in weights.items()}
 
@@ -510,9 +508,9 @@ class TestStackedForward:
         triples, vocab, encoder_config = tiny_world
         calls = {True: 0, False: 0}
 
-        def counting_forward(seqs, *args, train_mode=False, **kwargs):
-            calls[train_mode] += 1
-            return forward_batch(seqs, *args, train_mode=train_mode, **kwargs)
+        def counting_forward(seqs, weights, rng=None):
+            calls[rng is not None] += 1
+            return forward_batch(seqs, weights, rng)
 
         monkeypatch.setattr(pretrain_module, "forward_batch", counting_forward)
         config = PretrainConfig(

@@ -151,7 +151,7 @@ class TestGradientOwnership:
         weights = EncoderWeights.initialize(config, seed=1)
         seqs = [TokenSequence(ids=[1, 5, 6, 2]), TokenSequence(ids=[1, 7, 8, 9, 4, 2])]
         with Tape() as tape:
-            out = forward_batch(seqs, weights, config, train_mode=True, rng=np.random.default_rng(0))
+            out = forward_batch(seqs, weights, np.random.default_rng(0))
             backward(T.reduce_sum(pool(out, PoolingStrategy.MEAN)), tape)
         grads = [(name, p.grad) for name, p in weights.items() if p.grad is not None]
         assert len(grads) == len(list(weights.items()))
