@@ -16,13 +16,22 @@ its longest sequence and keeps the padding mask with every layer's
 strategies and the attention export tooling both consume.  Hidden state
 index 0 is the embedding output; index L is the last block.
 
+A caller that reads only the last layer's [CLS] state (CLS pooling, the
+fine-tuning head) passes ``cls_only=True``.  The last block then computes
+its queries, output projection, layer norms, feed-forward network and
+dropout at position 0 alone; its keys and values still span every
+position, so the [CLS] state is the full pass's up to float noise of the
+GEMM shapes (a few 1e-7), and in train mode the dropout masks and the
+generator state are the full pass's.
+
 Evaluation batches are length-sorted: ``length_batches`` groups rows of
 similar length so each batch pads little, and its callers
-(``embed_sentences`` and fine-tuned prediction) scatter the results back
-to input order.  A row's vector may differ from the one an input-order
-batch would give by about 2e-7, the float noise of a different padded
-width; a call that fits in one batch is unchanged.  Training batches are
-never reordered: in-batch negatives depend on a batch's members.
+(``embed_sentences`` and fine-tuned prediction, ``EVAL_BATCH`` rows a
+batch) scatter the results back to input order.  A row's vector may
+differ from the one an input-order batch would give by about 2e-7, the
+float noise of a different padded width; a call that fits in one batch
+is unchanged.  Training batches are never reordered: in-batch negatives
+depend on a batch's members.
 """
 
 from __future__ import annotations
@@ -34,11 +43,12 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, DegenerateInputError, ShapeError, VocabularyError
+from .errors import ConfigError, ContractError, DegenerateInputError, ShapeError, VocabularyError
 from .tensor import Tensor
 from .text import PAD_ID, TokenSequence, Vocabulary, encode_single
 
 __all__ = [
+    "EVAL_BATCH",
     "EncoderConfig",
     "EncoderWeights",
     "LayerOutputs",
@@ -52,6 +62,7 @@ __all__ = [
 
 ATTENTION_MASK_BIAS = -1e9
 INIT_STD = 0.02
+EVAL_BATCH = 32  # rows per forward pass in embed_sentences and fine-tuned prediction
 
 
 class PoolingStrategy(enum.Enum):
@@ -192,6 +203,9 @@ class LayerOutputs:
     shape (batch, seq, d).  ``attention`` has one post-softmax map per
     layer, shape (batch, heads, seq, seq).  ``mask`` is (batch, seq), 1 on
     real tokens and 0 on the padding up to the batch's longest sequence.
+    After a ``cls_only`` forward the last layer holds the [CLS] position
+    alone: ``hidden[-1]`` is (batch, 1, d) and ``attention[-1]`` is
+    (batch, heads, 1, seq), so only CLS pooling can read it.
     """
 
     hidden: list[Tensor]
@@ -208,16 +222,28 @@ def _dropout(x, config, rng):
     # used seq_len * d values of each grid row are drawn: one float64 draw
     # takes one PCG64 output, so advancing the generator past the rest of the
     # row gives the full draw's masks and leaves the generator in its state.
-    batch, _, d = x.shape
-    return T.dropout(x, config.dropout, rng, grid=(batch, config.max_len, d))
+    # A 2-D x holds the (batch, d) [CLS] rows of a cls_only block.  Position 0
+    # is the first d values of each grid row, so the corner of a
+    # (batch, max_len * d) grid gives the full pass's masks at [CLS].
+    batch, d = x.shape[0], x.shape[-1]
+    grid = (batch, config.max_len, d) if x.ndim == 3 else (batch, config.max_len * d)
+    return T.dropout(x, config.dropout, rng, grid=grid)
 
 
-def _attention_block(x, mask_bias, weights, prefix, rng):
+def _attention_block(query, x, mask_bias, weights, prefix, rng):
+    """Self-attention over ``x`` for the rows of ``query``: ``x`` itself, or its (batch, d) [CLS] rows."""
     w = lambda name: weights[f"{prefix}.attn.{name}"]
-    q = T.linear(x, w("wq"), w("bq"))
+    q = T.linear(query, w("wq"), w("bq"))
     k = T.linear(x, w("wk"), w("bk"))
     v = T.linear(x, w("wv"), w("bv"))
+    # The [CLS] rows stay 2-D for the GEMMs: a (batch, 1, d) operand makes
+    # numpy run one product per row.  Only attention sees them as 3-D.
+    cls_rows = query.ndim == 2
+    if cls_rows:
+        q = T.reshape(q, (q.shape[0], 1, q.shape[1]))
     context, probs = T.attention(q, k, v, weights.config.num_heads, mask_bias)
+    if cls_rows:
+        context = T.reshape(context, query.shape)
     out = T.linear(context, w("wo"), w("bo"))
     return _dropout(out, weights.config, rng), probs
 
@@ -232,13 +258,15 @@ def forward_batch(
     seqs: Sequence[TokenSequence],
     weights: EncoderWeights,
     rng: np.random.Generator | None = None,
+    cls_only: bool = False,
 ) -> LayerOutputs:
     """Encode sequences of any lengths together; see :class:`LayerOutputs` for shapes.
 
     The architecture is ``weights.config``.  The batch is padded with
     ``PAD_ID`` to its longest sequence.  Given ``rng`` the pass is in train
     mode, with dropout drawn from it; without one it is the deterministic
-    evaluation pass.
+    evaluation pass.  ``cls_only`` says the caller reads only position 0 of
+    the last layer, which the last block then computes alone.
     """
     config = weights.config
     if not seqs:
@@ -268,9 +296,10 @@ def forward_batch(
     attention: list[Tensor] = []
     for i in range(config.num_layers):
         prefix = f"layer{i}"
-        attn_out, probs = _attention_block(x, bias, weights, prefix, rng)
+        query = _cls_state(x) if cls_only and i == config.num_layers - 1 else x
+        attn_out, probs = _attention_block(query, x, bias, weights, prefix, rng)
         x = T.layer_norm(
-            T.add(x, attn_out), weights[f"{prefix}.ln1.gain"], weights[f"{prefix}.ln1.bias"]
+            T.add(query, attn_out), weights[f"{prefix}.ln1.gain"], weights[f"{prefix}.ln1.bias"]
         )
         ff_out = _feed_forward(x, weights, prefix, rng)
         x = T.layer_norm(
@@ -278,6 +307,8 @@ def forward_batch(
         )
         hidden.append(x)
         attention.append(probs)
+    if cls_only:
+        hidden[-1] = T.reshape(x, (len(seqs), 1, config.hidden_size))
     return LayerOutputs(hidden=hidden, attention=attention, mask=mask)
 
 
@@ -302,13 +333,19 @@ def pool(outputs: LayerOutputs, strategy: PoolingStrategy) -> Tensor:
     CLS takes the last layer's first position.  Mean averages the last
     layer over the real positions of ``outputs.mask``.  FirstLast averages
     block 1 with the last block before the masked mean, Top2 the last two
-    blocks; both are symmetric in the two layers they combine.
+    blocks; both are symmetric in the two layers they combine.  Only CLS
+    can pool the outputs of a ``cls_only`` forward.
     """
     mask = outputs.mask
     if np.any(mask.sum(axis=-1) == 0):
         raise DegenerateInputError("cannot pool a fully padded sequence")
     if strategy is PoolingStrategy.CLS:
         return _cls_state(outputs.hidden[-1])
+    if outputs.hidden[-1].shape[1] != mask.shape[1]:
+        raise ContractError(
+            f"{strategy.value} pooling reads every position of the last layer, "
+            "but this forward computed it only at [CLS] (cls_only)"
+        )
     if strategy is PoolingStrategy.MEAN:
         return _masked_mean(outputs.hidden[-1], mask)
     if strategy is PoolingStrategy.FIRST_LAST:
@@ -346,7 +383,7 @@ def embed_sentences(
     config: EncoderConfig,
     vocab: Vocabulary,
     strategy: PoolingStrategy = PoolingStrategy.CLS,
-    batch_size: int = 32,
+    batch_size: int = EVAL_BATCH,
 ) -> np.ndarray:
     """Encode (eval mode) and pool sentences into an (n, d) float32 array in input order.
 
@@ -358,6 +395,7 @@ def embed_sentences(
         raise ConfigError("encoder config does not match the weights' architecture")
     seqs = [encode_single(text, vocab, config.max_len) for text in texts]
     vectors = np.zeros((len(seqs), config.hidden_size), dtype=np.float32)
+    cls_only = strategy is PoolingStrategy.CLS
     for rows in length_batches([s.length for s in seqs], batch_size):
-        vectors[rows] = pool(forward_batch([seqs[i] for i in rows], weights), strategy).data
+        vectors[rows] = pool(forward_batch([seqs[i] for i in rows], weights, cls_only=cls_only), strategy).data
     return vectors

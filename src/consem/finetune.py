@@ -9,7 +9,11 @@ correct choice and contradiction otherwise, and at prediction time the
 choice with the highest entailment probability wins (ties go to the
 lowest index).
 
-In every case a linear head reads the last layer's [CLS] state.  A
+In every case a linear head reads the last layer's [CLS] state, so the
+encoder computes its last block at [CLS] alone (``cls_only``), in
+training and in prediction.  Prediction runs the eval pass in
+length-sorted batches of ``EVAL_BATCH`` sequences; MRC evaluation scores
+every choice of every question in one such call.  A
 :class:`FinetunedModel` holds the encoder and that head; its parameter
 mapping (``from_arrays`` in, ``to_arrays`` out) is what ``model.bin``
 stores.  The model from the best epoch by dev accuracy (macro F1 breaking
@@ -27,7 +31,15 @@ import numpy as np
 
 from . import tensor as T
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
-from .encoder import EncoderConfig, EncoderWeights, PoolingStrategy, forward_batch, length_batches, pool
+from .encoder import (
+    EVAL_BATCH,
+    EncoderConfig,
+    EncoderWeights,
+    PoolingStrategy,
+    forward_batch,
+    length_batches,
+    pool,
+)
 from .errors import ConfigError, DataError, FormatError, ShapeError, VocabularyError
 from .metrics import ConfusionMatrix, MetricsReport, accuracy, macro_f1, mrc_accuracy
 from .optim import QUIET_FLOAT_ERRORS, AdamW, minibatches
@@ -57,7 +69,6 @@ MRC_LABELS = sorted([CONTRADICTION_LABEL, ENTAILMENT_LABEL])
 _STREAM_HEAD_INIT = 101
 _STREAM_SHUFFLE = 102
 _STREAM_DROPOUT = 103
-_PREDICT_BATCH = 64  # sequences per forward pass at prediction time
 
 
 class TaskKind(enum.Enum):
@@ -217,7 +228,7 @@ def _gold_indices(records: Sequence[dict], labels: list[str]) -> np.ndarray:
 
 def _logits(model: FinetunedModel, seqs, rng: np.random.Generator | None = None) -> Tensor:
     """Head logits over the [CLS] states; train mode (dropout from ``rng``) exactly when ``rng`` is given."""
-    outputs = forward_batch(seqs, model.weights, rng)
+    outputs = forward_batch(seqs, model.weights, rng, cls_only=True)
     return T.linear(pool(outputs, PoolingStrategy.CLS), model.head_weight, model.head_bias)
 
 
@@ -230,7 +241,7 @@ def _predict_probs(model: FinetunedModel, seqs) -> np.ndarray:
     unchanged.
     """
     probs = np.zeros((len(seqs), len(model.labels)))
-    for rows in length_batches([s.length for s in seqs], _PREDICT_BATCH):
+    for rows in length_batches([s.length for s in seqs], EVAL_BATCH):
         probs[rows] = T.softmax(_logits(model, [seqs[i] for i in rows]), axis=1).data
     return probs
 
@@ -329,18 +340,38 @@ def evaluate_classifier(
     return predictions, report
 
 
+def _choice_scores(model: FinetunedModel, vocab: Vocabulary, records: Sequence[dict]) -> list[np.ndarray]:
+    """Each record's entailment probability per (question + choice, context) pair.
+
+    Every statement of every record goes through one ``_predict_probs``
+    call, so the length-sorted batches mix questions.  Equal sequences are
+    scored once: copies in two batches, padded to other widths, could
+    differ by float noise, and equal choices must tie exactly.
+    """
+    if ENTAILMENT_LABEL not in model.labels:
+        raise ConfigError("model has no entailment class to score choices with")
+    if any(not rec["choices"] for rec in records):
+        raise DataError("cannot score an empty choice list")
+    max_len = model.weights.config.max_len
+    seqs = [
+        encode_pair(_mrc_statement(rec["question"], choice), rec["context"], vocab, max_len)
+        for rec in records
+        for choice in rec["choices"]
+    ]
+    unique: dict[tuple, TokenSequence] = {}
+    for seq in seqs:
+        unique.setdefault(tuple(seq.ids), seq)
+    row = {ids: i for i, ids in enumerate(unique)}
+    probs = _predict_probs(model, list(unique.values()))
+    scores = probs[[row[tuple(seq.ids)] for seq in seqs], model.labels.index(ENTAILMENT_LABEL)]
+    return np.split(scores, np.cumsum([len(rec["choices"]) for rec in records])[:-1])
+
+
 def mrc_scores(
     model: FinetunedModel, vocab: Vocabulary, context: str, question: str, choices: Sequence[str]
 ) -> np.ndarray:
     """Entailment probability of each (question + choice, context) pair."""
-    if ENTAILMENT_LABEL not in model.labels:
-        raise ConfigError("model has no entailment class to score choices with")
-    if not choices:
-        raise DataError("cannot score an empty choice list")
-    max_len = model.weights.config.max_len
-    seqs = [encode_pair(_mrc_statement(question, choice), context, vocab, max_len) for choice in choices]
-    probs = _predict_probs(model, seqs)
-    return probs[:, model.labels.index(ENTAILMENT_LABEL)]
+    return _choice_scores(model, vocab, [{"context": context, "question": question, "choices": choices}])[0]
 
 
 def evaluate_mrc(
@@ -348,7 +379,8 @@ def evaluate_mrc(
 ) -> tuple[list[dict], MetricsReport]:
     """Answer each question and report question-level accuracy.
 
-    Each prediction's ``pred`` is the index of the best-scoring choice; ties
+    All choices of all questions are scored in one pass.  Each
+    prediction's ``pred`` is the index of the best-scoring choice; ties
     resolve to the lowest index.  The report's accuracy fields all carry
     the question-level value; the per-pair confusion is not meaningful at
     prediction time because only the relative order of entailment scores
@@ -357,8 +389,7 @@ def evaluate_mrc(
     predictions = []
     chosen: list[int] = []
     gold: list[int] = []
-    for i, rec in enumerate(records):
-        scores = mrc_scores(model, vocab, rec["context"], rec["question"], rec["choices"])
+    for i, (rec, scores) in enumerate(zip(records, _choice_scores(model, vocab, records))):
         pick = int(np.argmax(scores))
         chosen.append(pick)
         gold.append(rec["answer_index"])

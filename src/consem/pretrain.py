@@ -242,12 +242,14 @@ def _batch_losses(
 ) -> tuple[Tensor, Tensor | None]:
     """Contrastive and (if ``mlm_batch``) MLM losses; dropout on exactly when ``rng`` is given."""
     # One forward over the stacked rows [anchors; positives; negatives; MLM-corrupted
-    # anchors], so each dropout site draws one grid for all of them.
+    # anchors], so each dropout site draws one grid for all of them.  Without
+    # MLM, CLS pooling reads only the last layer's [CLS] rows.
     n = len(seq_lists[0])
     stacked = [seq for seqs in seq_lists for seq in seqs]
     if mlm_batch is not None:
         stacked += mlm_batch[0]
-    outputs = forward_batch(stacked, weights, rng)
+    cls_only = mlm_batch is None and config.pooling is PoolingStrategy.CLS
+    outputs = forward_batch(stacked, weights, rng, cls_only=cls_only)
     pooled = pool(outputs, config.pooling)
     blocks = [T.gather_rows(pooled, np.arange(k * n, (k + 1) * n)) for k in range(3)]
     cl = contrastive_loss(*blocks, config.tau)

@@ -335,15 +335,25 @@ def attention(
 ) -> tuple[Tensor, Tensor]:
     """Multi-head scaled dot-product attention, recorded as one node.
 
-    ``q``, ``k`` and ``v`` are (batch, seq, d) projections; ``mask_bias``
-    broadcasts against the (batch, heads, seq, seq) scores and is added
-    before the softmax.  Returns the merged (batch, seq, d) context and the
-    softmax maps, the latter as a tensor that records no gradient.  The
-    backward is written out from the saved maps and head-split inputs.
+    ``k`` and ``v`` are (batch, seq, d) projections and ``q`` is
+    (batch, queries, d) with at most ``seq`` queries, such as the [CLS] row
+    alone; ``mask_bias`` broadcasts against the (batch, heads, queries, seq)
+    scores and is added before the softmax.  Returns the merged
+    (batch, queries, d) context and the softmax maps, the latter as a tensor
+    that records no gradient.  The backward is written out from the saved
+    maps and head-split inputs.
     """
-    if q.ndim != 3 or k.shape != q.shape or v.shape != q.shape:
+    if (
+        q.ndim != 3
+        or k.ndim != 3
+        or v.shape != k.shape
+        or q.shape[0] != k.shape[0]
+        or q.shape[2] != k.shape[2]
+        or q.shape[1] > k.shape[1]
+    ):
         raise ShapeError(
-            f"attention expects three equal (batch, seq, d) inputs, got {q.shape}, {k.shape} and {v.shape}"
+            "attention expects (batch, queries, d) queries, queries <= seq, and equal (batch, seq, d) "
+            f"keys and values, got {q.shape}, {k.shape} and {v.shape}"
         )
     if q.shape[-1] % heads != 0:
         raise ShapeError(f"width {q.shape[-1]} is not divisible by {heads} heads")

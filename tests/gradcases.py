@@ -97,6 +97,16 @@ def case_attention(rng):
     return lambda: _contract(T.attention(q, k, v, 2, mask_bias)[0], weights), [q, k, v]
 
 
+def case_attention_fewer_queries(rng):
+    # One query row against four keys, as a [CLS]-only block runs it: batch 2,
+    # 2 heads of width 2; the first row's last two key columns are padding.
+    q, k, v = _t(rng, 2, 1, 4), _t(rng, 2, 4, 4), _t(rng, 2, 4, 4)
+    mask_bias = np.zeros((2, 1, 1, 4))
+    mask_bias[0, ..., 2:] = -1e9
+    weights = _weights(rng, (2, 1, 4))
+    return lambda: _contract(T.attention(q, k, v, 2, mask_bias)[0], weights), [q, k, v]
+
+
 def case_transpose_reshape(rng):
     a = _t(rng, 2, 3, 4)
     w = _weights(rng, (3, 8))
@@ -238,6 +248,7 @@ GRAD_CASES = {
     "linear": case_linear,
     "linear_2d": case_linear_2d,
     "attention": case_attention,
+    "attention_fewer_queries": case_attention_fewer_queries,
     "transpose_reshape": case_transpose_reshape,
     "concat": case_concat,
     "gather_rows": case_gather_rows,

@@ -4,8 +4,9 @@ Everything here is written in plain python loops (plus math) on purpose:
 these functions must not share code paths, vectorization tricks, or
 reduction orders with the package under test.  The exceptions are
 ``composed_forward_batch``, ``composed_contrastive_loss``, ``erf_gelu``,
-the unfused kernels and the input-order batchers at the end, references
-built from the package's own tensor ops, numpy or scipy.
+the unfused kernels, the input-order batchers and the full-last-block
+paths at the end, references built from the package's own tensor ops,
+numpy or scipy.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from scipy.special import erf
 
 from consem import finetune
 from consem import tensor as T
-from consem.encoder import ATTENTION_MASK_BIAS, LayerOutputs, forward_batch, pool
+from consem.encoder import ATTENTION_MASK_BIAS, EVAL_BATCH, LayerOutputs, PoolingStrategy, forward_batch, pool
 from consem.errors import TrainingDivergedError
 from consem.text import PAD_ID, encode_single
 
@@ -138,8 +139,12 @@ def uniformity_reference(rows) -> float:
 # gradients.
 
 
-def composed_forward_batch(seqs, weights, rng=None):
-    """``forward_batch`` from elementary tape ops; dropout is not supported."""
+def composed_forward_batch(seqs, weights, rng=None, cls_only=False):
+    """``forward_batch`` from elementary tape ops; dropout is not supported.
+
+    ``cls_only`` computes every position and then keeps the last layer's
+    [CLS] row, in the shapes the package returns.
+    """
     config = weights.config
     assert rng is None or config.dropout == 0.0, "the reference has no dropout"
     lengths = np.array([s.length for s in seqs], dtype=np.intp)
@@ -171,6 +176,10 @@ def composed_forward_batch(seqs, weights, rng=None):
         x = T.layer_norm(T.add(x, ff_out), weights[f"{p}.ln2.gain"], weights[f"{p}.ln2.bias"])
         hidden.append(x)
         attention.append(probs)
+    if cls_only:
+        cls = T.gather_rows(T.reshape(x, (batch * seq_len, d)), np.arange(batch) * seq_len)
+        hidden[-1] = T.reshape(cls, (batch, 1, d))
+        attention[-1] = T.constant(attention[-1].data[:, :, :1], dtype=x.data.dtype)
     return LayerOutputs(hidden=hidden, attention=attention, mask=mask)
 
 
@@ -327,9 +336,31 @@ def input_order_embed_sentences(texts, weights, config, vocab, strategy, batch_s
     return vectors
 
 
-def input_order_predict_probs(model, seqs, batch_size: int = 64) -> np.ndarray:
+def input_order_predict_probs(model, seqs, batch_size: int = EVAL_BATCH) -> np.ndarray:
     probs = [
         T.softmax(finetune._logits(model, seqs[start : start + batch_size]), axis=1).data
         for start in range(0, len(seqs), batch_size)
     ]
     return np.concatenate(probs, axis=0)
+
+
+# The paths that computed the last block at every position: the encoder
+# forward that ignores ``cls_only``, the fine-tuning logits over it, and MRC
+# evaluation as one ``mrc_scores`` call per question.  Tests bound the drift
+# of the [CLS]-only block and of batched MRC scoring against them.
+
+
+def full_forward_batch(seqs, weights, rng=None, cls_only=False):
+    """``forward_batch`` computing every position of the last block whatever ``cls_only`` says."""
+    return forward_batch(seqs, weights, rng)
+
+
+def full_logits(model, seqs, rng=None) -> T.Tensor:
+    """``finetune._logits`` over the full last block."""
+    outputs = forward_batch(seqs, model.weights, rng)
+    return T.linear(pool(outputs, PoolingStrategy.CLS), model.head_weight, model.head_bias)
+
+
+def per_question_mrc(model, vocab, records) -> list[np.ndarray]:
+    """Each record's choice scores from its own ``mrc_scores`` call, one forward per question."""
+    return [finetune.mrc_scores(model, vocab, r["context"], r["question"], r["choices"]) for r in records]

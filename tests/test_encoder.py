@@ -7,7 +7,7 @@ import pytest
 
 from conftest import TOPICS, analytic_gradients, fd_at, relative_error, topic_sentence
 from gradcases import micro_encoder_case
-from oracles import composed_forward_batch, input_order_embed_sentences
+from oracles import composed_forward_batch, full_forward_batch, input_order_embed_sentences
 
 from consem import encoder as encoder_module
 from consem import finetune as finetune_module
@@ -25,7 +25,7 @@ from consem.encoder import (
     parameter_names,
     pool,
 )
-from consem.errors import ConfigError, DegenerateInputError, ShapeError, VocabularyError
+from consem.errors import ConfigError, ContractError, DegenerateInputError, ShapeError, VocabularyError
 from consem.pretrain import PretrainConfig
 from consem.tensor import Tape, Tensor, backward
 from consem.text import PAD_ID, TokenSequence, build_vocab, encode_single
@@ -436,6 +436,17 @@ class TestEmbedSentences:
         with pytest.raises(ConfigError, match="batch_size"):
             embed_sentences(["the river glows"], weights, config, vocab, batch_size=batch_size)
 
+    def test_cls_vectors_within_bound_of_the_full_pass(self, micro_checkpoint, monkeypatch):
+        # CLS embedding computes the last block at [CLS] alone.
+        ckpt, _, vocab = micro_checkpoint
+        config = ckpt.encoder_config
+        weights = EncoderWeights.from_arrays(config, ckpt.params)
+        texts = _mixed_length_texts(70)
+        vectors = embed_sentences(texts, weights, config, vocab, PoolingStrategy.CLS)
+        monkeypatch.setattr(encoder_module, "forward_batch", full_forward_batch)
+        reference = embed_sentences(texts, weights, config, vocab, PoolingStrategy.CLS)
+        assert np.abs(vectors - reference).max() <= 1e-6
+
     @pytest.mark.parametrize("change", [{"hidden_size": 8}, {"num_heads": 3}, {"max_len": 12}, {"dropout": 0.0}])
     def test_config_other_than_the_weights_rejected(self, setup, change):
         vocab, config, weights = setup
@@ -566,3 +577,58 @@ class TestFusedOps:
         with Tape() as tape:
             forward_batch(seqs, weights, np.random.default_rng(0))
         assert len(tape) == 4 + 14 * num_layers
+
+
+class TestClsOnly:
+    """``forward_batch(..., cls_only=True)`` against the full last block."""
+
+    _world = staticmethod(TestFusedOps._world)
+
+    def test_only_the_last_layer_is_cut_to_cls(self):
+        config, weights, seqs = self._world()
+        full = forward_batch(seqs, weights)
+        cut = forward_batch(seqs, weights, cls_only=True)
+        batch, seq = full.mask.shape
+        assert cut.hidden[-1].shape == (batch, 1, config.hidden_size)
+        assert cut.attention[-1].shape == (batch, config.num_heads, 1, seq)
+        np.testing.assert_array_equal(cut.mask, full.mask)
+        for got, want in zip(cut.hidden[:-1] + cut.attention[:-1], full.hidden[:-1] + full.attention[:-1], strict=True):
+            assert got.data.tobytes() == want.data.tobytes()
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.3])
+    def test_cls_state_within_bound_of_the_full_pass(self, dropout):
+        # In train mode the [CLS] rows draw the full pass's masks, so the
+        # states agree, and the generator ends where the full pass leaves it.
+        config, weights, seqs = self._world(dropout)
+        rngs = [np.random.default_rng(5), np.random.default_rng(5)] if dropout else [None, None]
+        full = forward_batch(seqs, weights, rngs[0])
+        cut = forward_batch(seqs, weights, rngs[1], cls_only=True)
+        full_cls = pool(full, PoolingStrategy.CLS).data
+        assert np.abs(pool(cut, PoolingStrategy.CLS).data - full_cls).max() <= 1e-6
+        assert np.abs(cut.attention[-1].data - full.attention[-1].data[:, :, :1]).max() <= 1e-6
+        if dropout:
+            assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+            eval_cls = pool(forward_batch(seqs, weights), PoolingStrategy.CLS).data
+            assert np.abs(full_cls - eval_cls).max() > 1e-2
+
+    def test_gradients_match_the_composed_encoder(self):
+        config, weights, seqs = self._world()
+        w_cls = np.random.default_rng(3).uniform(-1.0, 1.0, (len(seqs), config.hidden_size))
+
+        def gradients(forward):
+            for _, p in weights.items():
+                p.grad = None
+            with Tape() as tape:
+                cls = pool(forward(seqs, weights, np.random.default_rng(0), cls_only=True), PoolingStrategy.CLS)
+                backward(T.reduce_sum(T.mul(cls, Tensor(w_cls))), tape)
+            return {name: p.grad for name, p in weights.items()}
+
+        TestFusedOps._assert_close(gradients(forward_batch), gradients(composed_forward_batch))
+
+    @pytest.mark.parametrize("strategy", [PoolingStrategy.MEAN, PoolingStrategy.FIRST_LAST, PoolingStrategy.TOP2])
+    def test_only_cls_pools_a_cut_forward(self, strategy):
+        config, weights, seqs = self._world()
+        cut = forward_batch(seqs, weights, cls_only=True)
+        with pytest.raises(ContractError, match=rf"{strategy.value} pooling .* only at \[CLS\]"):
+            pool(cut, strategy)
+        assert pool(cut, PoolingStrategy.CLS).shape == (len(seqs), config.hidden_size)

@@ -1,16 +1,17 @@
 """Fine-tuning on synthetic separable tasks built from the topic corpus."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import make_mrc_task, make_pair_task, make_single_task, topic_sentence
-from oracles import input_order_predict_probs
+from oracles import full_logits, input_order_predict_probs, per_question_mrc
 
 from consem import finetune as finetune_module
 from consem.checkpoint import load_checkpoint, save_checkpoint
-from consem.encoder import parameter_names
+from consem.encoder import EVAL_BATCH, EncoderConfig, EncoderWeights, forward_batch, parameter_names
 from consem.errors import ConfigError, DataError, FormatError, ShapeError, VocabularyError
 from consem.finetune import (
     CONTRADICTION_LABEL,
@@ -218,6 +219,30 @@ class TestMrc:
         assert len(set(predictions[0]["scores"])) == 1
         assert predictions[0]["pred"] == 0
 
+    def test_identical_choices_tie_across_batches(self):
+        # Shorter statements fill most of the first length-sorted batch, so the
+        # tied copies fall into two batches that pad to different widths.  The
+        # weights are scaled up from the init so float noise would show.
+        vocab = build_vocab(["which place appears the river glows at dawn near a glacier and morning light"])
+        config = EncoderConfig(vocab_size=vocab.size, num_layers=2, num_heads=2, hidden_size=16, ff_size=32,
+                               max_len=40, dropout=0.0)
+        rng = np.random.default_rng(1)
+        arrays = {name: a + rng.normal(0.0, 0.3, a.shape) for name, a in
+                  EncoderWeights.initialize(config, seed=0).to_arrays().items()}
+        arrays.update({"head.weight": rng.normal(0.0, 1.0, (16, 2)), "head.bias": np.zeros(2)})
+        model = FinetunedModel.from_arrays(config, arrays, list(MRC_LABELS), TaskKind.MRC, vocab.content_hash())
+        question = "which place appears"
+        records = [
+            {"context": "the river", "question": "which", "choices": ["glows"] * 20, "answer_index": 0},
+            {"context": "the river glows at dawn", "question": question, "choices": ["the glacier"] * 20,
+             "answer_index": 5},
+            {"context": "the river glows at dawn near a glacier and morning light", "question": question,
+             "choices": ["the glacier glows"] * 20, "answer_index": 0},
+        ]
+        predictions, _ = evaluate_mrc(model, vocab, records)
+        assert len(set(predictions[1]["scores"])) == 1
+        assert predictions[1]["pred"] == 0
+
     def test_predict_matches_score_argmax(self, micro_checkpoint):
         ckpt, _, vocab = micro_checkpoint
         train = make_mrc_task(16, choices=3)
@@ -262,6 +287,13 @@ class TestMrc:
         with pytest.raises(DataError):
             mrc_scores(model, vocab, "a river", "which ?", [])
 
+    def test_empty_choices_rejected_by_evaluate(self, pair_run):
+        model, _, _, _, vocab = pair_run
+        records = make_mrc_task(2, choices=2)
+        records[1] = dict(records[1], choices=[])
+        with pytest.raises(DataError, match="empty choice list"):
+            evaluate_mrc(model, vocab, records)
+
     def test_model_without_entailment_class_rejected(self, micro_checkpoint):
         ckpt, _, vocab = micro_checkpoint
         arrays = {n: ckpt.params[n] for n in parameter_names(ckpt.encoder_config)}
@@ -269,8 +301,10 @@ class TestMrc:
         model = FinetunedModel.from_arrays(
             ckpt.encoder_config, arrays, ["negative", "positive"], TaskKind.PAIR, ckpt.vocab_hash
         )
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="entailment"):
             mrc_scores(model, vocab, "a river", "which ?", ["the river"])
+        with pytest.raises(ConfigError, match="entailment"):
+            evaluate_mrc(model, vocab, make_mrc_task(2, choices=2))
 
 
 class TestPrediction:
@@ -280,9 +314,9 @@ class TestPrediction:
         # Some records are cut short, so the batches mix lengths.
         records = [dict(r, text_b=" ".join(r["text_b"].split()[: 1 + i % 6])) for i, r in enumerate(records)]
         seqs = [encode_pair(r["text_a"], r["text_b"], vocab, model.weights.config.max_len) for r in records]
-        assert len({s.length for s in seqs}) > 3 and len(seqs) > 2 * finetune_module._PREDICT_BATCH
+        assert len({s.length for s in seqs}) > 3 and len(seqs) > 2 * EVAL_BATCH
         probs = finetune_module._predict_probs(model, seqs)
-        reference = input_order_predict_probs(model, seqs, finetune_module._PREDICT_BATCH)
+        reference = input_order_predict_probs(model, seqs, EVAL_BATCH)
         assert probs.shape == reference.shape
         assert np.abs(probs - reference).max() <= 1e-6
         predictions, _ = evaluate_classifier(model, vocab, records)
@@ -297,6 +331,56 @@ class TestPrediction:
                     for c in rec["choices"]]
             reference = input_order_predict_probs(model, seqs)[:, column]
             assert scores.tolist() == reference.tolist()
+
+    def test_batched_mrc_within_bound_of_the_per_question_loop(self, pair_run, monkeypatch):
+        # The old path: one forward per question, each over the full last block.
+        model, _, _, _, vocab = pair_run
+        records = make_mrc_task(24, start=40, choices=4)
+        records = [dict(r, context=" ".join(r["context"].split()[: 2 + i % 7])) for i, r in enumerate(records)]
+        forwards = []
+
+        def counting_forward(seqs, *args, **kwargs):
+            forwards.append(len(seqs))
+            return forward_batch(seqs, *args, **kwargs)
+
+        monkeypatch.setattr(finetune_module, "forward_batch", counting_forward)
+        predictions, _ = evaluate_mrc(model, vocab, records)
+        # 96 statements in three length-sorted batches, not 24 forwards of 4.
+        assert forwards == [EVAL_BATCH] * 3
+        monkeypatch.setattr(finetune_module, "_logits", full_logits)
+        reference = per_question_mrc(model, vocab, records)
+        for prediction, ref in zip(predictions, reference, strict=True):
+            assert np.abs(np.array(prediction["scores"]) - ref).max() <= 1e-6
+            assert prediction["pred"] == int(np.argmax(ref))
+
+    def test_probabilities_within_bound_of_the_full_pass(self, pair_run, monkeypatch):
+        model, _, train, dev, vocab = pair_run
+        seqs = [encode_pair(r["text_a"], r["text_b"], vocab, model.weights.config.max_len) for r in train + dev]
+        probs = finetune_module._predict_probs(model, seqs)
+        monkeypatch.setattr(finetune_module, "_logits", full_logits)
+        reference = finetune_module._predict_probs(model, seqs)
+        assert np.abs(probs - reference).max() <= 1e-6
+
+    def test_finetune_run_within_bound_of_the_full_pass(self, micro_checkpoint, monkeypatch):
+        # Dropout on, so training draws the [CLS] rows' masks from the full grid.
+        ckpt, _, vocab = micro_checkpoint
+        ckpt = replace(ckpt, encoder_config=replace(ckpt.encoder_config, dropout=0.1))
+        train, dev = make_mrc_task(16, choices=3), make_mrc_task(8, start=16, choices=3)
+
+        def run():
+            return finetune_classifier(ckpt, TaskSpec(TaskKind.MRC), train, dev, FinetuneConfig(epochs=2, seed=3), vocab)
+
+        model, report = run()
+        monkeypatch.setattr(finetune_module, "_logits", full_logits)
+        ref_model, ref_report = run()
+        assert report == ref_report
+        arrays, ref = model.to_arrays(), ref_model.to_arrays()
+        # Absolute bounds.  The attention key biases get only float-noise
+        # gradients (softmax is shift invariant), which AdamW scales up to
+        # steps of the learning rate; here layer 1's moved 1.4e-5.
+        for name in ref:
+            bound = 1e-4 if name.endswith(".attn.bk") else 5e-6
+            assert np.abs(arrays[name] - ref[name]).max() <= bound, name
 
     def test_no_sequences_give_an_empty_matrix(self, pair_run):
         model = pair_run[0]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import check_gradients, make_topic_triples, micro_encoder_config
-from oracles import composed_contrastive_loss, contrastive_loss_reference, masking_reference
+from oracles import composed_contrastive_loss, contrastive_loss_reference, full_forward_batch, masking_reference
 
 import consem.pretrain as pretrain_module
 from consem import tensor as T
@@ -508,9 +508,12 @@ class TestStackedForward:
         triples, vocab, encoder_config = tiny_world
         calls = {True: 0, False: 0}
 
-        def counting_forward(seqs, weights, rng=None):
+        cuts = set()
+
+        def counting_forward(seqs, weights, rng=None, cls_only=False):
             calls[rng is not None] += 1
-            return forward_batch(seqs, weights, rng)
+            cuts.add(cls_only)
+            return forward_batch(seqs, weights, rng, cls_only=cls_only)
 
         monkeypatch.setattr(pretrain_module, "forward_batch", counting_forward)
         config = PretrainConfig(
@@ -520,6 +523,24 @@ class TestStackedForward:
         # 12 training triples in 3 batches and 4 validation triples in 1, per epoch.
         assert ckpt.step == 6
         assert calls == {True: 6, False: 2}
+        # CLS pooling without MLM reads only the last layer's [CLS] rows.
+        assert cuts == {mlm_weight == 0.0}
+
+    def test_default_recipe_within_bound_of_the_full_pass(self, tiny_world, monkeypatch):
+        # CLS pooling and no MLM: the last block runs at [CLS] alone, with dropout.
+        triples, vocab, encoder_config = tiny_world
+        config = PretrainConfig(epochs=3, batch_size=4, seed=2, validation_fraction=0.25)
+        ckpt, records = train(triples, config, vocab, encoder_config)
+        monkeypatch.setattr(pretrain_module, "forward_batch", full_forward_batch)
+        ref_ckpt, ref_records = train(triples, config, vocab, encoder_config)
+        assert [(r.epoch, r.step, r.split) for r in records] == [(r.epoch, r.step, r.split) for r in ref_records]
+        for record, ref in zip(records, ref_records):
+            assert record.contrastive == pytest.approx(ref.contrastive, abs=1e-5)
+        # Absolute bounds, as in fine-tuning: the attention key biases get only
+        # float-noise gradients; here layer 1's moved 3.1e-6.
+        for name, want in ref_ckpt.params.items():
+            bound = 1e-4 if name.endswith(".attn.bk") else 5e-6
+            assert np.abs(ckpt.params[name] - want).max() <= bound, name
 
 
 class TestPretrainConfig:

@@ -238,6 +238,36 @@ class TestTapeAndErrors:
         with pytest.raises(ShapeError):
             T.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 2))))
 
+    @pytest.mark.parametrize(
+        "q_shape,kv_shape",
+        [
+            ((2, 5, 4), (2, 3, 4)),  # more queries than keys
+            ((3, 1, 4), (2, 3, 4)),  # another batch
+            ((2, 1, 6), (2, 3, 4)),  # another width
+            ((2, 4), (2, 3, 4)),  # queries not 3-d
+        ],
+    )
+    def test_attention_rejects_queries_that_do_not_fit_the_keys(self, q_shape, kv_shape):
+        q, kv = Tensor(np.ones(q_shape)), Tensor(np.ones(kv_shape))
+        with pytest.raises(ShapeError, match="attention expects"):
+            T.attention(q, kv, kv, 2, np.zeros((kv_shape[0], 1, 1, kv_shape[1])))
+
+    def test_attention_rejects_values_unlike_the_keys(self):
+        q, k = Tensor(np.ones((2, 1, 4))), Tensor(np.ones((2, 3, 4)))
+        with pytest.raises(ShapeError, match="attention expects"):
+            T.attention(q, k, Tensor(np.ones((2, 2, 4))), 2, np.zeros((2, 1, 1, 3)))
+
+    def test_fewer_queries_equal_those_rows_of_the_full_attention(self):
+        rng = np.random.default_rng(6)
+        q, k, v = (Tensor(rng.normal(size=(3, 5, 8))) for _ in range(3))
+        bias = np.zeros((3, 1, 1, 5), dtype=np.float32)
+        bias[1, ..., 3:] = -1e9
+        full, full_maps = T.attention(q, k, v, 2, bias)
+        first, first_maps = T.attention(Tensor(q.data[:, :1]), k, v, 2, bias)
+        assert first.shape == (3, 1, 8) and first_maps.shape == (3, 2, 1, 5)
+        np.testing.assert_allclose(first.data, full.data[:, :1], rtol=0, atol=1e-6)
+        np.testing.assert_allclose(first_maps.data, full_maps.data[:, :, :1], rtol=0, atol=1e-6)
+
     def test_normalize_rejects_zero_row(self):
         with pytest.raises(DegenerateInputError):
             T.normalize_rows(Tensor([[1.0, 0.0], [0.0, 0.0]]))
