@@ -53,7 +53,7 @@ from .finetune import (
     mrc_scores,
 )
 from .metrics import ConfusionMatrix, MetricsReport, accuracy, macro_f1, mrc_accuracy
-from .optim import AdamW
+from .optim import AdamW, TrainingConfig
 from .pretrain import (
     LossRecord,
     PretrainConfig,

@@ -228,8 +228,6 @@ def cmd_finetune(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     model = load_model(args.model)
     vocab = Vocabulary.load(args.vocab)
-    if model.vocab_hash != vocab.content_hash():
-        raise VocabularyError("model was built with a different vocabulary")
     task = TaskSpec(kind=model.kind, labels=model.labels)
     records = load_task_records(args.data, task)
     if not records:

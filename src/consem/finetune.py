@@ -42,7 +42,7 @@ from .encoder import (
 )
 from .errors import ConfigError, DataError, FormatError, ShapeError, VocabularyError
 from .metrics import ConfusionMatrix, MetricsReport, accuracy, macro_f1, mrc_accuracy
-from .optim import QUIET_FLOAT_ERRORS, AdamW, minibatches
+from .optim import QUIET_FLOAT_ERRORS, AdamW, TrainingConfig, minibatches
 from .tensor import Tape, Tensor
 from .text import TokenSequence, Vocabulary, encode_pair, encode_single, json_field, load_jsonl
 
@@ -105,22 +105,11 @@ class TaskSpec:
 
 
 @dataclass
-class FinetuneConfig:
+class FinetuneConfig(TrainingConfig):
+    """Hyperparameters of one fine-tuning run: :class:`TrainingConfig` with a larger batch and fewer epochs."""
+
     batch_size: int = 16
     epochs: int = 7
-    learning_rate: float = 1e-3
-    weight_decay: float = 0.01
-    seed: int = 0
-
-    def __post_init__(self):
-        for name, low, bound in (("batch_size", 1, ">= 1"), ("epochs", 1, ">= 1"), ("seed", 0, "non-negative")):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-            if value < low:
-                raise ConfigError(f"{name} must be {bound}, got {value}")
-        if not 0.0 < self.learning_rate < np.inf:
-            raise ConfigError(f"learning_rate must be positive and finite, got {self.learning_rate}")
 
 
 def load_task_records(path: str | Path, task: TaskSpec) -> list[dict]:
@@ -281,6 +270,9 @@ def finetune_classifier(
 
     train_seqs = [_encode_record(r, task.kind, vocab, encoder_config.max_len) for r in train_pairs]
     train_gold = _gold_indices(train_pairs, labels)
+    if task.kind is not TaskKind.MRC:
+        # Each epoch's evaluation reads these; an unknown dev label fails before the first step.
+        _gold_indices(dev_records, labels)
 
     head_rng = np.random.default_rng([config.seed, _STREAM_HEAD_INIT])
     head = {
@@ -312,6 +304,8 @@ def finetune_classifier(
 
 def evaluate(model: FinetunedModel, vocab: Vocabulary, records: Sequence[dict]) -> tuple[list[dict], MetricsReport]:
     """Predictions and metrics for records of the model's task: MRC questions or classifier records."""
+    if model.vocab_hash != vocab.content_hash():
+        raise VocabularyError("model was built with a different vocabulary")
     if model.kind is TaskKind.MRC:
         return evaluate_mrc(model, vocab, records)
     return evaluate_classifier(model, vocab, records)

@@ -1,19 +1,50 @@
-"""Adam with decoupled weight decay, and the batch schedule and step both trainers share."""
+"""Adam with decoupled weight decay, and the settings, batch schedule and step both trainers share."""
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, ContractError, TrainingDivergedError
 from .tensor import Tape, Tensor, backward
 
-__all__ = ["QUIET_FLOAT_ERRORS", "AdamW", "minibatches"]
+__all__ = ["BETA1", "BETA2", "EPS", "QUIET_FLOAT_ERRORS", "AdamW", "TrainingConfig", "minibatches"]
+
+# AdamW's fixed moment decay rates, and the epsilon added to the root of the second moment.
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
 
 # ``np.errstate`` settings for a training run.  Overflow on the way to a
 # non-finite loss or gradient is expected when a run diverges;
 # ``AdamW.descend``'s loss check and ``AdamW.step``'s gradient check report it
 # as one TrainingDivergedError, so numpy's warnings would only repeat it.
 QUIET_FLOAT_ERRORS = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
+
+
+@dataclass
+class TrainingConfig:
+    """The batch schedule and optimizer settings both training stages share; a range error names the field."""
+
+    batch_size: int = 8
+    epochs: int = 10
+    learning_rate: float = 1e-3
+    weight_decay: float = 0.01
+    seed: int = 0
+
+    def __post_init__(self):
+        for name, low, bound in (("batch_size", 1, ">= 1"), ("epochs", 1, ">= 1"), ("seed", 0, "non-negative")):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            if value < low:
+                raise ConfigError(f"{name} must be {bound}, got {value}")
+        # Each range is written so that NaN and inf fail it.
+        if not 0.0 < self.learning_rate < np.inf:
+            raise ConfigError(f"learning_rate must be positive and finite, got {self.learning_rate}")
+        if not 0.0 <= self.weight_decay < np.inf:
+            raise ConfigError(f"weight_decay must be non-negative and finite, got {self.weight_decay}")
 
 
 def minibatches(order: np.ndarray, batch_size: int, seed: int, stream: int, epoch: int):
@@ -54,20 +85,10 @@ class AdamW:
     applied directly to the parameter, outside the adaptive update.
     """
 
-    def __init__(
-        self,
-        params: dict[str, Tensor],
-        learning_rate: float,
-        weight_decay: float = 0.01,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
-        # Each range is written so that NaN fails it; the unbounded ones also reject inf.
+    def __init__(self, params: dict[str, Tensor], learning_rate: float, weight_decay: float = 0.01):
+        # Each range is written so that NaN and inf fail it.
         if not 0.0 < learning_rate < np.inf:
             raise ConfigError(f"learning_rate must be positive and finite, got {learning_rate}")
-        if not 0.0 <= beta1 < 1.0 or not 0.0 <= beta2 < 1.0:
-            raise ConfigError(f"betas must lie in [0, 1), got {beta1}, {beta2}")
         if not 0.0 <= weight_decay < np.inf:
             raise ConfigError(f"weight_decay must be non-negative and finite, got {weight_decay}")
         dtypes = sorted({str(p.data.dtype) for p in params.values()})
@@ -77,9 +98,6 @@ class AdamW:
         # Python floats, so every constant enters the update in the buffer's dtype.
         self.learning_rate = float(learning_rate)
         self.weight_decay = float(weight_decay)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
         self.step_count = 0
         dtype = np.dtype(dtypes[0] if dtypes else np.float32)
         align = _ALIGN_BYTES // dtype.itemsize
@@ -136,17 +154,17 @@ class AdamW:
                     raise TrainingDivergedError(f"non-finite gradient for parameter '{name}' at step {t}")
         self.step_count = t
         m, v, update, scratch = self._m, self._v, self._update, self._scratch
-        m *= self.beta1
-        np.multiply(g, 1.0 - self.beta1, out=scratch)
+        m *= BETA1
+        np.multiply(g, 1.0 - BETA1, out=scratch)
         m += scratch
-        v *= self.beta2
+        v *= BETA2
         np.multiply(g, g, out=scratch)
-        scratch *= 1.0 - self.beta2
+        scratch *= 1.0 - BETA2
         v += scratch
-        np.divide(m, 1.0 - self.beta1**t, out=update)
-        np.divide(v, 1.0 - self.beta2**t, out=scratch)
+        np.divide(m, 1.0 - BETA1**t, out=update)
+        np.divide(v, 1.0 - BETA2**t, out=scratch)
         np.sqrt(scratch, out=scratch)
-        scratch += self.eps
+        scratch += EPS
         update /= scratch
         if self.weight_decay:
             np.multiply(self._flat, self.weight_decay, out=scratch)

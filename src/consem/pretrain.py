@@ -38,7 +38,7 @@ from .encoder import (
 )
 from .errors import ConfigError, ContractError, DataError, ShapeError
 from .files import write_csv
-from .optim import QUIET_FLOAT_ERRORS, AdamW, minibatches
+from .optim import QUIET_FLOAT_ERRORS, AdamW, TrainingConfig, minibatches
 from .tensor import Tape, Tensor
 from .text import (
     CLS_ID,
@@ -74,22 +74,18 @@ _STREAM_MLM_VAL = 6
 
 
 @dataclass
-class PretrainConfig:
-    """Hyperparameters of one pretraining run."""
+class PretrainConfig(TrainingConfig):
+    """Hyperparameters of one pretraining run: :class:`TrainingConfig`, with its defaults, plus the objective's."""
 
     tau: float = 0.05
     mlm_weight: float = 0.0
     mask_rate: float = 0.15
-    batch_size: int = 8
-    epochs: int = 10
-    learning_rate: float = 1e-3
-    weight_decay: float = 0.01
-    seed: int = 0
     pooling: PoolingStrategy = PoolingStrategy.CLS
     data_fraction: float = 1.0
     validation_fraction: float = 0.1
 
     def __post_init__(self):
+        super().__post_init__()
         # Each range is written so that NaN fails it; the unbounded ones also reject inf.
         if not 0.0 < self.tau < np.inf:
             raise ConfigError(f"tau must be positive and finite, got {self.tau}")
@@ -97,14 +93,6 @@ class PretrainConfig:
             raise ConfigError(f"mlm_weight must be non-negative and finite, got {self.mlm_weight}")
         if not 0.0 < self.mask_rate < 1.0:
             raise ConfigError(f"mask_rate must be in (0, 1), got {self.mask_rate}")
-        for name, low, bound in (("batch_size", 1, ">= 1"), ("epochs", 1, ">= 1"), ("seed", 0, "non-negative")):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-            if value < low:
-                raise ConfigError(f"{name} must be {bound}, got {value}")
-        if not 0.0 < self.learning_rate < np.inf:
-            raise ConfigError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if not 0.0 < self.data_fraction <= 1.0:
             raise ConfigError(f"data_fraction must be in (0, 1], got {self.data_fraction}")
         if not 0.0 <= self.validation_fraction < 1.0:
@@ -264,7 +252,7 @@ def train(
     triples: Sequence[ContrastiveTriple],
     config: PretrainConfig,
     vocab: Vocabulary,
-    encoder_config: EncoderConfig | None = None,
+    encoder_config: EncoderConfig,
     init_weights: EncoderWeights | None = None,
 ) -> tuple[Checkpoint, list[LossRecord]]:
     """Run contrastive pretraining and return the final checkpoint and loss log.
@@ -278,8 +266,6 @@ def train(
     """
     if not triples:
         raise DataError("no training triples were provided")
-    if encoder_config is None:
-        encoder_config = EncoderConfig(vocab_size=vocab.size)
     if encoder_config.vocab_size != vocab.size:
         raise ConfigError(
             f"encoder vocab_size {encoder_config.vocab_size} does not match vocabulary size {vocab.size}"

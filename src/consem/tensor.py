@@ -510,10 +510,10 @@ def logsumexp(a: Tensor, axis: int = -1) -> Tensor:
     return out
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = LAYER_NORM_EPS) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize the last axis to zero mean and unit variance, then apply gain and bias.
 
-    Uses population variance with ``eps`` added under the square root, so a
+    Uses population variance with ``LAYER_NORM_EPS`` added under the square root, so a
     constant row maps to the bias vector rather than dividing by zero.
     """
     if gain.data.shape != x.data.shape[-1:] or bias.data.shape != x.data.shape[-1:]:
@@ -527,7 +527,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = LAYER_NORM_EP
     xhat = np.subtract(x.data, mu)
     y = np.multiply(xhat, xhat)
     var = y.mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + x.data.dtype.type(eps))
+    inv = 1.0 / np.sqrt(var + x.data.dtype.type(LAYER_NORM_EPS))
     xhat *= inv
     np.multiply(xhat, gain.data, out=y)
     y += bias.data

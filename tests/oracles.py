@@ -237,12 +237,12 @@ def full_grid_dropout(x: T.Tensor, rate: float, rng, grid=None) -> T.Tensor:
     return out
 
 
-def unfused_layer_norm(x: T.Tensor, gain: T.Tensor, bias: T.Tensor, eps: float = T.LAYER_NORM_EPS) -> T.Tensor:
+def unfused_layer_norm(x: T.Tensor, gain: T.Tensor, bias: T.Tensor) -> T.Tensor:
     """``tensor.layer_norm`` with a fresh array for every intermediate."""
     mu = x.data.mean(axis=-1, keepdims=True)
     centered = x.data - mu
     var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + x.data.dtype.type(eps))
+    inv = 1.0 / np.sqrt(var + x.data.dtype.type(T.LAYER_NORM_EPS))
     xhat = centered * inv
     out = T.Tensor._result(xhat * gain.data + bias.data, x.requires_grad or gain.requires_grad or bias.requires_grad)
     lead = tuple(range(x.data.ndim - 1))
@@ -279,10 +279,11 @@ def unfused_gelu(x: T.Tensor) -> T.Tensor:
 class PerTensorAdamW:
     """``optim.AdamW`` with a moment pair per parameter and an update per parameter."""
 
-    def __init__(self, params, learning_rate, weight_decay=0.01, beta1=0.9, beta2=0.999, eps=1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params, learning_rate, weight_decay=0.01):
         self.params = dict(params)
         self.learning_rate, self.weight_decay = learning_rate, weight_decay
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.step_count = 0
         self._m = {name: np.zeros_like(p.data) for name, p in self.params.items()}
         self._v = {name: np.zeros_like(p.data) for name, p in self.params.items()}

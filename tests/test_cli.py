@@ -748,6 +748,15 @@ def test_negative_seed_is_one_error_line(workspace, tmp_path, capsys, command, s
     assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n"
 
 
+def _with_setting(argv, tmp_path, command, key, value):
+    """``argv`` plus ``key = value``: a flag, or a configuration file where finetune has no flag."""
+    if command == "finetune" and key in SHARED_KEYS:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n", encoding="utf-8")
+        return argv + ["--config", str(cfg)]
+    return argv + [f"--{key.replace('_', '-')}={value}"]  # one token, so "-inf" is not read as a flag
+
+
 # (command, configuration key, field name) for every float setting pretrain and finetune read.
 _FLOAT_SETTINGS = [
     (command, key, name)
@@ -762,15 +771,7 @@ _FLOAT_SETTINGS = [
 @pytest.mark.parametrize("command,key,name", _FLOAT_SETTINGS, ids=[f"{c}-{k}" for c, k, _ in _FLOAT_SETTINGS])
 def test_non_finite_setting_is_one_error_line(workspace, tmp_path, capsys, command, key, name, value):
     out = tmp_path / "out"
-    argv = _settings_argv(workspace, command, out)
-    if command == "finetune" and key in SHARED_KEYS:
-        # finetune reads the shared keys from a configuration file only.
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"{key} = {value}\n", encoding="utf-8")
-        argv += ["--config", str(cfg)]
-    else:
-        argv.append(f"--{key.replace('_', '-')}={value}")  # one token, so "-inf" is not read as a flag
-    assert main(argv) == 1
+    assert main(_with_setting(_settings_argv(workspace, command, out), tmp_path, command, key, value)) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and name in err, err
     for artifact in ("checkpoint.bin", "model.bin", "run_config.txt"):
@@ -785,14 +786,19 @@ _RANGE_CASES = [
     ("finetune", "ft_batch_size", "0", "ft_batch_size must be >= 1, got 0"),
     ("pretrain", "epochs", "0", "epochs must be >= 1, got 0"),
     ("pretrain", "batch_size", "0", "batch_size must be >= 1, got 0"),
+    ("pretrain", "weight_decay", "-1", "weight_decay must be non-negative and finite, got -1.0"),
+    ("finetune", "weight_decay", "-0.5", "weight_decay must be non-negative and finite, got -0.5"),
 ]
 
 
-@pytest.mark.parametrize("command,key,value,message", _RANGE_CASES, ids=[c[1] for c in _RANGE_CASES])
+# A shared key has a case per command, so its id names the command.
+_RANGE_IDS = [f"{command}-{key}" if key in SHARED_KEYS else key for command, key, _, _ in _RANGE_CASES]
+
+
+@pytest.mark.parametrize("command,key,value,message", _RANGE_CASES, ids=_RANGE_IDS)
 def test_range_error_names_the_configuration_key(workspace, tmp_path, capsys, command, key, value, message):
     out = tmp_path / "out"
-    argv = _settings_argv(workspace, command, out) + [f"--{key.replace('_', '-')}", value]
-    assert main(argv) == 1
+    assert main(_with_setting(_settings_argv(workspace, command, out), tmp_path, command, key, value)) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     for artifact in ("checkpoint.bin", "model.bin", "run_config.txt"):
         assert not (out / artifact).exists()
@@ -921,6 +927,14 @@ class TestSweep:
         err = capsys.readouterr().err
         assert err == "error: sweep value '0.1' is listed more than once in ['0.1', '0.05', '0.1']\n"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+    def test_bad_weight_decay_fails_before_any_leg(self, workspace, tmp_path, capsys, value):
+        out = tmp_path / "out"
+        argv = _with_setting(_settings_argv(workspace, "sweep", out), tmp_path, "sweep", "weight_decay", value)
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: weight_decay must be non-negative and finite, got {float(value)}\n"
+        assert not (out / "sweep.csv").exists() and not (out / "legs").exists()
 
     def test_lambda_axis_accepts_without_marker(self, workspace, tmp_path):
         argv = ["sweep", "--axis", "lambda", "--values", "w/o,0.1",

@@ -152,3 +152,10 @@ def test_training_counts_must_be_integers(section, name, value):
     # Rejected up front, not as a TypeError from range() or default_rng() mid-run.
     with pytest.raises(ConfigError, match=f"^{name} must be an integer, got "):
         section(**{name: value})
+
+
+@pytest.mark.parametrize("value", [-0.1, float("nan"), float("inf")])
+@pytest.mark.parametrize("section", [PretrainConfig, FinetuneConfig])
+def test_weight_decay_must_be_non_negative_and_finite(section, value):
+    with pytest.raises(ConfigError, match="^weight_decay must be non-negative and finite, got "):
+        section(weight_decay=value)

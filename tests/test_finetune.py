@@ -146,6 +146,30 @@ class TestPairTask:
         with pytest.raises(DataError, match="^record 1: unknown label 'maybe'"):
             evaluate_classifier(model, vocab, bad)
 
+    @pytest.mark.parametrize("kind", [TaskKind.PAIR, TaskKind.SINGLE])
+    def test_unknown_dev_label_fails_before_the_first_step(self, micro_checkpoint, monkeypatch, kind):
+        ckpt, _, vocab = micro_checkpoint
+        make = make_pair_task if kind is TaskKind.PAIR else make_single_task
+        dev = make(4, start=64)
+        dev[-1] = dict(dev[-1], label="maybe", where="dev.jsonl:4")
+        steps = []
+        descend = finetune_module.AdamW.descend
+
+        def counting_descend(self, *args):
+            steps.append(args)
+            return descend(self, *args)
+
+        monkeypatch.setattr(finetune_module.AdamW, "descend", counting_descend)
+        with pytest.raises(DataError, match="^dev.jsonl:4: unknown label 'maybe'"):
+            finetune_classifier(ckpt, TaskSpec(kind), make(16), dev, FinetuneConfig(epochs=1), vocab)
+        assert steps == []
+
+    def test_evaluate_rejects_another_vocabulary(self, pair_run):
+        model, _, _, dev, _ = pair_run
+        other = build_vocab(["completely different words here"])
+        with pytest.raises(VocabularyError, match="^model was built with a different vocabulary$"):
+            evaluate(model, other, dev)
+
     def test_wrong_vocabulary_rejected(self, micro_checkpoint):
         ckpt, _, _ = micro_checkpoint
         other = build_vocab(["completely different words here"])

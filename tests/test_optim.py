@@ -148,8 +148,6 @@ def test_rejects_bad_hyperparameters():
     with pytest.raises(ConfigError):
         AdamW({"p": p}, learning_rate=0.0)
     with pytest.raises(ConfigError):
-        AdamW({"p": p}, learning_rate=0.1, beta1=1.0)
-    with pytest.raises(ConfigError):
         AdamW({"p": p}, learning_rate=0.1, weight_decay=-0.1)
 
 
