@@ -349,29 +349,44 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     dev_records = load_task_records(base.dev_data, task)
     # No sweep axis is a fine-tuning key, so every leg shares one fine-tuning config.
     finetune_config = base.build(FinetuneConfig)
-
-    out = _out_dir(args.out)
-    rows = []
-    failed = False
+    # Every leg's pretraining and encoder settings are built before the first
+    # leg runs.  A bad axis value fails its own leg; when every leg fails, a
+    # bad base value most likely, the sweep stops with the first leg's error.
+    legs = []
     for raw in values:
-        leg_config = replace(base)
-        leg_dir = out / "legs" / f"{args.axis}={raw.replace('/', '_')}"
+        leg_config, error = replace(base), None
         try:
             # "w/o" is the tables' shorthand for turning the auxiliary objective off.
             leg_config.update({_AXIS_CONFIG_KEY.get(args.axis, args.axis): 0.0 if raw == "w/o" else raw})
-            ckpt, _ = _pretrain_run(leg_config, triples, vocab, None, leg_dir)
-            report = _finetune_run(
-                leg_config, finetune_config, ckpt, vocab, task, train_records, dev_records, leg_dir
-            )
+            leg_config.build(PretrainConfig)
+            leg_config.build(EncoderConfig, vocab_size=vocab.size)
+        except ConsemError as exc:
+            error = exc
+        legs.append((raw, leg_config, error))
+    if all(error is not None for _, _, error in legs):
+        raise legs[0][2]
+
+    out = _out_dir(args.out)
+    rows = []
+    for raw, leg_config, error in legs:
+        if error is None:
+            leg_dir = out / "legs" / f"{args.axis}={raw.replace('/', '_')}"
+            try:
+                ckpt, _ = _pretrain_run(leg_config, triples, vocab, None, leg_dir)
+                report = _finetune_run(
+                    leg_config, finetune_config, ckpt, vocab, task, train_records, dev_records, leg_dir
+                )
+            except ConsemError as exc:
+                error = exc
+        if error is None:
             rows.append([raw, f"{report.accuracy:.6f}", f"{report.macro_f1:.6f}", "ok"])
             print(f"sweep {args.axis}={raw}: dev accuracy {report.accuracy:.4f}")
-        except ConsemError as exc:
-            failed = True
-            rows.append([raw, "", "", f"error: {type(exc).__name__}"])
-            print(f"sweep {args.axis}={raw} failed: {exc}", file=sys.stderr)
+        else:
+            rows.append([raw, "", "", f"error: {type(error).__name__}"])
+            print(f"sweep {args.axis}={raw} failed: {error}", file=sys.stderr)
     write_csv(out / "sweep.csv", [["value", "dev_accuracy", "dev_macro_f1", "status"], *rows])
     base.write(out / "run_config.txt")
-    return 1 if failed else 0
+    return 1 if any(row[3] != "ok" for row in rows) else 0
 
 
 def build_parser() -> argparse.ArgumentParser:

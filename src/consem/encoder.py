@@ -16,13 +16,16 @@ its longest sequence and keeps the padding mask with every layer's
 strategies and the attention export tooling both consume.  Hidden state
 index 0 is the embedding output; index L is the last block.
 
-A caller that reads only the last layer's [CLS] state (CLS pooling, the
-fine-tuning head) passes ``cls_only=True``.  The last block then computes
+A caller that reads only some slots of the last layer passes them as
+``reads``, a pair of (row, position) index arrays: CLS pooling and the
+fine-tuning head read every row's [CLS] (``cls_slots``), and CLS
+pretraining also the MLM-masked positions.  The last block then computes
 its queries, output projection, layer norms, feed-forward network and
-dropout at position 0 alone; its keys and values still span every
-position, so the [CLS] state is the full pass's up to float noise of the
-GEMM shapes (a few 1e-7), and in train mode the dropout masks and the
-generator state are the full pass's.
+dropout at those slots alone, as (n_slots, d) rows; its keys and values
+still span every position, and each slot attends over its own row's.
+A slot's state is the full pass's up to float noise of the GEMM shapes
+(a few 1e-7), and in train mode the dropout masks and the generator
+state are the full pass's.
 
 Evaluation batches are length-sorted: ``length_batches`` groups rows of
 similar length so each batch pads little, and its callers
@@ -53,11 +56,13 @@ __all__ = [
     "EncoderWeights",
     "LayerOutputs",
     "PoolingStrategy",
+    "cls_slots",
     "embed_sentences",
     "forward_batch",
     "length_batches",
     "parameter_names",
     "pool",
+    "slot_states",
 ]
 
 ATTENTION_MASK_BIAS = -1e9
@@ -203,70 +208,82 @@ class LayerOutputs:
     shape (batch, seq, d).  ``attention`` has one post-softmax map per
     layer, shape (batch, heads, seq, seq).  ``mask`` is (batch, seq), 1 on
     real tokens and 0 on the padding up to the batch's longest sequence.
-    After a ``cls_only`` forward the last layer holds the [CLS] position
-    alone: ``hidden[-1]`` is (batch, 1, d) and ``attention[-1]`` is
-    (batch, heads, 1, seq), so only CLS pooling can read it.
+    After a forward given ``reads`` (kept here) the last layer holds those
+    slots alone, in their order: ``hidden[-1]`` is (n_slots, d) and
+    ``attention[-1]`` is (n_slots, heads, 1, seq), so only CLS pooling can
+    read it, and only when the slots are every row's [CLS].
     """
 
     hidden: list[Tensor]
     attention: list[Tensor]
     mask: np.ndarray
+    reads: tuple[np.ndarray, np.ndarray] | None = None
 
 
-def _dropout(x, config, rng):
-    if rng is None or config.dropout == 0.0:
-        return x
-    # The mask is that of noise over the fixed (batch, max_len, d) grid cut to
-    # this batch's length, so a real position's mask depends only on the seed,
-    # its row and its position, not on how long its batch-mates are.  Only the
-    # used seq_len * d values of each grid row are drawn: one float64 draw
-    # takes one PCG64 output, so advancing the generator past the rest of the
-    # row gives the full draw's masks and leaves the generator in its state.
-    # A 2-D x holds the (batch, d) [CLS] rows of a cls_only block.  Position 0
-    # is the first d values of each grid row, so the corner of a
-    # (batch, max_len * d) grid gives the full pass's masks at [CLS].
-    batch, d = x.shape[0], x.shape[-1]
-    grid = (batch, config.max_len, d) if x.ndim == 3 else (batch, config.max_len * d)
-    return T.dropout(x, config.dropout, rng, grid=grid)
+def cls_slots(batch: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``reads`` that name the [CLS] slot of each of ``batch`` rows."""
+    return np.arange(batch, dtype=np.intp), np.zeros(batch, dtype=np.intp)
 
 
-def _attention_block(query, x, mask_bias, weights, prefix, rng):
-    """Self-attention over ``x`` for the rows of ``query``: ``x`` itself, or its (batch, d) [CLS] rows."""
+def slot_states(states: Tensor, rows: np.ndarray, positions: np.ndarray) -> Tensor:
+    """The (n, d) states at the (row, position) slots of (batch, seq, d) ``states``."""
+    batch, seq, d = states.shape
+    return T.gather_rows(T.reshape(states, (batch * seq, d)), rows * seq + positions)
+
+
+def _attention_block(query, x, mask_bias, weights, prefix, slots=None):
+    """Self-attention over ``x`` for the rows of ``query``: ``x`` itself, or the (n, d) states at ``slots``."""
     w = lambda name: weights[f"{prefix}.attn.{name}"]
     q = T.linear(query, w("wq"), w("bq"))
     k = T.linear(x, w("wk"), w("bk"))
     v = T.linear(x, w("wv"), w("bv"))
-    # The [CLS] rows stay 2-D for the GEMMs: a (batch, 1, d) operand makes
-    # numpy run one product per row.  Only attention sees them as 3-D.
-    cls_rows = query.ndim == 2
-    if cls_rows:
+    if slots is not None:
+        # The slot rows stay 2-D for the GEMMs: a (n, 1, d) operand makes
+        # numpy run one product per row.  Only attention sees them as 3-D,
+        # each query against its own row's keys, values and mask bias.
         q = T.reshape(q, (q.shape[0], 1, q.shape[1]))
+        rows = slots[0]
+        if not np.array_equal(rows, np.arange(x.shape[0])):
+            k, v, mask_bias = T.gather_rows(k, rows), T.gather_rows(v, rows), mask_bias[rows]
     context, probs = T.attention(q, k, v, weights.config.num_heads, mask_bias)
-    if cls_rows:
+    if slots is not None:
         context = T.reshape(context, query.shape)
-    out = T.linear(context, w("wo"), w("bo"))
-    return _dropout(out, weights.config, rng), probs
+    return T.linear(context, w("wo"), w("bo")), probs
 
 
-def _feed_forward(x, weights, prefix, rng):
+def _feed_forward(x, weights, prefix):
     w = lambda name: weights[f"{prefix}.ff.{name}"]
-    out = T.linear(T.gelu(T.linear(x, w("w1"), w("b1"))), w("w2"), w("b2"))
-    return _dropout(out, weights.config, rng)
+    return T.linear(T.gelu(T.linear(x, w("w1"), w("b1"))), w("w2"), w("b2"))
+
+
+def _check_reads(reads, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    rows, positions = (np.asarray(a, dtype=np.intp) for a in reads)
+    if rows.ndim != 1 or rows.shape != positions.shape or not len(rows):
+        raise ShapeError(
+            "reads must be two equal-length, non-empty 1-D index arrays, "
+            f"got shapes {rows.shape} and {positions.shape}"
+        )
+    if rows.min() < 0 or rows.max() >= len(lengths):
+        raise ShapeError(f"reads names a row outside the batch of {len(lengths)}")
+    if positions.min() < 0 or np.any(positions >= lengths[rows]):
+        raise ShapeError("reads names a padding position")
+    return rows, positions
 
 
 def forward_batch(
     seqs: Sequence[TokenSequence],
     weights: EncoderWeights,
     rng: np.random.Generator | None = None,
-    cls_only: bool = False,
+    reads: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> LayerOutputs:
     """Encode sequences of any lengths together; see :class:`LayerOutputs` for shapes.
 
     The architecture is ``weights.config``.  The batch is padded with
     ``PAD_ID`` to its longest sequence.  Given ``rng`` the pass is in train
     mode, with dropout drawn from it; without one it is the deterministic
-    evaluation pass.  ``cls_only`` says the caller reads only position 0 of
-    the last layer, which the last block then computes alone.
+    evaluation pass.  ``reads``, a pair of equal-length index arrays
+    ``(rows, positions)``, names the last-layer slots the caller reads, and
+    the last block computes those alone; ``None`` reads every position.
     """
     config = weights.config
     if not seqs:
@@ -277,6 +294,8 @@ def forward_batch(
     seq_len = int(lengths.max())
     if seq_len > config.max_len:
         raise ConfigError(f"sequence length {seq_len} exceeds max_len {config.max_len}")
+    if reads is not None:
+        reads = _check_reads(reads, lengths)
     mask = (np.arange(seq_len) < lengths[:, None]).astype(np.intp)
     ids = np.full(mask.shape, PAD_ID, dtype=np.intp)
     ids[mask == 1] = np.concatenate([s.ids for s in seqs])
@@ -284,32 +303,43 @@ def forward_batch(
         raise VocabularyError(
             f"token id {int(ids.max())} out of range for vocab_size {config.vocab_size}"
         )
+    # A dropout mask is that of noise over the fixed (batch, max_len, d) grid,
+    # cut to this batch's length or, in a cut last block, read at each slot's
+    # (row, position).  So a real position's mask depends only on the seed,
+    # its row and its position, not on how long its batch-mates are or which
+    # positions are computed.  ``tensor.dropout`` draws only the noise it
+    # uses and leaves the generator where the full draw leaves it.
+    grid = (len(seqs), config.max_len, config.hidden_size)
+
+    def drop(t: Tensor, slots=None) -> Tensor:
+        if rng is None or config.dropout == 0.0:
+            return t
+        return T.dropout(t, config.dropout, rng, grid, slots)
 
     x = T.add(
         T.gather_rows(weights["tok_emb"], ids),
         T.gather_rows(weights["pos_emb"], np.arange(seq_len, dtype=np.intp)),
     )
-    x = _dropout(x, config, rng)
+    x = drop(x)
     # (batch, 1, 1, seq): masked key columns get a large negative score bias.
     bias = ((1.0 - mask)[:, None, None, :] * ATTENTION_MASK_BIAS).astype(x.data.dtype)
     hidden = [x]
     attention: list[Tensor] = []
     for i in range(config.num_layers):
         prefix = f"layer{i}"
-        query = _cls_state(x) if cls_only and i == config.num_layers - 1 else x
-        attn_out, probs = _attention_block(query, x, bias, weights, prefix, rng)
+        slots = reads if i == config.num_layers - 1 else None
+        query = x if slots is None else slot_states(x, *slots)
+        attn_out, probs = _attention_block(query, x, bias, weights, prefix, slots)
         x = T.layer_norm(
-            T.add(query, attn_out), weights[f"{prefix}.ln1.gain"], weights[f"{prefix}.ln1.bias"]
+            T.add(query, drop(attn_out, slots)), weights[f"{prefix}.ln1.gain"], weights[f"{prefix}.ln1.bias"]
         )
-        ff_out = _feed_forward(x, weights, prefix, rng)
+        ff_out = drop(_feed_forward(x, weights, prefix), slots)
         x = T.layer_norm(
             T.add(x, ff_out), weights[f"{prefix}.ln2.gain"], weights[f"{prefix}.ln2.bias"]
         )
         hidden.append(x)
         attention.append(probs)
-    if cls_only:
-        hidden[-1] = T.reshape(x, (len(seqs), 1, config.hidden_size))
-    return LayerOutputs(hidden=hidden, attention=attention, mask=mask)
+    return LayerOutputs(hidden=hidden, attention=attention, mask=mask, reads=reads)
 
 
 def _masked_mean(states: Tensor, mask: np.ndarray) -> Tensor:
@@ -321,31 +351,31 @@ def _masked_mean(states: Tensor, mask: np.ndarray) -> Tensor:
     return T.reshape(pooled, (batch, d))
 
 
-def _cls_state(states: Tensor) -> Tensor:
-    batch, seq, d = states.shape
-    flat = T.reshape(states, (batch * seq, d))
-    return T.gather_rows(flat, np.arange(batch, dtype=np.intp) * seq)
-
-
 def pool(outputs: LayerOutputs, strategy: PoolingStrategy) -> Tensor:
     """Reduce (batch, seq, d) layer states to (batch, d) sentence vectors.
 
     CLS takes the last layer's first position.  Mean averages the last
     layer over the real positions of ``outputs.mask``.  FirstLast averages
     block 1 with the last block before the masked mean, Top2 the last two
-    blocks; both are symmetric in the two layers they combine.  Only CLS
-    can pool the outputs of a ``cls_only`` forward.
+    blocks; both are symmetric in the two layers they combine.  A forward
+    given ``reads`` can be pooled only by CLS, and only when it read every
+    row's [CLS] slot in row order (:func:`cls_slots`).
     """
     mask = outputs.mask
     if np.any(mask.sum(axis=-1) == 0):
         raise DegenerateInputError("cannot pool a fully padded sequence")
-    if strategy is PoolingStrategy.CLS:
-        return _cls_state(outputs.hidden[-1])
-    if outputs.hidden[-1].shape[1] != mask.shape[1]:
+    if outputs.reads is not None:
+        rows, positions = outputs.reads
+        cls = strategy is PoolingStrategy.CLS
+        if cls and np.array_equal(rows, np.arange(len(mask))) and not positions.any():
+            return outputs.hidden[-1]
+        needs = "[CLS]" if cls else "real positions"
         raise ContractError(
-            f"{strategy.value} pooling reads every position of the last layer, "
-            "but this forward computed it only at [CLS] (cls_only)"
+            f"{strategy.value} pooling reads the last layer at every row's {needs}, "
+            f"but this forward computed it only at {len(rows)} slots (reads)"
         )
+    if strategy is PoolingStrategy.CLS:
+        return slot_states(outputs.hidden[-1], *cls_slots(len(mask)))
     if strategy is PoolingStrategy.MEAN:
         return _masked_mean(outputs.hidden[-1], mask)
     if strategy is PoolingStrategy.FIRST_LAST:
@@ -395,7 +425,7 @@ def embed_sentences(
         raise ConfigError("encoder config does not match the weights' architecture")
     seqs = [encode_single(text, vocab, config.max_len) for text in texts]
     vectors = np.zeros((len(seqs), config.hidden_size), dtype=np.float32)
-    cls_only = strategy is PoolingStrategy.CLS
     for rows in length_batches([s.length for s in seqs], batch_size):
-        vectors[rows] = pool(forward_batch([seqs[i] for i in rows], weights, cls_only=cls_only), strategy).data
+        reads = cls_slots(len(rows)) if strategy is PoolingStrategy.CLS else None
+        vectors[rows] = pool(forward_batch([seqs[i] for i in rows], weights, reads=reads), strategy).data
     return vectors

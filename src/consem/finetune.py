@@ -10,10 +10,10 @@ choice with the highest entailment probability wins (ties go to the
 lowest index).
 
 In every case a linear head reads the last layer's [CLS] state, so the
-encoder computes its last block at [CLS] alone (``cls_only``), in
-training and in prediction.  Prediction runs the eval pass in
-length-sorted batches of ``EVAL_BATCH`` sequences; MRC evaluation scores
-every choice of every question in one such call.  A
+encoder computes its last block at each row's [CLS] slot alone
+(``reads``), in training and in prediction.  Prediction runs the eval
+pass in length-sorted batches of ``EVAL_BATCH`` sequences; MRC
+evaluation scores every choice of every question in one such call.  A
 :class:`FinetunedModel` holds the encoder and that head; its parameter
 mapping (``from_arrays`` in, ``to_arrays`` out) is what ``model.bin``
 stores.  The model from the best epoch by dev accuracy (macro F1 breaking
@@ -36,6 +36,7 @@ from .encoder import (
     EncoderConfig,
     EncoderWeights,
     PoolingStrategy,
+    cls_slots,
     forward_batch,
     length_batches,
     pool,
@@ -217,7 +218,7 @@ def _gold_indices(records: Sequence[dict], labels: list[str]) -> np.ndarray:
 
 def _logits(model: FinetunedModel, seqs, rng: np.random.Generator | None = None) -> Tensor:
     """Head logits over the [CLS] states; train mode (dropout from ``rng``) exactly when ``rng`` is given."""
-    outputs = forward_batch(seqs, model.weights, rng, cls_only=True)
+    outputs = forward_batch(seqs, model.weights, rng, reads=cls_slots(len(seqs)))
     return T.linear(pool(outputs, PoolingStrategy.CLS), model.head_weight, model.head_bias)
 
 

@@ -33,8 +33,10 @@ from .encoder import (
     EncoderConfig,
     EncoderWeights,
     PoolingStrategy,
+    cls_slots,
     forward_batch,
     pool,
+    slot_states,
 )
 from .errors import ConfigError, ContractError, DataError, ShapeError
 from .files import write_csv
@@ -168,19 +170,14 @@ def mask_for_mlm(
     return TokenSequence(ids=ids.tolist()), positions
 
 
-def mlm_loss(
-    last_hidden: Tensor, rows: np.ndarray, cols: np.ndarray, token_ids: np.ndarray, token_embedding: Tensor
-) -> Tensor:
-    """Mean cross-entropy at masked (row, position) slots of (batch, seq, d) states.
+def mlm_loss(states: Tensor, token_ids: np.ndarray, token_embedding: Tensor) -> Tensor:
+    """Mean cross-entropy of the original ``token_ids`` from the (n, d) last-layer states of the masked slots.
 
     Logits are tied to the token embeddings; the loss is zero when nothing
     is masked.
     """
     if not len(token_ids):
         return Tensor(0.0)
-    batch, seq, d = last_hidden.shape
-    flat = T.reshape(last_hidden, (batch * seq, d))
-    states = T.gather_rows(flat, rows * seq + cols)
     logits = T.matmul(states, T.transpose(token_embedding, (1, 0)))
     return T.cross_entropy(logits, token_ids)
 
@@ -228,23 +225,35 @@ def _batch_losses(
     config: PretrainConfig,
     rng: np.random.Generator | None,
 ) -> tuple[Tensor, Tensor | None]:
-    """Contrastive and (if ``mlm_batch``) MLM losses; dropout on exactly when ``rng`` is given."""
-    # One forward over the stacked rows [anchors; positives; negatives; MLM-corrupted
-    # anchors], so each dropout site draws one grid for all of them.  Without
-    # MLM, CLS pooling reads only the last layer's [CLS] rows.
+    """Contrastive and (if ``mlm_batch``) MLM losses; dropout on exactly when ``rng`` is given.
+
+    One forward runs over the stacked rows [anchors; positives; negatives;
+    MLM-corrupted anchors], so each dropout site draws one grid for all of
+    them.  With CLS pooling the losses read only the last layer's [CLS]
+    slots of the 3n contrastive rows and the masked slots of the MLM rows,
+    so the forward computes its last block at those slots alone.
+    """
     n = len(seq_lists[0])
     stacked = [seq for seqs in seq_lists for seq in seqs]
+    reads = cls_slots(3 * n)
     if mlm_batch is not None:
         stacked += mlm_batch[0]
-    cls_only = mlm_batch is None and config.pooling is PoolingStrategy.CLS
-    outputs = forward_batch(stacked, weights, rng, cls_only=cls_only)
-    pooled = pool(outputs, config.pooling)
-    blocks = [T.gather_rows(pooled, np.arange(k * n, (k + 1) * n)) for k in range(3)]
+        reads = (np.concatenate([reads[0], mlm_batch[1] + 3 * n]), np.concatenate([reads[1], mlm_batch[2]]))
+    if config.pooling is PoolingStrategy.CLS:
+        outputs = forward_batch(stacked, weights, rng, reads=reads)
+        vectors = outputs.hidden[-1]
+    else:
+        outputs = forward_batch(stacked, weights, rng)
+        vectors = pool(outputs, config.pooling)
+    blocks = [T.gather_rows(vectors, np.arange(k * n, (k + 1) * n)) for k in range(3)]
     cl = contrastive_loss(*blocks, config.tau)
     if mlm_batch is None:
         return cl, None
-    _, rows, cols, ids = mlm_batch
-    return cl, mlm_loss(outputs.hidden[-1], rows + 3 * n, cols, ids, weights["tok_emb"])
+    if config.pooling is PoolingStrategy.CLS:
+        masked = T.gather_rows(vectors, np.arange(3 * n, len(reads[0])))
+    else:
+        masked = slot_states(outputs.hidden[-1], mlm_batch[1] + 3 * n, mlm_batch[2])
+    return cl, mlm_loss(masked, mlm_batch[3], weights["tok_emb"])
 
 
 @np.errstate(**QUIET_FLOAT_ERRORS)

@@ -107,6 +107,23 @@ def case_attention_fewer_queries(rng):
     return lambda: _contract(T.attention(q, k, v, 2, mask_bias)[0], weights), [q, k, v]
 
 
+def case_attention_gathered_keys(rng):
+    # Slot queries against their own rows' gathered keys, values and mask
+    # bias, as a cut last block runs them: rows repeat, skip and come out of
+    # order.  Rows of 8 x 16 values take gather_rows' row-by-row backward.
+    q, k, v = _t(rng, 5, 1, 16), _t(rng, 3, 8, 16), _t(rng, 3, 8, 16)
+    rows = np.array([2, 0, 2, 2, 1])
+    mask_bias = np.zeros((3, 1, 1, 8))
+    mask_bias[0, ..., 5:] = -1e9
+    weights = _weights(rng, (5, 1, 16))
+
+    def fn():
+        keys, values = T.gather_rows(k, rows), T.gather_rows(v, rows)
+        return _contract(T.attention(q, keys, values, 4, mask_bias[rows])[0], weights)
+
+    return fn, [q, k, v]
+
+
 def case_transpose_reshape(rng):
     a = _t(rng, 2, 3, 4)
     w = _weights(rng, (3, 8))
@@ -249,6 +266,7 @@ GRAD_CASES = {
     "linear_2d": case_linear_2d,
     "attention": case_attention,
     "attention_fewer_queries": case_attention_fewer_queries,
+    "attention_gathered_keys": case_attention_gathered_keys,
     "transpose_reshape": case_transpose_reshape,
     "concat": case_concat,
     "gather_rows": case_gather_rows,

@@ -139,11 +139,11 @@ def uniformity_reference(rows) -> float:
 # gradients.
 
 
-def composed_forward_batch(seqs, weights, rng=None, cls_only=False):
+def composed_forward_batch(seqs, weights, rng=None, reads=None):
     """``forward_batch`` from elementary tape ops; dropout is not supported.
 
-    ``cls_only`` computes every position and then keeps the last layer's
-    [CLS] row, in the shapes the package returns.
+    Given ``reads`` it computes every position and then keeps the last
+    layer's slots, in the shapes the package returns (:func:`cut_to_reads`).
     """
     config = weights.config
     assert rng is None or config.dropout == 0.0, "the reference has no dropout"
@@ -176,11 +176,20 @@ def composed_forward_batch(seqs, weights, rng=None, cls_only=False):
         x = T.layer_norm(T.add(x, ff_out), weights[f"{p}.ln2.gain"], weights[f"{p}.ln2.bias"])
         hidden.append(x)
         attention.append(probs)
-    if cls_only:
-        cls = T.gather_rows(T.reshape(x, (batch * seq_len, d)), np.arange(batch) * seq_len)
-        hidden[-1] = T.reshape(cls, (batch, 1, d))
-        attention[-1] = T.constant(attention[-1].data[:, :, :1], dtype=x.data.dtype)
-    return LayerOutputs(hidden=hidden, attention=attention, mask=mask)
+    return cut_to_reads(LayerOutputs(hidden=hidden, attention=attention, mask=mask), reads)
+
+
+def cut_to_reads(outputs, reads):
+    """Full-pass outputs with the last layer kept at the ``reads`` slots alone, as a cut forward returns it."""
+    if reads is None:
+        return outputs
+    rows, positions = (np.asarray(a, dtype=np.intp) for a in reads)
+    last = outputs.hidden[-1]
+    batch, seq, d = last.shape
+    hidden = outputs.hidden[:-1] + [T.gather_rows(T.reshape(last, (batch * seq, d)), rows * seq + positions)]
+    maps = outputs.attention[-1].data[rows, :, positions][:, :, None]
+    attention = outputs.attention[:-1] + [T.constant(maps, dtype=maps.dtype)]
+    return LayerOutputs(hidden=hidden, attention=attention, mask=outputs.mask, reads=(rows, positions))
 
 
 # ``contrastive_loss`` as it was composed before it became one ``cross_entropy``
@@ -225,11 +234,12 @@ def erf_gelu(x: T.Tensor) -> T.Tensor:
 # give the same bits, so tests patch these in and compare artifact bytes.
 
 
-def full_grid_dropout(x: T.Tensor, rate: float, rng, grid=None) -> T.Tensor:
-    """``tensor.dropout`` drawing noise over the whole grid, then cutting it."""
+def full_grid_dropout(x: T.Tensor, rate: float, rng, grid=None, slots=None) -> T.Tensor:
+    """``tensor.dropout`` drawing noise over the whole grid, then cutting it or reading it at ``slots``."""
     if rate == 0.0:
         return x
-    noise = rng.random(grid or x.data.shape)[tuple(map(slice, x.data.shape))]
+    noise = rng.random(grid or x.data.shape)
+    noise = noise[tuple(map(slice, x.data.shape))] if slots is None else noise[slots[0], slots[1]]
     keep = (noise >= rate).astype(x.data.dtype)
     keep /= x.data.dtype.type(1.0 - rate)
     out = T.Tensor._result(x.data * keep, x.requires_grad)
@@ -346,14 +356,16 @@ def input_order_predict_probs(model, seqs, batch_size: int = EVAL_BATCH) -> np.n
 
 
 # The paths that computed the last block at every position: the encoder
-# forward that ignores ``cls_only``, the fine-tuning logits over it, and MRC
-# evaluation as one ``mrc_scores`` call per question.  Tests bound the drift
-# of the [CLS]-only block and of batched MRC scoring against them.
+# forward that computes it in full whatever ``reads`` names, the fine-tuning
+# logits over it, and MRC evaluation as one ``mrc_scores`` call per
+# question.  Tests bound the drift of the cut last block (fine-tuning, CLS
+# embeddings, CLS pretraining with and without MLM) and of batched MRC
+# scoring against them.
 
 
-def full_forward_batch(seqs, weights, rng=None, cls_only=False):
-    """``forward_batch`` computing every position of the last block whatever ``cls_only`` says."""
-    return forward_batch(seqs, weights, rng)
+def full_forward_batch(seqs, weights, rng=None, reads=None):
+    """``forward_batch`` computing every position of the last block, then keeping the ``reads`` slots."""
+    return cut_to_reads(forward_batch(seqs, weights, rng), reads)
 
 
 def full_logits(model, seqs, rng=None) -> T.Tensor:

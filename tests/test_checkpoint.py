@@ -234,15 +234,18 @@ class _TornFile:
 
 
 def _sweep(directory, inputs, version):
-    # Every leg fails on its value before training, so only sweep.csv and
-    # run_config.txt are written.  The values differ, since sweep rejects a repeat.
+    # Every leg diverges in its first pretraining steps, before it writes
+    # anything, so only sweep.csv and run_config.txt are written.  (A sweep
+    # whose every leg fails on its value stops before writing.)  The values
+    # differ, since sweep rejects a repeat.
     triples, vocab, tasks = inputs
-    values = ",".join(f"oops{i}" for i in range(version + 1))
+    values = ",".join(f"{i + 1}" for i in range(version + 1))
     args = build_parser().parse_args(
         ["sweep", "--axis", "tau", "--values", values, "--triples", str(triples), "--vocab", str(vocab),
-         "--train", str(tasks), "--dev", str(tasks), "--out", str(directory)]
+         "--train", str(tasks), "--dev", str(tasks), "--learning-rate", "1e30", "--out", str(directory)]
     )
     assert args.handler(args) == 1
+    assert not (directory / "legs").exists()
 
 
 _ARTIFACT_FILES = {

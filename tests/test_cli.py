@@ -936,6 +936,25 @@ class TestSweep:
         assert capsys.readouterr().err == f"error: weight_decay must be non-negative and finite, got {float(value)}\n"
         assert not (out / "sweep.csv").exists() and not (out / "legs").exists()
 
+    @pytest.mark.parametrize(
+        "extra,values,error",
+        [
+            (["--mask-rate", "2"], "0.1,0.5", "mask_rate must be in (0, 1), got 2.0"),
+            (["--num-heads", "3"], "0.1,0.5", "hidden_size 32 is not divisible by num_heads 3"),
+            ([], "0,-1", "tau must be positive and finite, got 0.0"),
+        ],
+    )
+    def test_every_leg_failing_stops_before_any_leg(self, workspace, tmp_path, capsys, extra, values, error):
+        # A bad base value the axis does not override fails every leg alike.
+        out = tmp_path / "out"
+        argv = ["sweep", "--axis", "tau", "--values", values,
+                "--triples", str(workspace.triples), "--vocab", str(workspace.vocab),
+                "--train", str(workspace.train), "--dev", str(workspace.dev),
+                "--task", "pair", "--epochs", "1", "--out", str(out)] + _SMALL + extra
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert not out.exists()
+
     def test_lambda_axis_accepts_without_marker(self, workspace, tmp_path):
         argv = ["sweep", "--axis", "lambda", "--values", "w/o,0.1",
                 "--triples", str(workspace.triples), "--vocab", str(workspace.vocab),

@@ -19,11 +19,13 @@ from consem.encoder import (
     EncoderWeights,
     LayerOutputs,
     PoolingStrategy,
+    cls_slots,
     embed_sentences,
     forward_batch,
     length_batches,
     parameter_names,
     pool,
+    slot_states,
 )
 from consem.errors import ConfigError, ContractError, DegenerateInputError, ShapeError, VocabularyError
 from consem.pretrain import PretrainConfig
@@ -580,16 +582,16 @@ class TestFusedOps:
 
 
 class TestClsOnly:
-    """``forward_batch(..., cls_only=True)`` against the full last block."""
+    """``forward_batch`` reading every row's [CLS] slot against the full last block."""
 
     _world = staticmethod(TestFusedOps._world)
 
     def test_only_the_last_layer_is_cut_to_cls(self):
         config, weights, seqs = self._world()
         full = forward_batch(seqs, weights)
-        cut = forward_batch(seqs, weights, cls_only=True)
+        cut = forward_batch(seqs, weights, reads=cls_slots(len(seqs)))
         batch, seq = full.mask.shape
-        assert cut.hidden[-1].shape == (batch, 1, config.hidden_size)
+        assert cut.hidden[-1].shape == (batch, config.hidden_size)
         assert cut.attention[-1].shape == (batch, config.num_heads, 1, seq)
         np.testing.assert_array_equal(cut.mask, full.mask)
         for got, want in zip(cut.hidden[:-1] + cut.attention[:-1], full.hidden[:-1] + full.attention[:-1], strict=True):
@@ -602,7 +604,7 @@ class TestClsOnly:
         config, weights, seqs = self._world(dropout)
         rngs = [np.random.default_rng(5), np.random.default_rng(5)] if dropout else [None, None]
         full = forward_batch(seqs, weights, rngs[0])
-        cut = forward_batch(seqs, weights, rngs[1], cls_only=True)
+        cut = forward_batch(seqs, weights, rngs[1], reads=cls_slots(len(seqs)))
         full_cls = pool(full, PoolingStrategy.CLS).data
         assert np.abs(pool(cut, PoolingStrategy.CLS).data - full_cls).max() <= 1e-6
         assert np.abs(cut.attention[-1].data - full.attention[-1].data[:, :, :1]).max() <= 1e-6
@@ -619,7 +621,8 @@ class TestClsOnly:
             for _, p in weights.items():
                 p.grad = None
             with Tape() as tape:
-                cls = pool(forward(seqs, weights, np.random.default_rng(0), cls_only=True), PoolingStrategy.CLS)
+                outputs = forward(seqs, weights, np.random.default_rng(0), reads=cls_slots(len(seqs)))
+                cls = pool(outputs, PoolingStrategy.CLS)
                 backward(T.reduce_sum(T.mul(cls, Tensor(w_cls))), tape)
             return {name: p.grad for name, p in weights.items()}
 
@@ -628,7 +631,100 @@ class TestClsOnly:
     @pytest.mark.parametrize("strategy", [PoolingStrategy.MEAN, PoolingStrategy.FIRST_LAST, PoolingStrategy.TOP2])
     def test_only_cls_pools_a_cut_forward(self, strategy):
         config, weights, seqs = self._world()
-        cut = forward_batch(seqs, weights, cls_only=True)
-        with pytest.raises(ContractError, match=rf"{strategy.value} pooling .* only at \[CLS\]"):
+        cut = forward_batch(seqs, weights, reads=cls_slots(len(seqs)))
+        with pytest.raises(ContractError, match=rf"{strategy.value} pooling .* only at {len(seqs)} slots"):
             pool(cut, strategy)
         assert pool(cut, PoolingStrategy.CLS).shape == (len(seqs), config.hidden_size)
+
+
+class TestReads:
+    """``forward_batch(..., reads=(rows, positions))`` at any slots against the full last block."""
+
+    _world = staticmethod(TestFusedOps._world)
+
+    @staticmethod
+    def _slots():
+        # Rows out of order and repeated, several slots in one row, [CLS]
+        # and last real positions; lengths are [1, 12, 5, 7, 3, 12, 9, 2, 6].
+        rows = np.array([5, 0, 5, 2, 8, 5, 1, 2, 7, 5], dtype=np.intp)
+        positions = np.array([11, 0, 3, 4, 0, 3, 11, 0, 1, 0], dtype=np.intp)
+        return rows, positions
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.3])
+    def test_slot_states_within_bound_of_the_full_pass(self, dropout):
+        config, weights, seqs = self._world(dropout)
+        rows, positions = self._slots()
+        rngs = [np.random.default_rng(6), np.random.default_rng(6)] if dropout else [None, None]
+        full = forward_batch(seqs, weights, rngs[0])
+        cut = forward_batch(seqs, weights, rngs[1], reads=(rows, positions))
+        assert cut.hidden[-1].shape == (len(rows), config.hidden_size)
+        assert cut.attention[-1].shape == (len(rows), config.num_heads, 1, full.mask.shape[1])
+        want = slot_states(full.hidden[-1], rows, positions).data
+        assert np.abs(cut.hidden[-1].data - want).max() <= 1e-6
+        maps = full.attention[-1].data[rows, :, positions][:, :, None]
+        assert np.abs(cut.attention[-1].data - maps).max() <= 1e-6
+        for got, want in zip(cut.hidden[:-1], full.hidden[:-1], strict=True):
+            assert got.data.tobytes() == want.data.tobytes()
+        if dropout:
+            assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+            eval_states = slot_states(forward_batch(seqs, weights).hidden[-1], rows, positions).data
+            assert np.abs(cut.hidden[-1].data - eval_states).max() > 1e-2
+
+    def test_repeated_slots_get_equal_states(self):
+        config, weights, seqs = self._world(0.3)
+        rows, positions = self._slots()
+        cut = forward_batch(seqs, weights, np.random.default_rng(2), reads=(rows, positions))
+        # Slots 2 and 5 both name (5, 3): one dropout mask, one state.
+        assert cut.hidden[-1].data[2].tobytes() == cut.hidden[-1].data[5].tobytes()
+
+    def test_gradients_match_the_composed_encoder(self):
+        config, weights, seqs = self._world()
+        rows, positions = self._slots()
+        w_slots = np.random.default_rng(4).uniform(-1.0, 1.0, (len(rows), config.hidden_size))
+
+        def gradients(forward):
+            for _, p in weights.items():
+                p.grad = None
+            with Tape() as tape:
+                states = forward(seqs, weights, np.random.default_rng(0), reads=(rows, positions)).hidden[-1]
+                backward(T.reduce_sum(T.mul(states, Tensor(w_slots))), tape)
+            return {name: p.grad for name, p in weights.items()}
+
+        TestFusedOps._assert_close(gradients(forward_batch), gradients(composed_forward_batch))
+
+    def test_cls_pooling_needs_every_rows_cls_in_order(self):
+        config, weights, seqs = self._world()
+        rows, positions = cls_slots(len(seqs))
+        for reads in ((rows[::-1], positions), (rows[:-1], positions[:-1]), self._slots()):
+            with pytest.raises(ContractError, match=r"CLS pooling .* \[CLS\]"):
+                pool(forward_batch(seqs, weights, reads=reads), PoolingStrategy.CLS)
+
+    @pytest.mark.parametrize(
+        "rows,positions,message",
+        [
+            ([0, 1], [0], "equal-length"),
+            ([[0, 1]], [[0, 0]], "equal-length"),
+            ([], [], "non-empty"),
+            ([9], [0], "outside the batch"),
+            ([-1], [0], "outside the batch"),
+            ([0], [1], "padding"),  # row 0 has one token
+            ([2], [5], "padding"),  # row 2 has five
+            ([3], [-1], "padding"),
+        ],
+    )
+    def test_bad_reads_rejected(self, rows, positions, message):
+        config, weights, seqs = self._world()
+        with pytest.raises(ShapeError, match=message):
+            forward_batch(seqs, weights, reads=(np.array(rows, dtype=np.intp), np.array(positions, dtype=np.intp)))
+
+    def test_tape_node_budget(self):
+        # A cut last block adds the reshape and gather of its query slots and
+        # the two reshapes around attention; gathered keys and values add
+        # two gathers, and [CLS] of every row in order needs none.
+        config, weights, seqs = self._world(0.3)
+        counts = {}
+        for name, reads in (("full", None), ("cls", cls_slots(len(seqs))), ("slots", self._slots())):
+            with Tape() as tape:
+                forward_batch(seqs, weights, np.random.default_rng(0), reads=reads)
+            counts[name] = len(tape)
+        assert counts == {"full": 4 + 14 * 3, "cls": 4 + 14 * 3 + 4, "slots": 4 + 14 * 3 + 6}

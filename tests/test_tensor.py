@@ -410,6 +410,48 @@ class TestFusedKernelBits:
         assert rng.bit_generator.state == reference_rng.bit_generator.state
         assert rng.random() == reference_rng.random()
 
+    @pytest.mark.parametrize("slots", [([0, 2, 2, 1, 0], [3, 0, 5, 6, 0]), ([1], [0]), ([], [])])
+    def test_dropout_slots_draw_equals_full_grid_draw(self, slots):
+        rows, positions = (np.array(a, dtype=np.intp) for a in slots)
+        grid = (3, 9, 8)
+        x = Tensor(np.random.default_rng(1).normal(size=(len(rows), 8)), requires_grad=True)
+        rng, reference_rng = np.random.default_rng([4, 3]), np.random.default_rng([4, 3])
+        with Tape() as tape:
+            out = T.dropout(x, 0.1, rng, grid, (rows, positions))
+            backward(T.reduce_sum(out), tape)
+        xr = Tensor(x.data, requires_grad=True)
+        with Tape() as tape:
+            reference = full_grid_dropout(xr, 0.1, reference_rng, grid, (rows, positions))
+            backward(T.reduce_sum(reference), tape)
+        assert out.data.tobytes() == reference.data.tobytes()
+        assert x.grad.tobytes() == xr.grad.tobytes()
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "rows,positions,width",
+        [([0, 3], [0, 0], 8), ([0, 1], [0, 9], 8), ([0, -1], [0, 0], 8), ([0], [0, 1], 8), ([0, 1], [0, 0], 5)],
+    )
+    def test_dropout_slots_must_lie_in_the_grid(self, rows, positions, width):
+        x = Tensor(np.ones((len(rows), width)))
+        slots = (np.array(rows, dtype=np.intp), np.array(positions, dtype=np.intp))
+        with pytest.raises(ShapeError, match="dropout slots"):
+            T.dropout(x, 0.1, np.random.default_rng(0), (3, 9, 8), slots)
+
+    def test_wide_row_scatter_equals_add_at(self):
+        # gather_rows' backward adds rows of at least SCATTER_ROW_LOOP values
+        # one by one; np.add.at makes the same additions in the same order.
+        rng = np.random.default_rng(5)
+        table = Tensor(rng.normal(size=(4, 8, 16)).astype(np.float32), requires_grad=True)
+        ids = np.array([3, 0, 3, 3, 1, 0])
+        g = (rng.normal(size=(6, 8, 16)) * 10.0 ** rng.integers(-6, 6, size=(6, 8, 16))).astype(np.float32)
+        g[rng.random(g.shape) < 0.1] = -0.0
+        assert g[0].size >= T.SCATTER_ROW_LOOP
+        with Tape() as tape:
+            backward(T.reduce_sum(T.mul(T.gather_rows(table, ids), T.constant(g))), tape)
+        reference = np.zeros_like(table.data)
+        np.add.at(reference, ids, g)
+        assert table.grad.tobytes() == reference.tobytes()
+
     def test_dropout_grid_must_contain_the_input(self):
         with pytest.raises(ShapeError):
             T.dropout(Tensor(np.ones((2, 5, 3))), 0.1, np.random.default_rng(0), grid=(2, 4, 3))
