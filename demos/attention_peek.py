@@ -11,7 +11,6 @@ show the topic words finding each other across the [SEP] boundary.
 import numpy as np
 
 from consem.analysis import export_attention
-from consem.checkpoint import Checkpoint
 from consem.encoder import EncoderConfig, EncoderWeights
 from consem.pretrain import PretrainConfig, train
 from consem.text import ContrastiveTriple, build_vocab
@@ -69,19 +68,11 @@ text_a = "the river stays quiet through winter"
 text_b = "people cross the river every spring"
 
 print("untrained encoder (fresh random weights):")
-init = EncoderWeights.initialize(encoder_config, seed=0)
-fresh = Checkpoint(
-    encoder_config=encoder_config,
-    pretrain_config=None,
-    vocab_hash=vocab.content_hash(),
-    step=0,
-    params={name: p.data for name, p in init.items()},
-)
-render(export_attention(fresh, vocab, text_a, text_b))
+render(export_attention(EncoderWeights.initialize(encoder_config, seed=0), vocab, text_a, text_b))
 
 print("after contrastive pretraining:")
 trained, _ = train(triples, config, vocab, encoder_config)
-render(export_attention(trained, vocab, text_a, text_b))
+render(export_attention(trained.encoder_weights(vocab), vocab, text_a, text_b))
 
 print("Each row is a query token, each column a key; darker means more")
 print("weight, and every row sums to one.  Rows are labeled with the full")

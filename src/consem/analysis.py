@@ -27,7 +27,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import Checkpoint
 from .encoder import EncoderWeights, forward_batch
 from .errors import (
     ConfigError,
@@ -36,7 +35,6 @@ from .errors import (
     FormatError,
     MetricError,
     ShapeError,
-    VocabularyError,
 )
 from .files import write_atomic
 from .text import Vocabulary, encode_pair, json_field, load_jsonl
@@ -159,12 +157,11 @@ def alignment(a, b) -> float:
     return total / a.shape[0]
 
 
-def uniformity(embeddings) -> float:
-    """``log mean exp(-2 d^2)`` over distinct unordered pairs of normalized rows.
+def uniformity(vectors: np.ndarray) -> float:
+    """``log mean exp(-2 d^2)`` over distinct unordered pairs of normalized rows of ``vectors``.
 
     Unit rows give ``d^2 = 2 - 2 x.y``: pairs are scored a row block at a time.
     """
-    vectors = embeddings.vectors if isinstance(embeddings, EmbeddingSet) else embeddings
     v = _normalized(vectors)
     n = v.shape[0]
     if n < 2:
@@ -200,21 +197,16 @@ class AnalysisReport:
         }
 
 
-def export_attention(
-    checkpoint: Checkpoint, vocab: Vocabulary, text_a: str, text_b: str
-) -> dict:
+def export_attention(weights: EncoderWeights, vocab: Vocabulary, text_a: str, text_b: str) -> dict:
     """Last-layer attention over ``[CLS] a [SEP] b [SEP]`` with aligned token strings.
 
-    Returns per-head matrices and the head-averaged matrix over the
-    encoded tokens; each row of each matrix sums to one.
+    ``vocab`` must be the vocabulary the weights were built with, as
+    ``Checkpoint.encoder_weights`` checks.  Returns per-head matrices and
+    the head-averaged matrix over the encoded tokens; each row of each
+    matrix sums to one.
     """
-    if checkpoint.vocab_hash != vocab.content_hash():
-        raise VocabularyError("checkpoint was built with a different vocabulary")
-    config = checkpoint.encoder_config
-    weights = EncoderWeights.from_arrays(config, checkpoint.params)
-    seq = encode_pair(text_a, text_b, vocab, config.max_len)
-    outputs = forward_batch([seq], weights)
-    probs = outputs.attention[-1].data[0].astype(np.float64)
+    seq = encode_pair(text_a, text_b, vocab, weights.config.max_len)
+    probs = forward_batch([seq], weights).last_attention[0].astype(np.float64)
     tokens = [vocab.token_for(i) for i in seq.ids]
     return {
         "tokens": tokens,

@@ -25,9 +25,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .encoder import EncoderConfig
-from .errors import FormatError
+from .encoder import EncoderConfig, EncoderWeights
+from .errors import FormatError, VocabularyError
 from .files import write_atomic
+from .text import Vocabulary
 
 __all__ = ["Checkpoint", "FORMAT_VERSION", "MAGIC", "load_checkpoint", "save_checkpoint"]
 
@@ -45,6 +46,12 @@ class Checkpoint:
     step: int
     params: dict[str, np.ndarray]
     extra: dict = field(default_factory=dict)
+
+    def encoder_weights(self, vocab: Vocabulary) -> EncoderWeights:
+        """The encoder over copies of the parameters, once ``vocab`` is checked to be the one they were built with."""
+        if self.vocab_hash != vocab.content_hash():
+            raise VocabularyError("checkpoint was built with a different vocabulary")
+        return EncoderWeights.from_arrays(self.encoder_config, self.params)
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
@@ -95,9 +102,13 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     ):
         if not ok:
             raise FormatError(f"{path}: header field {key!r} must be {want}, got {header[key]!r}")
+    seen: set[str] = set()
     for name, shape in manifest:
         if not isinstance(name, str):
             raise FormatError(f"{path}: header field 'params' holds the parameter name {name!r}, not a string")
+        if name in seen:
+            raise FormatError(f"{path}: header field 'params' names the parameter {name!r} twice")
+        seen.add(name)
         if not all(isinstance(n, int) and not isinstance(n, bool) and n >= 0 for n in shape):
             raise FormatError(f"{path}: parameter {name!r} has invalid dimensions {list(shape)}")
     expected = 12 + header_len + sum(4 * int(np.prod(shape)) for _, shape in manifest)

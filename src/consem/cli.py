@@ -39,8 +39,8 @@ from .analysis import (
 )
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import SHARED_KEYS, RunConfig, section_keys
-from .encoder import EncoderConfig, EncoderWeights, PoolingStrategy, embed_sentences
-from .errors import ConfigError, ConsemError, DataError, VocabularyError
+from .encoder import EncoderConfig, PoolingStrategy, embed_sentences
+from .errors import ConfigError, ConsemError, DataError
 from .files import write_atomic, write_csv
 from .finetune import (
     FinetuneConfig,
@@ -125,14 +125,6 @@ def _strings_in(value) -> list[str]:
     return []
 
 
-def _checkpoint_vocab(args) -> tuple:
-    ckpt = load_checkpoint(args.checkpoint)
-    vocab = Vocabulary.load(args.vocab)
-    if ckpt.vocab_hash != vocab.content_hash():
-        raise VocabularyError("checkpoint was built with a different vocabulary")
-    return ckpt, vocab
-
-
 def _pooling_for(args, ckpt) -> PoolingStrategy:
     if args.pooling is not None:
         return PoolingStrategy.parse(args.pooling)
@@ -197,12 +189,7 @@ def cmd_pretrain(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     triples = load_triples_jsonl(config.triples)
     vocab = Vocabulary.load(config.vocab)
-    init = None
-    if args.init:
-        base = load_checkpoint(args.init)
-        if base.vocab_hash != vocab.content_hash():
-            raise VocabularyError("warm-start checkpoint was built with a different vocabulary")
-        init = EncoderWeights.from_arrays(base.encoder_config, base.params)
+    init = load_checkpoint(args.init).encoder_weights(vocab) if args.init else None
     ckpt, records = _pretrain_run(config, triples, vocab, init, args.out)
     last_train = [r for r in records if r.split == "train"][-1]
     print(
@@ -214,7 +201,8 @@ def cmd_pretrain(args: argparse.Namespace) -> int:
 
 def cmd_finetune(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
-    ckpt, vocab = _checkpoint_vocab(args)
+    ckpt = load_checkpoint(args.checkpoint)
+    vocab = Vocabulary.load(args.vocab)
     task = TaskSpec(kind=TaskKind.parse(config.task), labels=config.label_list())
     train_records = load_task_records(config.train_data, task)
     dev_records = load_task_records(config.dev_data, task)
@@ -263,9 +251,10 @@ def _retrieval_vectors(args, weights, vocab, pooling):
 
 
 def cmd_retrieve(args: argparse.Namespace) -> int:
-    ckpt, vocab = _checkpoint_vocab(args)
+    ckpt = load_checkpoint(args.checkpoint)
+    vocab = Vocabulary.load(args.vocab)
+    weights = ckpt.encoder_weights(vocab)
     pooling = _pooling_for(args, ckpt)
-    weights = EncoderWeights.from_arrays(ckpt.encoder_config, ckpt.params)
     claim_vectors, context_vectors, gold = _retrieval_vectors(args, weights, vocab, pooling)
     accuracies = accuracy_at_topk(claim_vectors, context_vectors, gold)
     out = _out_dir(args.out)
@@ -285,9 +274,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         raise ConfigError("--claims and --contexts must be given together")
     if (args.attention_a is None) != (args.attention_b is None):
         raise ConfigError("--attention-a and --attention-b must be given together")
-    ckpt, vocab = _checkpoint_vocab(args)
+    ckpt = load_checkpoint(args.checkpoint)
+    vocab = Vocabulary.load(args.vocab)
+    weights = ckpt.encoder_weights(vocab)
     pooling = _pooling_for(args, ckpt)
-    weights = EncoderWeights.from_arrays(ckpt.encoder_config, ckpt.params)
     examples = load_nli_jsonl(args.pairs)
     sentences: list[str] = []
     seen = set()
@@ -296,7 +286,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             if text not in seen:
                 seen.add(text)
                 sentences.append(text)
-    vectors = embed_sentences(sentences, weights, ckpt.encoder_config, vocab, pooling)
+    vectors = embed_sentences(sentences, weights, weights.config, vocab, pooling)
     row = {text: i for i, text in enumerate(sentences)}
 
     def aligned(label):
@@ -316,7 +306,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     out = _out_dir(args.out)
     _write_artifact(out / "analysis.json", report.to_dict())
     if args.attention_a is not None:
-        dump = export_attention(ckpt, vocab, args.attention_a, args.attention_b)
+        dump = export_attention(weights, vocab, args.attention_a, args.attention_b)
         _write_artifact(out / "attention.json", dump)
     if args.save_embeddings:
         save_embeddings(out / "embeddings.bin", EmbeddingSet(vectors=vectors, texts=sentences))

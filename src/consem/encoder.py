@@ -12,15 +12,16 @@ deterministic evaluation pass that embeddings and predictions come from.
 
 ``forward_batch`` is the only code that pads: it pads a ragged batch to
 its longest sequence and keeps the padding mask with every layer's
-(batch, seq, d) hidden states and attention maps, which the pooling
-strategies and the attention export tooling both consume.  Hidden state
-index 0 is the embedding output; index L is the last block.
+(batch, seq, d) hidden states, which the pooling strategies consume, and
+with the last block's attention maps, which the attention export reads.
+Hidden state index 0 is the embedding output; index L is the last block.
 
 A caller that reads only some slots of the last layer passes them as
-``reads``, a pair of (row, position) index arrays: CLS pooling and the
-fine-tuning head read every row's [CLS] (``cls_slots``), and CLS
-pretraining also the MLM-masked positions.  The last block then computes
-its queries, output projection, layer norms, feed-forward network and
+``reads``, a pair of (row, position) index arrays, and reads their
+states from ``hidden[-1]`` itself: the fine-tuning head and CLS
+embeddings read every row's [CLS] (``cls_slots``), and CLS pretraining
+also the MLM-masked positions.  The last block then computes its
+queries, output projection, layer norms, feed-forward network and
 dropout at those slots alone, as (n_slots, d) rows; its keys and values
 still span every position, and each slot attends over its own row's.
 A slot's state is the full pass's up to float noise of the GEMM shapes
@@ -205,19 +206,17 @@ class LayerOutputs:
     """Per-layer states from one forward pass.
 
     ``hidden`` has num_layers + 1 entries (embedding output first), each of
-    shape (batch, seq, d).  ``attention`` has one post-softmax map per
-    layer, shape (batch, heads, seq, seq).  ``mask`` is (batch, seq), 1 on
-    real tokens and 0 on the padding up to the batch's longest sequence.
-    After a forward given ``reads`` (kept here) the last layer holds those
-    slots alone, in their order: ``hidden[-1]`` is (n_slots, d) and
-    ``attention[-1]`` is (n_slots, heads, 1, seq), so only CLS pooling can
-    read it, and only when the slots are every row's [CLS].
+    shape (batch, seq, d).  ``last_attention`` is the last block's
+    post-softmax maps, a (batch, heads, seq, seq) array.  ``mask`` is
+    (batch, seq), 1 on real tokens and 0 on the padding up to the batch's
+    longest sequence.  After a forward given ``reads`` the last layer holds
+    those slots alone, in their order: ``hidden[-1]`` is (n_slots, d) and
+    ``last_attention`` is (n_slots, heads, 1, seq).
     """
 
     hidden: list[Tensor]
-    attention: list[Tensor]
+    last_attention: np.ndarray
     mask: np.ndarray
-    reads: tuple[np.ndarray, np.ndarray] | None = None
 
 
 def cls_slots(batch: int) -> tuple[np.ndarray, np.ndarray]:
@@ -284,6 +283,7 @@ def forward_batch(
     evaluation pass.  ``reads``, a pair of equal-length index arrays
     ``(rows, positions)``, names the last-layer slots the caller reads, and
     the last block computes those alone; ``None`` reads every position.
+    Only the last block's attention maps are kept.
     """
     config = weights.config
     if not seqs:
@@ -324,7 +324,6 @@ def forward_batch(
     # (batch, 1, 1, seq): masked key columns get a large negative score bias.
     bias = ((1.0 - mask)[:, None, None, :] * ATTENTION_MASK_BIAS).astype(x.data.dtype)
     hidden = [x]
-    attention: list[Tensor] = []
     for i in range(config.num_layers):
         prefix = f"layer{i}"
         slots = reads if i == config.num_layers - 1 else None
@@ -338,8 +337,7 @@ def forward_batch(
             T.add(x, ff_out), weights[f"{prefix}.ln2.gain"], weights[f"{prefix}.ln2.bias"]
         )
         hidden.append(x)
-        attention.append(probs)
-    return LayerOutputs(hidden=hidden, attention=attention, mask=mask, reads=reads)
+    return LayerOutputs(hidden=hidden, last_attention=probs, mask=mask)
 
 
 def _masked_mean(states: Tensor, mask: np.ndarray) -> Tensor:
@@ -357,22 +355,17 @@ def pool(outputs: LayerOutputs, strategy: PoolingStrategy) -> Tensor:
     CLS takes the last layer's first position.  Mean averages the last
     layer over the real positions of ``outputs.mask``.  FirstLast averages
     block 1 with the last block before the masked mean, Top2 the last two
-    blocks; both are symmetric in the two layers they combine.  A forward
-    given ``reads`` can be pooled only by CLS, and only when it read every
-    row's [CLS] slot in row order (:func:`cls_slots`).
+    blocks; both are symmetric in the two layers they combine.  Only a
+    full forward can be pooled: a forward given ``reads`` computed the last
+    layer at its slots alone, and its caller reads them from ``hidden[-1]``.
     """
     mask = outputs.mask
     if np.any(mask.sum(axis=-1) == 0):
         raise DegenerateInputError("cannot pool a fully padded sequence")
-    if outputs.reads is not None:
-        rows, positions = outputs.reads
-        cls = strategy is PoolingStrategy.CLS
-        if cls and np.array_equal(rows, np.arange(len(mask))) and not positions.any():
-            return outputs.hidden[-1]
-        needs = "[CLS]" if cls else "real positions"
+    if outputs.hidden[-1].ndim != 3:
         raise ContractError(
-            f"{strategy.value} pooling reads the last layer at every row's {needs}, "
-            f"but this forward computed it only at {len(rows)} slots (reads)"
+            f"{strategy.value} pooling reads the last layer at every position, but this forward "
+            f"computed it only at {outputs.hidden[-1].shape[0]} slots (reads)"
         )
     if strategy is PoolingStrategy.CLS:
         return slot_states(outputs.hidden[-1], *cls_slots(len(mask)))
@@ -413,19 +406,20 @@ def embed_sentences(
     config: EncoderConfig,
     vocab: Vocabulary,
     strategy: PoolingStrategy = PoolingStrategy.CLS,
-    batch_size: int = EVAL_BATCH,
 ) -> np.ndarray:
     """Encode (eval mode) and pool sentences into an (n, d) float32 array in input order.
 
     ``config`` must equal ``weights.config``.  Sentences are batched by
-    token length through :func:`length_batches`; see the module docstring
-    for the float drift that reordering allows.
+    token length through :func:`length_batches`, ``EVAL_BATCH`` a batch;
+    see the module docstring for the float drift that reordering allows.
+    CLS vectors are the [CLS] states of a forward cut to those slots.
     """
     if config != weights.config:
         raise ConfigError("encoder config does not match the weights' architecture")
     seqs = [encode_single(text, vocab, config.max_len) for text in texts]
     vectors = np.zeros((len(seqs), config.hidden_size), dtype=np.float32)
-    for rows in length_batches([s.length for s in seqs], batch_size):
-        reads = cls_slots(len(rows)) if strategy is PoolingStrategy.CLS else None
-        vectors[rows] = pool(forward_batch([seqs[i] for i in rows], weights, reads=reads), strategy).data
+    cls = strategy is PoolingStrategy.CLS
+    for rows in length_batches([s.length for s in seqs], EVAL_BATCH):
+        outputs = forward_batch([seqs[i] for i in rows], weights, reads=cls_slots(len(rows)) if cls else None)
+        vectors[rows] = (outputs.hidden[-1] if cls else pool(outputs, strategy)).data
     return vectors

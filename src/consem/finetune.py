@@ -11,9 +11,10 @@ lowest index).
 
 In every case a linear head reads the last layer's [CLS] state, so the
 encoder computes its last block at each row's [CLS] slot alone
-(``reads``), in training and in prediction.  Prediction runs the eval
-pass in length-sorted batches of ``EVAL_BATCH`` sequences; MRC
-evaluation scores every choice of every question in one such call.  A
+(``reads``), in training and in prediction, and the head reads those
+states directly.  Prediction runs the eval pass in length-sorted batches
+of ``EVAL_BATCH`` sequences; MRC evaluation scores every choice of every
+question in one such call.  A
 :class:`FinetunedModel` holds the encoder and that head; its parameter
 mapping (``from_arrays`` in, ``to_arrays`` out) is what ``model.bin``
 stores.  The model from the best epoch by dev accuracy (macro F1 breaking
@@ -35,11 +36,9 @@ from .encoder import (
     EVAL_BATCH,
     EncoderConfig,
     EncoderWeights,
-    PoolingStrategy,
     cls_slots,
     forward_batch,
     length_batches,
-    pool,
 )
 from .errors import ConfigError, DataError, FormatError, ShapeError, VocabularyError
 from .metrics import ConfusionMatrix, MetricsReport, accuracy, macro_f1, mrc_accuracy
@@ -218,8 +217,8 @@ def _gold_indices(records: Sequence[dict], labels: list[str]) -> np.ndarray:
 
 def _logits(model: FinetunedModel, seqs, rng: np.random.Generator | None = None) -> Tensor:
     """Head logits over the [CLS] states; train mode (dropout from ``rng``) exactly when ``rng`` is given."""
-    outputs = forward_batch(seqs, model.weights, rng, reads=cls_slots(len(seqs)))
-    return T.linear(pool(outputs, PoolingStrategy.CLS), model.head_weight, model.head_bias)
+    cls = forward_batch(seqs, model.weights, rng, reads=cls_slots(len(seqs))).hidden[-1]
+    return T.linear(cls, model.head_weight, model.head_bias)
 
 
 def _predict_probs(model: FinetunedModel, seqs) -> np.ndarray:
@@ -252,13 +251,12 @@ def finetune_classifier(
     contradiction pairs before training.  Divergence is reported as in
     pretraining: one TrainingDivergedError, no numpy float warnings.
     """
-    if checkpoint.vocab_hash != vocab.content_hash():
-        raise VocabularyError("checkpoint was built with a different vocabulary")
+    weights = checkpoint.encoder_weights(vocab)
     if not train_records:
         raise DataError("no training records were provided")
     if not dev_records:
         raise DataError("no dev records were provided")
-    encoder_config = checkpoint.encoder_config
+    encoder_config = weights.config
 
     if task.kind is TaskKind.MRC:
         labels = list(MRC_LABELS)
@@ -276,13 +274,9 @@ def finetune_classifier(
         _gold_indices(dev_records, labels)
 
     head_rng = np.random.default_rng([config.seed, _STREAM_HEAD_INIT])
-    head = {
-        "head.weight": head_rng.normal(0.0, 0.02, size=(encoder_config.hidden_size, len(labels))),
-        "head.bias": np.zeros(len(labels)),
-    }
-    model = FinetunedModel.from_arrays(
-        encoder_config, {**checkpoint.params, **head}, labels, task.kind, checkpoint.vocab_hash
-    )
+    head_weight = Tensor(head_rng.normal(0.0, 0.02, size=(encoder_config.hidden_size, len(labels))), requires_grad=True)
+    head_bias = Tensor(np.zeros(len(labels)), requires_grad=True)
+    model = FinetunedModel(weights, head_weight, head_bias, labels, task.kind, checkpoint.vocab_hash)
     optimizer = AdamW(model.parameters(), learning_rate=config.learning_rate, weight_decay=config.weight_decay)
 
     best: tuple[tuple[float, float], dict[str, np.ndarray], MetricsReport] | None = None
@@ -426,7 +420,8 @@ def load_model(path: str | Path) -> FinetunedModel:
     # Checked, not coerced: a coerced field would save back to other bytes.
     for key, want, ok in (
         ("task", f"one of {kinds}", task in kinds),
-        ("labels", "a list of strings", isinstance(labels, list) and all(isinstance(x, str) for x in labels)),
+        ("labels", "a list of distinct strings",
+         isinstance(labels, list) and all(isinstance(x, str) for x in labels) and len(set(labels)) == len(labels)),
     ):
         if not ok:
             raise FormatError(f"{path}: extra field {key!r} must be {want}, got {ckpt.extra[key]!r}")

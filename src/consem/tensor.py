@@ -335,16 +335,16 @@ def _merge_heads(t: np.ndarray) -> np.ndarray:
 
 def attention(
     q: Tensor, k: Tensor, v: Tensor, heads: int, mask_bias: np.ndarray
-) -> tuple[Tensor, Tensor]:
+) -> tuple[Tensor, np.ndarray]:
     """Multi-head scaled dot-product attention, recorded as one node.
 
     ``k`` and ``v`` are (batch, seq, d) projections and ``q`` is
     (batch, queries, d) with at most ``seq`` queries, such as the [CLS] row
     alone; ``mask_bias`` broadcasts against the (batch, heads, queries, seq)
     scores and is added before the softmax.  Returns the merged
-    (batch, queries, d) context and the softmax maps, the latter as a tensor
-    that records no gradient.  The backward is written out from the saved
-    maps and head-split inputs.
+    (batch, queries, d) context and the (batch, heads, queries, seq) softmax
+    maps as a plain array.  The backward is written out from the saved maps
+    and head-split inputs.
     """
     if (
         q.ndim != 3
@@ -385,7 +385,7 @@ def attention(
         return gq, gk, gv
 
     _record(out, (q, k, v), backward_fn)
-    return out, Tensor._result(probs, False)
+    return out, probs
 
 
 def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:

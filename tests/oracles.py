@@ -160,7 +160,7 @@ def composed_forward_batch(seqs, weights, rng=None, reads=None):
     batch, heads, head_dim, d = len(seqs), config.num_heads, config.head_dim, config.hidden_size
     affine = lambda t, w, b: T.add(T.matmul(t, weights[w]), weights[b])
     split = lambda t: T.transpose(T.reshape(t, (batch, seq_len, heads, head_dim)), (0, 2, 1, 3))
-    hidden, attention = [x], []
+    hidden = [x]
     for i in range(config.num_layers):
         p = f"layer{i}"
         qh = split(affine(x, f"{p}.attn.wq", f"{p}.attn.bq"))
@@ -175,8 +175,7 @@ def composed_forward_batch(seqs, weights, rng=None, reads=None):
         ff_out = affine(h, f"{p}.ff.w2", f"{p}.ff.b2")
         x = T.layer_norm(T.add(x, ff_out), weights[f"{p}.ln2.gain"], weights[f"{p}.ln2.bias"])
         hidden.append(x)
-        attention.append(probs)
-    return cut_to_reads(LayerOutputs(hidden=hidden, attention=attention, mask=mask), reads)
+    return cut_to_reads(LayerOutputs(hidden=hidden, last_attention=probs.data, mask=mask), reads)
 
 
 def cut_to_reads(outputs, reads):
@@ -187,9 +186,8 @@ def cut_to_reads(outputs, reads):
     last = outputs.hidden[-1]
     batch, seq, d = last.shape
     hidden = outputs.hidden[:-1] + [T.gather_rows(T.reshape(last, (batch * seq, d)), rows * seq + positions)]
-    maps = outputs.attention[-1].data[rows, :, positions][:, :, None]
-    attention = outputs.attention[:-1] + [T.constant(maps, dtype=maps.dtype)]
-    return LayerOutputs(hidden=hidden, attention=attention, mask=outputs.mask, reads=(rows, positions))
+    maps = outputs.last_attention[rows, :, positions][:, :, None]
+    return LayerOutputs(hidden=hidden, last_attention=maps, mask=outputs.mask)
 
 
 # ``contrastive_loss`` as it was composed before it became one ``cross_entropy``

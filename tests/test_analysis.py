@@ -253,11 +253,6 @@ class TestUniformity:
         with pytest.raises(DegenerateInputError):
             uniformity(np.array([[1.0, 0.0], [0.0, 0.0]]))
 
-    def test_accepts_embedding_set(self):
-        vectors = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-        wrapped = EmbeddingSet(vectors=vectors, texts=["a", "b", "c"])
-        assert uniformity(wrapped) == uniformity(vectors)
-
     def test_memory_stays_bounded(self):
         # The all-pairs difference tensor at this size alone would be 512 MB.
         vectors = np.random.default_rng(12).normal(size=(1000, 64))
@@ -396,7 +391,7 @@ class TestTrainedGeometry:
 class TestExportAttention:
     def test_structure_and_row_sums(self, micro_checkpoint):
         ckpt, _, vocab = micro_checkpoint
-        out = export_attention(ckpt, vocab, "the river report", "indeed the river")
+        out = export_attention(ckpt.encoder_weights(vocab), vocab, "the river report", "indeed the river")
         assert out["tokens"][0] == "[CLS]"
         assert out["tokens"].count("[SEP]") == 2
         assert "[PAD]" not in out["tokens"]
@@ -409,5 +404,6 @@ class TestExportAttention:
     def test_wrong_vocabulary_rejected(self, micro_checkpoint):
         ckpt, _, _ = micro_checkpoint
         other = build_vocab(["completely unrelated words"])
-        with pytest.raises(VocabularyError):
-            export_attention(ckpt, other, "a", "b")
+        # Checked once, where the export's weights are built from the checkpoint.
+        with pytest.raises(VocabularyError, match="checkpoint was built with a different vocabulary"):
+            export_attention(ckpt.encoder_weights(other), other, "a", "b")

@@ -83,6 +83,8 @@ _HEADER_EDITS = {
     "list extra": ((("extra",), [["task", "pair"]]), FormatError, "'extra'"),
     "list pretrain_config": ((("pretrain_config",), [["tau", 0.1]]), FormatError, "'pretrain_config'"),
     "integer parameter name": ((("params", 0, 0), 5), FormatError, "'params'"),
+    # Entry 1 is ``pos_emb``: a second ``tok_emb`` would replace the first's blob.
+    "repeated parameter name": ((("params", 1, 0), "tok_emb"), FormatError, "'params'"),
 }
 _MALFORMED = sorted(_HEADER_EDITS) + ["missing tok_emb"]
 

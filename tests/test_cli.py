@@ -27,7 +27,7 @@ from consem.config import SHARED_KEYS, RunConfig, section_keys
 from consem.encoder import EncoderConfig, EncoderWeights, PoolingStrategy, embed_sentences
 from consem.finetune import MRC_LABELS, FinetuneConfig, FinetunedModel, TaskKind, load_model, save_model
 from consem.pretrain import LOSS_CSV_HEADER, PretrainConfig
-from consem.text import Vocabulary, load_triples_jsonl
+from consem.text import Vocabulary, build_vocab, load_triples_jsonl
 
 _SMALL = [
     "--num-layers", "2", "--num-heads", "2", "--hidden-size", "32",
@@ -627,6 +627,29 @@ def test_unknown_label_names_the_file(workspace, tmp_path, capsys, command, flag
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err == f"error: {bad}:1: unknown label 'neutral'; expected one of ['contradiction', 'entailment']\n"
+
+
+@pytest.mark.parametrize("command", ["retrieve", "analyze", "pretrain", "finetune"])
+def test_checkpoint_with_another_vocabulary_is_one_error_line(workspace, tmp_path, capsys, command):
+    other = tmp_path / "other_vocab.txt"
+    build_vocab(["an unrelated corpus", "entirely new words"]).save(other)
+    claims, contexts = tmp_path / "claims.jsonl", tmp_path / "contexts.jsonl"
+    _write_jsonl(claims, [{"claim": "the river", "gold_index": 0}])
+    _write_jsonl(contexts, [{"text": "stays calm"}])
+    checkpoint = ["--checkpoint", str(workspace.checkpoint)]
+    argv = {
+        "retrieve": ["retrieve", *checkpoint, "--claims", str(claims), "--contexts", str(contexts)],
+        "analyze": ["analyze", *checkpoint, "--pairs", str(workspace.nli)],
+        "pretrain": ["pretrain", "--init", str(workspace.checkpoint), "--triples", str(workspace.triples),
+                     "--epochs", "1"],
+        "finetune": ["finetune", *checkpoint, "--train", str(workspace.train), "--dev", str(workspace.dev),
+                     "--task", "pair", "--ft-epochs", "1"],
+    }[command]
+    out = tmp_path / "out"
+    assert main(argv + ["--vocab", str(other), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: checkpoint was built with a different vocabulary\n", err
+    assert not out.exists()
 
 
 def test_import_loads_no_scipy():

@@ -1,6 +1,6 @@
 """Encoder forward pass, attention masking, and pooling strategies."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -106,11 +106,21 @@ class TestForward:
         seqs = [encode_single(t, vocab, 8) for t in texts]
         out = forward_batch(seqs, weights)
         assert len(out.hidden) == config.num_layers + 1
-        assert len(out.attention) == config.num_layers
         # Padded to the longest sequence (6 ids), not to max_len.
         assert out.hidden[0].shape == (4, 6, 12)
-        assert out.attention[0].shape == (4, 2, 6, 6)
         assert out.mask.shape == (4, 6)
+
+    @pytest.mark.parametrize("cut", [False, True])
+    def test_one_attention_map_array_of_the_last_block(self, setup, cut):
+        vocab, config, weights = setup
+        texts = ["the river glows", "a glacier", "morning light covers everything"]
+        seqs = [encode_single(t, vocab, 8) for t in texts]
+        reads = (np.array([2, 0, 2, 1]), np.array([0, 1, 4, 0])) if cut else None
+        out = forward_batch(seqs, weights, reads=reads)
+        assert [f.name for f in fields(out)] == ["hidden", "last_attention", "mask"]
+        maps = out.last_attention
+        assert type(maps) is np.ndarray
+        assert maps.shape == ((4, config.num_heads, 1, 6) if cut else (3, config.num_heads, 6, 6))
 
     def test_ragged_batch_is_padded_to_longest(self, setup):
         vocab, config, weights = setup
@@ -125,10 +135,8 @@ class TestForward:
     def test_attention_rows_sum_to_one(self, setup):
         vocab, config, weights = setup
         seqs = [encode_single("the river glows", vocab, 8)]
-        out = forward_batch(seqs, weights)
-        for maps in out.attention:
-            sums = maps.data.sum(axis=-1)
-            np.testing.assert_allclose(sums, np.ones_like(sums), atol=1e-5)
+        sums = forward_batch(seqs, weights).last_attention.sum(axis=-1)
+        np.testing.assert_allclose(sums, np.ones_like(sums), atol=1e-5)
 
     def test_padding_positions_get_no_attention(self, setup):
         vocab, config, weights = setup
@@ -136,8 +144,7 @@ class TestForward:
         out = forward_batch(seqs, weights)
         pad_columns = np.flatnonzero(out.mask[0] == 0)
         assert len(pad_columns) == 2
-        for maps in out.attention:
-            assert maps.data[0, :, :, pad_columns].max() < 1e-6
+        assert out.last_attention[0, :, :, pad_columns].max() < 1e-6
 
     def test_padding_invariance_of_pooling(self, setup):
         vocab, config, weights = setup
@@ -257,7 +264,7 @@ def _one_sequence(*layers, mask=None):
     """
     hidden = [Tensor(np.asarray(states, dtype=np.float32)[None]) for states in layers]
     mask = np.ones(hidden[0].shape[1], dtype=int) if mask is None else np.asarray(mask)
-    return LayerOutputs(hidden=hidden, attention=[], mask=mask[None])
+    return LayerOutputs(hidden=hidden, last_attention=np.empty(0), mask=mask[None])
 
 
 def _constant_outputs(vector, layers, tokens):
@@ -368,33 +375,36 @@ def _mixed_length_texts(n: int) -> list[str]:
 
 
 class TestEmbedSentences:
-    def test_shape_dtype_and_batch_independence(self, setup):
+    def test_shape_dtype_and_batch_independence(self, setup, monkeypatch):
         vocab, config, weights = setup
         texts = ["the river glows", "a glacier rests", "morning light", "covers everything"]
-        small = embed_sentences(texts, weights, config, vocab, batch_size=2)
-        big = embed_sentences(texts, weights, config, vocab, batch_size=100)
+        monkeypatch.setattr(encoder_module, "EVAL_BATCH", 2)
+        small = embed_sentences(texts, weights, config, vocab)
+        monkeypatch.setattr(encoder_module, "EVAL_BATCH", 100)
+        big = embed_sentences(texts, weights, config, vocab)
         assert small.shape == (4, 12) and small.dtype == np.float32
         np.testing.assert_allclose(small, big, atol=1e-6)
 
     @pytest.mark.parametrize("strategy", list(PoolingStrategy))
-    def test_drift_from_input_order_is_bounded(self, micro_checkpoint, strategy):
+    def test_drift_from_input_order_is_bounded(self, micro_checkpoint, strategy, monkeypatch):
         ckpt, _, vocab = micro_checkpoint
         config = ckpt.encoder_config
         weights = EncoderWeights.from_arrays(config, ckpt.params)
         texts = _mixed_length_texts(70)
-        sorted_path = embed_sentences(texts, weights, config, vocab, strategy, batch_size=8)
+        monkeypatch.setattr(encoder_module, "EVAL_BATCH", 8)
+        sorted_path = embed_sentences(texts, weights, config, vocab, strategy)
         reference = input_order_embed_sentences(texts, weights, config, vocab, strategy, batch_size=8)
         assert np.abs(sorted_path - reference).max() <= 1e-6
 
-    def test_vector_does_not_depend_on_position(self, micro_checkpoint):
+    def test_vector_does_not_depend_on_position(self, micro_checkpoint, monkeypatch):
         ckpt, _, vocab = micro_checkpoint
         config = ckpt.encoder_config
         weights = EncoderWeights.from_arrays(config, ckpt.params)
         texts = _mixed_length_texts(70)
         perm = np.random.default_rng(4).permutation(len(texts))
-        base = embed_sentences(texts, weights, config, vocab, PoolingStrategy.MEAN, batch_size=8)
-        shuffled = embed_sentences([texts[i] for i in perm], weights, config, vocab, PoolingStrategy.MEAN,
-                                   batch_size=8)
+        monkeypatch.setattr(encoder_module, "EVAL_BATCH", 8)
+        base = embed_sentences(texts, weights, config, vocab, PoolingStrategy.MEAN)
+        shuffled = embed_sentences([texts[i] for i in perm], weights, config, vocab, PoolingStrategy.MEAN)
         unshuffled = np.empty_like(shuffled)
         unshuffled[perm] = shuffled
         assert np.abs(unshuffled - base).max() <= 1e-6
@@ -422,7 +432,8 @@ class TestEmbedSentences:
             return outputs
 
         monkeypatch.setattr(encoder_module, "forward_batch", counting_forward)
-        embed_sentences(texts, weights, config, vocab, batch_size=8)
+        monkeypatch.setattr(encoder_module, "EVAL_BATCH", 8)
+        embed_sentences(texts, weights, config, vocab)
         lengths = [encode_single(t, vocab, config.max_len).length for t in texts]
         input_order = sum(len(lengths[s : s + 8]) * max(lengths[s : s + 8]) for s in range(0, 70, 8))
         assert len(slots) == 9 and sum(slots) < input_order
@@ -433,10 +444,11 @@ class TestEmbedSentences:
         assert vectors.shape == (0, config.hidden_size) and vectors.dtype == np.float32
 
     @pytest.mark.parametrize("batch_size", [0, -3])
-    def test_batch_size_below_one_rejected(self, setup, batch_size):
+    def test_batch_size_below_one_rejected(self, setup, batch_size, monkeypatch):
         vocab, config, weights = setup
+        monkeypatch.setattr(encoder_module, "EVAL_BATCH", batch_size)
         with pytest.raises(ConfigError, match="batch_size"):
-            embed_sentences(["the river glows"], weights, config, vocab, batch_size=batch_size)
+            embed_sentences(["the river glows"], weights, config, vocab)
 
     def test_cls_vectors_within_bound_of_the_full_pass(self, micro_checkpoint, monkeypatch):
         # CLS embedding computes the last block at [CLS] alone.
@@ -513,8 +525,9 @@ class TestFusedOps:
         fused = forward_batch(seqs, weights)
         ref = composed_forward_batch(seqs, weights)
         np.testing.assert_array_equal(fused.mask, ref.mask)
-        for got, want in zip(fused.hidden + fused.attention, ref.hidden + ref.attention, strict=True):
+        for got, want in zip(fused.hidden, ref.hidden, strict=True):
             assert np.array_equal(got.data, want.data)
+        assert np.array_equal(fused.last_attention, ref.last_attention)
         for strategy in PoolingStrategy:
             assert np.array_equal(pool(fused, strategy).data, pool(ref, strategy).data), strategy
 
@@ -522,7 +535,8 @@ class TestFusedOps:
         config, weights, seqs = self._world()
         with Tape():
             out = forward_batch(seqs, weights, np.random.default_rng(0))
-        assert all(not maps.requires_grad for maps in out.attention)
+        # A plain array, outside the tape.
+        assert type(out.last_attention) is np.ndarray
 
     def test_pretraining_gradients_match_the_composed_encoder(self, monkeypatch):
         config, weights, seqs = self._world()
@@ -592,9 +606,9 @@ class TestClsOnly:
         cut = forward_batch(seqs, weights, reads=cls_slots(len(seqs)))
         batch, seq = full.mask.shape
         assert cut.hidden[-1].shape == (batch, config.hidden_size)
-        assert cut.attention[-1].shape == (batch, config.num_heads, 1, seq)
+        assert cut.last_attention.shape == (batch, config.num_heads, 1, seq)
         np.testing.assert_array_equal(cut.mask, full.mask)
-        for got, want in zip(cut.hidden[:-1] + cut.attention[:-1], full.hidden[:-1] + full.attention[:-1], strict=True):
+        for got, want in zip(cut.hidden[:-1], full.hidden[:-1], strict=True):
             assert got.data.tobytes() == want.data.tobytes()
 
     @pytest.mark.parametrize("dropout", [0.0, 0.3])
@@ -606,8 +620,8 @@ class TestClsOnly:
         full = forward_batch(seqs, weights, rngs[0])
         cut = forward_batch(seqs, weights, rngs[1], reads=cls_slots(len(seqs)))
         full_cls = pool(full, PoolingStrategy.CLS).data
-        assert np.abs(pool(cut, PoolingStrategy.CLS).data - full_cls).max() <= 1e-6
-        assert np.abs(cut.attention[-1].data - full.attention[-1].data[:, :, :1]).max() <= 1e-6
+        assert np.abs(cut.hidden[-1].data - full_cls).max() <= 1e-6
+        assert np.abs(cut.last_attention - full.last_attention[:, :, :1]).max() <= 1e-6
         if dropout:
             assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
             eval_cls = pool(forward_batch(seqs, weights), PoolingStrategy.CLS).data
@@ -621,20 +635,22 @@ class TestClsOnly:
             for _, p in weights.items():
                 p.grad = None
             with Tape() as tape:
-                outputs = forward(seqs, weights, np.random.default_rng(0), reads=cls_slots(len(seqs)))
-                cls = pool(outputs, PoolingStrategy.CLS)
+                cls = forward(seqs, weights, np.random.default_rng(0), reads=cls_slots(len(seqs))).hidden[-1]
                 backward(T.reduce_sum(T.mul(cls, Tensor(w_cls))), tape)
             return {name: p.grad for name, p in weights.items()}
 
         TestFusedOps._assert_close(gradients(forward_batch), gradients(composed_forward_batch))
 
-    @pytest.mark.parametrize("strategy", [PoolingStrategy.MEAN, PoolingStrategy.FIRST_LAST, PoolingStrategy.TOP2])
-    def test_only_cls_pools_a_cut_forward(self, strategy):
+    @pytest.mark.parametrize("strategy", list(PoolingStrategy))
+    def test_pool_rejects_a_cut_forward(self, strategy):
+        # Its caller reads the slot states from hidden[-1]; even every row's
+        # [CLS] in order is not pooled.
         config, weights, seqs = self._world()
-        cut = forward_batch(seqs, weights, reads=cls_slots(len(seqs)))
-        with pytest.raises(ContractError, match=rf"{strategy.value} pooling .* only at {len(seqs)} slots"):
-            pool(cut, strategy)
-        assert pool(cut, PoolingStrategy.CLS).shape == (len(seqs), config.hidden_size)
+        rows, positions = cls_slots(len(seqs))
+        for reads in ((rows, positions), (rows[::-1], positions), (rows[:-1], positions[:-1]), TestReads._slots()):
+            cut = forward_batch(seqs, weights, reads=reads)
+            with pytest.raises(ContractError, match=rf"{strategy.value} pooling .* only at {len(reads[0])} slots"):
+                pool(cut, strategy)
 
 
 class TestReads:
@@ -658,11 +674,11 @@ class TestReads:
         full = forward_batch(seqs, weights, rngs[0])
         cut = forward_batch(seqs, weights, rngs[1], reads=(rows, positions))
         assert cut.hidden[-1].shape == (len(rows), config.hidden_size)
-        assert cut.attention[-1].shape == (len(rows), config.num_heads, 1, full.mask.shape[1])
+        assert cut.last_attention.shape == (len(rows), config.num_heads, 1, full.mask.shape[1])
         want = slot_states(full.hidden[-1], rows, positions).data
         assert np.abs(cut.hidden[-1].data - want).max() <= 1e-6
-        maps = full.attention[-1].data[rows, :, positions][:, :, None]
-        assert np.abs(cut.attention[-1].data - maps).max() <= 1e-6
+        maps = full.last_attention[rows, :, positions][:, :, None]
+        assert np.abs(cut.last_attention - maps).max() <= 1e-6
         for got, want in zip(cut.hidden[:-1], full.hidden[:-1], strict=True):
             assert got.data.tobytes() == want.data.tobytes()
         if dropout:
@@ -691,13 +707,6 @@ class TestReads:
             return {name: p.grad for name, p in weights.items()}
 
         TestFusedOps._assert_close(gradients(forward_batch), gradients(composed_forward_batch))
-
-    def test_cls_pooling_needs_every_rows_cls_in_order(self):
-        config, weights, seqs = self._world()
-        rows, positions = cls_slots(len(seqs))
-        for reads in ((rows[::-1], positions), (rows[:-1], positions[:-1]), self._slots()):
-            with pytest.raises(ContractError, match=r"CLS pooling .* \[CLS\]"):
-                pool(forward_batch(seqs, weights, reads=reads), PoolingStrategy.CLS)
 
     @pytest.mark.parametrize(
         "rows,positions,message",

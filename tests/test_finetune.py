@@ -443,7 +443,8 @@ class TestSaveLoad:
 
     @pytest.mark.parametrize(
         "field,value",
-        [("labels", [0, 1]), ("labels", ["a", 1]), ("labels", "ab"), ("labels", None),
+        # ["x", "x"] has a label per head column, so only the repeat is wrong.
+        [("labels", [0, 1]), ("labels", ["a", 1]), ("labels", "ab"), ("labels", None), ("labels", ["x", "x"]),
          ("task", 7), ("task", None), ("task", ["pair"]), ("task", "foo")],
     )
     def test_extra_fields_are_checked_not_coerced(self, pair_run, tmp_path, field, value):

@@ -266,7 +266,7 @@ class TestTapeAndErrors:
         first, first_maps = T.attention(Tensor(q.data[:, :1]), k, v, 2, bias)
         assert first.shape == (3, 1, 8) and first_maps.shape == (3, 2, 1, 5)
         np.testing.assert_allclose(first.data, full.data[:, :1], rtol=0, atol=1e-6)
-        np.testing.assert_allclose(first_maps.data, full_maps.data[:, :, :1], rtol=0, atol=1e-6)
+        np.testing.assert_allclose(first_maps, full_maps[:, :, :1], rtol=0, atol=1e-6)
 
     def test_normalize_rejects_zero_row(self):
         with pytest.raises(DegenerateInputError):
