@@ -444,8 +444,8 @@ class TestSaveLoad:
     @pytest.mark.parametrize(
         "field,value",
         # ["x", "x"] has a label per head column, so only the repeat is wrong.
-        [("labels", [0, 1]), ("labels", ["a", 1]), ("labels", "ab"), ("labels", None), ("labels", ["x", "x"]),
-         ("task", 7), ("task", None), ("task", ["pair"]), ("task", "foo")],
+        [("labels", [0, 1]), ("labels", ["a", 1]), ("labels", "ab"), ("labels", None),
+         ("task", 7), ("task", None), ("task", ["pair"]), ("task", "foo"), ("labels", ["x", "x"])],
     )
     def test_extra_fields_are_checked_not_coerced(self, pair_run, tmp_path, field, value):
         model = pair_run[0]
