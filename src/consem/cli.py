@@ -189,7 +189,7 @@ def cmd_pretrain(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     triples = load_triples_jsonl(config.triples)
     vocab = Vocabulary.load(config.vocab)
-    init = load_checkpoint(args.init).encoder_weights(vocab) if args.init else None
+    init = load_checkpoint(args.init) if args.init else None
     ckpt, records = _pretrain_run(config, triples, vocab, init, args.out)
     last_train = [r for r in records if r.split == "train"][-1]
     print(

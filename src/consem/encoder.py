@@ -188,9 +188,6 @@ class EncoderWeights:
     def to_arrays(self) -> dict[str, np.ndarray]:
         return {name: np.array(p.data, copy=True) for name, p in self._params.items()}
 
-    def copy(self) -> "EncoderWeights":
-        return EncoderWeights.from_arrays(self.config, self.to_arrays())
-
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
 

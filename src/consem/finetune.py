@@ -42,8 +42,8 @@ from .encoder import (
 )
 from .errors import ConfigError, DataError, FormatError, ShapeError, VocabularyError
 from .metrics import ConfusionMatrix, MetricsReport, accuracy, macro_f1, mrc_accuracy
-from .optim import QUIET_FLOAT_ERRORS, AdamW, TrainingConfig, minibatches
-from .tensor import Tape, Tensor
+from .optim import QUIET_FLOAT_ERRORS, AdamW, TrainingConfig, train_epochs
+from .tensor import Tensor
 from .text import TokenSequence, Vocabulary, encode_pair, encode_single, json_field, load_jsonl
 
 __all__ = [
@@ -279,13 +279,11 @@ def finetune_classifier(
     model = FinetunedModel(weights, head_weight, head_bias, labels, task.kind, checkpoint.vocab_hash)
     optimizer = AdamW(model.parameters(), learning_rate=config.learning_rate, weight_decay=config.weight_decay)
 
+    def batch_loss(rows: np.ndarray, rng: np.random.Generator, epoch: int) -> Tensor:
+        return T.cross_entropy(_logits(model, [train_seqs[i] for i in rows], rng), train_gold[rows])
+
     best: tuple[tuple[float, float], dict[str, np.ndarray], MetricsReport] | None = None
-    for epoch in range(1, config.epochs + 1):
-        order = np.random.default_rng([config.seed, _STREAM_SHUFFLE, epoch]).permutation(len(train_seqs))
-        for rows, drop_rng in minibatches(order, config.batch_size, config.seed, _STREAM_DROPOUT, epoch):
-            with Tape() as tape:
-                logits = _logits(model, [train_seqs[i] for i in rows], drop_rng)
-                optimizer.descend(T.cross_entropy(logits, train_gold[rows]), tape, epoch)
+    for _ in train_epochs(np.arange(len(train_seqs)), config, optimizer, batch_loss, _STREAM_SHUFFLE, _STREAM_DROPOUT):
         # An MRC report's accuracy is its question-level accuracy.
         _, report = evaluate(model, vocab, dev_records)
         score = (report.accuracy, report.macro_f1)

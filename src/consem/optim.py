@@ -1,15 +1,16 @@
-"""Adam with decoupled weight decay, and the settings, batch schedule and step both trainers share."""
+"""Adam with decoupled weight decay, and the settings, batch schedule and epoch loop both trainers share."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigError, ContractError, TrainingDivergedError
 from .tensor import Tape, Tensor, backward
 
-__all__ = ["BETA1", "BETA2", "EPS", "QUIET_FLOAT_ERRORS", "AdamW", "TrainingConfig", "minibatches"]
+__all__ = ["BETA1", "BETA2", "EPS", "QUIET_FLOAT_ERRORS", "AdamW", "TrainingConfig", "minibatches", "train_epochs"]
 
 # AdamW's fixed moment decay rates, and the epsilon added to the root of the second moment.
 BETA1 = 0.9
@@ -54,6 +55,30 @@ def minibatches(order: np.ndarray, batch_size: int, seed: int, stream: int, epoc
     """
     for batch_no, start in enumerate(range(0, len(order), batch_size)):
         yield order[start : start + batch_size], np.random.default_rng([seed, stream, epoch, batch_no])
+
+
+def train_epochs(
+    items: np.ndarray,
+    config: TrainingConfig,
+    optimizer: AdamW,
+    batch_loss: Callable[[np.ndarray, np.random.Generator, int], Tensor],
+    shuffle_stream: int,
+    dropout_stream: int,
+):
+    """Run ``config.epochs`` epochs over ``items``; yield each epoch number after its steps.
+
+    Epoch ``e`` visits ``items`` permuted by ``default_rng([seed, shuffle_stream, e])`` in
+    :func:`minibatches` from ``dropout_stream``; each block's ``batch_loss(rows, rng, e)``
+    is taped and handed to ``optimizer.descend``.  The last step's tape stays alive while
+    the caller runs its per-epoch work: freeing it first shifts the malloc heap layout,
+    which was measured to slow a later fine-tuning run in the same process.
+    """
+    for epoch in range(1, config.epochs + 1):
+        order = items[np.random.default_rng([config.seed, shuffle_stream, epoch]).permutation(len(items))]
+        for rows, rng in minibatches(order, config.batch_size, config.seed, dropout_stream, epoch):
+            with Tape() as tape:
+                optimizer.descend(batch_loss(rows, rng, epoch), tape, epoch)
+        yield epoch
 
 
 # Each parameter's slot in the flat buffer starts on a 64-byte boundary,

@@ -40,8 +40,8 @@ from .encoder import (
 )
 from .errors import ConfigError, ContractError, DataError, ShapeError
 from .files import write_csv
-from .optim import QUIET_FLOAT_ERRORS, AdamW, TrainingConfig, minibatches
-from .tensor import Tape, Tensor
+from .optim import QUIET_FLOAT_ERRORS, AdamW, TrainingConfig, train_epochs
+from .tensor import Tensor
 from .text import (
     CLS_ID,
     MASK_ID,
@@ -262,15 +262,15 @@ def train(
     config: PretrainConfig,
     vocab: Vocabulary,
     encoder_config: EncoderConfig,
-    init_weights: EncoderWeights | None = None,
+    init: Checkpoint | None = None,
 ) -> tuple[Checkpoint, list[LossRecord]]:
     """Run contrastive pretraining and return the final checkpoint and loss log.
 
     Data-fraction subsampling happens first, then a seeded validation split.
     One loss record per epoch and split is produced; validation records are
-    omitted when the split is empty.  ``init_weights`` warm-starts from an
-    existing encoder (the optimizer state always starts fresh).  A
-    non-finite loss or gradient raises TrainingDivergedError; numpy's float
+    omitted when the split is empty.  ``init`` warm-starts from a checkpoint of
+    ``vocab`` and ``encoder_config``, left untouched; the optimizer starts fresh.
+    A non-finite loss or gradient raises TrainingDivergedError; numpy's float
     warnings are off for the whole run, so that error is the only report.
     """
     if not triples:
@@ -279,8 +279,10 @@ def train(
         raise ConfigError(
             f"encoder vocab_size {encoder_config.vocab_size} does not match vocabulary size {vocab.size}"
         )
-    if init_weights is not None and init_weights.config != encoder_config:
-        raise ConfigError("warm-start weights have a different encoder architecture")
+    weights = EncoderWeights.initialize(encoder_config, config.seed) if init is None else init.encoder_weights(vocab)
+    if weights.config != encoder_config:
+        raise ConfigError("warm-start checkpoint has a different encoder architecture")
+    optimizer = AdamW(weights.as_dict(), learning_rate=config.learning_rate, weight_decay=config.weight_decay)
 
     selected = select_fraction(len(triples), config.data_fraction, config.seed)
     train_idx, val_idx = _split_validation(len(selected), config.validation_fraction, config.seed)
@@ -290,62 +292,39 @@ def train(
     anchors = [encode_single(t.sentence1, vocab, max_len) for t in chosen]
     positives = [encode_single(t.sentence2, vocab, max_len) for t in chosen]
     negatives = [encode_single(t.hard_neg, vocab, max_len) for t in chosen]
+    # (contrastive, mlm, rows) of each batch since the last loss record.
+    parts: list[tuple[float, float, int]] = []
 
-    weights = init_weights.copy() if init_weights is not None else EncoderWeights.initialize(
-        encoder_config, config.seed
-    )
-    optimizer = AdamW(
-        weights.as_dict(),
-        learning_rate=config.learning_rate,
-        weight_decay=config.weight_decay,
-    )
+    def batch_loss(rows: np.ndarray, rng: np.random.Generator | None, epoch: int) -> Tensor:
+        """The combined loss of triples ``rows``: a training batch (dropout on) exactly when ``rng`` is given."""
+        batch = ([anchors[i] for i in rows], [positives[i] for i in rows], [negatives[i] for i in rows])
+        mlm_batch = None
+        if config.mlm_weight > 0.0:
+            stream = _STREAM_MLM_TRAIN if rng is not None else _STREAM_MLM_VAL
+            mlm_batch = _epoch_masking(anchors, rows, config.mask_rate, config.seed, stream, epoch)
+        cl, ml = _batch_losses(batch, mlm_batch, weights, config, rng)
+        parts.append((float(cl.data), 0.0 if ml is None else float(ml.data), len(rows)))
+        return cl if ml is None else T.add(cl, T.scale(ml, config.mlm_weight))
+
+    def record(epoch: int, split: str) -> LossRecord:
+        # Row-weighted means, summed with += in batch order: sum() over floats
+        # is compensated since Python 3.12 and would change loss_log.csv bytes.
+        total_cl = total_ml = 0.0
+        for cl, ml, n in parts:
+            total_cl += cl * n
+            total_ml += ml * n
+        count = sum(n for _, _, n in parts)
+        parts.clear()
+        mean_cl, mean_ml = total_cl / count, total_ml / count
+        return LossRecord(epoch, optimizer.step_count, split, mean_cl, mean_ml, mean_cl + config.mlm_weight * mean_ml)
+
     records: list[LossRecord] = []
-    for epoch in range(1, config.epochs + 1):
-        shuffle_rng = np.random.default_rng([config.seed, _STREAM_SHUFFLE, epoch])
-        passes = [("train", train_idx[shuffle_rng.permutation(len(train_idx))])]
+    for epoch in train_epochs(train_idx, config, optimizer, batch_loss, _STREAM_SHUFFLE, _STREAM_DROPOUT):
+        records.append(record(epoch, "train"))
         if len(val_idx):
-            passes.append(("validation", val_idx))
-        # One pass loop serves both splits: training steps the optimizer with
-        # dropout on, validation only sums the same losses.  The loop is inline
-        # so the last training tape stays alive through validation; freeing it
-        # first shifts the malloc heap layout, which was measured to slow a
-        # later fine-tuning run in the same process.
-        for split, order in passes:
-            mlm_stream = _STREAM_MLM_TRAIN if split == "train" else _STREAM_MLM_VAL
-            sums = {"contrastive": 0.0, "mlm": 0.0, "rows": 0}
-            for rows, drop_rng in minibatches(order, config.batch_size, config.seed, _STREAM_DROPOUT, epoch):
-                batch = (
-                    [anchors[i] for i in rows],
-                    [positives[i] for i in rows],
-                    [negatives[i] for i in rows],
-                )
-                mlm_batch = (
-                    _epoch_masking(anchors, rows, config.mask_rate, config.seed, mlm_stream, epoch)
-                    if config.mlm_weight > 0.0
-                    else None
-                )
-                if split == "train":
-                    with Tape() as tape:
-                        cl, ml = _batch_losses(batch, mlm_batch, weights, config, drop_rng)
-                        loss = cl if ml is None else T.add(cl, T.scale(ml, config.mlm_weight))
-                        optimizer.descend(loss, tape, epoch)
-                else:
-                    cl, ml = _batch_losses(batch, mlm_batch, weights, config, None)
-                sums["contrastive"] += float(cl.data) * len(rows)
-                sums["mlm"] += (float(ml.data) if ml is not None else 0.0) * len(rows)
-                sums["rows"] += len(rows)
-            mean_cl = sums["contrastive"] / sums["rows"]
-            mean_ml = sums["mlm"] / sums["rows"]
-            records.append(
-                LossRecord(
-                    epoch=epoch,
-                    step=optimizer.step_count,
-                    split=split,
-                    contrastive=mean_cl,
-                    mlm=mean_ml,
-                    combined=mean_cl + config.mlm_weight * mean_ml,
-                )
-            )
+            for start in range(0, len(val_idx), config.batch_size):
+                batch_loss(val_idx[start : start + config.batch_size], None, epoch)
+            records.append(record(epoch, "validation"))
 
     final = Checkpoint(
         encoder_config=encoder_config,

@@ -141,7 +141,7 @@ _BackwardFn = Callable[[np.ndarray], tuple]
 class Tape:
     """Ordered record of operations for one backward pass."""
 
-    __slots__ = ("_nodes",)
+    __slots__ = ("_nodes", "__weakref__")
 
     def __init__(self):
         self._nodes: list[tuple[Tensor, tuple[Tensor, ...], _BackwardFn]] = []

@@ -202,10 +202,7 @@ class TestResume:
         resume_config = PretrainConfig(
             epochs=2, batch_size=8, seed=13, learning_rate=2e-3, validation_fraction=0.0
         )
-        weights = EncoderWeights.from_arrays(encoder_config, ckpt.params)
-        _, resumed = train(
-            triples, resume_config, vocab, encoder_config, init_weights=weights
-        )
+        _, resumed = train(triples, resume_config, vocab, encoder_config, init=ckpt)
         _, fresh = train(triples, resume_config, vocab, encoder_config)
 
         base_last = base_records[-1].contrastive

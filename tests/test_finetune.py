@@ -12,7 +12,7 @@ from oracles import full_logits, input_order_predict_probs, per_question_mrc
 from consem import finetune as finetune_module
 from consem.checkpoint import load_checkpoint, save_checkpoint
 from consem.encoder import EVAL_BATCH, EncoderConfig, EncoderWeights, forward_batch, parameter_names
-from consem.errors import ConfigError, DataError, FormatError, ShapeError, VocabularyError
+from consem.errors import ConfigError, DataError, FormatError, ShapeError, TrainingDivergedError, VocabularyError
 from consem.finetune import (
     CONTRADICTION_LABEL,
     ENTAILMENT_LABEL,
@@ -163,6 +163,15 @@ class TestPairTask:
         with pytest.raises(DataError, match="^dev.jsonl:4: unknown label 'maybe'"):
             finetune_classifier(ckpt, TaskSpec(kind), make(16), dev, FinetuneConfig(epochs=1), vocab)
         assert steps == []
+
+    def test_divergence_detected(self, micro_checkpoint):
+        ckpt, _, vocab = micro_checkpoint
+        before = {name: array.tobytes() for name, array in ckpt.params.items()}
+        config = FinetuneConfig(batch_size=4, epochs=2, learning_rate=1e30, seed=0)
+        with pytest.raises(TrainingDivergedError, match=r"^non-finite loss at step 2 \(epoch 1\)$"):
+            finetune_classifier(ckpt, TaskSpec(TaskKind.PAIR), make_pair_task(16), make_pair_task(4, start=64),
+                                config, vocab)
+        assert {name: array.tobytes() for name, array in ckpt.params.items()} == before
 
     def test_evaluate_rejects_another_vocabulary(self, pair_run):
         model, _, _, dev, _ = pair_run

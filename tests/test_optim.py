@@ -1,4 +1,6 @@
-"""Optimizer behavior: anchor updates, descent, divergence detection, and the batch schedule."""
+"""Optimizer behavior: anchor updates, descent, divergence detection, the batch schedule and the epoch loop."""
+
+import weakref
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from oracles import PerTensorAdamW
 
 from consem.errors import ConfigError, ContractError, TrainingDivergedError
 from consem import tensor as T
-from consem.optim import AdamW, minibatches
+from consem.optim import AdamW, TrainingConfig, minibatches, train_epochs
 from consem.tensor import Tape, Tensor, precision
 
 
@@ -198,3 +200,77 @@ def test_descend_on_nan_loss_raises_before_any_change():
             opt.descend(loss, tape, epoch=3)
     np.testing.assert_array_equal(p.data, before)
     assert opt.step_count == 1 and p.grad is None
+
+
+_ITEMS = np.array([10, 11, 12, 13, 14])
+_CONFIG = TrainingConfig(batch_size=2, epochs=3, seed=5)
+_SHUFFLE, _DROPOUT = 7, 9
+
+
+def _toy_loop(batch_loss):
+    """A one-parameter optimizer and the loop over ``_ITEMS``; ``batch_loss`` gets the parameter first."""
+    p = Tensor([1.0, -1.0], requires_grad=True)
+    opt = AdamW({"p": p}, learning_rate=0.1, weight_decay=0.0)
+    loop = train_epochs(_ITEMS, _CONFIG, opt, lambda rows, rng, epoch: batch_loss(p, rows, rng, epoch),
+                        _SHUFFLE, _DROPOUT)
+    return p, opt, loop
+
+
+def _square(p):
+    return T.reduce_sum(T.mul(p, p))
+
+
+def test_epochs_visit_items_permuted_per_epoch_in_minibatches():
+    calls = []
+
+    def batch_loss(p, rows, rng, epoch):
+        calls.append((epoch, rows.tolist(), rng.random(3)))
+        return _square(p)
+
+    p, opt, loop = _toy_loop(batch_loss)
+    assert list(loop) == [1, 2, 3]
+    expected = []
+    for epoch in (1, 2, 3):
+        order = _ITEMS[np.random.default_rng([5, _SHUFFLE, epoch]).permutation(len(_ITEMS))]
+        expected += [(epoch, rows.tolist(), rng.random(3)) for rows, rng in minibatches(order, 2, 5, _DROPOUT, epoch)]
+    assert [c[:2] for c in calls] == [e[:2] for e in expected]
+    for (_, _, got), (_, _, want) in zip(calls, expected, strict=True):
+        np.testing.assert_array_equal(got, want)
+    # One descend per block: three blocks of 2, 2 and 1 items per epoch.
+    assert opt.step_count == 9 and p.grad is None
+
+
+def test_last_tape_lives_through_the_callers_epoch_code_until_the_next_step():
+    tapes, alive_at_step = [], []
+
+    def batch_loss(p, rows, rng, epoch):
+        alive_at_step.append([e for e, ref in tapes if ref() is not None])
+        tapes.append((epoch, weakref.ref(T._TAPE_STACK[-1])))
+        return _square(p)
+
+    _, _, loop = _toy_loop(batch_loss)
+    for epoch in loop:
+        # Outside any tape, with only this epoch's last tape still alive.
+        assert T._TAPE_STACK == []
+        assert [e for e, ref in tapes if ref() is not None] == [epoch]
+        assert tapes[-1][0] == epoch
+    # Each step's tape replaces the one before, the next epoch's first step included.
+    assert alive_at_step == [[]] * 9
+    assert all(ref() is None for _, ref in tapes)
+
+
+def test_nan_loss_raises_before_any_parameter_changes():
+    state = {}
+
+    def batch_loss(p, rows, rng, epoch):
+        if epoch == 2 and len(state) == 0 and rows.size == 1:
+            state["before"] = p.data.copy()
+            return T.reduce_sum(T.mul(p, Tensor([np.nan, 1.0])))
+        return _square(p)
+
+    p, opt, loop = _toy_loop(batch_loss)
+    assert next(loop) == 1
+    with pytest.raises(TrainingDivergedError, match=r"^non-finite loss at step 6 \(epoch 2\)$"):
+        next(loop)
+    np.testing.assert_array_equal(p.data, state["before"])
+    assert opt.step_count == 5 and p.grad is None and T._TAPE_STACK == []

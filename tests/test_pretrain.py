@@ -10,6 +10,7 @@ from oracles import composed_contrastive_loss, contrastive_loss_reference, full_
 
 import consem.pretrain as pretrain_module
 from consem import tensor as T
+from consem.checkpoint import Checkpoint
 from consem.encoder import EncoderConfig, EncoderWeights, PoolingStrategy, forward_batch, pool, slot_states
 from consem.errors import (
     ConfigError,
@@ -17,6 +18,7 @@ from consem.errors import (
     DataError,
     ShapeError,
     TrainingDivergedError,
+    VocabularyError,
 )
 from consem.pretrain import (
     LOSS_CSV_HEADER,
@@ -37,6 +39,7 @@ from consem.text import (
     SEP_ID,
     ContrastiveTriple,
     TokenSequence,
+    Vocabulary,
     build_vocab,
     encode_single,
 )
@@ -321,6 +324,11 @@ def tiny_world():
     return triples, vocab, encoder_config
 
 
+def _warm_start_checkpoint(encoder_config, vocab):
+    weights = EncoderWeights.initialize(encoder_config, seed=8)
+    return Checkpoint(encoder_config, None, vocab.content_hash(), 0, weights.to_arrays())
+
+
 class TestTrain:
     def test_records_and_checkpoint_structure(self, tiny_world):
         triples, vocab, encoder_config = tiny_world
@@ -369,19 +377,14 @@ class TestTrain:
         ckpt_b, _ = train(triples, PretrainConfig(epochs=1, seed=1), vocab, encoder_config)
         assert ckpt_a.params["tok_emb"].tobytes() != ckpt_b.params["tok_emb"].tobytes()
 
-    def test_warm_start_does_not_mutate_given_weights(self, tiny_world):
+    def test_warm_start_does_not_mutate_the_checkpoint_params(self, tiny_world):
         triples, vocab, encoder_config = tiny_world
-        weights = EncoderWeights.initialize(encoder_config, seed=8)
-        before = {name: p.data.copy() for name, p in weights.items()}
-        train(
-            triples,
-            PretrainConfig(epochs=1, batch_size=8, seed=8),
-            vocab,
-            encoder_config,
-            init_weights=weights,
-        )
-        for name, p in weights.items():
-            np.testing.assert_array_equal(p.data, before[name])
+        init = _warm_start_checkpoint(encoder_config, vocab)
+        before = {name: array.copy() for name, array in init.params.items()}
+        ckpt, _ = train(triples, PretrainConfig(epochs=1, batch_size=8, seed=8), vocab, encoder_config, init=init)
+        assert ckpt.step == 2
+        for name, array in init.params.items():
+            assert array.tobytes() == before[name].tobytes(), name
 
     def test_no_validation_records_when_disabled(self, tiny_world):
         triples, vocab, encoder_config = tiny_world
@@ -416,10 +419,18 @@ class TestTrain:
 
     def test_warm_start_config_mismatch_rejected(self, tiny_world):
         triples, vocab, encoder_config = tiny_world
-        other = micro_encoder_config(vocab.size, num_layers=1)
-        weights = EncoderWeights.initialize(other, seed=0)
-        with pytest.raises(ConfigError):
-            train(triples, PretrainConfig(), vocab, encoder_config, init_weights=weights)
+        init = _warm_start_checkpoint(micro_encoder_config(vocab.size, num_layers=1), vocab)
+        with pytest.raises(ConfigError, match="architecture"):
+            train(triples, PretrainConfig(), vocab, encoder_config, init=init)
+
+    def test_warm_start_from_another_vocabulary_rejected(self, tiny_world):
+        # Same size, other tokens: the vocabulary hash, not its size, decides.
+        triples, vocab, encoder_config = tiny_world
+        other = Vocabulary(vocab.tokens[:5] + vocab.tokens[:4:-1])
+        assert other.size == vocab.size and other.content_hash() != vocab.content_hash()
+        init = _warm_start_checkpoint(encoder_config, other)
+        with pytest.raises(VocabularyError, match="different vocabulary"):
+            train(triples, PretrainConfig(), vocab, encoder_config, init=init)
 
     def test_data_fraction_uses_fewer_triples(self, tiny_world):
         triples, vocab, encoder_config = tiny_world
