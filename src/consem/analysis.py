@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -177,24 +177,14 @@ def uniformity(vectors: np.ndarray) -> float:
 
 @dataclass
 class AnalysisReport:
-    """Geometry diagnostics plus optional retrieval accuracies."""
+    """Geometry diagnostics: alignment over entailment and contradiction pairs, and uniformity."""
 
     alignment_entailment: float
     alignment_contradiction: float
     uniformity: float
-    accuracy_at_k: dict[int, float] | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "alignment_entailment": self.alignment_entailment,
-            "alignment_contradiction": self.alignment_contradiction,
-            "uniformity": self.uniformity,
-            "accuracy_at_k": (
-                {str(k): v for k, v in sorted(self.accuracy_at_k.items())}
-                if self.accuracy_at_k is not None
-                else None
-            ),
-        }
+        return asdict(self)
 
 
 def export_attention(weights: EncoderWeights, vocab: Vocabulary, text_a: str, text_b: str) -> dict:

@@ -93,9 +93,11 @@ def _add_config_keys(parser: argparse.ArgumentParser, keys) -> None:
         parser.add_argument(f"--{key.replace('_', '-')}", dest=key, default=None, metavar="V")
 
 
-def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    """The ``--config`` file, then every key the parsed flags carry, input paths included."""
+def _resolve_config(args: argparse.Namespace, encoder: EncoderConfig | None = None) -> RunConfig:
+    """``encoder``'s keys, the ``--config`` file, then every key the parsed flags carry, input paths included."""
     config = RunConfig()
+    if encoder is not None:
+        config.update({key: getattr(encoder, name) for name, key in section_keys(EncoderConfig).items()})
     if args.config:
         config.update_from_file(args.config)
     keys = RunConfig.field_types()
@@ -186,10 +188,11 @@ def _finetune_run(config: RunConfig, finetune_config, ckpt, vocab, task, train_r
 
 
 def cmd_pretrain(args: argparse.Namespace) -> int:
-    config = _resolve_config(args)
+    # A warm start keeps the checkpoint's architecture unless the file or a flag says otherwise.
+    init = load_checkpoint(args.init) if args.init else None
+    config = _resolve_config(args, init.encoder_config if init else None)
     triples = load_triples_jsonl(config.triples)
     vocab = Vocabulary.load(config.vocab)
-    init = load_checkpoint(args.init) if args.init else None
     ckpt, records = _pretrain_run(config, triples, vocab, init, args.out)
     last_train = [r for r in records if r.split == "train"][-1]
     print(
@@ -229,8 +232,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _retrieval_vectors(args, weights, vocab, pooling):
-    """Claim vectors, context vectors and gold indices from ``--claims``/``--contexts``."""
+def cmd_retrieve(args: argparse.Namespace) -> int:
+    ckpt = load_checkpoint(args.checkpoint)
+    vocab = Vocabulary.load(args.vocab)
+    weights = ckpt.encoder_weights(vocab)
+    pooling = _pooling_for(args, ckpt)
     claims = []
     for lineno, obj in load_jsonl(args.claims):
         where = f"{args.claims}:{lineno}"
@@ -247,21 +253,13 @@ def _retrieval_vectors(args, weights, vocab, pooling):
             raise DataError(f"{where}: field 'gold_index' {gold} is out of range for {len(contexts)} contexts")
     claim_vectors = embed_sentences([c for c, _, _ in claims], weights, weights.config, vocab, pooling)
     context_vectors = embed_sentences(contexts, weights, weights.config, vocab, pooling)
-    return claim_vectors, context_vectors, np.array([gold for _, gold, _ in claims], dtype=np.intp)
-
-
-def cmd_retrieve(args: argparse.Namespace) -> int:
-    ckpt = load_checkpoint(args.checkpoint)
-    vocab = Vocabulary.load(args.vocab)
-    weights = ckpt.encoder_weights(vocab)
-    pooling = _pooling_for(args, ckpt)
-    claim_vectors, context_vectors, gold = _retrieval_vectors(args, weights, vocab, pooling)
+    gold = np.array([gold for _, gold, _ in claims], dtype=np.intp)
     accuracies = accuracy_at_topk(claim_vectors, context_vectors, gold)
     out = _out_dir(args.out)
     payload = {
         "accuracy_at_k": {str(k): v for k, v in accuracies.items()},
         "claims": len(gold),
-        "pool_size": int(context_vectors.shape[0]),
+        "pool_size": len(contexts),
     }
     _write_artifact(out / "retrieval.json", payload)
     summary = ", ".join(f"@{k}={v:.4f}" for k, v in accuracies.items())
@@ -270,8 +268,6 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    if (args.claims is None) != (args.contexts is None):
-        raise ConfigError("--claims and --contexts must be given together")
     if (args.attention_a is None) != (args.attention_b is None):
         raise ConfigError("--attention-a and --attention-b must be given together")
     ckpt = load_checkpoint(args.checkpoint)
@@ -279,6 +275,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     weights = ckpt.encoder_weights(vocab)
     pooling = _pooling_for(args, ckpt)
     examples = load_nli_jsonl(args.pairs)
+    for label in ("entailment", "contradiction"):
+        if not any(ex.label == label for ex in examples):
+            raise DataError(f"{args.pairs}: no {label} pairs to measure alignment over")
     sentences: list[str] = []
     seen = set()
     for ex in examples:
@@ -294,14 +293,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         hypotheses = [row[ex.hypothesis] for ex in examples if ex.label == label]
         return alignment(vectors[premises], vectors[hypotheses])
 
-    accuracy_at_k = None
-    if args.claims is not None:
-        accuracy_at_k = accuracy_at_topk(*_retrieval_vectors(args, weights, vocab, pooling))
     report = AnalysisReport(
         alignment_entailment=aligned("entailment"),
         alignment_contradiction=aligned("contradiction"),
         uniformity=uniformity(vectors),
-        accuracy_at_k=accuracy_at_k,
     )
     out = _out_dir(args.out)
     _write_artifact(out / "analysis.json", report.to_dict())
@@ -408,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pretrain", help="contrastive pretraining over triples")
     p.add_argument("--triples", required=True, metavar="PATH")
     p.add_argument("--vocab", required=True, metavar="PATH")
-    p.add_argument("--init", default=None, metavar="PATH", help="warm-start from this checkpoint")
+    p.add_argument("--init", default=None, metavar="PATH", help="warm-start from this checkpoint and its architecture")
     _add_config_keys(p, _ENCODER_KEYS + _PRETRAIN_KEYS)
     common(p, settings=True)
     p.set_defaults(handler=cmd_pretrain)
@@ -433,8 +428,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True, metavar="PATH")
     p.add_argument("--vocab", required=True, metavar="PATH")
     p.add_argument("--pairs", required=True, metavar="PATH", help="labeled pairs for alignment statistics")
-    p.add_argument("--claims", default=None, metavar="PATH")
-    p.add_argument("--contexts", default=None, metavar="PATH")
     p.add_argument("--attention-a", default=None, metavar="TEXT")
     p.add_argument("--attention-b", default=None, metavar="TEXT")
     p.add_argument("--pooling", default=None, metavar="NAME")

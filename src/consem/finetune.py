@@ -4,17 +4,18 @@ Three task shapes are supported.  Pair classification encodes
 ``[CLS] a [SEP] b [SEP]``, single-sentence classification encodes
 ``[CLS] a [SEP]``, and multiple-choice reading comprehension is reduced
 to pair classification: each choice is appended to the question to form
-a statement, the statement/context pair is labeled entailment for the
-correct choice and contradiction otherwise, and at prediction time the
-choice with the highest entailment probability wins (ties go to the
-lowest index).
+a statement, encoded as ``[CLS] question choice [SEP] context [SEP]`` in
+one place for training and scoring alike.  Training targets entailment
+for the correct choice and contradiction otherwise, and at prediction
+time the choice with the highest entailment probability wins (ties go to
+the lowest index).
 
 In every case a linear head reads the last layer's [CLS] state, so the
 encoder computes its last block at each row's [CLS] slot alone
 (``reads``), in training and in prediction, and the head reads those
 states directly.  Prediction runs the eval pass in length-sorted batches
 of ``EVAL_BATCH`` sequences; MRC evaluation scores every choice of every
-question in one such call.  A
+question in one such call (``mrc_scores``).  A
 :class:`FinetunedModel` holds the encoder and that head; its parameter
 mapping (``from_arrays`` in, ``to_arrays`` out) is what ``model.bin``
 stores.  The model from the best epoch by dev accuracy (macro F1 breaking
@@ -57,7 +58,6 @@ __all__ = [
     "finetune_classifier",
     "load_model",
     "load_task_records",
-    "mrc_pairs",
     "mrc_scores",
     "save_model",
 ]
@@ -138,25 +138,16 @@ def load_task_records(path: str | Path, task: TaskSpec) -> list[dict]:
     return records
 
 
-def _mrc_statement(question: str, choice: str) -> str:
-    """The text paired with the context for one choice, in training and in scoring."""
-    return f"{question} {choice}"
+def _mrc_sequences(records: Sequence[dict], vocab: Vocabulary, max_len: int) -> list[TokenSequence]:
+    """``[CLS] question choice [SEP] context [SEP]`` for every choice of every record, in record and choice order.
 
-
-def mrc_pairs(records: Sequence[dict]) -> list[dict]:
-    """Expand reading-comprehension records into labeled statement/context pairs."""
-    pairs = []
-    for rec in records:
-        for k, choice in enumerate(rec["choices"]):
-            pairs.append(
-                {
-                    "text_a": _mrc_statement(rec["question"], choice),
-                    "text_b": rec["context"],
-                    "label": ENTAILMENT_LABEL if k == rec["answer_index"] else CONTRADICTION_LABEL,
-                    "where": rec.get("where"),
-                }
-            )
-    return pairs
+    Training and scoring both encode MRC choices here, so the two see the same statement.
+    """
+    return [
+        encode_pair(f"{rec['question']} {choice}", rec["context"], vocab, max_len)
+        for rec in records
+        for choice in rec["choices"]
+    ]
 
 
 @dataclass
@@ -247,9 +238,10 @@ def finetune_classifier(
     """Fine-tune encoder and head; return the best-dev-epoch model and its report.
 
     The checkpoint object and file are left untouched; all weights are
-    copied before any update.  MRC tasks are expanded to entailment versus
-    contradiction pairs before training.  Divergence is reported as in
-    pretraining: one TrainingDivergedError, no numpy float warnings.
+    copied before any update.  MRC tasks train on every choice's statement,
+    entailment at ``answer_index`` and contradiction elsewhere.  Divergence
+    is reported as in pretraining: one TrainingDivergedError, no numpy float
+    warnings.
     """
     weights = checkpoint.encoder_weights(vocab)
     if not train_records:
@@ -257,19 +249,22 @@ def finetune_classifier(
     if not dev_records:
         raise DataError("no dev records were provided")
     encoder_config = weights.config
+    max_len = encoder_config.max_len
 
     if task.kind is TaskKind.MRC:
         labels = list(MRC_LABELS)
-        train_pairs = mrc_pairs(train_records)
+        train_seqs = _mrc_sequences(train_records, vocab, max_len)
+        train_gold = np.array([
+            labels.index(ENTAILMENT_LABEL if k == rec["answer_index"] else CONTRADICTION_LABEL)
+            for rec in train_records
+            for k in range(len(rec["choices"]))
+        ], dtype=np.intp)
     else:
         labels = list(task.labels) if task.labels else sorted({r["label"] for r in train_records})
-        train_pairs = list(train_records)
-    if len(labels) < 2:
-        raise ConfigError(f"need at least two labels to classify, got {labels}")
-
-    train_seqs = [_encode_record(r, task.kind, vocab, encoder_config.max_len) for r in train_pairs]
-    train_gold = _gold_indices(train_pairs, labels)
-    if task.kind is not TaskKind.MRC:
+        if len(labels) < 2:
+            raise ConfigError(f"need at least two labels to classify, got {labels}")
+        train_seqs = [_encode_record(r, task.kind, vocab, max_len) for r in train_records]
+        train_gold = _gold_indices(train_records, labels)
         # Each epoch's evaluation reads these; an unknown dev label fails before the first step.
         _gold_indices(dev_records, labels)
 
@@ -327,8 +322,8 @@ def evaluate_classifier(
     return predictions, report
 
 
-def _choice_scores(model: FinetunedModel, vocab: Vocabulary, records: Sequence[dict]) -> list[np.ndarray]:
-    """Each record's entailment probability per (question + choice, context) pair.
+def mrc_scores(model: FinetunedModel, vocab: Vocabulary, records: Sequence[dict]) -> list[np.ndarray]:
+    """Each record's entailment probability per choice, one array per record.
 
     Every statement of every record goes through one ``_predict_probs``
     call, so the length-sorted batches mix questions.  Equal sequences are
@@ -339,12 +334,9 @@ def _choice_scores(model: FinetunedModel, vocab: Vocabulary, records: Sequence[d
         raise ConfigError("model has no entailment class to score choices with")
     if any(not rec["choices"] for rec in records):
         raise DataError("cannot score an empty choice list")
-    max_len = model.weights.config.max_len
-    seqs = [
-        encode_pair(_mrc_statement(rec["question"], choice), rec["context"], vocab, max_len)
-        for rec in records
-        for choice in rec["choices"]
-    ]
+    if not records:
+        return []
+    seqs = _mrc_sequences(records, vocab, model.weights.config.max_len)
     unique: dict[tuple, TokenSequence] = {}
     for seq in seqs:
         unique.setdefault(tuple(seq.ids), seq)
@@ -352,13 +344,6 @@ def _choice_scores(model: FinetunedModel, vocab: Vocabulary, records: Sequence[d
     probs = _predict_probs(model, list(unique.values()))
     scores = probs[[row[tuple(seq.ids)] for seq in seqs], model.labels.index(ENTAILMENT_LABEL)]
     return np.split(scores, np.cumsum([len(rec["choices"]) for rec in records])[:-1])
-
-
-def mrc_scores(
-    model: FinetunedModel, vocab: Vocabulary, context: str, question: str, choices: Sequence[str]
-) -> np.ndarray:
-    """Entailment probability of each (question + choice, context) pair."""
-    return _choice_scores(model, vocab, [{"context": context, "question": question, "choices": choices}])[0]
 
 
 def evaluate_mrc(
@@ -376,7 +361,7 @@ def evaluate_mrc(
     predictions = []
     chosen: list[int] = []
     gold: list[int] = []
-    for i, (rec, scores) in enumerate(zip(records, _choice_scores(model, vocab, records))):
+    for i, (rec, scores) in enumerate(zip(records, mrc_scores(model, vocab, records))):
         pick = int(np.argmax(scores))
         chosen.append(pick)
         gold.append(rec["answer_index"])

@@ -374,4 +374,4 @@ def full_logits(model, seqs, rng=None) -> T.Tensor:
 
 def per_question_mrc(model, vocab, records) -> list[np.ndarray]:
     """Each record's choice scores from its own ``mrc_scores`` call, one forward per question."""
-    return [finetune.mrc_scores(model, vocab, r["context"], r["question"], r["choices"]) for r in records]
+    return [finetune.mrc_scores(model, vocab, [r])[0] for r in records]

@@ -419,8 +419,7 @@ def test_7_reruns_are_byte_identical(gate_ws):
         "evaluate": ["evaluate", "--model", str(ws.model), "--vocab", str(ws.vocab),
                      "--data", str(ws.dev)],
         "analyze": ["analyze", "--checkpoint", str(ws.checkpoint), "--vocab", str(ws.vocab),
-                    "--pairs", str(ws.nli), "--claims", str(ws.claims),
-                    "--contexts", str(ws.contexts), "--attention-a", "the river stays calm",
+                    "--pairs", str(ws.nli), "--attention-a", "the river stays calm",
                     "--attention-b", "people visit the river", "--save-embeddings"],
         "retrieve": ["retrieve", "--checkpoint", str(ws.checkpoint), "--vocab", str(ws.vocab),
                      "--claims", str(ws.claims), "--contexts", str(ws.contexts)],

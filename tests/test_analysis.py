@@ -289,12 +289,8 @@ class TestContainers:
             EmbeddingSet(vectors=np.array([[1.0, 0.0], [0.0, 0.0]]), texts=["a", "b"])
 
     def test_report_json(self):
-        report = AnalysisReport(0.5, 1.5, -2.0, {3: 0.7, 1: 0.2})
-        payload = report.to_dict()
-        assert payload["alignment_entailment"] == 0.5
-        assert payload["accuracy_at_k"] == {"1": 0.2, "3": 0.7}
-        bare = AnalysisReport(0.5, 1.5, -2.0).to_dict()
-        assert bare["accuracy_at_k"] is None
+        payload = AnalysisReport(0.5, 1.5, -2.0).to_dict()
+        assert payload == {"alignment_entailment": 0.5, "alignment_contradiction": 1.5, "uniformity": -2.0}
 
 
 class TestSaveLoad:

@@ -198,6 +198,21 @@ class TestPretrain:
             resumed.params[n].tobytes() != base.params[n].tobytes() for n in resumed.params
         )
 
+    def test_warm_start_keeps_the_checkpoint_architecture(self, workspace, tmp_path):
+        base = ["pretrain", "--triples", str(workspace.triples), "--vocab", str(workspace.vocab),
+                "--epochs", "1", "--batch-size", "8"]
+        assert main(base + ["--num-layers", "1", "--hidden-size", "8", "--out", str(tmp_path / "small")]) == 0
+        small = load_checkpoint(tmp_path / "small" / "checkpoint.bin")
+        # No architecture flag: the checkpoint's settings, not the defaults, are used and archived.
+        assert main(base + ["--init", str(tmp_path / "small" / "checkpoint.bin"), "--out", str(tmp_path / "warm")]) == 0
+        assert load_checkpoint(tmp_path / "warm" / "checkpoint.bin").encoder_config == small.encoder_config
+        archived = dict(
+            line.split(" = ", 1) for line in (tmp_path / "warm" / "run_config.txt").read_text().splitlines()
+        )
+        for name, key in section_keys(EncoderConfig).items():
+            assert archived[key] == str(getattr(small.encoder_config, name)), key
+        assert archived["num_layers"] == "1" and archived["hidden_size"] == "8"
+
     def test_warm_start_architecture_mismatch_fails(self, workspace, tmp_path, capsys):
         argv = ["pretrain", "--triples", str(workspace.triples), "--vocab", str(workspace.vocab),
                 "--init", str(workspace.checkpoint), "--epochs", "1",
@@ -292,10 +307,9 @@ class TestFinetuneEvaluate:
 
 class TestRetrieve:
     @staticmethod
-    def _argv(workspace, command, claims, contexts, out):
-        argv = [command, "--checkpoint", str(workspace.checkpoint), "--vocab", str(workspace.vocab),
+    def _argv(workspace, claims, contexts, out):
+        return ["retrieve", "--checkpoint", str(workspace.checkpoint), "--vocab", str(workspace.vocab),
                 "--claims", str(claims), "--contexts", str(contexts), "--out", str(out)]
-        return argv + (["--pairs", str(workspace.nli)] if command == "analyze" else [])
 
     def test_identical_claim_ranks_first(self, workspace, tmp_path):
         contexts = [t.sentence1 for t in load_triples_jsonl(workspace.triples)[:6]]
@@ -304,7 +318,7 @@ class TestRetrieve:
             tmp_path / "claims.jsonl",
             [{"claim": t, "gold_index": i} for i, t in enumerate(contexts)],
         )
-        rc = main(self._argv(workspace, "retrieve", tmp_path / "claims.jsonl", tmp_path / "contexts.jsonl", tmp_path))
+        rc = main(self._argv(workspace, tmp_path / "claims.jsonl", tmp_path / "contexts.jsonl", tmp_path))
         assert rc == 0
         payload = json.loads((tmp_path / "retrieval.json").read_text())
         assert payload["accuracy_at_k"]["1"] == 1.0
@@ -313,18 +327,15 @@ class TestRetrieve:
     def test_gold_index_out_of_range_fails(self, workspace, tmp_path, capsys):
         _write_jsonl(tmp_path / "contexts.jsonl", [{"text": "the river report"}])
         _write_jsonl(tmp_path / "claims.jsonl", [{"claim": "the river", "gold_index": 9}])
-        rc = main(self._argv(workspace, "retrieve", tmp_path / "claims.jsonl", tmp_path / "contexts.jsonl", tmp_path))
+        rc = main(self._argv(workspace, tmp_path / "claims.jsonl", tmp_path / "contexts.jsonl", tmp_path))
         assert rc == 1
         assert "out of range" in capsys.readouterr().err
         # Only a JSON integer is an index: no string, null, fraction or boolean.
-        for command in ("retrieve", "analyze"):
-            for gold in ("abc", None, 1.7, True, False):
-                _write_jsonl(tmp_path / "claims.jsonl", [{"claim": "the river", "gold_index": gold}])
-                argv = self._argv(workspace, command, tmp_path / "claims.jsonl", tmp_path / "contexts.jsonl",
-                                  tmp_path / command)
-                assert main(argv) == 1, (command, gold)
-                err = capsys.readouterr().err
-                assert "claims.jsonl:1:" in err and "gold_index" in err, (command, gold)
+        for gold in ("abc", None, 1.7, True, False):
+            _write_jsonl(tmp_path / "claims.jsonl", [{"claim": "the river", "gold_index": gold}])
+            assert main(self._argv(workspace, tmp_path / "claims.jsonl", tmp_path / "contexts.jsonl", tmp_path)) == 1
+            err = capsys.readouterr().err
+            assert "claims.jsonl:1:" in err and "gold_index" in err, gold
 
     def test_matches_brute_force_recount_with_duplicate_contexts(self, workspace, tmp_path):
         triples = load_triples_jsonl(workspace.triples)[:8]
@@ -338,12 +349,8 @@ class TestRetrieve:
         )
         _write_jsonl(tmp_path / "contexts.jsonl", [{"text": t} for t in contexts])
         _write_jsonl(tmp_path / "claims.jsonl", claims)
-        for command in ("retrieve", "analyze"):
-            argv = self._argv(workspace, command, tmp_path / "claims.jsonl", tmp_path / "contexts.jsonl",
-                              tmp_path / command)
-            assert main(argv) == 0, command
-        retrieved = json.loads((tmp_path / "retrieve" / "retrieval.json").read_text())["accuracy_at_k"]
-        analyzed = json.loads((tmp_path / "analyze" / "analysis.json").read_text())["accuracy_at_k"]
+        assert main(self._argv(workspace, tmp_path / "claims.jsonl", tmp_path / "contexts.jsonl", tmp_path)) == 0
+        retrieved = json.loads((tmp_path / "retrieval.json").read_text())["accuracy_at_k"]
 
         ckpt = load_checkpoint(workspace.checkpoint)
         vocab = Vocabulary.load(workspace.vocab)
@@ -364,7 +371,6 @@ class TestRetrieve:
             ranks.append(int((sims > sims[gold]).sum() + (sims[:gold] == sims[gold]).sum()))
         recount = {str(k): sum(r < k for r in ranks) / len(claims) for k in (1, 3, 5, 10)}
         assert retrieved == recount
-        assert analyzed == recount
         values = [recount[str(k)] for k in (1, 3, 5, 10)]
         assert values == sorted(values)
 
@@ -374,22 +380,32 @@ class TestRetrieve:
         # An empty name is given, so it is checked, not read as "use the checkpoint's".
         _write_jsonl(tmp_path / "contexts.jsonl", [{"text": "the river report"}])
         _write_jsonl(tmp_path / "claims.jsonl", [{"claim": "the river", "gold_index": 0}])
-        argv = self._argv(workspace, command, tmp_path / "claims.jsonl", tmp_path / "contexts.jsonl", tmp_path / "out")
+        if command == "retrieve":
+            argv = self._argv(workspace, tmp_path / "claims.jsonl", tmp_path / "contexts.jsonl", tmp_path / "out")
+        else:
+            argv = ["analyze", "--checkpoint", str(workspace.checkpoint), "--vocab", str(workspace.vocab),
+                    "--pairs", str(workspace.nli), "--out", str(tmp_path / "out")]
         assert main(argv + ["--pooling", pooling]) == 1
         assert capsys.readouterr().err.startswith(f"error: unknown pooling strategy {pooling!r}; expected one of")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("content", ["", "\n  \n"], ids=["empty", "blank-lines"])
-    @pytest.mark.parametrize("command", ["retrieve", "analyze"])
+    @pytest.mark.parametrize("command", ["retrieve"])
     def test_empty_claims_file_fails_cleanly(self, workspace, tmp_path, capsys, command, content):
         claims = tmp_path / "claims.jsonl"
         claims.write_text(content, encoding="utf-8")
         _write_jsonl(tmp_path / "contexts.jsonl", [{"text": "the river report"}])
-        assert main(self._argv(workspace, command, claims, tmp_path / "contexts.jsonl", tmp_path / "out")) == 1
+        assert main(self._argv(workspace, claims, tmp_path / "contexts.jsonl", tmp_path / "out")) == 1
         err = capsys.readouterr().err
         assert f"error: {claims}: no claims found" in err
         assert "Traceback" not in err
         assert not list((tmp_path / "out").glob("*.json"))
+
+    def test_empty_retrieval_paths_are_read_not_skipped(self, workspace, tmp_path, capsys):
+        assert main(self._argv(workspace, "", "", tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert not (tmp_path / "retrieval.json").exists()
 
 
 class TestAnalyze:
@@ -420,15 +436,15 @@ class TestAnalyze:
         assert "together" in capsys.readouterr().err
         assert not (tmp_path / "analysis.json").exists()
 
-    def test_unpaired_retrieval_flags_fail(self, workspace, tmp_path, capsys):
-        _write_jsonl(tmp_path / "claims.jsonl", [{"claim": "x", "gold_index": 0}])
+    @pytest.mark.parametrize("missing", ["entailment", "contradiction"])
+    def test_pairs_without_a_label_name_it(self, workspace, tmp_path, capsys, missing):
+        pairs = tmp_path / "pairs.jsonl"
+        _write_jsonl(pairs, [row for row in _nli_rows(make_topic_nli(6, per_group=1)) if row["label"] != missing])
         rc = main(["analyze", "--checkpoint", str(workspace.checkpoint), "--vocab", str(workspace.vocab),
-                   "--pairs", str(workspace.nli), "--claims", str(tmp_path / "claims.jsonl"),
-                   "--out", str(tmp_path)])
+                   "--pairs", str(pairs), "--out", str(tmp_path / "out")])
         assert rc == 1
-        assert "together" in capsys.readouterr().err
-        assert not (tmp_path / "analysis.json").exists()
-
+        assert capsys.readouterr().err == f"error: {pairs}: no {missing} pairs to measure alignment over\n"
+        assert not (tmp_path / "out" / "analysis.json").exists()
 
     @pytest.mark.parametrize("text_a,text_b", [("", "people visit the river"), ("", "")])
     def test_empty_attention_text_is_still_given(self, workspace, tmp_path, text_a, text_b):
@@ -439,13 +455,6 @@ class TestAnalyze:
         tokens = json.loads((tmp_path / "attention.json").read_text())["tokens"]
         assert tokens[:2] == ["[CLS]", "[SEP]"] and tokens[-1] == "[SEP]"
 
-    def test_empty_retrieval_paths_are_read_not_skipped(self, workspace, tmp_path, capsys):
-        rc = main(["analyze", "--checkpoint", str(workspace.checkpoint), "--vocab", str(workspace.vocab),
-                   "--pairs", str(workspace.nli), "--claims", "", "--contexts", "", "--out", str(tmp_path)])
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1, err
-        assert not (tmp_path / "analysis.json").exists()
 
 # The input files each command needs; a test swaps one of them for a bad file.
 _REQUIRED_FILES = {

@@ -70,7 +70,7 @@ SUBCOMMAND_OPTIONS = {
     "finetune": _COMMON | _SETTINGS | {"--checkpoint", "--vocab", "--train", "--dev"} | _FINETUNE,
     "evaluate": _COMMON | {"--model", "--vocab", "--data"},
     "analyze": _COMMON | {
-        "--checkpoint", "--vocab", "--pairs", "--claims", "--contexts",
+        "--checkpoint", "--vocab", "--pairs",
         "--attention-a", "--attention-b", "--pooling", "--save-embeddings",
     },
     "retrieve": _COMMON | {"--checkpoint", "--vocab", "--claims", "--contexts", "--pooling"},

@@ -27,11 +27,10 @@ from consem.finetune import (
     finetune_classifier,
     load_model,
     load_task_records,
-    mrc_pairs,
     mrc_scores,
     save_model,
 )
-from consem.text import build_vocab, encode_pair
+from consem.text import build_vocab, encode_pair, split_text
 
 
 @pytest.fixture(scope="module")
@@ -212,17 +211,52 @@ class TestSingleTask:
 
 
 class TestMrc:
-    def test_pair_expansion(self):
+    def test_sequences_in_record_and_choice_order(self):
         records = make_mrc_task(3, choices=4)
-        pairs = mrc_pairs(records)
-        assert len(pairs) == 12
-        for rec, chunk in zip(records, [pairs[i : i + 4] for i in range(0, 12, 4)]):
-            labels = [p["label"] for p in chunk]
-            assert labels.count(ENTAILMENT_LABEL) == 1
-            assert labels.index(ENTAILMENT_LABEL) == rec["answer_index"]
-            for k, p in enumerate(chunk):
-                assert p["text_a"] == f"{rec['question']} {rec['choices'][k]}"
-                assert p["text_b"] == rec["context"]
+        vocab = build_vocab([text for r in records for text in (r["context"], r["question"], *r["choices"])])
+        seqs = finetune_module._mrc_sequences(records, vocab, 64)
+        expected = [
+            ["[CLS]", *split_text(f"{r['question']} {choice}"), "[SEP]", *split_text(r["context"]), "[SEP]"]
+            for r in records
+            for choice in r["choices"]
+        ]
+        assert len(expected) == 12
+        assert [[vocab.token_for(i) for i in seq.ids] for seq in seqs] == expected
+
+    def test_targets_mark_each_answer_as_entailment(self, micro_checkpoint, monkeypatch):
+        ckpt, _, vocab = micro_checkpoint
+        records = make_mrc_task(6, choices=3)
+        max_len = ckpt.encoder_config.max_len
+        want = {
+            tuple(encode_pair(f"{r['question']} {choice}", r["context"], vocab, max_len).ids):
+                ENTAILMENT_LABEL if k == r["answer_index"] else CONTRADICTION_LABEL
+            for r in records
+            for k, choice in enumerate(r["choices"])
+        }
+        assert len(want) == 18
+        batches, targets = [], []
+        logits, cross_entropy = finetune_module._logits, finetune_module.T.cross_entropy
+
+        def training_logits(model, seqs, rng=None):
+            if rng is not None:
+                batches.append(seqs)
+            return logits(model, seqs, rng)
+
+        def recorded_cross_entropy(z, gold):
+            targets.append(gold)
+            return cross_entropy(z, gold)
+
+        monkeypatch.setattr(finetune_module, "_logits", training_logits)
+        monkeypatch.setattr(finetune_module.T, "cross_entropy", recorded_cross_entropy)
+        finetune_classifier(ckpt, TaskSpec(TaskKind.MRC), records, records[:2], FinetuneConfig(epochs=1, batch_size=4),
+                            vocab)
+        assert len(batches) == len(targets) == 5
+        got = {tuple(seq.ids): MRC_LABELS[t] for seqs, gold in zip(batches, targets) for seq, t in zip(seqs, gold)}
+        assert got == want
+
+    def test_no_records_score_to_no_arrays(self, pair_run):
+        model, _, _, _, vocab = pair_run
+        assert mrc_scores(model, vocab, []) == []
 
     def test_learns_above_chance(self, micro_checkpoint):
         ckpt, _, vocab = micro_checkpoint
@@ -286,7 +320,7 @@ class TestMrc:
         records = make_mrc_task(6, start=20, choices=3)
         predictions, _ = evaluate_mrc(model, vocab, records)
         for rec, prediction in zip(records, predictions):
-            scores = mrc_scores(model, vocab, rec["context"], rec["question"], rec["choices"])
+            scores = mrc_scores(model, vocab, [rec])[0]
             assert scores.shape == (3,)
             assert np.all((scores > 0.0) & (scores < 1.0))
             assert prediction["pred"] == int(np.argmax(scores))
@@ -299,15 +333,6 @@ class TestMrc:
         assert report.mrc_accuracy == pytest.approx(expected, abs=1e-12)
         assert report.accuracy == report.mrc_accuracy
 
-    def test_scores_match_the_pairs_trained_on(self, pair_run):
-        # Scoring and training build the same statement for a choice.
-        model, _, _, _, vocab = pair_run
-        record = make_mrc_task(1, choices=3)[0]
-        predictions, _ = evaluate_classifier(model, vocab, mrc_pairs([record]))
-        column = model.labels.index(ENTAILMENT_LABEL)
-        scores = mrc_scores(model, vocab, record["context"], record["question"], record["choices"])
-        assert scores.tolist() == [p["scores"][column] for p in predictions]
-
     def test_labels_other_than_mrc_labels_rejected(self):
         assert TaskSpec(TaskKind.MRC).labels == []
         assert TaskSpec(TaskKind.MRC, labels=list(MRC_LABELS)).labels == MRC_LABELS
@@ -318,7 +343,7 @@ class TestMrc:
     def test_empty_choices_rejected(self, pair_run):
         model, _, _, _, vocab = pair_run
         with pytest.raises(DataError):
-            mrc_scores(model, vocab, "a river", "which ?", [])
+            mrc_scores(model, vocab, [{"context": "a river", "question": "which ?", "choices": []}])
 
     def test_empty_choices_rejected_by_evaluate(self, pair_run):
         model, _, _, _, vocab = pair_run
@@ -335,7 +360,7 @@ class TestMrc:
             ckpt.encoder_config, arrays, ["negative", "positive"], TaskKind.PAIR, ckpt.vocab_hash
         )
         with pytest.raises(ConfigError, match="entailment"):
-            mrc_scores(model, vocab, "a river", "which ?", ["the river"])
+            mrc_scores(model, vocab, [{"context": "a river", "question": "which ?", "choices": ["the river"]}])
         with pytest.raises(ConfigError, match="entailment"):
             evaluate_mrc(model, vocab, make_mrc_task(2, choices=2))
 
@@ -359,7 +384,7 @@ class TestPrediction:
         model, _, _, _, vocab = pair_run
         column = model.labels.index(ENTAILMENT_LABEL)
         for rec in make_mrc_task(6, start=30, choices=4):
-            scores = mrc_scores(model, vocab, rec["context"], rec["question"], rec["choices"])
+            scores = mrc_scores(model, vocab, [rec])[0]
             seqs = [encode_pair(f"{rec['question']} {c}", rec["context"], vocab, model.weights.config.max_len)
                     for c in rec["choices"]]
             reference = input_order_predict_probs(model, seqs)[:, column]
