@@ -28,21 +28,21 @@ A slot's state is the full pass's up to float noise of the GEMM shapes
 (a few 1e-7), and in train mode the dropout masks and the generator
 state are the full pass's.
 
-Evaluation batches are length-sorted: ``length_batches`` groups rows of
-similar length so each batch pads little, and its callers
-(``embed_sentences`` and fine-tuned prediction, ``EVAL_BATCH`` rows a
-batch) scatter the results back to input order.  A row's vector may
-differ from the one an input-order batch would give by about 2e-7, the
-float noise of a different padded width; a call that fits in one batch
-is unchanged.  Training batches are never reordered: in-batch negatives
-depend on a batch's members.
+Every eval-mode caller (``embed_sentences`` and fine-tuned prediction)
+batches through ``eval_rows``: it runs each distinct sequence once and
+cuts the distinct sequences, stably sorted by length, into batches of
+``EVAL_BATCH``, so each batch pads little and equal inputs get equal
+rows.  A row may differ from the one an input-order batch would give by
+about 2e-7, the float noise of a different padded width; a call that
+fits in one batch is unchanged.  Training batches are never reordered:
+in-batch negatives depend on a batch's members.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -59,8 +59,8 @@ __all__ = [
     "PoolingStrategy",
     "cls_slots",
     "embed_sentences",
+    "eval_rows",
     "forward_batch",
-    "length_batches",
     "parameter_names",
     "pool",
     "slot_states",
@@ -68,7 +68,7 @@ __all__ = [
 
 ATTENTION_MASK_BIAS = -1e9
 INIT_STD = 0.02
-EVAL_BATCH = 32  # rows per forward pass in embed_sentences and fine-tuned prediction
+EVAL_BATCH = 32  # rows per eval-mode forward pass, in eval_rows
 
 
 class PoolingStrategy(enum.Enum):
@@ -381,20 +381,33 @@ def pool(outputs: LayerOutputs, strategy: PoolingStrategy) -> Tensor:
     raise ConfigError(f"unhandled pooling strategy {strategy!r}")
 
 
-def length_batches(lengths: Sequence[int], batch_size: int) -> Iterator[np.ndarray]:
-    """Row indices in batches of at most ``batch_size``, shortest rows first.
+def eval_rows(
+    seqs: Sequence[TokenSequence], width: int, run: Callable[[list[TokenSequence]], np.ndarray]
+) -> np.ndarray:
+    """``run``'s rows for ``seqs``, an (n, width) float32 array in input order.
 
-    Rows are stably sorted by length and cut into consecutive batches, the
-    last of which may be short, so no row of a batch is shorter than any
-    row of an earlier one.  Within a batch the rows keep their input order:
-    a batch's padding depends only on its members, and a call whose rows
-    all fit in one batch yields ``0..n-1`` unchanged.
+    Each distinct token sequence runs once, as its first copy, so equal
+    inputs get bit-equal rows.  The distinct sequences are stably sorted
+    by length and cut into batches of ``EVAL_BATCH``, the last of which
+    may be short, so no row of a batch is shorter than any row of an
+    earlier one.  Within a batch they keep their input order: a batch's
+    padding depends only on its members, and a call whose sequences fit
+    in one batch runs them unchanged.  ``run(batch)`` returns one
+    (len(batch), width) row per sequence.
     """
-    if batch_size < 1:
-        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
-    order = np.argsort(np.asarray(lengths, dtype=np.intp), kind="stable")
-    for start in range(0, len(order), batch_size):
-        yield np.sort(order[start : start + batch_size])
+    if EVAL_BATCH < 1:
+        raise ConfigError(f"eval batch_size must be >= 1, got {EVAL_BATCH}")
+    unique: dict[tuple[int, ...], TokenSequence] = {}
+    for seq in seqs:
+        unique.setdefault(tuple(seq.ids), seq)
+    row = {ids: i for i, ids in enumerate(unique)}
+    distinct = list(unique.values())
+    out = np.zeros((len(distinct), width), dtype=np.float32)
+    order = np.argsort([s.length for s in distinct], kind="stable")
+    for start in range(0, len(order), EVAL_BATCH):
+        batch = np.sort(order[start : start + EVAL_BATCH])
+        out[batch] = run([distinct[i] for i in batch])
+    return out[[row[tuple(seq.ids)] for seq in seqs]]
 
 
 def embed_sentences(
@@ -407,16 +420,17 @@ def embed_sentences(
     """Encode (eval mode) and pool sentences into an (n, d) float32 array in input order.
 
     ``config`` must equal ``weights.config``.  Sentences are batched by
-    token length through :func:`length_batches`, ``EVAL_BATCH`` a batch;
-    see the module docstring for the float drift that reordering allows.
-    CLS vectors are the [CLS] states of a forward cut to those slots.
+    :func:`eval_rows`; see the module docstring for the float drift that
+    its length sort allows.  CLS vectors are the [CLS] states of a forward
+    cut to those slots.
     """
     if config != weights.config:
         raise ConfigError("encoder config does not match the weights' architecture")
+
+    def vectors(batch: list[TokenSequence]) -> np.ndarray:
+        if strategy is PoolingStrategy.CLS:
+            return forward_batch(batch, weights, reads=cls_slots(len(batch))).hidden[-1].data
+        return pool(forward_batch(batch, weights), strategy).data
+
     seqs = [encode_single(text, vocab, config.max_len) for text in texts]
-    vectors = np.zeros((len(seqs), config.hidden_size), dtype=np.float32)
-    cls = strategy is PoolingStrategy.CLS
-    for rows in length_batches([s.length for s in seqs], EVAL_BATCH):
-        outputs = forward_batch([seqs[i] for i in rows], weights, reads=cls_slots(len(rows)) if cls else None)
-        vectors[rows] = (outputs.hidden[-1] if cls else pool(outputs, strategy)).data
-    return vectors
+    return eval_rows(seqs, config.hidden_size, vectors)

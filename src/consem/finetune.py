@@ -13,8 +13,8 @@ the lowest index).
 In every case a linear head reads the last layer's [CLS] state, so the
 encoder computes its last block at each row's [CLS] slot alone
 (``reads``), in training and in prediction, and the head reads those
-states directly.  Prediction runs the eval pass in length-sorted batches
-of ``EVAL_BATCH`` sequences; MRC evaluation scores every choice of every
+states directly.  Prediction runs the eval pass through
+``encoder.eval_rows``; MRC evaluation scores every choice of every
 question in one such call (``mrc_scores``).  A
 :class:`FinetunedModel` holds the encoder and that head; its parameter
 mapping (``from_arrays`` in, ``to_arrays`` out) is what ``model.bin``
@@ -33,14 +33,7 @@ import numpy as np
 
 from . import tensor as T
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
-from .encoder import (
-    EVAL_BATCH,
-    EncoderConfig,
-    EncoderWeights,
-    cls_slots,
-    forward_batch,
-    length_batches,
-)
+from .encoder import EncoderConfig, EncoderWeights, cls_slots, eval_rows, forward_batch
 from .errors import ConfigError, DataError, FormatError, ShapeError, VocabularyError
 from .metrics import ConfusionMatrix, MetricsReport, accuracy, macro_f1, mrc_accuracy
 from .optim import QUIET_FLOAT_ERRORS, AdamW, TrainingConfig, train_epochs
@@ -213,17 +206,13 @@ def _logits(model: FinetunedModel, seqs, rng: np.random.Generator | None = None)
 
 
 def _predict_probs(model: FinetunedModel, seqs) -> np.ndarray:
-    """Eval-mode label probabilities, an (n, labels) float64 array in input order.
+    """Eval-mode label probabilities, an (n, labels) float32 array in input order, batched by ``eval_rows``."""
+    return eval_rows(seqs, len(model.labels), lambda batch: T.softmax(_logits(model, batch), axis=1).data)
 
-    Sequences are batched by token length through ``length_batches``, so
-    rows may differ from input-order batches by float noise (about 2e-7);
-    a call that fits in one batch, such as one question's choices, is
-    unchanged.
-    """
-    probs = np.zeros((len(seqs), len(model.labels)))
-    for rows in length_batches([s.length for s in seqs], EVAL_BATCH):
-        probs[rows] = T.softmax(_logits(model, [seqs[i] for i in rows]), axis=1).data
-    return probs
+
+def _check_vocabulary(model: FinetunedModel, vocab: Vocabulary) -> None:
+    if model.vocab_hash != vocab.content_hash():
+        raise VocabularyError("model was built with a different vocabulary")
 
 
 @np.errstate(**QUIET_FLOAT_ERRORS)
@@ -292,8 +281,6 @@ def finetune_classifier(
 
 def evaluate(model: FinetunedModel, vocab: Vocabulary, records: Sequence[dict]) -> tuple[list[dict], MetricsReport]:
     """Predictions and metrics for records of the model's task: MRC questions or classifier records."""
-    if model.vocab_hash != vocab.content_hash():
-        raise VocabularyError("model was built with a different vocabulary")
     if model.kind is TaskKind.MRC:
         return evaluate_mrc(model, vocab, records)
     return evaluate_classifier(model, vocab, records)
@@ -303,6 +290,7 @@ def evaluate_classifier(
     model: FinetunedModel, vocab: Vocabulary, records: Sequence[dict]
 ) -> tuple[list[dict], MetricsReport]:
     """Predict labels for pair or single records; returns predictions and metrics."""
+    _check_vocabulary(model, vocab)
     seqs = [_encode_record(r, model.kind, vocab, model.weights.config.max_len) for r in records]
     gold = _gold_indices(records, model.labels)
     probs = _predict_probs(model, seqs)
@@ -323,26 +311,21 @@ def evaluate_classifier(
 
 
 def mrc_scores(model: FinetunedModel, vocab: Vocabulary, records: Sequence[dict]) -> list[np.ndarray]:
-    """Each record's entailment probability per choice, one array per record.
+    """Each record's float32 entailment probability per choice, one array per record.
 
     Every statement of every record goes through one ``_predict_probs``
-    call, so the length-sorted batches mix questions.  Equal sequences are
-    scored once: copies in two batches, padded to other widths, could
-    differ by float noise, and equal choices must tie exactly.
+    call, so the length-sorted batches mix questions, and equal choices
+    tie exactly.
     """
+    _check_vocabulary(model, vocab)
     if ENTAILMENT_LABEL not in model.labels:
         raise ConfigError("model has no entailment class to score choices with")
     if any(not rec["choices"] for rec in records):
         raise DataError("cannot score an empty choice list")
     if not records:
         return []
-    seqs = _mrc_sequences(records, vocab, model.weights.config.max_len)
-    unique: dict[tuple, TokenSequence] = {}
-    for seq in seqs:
-        unique.setdefault(tuple(seq.ids), seq)
-    row = {ids: i for i, ids in enumerate(unique)}
-    probs = _predict_probs(model, list(unique.values()))
-    scores = probs[[row[tuple(seq.ids)] for seq in seqs], model.labels.index(ENTAILMENT_LABEL)]
+    probs = _predict_probs(model, _mrc_sequences(records, vocab, model.weights.config.max_len))
+    scores = probs[:, model.labels.index(ENTAILMENT_LABEL)]
     return np.split(scores, np.cumsum([len(rec["choices"]) for rec in records])[:-1])
 
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -121,20 +121,7 @@ class MetricsReport:
             raise MetricError("metric values must lie in [0, 1]")
 
     def to_dict(self) -> dict:
-        payload = {
-            "accuracy": self.accuracy,
-            "macro_f1": self.macro_f1,
-            "per_class": [
-                {
-                    "label": s.label,
-                    "precision": s.precision,
-                    "recall": s.recall,
-                    "f1": s.f1,
-                    "support": s.support,
-                }
-                for s in self.per_class
-            ],
-        }
-        if self.mrc_accuracy is not None:
-            payload["mrc_accuracy"] = self.mrc_accuracy
+        payload = asdict(self)
+        if self.mrc_accuracy is None:
+            del payload["mrc_accuracy"]
         return payload

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from consem.encoder import EncoderConfig
+from consem.encoder import EVAL_BATCH, EncoderConfig
 from consem.tensor import Tape, Tensor, backward, precision
 from consem.text import ContrastiveTriple, NliExample, build_vocab
 
@@ -141,6 +141,23 @@ def make_mrc_task(n: int, start: int = 0, choices: int = 4, num_topics: int = 8)
             }
         )
     return records
+
+
+# Rows of the twin text in ``boundary_twin_texts``.
+BOUNDARY_TWINS = (EVAL_BATCH - 1, EVAL_BATCH)
+
+
+def boundary_twin_texts() -> list[str]:
+    """``EVAL_BATCH - 1`` distinct three-word texts, one four-word text twice, then longer texts.
+
+    Sorted by length with every copy kept, the twin's two copies
+    (``BOUNDARY_TWINS``) fall on either side of the first ``EVAL_BATCH``
+    boundary, into batches padded to different widths.
+    """
+    short = [f"{TOPICS[i % len(TOPICS)]} {TOPICS[i // len(TOPICS)]} glows" for i in range(EVAL_BATCH - 1)]
+    longer = [f"the {a} and the {b} glow at dawn" for a, b in zip(TOPICS[:8], TOPICS[1:9])]
+    twin = "the river glows brightly"
+    return short + [twin, twin] + longer
 
 
 def micro_encoder_config(vocab_size: int, **overrides) -> EncoderConfig:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.stats import ortho_group
 
-from conftest import topic_sentence
+from conftest import BOUNDARY_TWINS, boundary_twin_texts, topic_sentence
 from oracles import alignment_reference, topk_reference, uniformity_reference
 
 from consem.analysis import (
@@ -23,7 +23,7 @@ from consem.analysis import (
     save_embeddings,
     uniformity,
 )
-from consem.encoder import embed_sentences
+from consem.encoder import EVAL_BATCH, PoolingStrategy, embed_sentences
 from consem.errors import (
     ConfigError,
     ContractError,
@@ -382,6 +382,20 @@ class TestTrainedGeometry:
         matched = alignment(a, same)
         mismatched = alignment(a, other)
         assert matched < mismatched
+
+    def test_later_twin_context_ranks_behind_the_earlier(self, micro_checkpoint):
+        # Retrieval as ``retrieve`` computes it, over a pool whose twin contexts
+        # would fall into two length-sorted batches if each copy ran.
+        ckpt, _, vocab = micro_checkpoint
+        weights = ckpt.encoder_weights(vocab)
+        pooling = PoolingStrategy.parse(ckpt.pretrain_config["pooling"])
+        contexts = boundary_twin_texts()
+        assert len(contexts) > EVAL_BATCH
+        twin = contexts[BOUNDARY_TWINS[0]]
+        claims = embed_sentences([twin, twin], weights, weights.config, vocab, pooling)
+        pool = embed_sentences(contexts, weights, weights.config, vocab, pooling)
+        earlier, later = gold_ranks(claims, pool, np.array(BOUNDARY_TWINS)).tolist()
+        assert later == earlier + 1
 
 
 class TestExportAttention:

@@ -5,7 +5,15 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from conftest import TOPICS, analytic_gradients, fd_at, relative_error, topic_sentence
+from conftest import (
+    BOUNDARY_TWINS,
+    TOPICS,
+    analytic_gradients,
+    boundary_twin_texts,
+    fd_at,
+    relative_error,
+    topic_sentence,
+)
 from gradcases import micro_encoder_case
 from oracles import composed_forward_batch, full_forward_batch, input_order_embed_sentences
 
@@ -21,8 +29,8 @@ from consem.encoder import (
     PoolingStrategy,
     cls_slots,
     embed_sentences,
+    eval_rows,
     forward_batch,
-    length_batches,
     parameter_names,
     pool,
     slot_states,
@@ -334,11 +342,28 @@ class TestPooling:
             PoolingStrategy.parse("Last")
 
 
+def _eval_batches(lengths, batch_size, monkeypatch) -> list[np.ndarray]:
+    """The input rows of each batch ``eval_rows`` runs over distinct sequences of ``lengths``."""
+    monkeypatch.setattr(encoder_module, "EVAL_BATCH", batch_size)
+    seqs = [TokenSequence(ids=[row] * length) for row, length in enumerate(lengths)]
+    batches = []
+
+    def run(batch):
+        batches.append(np.array([seq.ids[0] for seq in batch]))
+        return batches[-1][:, None]
+
+    rows = eval_rows(seqs, 1, run)
+    assert rows.dtype == np.float32 and rows[:, 0].tolist() == list(range(len(lengths)))
+    return batches
+
+
 class TestLengthBatches:
+    """The length-sorted batches that ``eval_rows`` hands its ``run``."""
+
     @pytest.mark.parametrize("batch_size", [1, 3, 8, 64])
-    def test_every_row_once_in_length_order(self, batch_size):
+    def test_every_row_once_in_length_order(self, batch_size, monkeypatch):
         lengths = np.random.default_rng(batch_size).integers(1, 20, size=50)
-        batches = list(length_batches(lengths.tolist(), batch_size))
+        batches = _eval_batches(lengths.tolist(), batch_size, monkeypatch)
         rows = np.concatenate(batches)
         assert sorted(rows.tolist()) == list(range(50))
         assert all(1 <= len(b) <= batch_size for b in batches)
@@ -348,20 +373,35 @@ class TestLengthBatches:
         # Within a batch rows keep their input order.
         assert all((np.diff(b) > 0).all() for b in batches)
 
-    def test_one_batch_keeps_input_order(self):
-        batches = list(length_batches([5, 2, 9, 1], 4))
+    def test_one_batch_keeps_input_order(self, monkeypatch):
+        batches = _eval_batches([5, 2, 9, 1], 4, monkeypatch)
         assert len(batches) == 1 and batches[0].tolist() == [0, 1, 2, 3]
 
-    def test_equal_lengths_keep_input_order(self):
-        assert [b.tolist() for b in length_batches([3, 3, 3, 3, 3], 2)] == [[0, 1], [2, 3], [4]]
+    def test_equal_lengths_keep_input_order(self, monkeypatch):
+        assert [b.tolist() for b in _eval_batches([3, 3, 3, 3, 3], 2, monkeypatch)] == [[0, 1], [2, 3], [4]]
 
-    def test_no_rows_no_batches(self):
-        assert list(length_batches([], 4)) == []
+    def test_no_rows_no_batches(self, monkeypatch):
+        assert _eval_batches([], 4, monkeypatch) == []
+        assert eval_rows([], 3, None).shape == (0, 3)
 
     @pytest.mark.parametrize("batch_size", [0, -1])
-    def test_batch_size_below_one_rejected(self, batch_size):
+    def test_batch_size_below_one_rejected(self, batch_size, monkeypatch):
         with pytest.raises(ConfigError, match="batch_size"):
-            list(length_batches([1, 2], batch_size))
+            _eval_batches([1, 2], batch_size, monkeypatch)
+
+    def test_equal_sequences_run_once_as_their_first_copy(self, monkeypatch):
+        monkeypatch.setattr(encoder_module, "EVAL_BATCH", 2)
+        seqs = [TokenSequence(ids=ids) for ids in ([7, 7], [5], [7, 7], [5], [9, 9, 9], [7, 7])]
+        ran = []
+
+        def run(batch):
+            ran.extend(batch)
+            return np.arange(len(ran) - len(batch), len(ran))[:, None]
+
+        rows = eval_rows(seqs, 1, run)
+        assert [id(seq) for seq in ran] == [id(seqs[i]) for i in (0, 1, 4)]
+        # Each row is the value its sequence's one run wrote.
+        assert rows[:, 0].tolist() == [0.0, 1.0, 0.0, 1.0, 2.0, 0.0]
 
 
 def _mixed_length_texts(n: int) -> list[str]:
@@ -418,6 +458,15 @@ class TestEmbedSentences:
         vectors = embed_sentences(texts, weights, config, vocab, strategy)
         reference = input_order_embed_sentences(texts, weights, config, vocab, strategy)
         assert vectors.tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("strategy", list(PoolingStrategy))
+    def test_equal_texts_across_a_batch_boundary_are_bit_equal(self, micro_checkpoint, strategy):
+        ckpt, _, vocab = micro_checkpoint
+        config = ckpt.encoder_config
+        weights = EncoderWeights.from_arrays(config, ckpt.params)
+        texts = boundary_twin_texts()
+        vectors = embed_sentences(texts, weights, config, vocab, strategy)
+        assert vectors[BOUNDARY_TWINS[0]].tobytes() == vectors[BOUNDARY_TWINS[1]].tobytes()
 
     def test_sorted_batches_pad_less(self, micro_checkpoint, monkeypatch):
         ckpt, _, vocab = micro_checkpoint

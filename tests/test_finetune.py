@@ -6,7 +6,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import make_mrc_task, make_pair_task, make_single_task, topic_sentence
+from conftest import (
+    BOUNDARY_TWINS,
+    boundary_twin_texts,
+    make_mrc_task,
+    make_pair_task,
+    make_single_task,
+    topic_sentence,
+)
 from oracles import full_logits, input_order_predict_probs, per_question_mrc
 
 from consem import finetune as finetune_module
@@ -30,7 +37,7 @@ from consem.finetune import (
     mrc_scores,
     save_model,
 )
-from consem.text import build_vocab, encode_pair, split_text
+from consem.text import Vocabulary, build_vocab, encode_pair, split_text
 
 
 @pytest.fixture(scope="module")
@@ -177,6 +184,15 @@ class TestPairTask:
         other = build_vocab(["completely different words here"])
         with pytest.raises(VocabularyError, match="^model was built with a different vocabulary$"):
             evaluate(model, other, dev)
+
+    @pytest.mark.parametrize("score", ["evaluate_classifier", "evaluate_mrc", "mrc_scores"])
+    def test_public_scorers_reject_a_vocabulary_with_one_token_swapped(self, pair_run, score):
+        model, _, _, dev, vocab = pair_run
+        tokens = list(vocab.tokens)
+        tokens[-1], tokens[-2] = tokens[-2], tokens[-1]
+        records = dev if score == "evaluate_classifier" else make_mrc_task(2)
+        with pytest.raises(VocabularyError, match="^model was built with a different vocabulary$"):
+            getattr(finetune_module, score)(model, Vocabulary(tokens), records)
 
     def test_wrong_vocabulary_rejected(self, micro_checkpoint):
         ckpt, _, _ = micro_checkpoint
@@ -379,6 +395,17 @@ class TestPrediction:
         assert np.abs(probs - reference).max() <= 1e-6
         predictions, _ = evaluate_classifier(model, vocab, records)
         assert [p["scores"] for p in predictions] == probs.tolist()
+
+    @pytest.mark.parametrize("text_b", ["indeed the river report stays near", "instead people visit the river"])
+    def test_equal_records_across_a_batch_boundary_score_equal(self, pair_run, text_b):
+        model, _, _, _, vocab = pair_run
+        labels = [CONTRADICTION_LABEL, ENTAILMENT_LABEL]
+        records = [
+            {"text_a": text, "text_b": text_b, "label": labels[i % 2]} for i, text in enumerate(boundary_twin_texts())
+        ]
+        predictions, _ = evaluate_classifier(model, vocab, records)
+        first, second = (predictions[i] for i in BOUNDARY_TWINS)
+        assert first["scores"] == second["scores"]
 
     def test_one_question_is_bit_equal_to_input_order(self, pair_run):
         model, _, _, _, vocab = pair_run

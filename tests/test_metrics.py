@@ -1,5 +1,7 @@
 """Classification metrics against brute-force recount oracles."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -141,6 +143,19 @@ class TestMetricsReport:
         assert payload["accuracy"] == 0.75
         assert payload["mrc_accuracy"] == 0.25
         assert payload["per_class"][0]["label"] == "a"
+
+    def test_json_keys_and_values(self):
+        per_class = [PerClassScores("a", 1.0, 0.5, 0.75, 4), PerClassScores("b", 0.0, 0.0, 0.0, 0)]
+        classifier = MetricsReport(accuracy=0.5, macro_f1=0.375, per_class=per_class)
+        assert json.dumps(classifier.to_dict(), sort_keys=True) == (
+            '{"accuracy": 0.5, "macro_f1": 0.375, "per_class": ['
+            '{"f1": 0.75, "label": "a", "precision": 1.0, "recall": 0.5, "support": 4}, '
+            '{"f1": 0.0, "label": "b", "precision": 0.0, "recall": 0.0, "support": 0}]}'
+        )
+        mrc = MetricsReport(accuracy=0.25, macro_f1=0.25, per_class=[], mrc_accuracy=0.25)
+        assert json.dumps(mrc.to_dict(), sort_keys=True) == (
+            '{"accuracy": 0.25, "macro_f1": 0.25, "mrc_accuracy": 0.25, "per_class": []}'
+        )
 
     def test_range_validation(self):
         with pytest.raises(MetricError):
