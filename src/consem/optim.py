@@ -69,9 +69,9 @@ def train_epochs(
 
     Epoch ``e`` visits ``items`` permuted by ``default_rng([seed, shuffle_stream, e])`` in
     :func:`minibatches` from ``dropout_stream``; each block's ``batch_loss(rows, rng, e)``
-    is taped and handed to ``optimizer.descend``.  The last step's tape stays alive while
-    the caller runs its per-epoch work: freeing it first shifts the malloc heap layout,
-    which was measured to slow a later fine-tuning run in the same process.
+    is taped and handed to ``optimizer.descend``.  The last step's tape stays referenced
+    while the caller runs its per-epoch work, until the next step replaces it; ``backward``
+    has spent it by then, so it holds no arrays.
     """
     for epoch in range(1, config.epochs + 1):
         order = items[np.random.default_rng([config.seed, shuffle_stream, epoch]).permutation(len(items))]

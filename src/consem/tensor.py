@@ -139,12 +139,13 @@ _BackwardFn = Callable[[np.ndarray], tuple]
 
 
 class Tape:
-    """Ordered record of operations for one backward pass."""
+    """Ordered record of operations for one backward pass; :func:`backward` spends it."""
 
     __slots__ = ("_nodes", "__weakref__")
 
     def __init__(self):
-        self._nodes: list[tuple[Tensor, tuple[Tensor, ...], _BackwardFn]] = []
+        # backward replaces each node it has run with None.
+        self._nodes: list[tuple[Tensor, tuple[Tensor, ...], _BackwardFn] | None] = []
 
     def __enter__(self) -> "Tape":
         _TAPE_STACK.append(self)
@@ -172,6 +173,13 @@ def backward(loss: Tensor, tape: Tape) -> None:
     ``grad`` buffers on leaves are added to, so callers should clear
     parameter gradients between steps.
 
+    The walk spends the tape: each node is dropped from it before its
+    backward runs, so an activation, a saved array or an intermediate
+    gradient is freed as soon as no later node and no caller holds it, and
+    a step's memory only falls from the end of its forward.  Gradients
+    land on every tensor the caller still holds.  ``len(tape)`` still
+    counts the recorded nodes; a second walk of the tape is a ContractError.
+
     A tensor's first incoming gradient becomes its ``grad`` without a copy
     when nothing else can hold the array: it is not the node's own output
     gradient, not a view, not already handed to another input of the node,
@@ -180,8 +188,13 @@ def backward(loss: Tensor, tape: Tape) -> None:
     """
     if loss.data.size != 1:
         raise ContractError(f"backward expects a scalar loss, got shape {loss.data.shape}")
+    nodes = tape._nodes
+    if None in nodes:
+        raise ContractError("backward over a spent tape: each tape can be walked once")
     loss.grad = np.ones_like(loss.data)
-    for out, inputs, backward_fn in reversed(tape._nodes):
+    for i in range(len(nodes) - 1, -1, -1):
+        out, inputs, backward_fn = nodes[i]
+        nodes[i] = None
         gout = out.grad
         if gout is None:
             continue
@@ -343,8 +356,8 @@ def attention(
     alone; ``mask_bias`` broadcasts against the (batch, heads, queries, seq)
     scores and is added before the softmax.  Returns the merged
     (batch, queries, d) context and the (batch, heads, queries, seq) softmax
-    maps as a plain array.  The backward is written out from the saved maps
-    and head-split inputs.
+    maps as a plain array.  The backward is written out from the saved maps,
+    splitting the inputs' heads again rather than keeping split copies.
     """
     if (
         q.ndim != 3
@@ -374,6 +387,7 @@ def attention(
     out = Tensor._result(_merge_heads(probs @ vh), _requires(q, k, v))
 
     def backward_fn(g):
+        qh, kh, vh = (_split_heads(t.data, heads) for t in (q, k, v))
         gh = _split_heads(g, heads)
         gscores = gh @ vh.swapaxes(-1, -2)
         gscores -= (gscores * probs).sum(axis=-1, keepdims=True)

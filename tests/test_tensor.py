@@ -1,6 +1,8 @@
 """Autodiff core: anchor values, gradient checks, and tape behavior."""
 
 import math
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -293,6 +295,59 @@ class TestTapeAndErrors:
         with precision(np.float64):
             assert Tensor([1.0]).dtype == np.float64
         assert Tensor([1.0]).dtype == np.float32
+
+
+class TestSpentTape:
+    """``backward`` drops each node once it has run, so nothing but the caller's tensors outlives it."""
+
+    def test_second_backward_over_a_spent_tape_is_rejected(self):
+        x = Tensor([1.0], requires_grad=True)
+        with Tape() as tape:
+            loss = T.reduce_sum(T.scale(T.scale(x, 2.0), 3.0))
+        backward(loss, tape)
+        np.testing.assert_array_equal(x.grad, [6.0])
+        with pytest.raises(ContractError, match="spent tape"):
+            backward(loss, tape)
+        np.testing.assert_array_equal(x.grad, [6.0])
+        assert len(tape) == 3
+
+    @staticmethod
+    def _training_step():
+        # One default-config train-mode step: 16 rows of 22-42 tokens, Mean pooling.
+        # Only the loss and the tape leave this frame, so the caller holds no activation.
+        config = EncoderConfig(vocab_size=200)
+        weights = EncoderWeights.initialize(config, seed=3)
+        rng = np.random.default_rng(0)
+        seqs = [
+            TokenSequence(ids=[1, *rng.integers(5, config.vocab_size, size=n - 2).tolist(), 2])
+            for n in rng.integers(22, 43, size=16)
+        ]
+        with Tape() as tape:
+            loss = T.reduce_sum(pool(forward_batch(seqs, weights, np.random.default_rng(1)), PoolingStrategy.MEAN))
+        return loss, tape, weights
+
+    def test_no_node_output_outlives_backward(self):
+        loss, tape, weights = self._training_step()
+        # Reductions give numpy scalars, which take no weakref.
+        outputs = [weakref.ref(node[0].data) for node in tape._nodes if isinstance(node[0].data, np.ndarray)]
+        assert len(outputs) == len(tape) - 1
+        nodes = len(tape)
+        backward(loss, tape)
+        assert [ref for ref in outputs if ref() is not None] == []
+        assert len(tape) == nodes
+        assert all(p.grad is not None for _, p in weights.items())
+
+    def test_backward_peak_stays_near_the_end_of_the_forward(self):
+        tracemalloc.start()
+        try:
+            loss, tape, _ = self._training_step()
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            backward(loss, tape)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * start, (start, peak)
 
 
 # 4M float32 points over [-12, 12], the sweep the kernel's accuracy is stated on.
