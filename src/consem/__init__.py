@@ -64,7 +64,7 @@ from .pretrain import (
     select_fraction,
     train,
 )
-from .tensor import Tape, Tensor, backward, cosine_similarity, precision
+from .tensor import Tape, Tensor, backward, precision
 from .text import (
     ContrastiveTriple,
     DatasetStats,

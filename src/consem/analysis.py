@@ -20,7 +20,6 @@ here needs gradients.
 
 from __future__ import annotations
 
-import json
 import struct
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -37,7 +36,7 @@ from .errors import (
     ShapeError,
 )
 from .files import write_atomic
-from .text import Vocabulary, encode_pair, json_field, load_jsonl
+from .text import Vocabulary, encode_pair, json_field, load_jsonl, write_jsonl
 
 __all__ = [
     "AnalysisReport",
@@ -213,11 +212,7 @@ def save_embeddings(path: str | Path, embeddings: EmbeddingSet) -> None:
     """
     vectors = np.ascontiguousarray(embeddings.vectors, dtype="<f4")
     write_atomic(path, struct.pack("<II", *vectors.shape) + vectors.tobytes())
-    sidecar = "".join(
-        json.dumps({"id": i, "text": t}, sort_keys=True, ensure_ascii=False) + "\n"
-        for i, t in zip(embeddings.ids, embeddings.texts)
-    )
-    write_atomic(str(path) + ".jsonl", sidecar.encode("utf-8"))
+    write_jsonl(f"{path}.jsonl", ({"id": i, "text": t} for i, t in zip(embeddings.ids, embeddings.texts)))
 
 
 def load_embeddings(path: str | Path) -> EmbeddingSet:
@@ -236,9 +231,9 @@ def load_embeddings(path: str | Path) -> EmbeddingSet:
         raise FormatError(f"{sidecar_path}: sidecar metadata is missing")
     ids: list[int] = []
     texts: list[str] = []
-    for lineno, rec in load_jsonl(sidecar_path):
-        ids.append(json_field(rec, "id", f"{sidecar_path}:{lineno}", (int,)))
-        texts.append(json_field(rec, "text", f"{sidecar_path}:{lineno}"))
+    for where, rec in load_jsonl(sidecar_path):
+        ids.append(json_field(rec, "id", where, (int,)))
+        texts.append(json_field(rec, "text", where))
     if len(ids) != n:
         raise FormatError(f"{sidecar_path}: {len(ids)} sidecar rows for {n} vectors")
     return EmbeddingSet(vectors=vectors, texts=texts, ids=ids)

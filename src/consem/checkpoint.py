@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .encoder import EncoderConfig, EncoderWeights
-from .errors import FormatError, VocabularyError
+from .errors import FormatError
 from .files import write_atomic
 from .text import Vocabulary
 
@@ -49,8 +49,7 @@ class Checkpoint:
 
     def encoder_weights(self, vocab: Vocabulary) -> EncoderWeights:
         """The encoder over copies of the parameters, once ``vocab`` is checked to be the one they were built with."""
-        if self.vocab_hash != vocab.content_hash():
-            raise VocabularyError("checkpoint was built with a different vocabulary")
+        vocab.require_hash(self.vocab_hash, "checkpoint")
         return EncoderWeights.from_arrays(self.encoder_config, self.params)
 
 

@@ -39,7 +39,7 @@ from .analysis import (
 )
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import SHARED_KEYS, RunConfig, section_keys
-from .encoder import EncoderConfig, PoolingStrategy, embed_sentences
+from .encoder import EncoderConfig, EncoderWeights, PoolingStrategy, embed_sentences
 from .errors import ConfigError, ConsemError, DataError
 from .files import write_atomic, write_csv
 from .finetune import (
@@ -63,6 +63,7 @@ from .text import (
     load_triples_jsonl,
     prepare_contrastive,
     save_triples_jsonl,
+    write_jsonl,
 )
 
 __all__ = ["build_parser", "entrypoint", "main"]
@@ -112,9 +113,8 @@ def _out_dir(path) -> Path:
 
 
 def _write_artifact(path: Path, payload) -> None:
-    """Write text, or an object as indented sorted-key JSON, plus a newline, atomically."""
-    text = payload if isinstance(payload, str) else json.dumps(payload, sort_keys=True, indent=2)
-    write_atomic(path, (text + "\n").encode("utf-8"))
+    """Write an object as indented sorted-key JSON plus a newline, atomically."""
+    write_atomic(path, (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode("utf-8"))
 
 
 def _strings_in(value) -> list[str]:
@@ -127,12 +127,13 @@ def _strings_in(value) -> list[str]:
     return []
 
 
-def _pooling_for(args, ckpt) -> PoolingStrategy:
-    if args.pooling is not None:
-        return PoolingStrategy.parse(args.pooling)
-    if ckpt.pretrain_config and "pooling" in ckpt.pretrain_config:
-        return PoolingStrategy.parse(ckpt.pretrain_config["pooling"])
-    return PoolingStrategy.CLS
+def _encoder_for(args) -> tuple[EncoderWeights, Vocabulary, PoolingStrategy]:
+    """The ``--checkpoint`` encoder over ``--vocab``, and ``--pooling`` or else the pooling it was pretrained with."""
+    ckpt = load_checkpoint(args.checkpoint)
+    vocab = Vocabulary.load(args.vocab)
+    weights = ckpt.encoder_weights(vocab)
+    name = args.pooling if args.pooling is not None else (ckpt.pretrain_config or {}).get("pooling", "CLS")
+    return weights, vocab, PoolingStrategy.parse(name)
 
 
 def cmd_prepare(args: argparse.Namespace) -> int:
@@ -181,7 +182,7 @@ def _finetune_run(config: RunConfig, finetune_config, ckpt, vocab, task, train_r
     """Fine-tune, then write ``model.bin``, ``dev_metrics.json`` and ``run_config.txt`` to ``out``."""
     model, report = finetune_classifier(ckpt, task, train_records, dev_records, finetune_config, vocab)
     out = _out_dir(out)
-    save_model(model, ckpt.pretrain_config, out / "model.bin")
+    save_model(model, out / "model.bin")
     _write_artifact(out / "dev_metrics.json", report.to_dict())
     config.write(out / "run_config.txt")
     return report
@@ -225,27 +226,20 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         raise DataError(f"{args.data}: no records to evaluate")
     predictions, report = evaluate(model, vocab, records)
     out = _out_dir(args.out)
-    lines = [json.dumps(p, sort_keys=True, ensure_ascii=False) for p in predictions]
-    _write_artifact(out / "predictions.jsonl", "\n".join(lines))
+    write_jsonl(out / "predictions.jsonl", predictions)
     _write_artifact(out / "metrics.json", report.to_dict())
     print(f"evaluated {len(records)} records; accuracy {report.accuracy:.4f}")
     return 0
 
 
 def cmd_retrieve(args: argparse.Namespace) -> int:
-    ckpt = load_checkpoint(args.checkpoint)
-    vocab = Vocabulary.load(args.vocab)
-    weights = ckpt.encoder_weights(vocab)
-    pooling = _pooling_for(args, ckpt)
+    weights, vocab, pooling = _encoder_for(args)
     claims = []
-    for lineno, obj in load_jsonl(args.claims):
-        where = f"{args.claims}:{lineno}"
+    for where, obj in load_jsonl(args.claims):
         claims.append((json_field(obj, "claim", where), json_field(obj, "gold_index", where, (int,)), where))
     if not claims:
         raise DataError(f"{args.claims}: no claims found")
-    contexts = [
-        json_field(obj, "text", f"{args.contexts}:{lineno}") for lineno, obj in load_jsonl(args.contexts)
-    ]
+    contexts = [json_field(obj, "text", where) for where, obj in load_jsonl(args.contexts)]
     if not contexts:
         raise DataError(f"{args.contexts}: no candidate contexts found")
     for _, gold, where in claims:
@@ -270,10 +264,7 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
 def cmd_analyze(args: argparse.Namespace) -> int:
     if (args.attention_a is None) != (args.attention_b is None):
         raise ConfigError("--attention-a and --attention-b must be given together")
-    ckpt = load_checkpoint(args.checkpoint)
-    vocab = Vocabulary.load(args.vocab)
-    weights = ckpt.encoder_weights(vocab)
-    pooling = _pooling_for(args, ckpt)
+    weights, vocab, pooling = _encoder_for(args)
     examples = load_nli_jsonl(args.pairs)
     for label in ("entailment", "contradiction"):
         if not any(ex.label == label for ex in examples):

@@ -117,43 +117,36 @@ class EncoderConfig:
         return self.hidden_size // self.num_heads
 
 
+def _parameter_table(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
+    """Each parameter's shape, in the canonical order that serialization writes weight blobs in."""
+    d, f = config.hidden_size, config.ff_size
+    block = {
+        "attn.wq": (d, d), "attn.bq": (d,), "attn.wk": (d, d), "attn.bk": (d,),
+        "attn.wv": (d, d), "attn.bv": (d,), "attn.wo": (d, d), "attn.bo": (d,),
+        "ln1.gain": (d,), "ln1.bias": (d,),
+        "ff.w1": (d, f), "ff.b1": (f,), "ff.w2": (f, d), "ff.b2": (d,),
+        "ln2.gain": (d,), "ln2.bias": (d,),
+    }
+    table = {"tok_emb": (config.vocab_size, d), "pos_emb": (config.max_len, d)}
+    for i in range(config.num_layers):
+        table.update({f"layer{i}.{leaf}": shape for leaf, shape in block.items()})
+    return table
+
+
 def parameter_names(config: EncoderConfig) -> list[str]:
     """Canonical parameter order; serialization writes weight blobs in this order."""
-    names = ["tok_emb", "pos_emb"]
-    for i in range(config.num_layers):
-        prefix = f"layer{i}"
-        names += [f"{prefix}.attn.{n}" for n in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")]
-        names += [f"{prefix}.ln1.gain", f"{prefix}.ln1.bias"]
-        names += [f"{prefix}.ff.w1", f"{prefix}.ff.b1", f"{prefix}.ff.w2", f"{prefix}.ff.b2"]
-        names += [f"{prefix}.ln2.gain", f"{prefix}.ln2.bias"]
-    return names
-
-
-def _parameter_shape(name: str, config: EncoderConfig) -> tuple[int, ...]:
-    d, f = config.hidden_size, config.ff_size
-    if name == "tok_emb":
-        return (config.vocab_size, d)
-    if name == "pos_emb":
-        return (config.max_len, d)
-    leaf = name.split(".", 1)[1]
-    shapes = {
-        "attn.wq": (d, d), "attn.wk": (d, d), "attn.wv": (d, d), "attn.wo": (d, d),
-        "attn.bq": (d,), "attn.bk": (d,), "attn.bv": (d,), "attn.bo": (d,),
-        "ln1.gain": (d,), "ln1.bias": (d,), "ln2.gain": (d,), "ln2.bias": (d,),
-        "ff.w1": (d, f), "ff.b1": (f,), "ff.w2": (f, d), "ff.b2": (d,),
-    }
-    return shapes[leaf]
+    return list(_parameter_table(config))
 
 
 class EncoderWeights:
     """Named parameter tensors in the canonical order for one encoder."""
 
     def __init__(self, config: EncoderConfig, params: dict[str, Tensor]):
-        expected = parameter_names(config)
-        if list(params) != expected:
+        table = _parameter_table(config)
+        if list(params) != list(table):
             raise ShapeError("parameter names or order do not match the encoder configuration")
         for name, p in params.items():
-            want = _parameter_shape(name, config)
+            want = table[name]
             if p.data.shape != want:
                 raise ShapeError(f"parameter {name!r} has shape {p.data.shape}, expected {want}")
         self.config = config
@@ -164,8 +157,7 @@ class EncoderWeights:
         """Draw matrices and embeddings from N(0, 0.02^2); zero biases; unit gains."""
         rng = np.random.default_rng(seed)
         params: dict[str, Tensor] = {}
-        for name in parameter_names(config):
-            shape = _parameter_shape(name, config)
+        for name, shape in _parameter_table(config).items():
             if name.endswith((".gain",)):
                 data = np.ones(shape)
             elif len(shape) == 1:

@@ -33,8 +33,8 @@ import numpy as np
 
 from . import tensor as T
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
-from .encoder import EncoderConfig, EncoderWeights, cls_slots, eval_rows, forward_batch
-from .errors import ConfigError, DataError, FormatError, ShapeError, VocabularyError
+from .encoder import INIT_STD, EncoderConfig, EncoderWeights, cls_slots, eval_rows, forward_batch
+from .errors import ConfigError, DataError, FormatError, ShapeError
 from .metrics import ConfusionMatrix, MetricsReport, accuracy, macro_f1, mrc_accuracy
 from .optim import QUIET_FLOAT_ERRORS, AdamW, TrainingConfig, train_epochs
 from .tensor import Tensor
@@ -111,8 +111,7 @@ def load_task_records(path: str | Path, task: TaskSpec) -> list[dict]:
     A label may be a JSON string or integer; an integer becomes its decimal string.
     """
     records: list[dict] = []
-    for lineno, obj in load_jsonl(path):
-        where = f"{path}:{lineno}"
+    for where, obj in load_jsonl(path):
         if task.kind is TaskKind.MRC:
             record = {key: json_field(obj, key, where) for key in ("context", "question")}
             choices = json_field(obj, "choices", where, (list,))
@@ -149,6 +148,9 @@ class FinetunedModel:
 
     Its parameter mapping, which ``model.bin`` stores, is the encoder's in
     ``parameter_names`` order, then ``head.weight`` and ``head.bias``.
+    ``model.bin`` also keeps ``pretrain_config``, the settings of the
+    pretraining run the encoder came from, whose pooling ``analyze`` and
+    ``retrieve`` read.
     """
 
     weights: EncoderWeights
@@ -157,9 +159,11 @@ class FinetunedModel:
     labels: list[str]
     kind: TaskKind
     vocab_hash: str
+    pretrain_config: dict | None
 
     @classmethod
-    def from_arrays(cls, config: EncoderConfig, arrays: dict, labels: list[str], kind: TaskKind, vocab_hash: str):
+    def from_arrays(cls, config: EncoderConfig, arrays: dict, labels: list[str], kind: TaskKind, vocab_hash: str,
+                    pretrain_config: dict | None):
         """A model over copies of ``arrays``, so training never writes back into them.
 
         The head must have one column per label: ``head.weight`` is
@@ -172,7 +176,7 @@ class FinetunedModel:
                 )
         head = lambda name: Tensor(np.array(arrays[name], copy=True), requires_grad=True)
         return cls(EncoderWeights.from_arrays(config, arrays), head("head.weight"), head("head.bias"), labels, kind,
-                   vocab_hash)
+                   vocab_hash, pretrain_config)
 
     def parameters(self) -> dict[str, Tensor]:
         """The parameter mapping over the model's own tensors, which training updates in place."""
@@ -208,11 +212,6 @@ def _logits(model: FinetunedModel, seqs, rng: np.random.Generator | None = None)
 def _predict_probs(model: FinetunedModel, seqs) -> np.ndarray:
     """Eval-mode label probabilities, an (n, labels) float32 array in input order, batched by ``eval_rows``."""
     return eval_rows(seqs, len(model.labels), lambda batch: T.softmax(_logits(model, batch), axis=1).data)
-
-
-def _check_vocabulary(model: FinetunedModel, vocab: Vocabulary) -> None:
-    if model.vocab_hash != vocab.content_hash():
-        raise VocabularyError("model was built with a different vocabulary")
 
 
 @np.errstate(**QUIET_FLOAT_ERRORS)
@@ -258,9 +257,10 @@ def finetune_classifier(
         _gold_indices(dev_records, labels)
 
     head_rng = np.random.default_rng([config.seed, _STREAM_HEAD_INIT])
-    head_weight = Tensor(head_rng.normal(0.0, 0.02, size=(encoder_config.hidden_size, len(labels))), requires_grad=True)
+    head_weight = Tensor(head_rng.normal(0.0, INIT_STD, (encoder_config.hidden_size, len(labels))), requires_grad=True)
     head_bias = Tensor(np.zeros(len(labels)), requires_grad=True)
-    model = FinetunedModel(weights, head_weight, head_bias, labels, task.kind, checkpoint.vocab_hash)
+    provenance = (checkpoint.vocab_hash, checkpoint.pretrain_config)
+    model = FinetunedModel(weights, head_weight, head_bias, labels, task.kind, *provenance)
     optimizer = AdamW(model.parameters(), learning_rate=config.learning_rate, weight_decay=config.weight_decay)
 
     def batch_loss(rows: np.ndarray, rng: np.random.Generator, epoch: int) -> Tensor:
@@ -276,7 +276,7 @@ def finetune_classifier(
 
     assert best is not None
     _, arrays, report = best
-    return FinetunedModel.from_arrays(encoder_config, arrays, labels, task.kind, checkpoint.vocab_hash), report
+    return FinetunedModel.from_arrays(encoder_config, arrays, labels, task.kind, *provenance), report
 
 
 def evaluate(model: FinetunedModel, vocab: Vocabulary, records: Sequence[dict]) -> tuple[list[dict], MetricsReport]:
@@ -290,7 +290,7 @@ def evaluate_classifier(
     model: FinetunedModel, vocab: Vocabulary, records: Sequence[dict]
 ) -> tuple[list[dict], MetricsReport]:
     """Predict labels for pair or single records; returns predictions and metrics."""
-    _check_vocabulary(model, vocab)
+    vocab.require_hash(model.vocab_hash, "model")
     seqs = [_encode_record(r, model.kind, vocab, model.weights.config.max_len) for r in records]
     gold = _gold_indices(records, model.labels)
     probs = _predict_probs(model, seqs)
@@ -317,7 +317,7 @@ def mrc_scores(model: FinetunedModel, vocab: Vocabulary, records: Sequence[dict]
     call, so the length-sorted batches mix questions, and equal choices
     tie exactly.
     """
-    _check_vocabulary(model, vocab)
+    vocab.require_hash(model.vocab_hash, "model")
     if ENTAILMENT_LABEL not in model.labels:
         raise ConfigError("model has no entailment class to score choices with")
     if any(not rec["choices"] for rec in records):
@@ -361,11 +361,11 @@ def evaluate_mrc(
     return predictions, report
 
 
-def save_model(model: FinetunedModel, pretrain_config: dict | None, path: str | Path) -> None:
-    """Serialize a fine-tuned model in the checkpoint container format."""
+def save_model(model: FinetunedModel, path: str | Path) -> None:
+    """Serialize a fine-tuned model, its pretraining configuration included, in the checkpoint container format."""
     ckpt = Checkpoint(
         encoder_config=model.weights.config,
-        pretrain_config=pretrain_config,
+        pretrain_config=model.pretrain_config,
         vocab_hash=model.vocab_hash,
         step=0,
         params=model.to_arrays(),
@@ -391,4 +391,6 @@ def load_model(path: str | Path) -> FinetunedModel:
     ):
         if not ok:
             raise FormatError(f"{path}: extra field {key!r} must be {want}, got {ckpt.extra[key]!r}")
-    return FinetunedModel.from_arrays(ckpt.encoder_config, ckpt.params, labels, TaskKind(task), ckpt.vocab_hash)
+    return FinetunedModel.from_arrays(
+        ckpt.encoder_config, ckpt.params, labels, TaskKind(task), ckpt.vocab_hash, ckpt.pretrain_config
+    )

@@ -42,6 +42,7 @@ __all__ = [
     "load_triples_jsonl",
     "prepare_contrastive",
     "save_triples_jsonl",
+    "write_jsonl",
 ]
 
 PAD_TOKEN = "[PAD]"
@@ -93,6 +94,11 @@ class Vocabulary:
         """SHA-256 of the serialized token list; stored in checkpoints."""
         payload = "\n".join(self.tokens).encode("utf-8")
         return hashlib.sha256(payload).hexdigest()
+
+    def require_hash(self, vocab_hash: str, what: str) -> None:
+        """Raise VocabularyError unless ``vocab_hash``, the hash ``what`` was built with, is this vocabulary's."""
+        if vocab_hash != self.content_hash():
+            raise VocabularyError(f"{what} was built with a different vocabulary")
 
     def save(self, path: str | Path) -> None:
         write_atomic(path, ("\n".join(self.tokens) + "\n").encode("utf-8"))
@@ -285,24 +291,31 @@ def leakage_guard(
     return violations
 
 
-def load_jsonl(path: str | Path) -> list[tuple[int, dict]]:
-    """(line number, object) for every non-blank line; each must hold a JSON object.
+def load_jsonl(path: str | Path) -> list[tuple[str, dict]]:
+    """(``<path>:<line>``, object) for every non-blank line; each must hold a JSON object.
 
     Lines end at a newline only: U+2028, U+2029 and U+0085 may sit raw in a
-    JSON string, as ``json.dumps(..., ensure_ascii=False)`` writes them.
+    JSON string, as :func:`write_jsonl` writes them.
     """
     rows = []
     for lineno, raw in enumerate(read_utf8(path, DataError).split("\n"), start=1):
         if not raw.strip():
             continue
+        where = f"{path}:{lineno}"
         try:
             obj = json.loads(raw)
         except json.JSONDecodeError as exc:
-            raise DataError(f"{path}:{lineno}: malformed JSON ({exc.msg})") from exc
+            raise DataError(f"{where}: malformed JSON ({exc.msg})") from exc
         if not isinstance(obj, dict):
-            raise DataError(f"{path}:{lineno}: expected a JSON object")
-        rows.append((lineno, obj))
+            raise DataError(f"{where}: expected a JSON object")
+        rows.append((where, obj))
     return rows
+
+
+def write_jsonl(path: str | Path, rows: Iterable[dict]) -> None:
+    """Write each row as one sorted-key JSON object, non-ASCII kept raw, plus a newline, atomically."""
+    text = "".join(json.dumps(row, sort_keys=True, ensure_ascii=False) + "\n" for row in rows)
+    write_atomic(path, text.encode("utf-8"))
 
 
 _JSON_TYPES = {
@@ -358,8 +371,7 @@ def load_nli_jsonl(path: str | Path) -> list[NliExample]:
     :func:`load_triples_jsonl` applies to the triples mined from them.
     """
     examples: list[NliExample] = []
-    for lineno, record in load_jsonl(path):
-        where = f"{path}:{lineno}"
+    for where, record in load_jsonl(path):
         premise = json_field(record, "premise", where, nonblank=True)
         hypothesis = json_field(record, "hypothesis", where, nonblank=True)
         label = json_field(record, "label", where)
@@ -372,22 +384,13 @@ def load_nli_jsonl(path: str | Path) -> list[NliExample]:
 
 
 def save_triples_jsonl(triples: Sequence[ContrastiveTriple], path: str | Path) -> None:
-    lines = [
-        json.dumps(
-            {"sentence1": t.sentence1, "sentence2": t.sentence2, "hard_neg": t.hard_neg},
-            sort_keys=True,
-            ensure_ascii=False,
-        )
-        for t in triples
-    ]
-    write_atomic(path, "".join(line + "\n" for line in lines).encode("utf-8"))
+    write_jsonl(path, (asdict(t) for t in triples))
 
 
 def load_triples_jsonl(path: str | Path) -> list[ContrastiveTriple]:
     """Read training triples, validating that every field is a non-empty string."""
     triples: list[ContrastiveTriple] = []
-    for lineno, record in load_jsonl(path):
-        where = f"{path}:{lineno}"
+    for where, record in load_jsonl(path):
         triple = ContrastiveTriple(
             *(json_field(record, key, where, nonblank=True) for key in ("sentence1", "sentence2", "hard_neg"))
         )

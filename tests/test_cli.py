@@ -386,7 +386,8 @@ class TestRetrieve:
             argv = ["analyze", "--checkpoint", str(workspace.checkpoint), "--vocab", str(workspace.vocab),
                     "--pairs", str(workspace.nli), "--out", str(tmp_path / "out")]
         assert main(argv + ["--pooling", pooling]) == 1
-        assert capsys.readouterr().err.startswith(f"error: unknown pooling strategy {pooling!r}; expected one of")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: unknown pooling strategy {pooling!r}; expected one of") and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("content", ["", "\n  \n"], ids=["empty", "blank-lines"])
@@ -557,10 +558,11 @@ def task_models(workspace):
         head = {"head.weight": np.zeros((ckpt.encoder_config.hidden_size, len(names))),
                 "head.bias": np.zeros(len(names))}
         model = FinetunedModel.from_arrays(
-            ckpt.encoder_config, {**ckpt.params, **head}, list(names), TaskKind.parse(kind), ckpt.vocab_hash
+            ckpt.encoder_config, {**ckpt.params, **head}, list(names), TaskKind.parse(kind), ckpt.vocab_hash,
+            ckpt.pretrain_config,
         )
         paths[kind] = workspace.root / f"{kind}-model.bin"
-        save_model(model, ckpt.pretrain_config, paths[kind])
+        save_model(model, paths[kind])
     return paths
 
 

@@ -84,6 +84,21 @@ class TestWeights:
         assert weights["pos_emb"].shape == (5, 8)
         assert weights["layer1.ff.w1"].shape == (8, 12)
 
+    def test_one_layer_parameter_table_is_pinned(self):
+        # Checkpoint blobs follow this order, so it is part of the file format.
+        config = EncoderConfig(vocab_size=7, num_layers=1, num_heads=1, hidden_size=4, ff_size=6, max_len=5)
+        expected = [
+            ("tok_emb", (7, 4)), ("pos_emb", (5, 4)),
+            ("layer0.attn.wq", (4, 4)), ("layer0.attn.bq", (4,)), ("layer0.attn.wk", (4, 4)), ("layer0.attn.bk", (4,)),
+            ("layer0.attn.wv", (4, 4)), ("layer0.attn.bv", (4,)), ("layer0.attn.wo", (4, 4)), ("layer0.attn.bo", (4,)),
+            ("layer0.ln1.gain", (4,)), ("layer0.ln1.bias", (4,)),
+            ("layer0.ff.w1", (4, 6)), ("layer0.ff.b1", (6,)), ("layer0.ff.w2", (6, 4)), ("layer0.ff.b2", (4,)),
+            ("layer0.ln2.gain", (4,)), ("layer0.ln2.bias", (4,)),
+        ]
+        assert parameter_names(config) == [name for name, _ in expected]
+        weights = EncoderWeights.initialize(config, seed=0)
+        assert [(name, p.shape) for name, p in weights.items()] == expected
+
     def test_initialization_statistics(self):
         config = EncoderConfig(vocab_size=50, num_layers=2, num_heads=4, hidden_size=32, ff_size=64, max_len=8)
         weights = EncoderWeights.initialize(config, seed=1)
@@ -613,7 +628,9 @@ class TestFusedOps:
         gold = rng.integers(0, 3, size=len(seqs))
 
         labels = ["a", "b", "c"]
-        model = finetune_module.FinetunedModel(weights, head_w, head_b, labels, finetune_module.TaskKind.PAIR, "")
+        model = finetune_module.FinetunedModel(
+            weights, head_w, head_b, labels, finetune_module.TaskKind.PAIR, "", None
+        )
 
         def fused():
             # dropout is 0, so the eval-mode forward is the train-mode one.

@@ -313,7 +313,7 @@ class TestMrc:
         arrays = {name: a + rng.normal(0.0, 0.3, a.shape) for name, a in
                   EncoderWeights.initialize(config, seed=0).to_arrays().items()}
         arrays.update({"head.weight": rng.normal(0.0, 1.0, (16, 2)), "head.bias": np.zeros(2)})
-        model = FinetunedModel.from_arrays(config, arrays, list(MRC_LABELS), TaskKind.MRC, vocab.content_hash())
+        model = FinetunedModel.from_arrays(config, arrays, list(MRC_LABELS), TaskKind.MRC, vocab.content_hash(), None)
         question = "which place appears"
         records = [
             {"context": "the river", "question": "which", "choices": ["glows"] * 20, "answer_index": 0},
@@ -373,7 +373,7 @@ class TestMrc:
         arrays = {n: ckpt.params[n] for n in parameter_names(ckpt.encoder_config)}
         arrays.update({"head.weight": np.zeros((ckpt.encoder_config.hidden_size, 2)), "head.bias": np.zeros(2)})
         model = FinetunedModel.from_arrays(
-            ckpt.encoder_config, arrays, ["negative", "positive"], TaskKind.PAIR, ckpt.vocab_hash
+            ckpt.encoder_config, arrays, ["negative", "positive"], TaskKind.PAIR, ckpt.vocab_hash, ckpt.pretrain_config
         )
         with pytest.raises(ConfigError, match="entailment"):
             mrc_scores(model, vocab, [{"context": "a river", "question": "which ?", "choices": ["the river"]}])
@@ -479,14 +479,16 @@ class TestHeadShape:
         d = ckpt.encoder_config.hidden_size
         arrays = {**ckpt.params, "head.weight": np.zeros((d, weight_cols)), "head.bias": np.zeros(bias_len)}
         with pytest.raises(ShapeError, match="head"):
-            FinetunedModel.from_arrays(ckpt.encoder_config, arrays, ["a", "b"], TaskKind.PAIR, ckpt.vocab_hash)
+            FinetunedModel.from_arrays(
+                ckpt.encoder_config, arrays, ["a", "b"], TaskKind.PAIR, ckpt.vocab_hash, ckpt.pretrain_config
+            )
 
 
 class TestSaveLoad:
     def test_round_trip_preserves_predictions(self, pair_run, tmp_path):
         model, _, _, dev, vocab = pair_run
         path = tmp_path / "model.bin"
-        save_model(model, {"tau": 0.05}, path)
+        save_model(model, path)
         loaded = load_model(path)
         assert loaded.labels == model.labels
         assert loaded.kind is model.kind
@@ -496,10 +498,14 @@ class TestSaveLoad:
         after, _ = evaluate_classifier(loaded, vocab, dev)
         assert [p["pred"] for p in before] == [p["pred"] for p in after]
 
-    def test_save_load_save_is_byte_identical(self, pair_run, tmp_path):
+    def test_save_load_save_is_byte_identical(self, pair_run, micro_checkpoint, tmp_path):
+        # The model file keeps the pretraining configuration, so a resave needs nothing more.
         model = pair_run[0]
-        save_model(model, {"tau": 0.05}, tmp_path / "a.bin")
-        save_model(load_model(tmp_path / "a.bin"), {"tau": 0.05}, tmp_path / "b.bin")
+        save_model(model, tmp_path / "a.bin")
+        loaded = load_model(tmp_path / "a.bin")
+        assert loaded.pretrain_config == micro_checkpoint[0].pretrain_config
+        assert loaded.pretrain_config["pooling"] == "CLS"
+        save_model(loaded, tmp_path / "b.bin")
         assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
 
     @pytest.mark.parametrize(
@@ -510,7 +516,7 @@ class TestSaveLoad:
     )
     def test_extra_fields_are_checked_not_coerced(self, pair_run, tmp_path, field, value):
         model = pair_run[0]
-        save_model(model, {"tau": 0.05}, tmp_path / "model.bin")
+        save_model(model, tmp_path / "model.bin")
         ckpt = load_checkpoint(tmp_path / "model.bin")
         ckpt.extra[field] = value
         save_checkpoint(ckpt, tmp_path / "edited.bin")

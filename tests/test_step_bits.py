@@ -39,7 +39,7 @@ def _pretrain_and_finetune(out):
         ckpt, TaskSpec(TaskKind.PAIR), train_records, dev_records,
         FinetuneConfig(batch_size=8, epochs=2, learning_rate=2e-3, seed=17), vocab,
     )
-    save_model(model, ckpt.pretrain_config, out / "model.bin")
+    save_model(model, out / "model.bin")
     return (out / "checkpoint.bin").read_bytes(), (out / "model.bin").read_bytes()
 
 

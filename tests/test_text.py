@@ -1,6 +1,7 @@
 """Tokenization, vocabulary construction, and triple mining."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -21,11 +22,13 @@ from consem.text import (
     encode_single,
     json_field,
     leakage_guard,
+    load_jsonl,
     load_nli_jsonl,
     load_triples_jsonl,
     prepare_contrastive,
     save_triples_jsonl,
     split_text,
+    write_jsonl,
 )
 
 
@@ -317,6 +320,21 @@ class TestJsonlIO:
         path.write_text('{"premise": "p", "hypothesis": "h", "label": "maybe"}\n')
         with pytest.raises(DataError, match=":1:.*maybe"):
             load_nli_jsonl(path)
+
+    def test_write_jsonl_round_trips_raw_text(self, tmp_path):
+        # U+2028 is a line break to str.splitlines but legal raw inside a JSON string.
+        rows = [{"text": "sông Hồng\u2028chảy", "id": 0}, {"b": ["é", "\u2029"], "a": None}]
+        path = tmp_path / "f.jsonl"
+        write_jsonl(path, rows)
+        expected = "".join(json.dumps(row, sort_keys=True, ensure_ascii=False) + "\n" for row in rows)
+        assert path.read_bytes() == expected.encode("utf-8")
+        assert "\u2028" in path.read_text(encoding="utf-8")
+        assert load_jsonl(path) == [(f"{path}:1", rows[0]), (f"{path}:2", rows[1])]
+
+    def test_where_counts_blank_lines(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        Path("f.jsonl").write_text('{"a": 1}\n\n{"a": 2}\n', encoding="utf-8")
+        assert load_jsonl("f.jsonl") == [("f.jsonl:1", {"a": 1}), ("f.jsonl:3", {"a": 2})]
 
     def test_triples_round_trip(self, tmp_path):
         triples = [ContrastiveTriple("a", "b", "c"), ContrastiveTriple("d", "e", "f")]
