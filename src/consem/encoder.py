@@ -36,11 +36,25 @@ rows.  A row may differ from the one an input-order batch would give by
 about 2e-7, the float noise of a different padded width; a call that
 fits in one batch is unchanged.  Training batches are never reordered:
 in-batch negatives depend on a batch's members.
+
+``eval_rows`` spreads its batches over the usable CPUs (the process's
+CPU affinity, so ``taskset`` limits them): one process per CPU, at most
+two, and never more than one per batch, forked for the call.  It does
+so only where the environment holds BLAS to one thread
+(``OPENBLAS_NUM_THREADS=1`` or ``OMP_NUM_THREADS=1``, say), since a BLAS
+with a thread per CPU in each process crowds the CPUs.  A batch keeps
+its members and its padded shape whichever process runs it, so the
+bytes do not depend on the number of processes.  Otherwise, and where
+``os.fork`` or ``os.sched_getaffinity`` is missing, the batches run one
+after another.
 """
 
 from __future__ import annotations
 
 import enum
+import gc
+import os
+import pickle
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -373,6 +387,133 @@ def pool(outputs: LayerOutputs, strategy: PoolingStrategy) -> Tensor:
     raise ConfigError(f"unhandled pooling strategy {strategy!r}")
 
 
+# The most processes one eval call runs in.  Speed and memory were measured
+# for 2 only (a 2-CPU host); more waits for a measurement on a larger host.
+_MAX_EVAL_WORKERS = 2
+# The variables OpenBLAS, MKL and OpenMP read their thread count from.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _one_blas_thread() -> bool:
+    """Whether the environment holds BLAS to one thread per process.
+
+    A BLAS left to its default runs a thread per CPU in every process, so
+    forked workers would crowd the CPUs: 2 workers on 2 CPUs ran a
+    ``retrieve`` in 1.5 to 6.1 s against 1.7 to 2.2 s for one process.
+    """
+    values = [os.environ[name].strip() for name in _BLAS_THREAD_VARS if name in os.environ]
+    return bool(values) and all(value == "1" for value in values)
+
+
+def _eval_workers(batches: int) -> int:
+    """Processes to run ``batches`` eval batches in: the usable CPUs, at most
+    :data:`_MAX_EVAL_WORKERS` and at most one per batch, where ``fork`` and
+    ``sched_getaffinity`` exist and BLAS runs one thread; otherwise 1."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity") or not _one_blas_thread():
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), _MAX_EVAL_WORKERS, batches))
+
+
+def _share(batches: list, run: Callable, worker: int, workers: int) -> tuple[list, tuple | None]:
+    """``run``'s rows for batches ``worker``, ``worker + workers``, ..., up to the first that raises.
+
+    Returns those rows and, if a batch raised, ``(its index, the exception)``.
+    """
+    rows = []
+    for i in range(worker, len(batches), workers):
+        try:
+            rows.append(run(batches[i]))
+        except Exception as exc:
+            return rows, (i, exc)
+    return rows, None
+
+
+def _pickled_share(share: tuple[list, tuple | None]) -> bytes:
+    """``share`` pickled; an exception that does not survive a pickle round
+    trip travels as a ``RuntimeError`` carrying its repr."""
+    rows, error = share
+    if error is not None:
+        index, exc = error
+        try:
+            pickle.loads(pickle.dumps(exc))
+        except Exception:
+            error = index, RuntimeError(repr(exc))
+    return pickle.dumps((rows, error))
+
+
+def _fork_worker(batches: list, run: Callable, worker: int, workers: int, readers: list) -> tuple | None:
+    """``(pid, read end)`` of a child forked to send worker ``worker``'s
+    share, or None if no pipe or process could be made."""
+    try:
+        read_fd, write_fd = os.pipe()
+    except OSError:
+        return None
+    reader = os.fdopen(read_fd, "rb")
+    try:
+        pid = os.fork()
+    except OSError:
+        reader.close()
+        os.close(write_fd)
+        return None
+    if pid == 0:
+        try:
+            # Parent objects stay out of the child's collections: no
+            # copy-on-write from traversing them, no finalizer of the
+            # parent's garbage running here.
+            gc.freeze()
+            # Only the caller may hold a read end, or closing it would
+            # not stop a writer blocked on a full pipe.
+            for other in (*readers, reader):
+                other.close()
+            share = _share(batches, run, worker, workers)
+            with os.fdopen(write_fd, "wb") as pipe:
+                pipe.write(_pickled_share(share))
+        finally:
+            os._exit(0)
+    os.close(write_fd)
+    return pid, reader
+
+
+def _run_batches(batches: list, run: Callable) -> list[np.ndarray]:
+    """``run(batch)`` for every batch, in batch order, over :func:`_eval_workers` processes.
+
+    The caller is worker 0; workers 1.. are children forked for this call,
+    so they inherit ``run`` and only their rows are pickled, back through
+    a pipe each.  Worker ``w`` runs batches ``w, w + workers, ...``; the
+    caller also runs the share of every worker it could not fork.  An
+    error is the one the serial loop raises: that of the first failing
+    batch.  Every pipe is read, or closed, before its child is reaped, so
+    a child blocked on a full pipe cannot hang the caller, and no child
+    outlives the call.
+    """
+    workers = _eval_workers(len(batches))
+    if workers == 1:
+        return [run(batch) for batch in batches]
+    children: list[tuple[int, object]] = []
+    shares: list = [None] * workers
+    try:
+        for worker in range(1, workers):
+            child = _fork_worker(batches, run, worker, workers, [reader for _, reader in children])
+            if child is None:
+                break
+            children.append(child)
+        for worker in (0, *range(len(children) + 1, workers)):
+            shares[worker] = _share(batches, run, worker, workers)
+        for worker, (pid, reader) in enumerate(children, start=1):
+            try:
+                shares[worker] = pickle.load(reader)
+            except (EOFError, pickle.UnpicklingError):
+                raise ChildProcessError(f"eval worker {pid} exited before sending its rows") from None
+    finally:
+        for pid, reader in children:
+            reader.close()
+            os.waitpid(pid, 0)
+    errors = [error for _, error in shares if error is not None]
+    if errors:
+        raise min(errors, key=lambda error: error[0])[1]
+    return [shares[i % workers][0][i // workers] for i in range(len(batches))]
+
+
 def eval_rows(
     seqs: Sequence[TokenSequence], width: int, run: Callable[[list[TokenSequence]], np.ndarray]
 ) -> np.ndarray:
@@ -385,7 +526,9 @@ def eval_rows(
     earlier one.  Within a batch they keep their input order: a batch's
     padding depends only on its members, and a call whose sequences fit
     in one batch runs them unchanged.  ``run(batch)`` returns one
-    (len(batch), width) row per sequence.
+    (len(batch), width) row per sequence.  The batches may run in
+    processes forked for the call (see the module docstring), so ``run``
+    must not rely on side effects in the caller's process.
     """
     if EVAL_BATCH < 1:
         raise ConfigError(f"eval batch_size must be >= 1, got {EVAL_BATCH}")
@@ -396,9 +539,9 @@ def eval_rows(
     distinct = list(unique.values())
     out = np.zeros((len(distinct), width), dtype=np.float32)
     order = np.argsort([s.length for s in distinct], kind="stable")
-    for start in range(0, len(order), EVAL_BATCH):
-        batch = np.sort(order[start : start + EVAL_BATCH])
-        out[batch] = run([distinct[i] for i in batch])
+    batches = [np.sort(order[start : start + EVAL_BATCH]) for start in range(0, len(order), EVAL_BATCH)]
+    for batch, rows in zip(batches, _run_batches([[distinct[i] for i in b] for b in batches], run)):
+        out[batch] = rows
     return out[[row[tuple(seq.ids)] for seq in seqs]]
 
 

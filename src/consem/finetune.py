@@ -170,6 +170,8 @@ class FinetunedModel:
         (hidden_size, len(labels)) and ``head.bias`` is (len(labels),).
         """
         for name, want in (("head.weight", (config.hidden_size, len(labels))), ("head.bias", (len(labels),))):
+            if name not in arrays:
+                raise ShapeError(f"parameter {name!r} is missing")
             if np.shape(arrays[name]) != want:
                 raise ShapeError(
                     f"parameter {name!r} has shape {np.shape(arrays[name])}, expected {want} for {len(labels)} labels"

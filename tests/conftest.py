@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from consem import encoder as encoder_module
 from consem.encoder import EVAL_BATCH, EncoderConfig
 from consem.tensor import Tape, Tensor, backward, precision
 from consem.text import ContrastiveTriple, NliExample, build_vocab
@@ -238,6 +239,17 @@ def check_gradients(fn, tensors: list[Tensor], h: float = 1e-3) -> float:
     analytic = [np.array(t.grad if t.grad is not None else np.zeros_like(t.data)) for t in tensors]
     numeric = central_difference(fn, tensors, h=h)
     return max(relative_error(a, n) for a, n in zip(analytic, numeric))
+
+
+def force_eval_workers(monkeypatch, workers: int) -> None:
+    """Spread every ``eval_rows`` call over ``workers`` processes, whatever the CPUs and batches."""
+    monkeypatch.setattr(encoder_module, "_eval_workers", lambda batches: workers)
+
+
+@pytest.fixture()
+def one_eval_worker(monkeypatch):
+    """``eval_rows`` batches in the test's own process, for tests that read ``run``'s side effects."""
+    force_eval_workers(monkeypatch, 1)
 
 
 @pytest.fixture()

@@ -19,12 +19,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_pair_task, make_single_task, make_topic_nli
+from conftest import force_eval_workers, make_pair_task, make_single_task, make_topic_nli
 
+from consem import encoder as encoder_module
 from consem.checkpoint import load_checkpoint, save_checkpoint
 from consem.cli import SWEEP_GRIDS, main
 from consem.config import SHARED_KEYS, RunConfig, section_keys
-from consem.encoder import EncoderConfig, EncoderWeights, PoolingStrategy, embed_sentences
+from consem.encoder import EVAL_BATCH, EncoderConfig, EncoderWeights, PoolingStrategy, embed_sentences, forward_batch
+from consem.errors import ContractError
 from consem.finetune import MRC_LABELS, FinetuneConfig, FinetunedModel, TaskKind, load_model, save_model
 from consem.pretrain import LOSS_CSV_HEADER, PretrainConfig
 from consem.text import Vocabulary, build_vocab, load_triples_jsonl
@@ -673,6 +675,41 @@ def test_import_loads_no_scipy():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+def test_import_loads_no_process_pool():
+    # eval_rows forks with os alone; a pool module would add to every command's start-up.
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, consem; print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])"
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
+def test_error_in_a_forked_eval_batch_is_one_error_line(workspace, tmp_path, capsys, monkeypatch):
+    triples = load_triples_jsonl(workspace.triples)
+    contexts = sorted({t for tr in triples for t in (tr.sentence1, tr.sentence2, tr.hard_neg)})
+    assert len(contexts) > 2 * EVAL_BATCH
+    _write_jsonl(tmp_path / "contexts.jsonl", [{"text": t} for t in contexts])
+    _write_jsonl(tmp_path / "claims.jsonl", [{"claim": contexts[0], "gold_index": 0}])
+    caller = os.getpid()
+
+    def forward_failing_in_a_child(seqs, *args, **kwargs):
+        if os.getpid() != caller:
+            raise ContractError("a worker's batch failed")
+        return forward_batch(seqs, *args, **kwargs)
+
+    monkeypatch.setattr(encoder_module, "forward_batch", forward_failing_in_a_child)
+    force_eval_workers(monkeypatch, 2)
+    rc = main(["retrieve", "--checkpoint", str(workspace.checkpoint), "--vocab", str(workspace.vocab),
+               "--claims", str(tmp_path / "claims.jsonl"), "--contexts", str(tmp_path / "contexts.jsonl"),
+               "--out", str(tmp_path / "ret")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: a worker's batch failed\n"
+    assert not (tmp_path / "ret" / "retrieval.json").exists()
 
 
 _NLI_TEXTS = st.one_of(st.sampled_from(["the river", "a glacier"]), st.text(alphabet=" \t\u2028ab.", max_size=3))

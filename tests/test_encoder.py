@@ -1,5 +1,8 @@
 """Encoder forward pass, attention masking, and pooling strategies."""
 
+import errno
+import os
+import signal
 from dataclasses import fields, replace
 
 import numpy as np
@@ -11,6 +14,7 @@ from conftest import (
     analytic_gradients,
     boundary_twin_texts,
     fd_at,
+    force_eval_workers,
     relative_error,
     topic_sentence,
 )
@@ -35,7 +39,7 @@ from consem.encoder import (
     pool,
     slot_states,
 )
-from consem.errors import ConfigError, ContractError, DegenerateInputError, ShapeError, VocabularyError
+from consem.errors import ConfigError, ConsemError, ContractError, DegenerateInputError, ShapeError, VocabularyError
 from consem.pretrain import PretrainConfig
 from consem.tensor import Tape, Tensor, backward
 from consem.text import PAD_ID, TokenSequence, build_vocab, encode_single
@@ -360,6 +364,7 @@ class TestPooling:
 def _eval_batches(lengths, batch_size, monkeypatch) -> list[np.ndarray]:
     """The input rows of each batch ``eval_rows`` runs over distinct sequences of ``lengths``."""
     monkeypatch.setattr(encoder_module, "EVAL_BATCH", batch_size)
+    force_eval_workers(monkeypatch, 1)  # ``run`` records the batches in this process
     seqs = [TokenSequence(ids=[row] * length) for row, length in enumerate(lengths)]
     batches = []
 
@@ -404,7 +409,7 @@ class TestLengthBatches:
         with pytest.raises(ConfigError, match="batch_size"):
             _eval_batches([1, 2], batch_size, monkeypatch)
 
-    def test_equal_sequences_run_once_as_their_first_copy(self, monkeypatch):
+    def test_equal_sequences_run_once_as_their_first_copy(self, monkeypatch, one_eval_worker):
         monkeypatch.setattr(encoder_module, "EVAL_BATCH", 2)
         seqs = [TokenSequence(ids=ids) for ids in ([7, 7], [5], [7, 7], [5], [9, 9, 9], [7, 7])]
         ran = []
@@ -483,7 +488,7 @@ class TestEmbedSentences:
         vectors = embed_sentences(texts, weights, config, vocab, strategy)
         assert vectors[BOUNDARY_TWINS[0]].tobytes() == vectors[BOUNDARY_TWINS[1]].tobytes()
 
-    def test_sorted_batches_pad_less(self, micro_checkpoint, monkeypatch):
+    def test_sorted_batches_pad_less(self, micro_checkpoint, monkeypatch, one_eval_worker):
         ckpt, _, vocab = micro_checkpoint
         config = ckpt.encoder_config
         weights = EncoderWeights.from_arrays(config, ckpt.params)
@@ -530,6 +535,261 @@ class TestEmbedSentences:
         vocab, config, weights = setup
         with pytest.raises(ConfigError, match="architecture"):
             embed_sentences(["the river glows"], weights, replace(config, **change), vocab)
+
+
+def _ids(batch) -> np.ndarray:
+    return np.array([[seq.ids[0]] for seq in batch])
+
+
+def _no_fork():
+    raise AssertionError("eval_rows forked")
+
+
+def _counting_fork(monkeypatch) -> list[int]:
+    """The child pids that ``os.fork`` returns in this process from now on."""
+    pids, fork = [], os.fork
+
+    def counting():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting)
+    return pids
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _blas_env(monkeypatch, **values: str) -> None:
+    """Set exactly ``values`` among the BLAS thread-count variables."""
+    for name in encoder_module._BLAS_THREAD_VARS:
+        monkeypatch.delenv(name, raising=False)
+    for name, value in values.items():
+        monkeypatch.setenv(name, value)
+
+
+def _open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+class _TwoArgError(Exception):
+    """Pickles, but unpickling calls ``_TwoArgError(message)``, which raises ``TypeError``."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a} and {b}")
+
+
+def _fail_call(monkeypatch, name: str, at: int) -> None:
+    """Make call ``at`` (1-based) of ``os.<name>`` raise ``EAGAIN``; the others go through."""
+    real, calls = getattr(os, name), []
+
+    def failing(*args):
+        calls.append(args)
+        if len(calls) == at:
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+        return real(*args)
+
+    monkeypatch.setattr(os, name, failing)
+
+
+class TestEvalWorkers:
+    """``eval_rows``' batches over forked processes: how many, the same bytes, errors and cleanup."""
+
+    @pytest.mark.parametrize(
+        "cpus,batches,workers",
+        [(1, 0, 1), (1, 1, 1), (1, 2, 1), (1, 50, 1), (2, 0, 1), (2, 1, 1), (2, 2, 2), (2, 50, 2),
+         (10_000, 0, 1), (10_000, 1, 1), (10_000, 2, 2), (10_000, 50, 2)],
+    )
+    def test_one_process_per_usable_cpu_at_most_two_and_at_most_one_per_batch(
+        self, cpus, batches, workers, monkeypatch
+    ):
+        _blas_env(monkeypatch, OPENBLAS_NUM_THREADS="1")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        assert encoder_module._eval_workers(batches) == workers
+
+    @pytest.mark.parametrize("cpus,n", [(1, 100), (2, 2), (2, 0), (10_000, 1)])
+    def test_one_worker_never_forks(self, cpus, n, monkeypatch):
+        _blas_env(monkeypatch, OPENBLAS_NUM_THREADS="1")
+        monkeypatch.setattr(os, "fork", _no_fork)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        monkeypatch.setattr(encoder_module, "EVAL_BATCH", 2)
+        assert eval_rows([TokenSequence(ids=[i]) for i in range(n)], 1, _ids)[:, 0].tolist() == list(range(n))
+
+    @pytest.mark.parametrize("missing", ["fork", "sched_getaffinity"])
+    def test_platform_without_fork_or_affinity_runs_serially(self, missing, monkeypatch):
+        _blas_env(monkeypatch, OPENBLAS_NUM_THREADS="1")
+        monkeypatch.setattr(os, "fork", _no_fork)
+        monkeypatch.delattr(os, missing)
+        monkeypatch.setattr(encoder_module, "EVAL_BATCH", 2)
+        assert encoder_module._eval_workers(50) == 1
+        assert eval_rows([TokenSequence(ids=[i]) for i in range(9)], 1, _ids)[:, 0].tolist() == list(range(9))
+
+    @pytest.mark.parametrize(
+        "env",
+        [{}, {"OPENBLAS_NUM_THREADS": "2"}, {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "4"},
+         {"GOTO_NUM_THREADS": "8", "OMP_NUM_THREADS": "1"}, {"MKL_NUM_THREADS": "0"}, {"OMP_NUM_THREADS": ""}],
+    )
+    def test_blas_not_held_to_one_thread_runs_serially(self, env, monkeypatch):
+        _blas_env(monkeypatch, **env)
+        monkeypatch.setattr(os, "fork", _no_fork)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(encoder_module, "EVAL_BATCH", 2)
+        assert encoder_module._eval_workers(50) == 1
+        assert eval_rows([TokenSequence(ids=[i]) for i in range(9)], 1, _ids)[:, 0].tolist() == list(range(9))
+
+    @pytest.mark.parametrize(
+        "env",
+        [{"OPENBLAS_NUM_THREADS": "1"}, {"OMP_NUM_THREADS": "1"}, {"MKL_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}],
+    )
+    def test_blas_held_to_one_thread_forks_one_child_per_call(self, env, monkeypatch):
+        _blas_env(monkeypatch, **env)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(10_000)))
+        monkeypatch.setattr(encoder_module, "EVAL_BATCH", 2)
+        forks = _counting_fork(monkeypatch)
+        assert eval_rows([TokenSequence(ids=[i]) for i in range(9)], 1, _ids)[:, 0].tolist() == list(range(9))
+        assert len(forks) == 1
+        _no_child_left()
+
+    @pytest.mark.parametrize("strategy", list(PoolingStrategy))
+    def test_vectors_do_not_depend_on_the_worker_count(self, micro_checkpoint, strategy, monkeypatch):
+        ckpt, _, vocab = micro_checkpoint
+        config = ckpt.encoder_config
+        weights = EncoderWeights.from_arrays(config, ckpt.params)
+        texts = boundary_twin_texts() + _mixed_length_texts(70)
+        forks = _counting_fork(monkeypatch)
+        vectors = {}
+        for workers in (1, 2, 3):
+            force_eval_workers(monkeypatch, workers)
+            vectors[workers] = embed_sentences(texts, weights, config, vocab, strategy)
+        assert len(forks) == 1 + 2
+        assert vectors[1].tobytes() == vectors[2].tobytes() == vectors[3].tobytes()
+        assert vectors[2][BOUNDARY_TWINS[0]].tobytes() == vectors[2][BOUNDARY_TWINS[1]].tobytes()
+        _no_child_left()
+
+    @pytest.mark.parametrize("failing", [{1}, {1, 2}, {2, 3}, {0, 5}, {4, 5}])
+    def test_error_is_the_serial_loops_first(self, failing, monkeypatch):
+        monkeypatch.setattr(encoder_module, "EVAL_BATCH", 2)
+
+        def run(batch):
+            index = batch[0].ids[0] // 2
+            if index in failing:
+                raise (ShapeError if index % 2 else ConfigError)(f"batch {index} failed")
+            return _ids(batch)
+
+        raised = {}
+        for workers in (1, 2, 3):
+            force_eval_workers(monkeypatch, workers)
+            with pytest.raises(ConsemError) as info:
+                eval_rows([TokenSequence(ids=[i]) for i in range(12)], 1, run)
+            raised[workers] = (type(info.value), str(info.value))
+        first = min(failing)
+        assert raised[1] == (ShapeError if first % 2 else ConfigError, f"batch {first} failed")
+        assert raised[2] == raised[3] == raised[1]
+        _no_child_left()
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("error", [ShapeError("batch 0 failed"), KeyboardInterrupt("batch 0 failed")])
+    def test_callers_error_while_children_hold_full_pipes(self, error, workers, monkeypatch):
+        width = 1 << 15  # one float32 row is 128 KB, twice a Linux pipe's buffer
+        monkeypatch.setattr(encoder_module, "EVAL_BATCH", 1)
+        force_eval_workers(monkeypatch, workers)
+
+        def run(batch):
+            if batch[0].ids[0] == 0:  # batch 0 is the caller's own
+                raise error
+            return np.ones((len(batch), width), dtype=np.float32)
+
+        def hung(signum, frame):
+            raise TimeoutError("eval_rows hung")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(20)
+        try:
+            with pytest.raises(type(error), match="batch 0 failed"):
+                eval_rows([TokenSequence(ids=[i]) for i in range(workers)], width, run)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        _no_child_left()
+
+    @pytest.mark.parametrize("name,at", [("pipe", 1), ("pipe", 2), ("fork", 1), ("fork", 2)])
+    def test_caller_runs_the_share_of_a_worker_it_could_not_fork(self, name, at, monkeypatch):
+        monkeypatch.setattr(encoder_module, "EVAL_BATCH", 2)
+        force_eval_workers(monkeypatch, 3)
+        seqs = [TokenSequence(ids=[i]) for i in range(13)]
+        fds = _open_fds()
+        _fail_call(monkeypatch, name, at)
+        assert eval_rows(seqs, 1, _ids).tobytes() == np.arange(13, dtype=np.float32)[:, None].tobytes()
+        assert _open_fds() == fds
+        _no_child_left()
+
+    @pytest.mark.parametrize("failing", [{2, 4}, {1, 2}, {5}])
+    def test_share_run_for_an_unforked_worker_keeps_the_serial_loops_error(self, failing, monkeypatch):
+        # 3 workers, the second fork fails: the caller runs worker 2's batches 2 and 5.
+        monkeypatch.setattr(encoder_module, "EVAL_BATCH", 1)
+        force_eval_workers(monkeypatch, 3)
+        _fail_call(monkeypatch, "fork", 2)
+
+        def run(batch):
+            if batch[0].ids[0] in failing:
+                raise ShapeError(f"batch {batch[0].ids[0]} failed")
+            return _ids(batch)
+
+        with pytest.raises(ShapeError, match=f"^batch {min(failing)} failed$"):
+            eval_rows([TokenSequence(ids=[i]) for i in range(6)], 1, run)
+        _no_child_left()
+
+    @pytest.mark.parametrize(
+        "error,shown",
+        [
+            (lambda: ContractError(lambda: None), r"^ContractError\(<function "),
+            (lambda: _TwoArgError(1, 2), r"^_TwoArgError\('1 and 2'\)$"),
+        ],
+    )
+    def test_child_error_that_does_not_pickle_arrives_as_its_repr(self, error, shown, monkeypatch):
+        monkeypatch.setattr(encoder_module, "EVAL_BATCH", 1)
+        force_eval_workers(monkeypatch, 2)
+
+        def run(batch):
+            if batch[0].ids[0] == 1:  # batch 1 runs in the child
+                raise error()
+            return _ids(batch)
+
+        with pytest.raises(RuntimeError, match=shown):
+            eval_rows([TokenSequence(ids=[0]), TokenSequence(ids=[1])], 1, run)
+        _no_child_left()
+
+    def test_truncated_rows_are_an_error(self, monkeypatch):
+        monkeypatch.setattr(encoder_module, "EVAL_BATCH", 1)
+        force_eval_workers(monkeypatch, 2)
+        caller, pickled = os.getpid(), encoder_module._pickled_share
+
+        def run(batch):
+            if os.getpid() != caller:  # only the child sends a cut-off pickle
+                encoder_module._pickled_share = lambda share: pickled(share)[:-8]
+            return _ids(batch)
+
+        with pytest.raises(ChildProcessError, match="exited before sending its rows"):
+            eval_rows([TokenSequence(ids=[0]), TokenSequence(ids=[1])], 1, run)
+        assert encoder_module._pickled_share is pickled
+        _no_child_left()
+
+    def test_child_that_exits_without_rows_is_an_error(self, monkeypatch):
+        monkeypatch.setattr(encoder_module, "EVAL_BATCH", 1)
+        force_eval_workers(monkeypatch, 2)
+
+        def run(batch):
+            if batch[0].ids[0] == 1:  # batch 1 runs in the child
+                os._exit(3)
+            return _ids(batch)
+
+        with pytest.raises(ChildProcessError, match="exited before sending its rows"):
+            eval_rows([TokenSequence(ids=[0]), TokenSequence(ids=[1])], 1, run)
+        _no_child_left()
 
 
 class TestEncoderGradients:

@@ -9,6 +9,7 @@ import pytest
 from conftest import (
     BOUNDARY_TWINS,
     boundary_twin_texts,
+    force_eval_workers,
     make_mrc_task,
     make_pair_task,
     make_single_task,
@@ -417,7 +418,7 @@ class TestPrediction:
             reference = input_order_predict_probs(model, seqs)[:, column]
             assert scores.tolist() == reference.tolist()
 
-    def test_batched_mrc_within_bound_of_the_per_question_loop(self, pair_run, monkeypatch):
+    def test_batched_mrc_within_bound_of_the_per_question_loop(self, pair_run, monkeypatch, one_eval_worker):
         # The old path: one forward per question, each over the full last block.
         model, _, _, _, vocab = pair_run
         records = make_mrc_task(24, start=40, choices=4)
@@ -467,6 +468,20 @@ class TestPrediction:
             bound = 1e-4 if name.endswith(".attn.bk") else 5e-6
             assert np.abs(arrays[name] - ref[name]).max() <= bound, name
 
+    def test_scores_do_not_depend_on_the_worker_count(self, pair_run, monkeypatch):
+        model, _, train, dev, vocab = pair_run
+        max_len = model.weights.config.max_len
+        seqs = [encode_pair(r["text_a"], r["text_b"], vocab, max_len) for r in train + dev]
+        records = make_mrc_task(24, start=40, choices=4)
+        probs, scores = {}, {}
+        for workers in (1, 2):
+            force_eval_workers(monkeypatch, workers)
+            probs[workers] = finetune_module._predict_probs(model, seqs)
+            scores[workers] = [s.tobytes() for s in mrc_scores(model, vocab, records)]
+        assert len(seqs) > 2 * EVAL_BATCH and 4 * len(records) > 2 * EVAL_BATCH
+        assert probs[1].tobytes() == probs[2].tobytes()
+        assert scores[1] == scores[2]
+
     def test_no_sequences_give_an_empty_matrix(self, pair_run):
         model = pair_run[0]
         assert finetune_module._predict_probs(model, []).shape == (0, len(model.labels))
@@ -479,6 +494,14 @@ class TestHeadShape:
         d = ckpt.encoder_config.hidden_size
         arrays = {**ckpt.params, "head.weight": np.zeros((d, weight_cols)), "head.bias": np.zeros(bias_len)}
         with pytest.raises(ShapeError, match="head"):
+            FinetunedModel.from_arrays(
+                ckpt.encoder_config, arrays, ["a", "b"], TaskKind.PAIR, ckpt.vocab_hash, ckpt.pretrain_config
+            )
+
+    def test_missing_head_named(self, micro_checkpoint):
+        ckpt, _, _ = micro_checkpoint
+        arrays = EncoderWeights.initialize(ckpt.encoder_config, seed=0).to_arrays()
+        with pytest.raises(ShapeError, match="'head.weight' is missing"):
             FinetunedModel.from_arrays(
                 ckpt.encoder_config, arrays, ["a", "b"], TaskKind.PAIR, ckpt.vocab_hash, ckpt.pretrain_config
             )
