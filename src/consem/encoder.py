@@ -46,7 +46,12 @@ with a thread per CPU in each process crowds the CPUs.  A batch keeps
 its members and its padded shape whichever process runs it, so the
 bytes do not depend on the number of processes.  Otherwise, and where
 ``os.fork`` or ``os.sched_getaffinity`` is missing, the batches run one
-after another.
+after another.  ``worker_count`` is that rule, and the sharded training
+steps of ``optim.train_epochs`` ask it too.
+
+A training batch may run as shards: ``forward_batch``'s ``place`` gives
+a shard's first row and its batch's size, so its dropout masks are the
+whole batch's masks for its rows.
 """
 
 from __future__ import annotations
@@ -277,6 +282,7 @@ def forward_batch(
     weights: EncoderWeights,
     rng: np.random.Generator | None = None,
     reads: tuple[np.ndarray, np.ndarray] | None = None,
+    place: tuple[int, int] | None = None,
 ) -> LayerOutputs:
     """Encode sequences of any lengths together; see :class:`LayerOutputs` for shapes.
 
@@ -286,6 +292,10 @@ def forward_batch(
     evaluation pass.  ``reads``, a pair of equal-length index arrays
     ``(rows, positions)``, names the last-layer slots the caller reads, and
     the last block computes those alone; ``None`` reads every position.
+    ``place``, ``(first row, batch rows)``, says that ``seqs`` are the rows
+    from ``first row`` on of a training batch of ``batch rows``: dropout
+    then gives them exactly the masks that batch's forward gives them, from
+    the same generator state.  ``None`` is the whole batch, ``(0, len(seqs))``.
     Only the last block's attention maps are kept.
     """
     config = weights.config
@@ -299,6 +309,9 @@ def forward_batch(
         raise ConfigError(f"sequence length {seq_len} exceeds max_len {config.max_len}")
     if reads is not None:
         reads = _check_reads(reads, lengths)
+    first, rows = (0, len(seqs)) if place is None else place
+    if not 0 <= first <= rows - len(seqs):
+        raise ShapeError(f"{len(seqs)} rows from row {first} do not fit a batch of {rows}")
     mask = (np.arange(seq_len) < lengths[:, None]).astype(np.intp)
     ids = np.full(mask.shape, PAD_ID, dtype=np.intp)
     ids[mask == 1] = np.concatenate([s.ids for s in seqs])
@@ -307,17 +320,18 @@ def forward_batch(
             f"token id {int(ids.max())} out of range for vocab_size {config.vocab_size}"
         )
     # A dropout mask is that of noise over the fixed (batch, max_len, d) grid,
-    # cut to this batch's length or, in a cut last block, read at each slot's
-    # (row, position).  So a real position's mask depends only on the seed,
-    # its row and its position, not on how long its batch-mates are or which
-    # positions are computed.  ``tensor.dropout`` draws only the noise it
-    # uses and leaves the generator where the full draw leaves it.
-    grid = (len(seqs), config.max_len, config.hidden_size)
+    # cut to these rows and this batch's length or, in a cut last block, read
+    # at each slot's (row, position).  So a real position's mask depends only
+    # on the seed, its row in the whole batch and its position, not on how
+    # long its batch-mates are, which positions are computed or how the batch
+    # is sharded.  ``tensor.dropout`` draws only the noise it uses and leaves
+    # the generator where the full draw leaves it.
+    grid = (rows, config.max_len, config.hidden_size)
 
     def drop(t: Tensor, slots=None) -> Tensor:
         if rng is None or config.dropout == 0.0:
             return t
-        return T.dropout(t, config.dropout, rng, grid, slots)
+        return T.dropout(t, config.dropout, rng, grid, slots, first)
 
     x = T.add(
         T.gather_rows(weights["tok_emb"], ids),
@@ -387,9 +401,10 @@ def pool(outputs: LayerOutputs, strategy: PoolingStrategy) -> Tensor:
     raise ConfigError(f"unhandled pooling strategy {strategy!r}")
 
 
-# The most processes one eval call runs in.  Speed and memory were measured
-# for 2 only (a 2-CPU host); more waits for a measurement on a larger host.
-_MAX_EVAL_WORKERS = 2
+# The most processes one eval call or one training run works in.  Speed and
+# memory were measured for 2 only (a 2-CPU host); more waits for a
+# measurement on a larger host.
+_MAX_WORKERS = 2
 # The variables OpenBLAS, MKL and OpenMP read their thread count from.
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
 
@@ -405,45 +420,52 @@ def _one_blas_thread() -> bool:
     return bool(values) and all(value == "1" for value in values)
 
 
-def _eval_workers(batches: int) -> int:
-    """Processes to run ``batches`` eval batches in: the usable CPUs, at most
-    :data:`_MAX_EVAL_WORKERS` and at most one per batch, where ``fork`` and
-    ``sched_getaffinity`` exist and BLAS runs one thread; otherwise 1."""
+def worker_count(units: int) -> int:
+    """Processes to share ``units`` independent work units (eval batches, training shards) among.
+
+    The usable CPUs, at most :data:`_MAX_WORKERS` and at most one per unit,
+    where ``fork`` and ``sched_getaffinity`` exist and BLAS runs one thread;
+    otherwise 1.  ``eval_rows`` and ``optim.train_epochs`` both ask here.
+    """
     if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity") or not _one_blas_thread():
         return 1
-    return max(1, min(len(os.sched_getaffinity(0)), _MAX_EVAL_WORKERS, batches))
+    return max(1, min(len(os.sched_getaffinity(0)), _MAX_WORKERS, units))
 
 
-def _share(batches: list, run: Callable, worker: int, workers: int) -> tuple[list, tuple | None]:
-    """``run``'s rows for batches ``worker``, ``worker + workers``, ..., up to the first that raises.
+def portable_error(exc: BaseException) -> BaseException:
+    """``exc`` if it survives a pickle round trip, so a forked worker can send it; else a RuntimeError of its repr."""
+    try:
+        pickle.loads(pickle.dumps(exc))
+    except Exception:
+        return RuntimeError(repr(exc))
+    return exc
 
-    Returns those rows and, if a batch raised, ``(its index, the exception)``.
+
+def _share(batches: list, run: Callable, worker: int, workers: int, put: Callable) -> tuple | None:
+    """``put(i, run(batches[i]))`` for ``i = worker, worker + workers, ...``, up to the first batch that raises.
+
+    Returns ``(its index, the exception)`` if a batch raised, else None.
     """
-    rows = []
     for i in range(worker, len(batches), workers):
         try:
-            rows.append(run(batches[i]))
+            rows = run(batches[i])
         except Exception as exc:
-            return rows, (i, exc)
-    return rows, None
+            return i, exc
+        put(i, rows)
+    return None
 
 
 def _pickled_share(share: tuple[list, tuple | None]) -> bytes:
-    """``share`` pickled; an exception that does not survive a pickle round
-    trip travels as a ``RuntimeError`` carrying its repr."""
+    """A worker's ``(rows, error)`` pickled, its exception made :func:`portable_error`."""
     rows, error = share
     if error is not None:
-        index, exc = error
-        try:
-            pickle.loads(pickle.dumps(exc))
-        except Exception:
-            error = index, RuntimeError(repr(exc))
+        error = error[0], portable_error(error[1])
     return pickle.dumps((rows, error))
 
 
 def _fork_worker(batches: list, run: Callable, worker: int, workers: int, readers: list) -> tuple | None:
     """``(pid, read end)`` of a child forked to send worker ``worker``'s
-    share, or None if no pipe or process could be made."""
+    rows and error, pickled, or None if no pipe or process could be made."""
     try:
         read_fd, write_fd = os.pipe()
     except OSError:
@@ -465,32 +487,36 @@ def _fork_worker(batches: list, run: Callable, worker: int, workers: int, reader
             # not stop a writer blocked on a full pipe.
             for other in (*readers, reader):
                 other.close()
-            share = _share(batches, run, worker, workers)
+            rows: list[np.ndarray] = []
+            error = _share(batches, run, worker, workers, lambda i, r: rows.append(r))
             with os.fdopen(write_fd, "wb") as pipe:
-                pipe.write(_pickled_share(share))
+                pipe.write(_pickled_share((rows, error)))
         finally:
             os._exit(0)
     os.close(write_fd)
     return pid, reader
 
 
-def _run_batches(batches: list, run: Callable) -> list[np.ndarray]:
-    """``run(batch)`` for every batch, in batch order, over :func:`_eval_workers` processes.
+def _run_batches(batches: list, run: Callable, put: Callable) -> None:
+    """``put(i, run(batches[i]))`` for every batch, over :func:`worker_count` processes.
 
     The caller is worker 0; workers 1.. are children forked for this call,
     so they inherit ``run`` and only their rows are pickled, back through
     a pipe each.  Worker ``w`` runs batches ``w, w + workers, ...``; the
-    caller also runs the share of every worker it could not fork.  An
-    error is the one the serial loop raises: that of the first failing
-    batch.  Every pipe is read, or closed, before its child is reaped, so
-    a child blocked on a full pipe cannot hang the caller, and no child
-    outlives the call.
+    caller also runs the share of every worker it could not fork.  The
+    caller puts each of its own batches as it runs, and each child's rows
+    as it reads them.  An error is the one the serial loop raises: that of
+    the first failing batch.  Every pipe is read, or closed, before its
+    child is reaped, so a child blocked on a full pipe cannot hang the
+    caller, and no child outlives the call.
     """
-    workers = _eval_workers(len(batches))
+    workers = worker_count(len(batches))
     if workers == 1:
-        return [run(batch) for batch in batches]
+        for i, batch in enumerate(batches):
+            put(i, run(batch))
+        return
     children: list[tuple[int, object]] = []
-    shares: list = [None] * workers
+    errors: list[tuple] = []
     try:
         for worker in range(1, workers):
             child = _fork_worker(batches, run, worker, workers, [reader for _, reader in children])
@@ -498,20 +524,22 @@ def _run_batches(batches: list, run: Callable) -> list[np.ndarray]:
                 break
             children.append(child)
         for worker in (0, *range(len(children) + 1, workers)):
-            shares[worker] = _share(batches, run, worker, workers)
+            errors.append(_share(batches, run, worker, workers, put))
         for worker, (pid, reader) in enumerate(children, start=1):
             try:
-                shares[worker] = pickle.load(reader)
+                rows, error = pickle.load(reader)
             except (EOFError, pickle.UnpicklingError):
                 raise ChildProcessError(f"eval worker {pid} exited before sending its rows") from None
+            for j, batch_rows in enumerate(rows):
+                put(worker + j * workers, batch_rows)
+            errors.append(error)
     finally:
         for pid, reader in children:
             reader.close()
             os.waitpid(pid, 0)
-    errors = [error for _, error in shares if error is not None]
+    errors = [error for error in errors if error is not None]
     if errors:
         raise min(errors, key=lambda error: error[0])[1]
-    return [shares[i % workers][0][i // workers] for i in range(len(batches))]
 
 
 def eval_rows(
@@ -540,8 +568,11 @@ def eval_rows(
     out = np.zeros((len(distinct), width), dtype=np.float32)
     order = np.argsort([s.length for s in distinct], kind="stable")
     batches = [np.sort(order[start : start + EVAL_BATCH]) for start in range(0, len(order), EVAL_BATCH)]
-    for batch, rows in zip(batches, _run_batches([[distinct[i] for i in b] for b in batches], run)):
-        out[batch] = rows
+
+    def put(i: int, rows: np.ndarray) -> None:
+        out[batches[i]] = rows
+
+    _run_batches([[distinct[i] for i in b] for b in batches], run, put)
     return out[[row[tuple(seq.ids)] for seq in seqs]]
 
 

@@ -20,11 +20,23 @@ question in one such call (``mrc_scores``).  A
 mapping (``from_arrays`` in, ``to_arrays`` out) is what ``model.bin``
 stores.  The model from the best epoch by dev accuracy (macro F1 breaking
 ties) is returned, so a longer schedule can never return a worse dev model.
+
+Each training step runs its batch as two shards (``_STEP_SHARDS``): the
+first ``ceil(n / 2)`` rows and the rest, a batch of one row staying one
+shard.  A shard's loss is its mean cross-entropy times its share of the
+batch, ``len(shard) / len(batch)``, so the step's gradient is the sum of
+the two shards' gradients; each shard draws the dropout masks the whole
+batch gives its rows.  That sum differs from the one-pass gradient by
+float noise (the shards pad to their own widths), a deliberate drift
+that tests bound.  ``optim.train_epochs`` runs the second shard in a
+worker process forked once per call where ``encoder.worker_count``
+allows two processes, and in this process otherwise, with the same bytes.
 """
 
 from __future__ import annotations
 
 import enum
+from contextlib import closing
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -58,6 +70,11 @@ __all__ = [
 ENTAILMENT_LABEL = "entailment"
 CONTRADICTION_LABEL = "contradiction"
 MRC_LABELS = sorted([CONTRADICTION_LABEL, ENTAILMENT_LABEL])
+
+# Each fine-tuning step's batch is cut into this many shards: the first
+# ceil(n / 2) rows and the rest.  A constant, not the worker count, so the
+# bytes do not depend on how many processes run them.
+_STEP_SHARDS = 2
 
 _STREAM_HEAD_INIT = 101
 _STREAM_SHUFFLE = 102
@@ -205,9 +222,12 @@ def _gold_indices(records: Sequence[dict], labels: list[str]) -> np.ndarray:
     return gold
 
 
-def _logits(model: FinetunedModel, seqs, rng: np.random.Generator | None = None) -> Tensor:
-    """Head logits over the [CLS] states; train mode (dropout from ``rng``) exactly when ``rng`` is given."""
-    cls = forward_batch(seqs, model.weights, rng, reads=cls_slots(len(seqs))).hidden[-1]
+def _logits(model: FinetunedModel, seqs, rng: np.random.Generator | None = None, place=None) -> Tensor:
+    """Head logits over the [CLS] states; train mode (dropout from ``rng``) exactly when ``rng`` is given.
+
+    ``place`` is the rows' place in their training batch, as ``forward_batch`` takes it.
+    """
+    cls = forward_batch(seqs, model.weights, rng, reads=cls_slots(len(seqs)), place=place).hidden[-1]
     return T.linear(cls, model.head_weight, model.head_bias)
 
 
@@ -229,9 +249,11 @@ def finetune_classifier(
 
     The checkpoint object and file are left untouched; all weights are
     copied before any update.  MRC tasks train on every choice's statement,
-    entailment at ``answer_index`` and contradiction elsewhere.  Divergence
-    is reported as in pretraining: one TrainingDivergedError, no numpy float
-    warnings.
+    entailment at ``answer_index`` and contradiction elsewhere.  Each step
+    runs as two shards (see the module docstring).  Divergence is reported
+    as in pretraining: one TrainingDivergedError, no numpy float warnings.
+    The shard worker, if one was forked, is reaped before this returns or
+    raises, whatever the error.
     """
     weights = checkpoint.encoder_weights(vocab)
     if not train_records:
@@ -265,16 +287,22 @@ def finetune_classifier(
     model = FinetunedModel(weights, head_weight, head_bias, labels, task.kind, *provenance)
     optimizer = AdamW(model.parameters(), learning_rate=config.learning_rate, weight_decay=config.weight_decay)
 
-    def batch_loss(rows: np.ndarray, rng: np.random.Generator, epoch: int) -> Tensor:
-        return T.cross_entropy(_logits(model, [train_seqs[i] for i in rows], rng), train_gold[rows])
+    def shard_loss(rows: np.ndarray, rng: np.random.Generator, epoch: int, place: tuple[int, int]) -> Tensor:
+        """The mean cross-entropy of ``rows`` times their share of the batch: the shards' losses sum to the batch's."""
+        logits = _logits(model, [train_seqs[i] for i in rows], rng, place)
+        return T.scale(T.cross_entropy(logits, train_gold[rows]), len(rows) / place[1])
 
     best: tuple[tuple[float, float], dict[str, np.ndarray], MetricsReport] | None = None
-    for _ in train_epochs(np.arange(len(train_seqs)), config, optimizer, batch_loss, _STREAM_SHUFFLE, _STREAM_DROPOUT):
-        # An MRC report's accuracy is its question-level accuracy.
-        _, report = evaluate(model, vocab, dev_records)
-        score = (report.accuracy, report.macro_f1)
-        if best is None or score > best[0]:
-            best = (score, model.to_arrays(), report)
+    epochs = train_epochs(np.arange(len(train_seqs)), config, optimizer, shard_loss, _STREAM_SHUFFLE,
+                          _STREAM_DROPOUT, _STEP_SHARDS)
+    # Closed on every exit, so the shard worker never outlives this call.
+    with closing(epochs):
+        for _ in epochs:
+            # An MRC report's accuracy is its question-level accuracy.
+            _, report = evaluate(model, vocab, dev_records)
+            score = (report.accuracy, report.macro_f1)
+            if best is None or score > best[0]:
+                best = (score, model.to_arrays(), report)
 
     assert best is not None
     _, arrays, report = best

@@ -1,12 +1,31 @@
-"""Adam with decoupled weight decay, and the settings, batch schedule and epoch loop both trainers share."""
+"""Adam with decoupled weight decay, and the settings, batch schedule and epoch loop both trainers share.
+
+A step may split its batch into shards (fine-tuning asks for two; see
+:func:`train_epochs`).  The step's gradient is then the sum, in shard order,
+of each shard's gradient, each from its own backward.  Where
+``encoder.worker_count`` allows a second process, the last shard runs in one
+worker forked for the whole loop: first AdamW's flat parameter buffer moves
+into an anonymous shared mapping, so the worker sees every update, and the
+worker writes its shard's gradients into a second shared buffer of the same
+layout.  Each
+shard's result depends only on its rows, its place in the batch and the
+batch's fresh dropout generator, so the bytes do not depend on the number of
+processes.
+"""
 
 from __future__ import annotations
 
+import copy
+import gc
+import mmap
+import os
+import pickle
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
+from . import encoder
 from .errors import ConfigError, ContractError, TrainingDivergedError
 from .tensor import Tape, Tensor, backward
 
@@ -19,7 +38,7 @@ EPS = 1e-8
 
 # ``np.errstate`` settings for a training run.  Overflow on the way to a
 # non-finite loss or gradient is expected when a run diverges;
-# ``AdamW.descend``'s loss check and ``AdamW.step``'s gradient check report it
+# ``train_epochs``' loss check and ``AdamW.step``'s gradient check report it
 # as one TrainingDivergedError, so numpy's warnings would only repeat it.
 QUIET_FLOAT_ERRORS = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
 
@@ -57,28 +76,202 @@ def minibatches(order: np.ndarray, batch_size: int, seed: int, stream: int, epoc
         yield order[start : start + batch_size], np.random.default_rng([seed, stream, epoch, batch_no])
 
 
+def _shards(rows: np.ndarray, count: int) -> list[tuple[np.ndarray, tuple[int, int]]]:
+    """``rows`` cut into ``min(count, len(rows))`` consecutive shards, the larger first, each with its
+    place ``(first row, batch rows)``: for two, the first ``ceil(n / 2)`` rows and the rest."""
+    parts = np.array_split(rows, min(count, len(rows)))
+    firsts = np.cumsum([0, *(len(part) for part in parts[:-1])])
+    return [(part, (int(first), len(rows))) for part, first in zip(parts, firsts)]
+
+
+def _add_gradient(earlier: np.ndarray | None, later: np.ndarray | None) -> np.ndarray | None:
+    """The sum of two shards' gradients for one parameter, None being zero; ``earlier`` is owned and summed into."""
+    if earlier is None or later is None:
+        return later if earlier is None else earlier
+    return np.add(earlier, later, out=earlier)
+
+
+def _check_loss(value, optimizer: AdamW, epoch: int) -> None:
+    if not np.isfinite(value):
+        raise TrainingDivergedError(f"non-finite loss at step {optimizer.step_count + 1} (epoch {epoch})")
+
+
 def train_epochs(
     items: np.ndarray,
     config: TrainingConfig,
     optimizer: AdamW,
-    batch_loss: Callable[[np.ndarray, np.random.Generator, int], Tensor],
+    batch_loss: Callable[[np.ndarray, np.random.Generator, int, tuple[int, int]], Tensor],
     shuffle_stream: int,
     dropout_stream: int,
+    shards: int = 1,
 ):
     """Run ``config.epochs`` epochs over ``items``; yield each epoch number after its steps.
 
     Epoch ``e`` visits ``items`` permuted by ``default_rng([seed, shuffle_stream, e])`` in
-    :func:`minibatches` from ``dropout_stream``; each block's ``batch_loss(rows, rng, e)``
-    is taped and handed to ``optimizer.descend``.  The last step's tape stays referenced
-    while the caller runs its per-epoch work, until the next step replaces it; ``backward``
-    has spent it by then, so it holds no arrays.
+    :func:`minibatches` from ``dropout_stream``.  Each block is cut into ``shards``
+    consecutive shards (:func:`_shards`; a block of one row stays one shard), and each
+    shard's ``batch_loss(rows, rng, e, place)`` is taped and backpropagated from zero
+    gradients, ``place`` being ``(first row, block rows)`` and ``rng`` a copy of the block's
+    fresh dropout generator.  A shard's loss is its share of the block's loss, so the
+    block's gradient is the sum of the shards' gradients, added in shard order; the
+    optimizer then takes one step.  A non-finite shard loss raises TrainingDivergedError
+    before anything changes; with several failing shards the first one's error is raised.
+
+    With ``shards > 1`` and ``encoder.worker_count`` above 1, the last shard of each
+    block runs in one worker forked on the first step (:class:`_ShardWorker`); if no
+    pipe or process can be made, the caller runs it.  The worker is reaped when the
+    loop ends, raises or is closed: a caller that may stop early closes the generator.
+    The last step's tape stays referenced while the caller runs its per-epoch work,
+    until the next step replaces it; ``backward`` has spent it by then, so it holds
+    no arrays.
     """
-    for epoch in range(1, config.epochs + 1):
-        order = items[np.random.default_rng([config.seed, shuffle_stream, epoch]).permutation(len(items))]
-        for rows, rng in minibatches(order, config.batch_size, config.seed, dropout_stream, epoch):
-            with Tape() as tape:
-                optimizer.descend(batch_loss(rows, rng, epoch), tape, epoch)
-        yield epoch
+    params = list(optimizer.params.values())
+    count = min(shards, config.batch_size, len(items))
+    worker = _ShardWorker.start(optimizer, batch_loss) if count > 1 and encoder.worker_count(count) > 1 else None
+    try:
+        for epoch in range(1, config.epochs + 1):
+            order = items[np.random.default_rng([config.seed, shuffle_stream, epoch]).permutation(len(items))]
+            for rows, rng in minibatches(order, config.batch_size, config.seed, dropout_stream, epoch):
+                parts = _shards(rows, count)
+                rngs = [rng, *(copy.deepcopy(rng) for _ in parts[1:])]
+                remote = worker is not None and len(parts) > 1
+                if remote:
+                    worker.send(*parts[-1], rngs[-1], epoch)
+                total = None
+                for k, ((part, place), shard_rng) in enumerate(zip(parts, rngs)):
+                    if remote and k == len(parts) - 1:
+                        grads = worker.receive(optimizer, epoch)
+                    else:
+                        with Tape() as tape:
+                            loss = batch_loss(part, shard_rng, epoch, place)
+                            _check_loss(loss.data, optimizer, epoch)
+                            backward(loss, tape)
+                        grads = [p.grad for p in params]
+                        optimizer.zero_grad()
+                    total = grads if total is None else list(map(_add_gradient, total, grads))
+                for p, g in zip(params, total):
+                    p.grad = g
+                # Only the parameters hold the step's gradients, so zero_grad
+                # frees them before the next step's forward.
+                total = grads = None
+                optimizer.step()
+                optimizer.zero_grad()
+            yield epoch
+    finally:
+        if worker is not None:
+            worker.close()
+
+
+def _shared_zeros(size: int, dtype: np.dtype) -> np.ndarray:
+    """A zeroed 1-d array of ``size`` elements in an anonymous shared mapping, page aligned.
+
+    A process forked after it is made shares its pages: each sees the other's writes.
+    """
+    return np.frombuffer(mmap.mmap(-1, max(size, 1) * dtype.itemsize), dtype=dtype, count=size)
+
+
+class _ShardWorker:
+    """A child process that runs each step's last shard over the optimizer's shared parameters.
+
+    It is forked once and inherits the loss closure.  Each step sends it the shard's
+    rows and place, the block's fresh dropout generator and the epoch; it replies
+    with the shard's loss, having written the shard's gradients (zero for a parameter
+    without one) into a shared buffer with the optimizer's gradient layout, or with
+    the shard's error.  A non-finite loss is replied without a backward.
+    """
+
+    def __init__(self, pid: int, requests, replies, grads: list[np.ndarray]):
+        self.pid, self._requests, self._replies, self._grads = pid, requests, replies, grads
+
+    @classmethod
+    def start(cls, optimizer: AdamW, batch_loss: Callable) -> _ShardWorker | None:
+        """The forked worker, or None if no pipe or process could be made.
+
+        First the optimizer's parameters move into a shared mapping, so the
+        worker sees every update in place.
+        """
+        optimizer._bind(_shared_zeros(optimizer._flat.size, optimizer._flat.dtype))
+        grads = optimizer._views(_shared_zeros(optimizer._grad.size, optimizer._grad.dtype))
+        fds: list[int] = []
+        try:
+            fds += os.pipe()
+            fds += os.pipe()
+            pid = os.fork()
+        except OSError:
+            for fd in fds:
+                os.close(fd)
+            return None
+        request_r, request_w, reply_r, reply_w = fds
+        if pid == 0:
+            try:
+                # Parent objects stay out of the child's collections: no
+                # copy-on-write from traversing them.
+                gc.freeze()
+                os.close(request_w)
+                os.close(reply_r)
+                with os.fdopen(request_r, "rb") as requests, os.fdopen(reply_w, "wb") as replies:
+                    cls._serve(optimizer, batch_loss, grads, requests, replies)
+            finally:
+                os._exit(0)
+        os.close(request_r)
+        os.close(reply_w)
+        return cls(pid, os.fdopen(request_w, "wb"), os.fdopen(reply_r, "rb"), grads)
+
+    @staticmethod
+    def _serve(optimizer: AdamW, batch_loss: Callable, grads: list[np.ndarray], requests, replies) -> None:
+        """The worker's loop: one shard per request, until the caller closes its end."""
+        params = list(optimizer.params.values())
+        while True:
+            try:
+                rows, place, rng, epoch = pickle.load(requests)
+            except EOFError:
+                return
+            try:
+                with Tape() as tape:
+                    loss = batch_loss(rows, rng, epoch, place)
+                    value = float(loss.data)
+                    if np.isfinite(value):
+                        backward(loss, tape)
+                for p, g in zip(params, grads):
+                    if p.grad is None:
+                        g.fill(0)
+                    else:
+                        np.copyto(g, p.grad)
+                reply = value, None
+            except Exception as exc:
+                reply = None, encoder.portable_error(exc)
+            finally:
+                optimizer.zero_grad()
+            pickle.dump(reply, replies)
+            replies.flush()
+
+    def send(self, rows: np.ndarray, place: tuple[int, int], rng: np.random.Generator, epoch: int) -> None:
+        try:
+            pickle.dump((rows, place, rng, epoch), self._requests)
+            self._requests.flush()
+        except BrokenPipeError:
+            raise ChildProcessError(f"training worker {self.pid} exited before its shard was sent") from None
+
+    def receive(self, optimizer: AdamW, epoch: int) -> list[np.ndarray]:
+        """The shard's gradients, views of the shared buffer valid until the next request;
+        the shard's error, or TrainingDivergedError for a non-finite loss, is raised."""
+        try:
+            value, error = pickle.load(self._replies)
+        except (EOFError, pickle.UnpicklingError):
+            raise ChildProcessError(f"training worker {self.pid} exited before sending its shard") from None
+        if error is not None:
+            raise error
+        _check_loss(value, optimizer, epoch)
+        return self._grads
+
+    def close(self) -> None:
+        """Close both pipes, so the worker's next read ends it or its next reply fails, and reap it."""
+        for end in (self._requests, self._replies):
+            try:
+                end.close()
+            except OSError:
+                pass
+        os.waitpid(self.pid, 0)
 
 
 # Each parameter's slot in the flat buffer starts on a 64-byte boundary,
@@ -101,7 +294,8 @@ class AdamW:
     buffer in insertion order: construction copies each parameter's
     ``data`` into its own 64-byte aligned slot and rebinds ``data`` to a
     view of that slot, so arrays held from before construction are no
-    longer the parameters.  The moments, the gradients and the update live in
+    longer the parameters.  A shard worker's start moves them once more,
+    into a shared mapping (see :func:`train_epochs`).  The moments, the gradients and the update live in
     flat buffers of the same layout, so :meth:`step` is a fixed number of
     whole-buffer ufunc calls however many parameters there are; the zero
     padding between slots stays zero.  Each element takes the same
@@ -130,27 +324,24 @@ class AdamW:
         for p in self.params.values():
             starts.append(size)
             size += -(-p.data.size // align) * align
-        self._flat, self._m, self._v, self._grad, self._update, self._scratch = (
+        self._slots = [(slice(start, start + p.data.size), p.data.shape)
+                       for p, start in zip(self.params.values(), starts)]
+        flat, self._m, self._v, self._grad, self._update, self._scratch = (
             _aligned_zeros(size, dtype) for _ in range(6)
         )
-        self._grads: list[np.ndarray] = []
-        for p, start in zip(self.params.values(), starts):
-            slot = slice(start, start + p.data.size)
-            view = self._flat[slot].reshape(p.data.shape)
+        self._bind(flat)
+        self._grads = self._views(self._grad)
+
+    def _views(self, flat: np.ndarray) -> list[np.ndarray]:
+        """Each parameter's slot of ``flat``, a buffer with the flat layout, shaped like the parameter."""
+        return [flat[slot].reshape(shape) for slot, shape in self._slots]
+
+    def _bind(self, flat: np.ndarray) -> None:
+        """Copy the parameters into ``flat``, a zeroed buffer with the flat layout, and make it theirs."""
+        for p, view in zip(self.params.values(), self._views(flat)):
             view[...] = p.data
             p.data = view
-            self._grads.append(self._grad[slot].reshape(p.data.shape))
-
-    def descend(self, loss: Tensor, tape: Tape, epoch: int) -> None:
-        """Backpropagate ``loss`` through ``tape``, update, and clear the gradients.
-
-        A non-finite loss raises TrainingDivergedError before anything changes.
-        """
-        if not np.isfinite(loss.data):
-            raise TrainingDivergedError(f"non-finite loss at step {self.step_count + 1} (epoch {epoch})")
-        backward(loss, tape)
-        self.step()
-        self.zero_grad()
+        self._flat = flat
 
     def zero_grad(self) -> None:
         for p in self.params.values():

@@ -295,8 +295,12 @@ def train(
     # (contrastive, mlm, rows) of each batch since the last loss record.
     parts: list[tuple[float, float, int]] = []
 
-    def batch_loss(rows: np.ndarray, rng: np.random.Generator | None, epoch: int) -> Tensor:
-        """The combined loss of triples ``rows``: a training batch (dropout on) exactly when ``rng`` is given."""
+    def batch_loss(rows: np.ndarray, rng: np.random.Generator | None, epoch: int, place=None) -> Tensor:
+        """The combined loss of triples ``rows``: a training batch (dropout on) exactly when ``rng`` is given.
+
+        The in-batch negatives couple a batch's rows, so a training batch is one
+        shard and ``place`` is always the whole batch.
+        """
         batch = ([anchors[i] for i in rows], [positives[i] for i in rows], [negatives[i] for i in rows])
         mlm_batch = None
         if config.mlm_weight > 0.0:

@@ -743,15 +743,18 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
 
 
 def dropout(
-    x: Tensor, rate: float, rng: np.random.Generator, grid: tuple | None = None, slots=None
+    x: Tensor, rate: float, rng: np.random.Generator, grid: tuple | None = None, slots=None, offset: int = 0
 ) -> Tensor:
     """Inverted dropout: zero entries with probability ``rate``, rescale the rest.
 
     The mask is that of noise drawn over ``grid`` (default ``x.shape``) and
-    cut to its leading ``x.shape`` corner.  Given ``slots``, a pair of
-    equal-length index arrays ``(rows, positions)`` into a (batch, seq, d)
-    ``grid``, ``x`` is (len(rows), d) and its row i takes the noise at
-    ``grid[rows[i], positions[i]]``.  Either way ``rng`` is left as the full
+    cut to its ``x.shape`` corner from grid row ``offset`` on: rows
+    ``offset ... offset + len(x)``, leading positions and features.  Given
+    ``slots``, a pair of equal-length index arrays ``(rows, positions)``
+    into a (batch, seq, d) ``grid``, ``x`` is (len(rows), d) and its row i
+    takes the noise at ``grid[offset + rows[i], positions[i]]``.  So a shard
+    of a batch, given its first row as ``offset``, draws exactly the masks
+    the whole batch gives its rows.  Either way ``rng`` is left as the full
     draw leaves it.  Intended for training mode only; evaluation code should
     simply not call it.
     """
@@ -762,18 +765,20 @@ def dropout(
     shape = x.data.shape
     grid = tuple(grid or shape)
     if slots is None:
-        if len(grid) != len(shape) or any(g < n for g, n in zip(grid, shape)):
-            raise ShapeError(f"dropout grid {grid} does not contain the input shape {shape}")
-        noise = _corner_noise(rng, shape, grid)
+        corner = (offset + shape[0], *shape[1:])
+        if offset < 0 or len(grid) != len(shape) or any(g < n for g, n in zip(grid, corner)):
+            raise ShapeError(f"dropout grid {grid} does not contain the input shape {shape} from row {offset}")
+        noise = _corner_noise(rng, shape, grid, offset)
     else:
         rows, positions = slots
         if len(grid) != 3 or shape != (len(rows), grid[2]) or np.shape(positions) != np.shape(rows):
             raise ShapeError(f"dropout slots of a {grid} grid do not match the input shape {shape}")
-        if not np.all((0 <= rows) & (rows < grid[0]) & (0 <= positions) & (positions < grid[1])):
-            raise ShapeError(f"dropout slots lie outside the {grid} grid")
-        # Draw every grid row up to the last position a slot reads, then pick the slots.
-        corner = (grid[0], int(positions.max(initial=-1)) + 1, grid[2])
-        noise = _corner_noise(rng, corner, grid)[rows, positions]
+        inside = (0 <= rows) & (offset + rows < grid[0]) & (0 <= positions) & (positions < grid[1])
+        if offset < 0 or not np.all(inside):
+            raise ShapeError(f"dropout slots from row {offset} lie outside the {grid} grid")
+        # Draw the grid rows up to the last row and position a slot reads, then pick the slots.
+        corner = (int(rows.max(initial=-1)) + 1, int(positions.max(initial=-1)) + 1, grid[2])
+        noise = _corner_noise(rng, corner, grid, offset)[rows, positions]
     kind = x.data.dtype.type
     keep = np.where(noise >= rate, kind(1) / kind(1.0 - rate), kind(0))
     out = Tensor._result(x.data * keep, x.requires_grad)
@@ -785,23 +790,25 @@ def dropout(
     return out
 
 
-def _corner_noise(rng: np.random.Generator, shape: tuple, grid: tuple) -> np.ndarray:
-    """``rng.random(grid)`` cut to its leading ``shape`` corner, drawing only that corner.
+def _corner_noise(rng: np.random.Generator, shape: tuple, grid: tuple, offset: int = 0) -> np.ndarray:
+    """``rng.random(grid)`` cut to its ``shape`` corner from grid row ``offset`` on, drawing only that corner.
 
     When only the first two axes are cut, each row's corner is the first
     ``prod(shape[1:])`` values of its grid row.  One float64 draw takes
-    exactly one PCG64 output, so drawing those values and then advancing
-    the generator past the rest of the row (and past the grid rows beyond
-    ``shape[0]``) yields the same values and the same final state as the
-    full draw.  Other generators and cuts take the full draw.
+    exactly one PCG64 output, so advancing the generator past the grid rows
+    before ``offset``, drawing those values and advancing past the rest of
+    each row (and past the grid rows after the corner) yields the same values
+    and the same final state as the full draw.  Other generators and cuts
+    take the full draw.
     """
     if grid == shape or grid[2:] != shape[2:] or not isinstance(rng.bit_generator, np.random.PCG64):
-        return rng.random(grid)[tuple(map(slice, shape))]
+        return rng.random(grid)[(slice(offset, offset + shape[0]), *map(slice, shape[1:]))]
     rows, used = shape[0], int(np.prod(shape[1:]))
     row_size = int(np.prod(grid[1:]))
     noise = np.empty((rows, used))
+    rng.bit_generator.advance(offset * row_size)
     for r in range(rows):
         rng.random(used, out=noise[r])
         rng.bit_generator.advance(row_size - used)
-    rng.bit_generator.advance((grid[0] - rows) * row_size)
+    rng.bit_generator.advance((grid[0] - offset - rows) * row_size)
     return noise.reshape(shape)

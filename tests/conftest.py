@@ -12,6 +12,9 @@ pairing instead of learning the topic.
 
 from __future__ import annotations
 
+import errno
+import os
+
 import numpy as np
 import pytest
 
@@ -241,15 +244,35 @@ def check_gradients(fn, tensors: list[Tensor], h: float = 1e-3) -> float:
     return max(relative_error(a, n) for a, n in zip(analytic, numeric))
 
 
-def force_eval_workers(monkeypatch, workers: int) -> None:
-    """Spread every ``eval_rows`` call over ``workers`` processes, whatever the CPUs and batches."""
-    monkeypatch.setattr(encoder_module, "_eval_workers", lambda batches: workers)
+def force_workers(monkeypatch, workers: int) -> None:
+    """Spread every ``eval_rows`` call and every sharded training loop over ``workers``
+    processes, whatever the CPUs, the batches and the shards."""
+    monkeypatch.setattr(encoder_module, "worker_count", lambda units: workers)
+
+
+def no_child_left() -> None:
+    """Fail unless this process has no child, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def fail_os_call(monkeypatch, name: str, at: int) -> None:
+    """Make call ``at`` (1-based) of ``os.<name>`` raise ``EAGAIN``; the others go through."""
+    real, calls = getattr(os, name), []
+
+    def failing(*args):
+        calls.append(args)
+        if len(calls) == at:
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+        return real(*args)
+
+    monkeypatch.setattr(os, name, failing)
 
 
 @pytest.fixture()
-def one_eval_worker(monkeypatch):
-    """``eval_rows`` batches in the test's own process, for tests that read ``run``'s side effects."""
-    force_eval_workers(monkeypatch, 1)
+def one_worker(monkeypatch):
+    """Eval batches and training shards run in the test's own process, for tests that read side effects."""
+    force_workers(monkeypatch, 1)
 
 
 @pytest.fixture()

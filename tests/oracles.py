@@ -232,11 +232,12 @@ def erf_gelu(x: T.Tensor) -> T.Tensor:
 # give the same bits, so tests patch these in and compare artifact bytes.
 
 
-def full_grid_dropout(x: T.Tensor, rate: float, rng, grid=None, slots=None) -> T.Tensor:
-    """``tensor.dropout`` drawing noise over the whole grid, then cutting it or reading it at ``slots``."""
+def full_grid_dropout(x: T.Tensor, rate: float, rng, grid=None, slots=None, offset=0) -> T.Tensor:
+    """``tensor.dropout`` drawing noise over the whole grid, then, from grid row ``offset`` on,
+    cutting it or reading it at ``slots``."""
     if rate == 0.0:
         return x
-    noise = rng.random(grid or x.data.shape)
+    noise = rng.random(grid or x.data.shape)[offset:]
     noise = noise[tuple(map(slice, x.data.shape))] if slots is None else noise[slots[0], slots[1]]
     keep = (noise >= rate).astype(x.data.dtype)
     keep /= x.data.dtype.type(1.0 - rate)
@@ -296,11 +297,7 @@ class PerTensorAdamW:
         self._m = {name: np.zeros_like(p.data) for name, p in self.params.items()}
         self._v = {name: np.zeros_like(p.data) for name, p in self.params.items()}
 
-    def descend(self, loss, tape, epoch):
-        if not np.isfinite(loss.data):
-            raise TrainingDivergedError(f"non-finite loss at step {self.step_count + 1} (epoch {epoch})")
-        T.backward(loss, tape)
-        self.step()
+    def zero_grad(self):
         for p in self.params.values():
             p.grad = None
 
@@ -366,9 +363,9 @@ def full_forward_batch(seqs, weights, rng=None, reads=None):
     return cut_to_reads(forward_batch(seqs, weights, rng), reads)
 
 
-def full_logits(model, seqs, rng=None) -> T.Tensor:
+def full_logits(model, seqs, rng=None, place=None) -> T.Tensor:
     """``finetune._logits`` over the full last block."""
-    outputs = forward_batch(seqs, model.weights, rng)
+    outputs = forward_batch(seqs, model.weights, rng, place=place)
     return T.linear(pool(outputs, PoolingStrategy.CLS), model.head_weight, model.head_bias)
 
 

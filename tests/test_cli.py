@@ -19,9 +19,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import force_eval_workers, make_pair_task, make_single_task, make_topic_nli
+from conftest import force_workers, make_pair_task, make_single_task, make_topic_nli, no_child_left
 
 from consem import encoder as encoder_module
+from consem import finetune as finetune_module
 from consem.checkpoint import load_checkpoint, save_checkpoint
 from consem.cli import SWEEP_GRIDS, main
 from consem.config import SHARED_KEYS, RunConfig, section_keys
@@ -703,7 +704,7 @@ def test_error_in_a_forked_eval_batch_is_one_error_line(workspace, tmp_path, cap
         return forward_batch(seqs, *args, **kwargs)
 
     monkeypatch.setattr(encoder_module, "forward_batch", forward_failing_in_a_child)
-    force_eval_workers(monkeypatch, 2)
+    force_workers(monkeypatch, 2)
     rc = main(["retrieve", "--checkpoint", str(workspace.checkpoint), "--vocab", str(workspace.vocab),
                "--claims", str(tmp_path / "claims.jsonl"), "--contexts", str(tmp_path / "contexts.jsonl"),
                "--out", str(tmp_path / "ret")])
@@ -711,6 +712,25 @@ def test_error_in_a_forked_eval_batch_is_one_error_line(workspace, tmp_path, cap
     assert capsys.readouterr().err == "error: a worker's batch failed\n"
     assert not (tmp_path / "ret" / "retrieval.json").exists()
 
+
+
+def test_error_in_a_worker_training_shard_is_one_error_line(workspace, tmp_path, capsys, monkeypatch):
+    caller = os.getpid()
+
+    def forward_failing_in_a_child(seqs, *args, **kwargs):
+        if os.getpid() != caller:
+            raise ContractError("a worker's shard failed")
+        return forward_batch(seqs, *args, **kwargs)
+
+    monkeypatch.setattr(finetune_module, "forward_batch", forward_failing_in_a_child)
+    force_workers(monkeypatch, 2)
+    rc = main(["finetune", "--checkpoint", str(workspace.checkpoint), "--vocab", str(workspace.vocab),
+               "--train", str(workspace.train), "--dev", str(workspace.dev), "--task", "pair",
+               "--ft-epochs", "1", "--out", str(tmp_path / "ft")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: a worker's shard failed\n"
+    assert not (tmp_path / "ft" / "model.bin").exists()
+    no_child_left()
 
 _NLI_TEXTS = st.one_of(st.sampled_from(["the river", "a glacier"]), st.text(alphabet=" \t\u2028ab.", max_size=3))
 

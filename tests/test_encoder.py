@@ -1,6 +1,5 @@
 """Encoder forward pass, attention masking, and pooling strategies."""
 
-import errno
 import os
 import signal
 from dataclasses import fields, replace
@@ -13,8 +12,10 @@ from conftest import (
     TOPICS,
     analytic_gradients,
     boundary_twin_texts,
+    fail_os_call,
     fd_at,
-    force_eval_workers,
+    force_workers,
+    no_child_left,
     relative_error,
     topic_sentence,
 )
@@ -364,7 +365,7 @@ class TestPooling:
 def _eval_batches(lengths, batch_size, monkeypatch) -> list[np.ndarray]:
     """The input rows of each batch ``eval_rows`` runs over distinct sequences of ``lengths``."""
     monkeypatch.setattr(encoder_module, "EVAL_BATCH", batch_size)
-    force_eval_workers(monkeypatch, 1)  # ``run`` records the batches in this process
+    force_workers(monkeypatch, 1)  # ``run`` records the batches in this process
     seqs = [TokenSequence(ids=[row] * length) for row, length in enumerate(lengths)]
     batches = []
 
@@ -409,7 +410,7 @@ class TestLengthBatches:
         with pytest.raises(ConfigError, match="batch_size"):
             _eval_batches([1, 2], batch_size, monkeypatch)
 
-    def test_equal_sequences_run_once_as_their_first_copy(self, monkeypatch, one_eval_worker):
+    def test_equal_sequences_run_once_as_their_first_copy(self, monkeypatch, one_worker):
         monkeypatch.setattr(encoder_module, "EVAL_BATCH", 2)
         seqs = [TokenSequence(ids=ids) for ids in ([7, 7], [5], [7, 7], [5], [9, 9, 9], [7, 7])]
         ran = []
@@ -488,7 +489,7 @@ class TestEmbedSentences:
         vectors = embed_sentences(texts, weights, config, vocab, strategy)
         assert vectors[BOUNDARY_TWINS[0]].tobytes() == vectors[BOUNDARY_TWINS[1]].tobytes()
 
-    def test_sorted_batches_pad_less(self, micro_checkpoint, monkeypatch, one_eval_worker):
+    def test_sorted_batches_pad_less(self, micro_checkpoint, monkeypatch, one_worker):
         ckpt, _, vocab = micro_checkpoint
         config = ckpt.encoder_config
         weights = EncoderWeights.from_arrays(config, ckpt.params)
@@ -559,11 +560,6 @@ def _counting_fork(monkeypatch) -> list[int]:
     return pids
 
 
-def _no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def _blas_env(monkeypatch, **values: str) -> None:
     """Set exactly ``values`` among the BLAS thread-count variables."""
     for name in encoder_module._BLAS_THREAD_VARS:
@@ -583,19 +579,6 @@ class _TwoArgError(Exception):
         super().__init__(f"{a} and {b}")
 
 
-def _fail_call(monkeypatch, name: str, at: int) -> None:
-    """Make call ``at`` (1-based) of ``os.<name>`` raise ``EAGAIN``; the others go through."""
-    real, calls = getattr(os, name), []
-
-    def failing(*args):
-        calls.append(args)
-        if len(calls) == at:
-            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
-        return real(*args)
-
-    monkeypatch.setattr(os, name, failing)
-
-
 class TestEvalWorkers:
     """``eval_rows``' batches over forked processes: how many, the same bytes, errors and cleanup."""
 
@@ -609,7 +592,7 @@ class TestEvalWorkers:
     ):
         _blas_env(monkeypatch, OPENBLAS_NUM_THREADS="1")
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        assert encoder_module._eval_workers(batches) == workers
+        assert encoder_module.worker_count(batches) == workers
 
     @pytest.mark.parametrize("cpus,n", [(1, 100), (2, 2), (2, 0), (10_000, 1)])
     def test_one_worker_never_forks(self, cpus, n, monkeypatch):
@@ -625,7 +608,7 @@ class TestEvalWorkers:
         monkeypatch.setattr(os, "fork", _no_fork)
         monkeypatch.delattr(os, missing)
         monkeypatch.setattr(encoder_module, "EVAL_BATCH", 2)
-        assert encoder_module._eval_workers(50) == 1
+        assert encoder_module.worker_count(50) == 1
         assert eval_rows([TokenSequence(ids=[i]) for i in range(9)], 1, _ids)[:, 0].tolist() == list(range(9))
 
     @pytest.mark.parametrize(
@@ -638,7 +621,7 @@ class TestEvalWorkers:
         monkeypatch.setattr(os, "fork", _no_fork)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         monkeypatch.setattr(encoder_module, "EVAL_BATCH", 2)
-        assert encoder_module._eval_workers(50) == 1
+        assert encoder_module.worker_count(50) == 1
         assert eval_rows([TokenSequence(ids=[i]) for i in range(9)], 1, _ids)[:, 0].tolist() == list(range(9))
 
     @pytest.mark.parametrize(
@@ -652,7 +635,7 @@ class TestEvalWorkers:
         forks = _counting_fork(monkeypatch)
         assert eval_rows([TokenSequence(ids=[i]) for i in range(9)], 1, _ids)[:, 0].tolist() == list(range(9))
         assert len(forks) == 1
-        _no_child_left()
+        no_child_left()
 
     @pytest.mark.parametrize("strategy", list(PoolingStrategy))
     def test_vectors_do_not_depend_on_the_worker_count(self, micro_checkpoint, strategy, monkeypatch):
@@ -663,12 +646,12 @@ class TestEvalWorkers:
         forks = _counting_fork(monkeypatch)
         vectors = {}
         for workers in (1, 2, 3):
-            force_eval_workers(monkeypatch, workers)
+            force_workers(monkeypatch, workers)
             vectors[workers] = embed_sentences(texts, weights, config, vocab, strategy)
         assert len(forks) == 1 + 2
         assert vectors[1].tobytes() == vectors[2].tobytes() == vectors[3].tobytes()
         assert vectors[2][BOUNDARY_TWINS[0]].tobytes() == vectors[2][BOUNDARY_TWINS[1]].tobytes()
-        _no_child_left()
+        no_child_left()
 
     @pytest.mark.parametrize("failing", [{1}, {1, 2}, {2, 3}, {0, 5}, {4, 5}])
     def test_error_is_the_serial_loops_first(self, failing, monkeypatch):
@@ -682,21 +665,21 @@ class TestEvalWorkers:
 
         raised = {}
         for workers in (1, 2, 3):
-            force_eval_workers(monkeypatch, workers)
+            force_workers(monkeypatch, workers)
             with pytest.raises(ConsemError) as info:
                 eval_rows([TokenSequence(ids=[i]) for i in range(12)], 1, run)
             raised[workers] = (type(info.value), str(info.value))
         first = min(failing)
         assert raised[1] == (ShapeError if first % 2 else ConfigError, f"batch {first} failed")
         assert raised[2] == raised[3] == raised[1]
-        _no_child_left()
+        no_child_left()
 
     @pytest.mark.parametrize("workers", [2, 3])
     @pytest.mark.parametrize("error", [ShapeError("batch 0 failed"), KeyboardInterrupt("batch 0 failed")])
     def test_callers_error_while_children_hold_full_pipes(self, error, workers, monkeypatch):
         width = 1 << 15  # one float32 row is 128 KB, twice a Linux pipe's buffer
         monkeypatch.setattr(encoder_module, "EVAL_BATCH", 1)
-        force_eval_workers(monkeypatch, workers)
+        force_workers(monkeypatch, workers)
 
         def run(batch):
             if batch[0].ids[0] == 0:  # batch 0 is the caller's own
@@ -714,25 +697,25 @@ class TestEvalWorkers:
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
-        _no_child_left()
+        no_child_left()
 
     @pytest.mark.parametrize("name,at", [("pipe", 1), ("pipe", 2), ("fork", 1), ("fork", 2)])
     def test_caller_runs_the_share_of_a_worker_it_could_not_fork(self, name, at, monkeypatch):
         monkeypatch.setattr(encoder_module, "EVAL_BATCH", 2)
-        force_eval_workers(monkeypatch, 3)
+        force_workers(monkeypatch, 3)
         seqs = [TokenSequence(ids=[i]) for i in range(13)]
         fds = _open_fds()
-        _fail_call(monkeypatch, name, at)
+        fail_os_call(monkeypatch, name, at)
         assert eval_rows(seqs, 1, _ids).tobytes() == np.arange(13, dtype=np.float32)[:, None].tobytes()
         assert _open_fds() == fds
-        _no_child_left()
+        no_child_left()
 
     @pytest.mark.parametrize("failing", [{2, 4}, {1, 2}, {5}])
     def test_share_run_for_an_unforked_worker_keeps_the_serial_loops_error(self, failing, monkeypatch):
         # 3 workers, the second fork fails: the caller runs worker 2's batches 2 and 5.
         monkeypatch.setattr(encoder_module, "EVAL_BATCH", 1)
-        force_eval_workers(monkeypatch, 3)
-        _fail_call(monkeypatch, "fork", 2)
+        force_workers(monkeypatch, 3)
+        fail_os_call(monkeypatch, "fork", 2)
 
         def run(batch):
             if batch[0].ids[0] in failing:
@@ -741,7 +724,7 @@ class TestEvalWorkers:
 
         with pytest.raises(ShapeError, match=f"^batch {min(failing)} failed$"):
             eval_rows([TokenSequence(ids=[i]) for i in range(6)], 1, run)
-        _no_child_left()
+        no_child_left()
 
     @pytest.mark.parametrize(
         "error,shown",
@@ -752,7 +735,7 @@ class TestEvalWorkers:
     )
     def test_child_error_that_does_not_pickle_arrives_as_its_repr(self, error, shown, monkeypatch):
         monkeypatch.setattr(encoder_module, "EVAL_BATCH", 1)
-        force_eval_workers(monkeypatch, 2)
+        force_workers(monkeypatch, 2)
 
         def run(batch):
             if batch[0].ids[0] == 1:  # batch 1 runs in the child
@@ -761,11 +744,11 @@ class TestEvalWorkers:
 
         with pytest.raises(RuntimeError, match=shown):
             eval_rows([TokenSequence(ids=[0]), TokenSequence(ids=[1])], 1, run)
-        _no_child_left()
+        no_child_left()
 
     def test_truncated_rows_are_an_error(self, monkeypatch):
         monkeypatch.setattr(encoder_module, "EVAL_BATCH", 1)
-        force_eval_workers(monkeypatch, 2)
+        force_workers(monkeypatch, 2)
         caller, pickled = os.getpid(), encoder_module._pickled_share
 
         def run(batch):
@@ -776,11 +759,11 @@ class TestEvalWorkers:
         with pytest.raises(ChildProcessError, match="exited before sending its rows"):
             eval_rows([TokenSequence(ids=[0]), TokenSequence(ids=[1])], 1, run)
         assert encoder_module._pickled_share is pickled
-        _no_child_left()
+        no_child_left()
 
     def test_child_that_exits_without_rows_is_an_error(self, monkeypatch):
         monkeypatch.setattr(encoder_module, "EVAL_BATCH", 1)
-        force_eval_workers(monkeypatch, 2)
+        force_workers(monkeypatch, 2)
 
         def run(batch):
             if batch[0].ids[0] == 1:  # batch 1 runs in the child
@@ -789,7 +772,7 @@ class TestEvalWorkers:
 
         with pytest.raises(ChildProcessError, match="exited before sending its rows"):
             eval_rows([TokenSequence(ids=[0]), TokenSequence(ids=[1])], 1, run)
-        _no_child_left()
+        no_child_left()
 
 
 class TestEncoderGradients:
@@ -1063,3 +1046,35 @@ class TestReads:
                 forward_batch(seqs, weights, np.random.default_rng(0), reads=reads)
             counts[name] = len(tape)
         assert counts == {"full": 4 + 14 * 3, "cls": 4 + 14 * 3 + 4, "slots": 4 + 14 * 3 + 6}
+
+
+class TestShardPlace:
+    """A shard of a training batch, given its place, gets the whole batch's dropout masks for its rows."""
+
+    @staticmethod
+    def _batch():
+        config = EncoderConfig(vocab_size=30, num_layers=2, num_heads=2, hidden_size=16, ff_size=32, max_len=12,
+                               dropout=0.1)
+        weights = EncoderWeights.initialize(config, seed=5)
+        seqs = [TokenSequence(ids=[2 + (i * 7 + j) % 27 for j in range(n)]) for i, n in enumerate([4, 9, 3, 11, 6])]
+        return weights, seqs
+
+    @pytest.mark.parametrize("cut", [False, True])
+    def test_shard_rows_match_the_whole_batch_forward(self, cut):
+        weights, seqs = self._batch()
+        reads = lambda n: cls_slots(n) if cut else None
+        whole = forward_batch(seqs, weights, np.random.default_rng(9), reads(5)).hidden[-1].data
+        for first, n in ((0, 3), (3, 2), (1, 1)):
+            rng = np.random.default_rng(9)
+            shard = forward_batch(seqs[first : first + n], weights, rng, reads(n), place=(first, 5)).hidden[-1].data
+            want = whole[first : first + n] if cut else whole[first : first + n, : shard.shape[1]]
+            for i, seq in enumerate(seqs[first : first + n]):
+                # Padding positions differ with the padded width; real ones only by float noise.
+                real = slice(None) if cut else slice(0, seq.length)
+                assert np.abs(shard[i, real] - want[i, real]).max() <= 1e-6
+
+    @pytest.mark.parametrize("place", [(-1, 5), (1, 2), (0, 1), (4, 5)])
+    def test_place_must_fit_the_batch(self, place):
+        weights, seqs = self._batch()
+        with pytest.raises(ShapeError, match="do not fit a batch"):
+            forward_batch(seqs[:2], weights, np.random.default_rng(0), place=place)

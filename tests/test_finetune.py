@@ -1,6 +1,8 @@
 """Fine-tuning on synthetic separable tasks built from the topic corpus."""
 
 import json
+import os
+import signal
 from dataclasses import replace
 
 import numpy as np
@@ -9,18 +11,24 @@ import pytest
 from conftest import (
     BOUNDARY_TWINS,
     boundary_twin_texts,
-    force_eval_workers,
+    fail_os_call,
+    force_workers,
     make_mrc_task,
     make_pair_task,
     make_single_task,
+    no_child_left,
     topic_sentence,
 )
 from oracles import full_logits, input_order_predict_probs, per_question_mrc
 
 from consem import finetune as finetune_module
+from consem import optim as optim_module
+from consem import tensor as T
 from consem.checkpoint import load_checkpoint, save_checkpoint
 from consem.encoder import EVAL_BATCH, EncoderConfig, EncoderWeights, forward_batch, parameter_names
-from consem.errors import ConfigError, DataError, FormatError, ShapeError, TrainingDivergedError, VocabularyError
+from consem.errors import (
+    ConfigError, ContractError, DataError, FormatError, ShapeError, TrainingDivergedError, VocabularyError,
+)
 from consem.finetune import (
     CONTRADICTION_LABEL,
     ENTAILMENT_LABEL,
@@ -38,6 +46,7 @@ from consem.finetune import (
     mrc_scores,
     save_model,
 )
+from consem.tensor import Tape, backward
 from consem.text import Vocabulary, build_vocab, encode_pair, split_text
 
 
@@ -160,13 +169,13 @@ class TestPairTask:
         dev = make(4, start=64)
         dev[-1] = dict(dev[-1], label="maybe", where="dev.jsonl:4")
         steps = []
-        descend = finetune_module.AdamW.descend
+        step = finetune_module.AdamW.step
 
-        def counting_descend(self, *args):
+        def counting_step(self, *args):
             steps.append(args)
-            return descend(self, *args)
+            return step(self, *args)
 
-        monkeypatch.setattr(finetune_module.AdamW, "descend", counting_descend)
+        monkeypatch.setattr(finetune_module.AdamW, "step", counting_step)
         with pytest.raises(DataError, match="^dev.jsonl:4: unknown label 'maybe'"):
             finetune_classifier(ckpt, TaskSpec(kind), make(16), dev, FinetuneConfig(epochs=1), vocab)
         assert steps == []
@@ -240,7 +249,7 @@ class TestMrc:
         assert len(expected) == 12
         assert [[vocab.token_for(i) for i in seq.ids] for seq in seqs] == expected
 
-    def test_targets_mark_each_answer_as_entailment(self, micro_checkpoint, monkeypatch):
+    def test_targets_mark_each_answer_as_entailment(self, micro_checkpoint, monkeypatch, one_worker):
         ckpt, _, vocab = micro_checkpoint
         records = make_mrc_task(6, choices=3)
         max_len = ckpt.encoder_config.max_len
@@ -254,10 +263,10 @@ class TestMrc:
         batches, targets = [], []
         logits, cross_entropy = finetune_module._logits, finetune_module.T.cross_entropy
 
-        def training_logits(model, seqs, rng=None):
+        def training_logits(model, seqs, rng=None, place=None):
             if rng is not None:
                 batches.append(seqs)
-            return logits(model, seqs, rng)
+            return logits(model, seqs, rng, place)
 
         def recorded_cross_entropy(z, gold):
             targets.append(gold)
@@ -267,7 +276,8 @@ class TestMrc:
         monkeypatch.setattr(finetune_module.T, "cross_entropy", recorded_cross_entropy)
         finetune_classifier(ckpt, TaskSpec(TaskKind.MRC), records, records[:2], FinetuneConfig(epochs=1, batch_size=4),
                             vocab)
-        assert len(batches) == len(targets) == 5
+        # 18 statements in batches of 4, 4, 4, 4 and 2, each cut into two shards.
+        assert len(batches) == len(targets) == 10
         got = {tuple(seq.ids): MRC_LABELS[t] for seqs, gold in zip(batches, targets) for seq, t in zip(seqs, gold)}
         assert got == want
 
@@ -418,7 +428,7 @@ class TestPrediction:
             reference = input_order_predict_probs(model, seqs)[:, column]
             assert scores.tolist() == reference.tolist()
 
-    def test_batched_mrc_within_bound_of_the_per_question_loop(self, pair_run, monkeypatch, one_eval_worker):
+    def test_batched_mrc_within_bound_of_the_per_question_loop(self, pair_run, monkeypatch, one_worker):
         # The old path: one forward per question, each over the full last block.
         model, _, _, _, vocab = pair_run
         records = make_mrc_task(24, start=40, choices=4)
@@ -475,7 +485,7 @@ class TestPrediction:
         records = make_mrc_task(24, start=40, choices=4)
         probs, scores = {}, {}
         for workers in (1, 2):
-            force_eval_workers(monkeypatch, workers)
+            force_workers(monkeypatch, workers)
             probs[workers] = finetune_module._predict_probs(model, seqs)
             scores[workers] = [s.tobytes() for s in mrc_scores(model, vocab, records)]
         assert len(seqs) > 2 * EVAL_BATCH and 4 * len(records) > 2 * EVAL_BATCH
@@ -593,3 +603,186 @@ class TestLoadTaskRecords:
         path.write_text(json.dumps(rec) + "\n")
         with pytest.raises(DataError, match="choices"):
             load_task_records(path, TaskSpec(TaskKind.MRC))
+
+
+def _with_dropout(ckpt):
+    return replace(ckpt, encoder_config=replace(ckpt.encoder_config, dropout=0.1))
+
+
+def _counting_worker_starts(monkeypatch) -> list[bool]:
+    """Whether each ``train_epochs`` loop from now on forked its shard worker."""
+    started, start = [], optim_module._ShardWorker.start
+
+    def counting(optimizer, batch_loss):
+        worker = start(optimizer, batch_loss)
+        started.append(worker is not None)
+        return worker
+
+    monkeypatch.setattr(optim_module._ShardWorker, "start", counting)
+    return started
+
+
+class TestShardedSteps:
+    """Each step as two shards: one worker or two give the same bytes, the drift is bounded, no child is left."""
+
+    @pytest.fixture(autouse=True)
+    def _time_bound(self):
+        """A caller left waiting on its worker fails its test, not the whole suite."""
+
+        def hung(signum, frame):
+            raise TimeoutError("fine-tuning with a shard worker hung")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(60)
+        try:
+            yield
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
+    @staticmethod
+    def _pair_run(ckpt, vocab, **config):
+        config = FinetuneConfig(**{"epochs": 2, "seed": 4, **config})
+        return finetune_classifier(ckpt, TaskSpec(TaskKind.PAIR), make_pair_task(40), make_pair_task(8, start=40),
+                                   config, vocab)
+
+    @pytest.mark.parametrize("kind", [TaskKind.PAIR, TaskKind.MRC])
+    def test_model_bytes_do_not_depend_on_the_worker_count(self, micro_checkpoint, monkeypatch, tmp_path, kind):
+        ckpt, _, vocab = micro_checkpoint
+        ckpt = _with_dropout(ckpt)
+        if kind is TaskKind.MRC:
+            train, dev = make_mrc_task(13, choices=3), make_mrc_task(6, start=13, choices=3)
+        else:
+            train, dev = make_pair_task(37), make_pair_task(8, start=40)
+        started = _counting_worker_starts(monkeypatch)
+        saved = {}
+        for workers in (1, 2):
+            force_workers(monkeypatch, workers)
+            # Batches of 16 rows and a short last batch: shards of 8 + 8, then uneven halves.
+            model, _ = finetune_classifier(ckpt, TaskSpec(kind), train, dev, FinetuneConfig(epochs=2, seed=8), vocab)
+            save_model(model, tmp_path / f"model-{workers}.bin")
+            saved[workers] = (tmp_path / f"model-{workers}.bin").read_bytes()
+        assert started == [True]
+        assert saved[1] == saved[2]
+        no_child_left()
+
+    def test_two_shard_gradient_within_bound_of_one_pass(self, micro_checkpoint):
+        ckpt, _, vocab = micro_checkpoint
+        config = replace(ckpt.encoder_config, dropout=0.1)
+        rng = np.random.default_rng(6)
+        arrays = {**ckpt.params, "head.weight": rng.normal(0.0, 0.5, (config.hidden_size, 2)), "head.bias": np.zeros(2)}
+        model = FinetunedModel.from_arrays(config, arrays, MRC_LABELS, TaskKind.PAIR, ckpt.vocab_hash, None)
+        records = make_pair_task(8, start=3)
+        # Short rows first, so the halves pad to different widths.
+        short = lambda text, words: " ".join(text.split()[:words])
+        records[:4] = [dict(r, text_a=short(r["text_a"], 3), text_b=short(r["text_b"], 2 + i))
+                       for i, r in enumerate(records[:4])]
+        seqs = [encode_pair(r["text_a"], r["text_b"], vocab, config.max_len) for r in records]
+        assert max(s.length for s in seqs[:4]) != max(s.length for s in seqs[4:])
+        gold = np.array([MRC_LABELS.index(r["label"]) for r in records])
+        params = model.parameters()
+
+        def gradient(shards):
+            total = {name: np.zeros_like(p.data) for name, p in params.items()}
+            for rows, place in shards:
+                with Tape() as tape:
+                    logits = finetune_module._logits(model, [seqs[i] for i in rows], np.random.default_rng(3), place)
+                    backward(T.scale(T.cross_entropy(logits, gold[rows]), len(rows) / len(seqs)), tape)
+                for name, p in params.items():
+                    total[name] += p.grad
+                    p.grad = None
+            return total
+
+        one = gradient([(np.arange(8), (0, 8))])
+        two = gradient([(np.arange(4), (0, 8)), (np.arange(4, 8), (4, 8))])
+        norm = np.sqrt(sum(float(np.sum(g.astype(np.float64) ** 2)) for g in one.values()))
+        assert norm > 0.1
+        for name in one:
+            assert np.abs(two[name] - one[name]).max() <= 1e-5, name
+
+    def test_sharded_run_outputs_within_bound_of_one_pass_steps(self, micro_checkpoint, monkeypatch):
+        ckpt, _, vocab = micro_checkpoint
+        ckpt = _with_dropout(ckpt)
+        model, _ = self._pair_run(ckpt, vocab, epochs=8)
+        monkeypatch.setattr(finetune_module, "_STEP_SHARDS", 1)
+        ref_model, _ = self._pair_run(ckpt, vocab, epochs=8)
+        # Outputs, not parameters: the attention key biases get only float-noise
+        # gradients, which AdamW scales up to steps of the learning rate.
+        seqs = [encode_pair(r["text_a"], r["text_b"], vocab, ckpt.encoder_config.max_len) for r in make_pair_task(48)]
+        probs, ref = finetune_module._predict_probs(model, seqs), finetune_module._predict_probs(ref_model, seqs)
+        assert probs.tobytes() != ref.tobytes()
+        assert np.abs(probs - ref).max() <= 1e-5
+
+    def test_no_child_outlives_a_diverged_run(self, micro_checkpoint, monkeypatch):
+        ckpt, _, vocab = micro_checkpoint
+        force_workers(monkeypatch, 2)
+        started = _counting_worker_starts(monkeypatch)
+        with pytest.raises(TrainingDivergedError, match="^non-finite "):
+            self._pair_run(ckpt, vocab, learning_rate=1e6)
+        assert started == [True]
+        no_child_left()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("failing", ["worker", "both"])
+    def test_a_shard_error_is_the_serial_runs(self, micro_checkpoint, monkeypatch, workers, failing):
+        ckpt, _, vocab = micro_checkpoint
+        logits = finetune_module._logits
+
+        def failing_logits(model, seqs, rng=None, place=None):
+            if rng is not None and (failing == "both" or place[0] > 0):
+                raise ContractError(f"shard from row {place[0]} failed")
+            return logits(model, seqs, rng, place)
+
+        monkeypatch.setattr(finetune_module, "_logits", failing_logits)
+        force_workers(monkeypatch, workers)
+        expected = "^shard from row 0 failed$" if failing == "both" else "^shard from row 8 failed$"
+        with pytest.raises(ContractError, match=expected):
+            self._pair_run(ckpt, vocab)
+        no_child_left()
+
+    def test_a_worker_that_dies_is_an_error(self, micro_checkpoint, monkeypatch):
+        ckpt, _, vocab = micro_checkpoint
+        caller, logits = os.getpid(), finetune_module._logits
+
+        def dying_logits(model, seqs, rng=None, place=None):
+            if os.getpid() != caller:
+                os._exit(3)
+            return logits(model, seqs, rng, place)
+
+        monkeypatch.setattr(finetune_module, "_logits", dying_logits)
+        force_workers(monkeypatch, 2)
+        with pytest.raises(ChildProcessError, match="exited before sending its shard"):
+            self._pair_run(ckpt, vocab)
+        no_child_left()
+
+    @pytest.mark.parametrize("error", [ValueError("dev failed"), KeyboardInterrupt()])
+    def test_no_child_outlives_an_error_in_the_epoch_evaluation(self, micro_checkpoint, monkeypatch, error):
+        ckpt, _, vocab = micro_checkpoint
+        force_workers(monkeypatch, 2)
+        started = _counting_worker_starts(monkeypatch)
+
+        def failing_evaluate(*args):
+            raise error
+
+        monkeypatch.setattr(finetune_module, "evaluate", failing_evaluate)
+        with pytest.raises(type(error)):
+            self._pair_run(ckpt, vocab)
+        assert started == [True]
+        no_child_left()
+
+    @pytest.mark.parametrize("name,at", [("pipe", 1), ("pipe", 2), ("fork", 1)])
+    def test_caller_runs_the_last_shard_when_no_worker_can_start(self, micro_checkpoint, monkeypatch, name, at):
+        ckpt, _, vocab = micro_checkpoint
+        ckpt = _with_dropout(ckpt)
+        force_workers(monkeypatch, 1)
+        expected = self._pair_run(ckpt, vocab)[0].to_arrays()
+        force_workers(monkeypatch, 2)
+        started = _counting_worker_starts(monkeypatch)
+        fds = len(os.listdir("/proc/self/fd"))
+        fail_os_call(monkeypatch, name, at)
+        model, _ = self._pair_run(ckpt, vocab)
+        assert started == [False]
+        assert len(os.listdir("/proc/self/fd")) == fds
+        got = model.to_arrays()
+        assert all(got[name].tobytes() == expected[name].tobytes() for name in expected)
+        no_child_left()

@@ -5,12 +5,13 @@ import weakref
 import numpy as np
 import pytest
 
+from conftest import force_workers, no_child_left
 from oracles import PerTensorAdamW
 
 from consem.errors import ConfigError, ContractError, TrainingDivergedError
 from consem import tensor as T
-from consem.optim import AdamW, TrainingConfig, minibatches, train_epochs
-from consem.tensor import Tape, Tensor, precision
+from consem.optim import AdamW, TrainingConfig, _shards, minibatches, train_epochs
+from consem.tensor import Tape, Tensor, backward, precision
 
 
 def test_zero_grad_zero_decay_leaves_parameters_unchanged():
@@ -180,11 +181,12 @@ def test_minibatches_of_an_empty_order_yield_nothing():
 
 
 def test_descend_steps_and_clears_gradients():
+    # One epoch of one block: one step down the loss, gradients cleared after it.
     p = Tensor([1.0, -1.0], requires_grad=True)
     opt = AdamW({"p": p}, learning_rate=0.1, weight_decay=0.0)
-    with Tape() as tape:
-        loss = T.reduce_sum(T.mul(p, p))
-        opt.descend(loss, tape, epoch=1)
+    loop = train_epochs(np.array([0]), TrainingConfig(batch_size=1, epochs=1), opt,
+                        lambda rows, rng, epoch, place: T.reduce_sum(T.mul(p, p)), 7, 9)
+    assert list(loop) == [1]
     np.testing.assert_allclose(p.data, [0.9, -0.9], atol=1e-6)
     assert opt.step_count == 1 and p.grad is None
 
@@ -194,10 +196,10 @@ def test_descend_on_nan_loss_raises_before_any_change():
     opt = AdamW({"p": p}, learning_rate=0.1)
     opt.step()
     before = p.data.copy()
-    with Tape() as tape:
-        loss = T.reduce_sum(T.mul(p, Tensor([np.nan, 1.0])))
-        with pytest.raises(TrainingDivergedError, match=r"^non-finite loss at step 2 \(epoch 3\)$"):
-            opt.descend(loss, tape, epoch=3)
+    loop = train_epochs(np.array([0]), TrainingConfig(batch_size=1, epochs=3), opt,
+                        lambda rows, rng, epoch, place: T.reduce_sum(T.mul(p, Tensor([np.nan, 1.0]))), 7, 9)
+    with pytest.raises(TrainingDivergedError, match=r"^non-finite loss at step 2 \(epoch 1\)$"):
+        next(loop)
     np.testing.assert_array_equal(p.data, before)
     assert opt.step_count == 1 and p.grad is None
 
@@ -211,7 +213,7 @@ def _toy_loop(batch_loss):
     """A one-parameter optimizer and the loop over ``_ITEMS``; ``batch_loss`` gets the parameter first."""
     p = Tensor([1.0, -1.0], requires_grad=True)
     opt = AdamW({"p": p}, learning_rate=0.1, weight_decay=0.0)
-    loop = train_epochs(_ITEMS, _CONFIG, opt, lambda rows, rng, epoch: batch_loss(p, rows, rng, epoch),
+    loop = train_epochs(_ITEMS, _CONFIG, opt, lambda rows, rng, epoch, place: batch_loss(p, rows, rng, epoch),
                         _SHUFFLE, _DROPOUT)
     return p, opt, loop
 
@@ -236,7 +238,7 @@ def test_epochs_visit_items_permuted_per_epoch_in_minibatches():
     assert [c[:2] for c in calls] == [e[:2] for e in expected]
     for (_, _, got), (_, _, want) in zip(calls, expected, strict=True):
         np.testing.assert_array_equal(got, want)
-    # One descend per block: three blocks of 2, 2 and 1 items per epoch.
+    # One step per block: three blocks of 2, 2 and 1 items per epoch.
     assert opt.step_count == 9 and p.grad is None
 
 
@@ -274,3 +276,55 @@ def test_nan_loss_raises_before_any_parameter_changes():
         next(loop)
     np.testing.assert_array_equal(p.data, state["before"])
     assert opt.step_count == 5 and p.grad is None and T._TAPE_STACK == []
+
+
+@pytest.mark.parametrize(
+    "n,count,sizes",
+    [(1, 2, [1]), (2, 2, [1, 1]), (5, 2, [3, 2]), (16, 2, [8, 8]), (7, 1, [7]), (7, 3, [3, 2, 2])],
+)
+def test_shards_are_consecutive_the_larger_first(n, count, sizes):
+    rows = np.arange(100, 100 + n)
+    shards = _shards(rows, count)
+    assert [len(part) for part, _ in shards] == sizes
+    assert np.concatenate([part for part, _ in shards]).tolist() == rows.tolist()
+    assert [place for _, place in shards] == [(int(first), n) for first in np.cumsum([0, *sizes[:-1]])]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sharded_step_sums_each_shards_own_gradient_in_shard_order(monkeypatch, workers):
+    force_workers(monkeypatch, workers)
+    calls = []
+
+    def batch_loss(p, rows, rng, epoch, place):
+        calls.append((rows.tolist(), place, rng.random()))
+        weights = np.full(5, 0.1)
+        weights[rows] += rows / 10.0
+        return T.reduce_sum(T.mul(T.mul(p, p), Tensor(weights)))
+
+    def shard_gradient(p, rows):
+        with Tape() as tape:
+            backward(batch_loss(p, rows, np.random.default_rng(0), 1, None), tape)
+        grad, p.grad = p.grad, None
+        return grad
+
+    p = Tensor([1.0, -1.0, 2.0, 0.5, 3.0], requires_grad=True)
+    opt = AdamW({"p": p}, learning_rate=0.1, weight_decay=0.0)
+    seen, step = [], opt.step
+
+    def recording_step():
+        seen.append(p.grad.copy())
+        step()
+
+    opt.step = recording_step
+    order = np.arange(5)[np.random.default_rng([5, _SHUFFLE, 1]).permutation(5)]
+    expected = shard_gradient(p, order[:3]) + shard_gradient(p, order[3:])
+    calls.clear()
+    config = TrainingConfig(batch_size=5, epochs=1, seed=5)
+    list(train_epochs(np.arange(5), config, opt, lambda *args: batch_loss(p, *args), _SHUFFLE, _DROPOUT, shards=2))
+    fresh = np.random.default_rng([5, _DROPOUT, 1, 0]).random()
+    # Each shard gets the block's fresh generator and its place in the block;
+    # with two workers the second shard's call is made in the worker.
+    assert calls == [(order[:3].tolist(), (0, 5), fresh), (order[3:].tolist(), (3, 5), fresh)][:3 - workers]
+    assert seen[0].tobytes() == expected.tobytes()
+    assert opt.step_count == 1 and p.grad is None
+    no_child_left()

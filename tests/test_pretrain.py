@@ -1,11 +1,12 @@
 """Contrastive loss, dynamic masking, subsampling, and the training loop."""
 
 import math
+import os
 
 import numpy as np
 import pytest
 
-from conftest import check_gradients, make_topic_triples, micro_encoder_config
+from conftest import check_gradients, force_workers, make_topic_triples, micro_encoder_config
 from oracles import composed_contrastive_loss, contrastive_loss_reference, full_forward_batch, masking_reference
 
 import consem.pretrain as pretrain_module
@@ -366,6 +367,23 @@ class TestTrain:
         triples, vocab, encoder_config = tiny_world
         config = PretrainConfig(epochs=2, batch_size=4, seed=5, mlm_weight=0.1)
         ckpt_a, records_a = train(triples, config, vocab, encoder_config)
+        ckpt_b, records_b = train(triples, config, vocab, encoder_config)
+        assert records_a == records_b
+        for name in ckpt_a.params:
+            assert ckpt_a.params[name].tobytes() == ckpt_b.params[name].tobytes()
+
+    def test_pretraining_never_forks(self, tiny_world, monkeypatch):
+        # The contrastive loss couples a batch's rows, so each step is one shard
+        # and no worker is forked, even where two processes are allowed.
+        triples, vocab, encoder_config = tiny_world
+        config = PretrainConfig(epochs=2, batch_size=4, seed=5, mlm_weight=0.1)
+        ckpt_a, records_a = train(triples, config, vocab, encoder_config)
+
+        def no_fork():
+            raise AssertionError("pretraining forked")
+
+        force_workers(monkeypatch, 2)
+        monkeypatch.setattr(os, "fork", no_fork)
         ckpt_b, records_b = train(triples, config, vocab, encoder_config)
         assert records_a == records_b
         for name in ckpt_a.params:

@@ -482,6 +482,46 @@ class TestFusedKernelBits:
         assert x.grad.tobytes() == xr.grad.tobytes()
         assert rng.bit_generator.state == reference_rng.bit_generator.state
 
+    @pytest.mark.parametrize("generator", [np.random.PCG64, np.random.Philox])
+    @pytest.mark.parametrize("offset,rows,seq", [(0, 3, 9), (3, 2, 6), (4, 1, 9), (1, 4, 2)])
+    def test_dropout_shard_draws_its_rows_of_the_whole_batch_mask(self, offset, rows, seq, generator):
+        # A shard pads to its own length, which may be shorter than the whole batch's 9.
+        grid = (5, 12, 8)
+        fresh = lambda: np.random.Generator(generator(17))
+        whole_rng, shard_rng, reference_rng = fresh(), fresh(), fresh()
+        whole = T.dropout(Tensor(np.ones((5, 9, 8))), 0.1, whole_rng, grid).data
+        shard = T.dropout(Tensor(np.ones((rows, seq, 8))), 0.1, shard_rng, grid, offset=offset).data
+        reference = full_grid_dropout(Tensor(np.ones((rows, seq, 8))), 0.1, reference_rng, grid, offset=offset).data
+        assert shard.tobytes() == whole[offset : offset + rows, :seq].tobytes()
+        assert shard.tobytes() == reference.tobytes()
+        # Each generator is left where the full draw leaves it.
+        assert shard_rng.random(3).tobytes() == whole_rng.random(3).tobytes() == reference_rng.random(3).tobytes()
+
+    @pytest.mark.parametrize("generator", [np.random.PCG64, np.random.Philox])
+    @pytest.mark.parametrize("offset,rows", [(0, 3), (3, 2), (4, 1)])
+    def test_dropout_shard_slots_read_the_whole_batch_grid(self, offset, rows, generator):
+        grid = (5, 9, 8)
+        positions = np.array([3, 0, 5, 8, 0], dtype=np.intp)
+        fresh = lambda: np.random.Generator(generator(18))
+        whole_rng, shard_rng, reference_rng = fresh(), fresh(), fresh()
+        whole = T.dropout(Tensor(np.ones((5, 8))), 0.1, whole_rng, grid, (np.arange(5), positions)).data
+        slots = (np.arange(rows), positions[offset : offset + rows])
+        shard = T.dropout(Tensor(np.ones((rows, 8))), 0.1, shard_rng, grid, slots, offset).data
+        reference = full_grid_dropout(Tensor(np.ones((rows, 8))), 0.1, reference_rng, grid, slots, offset).data
+        assert shard.tobytes() == whole[offset : offset + rows].tobytes()
+        assert shard.tobytes() == reference.tobytes()
+        # Each generator is left where the full draw leaves it.
+        assert shard_rng.random(3).tobytes() == whole_rng.random(3).tobytes() == reference_rng.random(3).tobytes()
+
+    def test_dropout_shard_must_lie_in_the_grid(self):
+        with pytest.raises(ShapeError, match="from row 3"):
+            T.dropout(Tensor(np.ones((2, 5, 3))), 0.1, np.random.default_rng(0), (4, 5, 3), offset=3)
+        with pytest.raises(ShapeError, match="from row -1"):
+            T.dropout(Tensor(np.ones((2, 5, 3))), 0.1, np.random.default_rng(0), (4, 5, 3), offset=-1)
+        slots = (np.array([0, 1], dtype=np.intp), np.array([0, 0], dtype=np.intp))
+        with pytest.raises(ShapeError, match="dropout slots from row 3"):
+            T.dropout(Tensor(np.ones((2, 3))), 0.1, np.random.default_rng(0), (4, 5, 3), slots, 3)
+
     @pytest.mark.parametrize(
         "rows,positions,width",
         [([0, 3], [0, 0], 8), ([0, 1], [0, 9], 8), ([0, -1], [0, 0], 8), ([0], [0, 1], 8), ([0, 1], [0, 0], 5)],
