@@ -37,17 +37,11 @@ about 2e-7, the float noise of a different padded width; a call that
 fits in one batch is unchanged.  Training batches are never reordered:
 in-batch negatives depend on a batch's members.
 
-``eval_rows`` spreads its batches over the usable CPUs (the process's
-CPU affinity, so ``taskset`` limits them): one process per CPU, at most
-two, and never more than one per batch, forked for the call.  It does
-so only where the environment holds BLAS to one thread
-(``OPENBLAS_NUM_THREADS=1`` or ``OMP_NUM_THREADS=1``, say), since a BLAS
-with a thread per CPU in each process crowds the CPUs.  A batch keeps
-its members and its padded shape whichever process runs it, so the
-bytes do not depend on the number of processes.  Otherwise, and where
-``os.fork`` or ``os.sched_getaffinity`` is missing, the batches run one
-after another.  ``worker_count`` is that rule, and the sharded training
-steps of ``optim.train_epochs`` ask it too.
+``eval_rows`` spreads its batches over the processes that
+``workers.worker_count`` allows, the caller and helpers started for the
+call (see ``consem.workers``).  A batch keeps its members and its padded
+shape whichever process runs it, so the bytes do not depend on the
+number of processes.
 
 A training batch may run as shards: ``forward_batch``'s ``place`` gives
 a shard's first row and its batch's size, so its dropout masks are the
@@ -57,15 +51,13 @@ whole batch's masks for its rows.
 from __future__ import annotations
 
 import enum
-import gc
-import os
-import pickle
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from . import tensor as T
+from . import workers
 from .errors import ConfigError, ContractError, DegenerateInputError, ShapeError, VocabularyError
 from .tensor import Tensor
 from .text import PAD_ID, TokenSequence, Vocabulary, encode_single
@@ -401,52 +393,12 @@ def pool(outputs: LayerOutputs, strategy: PoolingStrategy) -> Tensor:
     raise ConfigError(f"unhandled pooling strategy {strategy!r}")
 
 
-# The most processes one eval call or one training run works in.  Speed and
-# memory were measured for 2 only (a 2-CPU host); more waits for a
-# measurement on a larger host.
-_MAX_WORKERS = 2
-# The variables OpenBLAS, MKL and OpenMP read their thread count from.
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
-
-
-def _one_blas_thread() -> bool:
-    """Whether the environment holds BLAS to one thread per process.
-
-    A BLAS left to its default runs a thread per CPU in every process, so
-    forked workers would crowd the CPUs: 2 workers on 2 CPUs ran a
-    ``retrieve`` in 1.5 to 6.1 s against 1.7 to 2.2 s for one process.
-    """
-    values = [os.environ[name].strip() for name in _BLAS_THREAD_VARS if name in os.environ]
-    return bool(values) and all(value == "1" for value in values)
-
-
-def worker_count(units: int) -> int:
-    """Processes to share ``units`` independent work units (eval batches, training shards) among.
-
-    The usable CPUs, at most :data:`_MAX_WORKERS` and at most one per unit,
-    where ``fork`` and ``sched_getaffinity`` exist and BLAS runs one thread;
-    otherwise 1.  ``eval_rows`` and ``optim.train_epochs`` both ask here.
-    """
-    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity") or not _one_blas_thread():
-        return 1
-    return max(1, min(len(os.sched_getaffinity(0)), _MAX_WORKERS, units))
-
-
-def portable_error(exc: BaseException) -> BaseException:
-    """``exc`` if it survives a pickle round trip, so a forked worker can send it; else a RuntimeError of its repr."""
-    try:
-        pickle.loads(pickle.dumps(exc))
-    except Exception:
-        return RuntimeError(repr(exc))
-    return exc
-
-
-def _share(batches: list, run: Callable, worker: int, workers: int, put: Callable) -> tuple | None:
-    """``put(i, run(batches[i]))`` for ``i = worker, worker + workers, ...``, up to the first batch that raises.
+def _share(batches: list, run: Callable, worker: int, count: int, put: Callable) -> tuple | None:
+    """``put(i, run(batches[i]))`` for ``i = worker, worker + count, ...``, up to the first batch that raises.
 
     Returns ``(its index, the exception)`` if a batch raised, else None.
     """
-    for i in range(worker, len(batches), workers):
+    for i in range(worker, len(batches), count):
         try:
             rows = run(batches[i])
         except Exception as exc:
@@ -455,88 +407,49 @@ def _share(batches: list, run: Callable, worker: int, workers: int, put: Callabl
     return None
 
 
-def _pickled_share(share: tuple[list, tuple | None]) -> bytes:
-    """A worker's ``(rows, error)`` pickled, its exception made :func:`portable_error`."""
-    rows, error = share
-    if error is not None:
-        error = error[0], portable_error(error[1])
-    return pickle.dumps((rows, error))
-
-
-def _fork_worker(batches: list, run: Callable, worker: int, workers: int, readers: list) -> tuple | None:
-    """``(pid, read end)`` of a child forked to send worker ``worker``'s
-    rows and error, pickled, or None if no pipe or process could be made."""
-    try:
-        read_fd, write_fd = os.pipe()
-    except OSError:
-        return None
-    reader = os.fdopen(read_fd, "rb")
-    try:
-        pid = os.fork()
-    except OSError:
-        reader.close()
-        os.close(write_fd)
-        return None
-    if pid == 0:
-        try:
-            # Parent objects stay out of the child's collections: no
-            # copy-on-write from traversing them, no finalizer of the
-            # parent's garbage running here.
-            gc.freeze()
-            # Only the caller may hold a read end, or closing it would
-            # not stop a writer blocked on a full pipe.
-            for other in (*readers, reader):
-                other.close()
-            rows: list[np.ndarray] = []
-            error = _share(batches, run, worker, workers, lambda i, r: rows.append(r))
-            with os.fdopen(write_fd, "wb") as pipe:
-                pipe.write(_pickled_share((rows, error)))
-        finally:
-            os._exit(0)
-    os.close(write_fd)
-    return pid, reader
-
-
 def _run_batches(batches: list, run: Callable, put: Callable) -> None:
-    """``put(i, run(batches[i]))`` for every batch, over :func:`worker_count` processes.
+    """``put(i, run(batches[i]))`` for every batch, over ``workers.worker_count`` processes.
 
-    The caller is worker 0; workers 1.. are children forked for this call,
-    so they inherit ``run`` and only their rows are pickled, back through
-    a pipe each.  Worker ``w`` runs batches ``w, w + workers, ...``; the
-    caller also runs the share of every worker it could not fork.  The
-    caller puts each of its own batches as it runs, and each child's rows
-    as it reads them.  An error is the one the serial loop raises: that of
-    the first failing batch.  Every pipe is read, or closed, before its
-    child is reaped, so a child blocked on a full pipe cannot hang the
-    caller, and no child outlives the call.
+    The caller is worker 0; workers 1.. are :class:`workers.Helper` processes
+    started for this call, so they inherit ``run``.  Each is sent its worker
+    index ``w`` and runs batches ``w, w + count, ...``, replying once with
+    their rows and its first error; the caller also runs the share of every
+    helper it could not start.  The caller puts each of its own batches as
+    it runs, and each helper's rows as it reads them.  An error is the one
+    the serial loop raises: that of the first failing batch.
     """
-    workers = worker_count(len(batches))
-    if workers == 1:
+    count = workers.worker_count(len(batches))
+    if count == 1:
         for i, batch in enumerate(batches):
             put(i, run(batch))
         return
-    children: list[tuple[int, object]] = []
-    errors: list[tuple] = []
+
+    def helper_share(worker: int) -> tuple[list, tuple | None]:
+        rows: list[np.ndarray] = []
+        error = _share(batches, run, worker, count, lambda i, r: rows.append(r))
+        if error is not None:
+            error = error[0], workers.portable_error(error[1])
+        return rows, error
+
+    helpers: list[workers.Helper] = []
+    errors: list[tuple | None] = []
     try:
-        for worker in range(1, workers):
-            child = _fork_worker(batches, run, worker, workers, [reader for _, reader in children])
-            if child is None:
+        for worker in range(1, count):
+            helper = workers.Helper.start(helper_share)
+            if helper is None:
                 break
-            children.append(child)
-        for worker in (0, *range(len(children) + 1, workers)):
-            errors.append(_share(batches, run, worker, workers, put))
-        for worker, (pid, reader) in enumerate(children, start=1):
-            try:
-                rows, error = pickle.load(reader)
-            except (EOFError, pickle.UnpicklingError):
-                raise ChildProcessError(f"eval worker {pid} exited before sending its rows") from None
+            helpers.append(helper)
+            helper.send(worker)
+        for worker in (0, *range(len(helpers) + 1, count)):
+            errors.append(_share(batches, run, worker, count, put))
+        for worker, helper in enumerate(helpers, start=1):
+            rows, error = helper.receive()
             for j, batch_rows in enumerate(rows):
-                put(worker + j * workers, batch_rows)
+                put(worker + j * count, batch_rows)
             errors.append(error)
     finally:
-        for pid, reader in children:
-            reader.close()
-            os.waitpid(pid, 0)
+        for helper in helpers:
+            helper.close()
     errors = [error for error in errors if error is not None]
     if errors:
         raise min(errors, key=lambda error: error[0])[1]
@@ -554,9 +467,9 @@ def eval_rows(
     earlier one.  Within a batch they keep their input order: a batch's
     padding depends only on its members, and a call whose sequences fit
     in one batch runs them unchanged.  ``run(batch)`` returns one
-    (len(batch), width) row per sequence.  The batches may run in
-    processes forked for the call (see the module docstring), so ``run``
-    must not rely on side effects in the caller's process.
+    (len(batch), width) row per sequence.  The batches may run in helper
+    processes started for the call (``consem.workers``), so ``run`` must
+    not rely on side effects in the caller's process.
     """
     if EVAL_BATCH < 1:
         raise ConfigError(f"eval batch_size must be >= 1, got {EVAL_BATCH}")

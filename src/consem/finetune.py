@@ -29,8 +29,8 @@ the two shards' gradients; each shard draws the dropout masks the whole
 batch gives its rows.  That sum differs from the one-pass gradient by
 float noise (the shards pad to their own widths), a deliberate drift
 that tests bound.  ``optim.train_epochs`` runs the second shard in a
-worker process forked once per call where ``encoder.worker_count``
-allows two processes, and in this process otherwise, with the same bytes.
+helper process (``consem.workers``) started once per call where two
+processes are allowed, and in this process otherwise, with the same bytes.
 """
 
 from __future__ import annotations
@@ -252,7 +252,7 @@ def finetune_classifier(
     entailment at ``answer_index`` and contradiction elsewhere.  Each step
     runs as two shards (see the module docstring).  Divergence is reported
     as in pretraining: one TrainingDivergedError, no numpy float warnings.
-    The shard worker, if one was forked, is reaped before this returns or
+    The shard helper, if one was started, is reaped before this returns or
     raises, whatever the error.
     """
     weights = checkpoint.encoder_weights(vocab)
@@ -295,7 +295,7 @@ def finetune_classifier(
     best: tuple[tuple[float, float], dict[str, np.ndarray], MetricsReport] | None = None
     epochs = train_epochs(np.arange(len(train_seqs)), config, optimizer, shard_loss, _STREAM_SHUFFLE,
                           _STREAM_DROPOUT, _STEP_SHARDS)
-    # Closed on every exit, so the shard worker never outlives this call.
+    # Closed on every exit, so the shard helper never outlives this call.
     with closing(epochs):
         for _ in epochs:
             # An MRC report's accuracy is its question-level accuracy.

@@ -3,11 +3,8 @@
 A step may split its batch into shards (fine-tuning asks for two; see
 :func:`train_epochs`).  The step's gradient is then the sum, in shard order,
 of each shard's gradient, each from its own backward.  Where
-``encoder.worker_count`` allows a second process, the last shard runs in one
-worker forked for the whole loop: first AdamW's flat parameter buffer moves
-into an anonymous shared mapping, so the worker sees every update, and the
-worker writes its shard's gradients into a second shared buffer of the same
-layout.  Each
+``workers.worker_count`` allows a second process, the last shard runs in one
+``workers.Helper`` started for the whole loop over shared parameters.  Each
 shard's result depends only on its rows, its place in the batch and the
 batch's fresh dropout generator, so the bytes do not depend on the number of
 processes.
@@ -16,16 +13,14 @@ processes.
 from __future__ import annotations
 
 import copy
-import gc
+import functools
 import mmap
-import os
-import pickle
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from . import encoder
+from . import workers
 from .errors import ConfigError, ContractError, TrainingDivergedError
 from .tensor import Tape, Tensor, backward
 
@@ -117,30 +112,35 @@ def train_epochs(
     optimizer then takes one step.  A non-finite shard loss raises TrainingDivergedError
     before anything changes; with several failing shards the first one's error is raised.
 
-    With ``shards > 1`` and ``encoder.worker_count`` above 1, the last shard of each
-    block runs in one worker forked on the first step (:class:`_ShardWorker`); if no
-    pipe or process can be made, the caller runs it.  The worker is reaped when the
-    loop ends, raises or is closed: a caller that may stop early closes the generator.
-    The last step's tape stays referenced while the caller runs its per-epoch work,
-    until the next step replaces it; ``backward`` has spent it by then, so it holds
-    no arrays.
+    With ``shards > 1`` and ``workers.worker_count`` above 1, AdamW's parameters move
+    into a shared mapping and the last shard of each block runs in one helper started
+    then (:func:`_shard_gradients`); if none can start, the caller runs it.  The helper
+    is closed when the loop ends, raises or is closed: a caller that may stop early
+    closes the generator.  The last step's tape stays referenced while the caller runs
+    its per-epoch work, until the next step replaces it; ``backward`` has spent it by
+    then, so it holds no arrays.
     """
     params = list(optimizer.params.values())
     count = min(shards, config.batch_size, len(items))
-    worker = _ShardWorker.start(optimizer, batch_loss) if count > 1 and encoder.worker_count(count) > 1 else None
+    helper = None
+    if count > 1 and workers.worker_count(count) > 1:
+        optimizer._bind(_shared_zeros(optimizer._flat.size, optimizer._flat.dtype))
+        shard_grads = optimizer._views(_shared_zeros(optimizer._grad.size, optimizer._grad.dtype))
+        helper = workers.Helper.start(functools.partial(_shard_gradients, optimizer, batch_loss, shard_grads))
     try:
         for epoch in range(1, config.epochs + 1):
             order = items[np.random.default_rng([config.seed, shuffle_stream, epoch]).permutation(len(items))]
             for rows, rng in minibatches(order, config.batch_size, config.seed, dropout_stream, epoch):
                 parts = _shards(rows, count)
                 rngs = [rng, *(copy.deepcopy(rng) for _ in parts[1:])]
-                remote = worker is not None and len(parts) > 1
+                remote = helper is not None and len(parts) > 1
                 if remote:
-                    worker.send(*parts[-1], rngs[-1], epoch)
+                    helper.send((*parts[-1], rngs[-1], epoch))
                 total = None
                 for k, ((part, place), shard_rng) in enumerate(zip(parts, rngs)):
                     if remote and k == len(parts) - 1:
-                        grads = worker.receive(optimizer, epoch)
+                        _check_loss(helper.receive(), optimizer, epoch)
+                        grads = shard_grads
                     else:
                         with Tape() as tape:
                             loss = batch_loss(part, shard_rng, epoch, place)
@@ -158,8 +158,8 @@ def train_epochs(
                 optimizer.zero_grad()
             yield epoch
     finally:
-        if worker is not None:
-            worker.close()
+        if helper is not None:
+            helper.close()
 
 
 def _shared_zeros(size: int, dtype: np.dtype) -> np.ndarray:
@@ -170,108 +170,29 @@ def _shared_zeros(size: int, dtype: np.dtype) -> np.ndarray:
     return np.frombuffer(mmap.mmap(-1, max(size, 1) * dtype.itemsize), dtype=dtype, count=size)
 
 
-class _ShardWorker:
-    """A child process that runs each step's last shard over the optimizer's shared parameters.
+def _shard_gradients(optimizer: AdamW, batch_loss: Callable, grads: list[np.ndarray], request: tuple) -> float:
+    """The shard helper's handler: run one shard, write its gradients into ``grads``, return its loss.
 
-    It is forked once and inherits the loss closure.  Each step sends it the shard's
-    rows and place, the block's fresh dropout generator and the epoch; it replies
-    with the shard's loss, having written the shard's gradients (zero for a parameter
-    without one) into a shared buffer with the optimizer's gradient layout, or with
-    the shard's error.  A non-finite loss is replied without a backward.
+    ``request`` is the shard's rows and place, the block's fresh dropout generator and
+    the epoch.  ``grads``, views of a shared buffer with the optimizer's gradient
+    layout, get each parameter's gradient, zero for one without.  A non-finite loss is
+    returned without a backward.
     """
-
-    def __init__(self, pid: int, requests, replies, grads: list[np.ndarray]):
-        self.pid, self._requests, self._replies, self._grads = pid, requests, replies, grads
-
-    @classmethod
-    def start(cls, optimizer: AdamW, batch_loss: Callable) -> _ShardWorker | None:
-        """The forked worker, or None if no pipe or process could be made.
-
-        First the optimizer's parameters move into a shared mapping, so the
-        worker sees every update in place.
-        """
-        optimizer._bind(_shared_zeros(optimizer._flat.size, optimizer._flat.dtype))
-        grads = optimizer._views(_shared_zeros(optimizer._grad.size, optimizer._grad.dtype))
-        fds: list[int] = []
-        try:
-            fds += os.pipe()
-            fds += os.pipe()
-            pid = os.fork()
-        except OSError:
-            for fd in fds:
-                os.close(fd)
-            return None
-        request_r, request_w, reply_r, reply_w = fds
-        if pid == 0:
-            try:
-                # Parent objects stay out of the child's collections: no
-                # copy-on-write from traversing them.
-                gc.freeze()
-                os.close(request_w)
-                os.close(reply_r)
-                with os.fdopen(request_r, "rb") as requests, os.fdopen(reply_w, "wb") as replies:
-                    cls._serve(optimizer, batch_loss, grads, requests, replies)
-            finally:
-                os._exit(0)
-        os.close(request_r)
-        os.close(reply_w)
-        return cls(pid, os.fdopen(request_w, "wb"), os.fdopen(reply_r, "rb"), grads)
-
-    @staticmethod
-    def _serve(optimizer: AdamW, batch_loss: Callable, grads: list[np.ndarray], requests, replies) -> None:
-        """The worker's loop: one shard per request, until the caller closes its end."""
-        params = list(optimizer.params.values())
-        while True:
-            try:
-                rows, place, rng, epoch = pickle.load(requests)
-            except EOFError:
-                return
-            try:
-                with Tape() as tape:
-                    loss = batch_loss(rows, rng, epoch, place)
-                    value = float(loss.data)
-                    if np.isfinite(value):
-                        backward(loss, tape)
-                for p, g in zip(params, grads):
-                    if p.grad is None:
-                        g.fill(0)
-                    else:
-                        np.copyto(g, p.grad)
-                reply = value, None
-            except Exception as exc:
-                reply = None, encoder.portable_error(exc)
-            finally:
-                optimizer.zero_grad()
-            pickle.dump(reply, replies)
-            replies.flush()
-
-    def send(self, rows: np.ndarray, place: tuple[int, int], rng: np.random.Generator, epoch: int) -> None:
-        try:
-            pickle.dump((rows, place, rng, epoch), self._requests)
-            self._requests.flush()
-        except BrokenPipeError:
-            raise ChildProcessError(f"training worker {self.pid} exited before its shard was sent") from None
-
-    def receive(self, optimizer: AdamW, epoch: int) -> list[np.ndarray]:
-        """The shard's gradients, views of the shared buffer valid until the next request;
-        the shard's error, or TrainingDivergedError for a non-finite loss, is raised."""
-        try:
-            value, error = pickle.load(self._replies)
-        except (EOFError, pickle.UnpicklingError):
-            raise ChildProcessError(f"training worker {self.pid} exited before sending its shard") from None
-        if error is not None:
-            raise error
-        _check_loss(value, optimizer, epoch)
-        return self._grads
-
-    def close(self) -> None:
-        """Close both pipes, so the worker's next read ends it or its next reply fails, and reap it."""
-        for end in (self._requests, self._replies):
-            try:
-                end.close()
-            except OSError:
-                pass
-        os.waitpid(self.pid, 0)
+    rows, place, rng, epoch = request
+    try:
+        with Tape() as tape:
+            loss = batch_loss(rows, rng, epoch, place)
+            value = float(loss.data)
+            if np.isfinite(value):
+                backward(loss, tape)
+        for p, g in zip(optimizer.params.values(), grads):
+            if p.grad is None:
+                g.fill(0)
+            else:
+                np.copyto(g, p.grad)
+    finally:
+        optimizer.zero_grad()
+    return value
 
 
 # Each parameter's slot in the flat buffer starts on a 64-byte boundary,
@@ -294,7 +215,7 @@ class AdamW:
     buffer in insertion order: construction copies each parameter's
     ``data`` into its own 64-byte aligned slot and rebinds ``data`` to a
     view of that slot, so arrays held from before construction are no
-    longer the parameters.  A shard worker's start moves them once more,
+    longer the parameters.  A shard helper's start moves them once more,
     into a shared mapping (see :func:`train_epochs`).  The moments, the gradients and the update live in
     flat buffers of the same layout, so :meth:`step` is a fixed number of
     whole-buffer ufunc calls however many parameters there are; the zero

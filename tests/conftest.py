@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import errno
 import os
+import signal
 
 import numpy as np
 import pytest
 
-from consem import encoder as encoder_module
+from consem import workers as workers_module
 from consem.encoder import EVAL_BATCH, EncoderConfig
 from consem.tensor import Tape, Tensor, backward, precision
 from consem.text import ContrastiveTriple, NliExample, build_vocab
@@ -247,7 +248,38 @@ def check_gradients(fn, tensors: list[Tensor], h: float = 1e-3) -> float:
 def force_workers(monkeypatch, workers: int) -> None:
     """Spread every ``eval_rows`` call and every sharded training loop over ``workers``
     processes, whatever the CPUs, the batches and the shards."""
-    monkeypatch.setattr(encoder_module, "worker_count", lambda units: workers)
+    monkeypatch.setattr(workers_module, "worker_count", lambda units: workers)
+
+
+def blas_env(monkeypatch, **values: str) -> None:
+    """Set exactly ``values`` among the BLAS thread-count variables."""
+    for name in workers_module._BLAS_THREAD_VARS:
+        monkeypatch.delenv(name, raising=False)
+    for name, value in values.items():
+        monkeypatch.setenv(name, value)
+
+
+def die_mid_reply() -> None:
+    """Called in a helper process: its next reply is sent cut short, then it exits."""
+
+    def cut_and_exit(pipe, data):
+        pipe.write(data[:-8])
+        pipe.flush()
+        os._exit(0)
+
+    workers_module._write = cut_and_exit
+
+
+def open_fds() -> int:
+    """How many file descriptors this process has open."""
+    return len(os.listdir("/proc/self/fd"))
+
+
+class TwoArgError(Exception):
+    """Pickles, but unpickling calls ``TwoArgError(message)``, which raises ``TypeError``."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a} and {b}")
 
 
 def no_child_left() -> None:
@@ -267,6 +299,22 @@ def fail_os_call(monkeypatch, name: str, at: int) -> None:
         return real(*args)
 
     monkeypatch.setattr(os, name, failing)
+
+
+@pytest.fixture()
+def time_bound():
+    """A caller left waiting on a helper process fails its test after 60 s, not the whole suite."""
+
+    def hung(signum, frame):
+        raise TimeoutError("a caller waiting on a helper process hung")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture()

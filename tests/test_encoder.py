@@ -10,12 +10,16 @@ import pytest
 from conftest import (
     BOUNDARY_TWINS,
     TOPICS,
+    TwoArgError,
     analytic_gradients,
+    blas_env,
     boundary_twin_texts,
+    die_mid_reply,
     fail_os_call,
     fd_at,
     force_workers,
     no_child_left,
+    open_fds,
     relative_error,
     topic_sentence,
 )
@@ -26,6 +30,7 @@ from consem import encoder as encoder_module
 from consem import finetune as finetune_module
 from consem import pretrain as pretrain_module
 from consem import tensor as T
+from consem import workers as workers_module
 
 from consem.encoder import (
     EncoderConfig,
@@ -560,43 +565,12 @@ def _counting_fork(monkeypatch) -> list[int]:
     return pids
 
 
-def _blas_env(monkeypatch, **values: str) -> None:
-    """Set exactly ``values`` among the BLAS thread-count variables."""
-    for name in encoder_module._BLAS_THREAD_VARS:
-        monkeypatch.delenv(name, raising=False)
-    for name, value in values.items():
-        monkeypatch.setenv(name, value)
-
-
-def _open_fds() -> int:
-    return len(os.listdir("/proc/self/fd"))
-
-
-class _TwoArgError(Exception):
-    """Pickles, but unpickling calls ``_TwoArgError(message)``, which raises ``TypeError``."""
-
-    def __init__(self, a, b):
-        super().__init__(f"{a} and {b}")
-
-
 class TestEvalWorkers:
     """``eval_rows``' batches over forked processes: how many, the same bytes, errors and cleanup."""
 
-    @pytest.mark.parametrize(
-        "cpus,batches,workers",
-        [(1, 0, 1), (1, 1, 1), (1, 2, 1), (1, 50, 1), (2, 0, 1), (2, 1, 1), (2, 2, 2), (2, 50, 2),
-         (10_000, 0, 1), (10_000, 1, 1), (10_000, 2, 2), (10_000, 50, 2)],
-    )
-    def test_one_process_per_usable_cpu_at_most_two_and_at_most_one_per_batch(
-        self, cpus, batches, workers, monkeypatch
-    ):
-        _blas_env(monkeypatch, OPENBLAS_NUM_THREADS="1")
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        assert encoder_module.worker_count(batches) == workers
-
     @pytest.mark.parametrize("cpus,n", [(1, 100), (2, 2), (2, 0), (10_000, 1)])
     def test_one_worker_never_forks(self, cpus, n, monkeypatch):
-        _blas_env(monkeypatch, OPENBLAS_NUM_THREADS="1")
+        blas_env(monkeypatch, OPENBLAS_NUM_THREADS="1")
         monkeypatch.setattr(os, "fork", _no_fork)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         monkeypatch.setattr(encoder_module, "EVAL_BATCH", 2)
@@ -604,11 +578,10 @@ class TestEvalWorkers:
 
     @pytest.mark.parametrize("missing", ["fork", "sched_getaffinity"])
     def test_platform_without_fork_or_affinity_runs_serially(self, missing, monkeypatch):
-        _blas_env(monkeypatch, OPENBLAS_NUM_THREADS="1")
+        blas_env(monkeypatch, OPENBLAS_NUM_THREADS="1")
         monkeypatch.setattr(os, "fork", _no_fork)
         monkeypatch.delattr(os, missing)
         monkeypatch.setattr(encoder_module, "EVAL_BATCH", 2)
-        assert encoder_module.worker_count(50) == 1
         assert eval_rows([TokenSequence(ids=[i]) for i in range(9)], 1, _ids)[:, 0].tolist() == list(range(9))
 
     @pytest.mark.parametrize(
@@ -617,11 +590,10 @@ class TestEvalWorkers:
          {"GOTO_NUM_THREADS": "8", "OMP_NUM_THREADS": "1"}, {"MKL_NUM_THREADS": "0"}, {"OMP_NUM_THREADS": ""}],
     )
     def test_blas_not_held_to_one_thread_runs_serially(self, env, monkeypatch):
-        _blas_env(monkeypatch, **env)
+        blas_env(monkeypatch, **env)
         monkeypatch.setattr(os, "fork", _no_fork)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         monkeypatch.setattr(encoder_module, "EVAL_BATCH", 2)
-        assert encoder_module.worker_count(50) == 1
         assert eval_rows([TokenSequence(ids=[i]) for i in range(9)], 1, _ids)[:, 0].tolist() == list(range(9))
 
     @pytest.mark.parametrize(
@@ -629,7 +601,7 @@ class TestEvalWorkers:
         [{"OPENBLAS_NUM_THREADS": "1"}, {"OMP_NUM_THREADS": "1"}, {"MKL_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}],
     )
     def test_blas_held_to_one_thread_forks_one_child_per_call(self, env, monkeypatch):
-        _blas_env(monkeypatch, **env)
+        blas_env(monkeypatch, **env)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(10_000)))
         monkeypatch.setattr(encoder_module, "EVAL_BATCH", 2)
         forks = _counting_fork(monkeypatch)
@@ -704,10 +676,10 @@ class TestEvalWorkers:
         monkeypatch.setattr(encoder_module, "EVAL_BATCH", 2)
         force_workers(monkeypatch, 3)
         seqs = [TokenSequence(ids=[i]) for i in range(13)]
-        fds = _open_fds()
+        fds = open_fds()
         fail_os_call(monkeypatch, name, at)
         assert eval_rows(seqs, 1, _ids).tobytes() == np.arange(13, dtype=np.float32)[:, None].tobytes()
-        assert _open_fds() == fds
+        assert open_fds() == fds
         no_child_left()
 
     @pytest.mark.parametrize("failing", [{2, 4}, {1, 2}, {5}])
@@ -730,7 +702,7 @@ class TestEvalWorkers:
         "error,shown",
         [
             (lambda: ContractError(lambda: None), r"^ContractError\(<function "),
-            (lambda: _TwoArgError(1, 2), r"^_TwoArgError\('1 and 2'\)$"),
+            (lambda: TwoArgError(1, 2), r"^TwoArgError\('1 and 2'\)$"),
         ],
     )
     def test_child_error_that_does_not_pickle_arrives_as_its_repr(self, error, shown, monkeypatch):
@@ -746,19 +718,19 @@ class TestEvalWorkers:
             eval_rows([TokenSequence(ids=[0]), TokenSequence(ids=[1])], 1, run)
         no_child_left()
 
-    def test_truncated_rows_are_an_error(self, monkeypatch):
+    def test_truncated_rows_are_an_error(self, monkeypatch, time_bound):
         monkeypatch.setattr(encoder_module, "EVAL_BATCH", 1)
         force_workers(monkeypatch, 2)
-        caller, pickled = os.getpid(), encoder_module._pickled_share
+        caller, write = os.getpid(), workers_module._write
 
         def run(batch):
-            if os.getpid() != caller:  # only the child sends a cut-off pickle
-                encoder_module._pickled_share = lambda share: pickled(share)[:-8]
+            if os.getpid() != caller:  # only the helper sends a cut-off reply
+                die_mid_reply()
             return _ids(batch)
 
-        with pytest.raises(ChildProcessError, match="exited before sending its rows"):
+        with pytest.raises(ChildProcessError, match=r"^worker \d+ exited before sending its reply$"):
             eval_rows([TokenSequence(ids=[0]), TokenSequence(ids=[1])], 1, run)
-        assert encoder_module._pickled_share is pickled
+        assert workers_module._write is write
         no_child_left()
 
     def test_child_that_exits_without_rows_is_an_error(self, monkeypatch):
@@ -770,7 +742,7 @@ class TestEvalWorkers:
                 os._exit(3)
             return _ids(batch)
 
-        with pytest.raises(ChildProcessError, match="exited before sending its rows"):
+        with pytest.raises(ChildProcessError, match=r"^worker \d+ exited before sending its reply$"):
             eval_rows([TokenSequence(ids=[0]), TokenSequence(ids=[1])], 1, run)
         no_child_left()
 

@@ -2,7 +2,6 @@
 
 import json
 import os
-import signal
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +10,7 @@ import pytest
 from conftest import (
     BOUNDARY_TWINS,
     boundary_twin_texts,
+    die_mid_reply,
     fail_os_call,
     force_workers,
     make_mrc_task,
@@ -24,6 +24,7 @@ from oracles import full_logits, input_order_predict_probs, per_question_mrc
 from consem import finetune as finetune_module
 from consem import optim as optim_module
 from consem import tensor as T
+from consem import workers as workers_module
 from consem.checkpoint import load_checkpoint, save_checkpoint
 from consem.encoder import EVAL_BATCH, EncoderConfig, EncoderWeights, forward_batch, parameter_names
 from consem.errors import (
@@ -610,35 +611,22 @@ def _with_dropout(ckpt):
 
 
 def _counting_worker_starts(monkeypatch) -> list[bool]:
-    """Whether each ``train_epochs`` loop from now on forked its shard worker."""
-    started, start = [], optim_module._ShardWorker.start
+    """Whether each ``train_epochs`` loop from now on started its shard helper."""
+    started, start = [], workers_module.Helper.start
 
-    def counting(optimizer, batch_loss):
-        worker = start(optimizer, batch_loss)
-        started.append(worker is not None)
-        return worker
+    def counting(handle):
+        helper = start(handle)
+        if getattr(handle, "func", None) is optim_module._shard_gradients:
+            started.append(helper is not None)
+        return helper
 
-    monkeypatch.setattr(optim_module._ShardWorker, "start", counting)
+    monkeypatch.setattr(workers_module.Helper, "start", counting)
     return started
 
 
+@pytest.mark.usefixtures("time_bound")
 class TestShardedSteps:
     """Each step as two shards: one worker or two give the same bytes, the drift is bounded, no child is left."""
-
-    @pytest.fixture(autouse=True)
-    def _time_bound(self):
-        """A caller left waiting on its worker fails its test, not the whole suite."""
-
-        def hung(signum, frame):
-            raise TimeoutError("fine-tuning with a shard worker hung")
-
-        previous = signal.signal(signal.SIGALRM, hung)
-        signal.alarm(60)
-        try:
-            yield
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
 
     @staticmethod
     def _pair_run(ckpt, vocab, **config):
@@ -751,8 +739,24 @@ class TestShardedSteps:
 
         monkeypatch.setattr(finetune_module, "_logits", dying_logits)
         force_workers(monkeypatch, 2)
-        with pytest.raises(ChildProcessError, match="exited before sending its shard"):
+        with pytest.raises(ChildProcessError, match=r"^worker \d+ exited before sending its reply$"):
             self._pair_run(ckpt, vocab)
+        no_child_left()
+
+    def test_a_worker_that_dies_mid_reply_is_an_error(self, micro_checkpoint, monkeypatch):
+        ckpt, _, vocab = micro_checkpoint
+        caller, logits, write = os.getpid(), finetune_module._logits, workers_module._write
+
+        def cutting_logits(model, seqs, rng=None, place=None):
+            if os.getpid() != caller:  # only the helper sends a cut-off reply
+                die_mid_reply()
+            return logits(model, seqs, rng, place)
+
+        monkeypatch.setattr(finetune_module, "_logits", cutting_logits)
+        force_workers(monkeypatch, 2)
+        with pytest.raises(ChildProcessError, match=r"^worker \d+ exited before sending its reply$"):
+            self._pair_run(ckpt, vocab)
+        assert workers_module._write is write
         no_child_left()
 
     @pytest.mark.parametrize("error", [ValueError("dev failed"), KeyboardInterrupt()])
