@@ -21,16 +21,17 @@ mapping (``from_arrays`` in, ``to_arrays`` out) is what ``model.bin``
 stores.  The model from the best epoch by dev accuracy (macro F1 breaking
 ties) is returned, so a longer schedule can never return a worse dev model.
 
-Each training step runs its batch as two shards (``_STEP_SHARDS``): the
-first ``ceil(n / 2)`` rows and the rest, a batch of one row staying one
+Each training step runs its batch as two shards (``optim._STEP_SHARDS``):
+the first ``ceil(n / 2)`` rows and the rest, a batch of one row staying one
 shard.  A shard's loss is its mean cross-entropy times its share of the
 batch, ``len(shard) / len(batch)``, so the step's gradient is the sum of
 the two shards' gradients; each shard draws the dropout masks the whole
 batch gives its rows.  That sum differs from the one-pass gradient by
 float noise (the shards pad to their own widths), a deliberate drift
-that tests bound.  ``optim.train_epochs`` runs the second shard in a
-helper process (``consem.workers``) started once per call where two
-processes are allowed, and in this process otherwise, with the same bytes.
+that tests bound.  A shard needs nothing from the other, so it publishes
+no block.  ``optim.train_epochs`` runs the second shard in a helper
+process (``consem.workers``) started once per call where two processes
+are allowed, and in this process otherwise, with the same bytes.
 """
 
 from __future__ import annotations
@@ -70,11 +71,6 @@ __all__ = [
 ENTAILMENT_LABEL = "entailment"
 CONTRADICTION_LABEL = "contradiction"
 MRC_LABELS = sorted([CONTRADICTION_LABEL, ENTAILMENT_LABEL])
-
-# Each fine-tuning step's batch is cut into this many shards: the first
-# ceil(n / 2) rows and the rest.  A constant, not the worker count, so the
-# bytes do not depend on how many processes run them.
-_STEP_SHARDS = 2
 
 _STREAM_HEAD_INIT = 101
 _STREAM_SHUFFLE = 102
@@ -287,14 +283,16 @@ def finetune_classifier(
     model = FinetunedModel(weights, head_weight, head_bias, labels, task.kind, *provenance)
     optimizer = AdamW(model.parameters(), learning_rate=config.learning_rate, weight_decay=config.weight_decay)
 
-    def shard_loss(rows: np.ndarray, rng: np.random.Generator, epoch: int, place: tuple[int, int]) -> Tensor:
-        """The mean cross-entropy of ``rows`` times their share of the batch: the shards' losses sum to the batch's."""
+    def shard_loss(rows: np.ndarray, rng: np.random.Generator, epoch: int, place: tuple[int, int]):
+        """No block, and the mean cross-entropy of ``rows`` times their share of the batch.
+
+        The shards' losses sum to the batch's.
+        """
         logits = _logits(model, [train_seqs[i] for i in rows], rng, place)
-        return T.scale(T.cross_entropy(logits, train_gold[rows]), len(rows) / place[1])
+        return None, lambda blocks: T.scale(T.cross_entropy(logits, train_gold[rows]), len(rows) / place[1])
 
     best: tuple[tuple[float, float], dict[str, np.ndarray], MetricsReport] | None = None
-    epochs = train_epochs(np.arange(len(train_seqs)), config, optimizer, shard_loss, _STREAM_SHUFFLE,
-                          _STREAM_DROPOUT, _STEP_SHARDS)
+    epochs = train_epochs(np.arange(len(train_seqs)), config, optimizer, shard_loss, _STREAM_SHUFFLE, _STREAM_DROPOUT)
     # Closed on every exit, so the shard helper never outlives this call.
     with closing(epochs):
         for _ in epochs:

@@ -1,13 +1,16 @@
 """Adam with decoupled weight decay, and the settings, batch schedule and epoch loop both trainers share.
 
-A step may split its batch into shards (fine-tuning asks for two; see
-:func:`train_epochs`).  The step's gradient is then the sum, in shard order,
-of each shard's gradient, each from its own backward.  Where
-``workers.worker_count`` allows a second process, the last shard runs in one
-``workers.Helper`` started for the whole loop over shared parameters.  Each
-shard's result depends only on its rows, its place in the batch and the
-batch's fresh dropout generator, so the bytes do not depend on the number of
-processes.
+Every step cuts its batch into :data:`_STEP_SHARDS` shards (see
+:func:`train_epochs`).  A shard runs its forward, publishes a block (the
+pooled vectors a coupled loss needs from the other shards; nothing for
+fine-tuning), then computes its share of the batch's loss from every
+shard's block and backpropagates it.  The step's gradient is the sum, in
+shard order, of each shard's gradient.  Where ``workers.worker_count``
+allows a second process, the last shard runs in one ``workers.Helper``
+started for the whole loop over shared parameters.  Each shard's result
+depends only on its rows, its place in the batch, the batch's fresh
+dropout generator and the blocks, so the bytes do not depend on the
+number of processes.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import copy
 import functools
 import mmap
 from dataclasses import dataclass
-from typing import Callable
+from typing import Any, Callable
 
 import numpy as np
 
@@ -71,6 +74,12 @@ def minibatches(order: np.ndarray, batch_size: int, seed: int, stream: int, epoc
         yield order[start : start + batch_size], np.random.default_rng([seed, stream, epoch, batch_no])
 
 
+# Each training step's batch is cut into this many shards: the first
+# ceil(n / 2) rows and the rest.  A constant, not the worker count, so the
+# bytes do not depend on how many processes run them.
+_STEP_SHARDS = 2
+
+
 def _shards(rows: np.ndarray, count: int) -> list[tuple[np.ndarray, tuple[int, int]]]:
     """``rows`` cut into ``min(count, len(rows))`` consecutive shards, the larger first, each with its
     place ``(first row, batch rows)``: for two, the first ``ceil(n / 2)`` rows and the rest."""
@@ -91,42 +100,70 @@ def _check_loss(value, optimizer: AdamW, epoch: int) -> None:
         raise TrainingDivergedError(f"non-finite loss at step {optimizer.step_count + 1} (epoch {epoch})")
 
 
+class _Shard:
+    """One shard of a step between its two stages: its forward is taped, its loss is not yet.
+
+    ``batch_loss(rows, rng, epoch, place)`` runs the forward and returns ``(block,
+    loss)``: ``block`` is what the shard publishes to the step's other shards, and
+    ``loss(blocks)``, given every shard's block in shard order (this shard's own
+    among them, as the same object), returns the shard's loss tensor.
+    """
+
+    def __init__(self, batch_loss: Callable, rows: np.ndarray, place: tuple[int, int], rng, epoch: int):
+        self.tape = Tape()
+        with self.tape:
+            self.block, self._loss = batch_loss(rows, rng, epoch, place)
+
+    def finish(self, blocks: list) -> float:
+        """The shard's loss value, backpropagated into the parameters' ``grad`` if it is finite."""
+        loss_fn, self._loss = self._loss, None
+        with self.tape:
+            loss = loss_fn(blocks)
+        value = float(loss.data)
+        if np.isfinite(value):
+            backward(loss, self.tape)
+        return value
+
+
 def train_epochs(
     items: np.ndarray,
     config: TrainingConfig,
     optimizer: AdamW,
-    batch_loss: Callable[[np.ndarray, np.random.Generator, int, tuple[int, int]], Tensor],
+    batch_loss: Callable[[np.ndarray, np.random.Generator, int, tuple[int, int]], tuple[Any, Callable]],
     shuffle_stream: int,
     dropout_stream: int,
-    shards: int = 1,
 ):
     """Run ``config.epochs`` epochs over ``items``; yield each epoch number after its steps.
 
     Epoch ``e`` visits ``items`` permuted by ``default_rng([seed, shuffle_stream, e])`` in
-    :func:`minibatches` from ``dropout_stream``.  Each block is cut into ``shards``
-    consecutive shards (:func:`_shards`; a block of one row stays one shard), and each
-    shard's ``batch_loss(rows, rng, e, place)`` is taped and backpropagated from zero
-    gradients, ``place`` being ``(first row, block rows)`` and ``rng`` a copy of the block's
-    fresh dropout generator.  A shard's loss is its share of the block's loss, so the
-    block's gradient is the sum of the shards' gradients, added in shard order; the
-    optimizer then takes one step.  A non-finite shard loss raises TrainingDivergedError
-    before anything changes; with several failing shards the first one's error is raised.
+    :func:`minibatches` from ``dropout_stream``.  Each block is cut into
+    :data:`_STEP_SHARDS` consecutive shards (:func:`_shards`; a block of one row stays one
+    shard), and each shard runs in two stages (:class:`_Shard`), each under the shard's
+    own tape.  First every shard's ``batch_loss(rows, rng, e, place)`` runs its forward
+    and returns its block, ``place`` being ``(first row, block rows)`` and ``rng`` a copy
+    of the block's fresh dropout generator.  Then each shard's loss, given every shard's
+    block in shard order, is backpropagated from zero gradients.  A shard's loss is its
+    share of the block's loss, so the block's gradient is the sum of the shards'
+    gradients, added in shard order; the optimizer then takes one step.  A non-finite
+    shard loss raises TrainingDivergedError before anything changes; with several
+    failing shards the first one's error is raised.
 
-    With ``shards > 1`` and ``workers.worker_count`` above 1, AdamW's parameters move
-    into a shared mapping and the last shard of each block runs in one helper started
-    then (:func:`_shard_gradients`); if none can start, the caller runs it.  The helper
-    is closed when the loop ends, raises or is closed: a caller that may stop early
-    closes the generator.  The last step's tape stays referenced while the caller runs
-    its per-epoch work, until the next step replaces it; ``backward`` has spent it by
-    then, so it holds no arrays.
+    Where ``workers.worker_count`` allows two processes, AdamW's parameters move into a
+    shared mapping and the last shard of each block runs in one helper started then
+    (:func:`_serve_shard`); if none can start, the caller runs it.  Each step sends the
+    helper its shard, receives the helper's block once the caller's own forwards are
+    done, and only then sends the caller's blocks: each side's blocks may be more than
+    a pipe holds, so the caller that sent first would wait on a helper waiting on it.
+    The helper is closed when the loop ends, raises or is closed: a caller that may
+    stop early closes the generator.
     """
     params = list(optimizer.params.values())
-    count = min(shards, config.batch_size, len(items))
+    count = min(_STEP_SHARDS, config.batch_size, len(items))
     helper = None
     if count > 1 and workers.worker_count(count) > 1:
         optimizer._bind(_shared_zeros(optimizer._flat.size, optimizer._flat.dtype))
         shard_grads = optimizer._views(_shared_zeros(optimizer._grad.size, optimizer._grad.dtype))
-        helper = workers.Helper.start(functools.partial(_shard_gradients, optimizer, batch_loss, shard_grads))
+        helper = workers.Helper.start(functools.partial(_serve_shard, optimizer, batch_loss, shard_grads, []))
     try:
         for epoch in range(1, config.epochs + 1):
             order = items[np.random.default_rng([config.seed, shuffle_stream, epoch]).permutation(len(items))]
@@ -136,24 +173,27 @@ def train_epochs(
                 remote = helper is not None and len(parts) > 1
                 if remote:
                     helper.send((*parts[-1], rngs[-1], epoch))
+                local = [_Shard(batch_loss, part, place, shard_rng, epoch)
+                         for (part, place), shard_rng in zip(parts[: len(parts) - remote], rngs)]
+                blocks = [shard.block for shard in local]
+                if remote:
+                    blocks.append(helper.receive())
+                    helper.send(blocks[:-1])
                 total = None
-                for k, ((part, place), shard_rng) in enumerate(zip(parts, rngs)):
-                    if remote and k == len(parts) - 1:
-                        _check_loss(helper.receive(), optimizer, epoch)
-                        grads = shard_grads
-                    else:
-                        with Tape() as tape:
-                            loss = batch_loss(part, shard_rng, epoch, place)
-                            _check_loss(loss.data, optimizer, epoch)
-                            backward(loss, tape)
-                        grads = [p.grad for p in params]
-                        optimizer.zero_grad()
+                for shard in local:
+                    _check_loss(shard.finish(blocks), optimizer, epoch)
+                    grads = [p.grad for p in params]
+                    optimizer.zero_grad()
                     total = grads if total is None else list(map(_add_gradient, total, grads))
+                if remote:
+                    _check_loss(helper.receive(), optimizer, epoch)
+                    total = list(map(_add_gradient, total, shard_grads))
                 for p, g in zip(params, total):
                     p.grad = g
                 # Only the parameters hold the step's gradients, so zero_grad
-                # frees them before the next step's forward.
-                total = grads = None
+                # frees them before the next step's forward; nothing else of
+                # the step outlives it.
+                total = grads = local = blocks = shard = None
                 optimizer.step()
                 optimizer.zero_grad()
             yield epoch
@@ -170,21 +210,23 @@ def _shared_zeros(size: int, dtype: np.dtype) -> np.ndarray:
     return np.frombuffer(mmap.mmap(-1, max(size, 1) * dtype.itemsize), dtype=dtype, count=size)
 
 
-def _shard_gradients(optimizer: AdamW, batch_loss: Callable, grads: list[np.ndarray], request: tuple) -> float:
-    """The shard helper's handler: run one shard, write its gradients into ``grads``, return its loss.
+def _serve_shard(optimizer: AdamW, batch_loss: Callable, grads: list[np.ndarray], held: list, request):
+    """The shard helper's handler, called twice per step, once per stage of its shard.
 
-    ``request`` is the shard's rows and place, the block's fresh dropout generator and
-    the epoch.  ``grads``, views of a shared buffer with the optimizer's gradient
-    layout, get each parameter's gradient, zero for one without.  A non-finite loss is
-    returned without a backward.
+    The first request is the shard's rows and place, the block's fresh dropout
+    generator and the epoch: the shard's forward runs, is held, and its block is the
+    reply.  The second is the caller's blocks, in shard order: the held shard's loss
+    runs, its gradients go into ``grads``, views of a shared buffer with the
+    optimizer's gradient layout (zero for a parameter without one), and its loss value
+    is the reply.  A non-finite loss is returned without a backward.
     """
-    rows, place, rng, epoch = request
+    if not held:
+        rows, place, rng, epoch = request
+        held.append(_Shard(batch_loss, rows, place, rng, epoch))
+        return held[0].block
+    shard = held.pop()
     try:
-        with Tape() as tape:
-            loss = batch_loss(rows, rng, epoch, place)
-            value = float(loss.data)
-            if np.isfinite(value):
-                backward(loss, tape)
+        value = shard.finish([*request, shard.block])
         for p, g in zip(optimizer.params.values(), grads):
             if p.grad is None:
                 g.fill(0)

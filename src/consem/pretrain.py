@@ -14,6 +14,17 @@ positive, with targets 0..N-1.  The auxiliary loss masks anchor tokens
 positions through a projection tied to the token embedding matrix; the
 combined objective is ``contrastive + mlm_weight * mlm``.
 
+Each training step runs as the two shards of ``optim.train_epochs``: the
+first ``ceil(n / 2)`` triples and the rest.  The in-batch negatives couple
+a batch's rows only through its (3n, d) pooled vectors and its masked-token
+count, so each shard runs its own forward and publishes those; each then
+builds the whole (N, 2N) loss from every shard's vectors, its own taped and
+the others' as constants, adds its MLM cross-entropy times its share of
+the batch's masked tokens, and backpropagates.  The shards' gradients sum
+to the batch's up to float noise (each shard pads to its own width), a
+deliberate drift that tests bound; the bytes do not depend on whether one
+process or two run the shards.
+
 All randomness (subsampling, splits, shuffles, dropout, masking) derives
 from the run seed through fixed-purpose streams, so repeated runs produce
 identical loss records and weights.
@@ -33,7 +44,6 @@ from .encoder import (
     EncoderConfig,
     EncoderWeights,
     PoolingStrategy,
-    cls_slots,
     forward_batch,
     pool,
     slot_states,
@@ -218,42 +228,54 @@ def _epoch_masking(seqs, indices, rate, seed, stream, epoch):
     return corrupted, np.concatenate(rows), np.concatenate(cols), np.concatenate(ids)
 
 
-def _batch_losses(
+def _shard_forward(
     seq_lists: tuple[list[TokenSequence], list[TokenSequence], list[TokenSequence]],
     mlm_batch,
     weights: EncoderWeights,
     config: PretrainConfig,
     rng: np.random.Generator | None,
+    place: tuple[int, int] | None = None,
 ) -> tuple[Tensor, Tensor | None]:
-    """Contrastive and (if ``mlm_batch``) MLM losses; dropout on exactly when ``rng`` is given.
+    """The pooled vectors and (if ``mlm_batch``) the MLM loss of some triples; dropout on exactly when ``rng`` is given.
 
-    One forward runs over the stacked rows [anchors; positives; negatives;
-    MLM-corrupted anchors], so each dropout site draws one grid for all of
-    them.  With CLS pooling the losses read only the last layer's [CLS]
-    slots of the 3n contrastive rows and the masked slots of the MLM rows,
-    so the forward computes its last block at those slots alone.
+    One forward runs over each triple's rows in turn, [anchor, positive,
+    negative, (MLM-corrupted anchor)], so each dropout site draws one grid
+    for all of them and a shard of a batch's triples is one contiguous
+    block of the batch's rows.  ``place``, ``(first triple, batch triples)``,
+    places the triples in their batch, as ``forward_batch``'s ``place``
+    places rows.  Returns the (3n, d) vectors, triple-major, and the mean
+    cross-entropy over the masked tokens, or None without ``mlm_batch``.
+    With CLS pooling the losses read only the last layer's [CLS] slots of
+    the contrastive rows and the masked slots of the MLM rows, so the
+    forward computes its last block at those slots alone.
     """
     n = len(seq_lists[0])
-    stacked = [seq for seqs in seq_lists for seq in seqs]
-    reads = cls_slots(3 * n)
-    if mlm_batch is not None:
-        stacked += mlm_batch[0]
-        reads = (np.concatenate([reads[0], mlm_batch[1] + 3 * n]), np.concatenate([reads[1], mlm_batch[2]]))
+    lists = seq_lists if mlm_batch is None else (*seq_lists, mlm_batch[0])
+    width = len(lists)
+    stacked = [seq for row in zip(*lists) for seq in row]
+    contrastive_rows = (width * np.arange(n)[:, None] + np.arange(3)).ravel()
+    rows_place = None if place is None else (width * place[0], width * place[1])
     if config.pooling is PoolingStrategy.CLS:
-        outputs = forward_batch(stacked, weights, rng, reads=reads)
-        vectors = outputs.hidden[-1]
+        reads = (contrastive_rows, np.zeros(3 * n, dtype=np.intp))
+        if mlm_batch is not None:
+            reads = (np.concatenate([reads[0], width * mlm_batch[1] + 3]), np.concatenate([reads[1], mlm_batch[2]]))
+        states = forward_batch(stacked, weights, rng, reads=reads, place=rows_place).hidden[-1]
+        if mlm_batch is None:
+            return states, None
+        vectors = T.gather_rows(states, np.arange(3 * n))
+        masked = T.gather_rows(states, np.arange(3 * n, len(reads[0])))
     else:
-        outputs = forward_batch(stacked, weights, rng)
-        vectors = pool(outputs, config.pooling)
-    blocks = [T.gather_rows(vectors, np.arange(k * n, (k + 1) * n)) for k in range(3)]
-    cl = contrastive_loss(*blocks, config.tau)
-    if mlm_batch is None:
-        return cl, None
-    if config.pooling is PoolingStrategy.CLS:
-        masked = T.gather_rows(vectors, np.arange(3 * n, len(reads[0])))
-    else:
-        masked = slot_states(outputs.hidden[-1], mlm_batch[1] + 3 * n, mlm_batch[2])
-    return cl, mlm_loss(masked, mlm_batch[3], weights["tok_emb"])
+        outputs = forward_batch(stacked, weights, rng, place=rows_place)
+        vectors = T.gather_rows(pool(outputs, config.pooling), contrastive_rows)
+        if mlm_batch is None:
+            return vectors, None
+        masked = slot_states(outputs.hidden[-1], width * mlm_batch[1] + 3, mlm_batch[2])
+    return vectors, mlm_loss(masked, mlm_batch[3], weights["tok_emb"])
+
+
+def _triples_loss(vectors: Tensor, tau: float) -> Tensor:
+    """The contrastive loss of (3n, d) triple-major vectors: rows anchor, positive, negative of each triple."""
+    return contrastive_loss(*(T.gather_rows(vectors, np.arange(k, vectors.shape[0], 3)) for k in range(3)), tau)
 
 
 @np.errstate(**QUIET_FLOAT_ERRORS)
@@ -295,20 +317,39 @@ def train(
     # (contrastive, mlm, rows) of each batch since the last loss record.
     parts: list[tuple[float, float, int]] = []
 
-    def batch_loss(rows: np.ndarray, rng: np.random.Generator | None, epoch: int, place=None) -> Tensor:
-        """The combined loss of triples ``rows``: a training batch (dropout on) exactly when ``rng`` is given.
+    def shard_loss(rows: np.ndarray, rng: np.random.Generator | None, epoch: int, place=None):
+        """The forward of triples ``rows``, a training shard (dropout on) exactly when ``rng`` is given.
 
-        The in-batch negatives couple a batch's rows, so a training batch is one
-        shard and ``place`` is always the whole batch.
+        Returns the shard's block, (vectors, masked tokens, MLM loss), and its
+        loss given every shard's block in shard order: the batch's contrastive
+        loss over all the blocks' vectors, this shard's taped and the others'
+        constant, plus its MLM loss times its share of the batch's masked
+        tokens.  So the shards' gradients sum to the batch's.  The first shard
+        (or a whole batch, ``place`` None) adds the batch's losses to ``parts``.
         """
         batch = ([anchors[i] for i in rows], [positives[i] for i in rows], [negatives[i] for i in rows])
         mlm_batch = None
         if config.mlm_weight > 0.0:
             stream = _STREAM_MLM_TRAIN if rng is not None else _STREAM_MLM_VAL
             mlm_batch = _epoch_masking(anchors, rows, config.mask_rate, config.seed, stream, epoch)
-        cl, ml = _batch_losses(batch, mlm_batch, weights, config, rng)
-        parts.append((float(cl.data), 0.0 if ml is None else float(ml.data), len(rows)))
-        return cl if ml is None else T.add(cl, T.scale(ml, config.mlm_weight))
+        vectors, ml = _shard_forward(batch, mlm_batch, weights, config, rng, place)
+        masked = 0 if ml is None else len(mlm_batch[3])
+        block = (vectors.data, masked, 0.0 if ml is None else float(ml.data))
+
+        def loss(blocks: list) -> Tensor:
+            every = [vectors if b is block else T.constant(b[0], vectors.dtype) for b in blocks]
+            cl = _triples_loss(T.concat(every, axis=0), config.tau)
+            batch_masked = sum(b[1] for b in blocks)
+            if place is None or place[0] == 0:
+                batch_ml = 0.0
+                for _, count, value in blocks:
+                    batch_ml += value * count
+                parts.append((float(cl.data), batch_ml / max(batch_masked, 1), sum(len(b[0]) for b in blocks) // 3))
+            if not masked:
+                return cl
+            return T.add(cl, T.scale(ml, config.mlm_weight * (masked / batch_masked)))
+
+        return block, loss
 
     def record(epoch: int, split: str) -> LossRecord:
         # Row-weighted means, summed with += in batch order: sum() over floats
@@ -323,11 +364,12 @@ def train(
         return LossRecord(epoch, optimizer.step_count, split, mean_cl, mean_ml, mean_cl + config.mlm_weight * mean_ml)
 
     records: list[LossRecord] = []
-    for epoch in train_epochs(train_idx, config, optimizer, batch_loss, _STREAM_SHUFFLE, _STREAM_DROPOUT):
+    for epoch in train_epochs(train_idx, config, optimizer, shard_loss, _STREAM_SHUFFLE, _STREAM_DROPOUT):
         records.append(record(epoch, "train"))
         if len(val_idx):
             for start in range(0, len(val_idx), config.batch_size):
-                batch_loss(val_idx[start : start + config.batch_size], None, epoch)
+                block, loss = shard_loss(val_idx[start : start + config.batch_size], None, epoch)
+                loss([block])
             records.append(record(epoch, "validation"))
 
     final = Checkpoint(

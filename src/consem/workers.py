@@ -11,7 +11,9 @@ caller-side ends of every live sibling: one left open would keep a sibling
 from reading EOF, or from failing to write a full reply pipe, after the
 caller closed its ends.  And a pipe holds about 64 KB, so a helper that
 works while the caller runs its own share replies once, at the end,
-instead of blocking on replies the caller does not read yet.
+instead of blocking on replies the caller does not read yet; where the
+two must swap data mid-way (a pretraining step's pooled vectors), the
+caller reads the helper's reply before it sends its own request.
 """
 
 from __future__ import annotations

@@ -19,6 +19,7 @@ import signal
 import numpy as np
 import pytest
 
+from consem import optim as optim_module
 from consem import workers as workers_module
 from consem.encoder import EVAL_BATCH, EncoderConfig
 from consem.tensor import Tape, Tensor, backward, precision
@@ -249,6 +250,20 @@ def force_workers(monkeypatch, workers: int) -> None:
     """Spread every ``eval_rows`` call and every sharded training loop over ``workers``
     processes, whatever the CPUs, the batches and the shards."""
     monkeypatch.setattr(workers_module, "worker_count", lambda units: workers)
+
+
+def count_shard_helper_starts(monkeypatch) -> list[bool]:
+    """Whether each ``train_epochs`` loop from now on started its shard helper."""
+    started, start = [], workers_module.Helper.start
+
+    def counting(handle):
+        helper = start(handle)
+        if getattr(handle, "func", None) is optim_module._serve_shard:
+            started.append(helper is not None)
+        return helper
+
+    monkeypatch.setattr(workers_module.Helper, "start", counting)
+    return started
 
 
 def blas_env(monkeypatch, **values: str) -> None:

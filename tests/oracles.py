@@ -139,8 +139,8 @@ def uniformity_reference(rows) -> float:
 # gradients.
 
 
-def composed_forward_batch(seqs, weights, rng=None, reads=None):
-    """``forward_batch`` from elementary tape ops; dropout is not supported.
+def composed_forward_batch(seqs, weights, rng=None, reads=None, place=None):
+    """``forward_batch`` from elementary tape ops; dropout is not supported, so ``place`` changes nothing.
 
     Given ``reads`` it computes every position and then keeps the last
     layer's slots, in the shapes the package returns (:func:`cut_to_reads`).
@@ -358,9 +358,9 @@ def input_order_predict_probs(model, seqs, batch_size: int = EVAL_BATCH) -> np.n
 # scoring against them.
 
 
-def full_forward_batch(seqs, weights, rng=None, reads=None):
+def full_forward_batch(seqs, weights, rng=None, reads=None, place=None):
     """``forward_batch`` computing every position of the last block, then keeping the ``reads`` slots."""
-    return cut_to_reads(forward_batch(seqs, weights, rng), reads)
+    return cut_to_reads(forward_batch(seqs, weights, rng, place=place), reads)
 
 
 def full_logits(model, seqs, rng=None, place=None) -> T.Tensor:

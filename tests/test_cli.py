@@ -8,6 +8,7 @@ inspect the artifacts each stage wrote.
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -19,10 +20,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import force_workers, make_pair_task, make_single_task, make_topic_nli, no_child_left
+from conftest import die_mid_reply, force_workers, make_pair_task, make_single_task, make_topic_nli, no_child_left
 
 from consem import encoder as encoder_module
 from consem import finetune as finetune_module
+from consem import pretrain as pretrain_module
 from consem.checkpoint import load_checkpoint, save_checkpoint
 from consem.cli import SWEEP_GRIDS, main
 from consem.config import SHARED_KEYS, RunConfig, section_keys
@@ -731,6 +733,28 @@ def test_error_in_a_worker_training_shard_is_one_error_line(workspace, tmp_path,
     assert capsys.readouterr().err == "error: a worker's shard failed\n"
     assert not (tmp_path / "ft" / "model.bin").exists()
     no_child_left()
+
+@pytest.mark.usefixtures("time_bound")
+def test_a_pretraining_helper_that_dies_between_the_exchanges_is_one_error_line(workspace, tmp_path, capsys,
+                                                                                monkeypatch):
+    # The helper sends its pooled vectors whole, then exits partway through its loss reply.
+    caller, triples_loss = os.getpid(), pretrain_module._triples_loss
+
+    def cutting_loss(vectors, tau):
+        if os.getpid() != caller:
+            die_mid_reply()
+        return triples_loss(vectors, tau)
+
+    monkeypatch.setattr(pretrain_module, "_triples_loss", cutting_loss)
+    force_workers(monkeypatch, 2)
+    rc = main(["pretrain", "--triples", str(workspace.triples), "--vocab", str(workspace.vocab),
+               "--epochs", "1", "--batch-size", "8", "--out", str(tmp_path / "pre")] + _SMALL)
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: worker \d+ exited before sending its reply\n", err), err
+    assert not (tmp_path / "pre" / "checkpoint.bin").exists()
+    no_child_left()
+
 
 _NLI_TEXTS = st.one_of(st.sampled_from(["the river", "a glacier"]), st.text(alphabet=" \t\u2028ab.", max_size=3))
 

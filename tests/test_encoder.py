@@ -825,9 +825,10 @@ class TestFusedOps:
         pretrain_config = PretrainConfig(pooling=PoolingStrategy.MEAN, tau=0.1, mlm_weight=0.5)
 
         def loss():
-            cl, ml = pretrain_module._batch_losses(
+            vectors, ml = pretrain_module._shard_forward(
                 lists, mlm_batch, weights, pretrain_config, np.random.default_rng(0)
             )
+            cl = pretrain_module._triples_loss(vectors, pretrain_config.tau)
             return T.add(cl, T.scale(ml, pretrain_config.mlm_weight))
 
         grads = self._gradients(weights, {}, loss)

@@ -10,6 +10,7 @@ import pytest
 from conftest import (
     BOUNDARY_TWINS,
     boundary_twin_texts,
+    count_shard_helper_starts,
     die_mid_reply,
     fail_os_call,
     force_workers,
@@ -610,20 +611,6 @@ def _with_dropout(ckpt):
     return replace(ckpt, encoder_config=replace(ckpt.encoder_config, dropout=0.1))
 
 
-def _counting_worker_starts(monkeypatch) -> list[bool]:
-    """Whether each ``train_epochs`` loop from now on started its shard helper."""
-    started, start = [], workers_module.Helper.start
-
-    def counting(handle):
-        helper = start(handle)
-        if getattr(handle, "func", None) is optim_module._shard_gradients:
-            started.append(helper is not None)
-        return helper
-
-    monkeypatch.setattr(workers_module.Helper, "start", counting)
-    return started
-
-
 @pytest.mark.usefixtures("time_bound")
 class TestShardedSteps:
     """Each step as two shards: one worker or two give the same bytes, the drift is bounded, no child is left."""
@@ -642,7 +629,7 @@ class TestShardedSteps:
             train, dev = make_mrc_task(13, choices=3), make_mrc_task(6, start=13, choices=3)
         else:
             train, dev = make_pair_task(37), make_pair_task(8, start=40)
-        started = _counting_worker_starts(monkeypatch)
+        started = count_shard_helper_starts(monkeypatch)
         saved = {}
         for workers in (1, 2):
             force_workers(monkeypatch, workers)
@@ -692,7 +679,7 @@ class TestShardedSteps:
         ckpt, _, vocab = micro_checkpoint
         ckpt = _with_dropout(ckpt)
         model, _ = self._pair_run(ckpt, vocab, epochs=8)
-        monkeypatch.setattr(finetune_module, "_STEP_SHARDS", 1)
+        monkeypatch.setattr(optim_module, "_STEP_SHARDS", 1)
         ref_model, _ = self._pair_run(ckpt, vocab, epochs=8)
         # Outputs, not parameters: the attention key biases get only float-noise
         # gradients, which AdamW scales up to steps of the learning rate.
@@ -704,7 +691,7 @@ class TestShardedSteps:
     def test_no_child_outlives_a_diverged_run(self, micro_checkpoint, monkeypatch):
         ckpt, _, vocab = micro_checkpoint
         force_workers(monkeypatch, 2)
-        started = _counting_worker_starts(monkeypatch)
+        started = count_shard_helper_starts(monkeypatch)
         with pytest.raises(TrainingDivergedError, match="^non-finite "):
             self._pair_run(ckpt, vocab, learning_rate=1e6)
         assert started == [True]
@@ -763,7 +750,7 @@ class TestShardedSteps:
     def test_no_child_outlives_an_error_in_the_epoch_evaluation(self, micro_checkpoint, monkeypatch, error):
         ckpt, _, vocab = micro_checkpoint
         force_workers(monkeypatch, 2)
-        started = _counting_worker_starts(monkeypatch)
+        started = count_shard_helper_starts(monkeypatch)
 
         def failing_evaluate(*args):
             raise error
@@ -781,7 +768,7 @@ class TestShardedSteps:
         force_workers(monkeypatch, 1)
         expected = self._pair_run(ckpt, vocab)[0].to_arrays()
         force_workers(monkeypatch, 2)
-        started = _counting_worker_starts(monkeypatch)
+        started = count_shard_helper_starts(monkeypatch)
         fds = len(os.listdir("/proc/self/fd"))
         fail_os_call(monkeypatch, name, at)
         model, _ = self._pair_run(ckpt, vocab)

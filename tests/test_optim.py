@@ -185,7 +185,7 @@ def test_descend_steps_and_clears_gradients():
     p = Tensor([1.0, -1.0], requires_grad=True)
     opt = AdamW({"p": p}, learning_rate=0.1, weight_decay=0.0)
     loop = train_epochs(np.array([0]), TrainingConfig(batch_size=1, epochs=1), opt,
-                        lambda rows, rng, epoch, place: T.reduce_sum(T.mul(p, p)), 7, 9)
+                        lambda rows, rng, epoch, place: (None, lambda blocks: T.reduce_sum(T.mul(p, p))), 7, 9)
     assert list(loop) == [1]
     np.testing.assert_allclose(p.data, [0.9, -0.9], atol=1e-6)
     assert opt.step_count == 1 and p.grad is None
@@ -196,8 +196,9 @@ def test_descend_on_nan_loss_raises_before_any_change():
     opt = AdamW({"p": p}, learning_rate=0.1)
     opt.step()
     before = p.data.copy()
+    nan_loss = lambda blocks: T.reduce_sum(T.mul(p, Tensor([np.nan, 1.0])))
     loop = train_epochs(np.array([0]), TrainingConfig(batch_size=1, epochs=3), opt,
-                        lambda rows, rng, epoch, place: T.reduce_sum(T.mul(p, Tensor([np.nan, 1.0]))), 7, 9)
+                        lambda rows, rng, epoch, place: (None, nan_loss), 7, 9)
     with pytest.raises(TrainingDivergedError, match=r"^non-finite loss at step 2 \(epoch 1\)$"):
         next(loop)
     np.testing.assert_array_equal(p.data, before)
@@ -209,11 +210,14 @@ _CONFIG = TrainingConfig(batch_size=2, epochs=3, seed=5)
 _SHUFFLE, _DROPOUT = 7, 9
 
 
-def _toy_loop(batch_loss):
-    """A one-parameter optimizer and the loop over ``_ITEMS``; ``batch_loss`` gets the parameter first."""
+def _toy_loop(shard_loss):
+    """A one-parameter optimizer and the loop over ``_ITEMS``, whose blocks of 2 run as shards of 1 + 1.
+
+    ``shard_loss(p, rows, rng, epoch, place)`` is each shard's loss, which publishes no block.
+    """
     p = Tensor([1.0, -1.0], requires_grad=True)
     opt = AdamW({"p": p}, learning_rate=0.1, weight_decay=0.0)
-    loop = train_epochs(_ITEMS, _CONFIG, opt, lambda rows, rng, epoch, place: batch_loss(p, rows, rng, epoch),
+    loop = train_epochs(_ITEMS, _CONFIG, opt, lambda *args: (None, lambda blocks: shard_loss(p, *args)),
                         _SHUFFLE, _DROPOUT)
     return p, opt, loop
 
@@ -222,55 +226,58 @@ def _square(p):
     return T.reduce_sum(T.mul(p, p))
 
 
-def test_epochs_visit_items_permuted_per_epoch_in_minibatches():
+def test_epochs_visit_items_permuted_per_epoch_in_minibatches(one_worker):
     calls = []
 
-    def batch_loss(p, rows, rng, epoch):
-        calls.append((epoch, rows.tolist(), rng.random(3)))
+    def shard_loss(p, rows, rng, epoch, place):
+        calls.append((epoch, rows.tolist(), place, rng.random(3)))
         return _square(p)
 
-    p, opt, loop = _toy_loop(batch_loss)
+    p, opt, loop = _toy_loop(shard_loss)
     assert list(loop) == [1, 2, 3]
     expected = []
     for epoch in (1, 2, 3):
         order = _ITEMS[np.random.default_rng([5, _SHUFFLE, epoch]).permutation(len(_ITEMS))]
-        expected += [(epoch, rows.tolist(), rng.random(3)) for rows, rng in minibatches(order, 2, 5, _DROPOUT, epoch)]
-    assert [c[:2] for c in calls] == [e[:2] for e in expected]
-    for (_, _, got), (_, _, want) in zip(calls, expected, strict=True):
+        for rows, rng in minibatches(order, 2, 5, _DROPOUT, epoch):
+            # Each shard gets a copy of the block's fresh generator.
+            noise = rng.random(3)
+            expected += [(epoch, [row], (k, len(rows)), noise) for k, row in enumerate(rows.tolist())]
+    assert [c[:3] for c in calls] == [e[:3] for e in expected]
+    for (*_, got), (*_, want) in zip(calls, expected, strict=True):
         np.testing.assert_array_equal(got, want)
     # One step per block: three blocks of 2, 2 and 1 items per epoch.
     assert opt.step_count == 9 and p.grad is None
 
 
-def test_last_tape_lives_through_the_callers_epoch_code_until_the_next_step():
-    tapes, alive_at_step = [], []
+def test_no_tape_outlives_its_step(one_worker):
+    tapes, alive_at_first_shard = [], []
 
-    def batch_loss(p, rows, rng, epoch):
-        alive_at_step.append([e for e, ref in tapes if ref() is not None])
-        tapes.append((epoch, weakref.ref(T._TAPE_STACK[-1])))
+    def shard_loss(p, rows, rng, epoch, place):
+        if place[0] == 0:
+            alive_at_first_shard.append(sum(ref() is not None for ref in tapes))
+        tapes.append(weakref.ref(T._TAPE_STACK[-1]))
         return _square(p)
 
-    _, _, loop = _toy_loop(batch_loss)
-    for epoch in loop:
-        # Outside any tape, with only this epoch's last tape still alive.
+    _, _, loop = _toy_loop(shard_loss)
+    for _ in loop:
+        # The caller's per-epoch code runs outside any tape, with none alive.
         assert T._TAPE_STACK == []
-        assert [e for e, ref in tapes if ref() is not None] == [epoch]
-        assert tapes[-1][0] == epoch
-    # Each step's tape replaces the one before, the next epoch's first step included.
-    assert alive_at_step == [[]] * 9
-    assert all(ref() is None for _, ref in tapes)
+        assert all(ref() is None for ref in tapes)
+    # Each shard runs under its own tape, and no earlier step's tape is alive
+    # when a step's first shard runs.
+    assert len(tapes) == 15 and alive_at_first_shard == [0] * 9
 
 
-def test_nan_loss_raises_before_any_parameter_changes():
+def test_nan_loss_raises_before_any_parameter_changes(one_worker):
     state = {}
 
-    def batch_loss(p, rows, rng, epoch):
-        if epoch == 2 and len(state) == 0 and rows.size == 1:
+    def shard_loss(p, rows, rng, epoch, place):
+        if epoch == 2 and len(state) == 0 and place == (0, 1):
             state["before"] = p.data.copy()
             return T.reduce_sum(T.mul(p, Tensor([np.nan, 1.0])))
         return _square(p)
 
-    p, opt, loop = _toy_loop(batch_loss)
+    p, opt, loop = _toy_loop(shard_loss)
     assert next(loop) == 1
     with pytest.raises(TrainingDivergedError, match=r"^non-finite loss at step 6 \(epoch 2\)$"):
         next(loop)
@@ -320,11 +327,46 @@ def test_sharded_step_sums_each_shards_own_gradient_in_shard_order(monkeypatch, 
     expected = shard_gradient(p, order[:3]) + shard_gradient(p, order[3:])
     calls.clear()
     config = TrainingConfig(batch_size=5, epochs=1, seed=5)
-    list(train_epochs(np.arange(5), config, opt, lambda *args: batch_loss(p, *args), _SHUFFLE, _DROPOUT, shards=2))
+    list(train_epochs(np.arange(5), config, opt, lambda *args: (None, lambda blocks: batch_loss(p, *args)),
+                      _SHUFFLE, _DROPOUT))
     fresh = np.random.default_rng([5, _DROPOUT, 1, 0]).random()
     # Each shard gets the block's fresh generator and its place in the block;
     # with two workers the second shard's call is made in the worker.
     assert calls == [(order[:3].tolist(), (0, 5), fresh), (order[3:].tolist(), (3, 5), fresh)][:3 - workers]
     assert seen[0].tobytes() == expected.tobytes()
     assert opt.step_count == 1 and p.grad is None
+    no_child_left()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_each_shard_loss_gets_every_block_in_shard_order_with_its_own(monkeypatch, workers):
+    # Each shard publishes its rows' sum; its loss weighs p by the blocks it
+    # got and by its own block's place among them, so the step's gradient
+    # shows what each shard saw, in the caller or in the helper.
+    force_workers(monkeypatch, workers)
+
+    def shard_loss(p, rows, rng, epoch, place):
+        block = [float(rows.sum())]
+
+        def loss(blocks):
+            own = [k for k, b in enumerate(blocks) if b is block]
+            weights = Tensor([sum(b[0] for b in blocks), 10.0 * len(blocks) + own[0]])
+            return T.reduce_sum(T.mul(T.mul(p, p), weights))
+
+        return block, loss
+
+    p = Tensor([1.0, -1.0], requires_grad=True)
+    opt = AdamW({"p": p}, learning_rate=0.1, weight_decay=0.0)
+    seen, step = [], opt.step
+
+    def recording_step():
+        seen.append(p.grad.copy())
+        step()
+
+    opt.step = recording_step
+    config = TrainingConfig(batch_size=5, epochs=1, seed=5)
+    list(train_epochs(np.arange(5), config, opt, lambda *args: shard_loss(p, *args), _SHUFFLE, _DROPOUT))
+    # Both shards weigh p[0] by 0 + 1 + 2 + 3 + 4 and p[1] by 20 plus their
+    # index: 2 * p * (10, 20) + 2 * p * (10, 21).
+    np.testing.assert_array_equal(seen[0], [40.0, -82.0])
     no_child_left()

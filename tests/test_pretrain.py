@@ -6,12 +6,23 @@ import os
 import numpy as np
 import pytest
 
-from conftest import check_gradients, force_workers, make_topic_triples, micro_encoder_config
+from conftest import (
+    check_gradients,
+    count_shard_helper_starts,
+    die_mid_reply,
+    fail_os_call,
+    force_workers,
+    make_topic_triples,
+    micro_encoder_config,
+    no_child_left,
+)
 from oracles import composed_contrastive_loss, contrastive_loss_reference, full_forward_batch, masking_reference
 
 import consem.pretrain as pretrain_module
+from consem import optim as optim_module
 from consem import tensor as T
-from consem.checkpoint import Checkpoint
+from consem import workers as workers_module
+from consem.checkpoint import Checkpoint, save_checkpoint
 from consem.encoder import EncoderConfig, EncoderWeights, PoolingStrategy, forward_batch, pool, slot_states
 from consem.errors import (
     ConfigError,
@@ -33,6 +44,7 @@ from consem.pretrain import (
     train,
     write_loss_csv,
 )
+from consem.optim import AdamW
 from consem.tensor import Tape, Tensor, backward
 from consem.text import (
     CLS_ID,
@@ -372,23 +384,6 @@ class TestTrain:
         for name in ckpt_a.params:
             assert ckpt_a.params[name].tobytes() == ckpt_b.params[name].tobytes()
 
-    def test_pretraining_never_forks(self, tiny_world, monkeypatch):
-        # The contrastive loss couples a batch's rows, so each step is one shard
-        # and no worker is forked, even where two processes are allowed.
-        triples, vocab, encoder_config = tiny_world
-        config = PretrainConfig(epochs=2, batch_size=4, seed=5, mlm_weight=0.1)
-        ckpt_a, records_a = train(triples, config, vocab, encoder_config)
-
-        def no_fork():
-            raise AssertionError("pretraining forked")
-
-        force_workers(monkeypatch, 2)
-        monkeypatch.setattr(os, "fork", no_fork)
-        ckpt_b, records_b = train(triples, config, vocab, encoder_config)
-        assert records_a == records_b
-        for name in ckpt_a.params:
-            assert ckpt_a.params[name].tobytes() == ckpt_b.params[name].tobytes()
-
     def test_different_seed_differs(self, tiny_world):
         triples, vocab, encoder_config = tiny_world
         ckpt_a, _ = train(triples, PretrainConfig(epochs=1, seed=0), vocab, encoder_config)
@@ -459,6 +454,155 @@ class TestTrain:
         assert ckpt.step == 1  # 8 triples in one oversized batch
 
 
+# (pooling, mlm_weight, warm start) of each recipe the shard tests run.
+_RECIPES = {
+    "cls-mlm": (PoolingStrategy.CLS, 0.3, False),
+    "cls": (PoolingStrategy.CLS, 0.0, False),
+    "mean": (PoolingStrategy.MEAN, 0.0, False),
+    "warm-start": (PoolingStrategy.CLS, 0.3, True),
+}
+
+
+def _recipe_run(tiny_world, recipe, out, **config):
+    """Train ``recipe`` on the tiny world; return its checkpoint.bin and loss_log.csv bytes."""
+    triples, vocab, encoder_config = tiny_world
+    pooling, mlm_weight, warm = _RECIPES[recipe]
+    config = PretrainConfig(**{"epochs": 2, "batch_size": 5, "seed": 5, "validation_fraction": 0.25,
+                               "pooling": pooling, "mlm_weight": mlm_weight, **config})
+    init = _warm_start_checkpoint(encoder_config, vocab) if warm else None
+    ckpt, records = train(triples, config, vocab, encoder_config, init=init)
+    out.mkdir()
+    save_checkpoint(ckpt, out / "checkpoint.bin")
+    write_loss_csv(records, out / "loss_log.csv")
+    return (out / "checkpoint.bin").read_bytes(), (out / "loss_log.csv").read_bytes()
+
+
+@pytest.mark.usefixtures("time_bound")
+class TestShardedSteps:
+    """Each step as two shards that swap their pooled vectors: one process or two give the same
+    bytes, the drift from a one-pass step is bounded, and no helper outlives the run."""
+
+    @pytest.mark.parametrize("recipe", list(_RECIPES))
+    def test_bytes_do_not_depend_on_the_worker_count(self, tiny_world, monkeypatch, tmp_path, recipe):
+        started = count_shard_helper_starts(monkeypatch)
+        saved = {}
+        for leg in ("one", "two", "no-fork"):
+            force_workers(monkeypatch, 1 if leg == "one" else 2)
+            if leg == "no-fork":
+                fail_os_call(monkeypatch, "fork", 1)
+            # 12 training triples in batches of 5, 5 and 2: shards of 3 + 2, then 1 + 1.
+            saved[leg] = _recipe_run(tiny_world, recipe, tmp_path / leg)
+        # The no-fork leg's caller ran the helper's shard itself.
+        assert started == [True, False]
+        assert saved["one"] == saved["two"] == saved["no-fork"]
+        no_child_left()
+
+    @pytest.mark.parametrize("recipe", ["cls-mlm", "mean"])
+    def test_two_shard_gradient_within_bound_of_one_pass(self, tiny_world, monkeypatch, recipe):
+        # One step over all 16 triples: shards of 8 + 8 against one shard of 16,
+        # both with the triple-major layout.
+        triples, vocab, encoder_config = tiny_world
+        pooling, mlm_weight, _ = _RECIPES[recipe]
+        config = PretrainConfig(epochs=1, batch_size=16, seed=3, validation_fraction=0.0, pooling=pooling,
+                                mlm_weight=mlm_weight)
+        seen = []
+
+        class RecordingAdamW(AdamW):
+            def step(self):
+                seen.append({name: np.zeros_like(p.data) if p.grad is None else p.grad.copy()
+                             for name, p in self.params.items()})
+                super().step()
+
+        monkeypatch.setattr(pretrain_module, "AdamW", RecordingAdamW)
+        force_workers(monkeypatch, 1)
+        train(triples, config, vocab, encoder_config)
+        monkeypatch.setattr(optim_module, "_STEP_SHARDS", 1)
+        train(triples, config, vocab, encoder_config)
+        two, one = seen
+        # One bound for all parameters, as the stacked-forward check: some
+        # gradients (the attention key biases) are about zero.
+        largest = max(np.abs(g).max() for g in one.values())
+        assert largest > 0.1
+        assert any(two[name].tobytes() != one[name].tobytes() for name in one)
+        for name in one:
+            assert np.abs(two[name] - one[name]).max() <= 1e-5 * largest, name
+
+    def test_loss_log_within_bound_of_one_pass_steps_after_three_epochs(self, tiny_world, monkeypatch):
+        triples, vocab, encoder_config = tiny_world
+        config = PretrainConfig(epochs=3, batch_size=4, seed=2, validation_fraction=0.25, mlm_weight=0.3)
+        _, records = train(triples, config, vocab, encoder_config)
+        monkeypatch.setattr(optim_module, "_STEP_SHARDS", 1)
+        _, ref_records = train(triples, config, vocab, encoder_config)
+        assert [(r.epoch, r.step, r.split) for r in records] == [(r.epoch, r.step, r.split) for r in ref_records]
+        assert records != ref_records
+        # Over seeds 2-11 the records drifted at most 1.4e-6.
+        for record, ref in zip(records, ref_records):
+            for field in ("contrastive", "mlm", "combined"):
+                assert getattr(record, field) == pytest.approx(getattr(ref, field), abs=1e-5), field
+
+    def test_no_child_outlives_a_diverged_run(self, tiny_world, monkeypatch, tmp_path):
+        force_workers(monkeypatch, 2)
+        started = count_shard_helper_starts(monkeypatch)
+        with pytest.raises(TrainingDivergedError, match="^non-finite "):
+            _recipe_run(tiny_world, "cls-mlm", tmp_path / "run", learning_rate=1e6)
+        assert started == [True]
+        no_child_left()
+
+    def test_no_child_outlives_a_keyboard_interrupt(self, tiny_world, monkeypatch, tmp_path):
+        caller, calls = os.getpid(), []
+
+        def interrupted_forward(*args, **kwargs):
+            if os.getpid() == caller:
+                calls.append(1)
+                if len(calls) == 3:
+                    raise KeyboardInterrupt
+            return forward_batch(*args, **kwargs)
+
+        monkeypatch.setattr(pretrain_module, "forward_batch", interrupted_forward)
+        force_workers(monkeypatch, 2)
+        started = count_shard_helper_starts(monkeypatch)
+        with pytest.raises(KeyboardInterrupt):
+            _recipe_run(tiny_world, "cls-mlm", tmp_path / "run")
+        assert started == [True]
+        no_child_left()
+
+    def test_a_helper_that_dies_between_the_exchanges_is_an_error(self, tiny_world, monkeypatch, tmp_path):
+        # The helper's block arrives whole; its loss reply is cut short.
+        caller, write, triples_loss = os.getpid(), workers_module._write, pretrain_module._triples_loss
+
+        def cutting_loss(vectors, tau):
+            if os.getpid() != caller:
+                die_mid_reply()
+            return triples_loss(vectors, tau)
+
+        monkeypatch.setattr(pretrain_module, "_triples_loss", cutting_loss)
+        force_workers(monkeypatch, 2)
+        with pytest.raises(ChildProcessError, match=r"^worker \d+ exited before sending its reply$"):
+            _recipe_run(tiny_world, "cls-mlm", tmp_path / "run")
+        assert workers_module._write is write
+        no_child_left()
+
+    def test_blocks_bigger_than_a_pipe_are_exchanged(self, monkeypatch, tmp_path):
+        # Batch 180 at d = 64: each shard's vectors are 90 * 3 * 64 float32s,
+        # more than a pipe holds, so a caller that sent its block before
+        # receiving the helper's would wait on a helper waiting on it.
+        triples = make_topic_triples(180, num_topics=8)
+        vocab = build_vocab([t for tr in triples for t in (tr.sentence1, tr.sentence2, tr.hard_neg)])
+        encoder_config = micro_encoder_config(vocab.size, hidden_size=64, ff_size=64, max_len=14)
+        assert 90 * 3 * 64 * 4 > 64 * 1024
+        config = PretrainConfig(epochs=1, batch_size=180, seed=1, validation_fraction=0.0, mlm_weight=0.1)
+        started = count_shard_helper_starts(monkeypatch)
+        saved = []
+        for workers in (2, 1):
+            force_workers(monkeypatch, workers)
+            ckpt, records = train(triples, config, vocab, encoder_config)
+            assert ckpt.step == 1
+            saved.append((records, {name: a.tobytes() for name, a in ckpt.params.items()}))
+        assert started == [True]
+        assert saved[0] == saved[1]
+        no_child_left()
+
+
 def _per_list_losses(seq_lists, mlm_batch, weights, config, rng):
     """The path the stacked forward replaced: one forward per list, then one for MLM."""
     pooled = [pool(forward_batch(seqs, weights, rng), config.pooling) for seqs in seq_lists]
@@ -470,8 +614,14 @@ def _per_list_losses(seq_lists, mlm_batch, weights, config, rng):
     return cl, mlm_loss(slot_states(outputs.hidden[-1], rows, cols), ids, weights["tok_emb"])
 
 
+def _one_shard_losses(seq_lists, mlm_batch, weights, config, rng):
+    """The contrastive and MLM losses of a whole batch run as one shard."""
+    vectors, ml = pretrain_module._shard_forward(seq_lists, mlm_batch, weights, config, rng)
+    return pretrain_module._triples_loss(vectors, config.tau), ml
+
+
 class TestStackedForward:
-    """``_batch_losses`` runs one forward over all rows; bound its drift from per-list forwards."""
+    """``_shard_forward`` runs one forward over all rows; bound its drift from per-list forwards."""
 
     @staticmethod
     def _batch(tiny_world, mlm, dropout=0.1):
@@ -496,7 +646,7 @@ class TestStackedForward:
         weights = EncoderWeights.initialize(encoder_config, seed=3)
         config = PretrainConfig(pooling=pooling, tau=0.1)
         args = (lists, mlm_batch, weights, config, None)
-        cl, ml = pretrain_module._batch_losses(*args)
+        cl, ml = _one_shard_losses(*args)
         ref_cl, ref_ml = _per_list_losses(*args)
         assert cl.item() == pytest.approx(ref_cl.item(), abs=1e-5)
         if mlm:
@@ -517,7 +667,7 @@ class TestStackedForward:
                 backward(loss, tape)
             return loss.item(), {name: p.grad for name, p in weights.items()}
 
-        loss, grads = run(pretrain_module._batch_losses)
+        loss, grads = run(_one_shard_losses)
         ref_loss, ref_grads = run(_per_list_losses)
         assert loss == pytest.approx(ref_loss, abs=1e-5)
         # One bound for all parameters: some gradients (the attention key
@@ -527,25 +677,27 @@ class TestStackedForward:
             assert np.abs(grads[name] - ref).max() <= bound, name
 
     @pytest.mark.parametrize("mlm_weight", [0.0, 0.3])
-    def test_one_forward_per_batch_in_both_splits(self, tiny_world, monkeypatch, mlm_weight):
+    def test_one_forward_per_shard_and_per_validation_batch(self, tiny_world, monkeypatch, one_worker, mlm_weight):
         triples, vocab, encoder_config = tiny_world
-        calls = {True: 0, False: 0}
-
+        places = {True: [], False: []}
         cuts = set()
 
-        def counting_forward(seqs, weights, rng=None, reads=None):
-            calls[rng is not None] += 1
+        def counting_forward(seqs, weights, rng=None, reads=None, place=None):
+            places[rng is not None].append(place)
             cuts.add(reads is not None)
-            return forward_batch(seqs, weights, rng, reads=reads)
+            return forward_batch(seqs, weights, rng, reads=reads, place=place)
 
         monkeypatch.setattr(pretrain_module, "forward_batch", counting_forward)
         config = PretrainConfig(
             epochs=2, batch_size=4, seed=1, validation_fraction=0.25, mlm_weight=mlm_weight
         )
         ckpt, _ = train(triples, config, vocab, encoder_config)
-        # 12 training triples in 3 batches and 4 validation triples in 1, per epoch.
+        # 12 training triples in 3 batches of two shards of 2 and 4 validation
+        # triples in 1 batch, per epoch.  A shard's rows are 3 or, with MLM, 4
+        # per triple, so it is one contiguous block of its batch's rows.
         assert ckpt.step == 6
-        assert calls == {True: 6, False: 2}
+        width = 4 if mlm_weight else 3
+        assert places == {True: [(0, 4 * width), (2 * width, 4 * width)] * 6, False: [None] * 2}
         # CLS pooling (the default) reads only the last layer's [CLS] and
         # masked slots, with MLM on or off.
         assert cuts == {True}
@@ -596,21 +748,24 @@ class TestStackedForward:
         lists, mlm_batch, encoder_config = self._batch(tiny_world, mlm)
         seen = []
 
-        def recording_forward(seqs, weights, rng=None, reads=None):
+        def recording_forward(seqs, weights, rng=None, reads=None, place=None):
             seen.append(reads)
-            return forward_batch(seqs, weights, rng, reads=reads)
+            return forward_batch(seqs, weights, rng, reads=reads, place=place)
 
         monkeypatch.setattr(pretrain_module, "forward_batch", recording_forward)
         weights = EncoderWeights.initialize(encoder_config, seed=3)
-        pretrain_module._batch_losses(lists, mlm_batch, weights, PretrainConfig(pooling=pooling), None)
+        pretrain_module._shard_forward(lists, mlm_batch, weights, PretrainConfig(pooling=pooling), None)
         (reads,) = seen
         if pooling is not PoolingStrategy.CLS:
             assert reads is None
             return
         rows, positions = reads
-        n = len(lists[0])
-        masked_rows, masked_cols = (mlm_batch[1] + 3 * n, mlm_batch[2]) if mlm else ([], [])
-        np.testing.assert_array_equal(rows, np.concatenate([np.arange(3 * n), masked_rows]))
+        # Triple-major rows: anchor, positive, negative and (with MLM) the
+        # corrupted anchor of each triple in turn.
+        n, width = len(lists[0]), 4 if mlm else 3
+        contrastive = [width * i + k for i in range(n) for k in range(3)]
+        masked_rows, masked_cols = (width * mlm_batch[1] + 3, mlm_batch[2]) if mlm else ([], [])
+        np.testing.assert_array_equal(rows, np.concatenate([contrastive, masked_rows]))
         np.testing.assert_array_equal(positions, np.concatenate([np.zeros(3 * n), masked_cols]))
 
 
