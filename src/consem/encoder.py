@@ -37,11 +37,11 @@ about 2e-7, the float noise of a different padded width; a call that
 fits in one batch is unchanged.  Training batches are never reordered:
 in-batch negatives depend on a batch's members.
 
-``eval_rows`` spreads its batches over the processes that
-``workers.worker_count`` allows, the caller and helpers started for the
-call (see ``consem.workers``).  A batch keeps its members and its padded
-shape whichever process runs it, so the bytes do not depend on the
-number of processes.
+``eval_rows`` splits its batches between the caller and at most one
+helper started for the call, where ``workers.worker_count`` allows a
+second process (see ``consem.workers``).  A batch keeps its members and
+its padded shape whichever process runs it, so the bytes do not depend
+on the number of processes.
 
 A training batch may run as shards: ``forward_batch``'s ``place`` gives
 a shard's first row and its batch's size, so its dropout masks are the
@@ -393,12 +393,12 @@ def pool(outputs: LayerOutputs, strategy: PoolingStrategy) -> Tensor:
     raise ConfigError(f"unhandled pooling strategy {strategy!r}")
 
 
-def _share(batches: list, run: Callable, worker: int, count: int, put: Callable) -> tuple | None:
-    """``put(i, run(batches[i]))`` for ``i = worker, worker + count, ...``, up to the first batch that raises.
+def _share(batches: list, run: Callable, first: int, put: Callable) -> tuple | None:
+    """``put(i, run(batches[i]))`` for ``i = first, first + 2, ...``, up to the first batch that raises.
 
     Returns ``(its index, the exception)`` if a batch raised, else None.
     """
-    for i in range(worker, len(batches), count):
+    for i in range(first, len(batches), 2):
         try:
             rows = run(batches[i])
         except Exception as exc:
@@ -408,49 +408,36 @@ def _share(batches: list, run: Callable, worker: int, count: int, put: Callable)
 
 
 def _run_batches(batches: list, run: Callable, put: Callable) -> None:
-    """``put(i, run(batches[i]))`` for every batch, over ``workers.worker_count`` processes.
+    """``put(i, run(batches[i]))`` for every batch, the odd ones in a helper where two processes may share them.
 
-    The caller is worker 0; workers 1.. are :class:`workers.Helper` processes
-    started for this call, so they inherit ``run``.  Each is sent its worker
-    index ``w`` and runs batches ``w, w + count, ...``, replying once with
-    their rows and its first error; the caller also runs the share of every
-    helper it could not start.  The caller puts each of its own batches as
-    it runs, and each helper's rows as it reads them.  An error is the one
-    the serial loop raises: that of the first failing batch.
+    Where ``workers.worker_count`` allows more than one process, one
+    :class:`workers.Helper` started for this call, so it inherits ``run``,
+    runs batches 1, 3, 5, ... and replies once with their rows and its first
+    error, while the caller runs batches 0, 2, 4, ..., putting each as it
+    runs, then puts the helper's rows.  Otherwise, or if no helper starts,
+    the caller runs every batch in order.  An error is the one the serial
+    loop raises: that of the first failing batch.
     """
-    count = workers.worker_count(len(batches))
-    if count == 1:
+
+    def odd_batches(first: int) -> tuple[list, tuple | None]:
+        rows: list[np.ndarray] = []
+        error = _share(batches, run, first, lambda i, r: rows.append(r))
+        return rows, None if error is None else (error[0], workers.portable_error(error[1]))
+
+    helper = workers.Helper.start(odd_batches) if workers.worker_count(len(batches)) > 1 else None
+    if helper is None:
         for i, batch in enumerate(batches):
             put(i, run(batch))
         return
-
-    def helper_share(worker: int) -> tuple[list, tuple | None]:
-        rows: list[np.ndarray] = []
-        error = _share(batches, run, worker, count, lambda i, r: rows.append(r))
-        if error is not None:
-            error = error[0], workers.portable_error(error[1])
-        return rows, error
-
-    helpers: list[workers.Helper] = []
-    errors: list[tuple | None] = []
     try:
-        for worker in range(1, count):
-            helper = workers.Helper.start(helper_share)
-            if helper is None:
-                break
-            helpers.append(helper)
-            helper.send(worker)
-        for worker in (0, *range(len(helpers) + 1, count)):
-            errors.append(_share(batches, run, worker, count, put))
-        for worker, helper in enumerate(helpers, start=1):
-            rows, error = helper.receive()
-            for j, batch_rows in enumerate(rows):
-                put(worker + j * count, batch_rows)
-            errors.append(error)
+        helper.send(1)
+        mine = _share(batches, run, 0, put)
+        rows, theirs = helper.receive()
     finally:
-        for helper in helpers:
-            helper.close()
-    errors = [error for error in errors if error is not None]
+        helper.close()
+    for j, batch_rows in enumerate(rows):
+        put(1 + 2 * j, batch_rows)
+    errors = [error for error in (mine, theirs) if error is not None]
     if errors:
         raise min(errors, key=lambda error: error[0])[1]
 
@@ -467,8 +454,8 @@ def eval_rows(
     earlier one.  Within a batch they keep their input order: a batch's
     padding depends only on its members, and a call whose sequences fit
     in one batch runs them unchanged.  ``run(batch)`` returns one
-    (len(batch), width) row per sequence.  The batches may run in helper
-    processes started for the call (``consem.workers``), so ``run`` must
+    (len(batch), width) row per sequence.  Half the batches may run in a
+    helper process started for the call (``consem.workers``), so ``run`` must
     not rely on side effects in the caller's process.
     """
     if EVAL_BATCH < 1:

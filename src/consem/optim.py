@@ -80,10 +80,10 @@ def minibatches(order: np.ndarray, batch_size: int, seed: int, stream: int, epoc
 _STEP_SHARDS = 2
 
 
-def _shards(rows: np.ndarray, count: int) -> list[tuple[np.ndarray, tuple[int, int]]]:
-    """``rows`` cut into ``min(count, len(rows))`` consecutive shards, the larger first, each with its
-    place ``(first row, batch rows)``: for two, the first ``ceil(n / 2)`` rows and the rest."""
-    parts = np.array_split(rows, min(count, len(rows)))
+def _shards(rows: np.ndarray) -> list[tuple[np.ndarray, tuple[int, int]]]:
+    """``rows`` cut into :data:`_STEP_SHARDS` consecutive shards (one for a single row), the first
+    ``ceil(n / 2)`` rows and the rest, each with its place ``(first row, batch rows)``."""
+    parts = np.array_split(rows, min(_STEP_SHARDS, len(rows)))
     firsts = np.cumsum([0, *(len(part) for part in parts[:-1])])
     return [(part, (int(first), len(rows))) for part, first in zip(parts, firsts)]
 
@@ -158,9 +158,8 @@ def train_epochs(
     stop early closes the generator.
     """
     params = list(optimizer.params.values())
-    count = min(_STEP_SHARDS, config.batch_size, len(items))
     helper = None
-    if count > 1 and workers.worker_count(count) > 1:
+    if min(config.batch_size, len(items)) > 1 and workers.worker_count(_STEP_SHARDS) > 1:
         optimizer._bind(_shared_zeros(optimizer._flat.size, optimizer._flat.dtype))
         shard_grads = optimizer._views(_shared_zeros(optimizer._grad.size, optimizer._grad.dtype))
         helper = workers.Helper.start(functools.partial(_serve_shard, optimizer, batch_loss, shard_grads, []))
@@ -168,7 +167,7 @@ def train_epochs(
         for epoch in range(1, config.epochs + 1):
             order = items[np.random.default_rng([config.seed, shuffle_stream, epoch]).permutation(len(items))]
             for rows, rng in minibatches(order, config.batch_size, config.seed, dropout_stream, epoch):
-                parts = _shards(rows, count)
+                parts = _shards(rows)
                 rngs = [rng, *(copy.deepcopy(rng) for _ in parts[1:])]
                 remote = helper is not None and len(parts) > 1
                 if remote:

@@ -25,9 +25,9 @@ from typing import Any, Callable
 
 __all__ = ["Helper", "portable_error", "worker_count"]
 
-# The most processes one eval call or one training run works in.  Speed and
-# memory were measured for 2 only (a 2-CPU host); more waits for a
-# measurement on a larger host.
+# The most processes one eval call or one training run works in.  Each
+# starts at most one helper, and speed and memory were measured on a 2-CPU
+# host only: more would need code as well as a measurement.
 _MAX_WORKERS = 2
 # The variables OpenBLAS, MKL and OpenMP read their thread count from.
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")

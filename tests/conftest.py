@@ -247,8 +247,8 @@ def check_gradients(fn, tensors: list[Tensor], h: float = 1e-3) -> float:
 
 
 def force_workers(monkeypatch, workers: int) -> None:
-    """Spread every ``eval_rows`` call and every sharded training loop over ``workers``
-    processes, whatever the CPUs, the batches and the shards."""
+    """Make ``workers.worker_count`` say ``workers``, whatever the CPUs, the batches and the
+    shards: above 1, every ``eval_rows`` call and every sharded training loop starts its helper."""
     monkeypatch.setattr(workers_module, "worker_count", lambda units: workers)
 
 

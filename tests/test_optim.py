@@ -180,7 +180,7 @@ def test_minibatches_of_an_empty_order_yield_nothing():
     assert list(minibatches(np.array([], dtype=np.intp), 4, seed=0, stream=1, epoch=1)) == []
 
 
-def test_descend_steps_and_clears_gradients():
+def test_one_row_batch_takes_one_step_and_clears_gradients():
     # One epoch of one block: one step down the loss, gradients cleared after it.
     p = Tensor([1.0, -1.0], requires_grad=True)
     opt = AdamW({"p": p}, learning_rate=0.1, weight_decay=0.0)
@@ -191,7 +191,7 @@ def test_descend_steps_and_clears_gradients():
     assert opt.step_count == 1 and p.grad is None
 
 
-def test_descend_on_nan_loss_raises_before_any_change():
+def test_one_row_nan_loss_raises_before_any_parameter_changes():
     p = Tensor([1.0, -1.0], requires_grad=True)
     opt = AdamW({"p": p}, learning_rate=0.1)
     opt.step()
@@ -285,13 +285,10 @@ def test_nan_loss_raises_before_any_parameter_changes(one_worker):
     assert opt.step_count == 5 and p.grad is None and T._TAPE_STACK == []
 
 
-@pytest.mark.parametrize(
-    "n,count,sizes",
-    [(1, 2, [1]), (2, 2, [1, 1]), (5, 2, [3, 2]), (16, 2, [8, 8]), (7, 1, [7]), (7, 3, [3, 2, 2])],
-)
-def test_shards_are_consecutive_the_larger_first(n, count, sizes):
+@pytest.mark.parametrize("n,sizes", [(1, [1]), (2, [1, 1]), (3, [2, 1]), (5, [3, 2]), (7, [4, 3]), (16, [8, 8])])
+def test_shards_are_consecutive_the_larger_first(n, sizes):
     rows = np.arange(100, 100 + n)
-    shards = _shards(rows, count)
+    shards = _shards(rows)
     assert [len(part) for part, _ in shards] == sizes
     assert np.concatenate([part for part, _ in shards]).tolist() == rows.tolist()
     assert [place for _, place in shards] == [(int(first), n) for first in np.cumsum([0, *sizes[:-1]])]
