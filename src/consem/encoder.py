@@ -458,8 +458,6 @@ def eval_rows(
     helper process started for the call (``consem.workers``), so ``run`` must
     not rely on side effects in the caller's process.
     """
-    if EVAL_BATCH < 1:
-        raise ConfigError(f"eval batch_size must be >= 1, got {EVAL_BATCH}")
     unique: dict[tuple[int, ...], TokenSequence] = {}
     for seq in seqs:
         unique.setdefault(tuple(seq.ids), seq)

@@ -90,7 +90,11 @@ def macro_f1(cm: ConfusionMatrix) -> tuple[float, list[PerClassScores]]:
         recall = tp / gold if gold > 0 else 0.0
         f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
         per_class.append(PerClassScores(label, precision, recall, f1, int(gold)))
-    return sum(s.f1 for s in per_class) / len(per_class), per_class
+    # Left to right: sum() is compensated from Python 3.12, so its bits vary by version.
+    total = 0.0
+    for scores in per_class:
+        total += scores.f1
+    return total / len(per_class), per_class
 
 
 def mrc_accuracy(predicted: Sequence[int], gold: Sequence[int]) -> float:

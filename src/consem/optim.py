@@ -5,12 +5,12 @@ Every step cuts its batch into :data:`_STEP_SHARDS` shards (see
 pooled vectors a coupled loss needs from the other shards; nothing for
 fine-tuning), then computes its share of the batch's loss from every
 shard's block and backpropagates it.  The step's gradient is the sum, in
-shard order, of each shard's gradient.  Where ``workers.worker_count``
-allows a second process, the last shard runs in one ``workers.Helper``
-started for the whole loop over shared parameters.  Each shard's result
-depends only on its rows, its place in the batch, the batch's fresh
-dropout generator and the blocks, so the bytes do not depend on the
-number of processes.
+shard order, of each shard's gradient, made in AdamW's flat gradient
+buffer.  Where ``workers.worker_count`` allows a second process, the last
+shard runs in one ``workers.Helper`` started for the whole loop over
+shared parameters.  Each shard's result depends only on its rows, its
+place in the batch, the batch's fresh dropout generator and the blocks,
+so the bytes do not depend on the number of processes.
 """
 
 from __future__ import annotations
@@ -88,13 +88,6 @@ def _shards(rows: np.ndarray) -> list[tuple[np.ndarray, tuple[int, int]]]:
     return [(part, (int(first), len(rows))) for part, first in zip(parts, firsts)]
 
 
-def _add_gradient(earlier: np.ndarray | None, later: np.ndarray | None) -> np.ndarray | None:
-    """The sum of two shards' gradients for one parameter, None being zero; ``earlier`` is owned and summed into."""
-    if earlier is None or later is None:
-        return later if earlier is None else earlier
-    return np.add(earlier, later, out=earlier)
-
-
 def _check_loss(value, optimizer: AdamW, epoch: int) -> None:
     if not np.isfinite(value):
         raise TrainingDivergedError(f"non-finite loss at step {optimizer.step_count + 1} (epoch {epoch})")
@@ -144,25 +137,28 @@ def train_epochs(
     of the block's fresh dropout generator.  Then each shard's loss, given every shard's
     block in shard order, is backpropagated from zero gradients.  A shard's loss is its
     share of the block's loss, so the block's gradient is the sum of the shards'
-    gradients, added in shard order; the optimizer then takes one step.  A non-finite
-    shard loss raises TrainingDivergedError before anything changes; with several
-    failing shards the first one's error is raised.
+    gradients: shard 0's is gathered into AdamW's flat ``_grad`` and the last shard's
+    into a second buffer of that layout in a shared mapping, one whole-buffer add sums
+    them, and AdamW updates from ``_grad``.  A non-finite shard loss raises
+    TrainingDivergedError before anything changes; with several failing shards the
+    first one's error is raised.
 
     Where ``workers.worker_count`` allows two processes, AdamW's parameters move into a
     shared mapping and the last shard of each block runs in one helper started then
-    (:func:`_serve_shard`); if none can start, the caller runs it.  Each step sends the
+    (:func:`_serve_shard`), which fills the second buffer; if none can start, the caller
+    runs it and fills the buffer, as a one-process loop does.  Each step sends the
     helper its shard, receives the helper's block once the caller's own forwards are
     done, and only then sends the caller's blocks: each side's blocks may be more than
     a pipe holds, so the caller that sent first would wait on a helper waiting on it.
     The helper is closed when the loop ends, raises or is closed: a caller that may
     stop early closes the generator.
     """
-    params = list(optimizer.params.values())
+    second = _shared_zeros(optimizer._grad.size, optimizer._grad.dtype)
+    grads = (optimizer._grads, optimizer._views(second))
     helper = None
     if min(config.batch_size, len(items)) > 1 and workers.worker_count(_STEP_SHARDS) > 1:
         optimizer._bind(_shared_zeros(optimizer._flat.size, optimizer._flat.dtype))
-        shard_grads = optimizer._views(_shared_zeros(optimizer._grad.size, optimizer._grad.dtype))
-        helper = workers.Helper.start(functools.partial(_serve_shard, optimizer, batch_loss, shard_grads, []))
+        helper = workers.Helper.start(functools.partial(_serve_shard, optimizer, batch_loss, grads[1], []))
     try:
         for epoch in range(1, config.epochs + 1):
             order = items[np.random.default_rng([config.seed, shuffle_stream, epoch]).permutation(len(items))]
@@ -178,23 +174,17 @@ def train_epochs(
                 if remote:
                     blocks.append(helper.receive())
                     helper.send(blocks[:-1])
-                total = None
-                for shard in local:
+                for shard, views in zip(local, grads):
                     _check_loss(shard.finish(blocks), optimizer, epoch)
-                    grads = [p.grad for p in params]
+                    optimizer._gather(views)
                     optimizer.zero_grad()
-                    total = grads if total is None else list(map(_add_gradient, total, grads))
                 if remote:
                     _check_loss(helper.receive(), optimizer, epoch)
-                    total = list(map(_add_gradient, total, shard_grads))
-                for p, g in zip(params, total):
-                    p.grad = g
-                # Only the parameters hold the step's gradients, so zero_grad
-                # frees them before the next step's forward; nothing else of
-                # the step outlives it.
-                total = grads = local = blocks = shard = None
-                optimizer.step()
-                optimizer.zero_grad()
+                # The shards and blocks are freed before the next step's forward.
+                local = blocks = shard = None
+                if len(parts) > 1:
+                    optimizer._grad += second
+                optimizer._apply()
             yield epoch
     finally:
         if helper is not None:
@@ -215,9 +205,9 @@ def _serve_shard(optimizer: AdamW, batch_loss: Callable, grads: list[np.ndarray]
     The first request is the shard's rows and place, the block's fresh dropout
     generator and the epoch: the shard's forward runs, is held, and its block is the
     reply.  The second is the caller's blocks, in shard order: the held shard's loss
-    runs, its gradients go into ``grads``, views of a shared buffer with the
-    optimizer's gradient layout (zero for a parameter without one), and its loss value
-    is the reply.  A non-finite loss is returned without a backward.
+    runs, its gradients are gathered into ``grads``, the views of the loop's second
+    gradient buffer (:meth:`AdamW._gather`), and its loss value is the reply.  A
+    non-finite loss is returned without a backward.
     """
     if not held:
         rows, place, rng, epoch = request
@@ -226,11 +216,7 @@ def _serve_shard(optimizer: AdamW, batch_loss: Callable, grads: list[np.ndarray]
     shard = held.pop()
     try:
         value = shard.finish([*request, shard.block])
-        for p, g in zip(optimizer.params.values(), grads):
-            if p.grad is None:
-                g.fill(0)
-            else:
-                np.copyto(g, p.grad)
+        optimizer._gather(grads)
     finally:
         optimizer.zero_grad()
     return value
@@ -257,8 +243,8 @@ class AdamW:
     ``data`` into its own 64-byte aligned slot and rebinds ``data`` to a
     view of that slot, so arrays held from before construction are no
     longer the parameters.  A shard helper's start moves them once more,
-    into a shared mapping (see :func:`train_epochs`).  The moments, the gradients and the update live in
-    flat buffers of the same layout, so :meth:`step` is a fixed number of
+    into a shared mapping (see :func:`train_epochs`).  The moments, the gradient and the update live in
+    flat buffers of the same layout, so the update (:meth:`_apply`) is a fixed number of
     whole-buffer ufunc calls however many parameters there are; the zero
     padding between slots stays zero.  Each element takes the same
     float operations as a per-parameter update, so two optimizers built
@@ -310,19 +296,29 @@ class AdamW:
             p.grad = None
 
     def step(self) -> None:
-        """Apply one update from the gradients currently stored on the parameters.
+        """Apply one update from the gradients currently stored on the parameters:
+        gather them into ``_grad`` (:meth:`_gather`), then :meth:`_apply`.
 
         Parameters whose ``grad`` is ``None`` are treated as having a zero
         gradient (their moments still decay and weight decay still applies).
         A non-finite gradient raises an error naming the first such
         parameter, before any parameter or moment changes.
         """
-        t = self.step_count + 1
-        for p, g in zip(self.params.values(), self._grads):
+        self._gather(self._grads)
+        self._apply()
+
+    def _gather(self, grads: list[np.ndarray]) -> None:
+        """Copy each parameter's ``grad`` into its view in ``grads`` (see :meth:`_views`), zero for None."""
+        for p, g in zip(self.params.values(), grads):
             if p.grad is None:
                 g.fill(0)
             else:
                 np.copyto(g, p.grad)
+
+    def _apply(self) -> None:
+        """:meth:`step`'s update from the gradient already in ``_grad``, where
+        :func:`train_epochs` sums its shards' gradients."""
+        t = self.step_count + 1
         g = self._grad
         # The sum is finite unless a gradient is not (or the sum overflows);
         # only then is each parameter checked on its own.

@@ -6,7 +6,8 @@ reduction orders with the package under test.  The exceptions are
 ``composed_forward_batch``, ``composed_contrastive_loss``, ``erf_gelu``,
 the unfused kernels, the input-order batchers and the full-last-block
 paths at the end, references built from the package's own tensor ops,
-numpy or scipy.
+numpy or scipy; ``PerTensorAdamW`` also takes ``AdamW``'s gradient gather,
+an exact copy, and has only its update of its own.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from consem import finetune
 from consem import tensor as T
 from consem.encoder import ATTENTION_MASK_BIAS, EVAL_BATCH, LayerOutputs, PoolingStrategy, forward_batch, pool
 from consem.errors import TrainingDivergedError
+from consem.optim import AdamW
 from consem.text import PAD_ID, encode_single
 
 
@@ -285,35 +287,28 @@ def unfused_gelu(x: T.Tensor) -> T.Tensor:
     return out
 
 
-class PerTensorAdamW:
-    """``optim.AdamW`` with a moment pair per parameter and an update per parameter."""
+class PerTensorAdamW(AdamW):
+    """``optim.AdamW`` with a moment pair per parameter and an update per parameter.
+
+    It gathers the gradient as ``AdamW`` does (a parameter without one reads
+    zero), so the training loop's flat sum reaches it; only the update is its own.
+    """
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
     def __init__(self, params, learning_rate, weight_decay=0.01):
-        self.params = dict(params)
-        self.learning_rate, self.weight_decay = learning_rate, weight_decay
-        self.step_count = 0
-        self._m = {name: np.zeros_like(p.data) for name, p in self.params.items()}
-        self._v = {name: np.zeros_like(p.data) for name, p in self.params.items()}
+        super().__init__(params, learning_rate, weight_decay)
+        self._moments = {name: (np.zeros_like(p.data), np.zeros_like(p.data)) for name, p in self.params.items()}
 
-    def zero_grad(self):
-        for p in self.params.values():
-            p.grad = None
-
-    def step(self):
+    def _apply(self):
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - self.beta1**t
         bc2 = 1.0 - self.beta2**t
-        for name, p in self.params.items():
-            g = p.grad
-            if g is None:
-                g = np.zeros_like(p.data)
-            elif not np.all(np.isfinite(g)):
+        for (name, p), g in zip(self.params.items(), self._grads):
+            if not np.all(np.isfinite(g)):
                 raise TrainingDivergedError(f"non-finite gradient for parameter '{name}' at step {t}")
-            m = self._m[name]
-            v = self._v[name]
+            m, v = self._moments[name]
             m *= self.beta1
             m += (1.0 - self.beta1) * g
             v *= self.beta2

@@ -410,11 +410,6 @@ class TestLengthBatches:
         assert _eval_batches([], 4, monkeypatch) == []
         assert eval_rows([], 3, None).shape == (0, 3)
 
-    @pytest.mark.parametrize("batch_size", [0, -1])
-    def test_batch_size_below_one_rejected(self, batch_size, monkeypatch):
-        with pytest.raises(ConfigError, match="batch_size"):
-            _eval_batches([1, 2], batch_size, monkeypatch)
-
     def test_equal_sequences_run_once_as_their_first_copy(self, monkeypatch, one_worker):
         monkeypatch.setattr(encoder_module, "EVAL_BATCH", 2)
         seqs = [TokenSequence(ids=ids) for ids in ([7, 7], [5], [7, 7], [5], [9, 9, 9], [7, 7])]
@@ -517,13 +512,6 @@ class TestEmbedSentences:
         vocab, config, weights = setup
         vectors = embed_sentences([], weights, config, vocab)
         assert vectors.shape == (0, config.hidden_size) and vectors.dtype == np.float32
-
-    @pytest.mark.parametrize("batch_size", [0, -3])
-    def test_batch_size_below_one_rejected(self, setup, batch_size, monkeypatch):
-        vocab, config, weights = setup
-        monkeypatch.setattr(encoder_module, "EVAL_BATCH", batch_size)
-        with pytest.raises(ConfigError, match="batch_size"):
-            embed_sentences(["the river glows"], weights, config, vocab)
 
     def test_cls_vectors_within_bound_of_the_full_pass(self, micro_checkpoint, monkeypatch):
         # CLS embedding computes the last block at [CLS] alone.

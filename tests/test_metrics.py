@@ -78,6 +78,17 @@ class TestMacroF1:
         assert per_class[2].f1 == 0.0 and per_class[2].support == 0
         assert score == pytest.approx(2 / 3, abs=1e-12)
 
+    @pytest.mark.parametrize("counts,f1_sum,score", [
+        ([[11, 3, 0], [9, 10, 8], [9, 10, 1]], 0.9805934242181235, 0.32686447473937447),
+        ([[10, 7, 6], [3, 3, 0], [0, 0, 2]], 1.3305555555555553, 0.4435185185185184),
+    ])
+    def test_f1s_are_added_left_to_right(self, counts, f1_sum, score):
+        # Python 3.12's compensated sum() gives 0.9805934242181233 and
+        # 1.3305555555555555 here, and 0.4435185185185185 for the second score.
+        got, per_class = macro_f1(ConfusionMatrix(labels=["a", "b", "c"], counts=np.array(counts)))
+        assert (per_class[0].f1 + per_class[1].f1) + per_class[2].f1 == f1_sum
+        assert got == score
+
     def test_random_fixtures_match_recount(self):
         rng = np.random.default_rng(1)
         for _ in range(120):

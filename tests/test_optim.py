@@ -294,6 +294,18 @@ def test_shards_are_consecutive_the_larger_first(n, sizes):
     assert [place for _, place in shards] == [(int(first), n) for first in np.cumsum([0, *sizes[:-1]])]
 
 
+def _record_step_gradients(opt):
+    """Each step's gradient per parameter, read where the update reads it: AdamW's flat ``_grad``."""
+    seen, apply = [], opt._apply
+
+    def recording_apply():
+        seen.append([g.copy() for g in opt._grads])
+        apply()
+
+    opt._apply = recording_apply
+    return seen
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_sharded_step_sums_each_shards_own_gradient_in_shard_order(monkeypatch, workers):
     force_workers(monkeypatch, workers)
@@ -313,13 +325,7 @@ def test_sharded_step_sums_each_shards_own_gradient_in_shard_order(monkeypatch, 
 
     p = Tensor([1.0, -1.0, 2.0, 0.5, 3.0], requires_grad=True)
     opt = AdamW({"p": p}, learning_rate=0.1, weight_decay=0.0)
-    seen, step = [], opt.step
-
-    def recording_step():
-        seen.append(p.grad.copy())
-        step()
-
-    opt.step = recording_step
+    seen = _record_step_gradients(opt)
     order = np.arange(5)[np.random.default_rng([5, _SHUFFLE, 1]).permutation(5)]
     expected = shard_gradient(p, order[:3]) + shard_gradient(p, order[3:])
     calls.clear()
@@ -330,7 +336,7 @@ def test_sharded_step_sums_each_shards_own_gradient_in_shard_order(monkeypatch, 
     # Each shard gets the block's fresh generator and its place in the block;
     # with two workers the second shard's call is made in the worker.
     assert calls == [(order[:3].tolist(), (0, 5), fresh), (order[3:].tolist(), (3, 5), fresh)][:3 - workers]
-    assert seen[0].tobytes() == expected.tobytes()
+    assert seen[0][0].tobytes() == expected.tobytes()
     assert opt.step_count == 1 and p.grad is None
     no_child_left()
 
@@ -354,16 +360,49 @@ def test_each_shard_loss_gets_every_block_in_shard_order_with_its_own(monkeypatc
 
     p = Tensor([1.0, -1.0], requires_grad=True)
     opt = AdamW({"p": p}, learning_rate=0.1, weight_decay=0.0)
-    seen, step = [], opt.step
-
-    def recording_step():
-        seen.append(p.grad.copy())
-        step()
-
-    opt.step = recording_step
+    seen = _record_step_gradients(opt)
     config = TrainingConfig(batch_size=5, epochs=1, seed=5)
     list(train_epochs(np.arange(5), config, opt, lambda *args: shard_loss(p, *args), _SHUFFLE, _DROPOUT))
     # Both shards weigh p[0] by 0 + 1 + 2 + 3 + 4 and p[1] by 20 plus their
     # index: 2 * p * (10, 20) + 2 * p * (10, 21).
-    np.testing.assert_array_equal(seen[0], [40.0, -82.0])
+    np.testing.assert_array_equal(seen[0][0], [40.0, -82.0])
+    no_child_left()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_parameter_a_shard_does_not_reach_adds_zero(monkeypatch, workers):
+    # "both" is reached by both shards, "first" and "second" by one shard
+    # each, "neither" by none: the step's gradient is the per-parameter sum
+    # with a missing gradient taken as zero, in the caller or in the helper.
+    force_workers(monkeypatch, workers)
+    params = {name: Tensor(np.linspace(-1.0, 2.0, 4) + k, requires_grad=True)
+              for k, name in enumerate(("both", "first", "second", "neither"))}
+
+    def batch_loss(rows, rng, epoch, place):
+        scale = Tensor(np.full(4, 1.0 + rows.sum()))
+        reached = ("both", "first") if place[0] == 0 else ("both", "second")
+        terms = [T.reduce_sum(T.mul(T.mul(params[name], params[name]), scale)) for name in reached]
+        return None, lambda blocks: T.add(*terms)
+
+    def shard_gradients(rows, place):
+        with Tape() as tape:
+            backward(batch_loss(rows, None, 1, place)[1]([None]), tape)
+        grads = [np.zeros_like(p.data) if p.grad is None else p.grad for p in params.values()]
+        for p in params.values():
+            p.grad = None
+        return grads
+
+    opt = AdamW(params, learning_rate=0.1, weight_decay=0.0)
+    seen = _record_step_gradients(opt)
+    # One step per epoch, so a slot left over from the first step would show in the second.
+    loop = train_epochs(np.arange(5), TrainingConfig(batch_size=5, epochs=2, seed=5), opt, batch_loss,
+                        _SHUFFLE, _DROPOUT)
+    for epoch in (1, 2):
+        order = np.arange(5)[np.random.default_rng([5, _SHUFFLE, epoch]).permutation(5)]
+        expected = [a + b for a, b in zip(*(shard_gradients(part, place) for part, place in _shards(order)))]
+        assert next(loop) == epoch and len(seen) == epoch
+        for name, got, want in zip(params, seen[-1], expected, strict=True):
+            assert got.tobytes() == want.tobytes(), (epoch, name)
+        assert not expected[3].any() and expected[2].any() and expected[1].any()
+    assert list(loop) == []
     no_child_left()

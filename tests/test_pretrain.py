@@ -508,10 +508,10 @@ class TestShardedSteps:
         seen = []
 
         class RecordingAdamW(AdamW):
-            def step(self):
-                seen.append({name: np.zeros_like(p.data) if p.grad is None else p.grad.copy()
-                             for name, p in self.params.items()})
-                super().step()
+            # The step's gradient, read where the update reads it.
+            def _apply(self):
+                seen.append({name: g.copy() for name, g in zip(self.params, self._grads)})
+                super()._apply()
 
         monkeypatch.setattr(pretrain_module, "AdamW", RecordingAdamW)
         force_workers(monkeypatch, 1)

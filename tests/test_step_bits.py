@@ -46,8 +46,7 @@ def _pretrain_and_finetune(out):
 
 
 def test_unfused_kernels_give_the_same_artifact_bytes(tmp_path, monkeypatch):
-    # The per-tensor oracle keeps its parameters in private arrays, which a
-    # forked shard worker would not see it update, so every shard runs here.
+    # Every shard runs here, so the two runs differ only in their kernels.
     force_workers(monkeypatch, 1)
     (tmp_path / "fused").mkdir()
     (tmp_path / "unfused").mkdir()
