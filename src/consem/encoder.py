@@ -37,11 +37,10 @@ about 2e-7, the float noise of a different padded width; a call that
 fits in one batch is unchanged.  Training batches are never reordered:
 in-batch negatives depend on a batch's members.
 
-``eval_rows`` splits its batches between the caller and at most one
-helper started for the call, where ``workers.worker_count`` allows a
-second process (see ``consem.workers``).  A batch keeps its members and
-its padded shape whichever process runs it, so the bytes do not depend
-on the number of processes.
+``eval_rows`` splits its batches between the caller and one helper
+started for the call (``workers.start``; in one process, a stand-in).  A
+batch keeps its members and its padded shape whichever process runs it,
+so the bytes do not depend on the number of processes.
 
 A training batch may run as shards: ``forward_batch``'s ``place`` gives
 a shard's first row and its batch's size, so its dropout masks are the
@@ -408,15 +407,13 @@ def _share(batches: list, run: Callable, first: int, put: Callable) -> tuple | N
 
 
 def _run_batches(batches: list, run: Callable, put: Callable) -> None:
-    """``put(i, run(batches[i]))`` for every batch, the odd ones in a helper where two processes may share them.
+    """``put(i, run(batches[i]))`` for every batch, the odd ones in a helper started for this call.
 
-    Where ``workers.worker_count`` allows more than one process, one
-    :class:`workers.Helper` started for this call, so it inherits ``run``,
-    runs batches 1, 3, 5, ... and replies once with their rows and its first
-    error, while the caller runs batches 0, 2, 4, ..., putting each as it
-    runs, then puts the helper's rows.  Otherwise, or if no helper starts,
-    the caller runs every batch in order.  An error is the one the serial
-    loop raises: that of the first failing batch.
+    The helper (``workers.start``) runs batches 1, 3, 5, ... and replies
+    once with their rows and its first error, while the caller runs batches
+    0, 2, 4, ..., putting each as it runs, then puts the helper's rows; in
+    one process the stand-in runs the odd batches once the even ones are
+    done.  An error is that of the first failing batch.
     """
 
     def odd_batches(first: int) -> tuple[list, tuple | None]:
@@ -424,11 +421,7 @@ def _run_batches(batches: list, run: Callable, put: Callable) -> None:
         error = _share(batches, run, first, lambda i, r: rows.append(r))
         return rows, None if error is None else (error[0], workers.portable_error(error[1]))
 
-    helper = workers.Helper.start(odd_batches) if workers.worker_count(len(batches)) > 1 else None
-    if helper is None:
-        for i, batch in enumerate(batches):
-            put(i, run(batch))
-        return
+    helper = workers.start(odd_batches, len(batches))
     try:
         helper.send(1)
         mine = _share(batches, run, 0, put)

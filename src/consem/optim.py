@@ -6,11 +6,11 @@ pooled vectors a coupled loss needs from the other shards; nothing for
 fine-tuning), then computes its share of the batch's loss from every
 shard's block and backpropagates it.  The step's gradient is the sum, in
 shard order, of each shard's gradient, made in AdamW's flat gradient
-buffer.  Where ``workers.worker_count`` allows a second process, the last
-shard runs in one ``workers.Helper`` started for the whole loop over
-shared parameters.  Each shard's result depends only on its rows, its
-place in the batch, the batch's fresh dropout generator and the blocks,
-so the bytes do not depend on the number of processes.
+buffer.  The last shard runs in one ``workers.start`` helper started for
+the whole loop over AdamW's shared buffers (in one process, a stand-in).
+Each shard's result depends only on its rows, its place in the batch,
+the batch's fresh dropout generator and the blocks, so the bytes do not
+depend on the number of processes.
 """
 
 from __future__ import annotations
@@ -143,52 +143,42 @@ def train_epochs(
     TrainingDivergedError before anything changes; with several failing shards the
     first one's error is raised.
 
-    Where ``workers.worker_count`` allows two processes, AdamW's parameters move into a
-    shared mapping and the last shard of each block runs in one helper started then
-    (:func:`_serve_shard`), which fills the second buffer; if none can start, the caller
-    runs it and fills the buffer, as a one-process loop does.  Each step sends the
-    helper its shard, receives the helper's block once the caller's own forwards are
-    done, and only then sends the caller's blocks: each side's blocks may be more than
-    a pipe holds, so the caller that sent first would wait on a helper waiting on it.
-    The helper is closed when the loop ends, raises or is closed: a caller that may
-    stop early closes the generator.
+    The last shard of each block runs in one ``workers.start`` helper started for the loop
+    (:func:`_serve_shard`), which fills the second buffer.  Each step sends the helper
+    its shard, runs shard 0's forward, receives the helper's block and only then sends
+    the caller's: each side's blocks may be more than a pipe holds, so the caller that
+    sent first would wait on a helper waiting on it.  Shard 0 is gathered before the
+    helper's loss is received, so the stand-in runs the stages in shard order.  The
+    helper is closed when the loop ends, raises or is closed: a caller that may stop
+    early closes the generator.
     """
     second = _shared_zeros(optimizer._grad.size, optimizer._grad.dtype)
-    grads = (optimizer._grads, optimizer._views(second))
-    helper = None
-    if min(config.batch_size, len(items)) > 1 and workers.worker_count(_STEP_SHARDS) > 1:
-        optimizer._bind(_shared_zeros(optimizer._flat.size, optimizer._flat.dtype))
-        helper = workers.Helper.start(functools.partial(_serve_shard, optimizer, batch_loss, grads[1], []))
+    serve = functools.partial(_serve_shard, optimizer, batch_loss, optimizer._views(second), [])
+    helper = workers.start(serve, min(config.batch_size, len(items), _STEP_SHARDS))
     try:
         for epoch in range(1, config.epochs + 1):
             order = items[np.random.default_rng([config.seed, shuffle_stream, epoch]).permutation(len(items))]
             for rows, rng in minibatches(order, config.batch_size, config.seed, dropout_stream, epoch):
                 parts = _shards(rows)
-                rngs = [rng, *(copy.deepcopy(rng) for _ in parts[1:])]
-                remote = helper is not None and len(parts) > 1
-                if remote:
-                    helper.send((*parts[-1], rngs[-1], epoch))
-                local = [_Shard(batch_loss, part, place, shard_rng, epoch)
-                         for (part, place), shard_rng in zip(parts[: len(parts) - remote], rngs)]
-                blocks = [shard.block for shard in local]
-                if remote:
+                if len(parts) > 1:
+                    helper.send((*parts[-1], copy.deepcopy(rng), epoch))
+                shard = _Shard(batch_loss, *parts[0], rng, epoch)
+                blocks = [shard.block]
+                if len(parts) > 1:
                     blocks.append(helper.receive())
                     helper.send(blocks[:-1])
-                for shard, views in zip(local, grads):
-                    _check_loss(shard.finish(blocks), optimizer, epoch)
-                    optimizer._gather(views)
-                    optimizer.zero_grad()
-                if remote:
-                    _check_loss(helper.receive(), optimizer, epoch)
-                # The shards and blocks are freed before the next step's forward.
-                local = blocks = shard = None
+                _check_loss(shard.finish(blocks), optimizer, epoch)
+                optimizer._gather(optimizer._grads)
+                optimizer.zero_grad()
+                # The shard and blocks are freed before the next step's forward.
+                shard = blocks = None
                 if len(parts) > 1:
+                    _check_loss(helper.receive(), optimizer, epoch)
                     optimizer._grad += second
                 optimizer._apply()
             yield epoch
     finally:
-        if helper is not None:
-            helper.close()
+        helper.close()
 
 
 def _shared_zeros(size: int, dtype: np.dtype) -> np.ndarray:
@@ -227,14 +217,6 @@ def _serve_shard(optimizer: AdamW, batch_loss: Callable, grads: list[np.ndarray]
 _ALIGN_BYTES = 64
 
 
-def _aligned_zeros(size: int, dtype: np.dtype) -> np.ndarray:
-    """A zeroed 1-d array of ``size`` elements whose first element is 64-byte aligned."""
-    pad = _ALIGN_BYTES // dtype.itemsize
-    raw = np.zeros(size + pad, dtype=dtype)
-    skip = (-raw.ctypes.data % _ALIGN_BYTES) // dtype.itemsize
-    return raw[skip : skip + size]
-
-
 class AdamW:
     """First/second-moment adaptive steps plus decoupled weight decay.
 
@@ -242,10 +224,11 @@ class AdamW:
     buffer in insertion order: construction copies each parameter's
     ``data`` into its own 64-byte aligned slot and rebinds ``data`` to a
     view of that slot, so arrays held from before construction are no
-    longer the parameters.  A shard helper's start moves them once more,
-    into a shared mapping (see :func:`train_epochs`).  The moments, the gradient and the update live in
-    flat buffers of the same layout, so the update (:meth:`_apply`) is a fixed number of
-    whole-buffer ufunc calls however many parameters there are; the zero
+    longer the parameters.  The moments, the gradient and the update live
+    in flat buffers of the same layout, the rows of one shared mapping that
+    a helper forked later shares (see :func:`train_epochs`), so the update
+    (:meth:`_apply`) is a fixed number of whole-buffer ufunc calls however
+    many parameters there are; the zero
     padding between slots stays zero.  Each element takes the same
     float operations as a per-parameter update, so two optimizers built
     from the same parameter mapping evolve identically.  The decay term is
@@ -274,22 +257,17 @@ class AdamW:
             size += -(-p.data.size // align) * align
         self._slots = [(slice(start, start + p.data.size), p.data.shape)
                        for p, start in zip(self.params.values(), starts)]
-        flat, self._m, self._v, self._grad, self._update, self._scratch = (
-            _aligned_zeros(size, dtype) for _ in range(6)
-        )
-        self._bind(flat)
+        # Rows of a page-aligned mapping, so each slot stays 64-byte aligned.
+        flat, self._m, self._v, self._grad, self._update, self._scratch = _shared_zeros(6 * size, dtype).reshape(6, -1)
+        for p, view in zip(self.params.values(), self._views(flat)):
+            view[...] = p.data
+            p.data = view
+        self._flat = flat
         self._grads = self._views(self._grad)
 
     def _views(self, flat: np.ndarray) -> list[np.ndarray]:
         """Each parameter's slot of ``flat``, a buffer with the flat layout, shaped like the parameter."""
         return [flat[slot].reshape(shape) for slot, shape in self._slots]
-
-    def _bind(self, flat: np.ndarray) -> None:
-        """Copy the parameters into ``flat``, a zeroed buffer with the flat layout, and make it theirs."""
-        for p, view in zip(self.params.values(), self._views(flat)):
-            view[...] = p.data
-            p.data = view
-        self._flat = flat
 
     def zero_grad(self) -> None:
         for p in self.params.values():

@@ -4,7 +4,8 @@
 units.  A :class:`Helper` is a child forked with a ``handle`` function: it
 answers each pickled request, in order, with ``handle(request)``'s pickled
 result or that call's :func:`portable_error`, until the caller closes its
-ends.  ``encoder.eval_rows`` and ``optim.train_epochs`` are its callers.
+ends.  ``encoder.eval_rows`` and ``optim.train_epochs`` call :func:`start`,
+which gives them a helper or an in-process stand-in: one path for both.
 
 Two rules keep a caller from hanging on a helper.  A new helper closes the
 caller-side ends of every live sibling: one left open would keep a sibling
@@ -23,27 +24,29 @@ import os
 import pickle
 from typing import Any, Callable
 
-__all__ = ["Helper", "portable_error", "worker_count"]
+__all__ = ["Helper", "portable_error", "start", "worker_count"]
 
 # The most processes one eval call or one training run works in.  Each
 # starts at most one helper, and speed and memory were measured on a 2-CPU
 # host only: more would need code as well as a measurement.
 _MAX_WORKERS = 2
-# The variables OpenBLAS, MKL and OpenMP read their thread count from.
+# The variables OpenBLAS, MKL and OpenMP read their thread count from, and those numpy's OpenBLAS reads.
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
+_OPENBLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 # A helper's end closed before its reply was whole, on either pipe.
 _EXITED = "worker {} exited before sending its reply"
 
 
 def _one_blas_thread() -> bool:
-    """Whether the environment holds BLAS to one thread per process.
+    """Whether the environment holds BLAS to one thread per process: each thread variable set is 1,
+    and OpenBLAS reads one of them (``MKL_NUM_THREADS`` alone does not count).
 
     A BLAS left to its default runs a thread per CPU in every process, so
     forked workers would crowd the CPUs: 2 workers on 2 CPUs ran a
     ``retrieve`` in 1.5 to 6.1 s against 1.7 to 2.2 s for one process.
     """
-    values = [os.environ[name].strip() for name in _BLAS_THREAD_VARS if name in os.environ]
-    return bool(values) and all(value == "1" for value in values)
+    values = {name: os.environ[name].strip() for name in _BLAS_THREAD_VARS if name in os.environ}
+    return all(value == "1" for value in values.values()) and any(name in values for name in _OPENBLAS_THREAD_VARS)
 
 
 def worker_count(units: int) -> int:
@@ -162,3 +165,27 @@ class Helper:
         self._live.remove(self)
         self._close_ends()
         os.waitpid(self.pid, 0)
+
+
+class _InProcess:
+    """:class:`Helper`'s stand-in in the caller's process: a request's ``handle`` runs, and raises
+    its own error, when its reply is received."""
+
+    def __init__(self, handle: Callable[[Any], Any]):
+        self._handle, self._requests = handle, []
+
+    def send(self, request: Any) -> None:
+        self._requests.append(request)
+
+    def receive(self) -> Any:
+        return self._handle(self._requests.pop(0))
+
+    def close(self) -> None:
+        self._requests.clear()
+
+
+def start(handle: Callable[[Any], Any], units: int) -> Helper | _InProcess:
+    """A :class:`Helper` serving ``handle`` where :func:`worker_count` allows more than one process
+    for ``units`` work units and one starts, else the in-process stand-in; the caller closes it."""
+    helper = Helper.start(handle) if worker_count(units) > 1 else None
+    return _InProcess(handle) if helper is None else helper

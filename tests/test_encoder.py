@@ -368,19 +368,21 @@ class TestPooling:
 
 
 def _eval_batches(lengths, batch_size, monkeypatch) -> list[np.ndarray]:
-    """The input rows of each batch ``eval_rows`` runs over distinct sequences of ``lengths``."""
+    """The input rows of each batch ``eval_rows`` runs over distinct sequences of ``lengths``, in batch order."""
     monkeypatch.setattr(encoder_module, "EVAL_BATCH", batch_size)
     force_workers(monkeypatch, 1)  # ``run`` records the batches in this process
     seqs = [TokenSequence(ids=[row] * length) for row, length in enumerate(lengths)]
-    batches = []
+    ran = []
 
     def run(batch):
-        batches.append(np.array([seq.ids[0] for seq in batch]))
-        return batches[-1][:, None]
+        ran.append(np.array([seq.ids[0] for seq in batch]))
+        return ran[-1][:, None]
 
     rows = eval_rows(seqs, 1, run)
     assert rows.dtype == np.float32 and rows[:, 0].tolist() == list(range(len(lengths)))
-    return batches
+    # One process runs batches 0, 2, 4, ... and then 1, 3, 5, ...
+    run_order = [*range(0, len(ran), 2), *range(1, len(ran), 2)]
+    return [ran[run_order.index(i)] for i in range(len(ran))]
 
 
 class TestLengthBatches:
@@ -714,12 +716,13 @@ class TestEvalWorkers:
             (lambda: TwoArgError(1, 2), r"^TwoArgError\('1 and 2'\)$"),
         ],
     )
-    def test_child_error_that_does_not_pickle_arrives_as_its_repr(self, error, shown, monkeypatch):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_child_error_that_does_not_pickle_arrives_as_its_repr(self, error, shown, workers, monkeypatch):
         monkeypatch.setattr(encoder_module, "EVAL_BATCH", 1)
-        force_workers(monkeypatch, 2)
+        force_workers(monkeypatch, workers)
 
         def run(batch):
-            if batch[0].ids[0] == 1:  # batch 1 runs in the child
+            if batch[0].ids[0] == 1:  # batch 1 runs in the helper, forked or in-process
                 raise error()
             return _ids(batch)
 

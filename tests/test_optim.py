@@ -406,3 +406,17 @@ def test_a_parameter_a_shard_does_not_reach_adds_zero(monkeypatch, workers):
         assert not expected[3].any() and expected[2].any() and expected[1].any()
     assert list(loop) == []
     no_child_left()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_parameters_stay_the_arrays_construction_made_through_a_loop(monkeypatch, workers):
+    # A helper forked for the loop shares AdamW's buffers from construction,
+    # so no process count moves a parameter to another array.
+    force_workers(monkeypatch, workers)
+    p, opt, loop = _toy_loop(lambda p, *args: _square(p))
+    held = p.data
+    before = held.copy()
+    assert list(loop) == [1, 2, 3]
+    assert p.data is held and opt.step_count == 9
+    assert not np.array_equal(held, before)
+    no_child_left()

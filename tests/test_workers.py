@@ -4,11 +4,11 @@ import os
 
 import pytest
 
-from conftest import TwoArgError, blas_env, fail_os_call, no_child_left, open_fds
+from conftest import TwoArgError, blas_env, fail_os_call, force_workers, no_child_left, open_fds
 
 from consem import workers as workers_module
 from consem.errors import ContractError
-from consem.workers import Helper, worker_count
+from consem.workers import Helper, start, worker_count
 
 
 def _square(x):
@@ -42,7 +42,8 @@ class TestWorkerCount:
     @pytest.mark.parametrize(
         "env",
         [{}, {"OPENBLAS_NUM_THREADS": "2"}, {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "4"},
-         {"GOTO_NUM_THREADS": "8", "OMP_NUM_THREADS": "1"}, {"MKL_NUM_THREADS": "0"}, {"OMP_NUM_THREADS": ""}],
+         {"GOTO_NUM_THREADS": "8", "OMP_NUM_THREADS": "1"}, {"MKL_NUM_THREADS": "0"}, {"OMP_NUM_THREADS": ""},
+         {"MKL_NUM_THREADS": "1"}],
     )
     def test_blas_not_held_to_one_thread_is_one_process(self, env, monkeypatch):
         blas_env(monkeypatch, **env)
@@ -132,4 +133,81 @@ class TestHelper:
         finally:
             second.close()
         assert workers_module.Helper._live == []
+        no_child_left()
+
+
+def _no_fork():
+    raise AssertionError("the in-process stand-in forked")
+
+
+class TestInProcess:
+    """``workers.start``'s stand-in where no second process runs."""
+
+    def test_replies_come_back_in_request_order_and_nothing_forks(self, monkeypatch):
+        monkeypatch.setattr(os, "fork", _no_fork)
+        helper = workers_module._InProcess(_square)
+        for x in (3, 1, 2):
+            helper.send(x)
+        assert [helper.receive() for _ in range(3)] == [9, 1, 4]
+        helper.close()
+
+    def test_a_request_runs_only_when_its_reply_is_received(self):
+        ran = []
+
+        def handle(request):
+            ran.append(request)
+            return request
+
+        helper = workers_module._InProcess(handle)
+        helper.send("a")
+        helper.send("b")
+        assert ran == []
+        assert helper.receive() == "a" and ran == ["a"]
+        helper.close()
+        assert ran == ["a"]  # a request not received when the helper closes never runs
+
+    @pytest.mark.parametrize("error", [lambda: ContractError(lambda: None), lambda: TwoArgError(1, 2)])
+    def test_the_handlers_own_error_is_raised_at_receive(self, error):
+        raised = error()
+
+        def handle(request):
+            raise raised
+
+        helper = workers_module._InProcess(handle)
+        helper.send(None)
+        with pytest.raises(type(raised)) as info:
+            helper.receive()
+        assert info.value is raised
+        helper.close()
+
+
+class TestStart:
+    def test_one_process_gets_the_stand_in(self, monkeypatch):
+        force_workers(monkeypatch, 1)
+        monkeypatch.setattr(os, "fork", _no_fork)
+        helper = start(_square, 50)
+        assert isinstance(helper, workers_module._InProcess)
+        helper.send(4)
+        assert helper.receive() == 16
+        helper.close()
+
+    def test_a_helper_that_cannot_start_gets_the_stand_in(self, monkeypatch):
+        force_workers(monkeypatch, 2)
+        monkeypatch.setattr(Helper, "start", classmethod(lambda cls, handle: None))
+        helper = start(_square, 50)
+        assert isinstance(helper, workers_module._InProcess)
+        helper.close()
+        no_child_left()
+
+    @pytest.mark.usefixtures("time_bound")
+    def test_two_processes_get_a_forked_helper(self, monkeypatch):
+        units = []
+        monkeypatch.setattr(workers_module, "worker_count", lambda n: units.append(n) or 2)
+        helper = start(_square, 7)
+        try:
+            assert isinstance(helper, Helper) and helper.pid != os.getpid() and units == [7]
+            helper.send(5)
+            assert helper.receive() == 25
+        finally:
+            helper.close()
         no_child_left()
