@@ -83,6 +83,8 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         header = json.loads(blob[12 : 12 + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"{path}: malformed header ({exc})") from exc
+    except RecursionError as exc:
+        raise FormatError(f"{path}: malformed header (nested too deeply)") from exc
     try:
         manifest = [(name, tuple(shape)) for name, shape in header["params"]]
         encoder_config = EncoderConfig(**header["encoder_config"])

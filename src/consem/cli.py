@@ -118,13 +118,16 @@ def _write_artifact(path: Path, payload) -> None:
 
 
 def _strings_in(value) -> list[str]:
-    if isinstance(value, str):
-        return [value]
-    if isinstance(value, list):
-        return [s for item in value for s in _strings_in(item)]
-    if isinstance(value, dict):
-        return [s for item in value.values() for s in _strings_in(item)]
-    return []
+    """Every string in a JSON value, depth first in document order; a stack, not recursion,
+    so no nesting depth ``json.loads`` accepts can exhaust Python's."""
+    strings, stack = [], [value]
+    while stack:
+        value = stack.pop()
+        if isinstance(value, str):
+            strings.append(value)
+        elif isinstance(value, (list, dict)):
+            stack.extend(reversed(value.values() if isinstance(value, dict) else value))
+    return strings
 
 
 def _encoder_for(args) -> tuple[EncoderWeights, Vocabulary, PoolingStrategy]:
@@ -372,10 +375,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    def common(sp, settings=False):
-        # Only the commands that resolve a RunConfig take --config and --seed.
-        if settings:
+    def common(sp, config=False, seed=False):
+        # --config goes to the commands that resolve a RunConfig, --seed to those of them that read the seed.
+        if config:
             sp.add_argument("--config", default=None, metavar="PATH", help="key = value configuration file")
+        if seed:
             sp.add_argument("--seed", type=int, default=None, metavar="N", help="override the run seed")
         sp.add_argument("--out", required=True, metavar="DIR", help="artifact directory")
 
@@ -388,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build-vocab", help="fit a vocabulary over a triples file")
     p.add_argument("--triples", required=True, metavar="PATH")
     _add_config_keys(p, ("min_count",))
-    common(p, settings=True)
+    common(p, config=True)
     p.set_defaults(handler=cmd_build_vocab)
 
     p = sub.add_parser("pretrain", help="contrastive pretraining over triples")
@@ -396,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab", required=True, metavar="PATH")
     p.add_argument("--init", default=None, metavar="PATH", help="warm-start from this checkpoint and its architecture")
     _add_config_keys(p, _ENCODER_KEYS + _PRETRAIN_KEYS)
-    common(p, settings=True)
+    common(p, config=True, seed=True)
     p.set_defaults(handler=cmd_pretrain)
 
     p = sub.add_parser("finetune", help="fine-tune a classifier head on a task")
@@ -405,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train", dest="train_data", required=True, metavar="PATH")
     p.add_argument("--dev", dest="dev_data", required=True, metavar="PATH")
     _add_config_keys(p, _FINETUNE_KEYS + _TASK_KEYS)
-    common(p, settings=True)
+    common(p, config=True, seed=True)
     p.set_defaults(handler=cmd_finetune)
 
     p = sub.add_parser("evaluate", help="run a fine-tuned model over a dataset")
@@ -443,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train", dest="train_data", default=None, metavar="PATH")
     p.add_argument("--dev", dest="dev_data", default=None, metavar="PATH")
     _add_config_keys(p, _SWEEP_KEYS)
-    common(p, settings=True)
+    common(p, config=True, seed=True)
     p.set_defaults(handler=cmd_sweep)
 
     return parser

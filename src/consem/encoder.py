@@ -37,10 +37,11 @@ about 2e-7, the float noise of a different padded width; a call that
 fits in one batch is unchanged.  Training batches are never reordered:
 in-batch negatives depend on a batch's members.
 
-``eval_rows`` splits its batches between the caller and one helper
-started for the call (``workers.start``; in one process, a stand-in).  A
-batch keeps its members and its padded shape whichever process runs it,
-so the bytes do not depend on the number of processes.
+``eval_rows`` runs one share routine on each side of the split: the
+caller runs the even batches and one helper started for the call
+(``workers.start``; in one process, a stand-in) the odd ones.  A batch
+keeps its members and its padded shape whichever process runs it, so the
+bytes do not depend on the number of processes.
 
 A training batch may run as shards: ``forward_batch``'s ``place`` gives
 a shard's first row and its batch's size, so its dropout masks are the
@@ -392,49 +393,6 @@ def pool(outputs: LayerOutputs, strategy: PoolingStrategy) -> Tensor:
     raise ConfigError(f"unhandled pooling strategy {strategy!r}")
 
 
-def _share(batches: list, run: Callable, first: int, put: Callable) -> tuple | None:
-    """``put(i, run(batches[i]))`` for ``i = first, first + 2, ...``, up to the first batch that raises.
-
-    Returns ``(its index, the exception)`` if a batch raised, else None.
-    """
-    for i in range(first, len(batches), 2):
-        try:
-            rows = run(batches[i])
-        except Exception as exc:
-            return i, exc
-        put(i, rows)
-    return None
-
-
-def _run_batches(batches: list, run: Callable, put: Callable) -> None:
-    """``put(i, run(batches[i]))`` for every batch, the odd ones in a helper started for this call.
-
-    The helper (``workers.start``) runs batches 1, 3, 5, ... and replies
-    once with their rows and its first error, while the caller runs batches
-    0, 2, 4, ..., putting each as it runs, then puts the helper's rows; in
-    one process the stand-in runs the odd batches once the even ones are
-    done.  An error is that of the first failing batch.
-    """
-
-    def odd_batches(first: int) -> tuple[list, tuple | None]:
-        rows: list[np.ndarray] = []
-        error = _share(batches, run, first, lambda i, r: rows.append(r))
-        return rows, None if error is None else (error[0], workers.portable_error(error[1]))
-
-    helper = workers.start(odd_batches, len(batches))
-    try:
-        helper.send(1)
-        mine = _share(batches, run, 0, put)
-        rows, theirs = helper.receive()
-    finally:
-        helper.close()
-    for j, batch_rows in enumerate(rows):
-        put(1 + 2 * j, batch_rows)
-    errors = [error for error in (mine, theirs) if error is not None]
-    if errors:
-        raise min(errors, key=lambda error: error[0])[1]
-
-
 def eval_rows(
     seqs: Sequence[TokenSequence], width: int, run: Callable[[list[TokenSequence]], np.ndarray]
 ) -> np.ndarray:
@@ -447,23 +405,54 @@ def eval_rows(
     earlier one.  Within a batch they keep their input order: a batch's
     padding depends only on its members, and a call whose sequences fit
     in one batch runs them unchanged.  ``run(batch)`` returns one
-    (len(batch), width) row per sequence.  Half the batches may run in a
-    helper process started for the call (``consem.workers``), so ``run`` must
-    not rely on side effects in the caller's process.
+    (len(batch), width) row per sequence.
+
+    Both processes run one routine, ``share(first)``: batches ``first``,
+    ``first + 2``, ... in order, up to the first that raises.  The caller
+    runs ``share(0)``; the helper started for the call (``workers.start``;
+    in one process, the stand-in, once the caller's share is done) runs
+    ``share(1)`` and makes its error portable.  So ``run`` must not rely on
+    side effects in the caller's process.  The rows are written once both
+    shares have returned; if either raised, the error of the first failing
+    batch is raised instead.
     """
     unique: dict[tuple[int, ...], TokenSequence] = {}
     for seq in seqs:
         unique.setdefault(tuple(seq.ids), seq)
     row = {ids: i for i, ids in enumerate(unique)}
     distinct = list(unique.values())
-    out = np.zeros((len(distinct), width), dtype=np.float32)
     order = np.argsort([s.length for s in distinct], kind="stable")
     batches = [np.sort(order[start : start + EVAL_BATCH]) for start in range(0, len(order), EVAL_BATCH)]
 
-    def put(i: int, rows: np.ndarray) -> None:
-        out[batches[i]] = rows
+    def share(first: int) -> tuple[list[np.ndarray], tuple | None]:
+        """The rows of batches ``first``, ``first + 2``, ... up to the first that raises, and
+        ``(its index, the exception)``, or None if none raised."""
+        rows = []
+        for i in range(first, len(batches), 2):
+            try:
+                rows.append(run([distinct[j] for j in batches[i]]))
+            except Exception as exc:
+                return rows, (i, exc)
+        return rows, None
 
-    _run_batches([[distinct[i] for i in b] for b in batches], run, put)
+    def portable_share(first: int) -> tuple[list[np.ndarray], tuple | None]:
+        rows, error = share(first)
+        return rows, None if error is None else (error[0], workers.portable_error(error[1]))
+
+    helper = workers.start(portable_share, len(batches))
+    try:
+        helper.send(1)
+        shares = [share(0), helper.receive()]
+    finally:
+        helper.close()
+    errors = [error for _, error in shares if error is not None]
+    if errors:
+        raise min(errors, key=lambda error: error[0])[1]
+    out = np.zeros((len(distinct), width), dtype=np.float32)
+    # Each share's rows are dropped once copied, before the gather below copies ``out``.
+    for first in (1, 0):
+        for b, batch_rows in zip(batches[first::2], shares.pop()[0]):
+            out[b] = batch_rows
     return out[[row[tuple(seq.ids)] for seq in seqs]]
 
 

@@ -7,7 +7,8 @@ fine-tuning), then computes its share of the batch's loss from every
 shard's block and backpropagates it.  The step's gradient is the sum, in
 shard order, of each shard's gradient, made in AdamW's flat gradient
 buffer.  The last shard runs in one ``workers.start`` helper started for
-the whole loop over AdamW's shared buffers (in one process, a stand-in).
+the whole loop over AdamW's shared buffers (in one process, a stand-in),
+and both sides finish a shard with the same routine (:meth:`_Shard.finish`).
 Each shard's result depends only on its rows, its place in the batch,
 the batch's fresh dropout generator and the blocks, so the bytes do not
 depend on the number of processes.
@@ -36,8 +37,8 @@ EPS = 1e-8
 
 # ``np.errstate`` settings for a training run.  Overflow on the way to a
 # non-finite loss or gradient is expected when a run diverges;
-# ``train_epochs``' loss check and ``AdamW.step``'s gradient check report it
-# as one TrainingDivergedError, so numpy's warnings would only repeat it.
+# ``train_epochs``' loss check and ``AdamW._apply``'s gradient check report
+# it as one TrainingDivergedError, so numpy's warnings would only repeat it.
 QUIET_FLOAT_ERRORS = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
 
 
@@ -107,14 +108,18 @@ class _Shard:
         with self.tape:
             self.block, self._loss = batch_loss(rows, rng, epoch, place)
 
-    def finish(self, blocks: list) -> float:
-        """The shard's loss value, backpropagated into the parameters' ``grad`` if it is finite."""
+    def finish(self, blocks: list, optimizer: AdamW, grads: list[np.ndarray]) -> float:
+        """The shard's loss value.  If it is finite, the loss is backpropagated and the
+        parameters' gradients are gathered into ``grads``, views of one of ``optimizer``'s
+        flat buffers (:meth:`AdamW._gather`); either way the parameters' ``grad`` is cleared."""
         loss_fn, self._loss = self._loss, None
         with self.tape:
             loss = loss_fn(blocks)
         value = float(loss.data)
         if np.isfinite(value):
             backward(loss, self.tape)
+            optimizer._gather(grads)
+        optimizer.zero_grad()
         return value
 
 
@@ -138,13 +143,13 @@ def train_epochs(
     block in shard order, is backpropagated from zero gradients.  A shard's loss is its
     share of the block's loss, so the block's gradient is the sum of the shards'
     gradients: shard 0's is gathered into AdamW's flat ``_grad`` and the last shard's
-    into a second buffer of that layout in a shared mapping, one whole-buffer add sums
+    into ``_second``, another row of AdamW's shared mapping, one whole-buffer add sums
     them, and AdamW updates from ``_grad``.  A non-finite shard loss raises
     TrainingDivergedError before anything changes; with several failing shards the
     first one's error is raised.
 
     The last shard of each block runs in one ``workers.start`` helper started for the loop
-    (:func:`_serve_shard`), which fills the second buffer.  Each step sends the helper
+    (:func:`_serve_shard`), which fills ``_second``.  Each step sends the helper
     its shard, runs shard 0's forward, receives the helper's block and only then sends
     the caller's: each side's blocks may be more than a pipe holds, so the caller that
     sent first would wait on a helper waiting on it.  Shard 0 is gathered before the
@@ -152,8 +157,7 @@ def train_epochs(
     helper is closed when the loop ends, raises or is closed: a caller that may stop
     early closes the generator.
     """
-    second = _shared_zeros(optimizer._grad.size, optimizer._grad.dtype)
-    serve = functools.partial(_serve_shard, optimizer, batch_loss, optimizer._views(second), [])
+    serve = functools.partial(_serve_shard, optimizer, batch_loss, [])
     helper = workers.start(serve, min(config.batch_size, len(items), _STEP_SHARDS))
     try:
         for epoch in range(1, config.epochs + 1):
@@ -167,14 +171,12 @@ def train_epochs(
                 if len(parts) > 1:
                     blocks.append(helper.receive())
                     helper.send(blocks[:-1])
-                _check_loss(shard.finish(blocks), optimizer, epoch)
-                optimizer._gather(optimizer._grads)
-                optimizer.zero_grad()
+                _check_loss(shard.finish(blocks, optimizer, optimizer._grads), optimizer, epoch)
                 # The shard and blocks are freed before the next step's forward.
                 shard = blocks = None
                 if len(parts) > 1:
                     _check_loss(helper.receive(), optimizer, epoch)
-                    optimizer._grad += second
+                    optimizer._grad += optimizer._second
                 optimizer._apply()
             yield epoch
     finally:
@@ -189,27 +191,20 @@ def _shared_zeros(size: int, dtype: np.dtype) -> np.ndarray:
     return np.frombuffer(mmap.mmap(-1, max(size, 1) * dtype.itemsize), dtype=dtype, count=size)
 
 
-def _serve_shard(optimizer: AdamW, batch_loss: Callable, grads: list[np.ndarray], held: list, request):
+def _serve_shard(optimizer: AdamW, batch_loss: Callable, held: list, request):
     """The shard helper's handler, called twice per step, once per stage of its shard.
 
     The first request is the shard's rows and place, the block's fresh dropout
     generator and the epoch: the shard's forward runs, is held, and its block is the
-    reply.  The second is the caller's blocks, in shard order: the held shard's loss
-    runs, its gradients are gathered into ``grads``, the views of the loop's second
-    gradient buffer (:meth:`AdamW._gather`), and its loss value is the reply.  A
-    non-finite loss is returned without a backward.
+    reply.  The second is the caller's blocks, in shard order: the held shard finishes
+    (:meth:`_Shard.finish`) into AdamW's ``_seconds``, and its loss value is the reply.
     """
     if not held:
         rows, place, rng, epoch = request
         held.append(_Shard(batch_loss, rows, place, rng, epoch))
         return held[0].block
     shard = held.pop()
-    try:
-        value = shard.finish([*request, shard.block])
-        optimizer._gather(grads)
-    finally:
-        optimizer.zero_grad()
-    return value
+    return shard.finish([*request, shard.block], optimizer, optimizer._seconds)
 
 
 # Each parameter's slot in the flat buffer starts on a 64-byte boundary,
@@ -224,12 +219,13 @@ class AdamW:
     buffer in insertion order: construction copies each parameter's
     ``data`` into its own 64-byte aligned slot and rebinds ``data`` to a
     view of that slot, so arrays held from before construction are no
-    longer the parameters.  The moments, the gradient and the update live
-    in flat buffers of the same layout, the rows of one shared mapping that
-    a helper forked later shares (see :func:`train_epochs`), so the update
-    (:meth:`_apply`) is a fixed number of whole-buffer ufunc calls however
-    many parameters there are; the zero
-    padding between slots stays zero.  Each element takes the same
+    longer the parameters.  The moments, the gradient, the update, its
+    scratch and ``_second`` (the last training shard's gradient, see
+    :func:`train_epochs`) live in flat buffers of the same layout: with
+    the parameters, the seven rows of one shared mapping that a helper
+    forked later shares.  So the update (:meth:`_apply`) is a fixed number
+    of whole-buffer ufunc calls however many parameters there are; the
+    zero padding between slots stays zero.  Each element takes the same
     float operations as a per-parameter update, so two optimizers built
     from the same parameter mapping evolve identically.  The decay term is
     applied directly to the parameter, outside the adaptive update.
@@ -258,12 +254,14 @@ class AdamW:
         self._slots = [(slice(start, start + p.data.size), p.data.shape)
                        for p, start in zip(self.params.values(), starts)]
         # Rows of a page-aligned mapping, so each slot stays 64-byte aligned.
-        flat, self._m, self._v, self._grad, self._update, self._scratch = _shared_zeros(6 * size, dtype).reshape(6, -1)
+        rows = _shared_zeros(7 * size, dtype).reshape(7, -1)
+        flat, self._m, self._v, self._grad, self._update, self._scratch, self._second = rows
         for p, view in zip(self.params.values(), self._views(flat)):
             view[...] = p.data
             p.data = view
         self._flat = flat
         self._grads = self._views(self._grad)
+        self._seconds = self._views(self._second)
 
     def _views(self, flat: np.ndarray) -> list[np.ndarray]:
         """Each parameter's slot of ``flat``, a buffer with the flat layout, shaped like the parameter."""

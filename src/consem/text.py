@@ -306,6 +306,8 @@ def load_jsonl(path: str | Path) -> list[tuple[str, dict]]:
             obj = json.loads(raw)
         except json.JSONDecodeError as exc:
             raise DataError(f"{where}: malformed JSON ({exc.msg})") from exc
+        except RecursionError as exc:
+            raise DataError(f"{where}: malformed JSON (nested too deeply)") from exc
         if not isinstance(obj, dict):
             raise DataError(f"{where}: expected a JSON object")
         rows.append((where, obj))

@@ -86,7 +86,7 @@ _HEADER_EDITS = {
     # Entry 1 is ``pos_emb``: a second ``tok_emb`` would replace the first's blob.
     "repeated parameter name": ((("params", 1, 0), "tok_emb"), FormatError, "'params'"),
 }
-_MALFORMED = sorted(_HEADER_EDITS) + ["missing tok_emb"]
+_MALFORMED = sorted(_HEADER_EDITS) + ["missing tok_emb", "header nested too deeply"]
 
 
 def _write_malformed(ckpt, path, case, out):
@@ -97,15 +97,20 @@ def _write_malformed(ckpt, path, case, out):
     if case == "missing tok_emb":
         save_checkpoint(replace(ckpt, params={n: a for n, a in ckpt.params.items() if n != "tok_emb"}), out)
         return ShapeError, "'tok_emb'"
-    (keys, value), error, name = _HEADER_EDITS[case]
     blob = path.read_bytes()
     header_len = int.from_bytes(blob[8:12], "little")
-    header = json.loads(blob[12 : 12 + header_len])
-    target = header
-    for key in keys[:-1]:
-        target = target[key]
-    target[keys[-1]] = value
-    text = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    if case == "header nested too deeply":
+        # More levels than json.loads recurses through.
+        text = b'{"extra": ' + b"[" * 100_000 + b"]" * 100_000 + b"}"
+        error, name = FormatError, "nested too deeply"
+    else:
+        (keys, value), error, name = _HEADER_EDITS[case]
+        header = json.loads(blob[12 : 12 + header_len])
+        target = header
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+        text = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     out.write_bytes(blob[:8] + len(text).to_bytes(4, "little") + text + blob[12 + header_len :])
     return error, name
 

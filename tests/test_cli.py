@@ -60,6 +60,10 @@ def workspace(tmp_path_factory):
     dev = root / "dev.jsonl"
     _write_jsonl(train, make_pair_task(32))
     _write_jsonl(dev, make_pair_task(8, start=32))
+    claims = root / "claims.jsonl"
+    contexts = root / "contexts.jsonl"
+    _write_jsonl(claims, [{"claim": "the river", "gold_index": 0}])
+    _write_jsonl(contexts, [{"text": "the river report"}])
 
     assert main(["prepare", "--nli", str(nli), "--out", str(root / "prep")]) == 0
     triples = root / "prep" / "triples.jsonl"
@@ -89,7 +93,7 @@ def workspace(tmp_path_factory):
     )
     return SimpleNamespace(
         root=root, nli=nli, train=train, dev=dev, triples=triples,
-        vocab=vocab, checkpoint=checkpoint, model=model,
+        vocab=vocab, checkpoint=checkpoint, model=model, claims=claims, contexts=contexts,
     )
 
 
@@ -125,6 +129,26 @@ class TestPrepare:
         assert rc == 1
         err = capsys.readouterr().err
         assert "leakage" in err and "sentence2" in err
+
+    def test_held_out_strings_nested_deeper_than_python_recurses_are_checked(self, workspace, tmp_path, capsys):
+        # json.loads reads a line nested 600 deep; its strings are checked like any others.
+        def nested(text):
+            return '{"text": ' + "[" * 600 + json.dumps(text) + "]" * 600 + "}\n"
+
+        held = tmp_path / "held.jsonl"
+        held.write_text(nested("a sentence no triple holds"), encoding="utf-8")
+        argv = ["prepare", "--nli", str(workspace.nli), "--held-out", str(held), "--out", str(tmp_path / "out")]
+        assert main(argv) == 0
+        held.write_text(nested(load_triples_jsonl(workspace.triples)[2].sentence2), encoding="utf-8")
+        assert main(argv) == 1
+        assert "leakage" in capsys.readouterr().err
+
+    def test_input_nested_too_deeply_is_one_error_line(self, tmp_path, capsys):
+        nli = tmp_path / "deep.jsonl"
+        nli.write_text('{"premise": ' + "[" * 100_000 + "]" * 100_000 + "}\n", encoding="utf-8")
+        assert main(["prepare", "--nli", str(nli), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {nli}:1: malformed JSON (nested too deeply)\n"
 
     def test_malformed_input_names_line(self, tmp_path, capsys):
         nli = tmp_path / "bad.jsonl"
@@ -481,10 +505,8 @@ def _argv_with(workspace, command, flag, path, out):
         "--checkpoint": workspace.checkpoint, "--model": workspace.model,
         "--train": workspace.train, "--dev": workspace.dev, "--data": workspace.dev,
         "--pairs": workspace.nli,
-        "--claims": workspace.root / "claims.jsonl", "--contexts": workspace.root / "contexts.jsonl",
+        "--claims": workspace.claims, "--contexts": workspace.contexts,
     }
-    _write_jsonl(files["--claims"], [{"claim": "the river", "gold_index": 0}])
-    _write_jsonl(files["--contexts"], [{"text": "the river report"}])
     argv = [command, flag, str(path), "--out", str(out)]
     for other in _REQUIRED_FILES[command]:
         if other != flag:
@@ -919,6 +941,15 @@ def test_range_error_names_the_configuration_key(workspace, tmp_path, capsys, co
         assert not (out / artifact).exists()
 
 
+# (command, a settings flag it does not read, a value): the commands that
+# read no configuration take neither flag, and build-vocab reads no seed.
+_UNREAD_SETTINGS = [
+    (command, flag, value)
+    for command in ("prepare", "evaluate", "analyze", "retrieve")
+    for flag, value in (("--config", "/nonexistent.cfg"), ("--seed", "3"))
+] + [("build-vocab", "--seed", "3")]
+
+
 class TestConfigHandling:
     def test_flag_overrides_file(self, workspace, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -973,8 +1004,9 @@ class TestConfigHandling:
         assert rc == 1
         assert "warp_speed" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag,value", [("--config", "/nonexistent.cfg"), ("--seed", "3")])
-    @pytest.mark.parametrize("command", ["prepare", "evaluate", "analyze", "retrieve"])
+    @pytest.mark.parametrize(
+        "command,flag,value", _UNREAD_SETTINGS, ids=[f"{c}-{f}-{v}" for c, f, v in _UNREAD_SETTINGS]
+    )
     def test_settings_flags_only_where_read(self, workspace, tmp_path, capsys, command, flag, value):
         # argparse rejects the flag before the command reads any input file.
         argv = _argv_with(workspace, command, _REQUIRED_FILES[command][0], tmp_path / "unread", tmp_path / "out")

@@ -54,7 +54,8 @@ DEFAULT_RUN_CONFIG = "".join(
 )
 
 _COMMON = {"-h", "--help", "--out"}
-# Only the commands that resolve a RunConfig take --config and --seed.
+# Only the commands that resolve a RunConfig take --config, and of those
+# build-vocab reads no seed, so it takes no --seed.
 _SETTINGS = {"--config", "--seed"}
 _ENCODER = {"--num-layers", "--num-heads", "--hidden-size", "--ff-size", "--max-len", "--dropout"}
 _PRETRAIN = {
@@ -65,7 +66,7 @@ _FINETUNE = {"--ft-batch-size", "--ft-epochs", "--ft-learning-rate", "--task", "
 
 SUBCOMMAND_OPTIONS = {
     "prepare": _COMMON | {"--nli", "--held-out"},
-    "build-vocab": _COMMON | _SETTINGS | {"--triples", "--min-count"},
+    "build-vocab": _COMMON | {"--config", "--triples", "--min-count"},
     "pretrain": _COMMON | _SETTINGS | {"--triples", "--vocab", "--init"} | _ENCODER | _PRETRAIN,
     "finetune": _COMMON | _SETTINGS | {"--checkpoint", "--vocab", "--train", "--dev"} | _FINETUNE,
     "evaluate": _COMMON | {"--model", "--vocab", "--data"},

@@ -9,6 +9,7 @@ from conftest import force_workers, no_child_left
 from oracles import PerTensorAdamW
 
 from consem.errors import ConfigError, ContractError, TrainingDivergedError
+from consem import optim as optim_module
 from consem import tensor as T
 from consem.optim import AdamW, TrainingConfig, _shards, minibatches, train_epochs
 from consem.tensor import Tape, Tensor, backward, precision
@@ -419,4 +420,22 @@ def test_parameters_stay_the_arrays_construction_made_through_a_loop(monkeypatch
     assert list(loop) == [1, 2, 3]
     assert p.data is held and opt.step_count == 9
     assert not np.array_equal(held, before)
+    no_child_left()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_loop_maps_no_shared_memory(monkeypatch, workers):
+    # The last shard's gradient is a row of the mapping AdamW made at
+    # construction, so a loop, in one process or two, maps nothing more.
+    force_workers(monkeypatch, workers)
+    _, opt, loop = _toy_loop(lambda p, *args: _square(p))
+    maps, mmap = [], optim_module.mmap.mmap
+
+    def counting(*args, **kwargs):
+        maps.append(args)
+        return mmap(*args, **kwargs)
+
+    monkeypatch.setattr(optim_module.mmap, "mmap", counting)
+    assert list(loop) == [1, 2, 3] and opt.step_count == 9
+    assert maps == []
     no_child_left()
