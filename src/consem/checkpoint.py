@@ -19,6 +19,7 @@ describing and a save/load/save cycle is byte-identical.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -112,13 +113,14 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         seen.add(name)
         if not all(isinstance(n, int) and not isinstance(n, bool) and n >= 0 for n in shape):
             raise FormatError(f"{path}: parameter {name!r} has invalid dimensions {list(shape)}")
-    expected = 12 + header_len + sum(4 * int(np.prod(shape)) for _, shape in manifest)
+    # Python ints: an int64 product of huge dimensions can wrap to a small one.
+    expected = 12 + header_len + sum(4 * math.prod(shape) for _, shape in manifest)
     if len(blob) != expected:
         raise FormatError(f"{path}: expected {expected} bytes, found {len(blob)}")
     params: dict[str, np.ndarray] = {}
     offset = 12 + header_len
     for name, shape in manifest:
-        count = int(np.prod(shape))
+        count = math.prod(shape)
         flat = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
         params[name] = flat.reshape(shape).astype(np.float32)
         offset += 4 * count

@@ -481,8 +481,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (ConsemError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ConsemError, OSError, MemoryError) as exc:
+        # numpy's MemoryError names the size it could not allocate; Python's has no message.
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

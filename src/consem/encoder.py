@@ -18,9 +18,9 @@ Hidden state index 0 is the embedding output; index L is the last block.
 
 A caller that reads only some slots of the last layer passes them as
 ``reads``, a pair of (row, position) index arrays, and reads their
-states from ``hidden[-1]`` itself: the fine-tuning head and CLS
-embeddings read every row's [CLS] (``cls_slots``), and CLS pretraining
-also the MLM-masked positions.  The last block then computes its
+states from ``hidden[-1]`` itself, as ``read_states`` does for CLS
+pooling: the [CLS] slots (``cls_slots``) of the pooled rows, then any
+others, such as MLM-masked positions.  The last block then computes its
 queries, output projection, layer norms, feed-forward network and
 dropout at those slots alone, as (n_slots, d) rows; its keys and values
 still span every position, and each slot attends over its own row's.
@@ -74,6 +74,7 @@ __all__ = [
     "forward_batch",
     "parameter_names",
     "pool",
+    "read_states",
     "slot_states",
 ]
 
@@ -393,6 +394,28 @@ def pool(outputs: LayerOutputs, strategy: PoolingStrategy) -> Tensor:
     raise ConfigError(f"unhandled pooling strategy {strategy!r}")
 
 
+def read_states(seqs, weights: EncoderWeights, strategy: PoolingStrategy, rng=None, place=None, rows=None,
+                slots=None) -> tuple[Tensor, Tensor | None]:
+    """One forward's pooled vectors of ``rows`` (all when None) and last-layer states at ``slots`` (or None).
+
+    ``rng`` and ``place`` are ``forward_batch``'s.  With CLS pooling the forward's ``reads`` are the
+    [CLS] slots of ``rows`` followed by ``slots``; any other strategy pools the full forward.
+    """
+    if strategy is not PoolingStrategy.CLS:
+        outputs = forward_batch(seqs, weights, rng, place=place)
+        vectors = pool(outputs, strategy)
+        vectors = vectors if rows is None else T.gather_rows(vectors, rows)
+        return vectors, None if slots is None else slot_states(outputs.hidden[-1], *slots)
+    reads = cls_slots(len(seqs)) if rows is None else (rows, np.zeros(len(rows), dtype=np.intp))
+    n = len(reads[0])
+    if slots is not None:
+        reads = tuple(np.concatenate(pair) for pair in zip(reads, slots))
+    states = forward_batch(seqs, weights, rng, reads=reads, place=place).hidden[-1]
+    if slots is None:
+        return states, None
+    return T.gather_rows(states, np.arange(n)), T.gather_rows(states, np.arange(n, len(reads[0])))
+
+
 def eval_rows(
     seqs: Sequence[TokenSequence], width: int, run: Callable[[list[TokenSequence]], np.ndarray]
 ) -> np.ndarray:
@@ -467,16 +490,10 @@ def embed_sentences(
 
     ``config`` must equal ``weights.config``.  Sentences are batched by
     :func:`eval_rows`; see the module docstring for the float drift that
-    its length sort allows.  CLS vectors are the [CLS] states of a forward
-    cut to those slots.
+    its length sort allows.  Each batch's vectors come from
+    :func:`read_states`.
     """
     if config != weights.config:
         raise ConfigError("encoder config does not match the weights' architecture")
-
-    def vectors(batch: list[TokenSequence]) -> np.ndarray:
-        if strategy is PoolingStrategy.CLS:
-            return forward_batch(batch, weights, reads=cls_slots(len(batch))).hidden[-1].data
-        return pool(forward_batch(batch, weights), strategy).data
-
     seqs = [encode_single(text, vocab, config.max_len) for text in texts]
-    return eval_rows(seqs, config.hidden_size, vectors)
+    return eval_rows(seqs, config.hidden_size, lambda batch: read_states(batch, weights, strategy)[0].data)

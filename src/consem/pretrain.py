@@ -40,14 +40,7 @@ import numpy as np
 
 from . import tensor as T
 from .checkpoint import Checkpoint
-from .encoder import (
-    EncoderConfig,
-    EncoderWeights,
-    PoolingStrategy,
-    forward_batch,
-    pool,
-    slot_states,
-)
+from .encoder import EncoderConfig, EncoderWeights, PoolingStrategy, read_states
 from .errors import ConfigError, ContractError, DataError, ShapeError
 from .files import write_csv
 from .optim import QUIET_FLOAT_ERRORS, AdamW, TrainingConfig, train_epochs
@@ -245,9 +238,9 @@ def _shard_forward(
     places the triples in their batch, as ``forward_batch``'s ``place``
     places rows.  Returns the (3n, d) vectors, triple-major, and the mean
     cross-entropy over the masked tokens, or None without ``mlm_batch``.
-    With CLS pooling the losses read only the last layer's [CLS] slots of
-    the contrastive rows and the masked slots of the MLM rows, so the
-    forward computes its last block at those slots alone.
+    Both come from one ``read_states`` call: the contrastive rows are its
+    ``rows`` and the masked slots of the MLM rows its ``slots``, so with
+    CLS pooling the last block computes those slots alone.
     """
     n = len(seq_lists[0])
     lists = seq_lists if mlm_batch is None else (*seq_lists, mlm_batch[0])
@@ -255,22 +248,9 @@ def _shard_forward(
     stacked = [seq for row in zip(*lists) for seq in row]
     contrastive_rows = (width * np.arange(n)[:, None] + np.arange(3)).ravel()
     rows_place = None if place is None else (width * place[0], width * place[1])
-    if config.pooling is PoolingStrategy.CLS:
-        reads = (contrastive_rows, np.zeros(3 * n, dtype=np.intp))
-        if mlm_batch is not None:
-            reads = (np.concatenate([reads[0], width * mlm_batch[1] + 3]), np.concatenate([reads[1], mlm_batch[2]]))
-        states = forward_batch(stacked, weights, rng, reads=reads, place=rows_place).hidden[-1]
-        if mlm_batch is None:
-            return states, None
-        vectors = T.gather_rows(states, np.arange(3 * n))
-        masked = T.gather_rows(states, np.arange(3 * n, len(reads[0])))
-    else:
-        outputs = forward_batch(stacked, weights, rng, place=rows_place)
-        vectors = T.gather_rows(pool(outputs, config.pooling), contrastive_rows)
-        if mlm_batch is None:
-            return vectors, None
-        masked = slot_states(outputs.hidden[-1], width * mlm_batch[1] + 3, mlm_batch[2])
-    return vectors, mlm_loss(masked, mlm_batch[3], weights["tok_emb"])
+    masked_slots = None if mlm_batch is None else (width * mlm_batch[1] + 3, mlm_batch[2])
+    vectors, masked = read_states(stacked, weights, config.pooling, rng, rows_place, contrastive_rows, masked_slots)
+    return vectors, None if masked is None else mlm_loss(masked, mlm_batch[3], weights["tok_emb"])
 
 
 def _triples_loss(vectors: Tensor, tau: float) -> Tensor:

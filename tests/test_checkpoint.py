@@ -85,6 +85,9 @@ _HEADER_EDITS = {
     "integer parameter name": ((("params", 0, 0), 5), FormatError, "'params'"),
     # Entry 1 is ``pos_emb``: a second ``tok_emb`` would replace the first's blob.
     "repeated parameter name": ((("params", 1, 0), "tok_emb"), FormatError, "'params'"),
+    # Its product, 2**64, is 0 in int64; ``_write_malformed`` also drops the
+    # entry's blob, so only a count in Python ints finds the file too short.
+    "dimensions past int64": ((("params", 0, 1), [2**32, 2**32]), FormatError, "bytes, found"),
 }
 _MALFORMED = sorted(_HEADER_EDITS) + ["missing tok_emb", "header nested too deeply"]
 
@@ -111,7 +114,10 @@ def _write_malformed(ckpt, path, case, out):
             target = target[key]
         target[keys[-1]] = value
         text = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    out.write_bytes(blob[:8] + len(text).to_bytes(4, "little") + text + blob[12 + header_len :])
+    blobs = blob[12 + header_len :]
+    if case == "dimensions past int64":
+        blobs = blobs[4 * ckpt.params["tok_emb"].size :]
+    out.write_bytes(blob[:8] + len(text).to_bytes(4, "little") + text + blobs)
     return error, name
 
 

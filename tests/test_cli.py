@@ -746,7 +746,7 @@ def test_error_in_a_worker_training_shard_is_one_error_line(workspace, tmp_path,
             raise ContractError("a worker's shard failed")
         return forward_batch(seqs, *args, **kwargs)
 
-    monkeypatch.setattr(finetune_module, "forward_batch", forward_failing_in_a_child)
+    monkeypatch.setattr(encoder_module, "forward_batch", forward_failing_in_a_child)
     force_workers(monkeypatch, 2)
     rc = main(["finetune", "--checkpoint", str(workspace.checkpoint), "--vocab", str(workspace.vocab),
                "--train", str(workspace.train), "--dev", str(workspace.dev), "--task", "pair",
@@ -939,6 +939,56 @@ def test_range_error_names_the_configuration_key(workspace, tmp_path, capsys, co
     assert capsys.readouterr().err == f"error: {message}\n"
     for artifact in ("checkpoint.bin", "model.bin", "run_config.txt"):
         assert not (out / artifact).exists()
+
+
+def _write_text(path, text):
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+def _headless_model(workspace, path):
+    ckpt = load_checkpoint(workspace.model)
+    ckpt.params = {name: a for name, a in ckpt.params.items() if not name.startswith("head.")}
+    save_checkpoint(ckpt, path)
+    return path
+
+
+def _without_train(argv):
+    i = argv.index("--train")
+    return argv[:i] + argv[i + 2 :]
+
+
+# Each case writes what it needs under tmp_path and returns the argv of a
+# command that must fail with one error line, and a part of that line.
+_USER_ERRORS = {
+    "retrieve-empty-contexts": (lambda ws, tmp: _argv_with(
+        ws, "retrieve", "--contexts", _write_text(tmp / "contexts.jsonl", ""), tmp / "out"),
+        "no candidate contexts found"),
+    "sweep-without-train": (lambda ws, tmp: _without_train(_settings_argv(ws, "sweep", tmp / "out")),
+                            "sweep needs a train_data file"),
+    "config-line-without-equals": (lambda ws, tmp: _settings_argv(ws, "pretrain", tmp / "out") + [
+        "--config", str(_write_text(tmp / "run.cfg", "seed 3\n"))], "expected 'key = value'"),
+    "vocabulary-shorter-than-reserved": (lambda ws, tmp: _argv_with(
+        ws, "pretrain", "--vocab", _write_text(tmp / "vocab.txt", "[PAD]\n[UNK]\n"), tmp / "out"), "too short"),
+    "top2-with-one-layer": (lambda ws, tmp: _settings_argv(ws, "pretrain", tmp / "out") + [
+        "--pooling", "Top2", "--num-layers", "1"], "Top2 pooling needs at least two blocks"),
+    "model-without-head": (lambda ws, tmp: _argv_with(
+        ws, "evaluate", "--model", _headless_model(ws, tmp / "model.bin"), tmp / "out"),
+        "missing its head parameters"),
+    # 1e15 positions of embeddings need more bytes than a 64-bit process can
+    # address, so the allocation fails at once.
+    "max-len-past-memory": (lambda ws, tmp: _settings_argv(ws, "pretrain", tmp / "out") + [
+        "--max-len", "1000000000000000"], "Unable to allocate"),
+}
+
+
+@pytest.mark.parametrize("case", list(_USER_ERRORS))
+def test_user_error_is_one_error_line(workspace, tmp_path, capsys, case):
+    argv, part = _USER_ERRORS[case]
+    assert main(argv(workspace, tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err, err
+    assert part in err, err
 
 
 # (command, a settings flag it does not read, a value): the commands that

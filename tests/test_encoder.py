@@ -43,6 +43,7 @@ from consem.encoder import (
     forward_batch,
     parameter_names,
     pool,
+    read_states,
     slot_states,
 )
 from consem.errors import ConfigError, ConsemError, ContractError, DegenerateInputError, ShapeError, VocabularyError
@@ -844,7 +845,7 @@ class TestFusedOps:
             return T.add(cl, T.scale(ml, pretrain_config.mlm_weight))
 
         grads = self._gradients(weights, {}, loss)
-        monkeypatch.setattr(pretrain_module, "forward_batch", composed_forward_batch)
+        monkeypatch.setattr(encoder_module, "forward_batch", composed_forward_batch)
         self._assert_close(grads, self._gradients(weights, {}, loss))
 
     def test_finetune_head_gradients_match_the_composed_encoder(self):
@@ -1031,6 +1032,63 @@ class TestReads:
                 forward_batch(seqs, weights, np.random.default_rng(0), reads=reads)
             counts[name] = len(tape)
         assert counts == {"full": 4 + 14 * 3, "cls": 4 + 14 * 3 + 4, "slots": 4 + 14 * 3 + 6}
+
+
+class TestReadStates:
+    """``read_states`` against the forward, pool, gather and ``slot_states`` it stands for."""
+
+    _world = staticmethod(TestFusedOps._world)
+
+    @pytest.mark.parametrize("train", [False, True])
+    @pytest.mark.parametrize("with_slots", [False, True])
+    @pytest.mark.parametrize("rows", [None, [4, 0, 4, 7]])
+    @pytest.mark.parametrize("strategy", list(PoolingStrategy))
+    def test_bit_equal_to_the_composition(self, strategy, rows, with_slots, train):
+        config, weights, seqs = self._world(0.3)
+        rows = None if rows is None else np.array(rows, dtype=np.intp)
+        slots = TestReads._slots() if with_slots else None
+        # A shard's place in a larger batch, so dropout reads the masks of rows 1 on.
+        place = (1, len(seqs) + 2) if train else None
+        rngs = [np.random.default_rng(7), np.random.default_rng(7)] if train else [None, None]
+        vectors, states = read_states(seqs, weights, strategy, rngs[0], place, rows, slots)
+        picked = np.arange(len(seqs)) if rows is None else rows
+        if strategy is PoolingStrategy.CLS:
+            reads = (picked, np.zeros(len(picked), dtype=np.intp))
+            if slots is not None:
+                reads = tuple(np.concatenate(pair) for pair in zip(reads, slots))
+            cut = forward_batch(seqs, weights, rngs[1], reads=reads, place=place).hidden[-1].data
+            want_vectors, want_states = cut[: len(picked)], cut[len(picked) :]
+        else:
+            outputs = forward_batch(seqs, weights, rngs[1], place=place)
+            want_vectors = pool(outputs, strategy).data[picked]
+            want_states = None if slots is None else slot_states(outputs.hidden[-1], *slots).data
+        assert vectors.data.tobytes() == want_vectors.tobytes()
+        if slots is None:
+            assert states is None
+        else:
+            assert states.data.tobytes() == want_states.tobytes()
+        if train:
+            assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+    @pytest.mark.parametrize("strategy", list(PoolingStrategy))
+    def test_empty_rows_read_the_slots_alone(self, strategy, monkeypatch):
+        config, weights, seqs = self._world()
+        slots = TestReads._slots()
+        seen = []
+
+        def recording_forward(seqs, weights, rng=None, reads=None, place=None):
+            seen.append(reads)
+            return forward_batch(seqs, weights, rng, reads=reads, place=place)
+
+        monkeypatch.setattr(encoder_module, "forward_batch", recording_forward)
+        vectors, states = read_states(seqs, weights, strategy, rows=np.arange(0), slots=slots)
+        assert vectors.shape == (0, config.hidden_size) and states.shape == (len(slots[0]), config.hidden_size)
+        (reads,) = seen
+        if strategy is PoolingStrategy.CLS:
+            np.testing.assert_array_equal(reads[0], slots[0])
+            np.testing.assert_array_equal(reads[1], slots[1])
+        else:
+            assert reads is None
 
 
 class TestShardPlace:

@@ -22,6 +22,7 @@ from conftest import (
 )
 from oracles import full_logits, input_order_predict_probs, per_question_mrc
 
+from consem import encoder as encoder_module
 from consem import finetune as finetune_module
 from consem import optim as optim_module
 from consem import tensor as T
@@ -441,7 +442,7 @@ class TestPrediction:
             forwards.append(len(seqs))
             return forward_batch(seqs, *args, **kwargs)
 
-        monkeypatch.setattr(finetune_module, "forward_batch", counting_forward)
+        monkeypatch.setattr(encoder_module, "forward_batch", counting_forward)
         predictions, _ = evaluate_mrc(model, vocab, records)
         # 96 statements in three length-sorted batches, not 24 forwards of 4.
         assert forwards == [EVAL_BATCH] * 3
@@ -547,7 +548,8 @@ class TestSaveLoad:
         "field,value",
         # ["x", "x"] has a label per head column, so only the repeat is wrong.
         [("labels", [0, 1]), ("labels", ["a", 1]), ("labels", "ab"), ("labels", None),
-         ("task", 7), ("task", None), ("task", ["pair"]), ("task", "foo"), ("labels", ["x", "x"])],
+         ("task", 7), ("task", None), ("task", ["pair"]), ("task", "foo"), ("labels", ["x", "x"]),
+         ("labels", ["x", "\ud800"])],
     )
     def test_extra_fields_are_checked_not_coerced(self, pair_run, tmp_path, field, value):
         model = pair_run[0]

@@ -19,6 +19,7 @@ from conftest import (
 from oracles import composed_contrastive_loss, contrastive_loss_reference, full_forward_batch, masking_reference
 
 import consem.pretrain as pretrain_module
+from consem import encoder as encoder_module
 from consem import optim as optim_module
 from consem import tensor as T
 from consem import workers as workers_module
@@ -558,7 +559,7 @@ class TestShardedSteps:
                     raise KeyboardInterrupt
             return forward_batch(*args, **kwargs)
 
-        monkeypatch.setattr(pretrain_module, "forward_batch", interrupted_forward)
+        monkeypatch.setattr(encoder_module, "forward_batch", interrupted_forward)
         force_workers(monkeypatch, 2)
         started = count_shard_helper_starts(monkeypatch)
         with pytest.raises(KeyboardInterrupt):
@@ -687,7 +688,7 @@ class TestStackedForward:
             cuts.add(reads is not None)
             return forward_batch(seqs, weights, rng, reads=reads, place=place)
 
-        monkeypatch.setattr(pretrain_module, "forward_batch", counting_forward)
+        monkeypatch.setattr(encoder_module, "forward_batch", counting_forward)
         config = PretrainConfig(
             epochs=2, batch_size=4, seed=1, validation_fraction=0.25, mlm_weight=mlm_weight
         )
@@ -707,7 +708,7 @@ class TestStackedForward:
         triples, vocab, encoder_config = tiny_world
         config = PretrainConfig(epochs=3, batch_size=4, seed=2, validation_fraction=0.25)
         ckpt, records = train(triples, config, vocab, encoder_config)
-        monkeypatch.setattr(pretrain_module, "forward_batch", full_forward_batch)
+        monkeypatch.setattr(encoder_module, "forward_batch", full_forward_batch)
         ref_ckpt, ref_records = train(triples, config, vocab, encoder_config)
         assert [(r.epoch, r.step, r.split) for r in records] == [(r.epoch, r.step, r.split) for r in ref_records]
         for record, ref in zip(records, ref_records):
@@ -725,7 +726,7 @@ class TestStackedForward:
         triples, vocab, encoder_config = tiny_world
         config = PretrainConfig(epochs=3, batch_size=4, seed=2, validation_fraction=0.25, mlm_weight=0.3)
         ckpt, records = train(triples, config, vocab, encoder_config)
-        monkeypatch.setattr(pretrain_module, "forward_batch", full_forward_batch)
+        monkeypatch.setattr(encoder_module, "forward_batch", full_forward_batch)
         ref_ckpt, ref_records = train(triples, config, vocab, encoder_config)
         assert [(r.epoch, r.step, r.split) for r in records] == [(r.epoch, r.step, r.split) for r in ref_records]
         assert all(r.mlm > 0.0 for r in records)
@@ -752,7 +753,7 @@ class TestStackedForward:
             seen.append(reads)
             return forward_batch(seqs, weights, rng, reads=reads, place=place)
 
-        monkeypatch.setattr(pretrain_module, "forward_batch", recording_forward)
+        monkeypatch.setattr(encoder_module, "forward_batch", recording_forward)
         weights = EncoderWeights.initialize(encoder_config, seed=3)
         pretrain_module._shard_forward(lists, mlm_batch, weights, PretrainConfig(pooling=pooling), None)
         (reads,) = seen
