@@ -111,9 +111,10 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         if name in seen:
             raise FormatError(f"{path}: header field 'params' names the parameter {name!r} twice")
         seen.add(name)
-        if not all(isinstance(n, int) and not isinstance(n, bool) and n >= 0 for n in shape):
+        # numpy refuses a shape whose bytes, zero dimensions aside, pass the address space.
+        if not (all(isinstance(n, int) and not isinstance(n, bool) and n >= 0 for n in shape)
+                and 4 * math.prod(n for n in shape if n) <= np.iinfo(np.intp).max):
             raise FormatError(f"{path}: parameter {name!r} has invalid dimensions {list(shape)}")
-    # Python ints: an int64 product of huge dimensions can wrap to a small one.
     expected = 12 + header_len + sum(4 * math.prod(shape) for _, shape in manifest)
     if len(blob) != expected:
         raise FormatError(f"{path}: expected {expected} bytes, found {len(blob)}")

@@ -18,9 +18,10 @@ Hidden state index 0 is the embedding output; index L is the last block.
 
 A caller that reads only some slots of the last layer passes them as
 ``reads``, a pair of (row, position) index arrays, and reads their
-states from ``hidden[-1]`` itself, as ``read_states`` does for CLS
-pooling: the [CLS] slots (``cls_slots``) of the pooled rows, then any
-others, such as MLM-masked positions.  The last block then computes its
+states from ``hidden[-1]`` itself: the fine-tuning head reads every
+row's [CLS] (``cls_slots``), and ``read_states`` with CLS pooling the
+[CLS] slots of the pooled rows, then any others, such as MLM-masked
+positions.  The last block then computes its
 queries, output projection, layer norms, feed-forward network and
 dropout at those slots alone, as (n_slots, d) rows; its keys and values
 still span every position, and each slot attends over its own row's.

@@ -10,10 +10,10 @@ for the correct choice and contradiction otherwise, and at prediction
 time the choice with the highest entailment probability wins (ties go to
 the lowest index).
 
-In every case a linear head reads the last layer's [CLS] state, which
-``encoder.read_states`` gives with CLS pooling: the encoder computes its
-last block at each row's [CLS] slot alone, in training and in
-prediction.  Prediction runs the eval pass through
+In every case a linear head reads the last layer's [CLS] state, so the
+encoder computes its last block at each row's [CLS] slot alone
+(``reads``), in training and in prediction, and the head reads those
+states directly.  Prediction runs the eval pass through
 ``encoder.eval_rows``; MRC evaluation scores every choice of every
 question in one such call (``mrc_scores``).  A
 :class:`FinetunedModel` holds the encoder and that head; its parameter
@@ -46,12 +46,12 @@ import numpy as np
 
 from . import tensor as T
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
-from .encoder import INIT_STD, EncoderConfig, EncoderWeights, PoolingStrategy, eval_rows, read_states
+from .encoder import INIT_STD, EncoderConfig, EncoderWeights, cls_slots, eval_rows, forward_batch
 from .errors import ConfigError, DataError, FormatError, ShapeError
 from .metrics import ConfusionMatrix, MetricsReport, accuracy, macro_f1, mrc_accuracy
 from .optim import QUIET_FLOAT_ERRORS, AdamW, TrainingConfig, train_epochs
 from .tensor import Tensor
-from .text import TokenSequence, Vocabulary, encode_pair, encode_single, json_field, load_jsonl
+from .text import TokenSequence, Vocabulary, encode_pair, encode_single, json_field, load_jsonl, surrogate_at
 
 __all__ = [
     "FinetuneConfig",
@@ -223,7 +223,7 @@ def _logits(model: FinetunedModel, seqs, rng: np.random.Generator | None = None,
 
     ``place`` is the rows' place in their training batch, as ``forward_batch`` takes it.
     """
-    cls, _ = read_states(seqs, model.weights, PoolingStrategy.CLS, rng, place)
+    cls = forward_batch(seqs, model.weights, rng, reads=cls_slots(len(seqs)), place=place).hidden[-1]
     return T.linear(cls, model.head_weight, model.head_bias)
 
 
@@ -417,7 +417,7 @@ def load_model(path: str | Path) -> FinetunedModel:
         ("task", f"one of {kinds}", task in kinds),
         ("labels", "a list of distinct UTF-8 strings",
          isinstance(labels, list)
-         and all(isinstance(x, str) and not any("\ud800" <= c <= "\udfff" for c in x) for x in labels)
+         and all(isinstance(x, str) and surrogate_at(x) is None for x in labels)
          and len(set(labels)) == len(labels)),
     ):
         if not ok:

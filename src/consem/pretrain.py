@@ -41,6 +41,7 @@ import numpy as np
 from . import tensor as T
 from .checkpoint import Checkpoint
 from .encoder import EncoderConfig, EncoderWeights, PoolingStrategy, read_states
+from .encoder import forward_batch  # noqa: F401  unused here; bench/tests pin this import site
 from .errors import ConfigError, ContractError, DataError, ShapeError
 from .files import write_csv
 from .optim import QUIET_FLOAT_ERRORS, AdamW, TrainingConfig, train_epochs

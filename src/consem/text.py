@@ -42,6 +42,7 @@ __all__ = [
     "load_triples_jsonl",
     "prepare_contrastive",
     "save_triples_jsonl",
+    "surrogate_at",
     "write_jsonl",
 ]
 
@@ -331,11 +332,19 @@ _JSON_TYPES = {
 }
 
 
-def _require_utf8(text: str, where: str, name: str) -> None:
+def surrogate_at(text: str) -> int | None:
+    """Index of the first character of ``text`` that UTF-8 cannot encode (a lone surrogate), or None."""
     try:
         text.encode("utf-8")
     except UnicodeEncodeError as exc:
-        raise DataError(f"{where}: {name} must be UTF-8 text, got a lone surrogate at character {exc.start}") from None
+        return exc.start
+    return None
+
+
+def _require_utf8(text: str, where: str, name: str) -> None:
+    at = surrogate_at(text)
+    if at is not None:
+        raise DataError(f"{where}: {name} must be UTF-8 text, got a lone surrogate at character {at}")
 
 
 def json_field(record: dict, key: str, where: str, kinds: tuple[type, ...] = (str,), nonblank: bool = False):

@@ -85,10 +85,12 @@ _HEADER_EDITS = {
     "integer parameter name": ((("params", 0, 0), 5), FormatError, "'params'"),
     # Entry 1 is ``pos_emb``: a second ``tok_emb`` would replace the first's blob.
     "repeated parameter name": ((("params", 1, 0), "tok_emb"), FormatError, "'params'"),
-    # Its product, 2**64, is 0 in int64; ``_write_malformed`` also drops the
-    # entry's blob, so only a count in Python ints finds the file too short.
-    "dimensions past int64": ((("params", 0, 1), [2**32, 2**32]), FormatError, "bytes, found"),
+    # ``_write_malformed`` drops these entries' blobs.  The first product,
+    # 2**64, is 0 in int64; the second is 0 but numpy cannot reshape to it.
+    "dimensions past int64": ((("params", 0, 1), [2**32, 2**32]), FormatError, "'tok_emb'"),
+    "dimension past intp next to zero": ((("params", 0, 1), [2**64, 0]), FormatError, "'tok_emb'"),
 }
+_BLOB_DROPPED = {"dimensions past int64", "dimension past intp next to zero"}
 _MALFORMED = sorted(_HEADER_EDITS) + ["missing tok_emb", "header nested too deeply"]
 
 
@@ -115,7 +117,7 @@ def _write_malformed(ckpt, path, case, out):
         target[keys[-1]] = value
         text = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     blobs = blob[12 + header_len :]
-    if case == "dimensions past int64":
+    if case in _BLOB_DROPPED:
         blobs = blobs[4 * ckpt.params["tok_emb"].size :]
     out.write_bytes(blob[:8] + len(text).to_bytes(4, "little") + text + blobs)
     return error, name

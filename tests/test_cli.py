@@ -746,7 +746,7 @@ def test_error_in_a_worker_training_shard_is_one_error_line(workspace, tmp_path,
             raise ContractError("a worker's shard failed")
         return forward_batch(seqs, *args, **kwargs)
 
-    monkeypatch.setattr(encoder_module, "forward_batch", forward_failing_in_a_child)
+    monkeypatch.setattr(finetune_module, "forward_batch", forward_failing_in_a_child)
     force_workers(monkeypatch, 2)
     rc = main(["finetune", "--checkpoint", str(workspace.checkpoint), "--vocab", str(workspace.vocab),
                "--train", str(workspace.train), "--dev", str(workspace.dev), "--task", "pair",

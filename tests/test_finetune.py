@@ -22,7 +22,6 @@ from conftest import (
 )
 from oracles import full_logits, input_order_predict_probs, per_question_mrc
 
-from consem import encoder as encoder_module
 from consem import finetune as finetune_module
 from consem import optim as optim_module
 from consem import tensor as T
@@ -442,7 +441,7 @@ class TestPrediction:
             forwards.append(len(seqs))
             return forward_batch(seqs, *args, **kwargs)
 
-        monkeypatch.setattr(encoder_module, "forward_batch", counting_forward)
+        monkeypatch.setattr(finetune_module, "forward_batch", counting_forward)
         predictions, _ = evaluate_mrc(model, vocab, records)
         # 96 statements in three length-sorted batches, not 24 forwards of 4.
         assert forwards == [EVAL_BATCH] * 3
